@@ -1,9 +1,9 @@
 """Scaling-limit objects for the particle systems and the desk-scale
 experiments that check them.
 
-Closed forms: the heat-equation profile H(s, r) given by a line integral
-over 1 + iR (equal to Gaussian smoothing of the wedge initial data
-(J+1)|s| for s < 0), Gamma-law moments, and the law-of-large-numbers /
+Closed forms: the heat-equation profile H(s, r) (Gaussian smoothing of
+the wedge initial data (J+1)|s| for s < 0, equal to a line integral over
+1 + iR), Gamma-law moments, and the law-of-large-numbers /
 fluctuation-scale shapes of the capacity-2 asymmetric exclusion process
 and the asymmetric corner growth model.
 
@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
-from .errors import NotConverged, OutOfDomain
+from .errors import OutOfDomain
 from .models import ModelSpec, current, run_ensemble
 
 # The height profile solves 2 (J+1)^2 dH/dr = J d^2H/ds^2 (the constant
@@ -28,41 +27,17 @@ _NONDYN_GAMMA = 1e12  # effectively infinite dynamical parameter
 
 
 def heat_profile(s, r, J=1):
-    """The limit height profile at lateral position s and time r > 0,
-    computed from its contour-integral representation on 1 + iR."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    rj = r * J
-    a = J + 1.0
-
-    # z = 1 + it; the Gaussian envelope exp(rJ(1 - t^2)/2) truncates the
-    # line once it falls below 1e-14 relative to its peak.
-    tmax = math.sqrt(1.0 + 2.0 * 14.0 * math.log(10.0) / rj)
-
-    def real_part(t):
-        z = 1.0 + 1j * t
-        val = np.exp(0.5 * rj * z * z - s * a * z) / (z * z)
-        return val.real
-
-    # The integrand is conjugate-symmetric in t, so the integral is real
-    # and equals twice the half-line integral of the real part.
-    val, err = integrate.quad(real_part, 0.0, tmax, limit=400,
-                              epsabs=1e-13, epsrel=1e-12)
-    if err > 1e-8:
-        raise NotConverged("line-integral quadrature error %.2e" % err)
-    # Top-to-bottom orientation of the line makes the result positive.
-    return val / math.pi
-
-
-def heat_profile_gaussian(s, r, J=1):
-    """Independent evaluation of the same profile by convolving the wedge
-    initial data with the heat kernel of variance rJ/(J+1)^2."""
+    """The limit height profile at lateral position s and time r > 0: the
+    wedge initial data smoothed by the heat kernel of variance
+    sigma^2 = rJ/(J+1)^2, in closed form (J+1) * (sigma * phi(s/sigma) -
+    (s/2) * erfc(s / (sigma sqrt 2))) with phi the standard normal density.
+    It equals the contour-integral representation on 1 + iR."""
     if r <= 0:
         raise ValueError("r must be positive")
     sigma = math.sqrt(r * J) / (J + 1.0)
-    zed = s / sigma
-    return (J + 1.0) * (sigma * stats.norm.pdf(zed)
-                        - s * stats.norm.cdf(-zed))
+    density = math.exp(-0.5 * (s / sigma) ** 2) / math.sqrt(2.0 * math.pi)
+    return (J + 1.0) * (sigma * density
+                        - 0.5 * s * math.erfc(s / (sigma * math.sqrt(2.0))))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from .observables import ObservableSpec, identity_check
 from .asymptotics import experiment, heat_profile
 from .specfun import (
     EllipticContext,
-    basic_hyp,
     elliptic_pochhammer,
     f_eval,
     q_pochhammer,

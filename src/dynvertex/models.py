@@ -2,21 +2,35 @@
 exact small-system distribution oracle.
 
 Particle systems live on sites 1, 2, 3, ... with step boundary data: at time
-step y one packet of J_y arrows enters at the left of row y.  Occupancy is
-stored densely over [1, t+1] (support cannot outrun the step data).  The
-dynamical parameter kappa at a vertex is always evaluated from the closed
-form in terms of the height function, kappa = delta * q^(-2*h) * prod(b) *
-prod(c); an incremental-update audit utility is provided for the exponent
-bookkeeping invariant.
+t one packet of J_y arrows enters at the left of row y = t+1.  Occupancy is
+stored densely over [1, t+1] (support cannot outrun the step data).
 
-The corner-growth variants evolve a piecewise-linear height function with
-slopes in {-2, 0, 2} directly; sloped segments midpoint deterministically
-and flat segments flip a (possibly height-dependent) coin.
+Every particle system follows one local rule.  A time step sweeps its row
+left to right, and at each site x one per-vertex kernel per variant,
+`_kernel(spec, x, t, i1, j1, h)`, gives the law of the arrows j2 passed on
+to x+1 from the occupancy i1, the incoming arrows j1 and the height
+h = h_t(x) (particles at sites >= x).  The dynamical parameter is always
+its closed form in the height function: kappa = delta * q^(-2h) * prod(b)
+* prod(c) for the row-update models, and its exclusion-process
+degenerations.  The two exclusion processes fit the same sweep because
+their X(x) depends only on (eta(x), h(x)); their probabilities are the
+shared formulas of `weights`.  An incremental-update audit utility checks
+the exponent bookkeeping invariant.
 
-Large ensembles for the three named degenerations use vectorized engines
-that advance all trajectories in lockstep and confine updates to a moving
-active window: the packed prefix and empty suffix of the system evolve
-deterministically and are tracked in closed form.
+The sweep takes a pick rule: `step` makes one inverse-CDF draw per vertex,
+and `exact_law` follows every positive branch.  The corner-growth variants
+evolve a piecewise-linear height function with slopes in {-2, 0, 2}
+directly, through the same pick-driven sweep over its segments: sloped
+segments midpoint deterministically and flat segments flip a (possibly
+height-dependent) coin.
+
+Large ensembles run on vectorized engines that advance all trajectories in
+lockstep.  One window engine serves both exclusion processes (asym_pep is
+its J = 1 case); it confines updates to a moving active window, since the
+packed prefix and empty suffix of the system evolve deterministically and
+are tracked in closed form.  The q-Hahn engine groups trajectories by
+(occupancy, height) at each site and draws from the shared kernel.  Engine
+integer dtypes are chosen from the largest reachable occupancy.
 """
 
 import math
@@ -29,12 +43,20 @@ from .errors import (
     InadmissibleWeights,
     SizeLimit,
 )
-from .weights import PhiParams, PsiParams, phi, psi
+from .weights import (
+    PhiParams,
+    PsiParams,
+    asym_pep_stay,
+    jgamma_pep_stay,
+    phi,
+    psi,
+)
 
 _WEIGHT_SUM_TOL = 1e-10
 _WEIGHT_NEG_TOL = 1e-12
 _VARIANTS = ("general", "qhahn", "jgamma_pep", "asym_pep", "corner",
              "corner_dyn")
+_PEP = ("jgamma_pep", "asym_pep")
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +83,6 @@ class ModelSpec:
     J: object = None
     gamma: float = None
     p: float = None
-    site_capacity_hint: int = None
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -148,17 +169,9 @@ class ModelSpec:
 
     def row_degree(self, y):
         """Arrows entering at the left of row y (1-based)."""
-        if self.variant in ("jgamma_pep", "asym_pep"):
+        if self.variant in _PEP:
             return int(self.J)
         return _cyc(self.J, y)
-
-    def site_cap(self):
-        """Hard per-site occupancy cap, or None if unbounded."""
-        if self.variant == "jgamma_pep":
-            return int(self.J) + 1
-        if self.variant == "asym_pep":
-            return 2
-        return self.site_capacity_hint
 
 
 def _cyc(seq, i):
@@ -241,7 +254,8 @@ def current(state, x):
 
 
 # ---------------------------------------------------------------------------
-# Transition weight vectors (shared by the sampler and the exact oracle)
+# Per-vertex kernels (shared by the sampler, the vector engines and the
+# exact law)
 
 
 def _validate_weights(w, where):
@@ -284,169 +298,65 @@ def _kappa_general(spec, x, y, h):
     return val
 
 
-def _weights_general(spec, x, y, i1, j1, h):
-    """Distribution of j2 at site x of row y for the psi model."""
-    Jy = _cyc(spec.J, y)
-    kappa = _kappa_general(spec, x, y, h)
-    if abs(kappa) < 1e-40:
-        # Reachable only after ~70 consecutive slide-past-empty moves in
-        # one row (branch probability far below any tolerance here); any
-        # valid distribution will do, so terminate the sweep.
-        vals = np.zeros(min(Jy, i1 + j1) + 1)
-        vals[0] = 1.0
-        return vals, 0
-    p = PsiParams(u=complex(_cyc(spec.U, y)) * complex(_cyc(spec.Xi, x)),
-                  s=complex(_cyc(spec.S, x)), q=complex(spec.q), J=Jy,
-                  kappa=kappa)
-    hi = min(Jy, i1 + j1)
-    vals = np.zeros(hi + 1)
-    for j2 in range(hi + 1):
-        w = psi((i1, j1, i1 + j1 - j2, j2), p)
-        if abs(w.imag) > 1e-9:
-            raise InadmissibleWeights(
-                "non-real psi weight at site %d, row %d" % (x, y))
-        vals[j2] = w.real
-    return _validate_weights(vals, "site %d, row %d (general)" % (x, y))
-
-
-def _weights_qhahn(spec, x, y, i1, h):
-    """Distribution of j2 at site x of row y for the q-Hahn model; depends
-    only on the pre-step occupancy i1 (and the height through kappa)."""
-    kappa = _kappa_qhahn(spec, x, y, h)
-    bx = _cyc(spec.B, x)
-    cy = _cyc(spec.C, y)
-    p = PhiParams(q=spec.q, a=bx * cy, b=bx, kappa=kappa)
-    vals = np.zeros(i1 + 1)
-    for j2 in range(i1 + 1):
-        w = phi(j2, i1, p)
-        if abs(complex(w).imag) > 1e-9:
-            raise InadmissibleWeights(
-                "non-real phi weight at site %d, row %d" % (x, y))
-        vals[j2] = complex(w).real
-    return _validate_weights(vals, "site %d, row %d (qhahn)" % (x, y))
-
-
-def _asym_up_prob(q, delta, e):
-    """P[j2 = 1 | i1 = 1] for the asymmetric capacity-2 model, with
-    kappa = delta * q**e evaluated overflow-safely for any integer e."""
-    if delta == 0.0:
-        return 1.0 / (q + 1.0)
-    if e >= 0:
-        kap = delta * q ** e
-        return (1.0 - q * kap) / ((q + 1.0) * (1.0 - kap))
-    kinv = (q ** (-e)) / delta  # |q^{-e}| < ... safe: e < 0 => q^{-e} < 1
-    return (kinv - q) / ((q + 1.0) * (kinv - 1.0))
-
-
-def _weights_asym(spec, x, t, i1, h):
-    """Distribution of j2 over {0, 1} for asym_pep at time t (row t+1)."""
-    if i1 == 0:
-        return np.array([1.0, 0.0]), 0
-    if i1 == 2:
-        return np.array([0.0, 1.0]), 0
-    if i1 != 1:
+def _pep_param(spec, x, t, h):
+    """The dynamical parameter of either exclusion process at sites x and
+    time t, elementwise over scalars or numpy arrays, in closed form in the
+    height h = h_t(x): the exponent e of kappa = delta * q**e (asym_pep),
+    or Upsilon, checked against gamma (jgamma_pep)."""
+    if spec.variant == "asym_pep":
+        return t - 2 * (x - 1) - 2 * h
+    ups = spec.gamma + 2.0 * h + (spec.J + 1) * (x - 1) - spec.J * t
+    low = np.min(ups)
+    if low < spec.gamma - 1e-9:
         raise InadmissibleWeights(
-            "asym_pep occupancy %d > 2 at site %d" % (i1, x))
-    e = t - 2 * (x - 1) - 2 * h
-    pr = _asym_up_prob(spec.q, spec.delta, e)
-    return _validate_weights([1.0 - pr, pr],
-                             "site %d, row %d (asym_pep)" % (x, t + 1))
+            "Upsilon %.6f < gamma at time %d" % (low, t))
+    return ups
 
 
-def _jgamma_upsilon(spec, x, t, h):
-    """Dynamical rate at site x and time t from the closed form in the
-    height function."""
-    return spec.gamma + 2 * h + (spec.J + 1) * (x - 1) - spec.J * t
+def _pep_stay(spec, eta, param):
+    """P[X(x) = eta - 1] from the shared formula in `weights`, elementwise,
+    at the dynamical parameter from _pep_param."""
+    if spec.variant == "asym_pep":
+        return asym_pep_stay(eta, spec.q, spec.delta, param)
+    return jgamma_pep_stay(eta, spec.J, param)
 
 
-def _weights_jgamma(spec, x, t, eta, h):
-    """Distribution of X (arrows passed to the right) at site x: two-point
-    on {eta-1, eta} for occupied sites, point mass at 0 for empty ones.
-    Returned as (values, probabilities)."""
-    if eta == 0:
-        return (0,), np.array([1.0]), 0
-    J = spec.J
-    ups = _jgamma_upsilon(spec, x, t, h)
-    if ups < spec.gamma - 1e-9:
-        raise InadmissibleWeights(
-            "Upsilon %.6f < gamma at site %d, time %d" % (ups, x, t))
-    p_low = (eta / (J + 1)) * (1 + (J + 1 - eta) / ups)
-    p_high = ((J + 1 - eta) / (J + 1)) * (1 - eta / ups)
-    w, clamped = _validate_weights(
-        [p_low, p_high], "site %d, time %d (jgamma_pep)" % (x, t))
-    return (eta - 1, eta), w, clamped
-
-
-# ---------------------------------------------------------------------------
-# Transition enumeration (drives both the sampler and the exact oracle)
-
-_SWEEP_CAP = 256  # safety bound on horizontal propagation past the support
-
-
-def _row_transitions(occ, t, spec, chooser):
-    """Advance one row.  occ is the pre-step occupancy tuple (site x at
-    index x-1); chooser(values, weights, where) -> (index, prob) picks one
-    branch (sampling) or is called inside an enumeration wrapper (exact
-    oracle).  Returns the new occupancy list and the accumulated clamp
-    count."""
+def _kernel(spec, x, t, i1, j1, h):
+    """The per-vertex kernel at site x of row t+1.  From the vertical input
+    i1 (the occupancy of x before the step), the horizontal input j1 and
+    the height h = h_t(x), returns (values of j2, their validated
+    probabilities, clamp count), where j2 is the number of arrows passed on
+    from x to x+1.  The q-Hahn and exclusion kernels do not read j1."""
     y = t + 1
-    total = sum(occ)
-    incoming = spec.row_degree(y)
-    new = []
-    clamped = 0
-    h = total  # height at the current site, pre-step
-    x = 0
-    while True:
-        x += 1
-        if x > len(occ) and incoming == 0:
-            break
-        if x > len(occ) + _SWEEP_CAP:
-            raise SizeLimit("horizontal propagation exceeded the cap")
-        i1 = occ[x - 1] if x <= len(occ) else 0
-        if spec.variant == "general":
-            w, c = _weights_general(spec, x, y, i1, incoming, h)
-            j2 = chooser(np.arange(len(w)), w, (x, y))
-        elif spec.variant == "qhahn":
-            w, c = _weights_qhahn(spec, x, y, i1, h)
-            j2 = chooser(np.arange(len(w)), w, (x, y))
-        elif spec.variant == "asym_pep":
-            w, c = _weights_asym(spec, x, t, i1, h)
-            j2 = chooser(np.array([0, 1]), w, (x, y))
-        else:
-            raise ValueError("not a row-update variant")
-        clamped += c
-        new.append(i1 + incoming - j2)
-        incoming = int(j2)
-        h -= i1
-    while new and new[-1] == 0:
-        new.pop()
-    return new, clamped
-
-
-def _jgamma_transition(occ, t, spec, chooser):
-    """One parallel update of the partial exclusion process: all X drawn
-    from the time-t state, then eta'(k) = X(k-1) - X(k) + eta(k)."""
-    total = sum(occ)
-    h = total
-    xs = [spec.J]  # X_0 from the step data
-    clamped = 0
-    for x in range(1, len(occ) + 2):
-        eta = occ[x - 1] if x <= len(occ) else 0
-        vals, w, c = _weights_jgamma(spec, x, t, eta, h)
-        clamped += c
-        xs.append(int(chooser(np.array(vals), w, (x, t))))
-        h -= eta
-    new = []
-    for x in range(1, len(occ) + 2):
-        eta = occ[x - 1] if x <= len(occ) else 0
-        nxt = xs[x - 1] - xs[x] + eta
-        if nxt < 0 or nxt > spec.J + 1:
-            raise InadmissibleWeights(
-                "occupancy %d out of [0, J+1] at site %d" % (nxt, x))
-        new.append(nxt)
-    while new and new[-1] == 0:
-        new.pop()
-    return new, clamped
+    where = "site %d, row %d (%s)" % (x, y, spec.variant)
+    if spec.variant in _PEP:
+        if i1 == 0:
+            return (0,), (1.0,), 0
+        stay = float(_pep_stay(spec, i1, _pep_param(spec, x, t, h)))
+        w, clamped = _validate_weights([stay, 1.0 - stay], where)
+        return (i1 - 1, i1), w, clamped
+    if spec.variant == "general":
+        kappa = _kappa_general(spec, x, y, h)
+        if abs(kappa) < 1e-40:
+            # Reachable only after ~70 consecutive slide-past-empty moves
+            # in one row (branch probability far below any tolerance
+            # here); any valid distribution will do, so end the sweep.
+            return (0,), (1.0,), 0
+        Jy = _cyc(spec.J, y)
+        p = PsiParams(u=complex(_cyc(spec.U, y)) * complex(_cyc(spec.Xi, x)),
+                      s=complex(_cyc(spec.S, x)), q=complex(spec.q), J=Jy,
+                      kappa=kappa)
+        raw = [complex(psi((i1, j1, i1 + j1 - j2, j2), p))
+               for j2 in range(min(Jy, i1 + j1) + 1)]
+    else:
+        bx = _cyc(spec.B, x)
+        p = PhiParams(q=spec.q, a=bx * _cyc(spec.C, y), b=bx,
+                      kappa=_kappa_qhahn(spec, x, y, h))
+        raw = [complex(phi(j2, i1, p)) for j2 in range(i1 + 1)]
+    if any(abs(w.imag) > 1e-9 for w in raw):
+        raise InadmissibleWeights("non-real weight at %s" % where)
+    w, clamped = _validate_weights([w.real for w in raw], where)
+    return range(len(w)), w, clamped
 
 
 def _corner_up_prob(spec, height):
@@ -455,33 +365,81 @@ def _corner_up_prob(spec, height):
     return 0.5 * (1.0 - 1.0 / (spec.gamma + height))
 
 
-def _corner_transition(heights, left, t, spec, chooser):
-    """One midpoint update of the height function.  The stored window is
-    first extended by one lattice unit on each side with wedge values;
-    sloped segments midpoint deterministically, flat segments go up or
-    down by one with the (possibly height-dependent) coin."""
+# ---------------------------------------------------------------------------
+# Sweeps: one time step, left to right, following the branches a pick rule
+# keeps at each vertex.  pick(values, weights, prob) returns the
+# (value, prob * weight) pairs to follow: one inverse-CDF draw when
+# sampling, every positive branch for the exact law.  Partial rows are
+# cons lists (value, rest), so a branch is extended in constant time.
+
+_SWEEP_CAP = 256  # safety bound on horizontal propagation past the support
+
+
+def _unroll(cons):
+    out = []
+    while cons is not None:
+        value, cons = cons
+        out.append(value)
+    return tuple(reversed(out))
+
+
+def _row_sweep(occ, t, spec, pick):
+    """Row t+1 of a particle system over the occupancy tuple occ (site x at
+    index x-1).  Returns one (new occupancy tuple, probability, clamp
+    count) per branch."""
+    done = []
+    live = [(None, spec.row_degree(t + 1), sum(occ), 1.0, 0)]
+    x = 0
+    while live:
+        x += 1
+        i1 = occ[x - 1] if x <= len(occ) else 0
+        nxt = []
+        for new, j1, h, pr, clamped in live:
+            if x > len(occ) and j1 == 0:
+                while new is not None and new[0] == 0:
+                    new = new[1]
+                done.append((_unroll(new), pr, clamped))
+                continue
+            if x > len(occ) + _SWEEP_CAP:
+                raise SizeLimit("horizontal propagation exceeded the cap")
+            values, w, c = _kernel(spec, x, t, i1, j1, h)
+            for j2, p in pick(values, w, pr):
+                i2 = i1 + j1 - j2
+                if spec.variant in _PEP and i2 > spec.J + 1:
+                    raise InadmissibleWeights(
+                        "occupancy %d out of [0, J+1] at site %d" % (i2, x))
+                nxt.append(((i2, new), j2, h - i1, p, clamped + c))
+        live = nxt
+    return done
+
+
+def _corner_sweep(cfg, t, spec, pick):
+    """One midpoint update of a corner height function cfg = (heights,
+    left).  The stored window is first extended by one lattice unit on each
+    side with wedge values; sloped segments midpoint deterministically,
+    flat segments go up or down by one with the (possibly height-dependent)
+    coin.  Returns one ((heights, left), probability, 0) per branch."""
+    heights, left = cfg
     n = len(heights)
-    ext = [int(round(2 * abs(left - 1)))] + list(heights) + [
-        int(round(2 * abs(left + n)))]
-    new = []
-    for i in range(len(ext) - 1):
+    ext = ([int(round(2 * abs(left - 1)))] + [int(v) for v in heights]
+           + [int(round(2 * abs(left + n)))])
+    live = [(None, 1.0)]
+    for i in range(n + 1):
         h1, h2 = ext[i], ext[i + 1]
         if h1 != h2:
             if abs(h1 - h2) != 2:
                 raise InadmissibleWeights(
                     "segment slope %d not in {-2, 0, 2} at time %d"
                     % (h2 - h1, t))
-            new.append((h1 + h2) // 2)
-        else:
-            pos = left - 1 + i + 0.5
-            pr = _corner_up_prob(spec, h1)
-            if not -_WEIGHT_NEG_TOL <= pr <= 1 + _WEIGHT_NEG_TOL:
-                raise InadmissibleWeights(
-                    "up-probability %.6f at x=%.1f, time %d" % (pr, pos, t))
-            move = chooser(np.array([-1, 1]),
-                           np.array([1.0 - pr, pr]), (pos, t))
-            new.append(h1 + int(move))
-    return new, left - 0.5
+            live = [(((h1 + h2) // 2, new), pr) for new, pr in live]
+            continue
+        up = _corner_up_prob(spec, h1)
+        if not -_WEIGHT_NEG_TOL <= up <= 1 + _WEIGHT_NEG_TOL:
+            raise InadmissibleWeights("up-probability %.6f at x=%.1f, time %d"
+                                      % (up, left - 0.5 + i, t))
+        live = [((h1 + move, new), p) for new, pr in live
+                for move, p in pick((-1, 1), (1.0 - up, up), pr)]
+    return [((_unroll(new), left - 0.5), pr, 0) for new, pr in live]
 
 
 # ---------------------------------------------------------------------------
@@ -490,29 +448,30 @@ def _corner_transition(heights, left, t, spec, chooser):
 
 def _sample_index(w, rng):
     """Inverse-CDF draw from a validated weight vector."""
-    cdf = np.cumsum(w)
-    return int(np.searchsorted(cdf, rng.random(), side="right").clip(
-        0, len(w) - 1))
+    u = rng.random()
+    acc = 0.0
+    for k, p in enumerate(w):
+        acc += p
+        if u < acc:
+            return k
+    return len(w) - 1
 
 
 def step(state, spec):
     """Advance one trajectory by one time step."""
     rng = state.rng
 
-    def chooser(values, w, where):
-        return values[_sample_index(w, rng)]
+    def pick(values, w, pr):
+        return ((values[_sample_index(w, rng)], pr),)
 
     if spec.is_corner:
-        new, nleft = _corner_transition(state.heights, state.left,
-                                        state.time, spec, chooser)
-        return CornerState(time=state.time + 1, left=nleft,
-                           heights=np.array(new, dtype=np.int64), rng=rng,
-                           clamped=state.clamped)
-    occ = [int(v) for v in state.occupancy]
-    if spec.variant == "jgamma_pep":
-        new, clamped = _jgamma_transition(occ, state.time, spec, chooser)
-    else:
-        new, clamped = _row_transitions(occ, state.time, spec, chooser)
+        ((heights, left), _, _), = _corner_sweep(
+            (state.heights, state.left), state.time, spec, pick)
+        return CornerState(time=state.time + 1, left=left,
+                           heights=np.array(heights, dtype=np.int64),
+                           rng=rng, clamped=state.clamped)
+    (new, _, clamped), = _row_sweep(
+        tuple(int(v) for v in state.occupancy), state.time, spec, pick)
     arr = np.array(new if new else [0], dtype=np.int64)
     return SystemState(time=state.time + 1, occupancy=arr,
                        total_particles=int(arr.sum()),
@@ -557,77 +516,33 @@ class ExactLaw:
         return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
-def _enumerate_transitions(cfg, t, spec, prune=0.0):
-    """All (new configuration, probability) branches of one step.  With
-    prune > 0, branches of probability below the threshold are dropped
-    (the psi model lets horizontal arrows slide past empty sites with a
-    geometrically small probability, so its support has an infinite tail
-    of negligible mass)."""
-    branches = []
-    stack = []
-
-    def run(path):
-        """Replay one prefix of choices, recording the branch points."""
-        it = iter(path)
-
-        def chooser(values, w, where):
-            try:
-                idx = next(it)
-            except StopIteration:
-                stack.append((list(path), values, w))
-                raise _Stop()
-            return values[idx]
-
-        if spec.is_corner:
-            heights, left = cfg
-            return _corner_transition(list(heights), left, t, spec, chooser)
-        if spec.variant == "jgamma_pep":
-            return _jgamma_transition(list(cfg), t, spec, chooser)
-        return _row_transitions(list(cfg), t, spec, chooser)
-
-    # Depth-first expansion over the choice tree, replaying prefixes.  The
-    # trees here are tiny (exact laws are guarded by a size bound), so the
-    # quadratic replay cost is irrelevant and the sampler code path is
-    # reused verbatim.
-    pending = [([], 1.0)]
-    while pending:
-        path, prob = pending.pop()
-        try:
-            out = run(path)
-        except _Stop:
-            _, values, w = stack.pop()
-            for idx in range(len(values)):
-                if w[idx] > 0.0 and prob * w[idx] > prune:
-                    pending.append((path + [idx], prob * w[idx]))
-            continue
-        if spec.is_corner:
-            new, nleft = out
-            branches.append(((tuple(new), nleft), prob))
-        else:
-            branches.append((tuple(out[0]), prob))
-    return branches
-
-
-class _Stop(Exception):
-    pass
-
-
 def exact_law(spec, N, bound=200000):
-    """Exact forward distribution after N steps, by exhaustive transition
-    expansion.  Configurations are occupancy tuples (particle systems) or
-    (heights tuple, left position) pairs (corner variants)."""
+    """Exact forward distribution after N steps: every step sweeps each
+    configuration along all its positive branches.  Configurations are
+    occupancy tuples (particle systems) or (heights tuple, left position)
+    pairs (corner variants).  For the general model, whose horizontal
+    arrows slide past empty sites with geometrically small probability
+    (an infinite tail of negligible mass), branches and configurations of
+    probability at most 1e-14 are dropped."""
     if spec.is_corner:
         init = initial_state(spec)
-        start = ((tuple(int(v) for v in init.heights), init.left), 1.0)
+        start = (tuple(int(v) for v in init.heights), init.left)
+        sweep = _corner_sweep
     else:
-        start = ((), 1.0)
-    dist = {start[0]: start[1]}
+        start = ()
+        sweep = _row_sweep
     prune = 1e-14 if spec.variant == "general" else 0.0
+
+    def pick(values, w, pr):
+        return [(v, pr * p) for v, p in zip(values, w)
+                if p > 0.0 and pr * p > prune]
+
+    dist = {start: 1.0}
     for t in range(N):
         nxt = {}
         work = 0
         for cfg, pr in dist.items():
-            for ncfg, npr in _enumerate_transitions(cfg, t, spec, prune):
+            for ncfg, npr, _ in sweep(cfg, t, spec, pick):
                 nxt[ncfg] = nxt.get(ncfg, 0.0) + pr * npr
                 work += 1
                 if len(nxt) > bound or work > 64 * bound:
@@ -748,82 +663,42 @@ def _advance_window(arr, lo, packed, grow=64):
     return arr, lo
 
 
-def _ensemble_jgamma(spec, N, samples, rng):
-    """Vectorized partial-exclusion engine.  Window columns are sites
-    lo, lo+1, ...; sites < lo are packed at J+1 (they deterministically
-    forward J arrows), sites past the window are empty."""
+def _int_dtype(top):
+    """Signed integer dtype, int16 or wider, that holds 0..top."""
+    return np.promote_types(np.int16, np.min_scalar_type(-int(top)))
+
+
+def _ensemble_pep(spec, N, samples, rng):
+    """Vectorized engine for both exclusion processes, capacity J+1.  All
+    X(x) of a step are drawn from the time-t state.  Window columns are
+    sites lo, lo+1, ...; sites < lo are packed at J+1 (they
+    deterministically forward J arrows), sites past the window are
+    empty."""
     J = int(spec.J)
     cap = J + 1
-    arr = np.zeros((samples, 8), dtype=np.int16)
+    arr = np.zeros((samples, 8), dtype=_int_dtype(cap))
     lo = 1
     for t in range(N):
-        total = J * t
-        width = arr.shape[1]
         # Height at each window column, from the suffix sums.
         h = arr[:, ::-1].cumsum(axis=1)[:, ::-1]
-        x = np.arange(lo, lo + width)
-        ups = spec.gamma + 2.0 * h + (cap) * (x - 1) - J * t
-        if ups.min() < spec.gamma - 1e-6:
+        x = np.arange(lo, lo + arr.shape[1])
+        # param stays bound for the whole step: releasing this window-sized
+        # array early tripled the page faults of the engine.
+        param = _pep_param(spec, x, t, h)
+        stay = _pep_stay(spec, arr, param)
+        if ((stay < -_WEIGHT_NEG_TOL) | (stay > 1 + _WEIGHT_NEG_TOL)).any():
             raise InadmissibleWeights(
-                "Upsilon below gamma at time %d" % t)
-        eta = arr
-        p_low = (eta / cap) * (1.0 + (cap - eta) / ups)
-        bad = (p_low < -_WEIGHT_NEG_TOL) | (p_low > 1 + _WEIGHT_NEG_TOL)
-        if bad.any():
-            raise InadmissibleWeights(
-                "transfer probability out of [0,1] at time %d" % t)
-        drop = (rng.random((samples, width)) < p_low) & (eta > 0)
-        xs = eta - drop.astype(np.int16)  # arrows passed right
+                "stay probability out of [0, 1] at time %d" % t)
+        xs = arr - (rng.random(arr.shape) < stay)  # arrows passed right
         inc = np.empty_like(xs)
         inc[:, 0] = J  # from the packed region / step data
         inc[:, 1:] = xs[:, :-1]
-        arr = (inc - xs + eta).astype(np.int16)
+        arr = inc - xs + arr
         if arr.max() > cap or arr.min() < 0:
             raise InadmissibleWeights(
                 "occupancy out of [0, J+1] at time %d" % (t + 1))
         arr, lo = _advance_window(arr, lo, cap)
     return _window_views(arr, lo, cap, J * N, N, samples)
-
-
-def _ensemble_asym(spec, N, samples, rng):
-    """Vectorized asymmetric capacity-2 engine."""
-    q, delta = spec.q, spec.delta
-    arr = np.zeros((samples, 8), dtype=np.int16)
-    lo = 1
-    for t in range(N):
-        width = arr.shape[1]
-        suf = arr[:, ::-1].cumsum(axis=1)[:, ::-1]
-        x = np.arange(lo, lo + width)
-        e = t - 2 * (x - 1) - 2 * suf  # kappa exponent per site
-        if delta == 0.0:
-            pr = np.full((samples, width), 1.0 / (q + 1.0))
-        else:
-            f = q ** np.abs(e)
-            kap = delta * f
-            kinv = f / delta
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pr = np.where(
-                    e >= 0,
-                    (1.0 - q * kap) / ((q + 1.0) * (1.0 - kap)),
-                    (kinv - q) / ((q + 1.0) * (kinv - 1.0)))
-        bad = (pr < -_WEIGHT_NEG_TOL) | (pr > 1 + _WEIGHT_NEG_TOL)
-        if bad.any():
-            raise InadmissibleWeights(
-                "jump probability out of [0,1] at time %d" % t)
-        eta = arr
-        j2 = np.where(eta == 2, 1,
-                      np.where(eta == 1,
-                               (rng.random((samples, width)) < pr)
-                               .astype(np.int16), 0)).astype(np.int16)
-        inc = np.empty_like(j2)
-        inc[:, 0] = 1
-        inc[:, 1:] = j2[:, :-1]
-        arr = (eta + inc - j2).astype(np.int16)
-        if arr.max() > 2 or arr.min() < 0:
-            raise InadmissibleWeights(
-                "occupancy out of [0, 2] at time %d" % (t + 1))
-        arr, lo = _advance_window(arr, lo, 2)
-    return _window_views(arr, lo, 2, N, N, samples)
 
 
 def _window_views(arr, lo, packed, total, time, samples):
@@ -837,11 +712,12 @@ def _window_views(arr, lo, packed, total, time, samples):
 def _ensemble_qhahn(spec, N, samples, rng):
     """Vectorized q-Hahn engine: per site, trajectories are grouped by
     (occupancy, height) and share one exact inverse-CDF table."""
-    occ = np.zeros((samples, N + 2), dtype=np.int16)
+    dtype = _int_dtype(sum(spec.row_degree(y) for y in range(1, N + 1)))
+    occ = np.zeros((samples, N + 2), dtype=dtype)
     total = 0
     for t in range(N):
         y = t + 1
-        j_in = np.full(samples, spec.row_degree(y), dtype=np.int16)
+        j_in = np.full(samples, spec.row_degree(y), dtype=dtype)
         pre = occ.copy()
         suf = pre[:, ::-1].cumsum(axis=1)[:, ::-1]
         for x in range(1, t + 3):
@@ -851,14 +727,14 @@ def _ensemble_qhahn(spec, N, samples, rng):
                 break
             key = i1 * (total + 1) + h
             u = rng.random(samples)
-            j2 = np.zeros(samples, dtype=np.int16)
+            j2 = np.zeros(samples, dtype=dtype)
             for kv in np.unique(key):
                 mask = key == kv
                 ik = int(i1[mask][0])
                 hk = int(h[mask][0])
                 if ik == 0:
                     continue
-                w, _ = _weights_qhahn(spec, x, y, ik, hk)
+                _, w, _ = _kernel(spec, x, t, ik, 0, hk)
                 cdf = np.cumsum(w)
                 j2[mask] = np.searchsorted(
                     cdf, u[mask], side="right").clip(0, ik)
@@ -874,8 +750,8 @@ def _ensemble_qhahn(spec, N, samples, rng):
 
 
 _VECTOR_ENGINES = {
-    "jgamma_pep": _ensemble_jgamma,
-    "asym_pep": _ensemble_asym,
+    "jgamma_pep": _ensemble_pep,
+    "asym_pep": _ensemble_pep,
     "qhahn": _ensemble_qhahn,
 }
 

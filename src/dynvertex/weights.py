@@ -8,6 +8,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     InadmissibleParameters,
     PatternMismatch,
@@ -502,6 +504,36 @@ def sigma_j1_full_row(J, i, j, u, s, q, xi, kappa):
     return num * _inv(den, "sigma_j1_full_row denominator")
 
 
+def asym_pep_stay(eta, q, delta, e):
+    """P[X = eta - 1] for the asymmetric capacity-2 exclusion process: the
+    chance that one of the eta in {0, 1, 2} particles at a site stays and
+    the others move right, i.e. P(j2 = eta - 1 | i1 = eta) in the a = 1/q,
+    b = 1/q^2 phi table, at kappa = delta * q**e with delta <= 0.
+
+    Elementwise over numpy arrays, overflow-safe for any integer e."""
+    if delta == 0.0:
+        p1 = q / (q + 1.0)
+    else:
+        # a = kappa where e >= 0 and a = 1/kappa = q**(-e) / delta where
+        # e < 0, so no power of q overflows.  f / delta overflows only for
+        # subnormal delta, where the clipped 1/kappa gives the same value.
+        f = q ** np.abs(e)
+        pos = e >= 0
+        with np.errstate(over="ignore"):
+            a = np.where(pos, delta * f, np.maximum(f / delta, -1e300))
+        p1 = np.where(pos, q - a, 1.0 - q * a) / ((q + 1.0) * (1.0 - a))
+    # An empty site passes nothing on; a full one keeps exactly one.
+    return np.where(eta == 1, p1, eta / 2.0)
+
+
+def jgamma_pep_stay(eta, J, upsilon):
+    """P[X = eta - 1] for the partial exclusion process of capacity J+1 at
+    dynamical rate Upsilon: the chance that one of the eta particles at a
+    site stays and eta - 1 move right (otherwise all eta move).
+    Elementwise over numpy arrays."""
+    return (eta / (J + 1)) * (1 + (J + 1 - eta) / upsilon)
+
+
 def degeneration_weight(kind, **kw):
     """Closed-form probabilities/rates for the named degenerations.
 
@@ -527,13 +559,10 @@ def degeneration_weight(kind, **kw):
         if not (0 < q < 1) or kap > 0:
             raise InadmissibleParameters(
                 "asym_pep requires q in (0,1) and kappa <= 0")
-        if (j, i) == (0, 0) or (j, i) == (1, 2):
-            return 1.0
-        if (j, i) == (0, 1):
-            return (q - kap) / ((q + 1) * (1 - kap))
-        if (j, i) == (1, 1):
-            return (1 - q * kap) / ((q + 1) * (1 - kap))
-        return 0.0
+        if not 0 <= i <= 2 or j not in (i - 1, i):
+            return 0.0
+        stay = float(asym_pep_stay(i, q, kap, 0))
+        return stay if j == i - 1 else 1.0 - stay
     if kind == "hahn_pep":
         A, J, kh, j, i = (kw["A"], kw["J"], kw["kappa_hat"], kw["j"],
                           kw["i"])
@@ -554,11 +583,10 @@ def degeneration_weight(kind, **kw):
             raise InadmissibleParameters("jgamma_pep requires Upsilon >= J+1")
         if not 0 <= eta_k <= J + 1:
             raise InadmissibleParameters("eta must lie in [0, J+1]")
-        if x == eta_k - 1:
-            return (eta_k / (J + 1)) * (1 + (J + 1 - eta_k) / ups)
-        if x == eta_k:
-            return ((J + 1 - eta_k) / (J + 1)) * (1 - eta_k / ups)
-        return 0.0
+        if x not in (eta_k - 1, eta_k):
+            return 0.0
+        stay = jgamma_pep_stay(eta_k, J, ups)
+        return stay if x == eta_k - 1 else 1.0 - stay
     if kind == "madm_rate":
         q, kh, j, i = kw["q"], kw["kappa_hat"], kw["j"], kw["i"]
         if not (0 < q < 1) or kh > 0:

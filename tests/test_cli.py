@@ -2,9 +2,13 @@
 byte-level reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dynvertex
 from dynvertex.cli import dispatch
 
 
@@ -13,6 +17,18 @@ def run(tmp_path, *argv):
     code = dispatch(list(argv) + ["--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy(self):
+        src = os.path.dirname(os.path.dirname(dynvertex.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import sys, dynvertex.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestUsageErrors:

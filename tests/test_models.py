@@ -157,6 +157,13 @@ class TestExactLaw:
                                 J=(1,))
         law = exact_law(gen, 3)
         assert law.total_mass == pytest.approx(1.0, abs=1e-10)
+        assert len(law.support) == 51
+
+    def test_jgamma_j2_support(self):
+        # Fixes the enumerator's branching: every positive branch is kept.
+        law = exact_law(ModelSpec.jgamma_pep(J=2, gamma=7.0), 8)
+        assert len(law.support) == 939
+        assert law.total_mass == pytest.approx(1.0, abs=1e-10)
 
     def test_jgamma_two_step_height(self):
         gamma = 10.0
@@ -198,13 +205,14 @@ class TestEnsembles:
 
     @pytest.mark.parametrize("vectorized", [True, False],
                              ids=["vector", "scalar"])
-    def test_qhahn_frequencies_match_exact_law(self, vectorized):
+    @pytest.mark.parametrize("spec", [QHAHN, JG, ASYM],
+                             ids=["qhahn", "jgamma", "asym"])
+    def test_frequencies_match_exact_law(self, spec, vectorized):
         n = 100000 if vectorized else 4000
-        law = exact_law(QHAHN, 3)
+        law = exact_law(spec, 3)
         # Joint law of the height vector determines the configuration.
         obs = [lambda st, x=x: current(st, x) for x in range(1, 5)]
-        ests = run_ensemble(QHAHN, 3, n, 57, obs,
-                            vectorized=vectorized)
+        ests = run_ensemble(spec, 3, n, 57, obs, vectorized=vectorized)
         for x in range(1, 5):
             exact = law.mean(lambda cfg, x=x: h_tail(cfg, x))
             got = ests[x - 1]
@@ -233,6 +241,16 @@ class TestEnsembles:
             freq = counts.get(tuple(cfg), 0) / n
             sigma = math.sqrt(pr * (1 - pr) / n)
             assert abs(freq - pr) < 4 * sigma + 1e-9, (cfg, freq, pr)
+
+    def test_large_capacity_vector_matches_scalar(self):
+        # J + 1 = 40001 does not fit the int16 window of small capacities.
+        spec = ModelSpec.jgamma_pep(J=40000, gamma=1e6)
+        obs = [lambda st, x=x: current(st, x) for x in (1, 2, 3)]
+        for vectorized in (True, False):
+            h1, h2, h3 = run_ensemble(spec, 2, 10, 1, obs,
+                                      vectorized=vectorized)
+            assert (h1.mean, h3.mean) == (80000, 0)
+            assert 39999 <= h2.mean <= 40000
 
     def test_asym_mean_matches_exact(self):
         law = exact_law(ASYM, 3)

@@ -6,7 +6,9 @@ import cmath
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynvertex.errors import InadmissibleParameters, PatternMismatch
 from dynvertex.specfun import EllipticContext, elliptic_pochhammer, f_eval
@@ -15,9 +17,11 @@ from dynvertex.weights import (
     PhiParams,
     PsiParams,
     UnfusedWeightParams,
+    asym_pep_stay,
     c_correction,
     column_weight,
     degeneration_weight,
+    jgamma_pep_stay,
     phi,
     psi,
     psi_u_equals_s,
@@ -350,3 +354,59 @@ class TestDegenerations:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             degeneration_weight("unknown", q=0.4)
+
+
+@st.composite
+def jgamma_draws(draw):
+    """Admissible (J, gamma) and sites (x, t, eta, h) with
+    Upsilon = gamma + 2h + (J+1)(x-1) - Jt >= gamma and h >= eta."""
+    J = draw(st.integers(1, 60))
+    gamma = draw(st.floats(J + 1, J + 1e4, exclude_min=True))
+    sites = []
+    for _ in range(draw(st.integers(1, 12))):
+        x, t = draw(st.integers(1, 300)), draw(st.integers(0, 300))
+        eta = draw(st.integers(0, J + 1))
+        low = max(eta, -(-(J * t - (J + 1) * (x - 1)) // 2))
+        sites.append((x, t, eta, low + draw(st.integers(0, 500))))
+    return J, gamma, sites
+
+
+class TestExclusionFormulas:
+    """The two exclusion-process probabilities are single elementwise
+    formulas shared by degeneration_weight, the scalar kernel and the
+    vector engine: arrays and scalars must agree."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(jgamma_draws())
+    def test_jgamma_pep_stay(self, draw):
+        J, gamma, sites = draw
+        x, t, eta, h = (np.array(v) for v in zip(*sites))
+        ups = gamma + 2 * h + (J + 1) * (x - 1) - J * t
+        vec = jgamma_pep_stay(eta, J, ups)
+        for k, (e, u) in enumerate(zip(eta.tolist(), ups.tolist())):
+            one = jgamma_pep_stay(e, J, u)
+            assert abs(vec[k] - one) <= 1e-15 * abs(one)
+            assert 0.0 <= one <= 1.0
+            assert one == degeneration_weight("jgamma_pep", J=J, Upsilon=u,
+                                              eta=e, x=e - 1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(0.01, 0.99),
+           st.one_of(st.just(0.0), st.floats(-1e3, 0.0)),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(-2000, 2000)),
+                    min_size=1, max_size=12))
+    def test_asym_pep_stay(self, q, delta, sites):
+        eta, e = (np.array(v) for v in zip(*sites))
+        vec = asym_pep_stay(eta, q, delta, e)
+        for k, (i, ek) in enumerate(sites):
+            one = float(asym_pep_stay(i, q, delta, ek))
+            assert math.isfinite(one) and 0.0 <= one <= 1.0
+            assert abs(vec[k] - one) <= 1e-15 * abs(one)
+            if ek * math.log(q) > 600:
+                continue  # kappa = delta * q**e is not a finite float
+            kap = delta * q ** ek
+            assert one == pytest.approx(degeneration_weight(
+                "asym_pep", q=q, kappa=kap, j=i - 1, i=i), rel=1e-12)
+            if abs(kap) <= 1e6 and i > 0:
+                p = PhiParams(q=q, a=1 / q, b=1 / q ** 2, kappa=kap)
+                assert abs(phi(i - 1, i, p).real - one) <= 1e-12
