@@ -519,6 +519,12 @@ _MODEL_KEYS = {
 }
 
 
+def _config_complex(v):
+    """A JSON [re, im] pair, the form reports print complex numbers in,
+    becomes complex; any other value is left to the model constructor."""
+    return complex(*v) if isinstance(v, list) and len(v) == 2 else v
+
+
 def _model_from_config(model, cfg):
     _check_keys(cfg, _MODEL_KEYS[model], "model")
     try:
@@ -527,8 +533,10 @@ def _model_from_config(model, cfg):
             if missing:
                 raise _ConfigError("general model requires keys: %s"
                                    % ", ".join(missing))
-            return ModelSpec.general(cfg["q"], cfg["delta"], cfg["U"],
-                                     cfg["Xi"], cfg["S"], cfg["J"])
+            U, Xi, S = ([_config_complex(v) for v in cfg[key]]
+                        for key in ("U", "Xi", "S"))
+            return ModelSpec.general(cfg["q"], _config_complex(cfg["delta"]),
+                                     U, Xi, S, cfg["J"])
         if model == "qhahn":
             q = cfg.get("q", 0.4)
             J = tuple(cfg.get("J", (1,)))
@@ -611,17 +619,21 @@ def _run_verify_identity(args):
         spec = ObservableSpec(model, xs, args.N)
     except (ValueError, DynVertexError) as exc:
         raise _ConfigError("invalid identity parameters: %s" % exc)
+    if not args.tol > 0:
+        raise _ConfigError("--tol must be positive")
     rep = identity_check(spec, samples=args.samples, seed=args.seed,
                          tol=args.tol)
+    # Both gates are relative: the doubling change is already normalised,
+    # the exact residual is scaled by min(1, |lhs|) (absolute at lhs = 0).
     checks = [_record("rhs_quadrature_converged",
                       rep["rhs_quadrature"],
                       rep["quadrature_diagnostics"]["doubling_change"],
                       args.tol)]
-    if rep["lhs_exact"] is not None:
-        checks.append(_record("exact_expectation_vs_quadrature",
-                              rep["lhs_exact"],
-                              rep["residual_exact_vs_quadrature"],
-                              args.tol))
+    ex = rep["lhs_exact"]
+    if ex is not None:
+        checks.append(_record("exact_expectation_vs_quadrature", ex,
+                              rep["residual_exact_vs_quadrature"]
+                              / (min(1.0, abs(ex)) or 1.0), args.tol))
     if args.samples > 0:
         checks.append(_record("mc_expectation_vs_quadrature_sigmas",
                               rep["lhs_mc"]["mean"],
@@ -810,7 +822,9 @@ def _build_parser():
                    help="dynamical rate (pep form)")
     p.add_argument("--samples", type=int, default=0,
                    help="Monte Carlo samples (0: exact only)")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="relative gate for node doubling and for the exact "
+                   "residual (default 1e-8)")
     _add_common(p)
     p.set_defaults(handler=_run_verify_identity)
 

@@ -100,8 +100,10 @@ class ModelSpec:
         J = tuple(int(j) for j in J)
         if any(j < 1 for j in J):
             raise ValueError("row degrees must be positive integers")
-        return cls(variant="general", q=float(q), delta=delta,
-                   U=tuple(U), Xi=tuple(Xi), S=tuple(S), J=J)
+        return cls(variant="general", q=float(q), delta=complex(delta),
+                   U=tuple(complex(u) for u in U),
+                   Xi=tuple(complex(xi) for xi in Xi),
+                   S=tuple(complex(s) for s in S), J=J)
 
     @classmethod
     def qhahn(cls, q, delta, B, C, J):

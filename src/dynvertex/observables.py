@@ -14,6 +14,14 @@ exclusion process: circles enclose {2, ..., J+1}, exclude 0, and for
 i < j the j-th circle strictly contains the i-th shifted by -1.  Both
 identities require the probe sites listed in weakly decreasing order.
 
+For every k the integrand is prod_j f_j(z_j) times the pair factors
+(z_i - z_j)/(z_i - q z_j), or (z_i - z_j)/(z_i - z_j - 1) for PEP, so one
+recursive contraction runs the trapezoid rule for any k.  Node doubling
+starts at 32 nodes per circle and stops once the relative change is below
+tol, with the rounding level of the sum as a floor (so a zero integral
+converges); a pass beyond 4096 nodes per circle or 2^32 nodes in all
+raises NotConverged instead.
+
 The printed sources drift by one in a few indices; the conventions frozen
 here (which factors read the current at x_j versus x_j + 1, which prefix
 products stop at x_j - 1, and the direction of the contour nesting) were
@@ -39,6 +47,11 @@ _PEP_H_SHIFT = 1           # current read at x_j + PEP_H_SHIFT
 _PEP_X_COEFF_SHIFT = 0     # first factor uses (J+1)*(x_j + shift)
 _RHS_PEP_EXPONENT_SHIFT = 0  # ((y-J-1)/y)^(x_j + shift)
 _RHS_PEP_SIGN_PER_VAR = -1   # integral carries (-1)^k from orientation
+
+# Quadrature budget and rounding floor (see rhs_quadrature).
+_MAX_NODES = 4096   # nodes per circle
+_MAX_GRID = 2 ** 32  # nodes per pass, n^k
+_FLOOR_ULPS = 64    # floor = _FLOOR_ULPS * eps * prod_j sum_a |g_j[a]|
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +93,12 @@ class ObservableSpec:
 @dataclass(frozen=True)
 class ContourSpec:
     """Nested circles on the real axis, one per integration variable,
-    ordered outermost first."""
+    ordered outermost first.  nodes_per_circle is where node doubling
+    starts; it must be a power of two and stay within the quadrature
+    budget (4096 per circle, 2^32 per pass)."""
 
     circles: tuple  # ((center, radius), ...) as floats
-    nodes_per_circle: int = 512
+    nodes_per_circle: int = 32
     # Per-level nesting maps applied to earlier circles when checking the
     # later ones: a multiplicative factor (1/q) for the multiplicative form,
     # an additive shift (-1) for the PEP form.  Populated by solve_contours;
@@ -106,8 +121,8 @@ class ContourSpec:
 
 
 def _qhahn_lhs_factors(spec):
-    """Per-sample functional of the current vector for the multiplicative
-    form.  Returns (sites, fn) with fn(h_values) -> float."""
+    """Per-sample functional fn(h_values) -> float of the current vector
+    for the multiplicative form."""
     m = spec.model
     q, delta = m.q, m.delta
     k = spec.k
@@ -164,17 +179,16 @@ def _pep_lhs_factors(spec):
     return fn
 
 
-def _current_sites(spec):
+def _lhs_functional(spec):
+    """(sites, fn): the sites whose currents h feed fn(h) -> float."""
     if spec.form == "qhahn":
-        return list(spec.x_list)
-    return [x + _PEP_H_SHIFT for x in spec.x_list]
+        return list(spec.x_list), _qhahn_lhs_factors(spec)
+    return [x + _PEP_H_SHIFT for x in spec.x_list], _pep_lhs_factors(spec)
 
 
 def lhs_mc(spec, samples, seed):
     """Monte Carlo estimate of the left side (an MCEstimate)."""
-    sites = _current_sites(spec)
-    fn = (_qhahn_lhs_factors(spec) if spec.form == "qhahn"
-          else _pep_lhs_factors(spec))
+    sites, fn = _lhs_functional(spec)
 
     def obs(state):
         return fn([current(state, x) for x in sites])
@@ -185,9 +199,7 @@ def lhs_mc(spec, samples, seed):
 def lhs_exact(spec, bound=200000):
     """The same functional summed exactly over the support of the
     small-system law."""
-    sites = _current_sites(spec)
-    fn = (_qhahn_lhs_factors(spec) if spec.form == "qhahn"
-          else _pep_lhs_factors(spec))
+    sites, fn = _lhs_functional(spec)
     law = exact_law(spec.model, spec.N, bound=bound)
 
     def value(cfg):
@@ -225,7 +237,7 @@ def _exclusions(spec):
     return [0.0]
 
 
-def solve_contours(spec, nodes_per_circle=512, margin=0.25):
+def solve_contours(spec, nodes_per_circle=32, margin=0.25):
     """Greedy nested-circle geometry.  The first circle hugs the pole
     cluster; for i < j the j-th circle additionally contains the image
     (1/q times, or -1 plus) of the i-th circle, with a strict margin.
@@ -320,110 +332,98 @@ def _check_contour(spec, contour):
 # Right sides
 
 
-def _qhahn_single_factor(spec, z):
-    """prod_x (1-z)/(1-z/b_i) * prod_y (1-c_i z)/(1-z) for one variable,
-    at the site exponent of one listed x."""
-    m = spec.model
-    out = np.ones_like(z)
-    for i in range(1, spec.N + 1):
-        out = out * (1.0 - _cyc(m.C, i) * z) / (1.0 - z)
-    return out
-
-
 def _rhs_single(spec, j, z):
-    """The j-th single-variable factor of the integrand (j is 0-based,
-    matching x_list order)."""
+    """The j-th single-variable factor f_j(z) of the integrand (j is 0-based,
+    matching x_list order): prod_{i<x_j} (1-z)/(1-z/b_i) *
+    prod_{y<=N} (1-c_y z)/(1-z) in the multiplicative form, and
+    ((z-J-1)/z)^x_j * ((z-1)/(z-J-1))^N in the PEP form."""
     m = spec.model
+    x = spec.x_list[j]
     if spec.form == "qhahn":
-        x = spec.x_list[j]
         out = np.ones_like(z)
         for i in range(1, x):
             bi = _cyc(m.B, i)
             out = out * (1.0 - z) / (1.0 - z / bi)
-        return out * _qhahn_single_factor(spec, z)
+        for i in range(1, spec.N + 1):
+            out = out * (1.0 - _cyc(m.C, i) * z) / (1.0 - z)
+        return out
     J = int(m.J)
-    x = spec.x_list[j]
     return (((z - J - 1.0) / z) ** (x + _RHS_PEP_EXPONENT_SHIFT)
             * ((z - 1.0) / (z - J - 1.0)) ** spec.N)
 
 
 def _cross_factor(spec, zi, zj):
+    """Pair factor for i < j (with one q of the q^(k(k-1)/2) prefactor)."""
     if spec.form == "qhahn":
-        return (zi - zj) / (zi - spec.model.q * zj)
+        return (zi - zj) / (zi / spec.model.q - zj)
     return (zi - zj) / (zi - zj - 1.0)
 
 
+def _contract(z, g, cross, inner=None):
+    """Sum of prod_j g[j][a_j] * prod_{i<j} cross(z[i][a_i], z[j][a_j]) over
+    the node grid, for any number of variables: each node of the first
+    variable scales every later g_j by its cross row and recurses; the last
+    pair is g @ inner @ g', its n x n matrix built once."""
+    if len(g) == 1:
+        return g[0].sum()
+    if inner is None:
+        inner = cross(z[-2][:, None], z[-1][None, :])
+    if len(g) == 2:
+        return g[0] @ inner @ g[1]
+    return sum(ga * _contract(z[1:], [gj * cross(za, zj)
+                                      for gj, zj in zip(g[1:], z[1:])],
+                              cross, inner)
+               for za, ga in zip(z[0], g[0]))
+
+
 def _quad_once(spec, contour, n):
-    """Tensor-product trapezoid rule with n nodes per circle."""
-    k = spec.k
+    """Tensor-product trapezoid rule with n nodes per circle.  Returns the
+    value and its rounding floor, _FLOOR_ULPS * eps * prod_j sum |g_j|."""
     theta = 2.0 * math.pi * np.arange(n) / n
-    nodes, dmeas = [], []
-    for c, r in contour.circles:
-        z = c + r * np.exp(1j * theta)
-        nodes.append(z)
+    z, g = [], []
+    for j, (c, r) in enumerate(contour.circles):
+        e = r * np.exp(1j * theta)
+        z.append(c + e)
         # (1/2 pi i) dz -> (r e^{i theta} / n) per node; the measure of the
-        # multiplicative form also divides by z.
-        w = r * np.exp(1j * theta) / n
-        if spec.form == "qhahn":
-            w = w / z
-        dmeas.append(w)
-    if k == 1:
-        vals = _rhs_single(spec, 0, nodes[0]) * dmeas[0]
-        total = vals.sum()
-    elif k == 2:
-        z1 = nodes[0][:, None]
-        z2 = nodes[1][None, :]
-        grid = (_rhs_single(spec, 0, z1) * _rhs_single(spec, 1, z2)
-                * _cross_factor(spec, z1, z2)
-                * dmeas[0][:, None] * dmeas[1][None, :])
-        total = grid.sum()
-    elif k == 3:
-        total = 0.0 + 0.0j
-        z2 = nodes[1][:, None]
-        z3 = nodes[2][None, :]
-        inner = (_rhs_single(spec, 1, z2) * _rhs_single(spec, 2, z3)
-                 * _cross_factor(spec, z2, z3)
-                 * dmeas[1][:, None] * dmeas[2][None, :])
-        f1 = _rhs_single(spec, 0, nodes[0]) * dmeas[0]
-        for a in range(n):
-            z1 = nodes[0][a]
-            total += f1[a] * (inner * _cross_factor(spec, z1, z2)
-                              * _cross_factor(spec, z1, z3)).sum()
-    else:
-        raise ValueError("quadrature supports k <= 3")
-    if spec.form == "qhahn":
-        total *= spec.model.q ** (k * (k - 1) // 2)
-    else:
-        total *= float(_RHS_PEP_SIGN_PER_VAR) ** k
-    return total
+        # multiplicative form also divides by z, that of the PEP form
+        # carries the orientation sign.
+        w = (e / n / z[-1] if spec.form == "qhahn"
+             else _RHS_PEP_SIGN_PER_VAR * e / n)
+        g.append(_rhs_single(spec, j, z[-1]) * w)
+    floor = (_FLOOR_ULPS * np.finfo(float).eps
+             * math.prod(float(np.abs(gj).sum()) for gj in g))
+    return _contract(z, g, lambda zi, zj: _cross_factor(spec, zi, zj)), floor
 
 
 def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
-    """The k-fold contour integral, with node doubling until the change is
-    below tol (NotConverged beyond 4096 nodes).  Returns a float when the
-    imaginary part is negligible; with full=True, a dict carrying the value
-    and convergence diagnostics."""
-    if spec.k > 3:
-        raise ValueError("quadrature supports k <= 3")
+    """The k-fold contour integral for any k, doubling the nodes from
+    contour.nodes_per_circle until |cur - prev| / max(|cur|, floor / tol)
+    (the doubling_change of full=True) is at most tol, within the
+    _MAX_NODES / _MAX_GRID budget.  Returns a float when the imaginary part
+    is negligible; with full=True, a dict with the value and diagnostics."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if contour is None:
         contour = solve_contours(spec)
     _check_contour(spec, contour)
-    n = contour.nodes_per_circle
-    prev = _quad_once(spec, contour, n)
+    n, prev = contour.nodes_per_circle, None
     while True:
-        n *= 2
-        if n > 4096:
+        if n > _MAX_NODES or n ** spec.k > _MAX_GRID:
             raise NotConverged(
-                "node doubling did not stabilize below %g" % tol)
-        cur = _quad_once(spec, contour, n)
-        if abs(cur - prev) < tol:
-            break
+                "node doubling did not reach relative change %g before "
+                "the budget stopped it at %d nodes per circle" % (tol, n))
+        cur, floor = _quad_once(spec, contour, n)
+        if prev is not None:
+            change = abs(cur - prev) / max(abs(cur), floor / tol)
+            if change <= tol:
+                break
         prev = cur
+        n *= 2
     if abs(cur.imag) > 1e-9 * max(1.0, abs(cur)):
         raise NotConverged("integral has non-negligible imaginary part")
     if full:
         return {"value": float(cur.real), "nodes_used": n,
-                "doubling_change": float(abs(cur - prev)),
+                "doubling_change": float(change),
                 "imag_part": float(cur.imag)}
     return float(cur.real)
 
@@ -462,9 +462,7 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
     rhs = diag["value"]
     report["rhs_quadrature"] = rhs
     report["quadrature_diagnostics"] = {
-        "nodes_used": diag["nodes_used"],
-        "doubling_change": diag["doubling_change"],
-        "imag_part": diag["imag_part"]}
+        key: val for key, val in diag.items() if key != "value"}
     try:
         ex = lhs_exact(spec, bound=exact_bound)
         report["lhs_exact"] = ex

@@ -2,6 +2,7 @@
 byte-level reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,11 @@ import pytest
 
 import dynvertex
 from dynvertex.cli import dispatch
+from dynvertex.models import ModelSpec, current, run_ensemble
+
+S_IM = 1j * math.sqrt(0.3)
+GENERAL_CONFIG = ('{"q": 0.4, "delta": -0.2, "U": [1.05], "Xi": [%s], '
+                  '"S": [[0, 0.5477225575051661]], "J": [1]}')
 
 
 def run(tmp_path, *argv):
@@ -144,6 +150,30 @@ class TestSimulate:
                      if c["name"] == "height_site_1")
         assert site1["value"] == pytest.approx(4.0)
 
+    def test_general_complex_pairs(self, tmp_path):
+        # [re, im] pairs, the form reports print complex numbers in, give
+        # the same ensemble as the complex spec of the model tests.
+        code, rep = run(tmp_path, "simulate", "--model", "general",
+                        "--config", GENERAL_CONFIG % "[0, 0.5477225575051661]",
+                        "--steps", "3", "--samples", "20", "--sites", "1",
+                        "2", "--seed", "4")
+        assert code == 0
+        spec = ModelSpec.general(0.4, -0.2, U=(1.05,), Xi=(S_IM,),
+                                 S=(S_IM,), J=(1,))
+        ests = run_ensemble(spec, 3, 20, 4, [
+            lambda st, s=s: current(st, s) for s in (1, 2)])
+        assert [c["value"] for c in rep["checks"]] == [e.mean for e in ests]
+
+    @pytest.mark.parametrize("xi", ['"a"', "[0, 1, 2]"])
+    def test_general_malformed_value(self, tmp_path, capsys, xi):
+        code, _ = run(tmp_path, "simulate", "--model", "general",
+                      "--config", GENERAL_CONFIG % xi, "--steps", "3",
+                      "--samples", "20")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid model parameters" in err
+        assert "Traceback" not in err
+
     def test_corner_model(self, tmp_path):
         code, rep = run(tmp_path, "simulate", "--model", "corner",
                         "--config", '{"p": 0.5}', "--steps", "4",
@@ -171,6 +201,36 @@ class TestVerifyIdentity:
         assert code == 0
         names = [c["name"] for c in rep["checks"]]
         assert "mc_expectation_vs_quadrature_sigmas" in names
+
+    def test_k4(self, tmp_path):
+        code, rep = run(tmp_path, "verify-identity", "--form", "qhahn",
+                        "--q", "0.75", "--x", "1", "1", "1", "1", "--N", "4")
+        assert code == 0
+        assert rep["identity"]["quadrature_diagnostics"]["nodes_used"] == 256
+
+    @pytest.mark.parametrize("argv", [
+        ["--form", "pep", "--x", "1", "--N", "2", "--J", "2",
+         "--gamma", "7"],
+        ["--form", "qhahn", "--x", "3", "2", "--N", "3", "--J", "2"],
+    ])
+    def test_gates_are_relative(self, tmp_path, argv):
+        # The doubling change is relative to |value| (here 1.3 and 2.7e-3),
+        # and the exact residual is scaled by min(1, |lhs|).
+        code, rep = run(tmp_path, "verify-identity", *argv)
+        assert code == 0
+        ident = rep["identity"]
+        checks = {c["name"]: c for c in rep["checks"]}
+        assert checks["exact_expectation_vs_quadrature"]["residual"] == \
+            ident["residual_exact_vs_quadrature"] / min(
+                1.0, abs(ident["lhs_exact"]))
+        assert checks["rhs_quadrature_converged"]["residual"] == \
+            ident["quadrature_diagnostics"]["doubling_change"] <= 1e-8
+
+    def test_nonpositive_tol_rejected(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "verify-identity", "--form", "qhahn",
+                      "--tol", "0")
+        assert code == 2
+        capsys.readouterr()
 
     def test_k_mismatch(self, tmp_path, capsys):
         code, _ = run(tmp_path, "verify-identity", "--form", "qhahn",

@@ -1,10 +1,15 @@
 """Moment-identity layer: exact enumeration vs contour quadrature vs Monte
 Carlo, delta-independence, and contour geometry validation."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynvertex import observables
 from dynvertex.errors import ContourInfeasible, NotConverged, SizeLimit
 from dynvertex.models import ModelSpec
 from dynvertex.observables import (
@@ -24,6 +29,12 @@ PEP = ModelSpec.jgamma_pep(J=1, gamma=5.0)
 
 def qhahn_model(q=Q, delta=-0.2, b=-0.3, J=1):
     return ModelSpec.qhahn(q, delta, B=(b,), C=(q ** J,), J=(J,))
+
+
+def assert_identity(spec):
+    """rhs_quadrature within 1e-9 * min(1, |lhs_exact|) (absolute at 0)."""
+    ex = lhs_exact(spec)
+    assert abs(ex - rhs_quadrature(spec)) < 1e-9 * (min(1.0, abs(ex)) or 1.0)
 
 
 class TestObservableSpec:
@@ -75,8 +86,13 @@ class TestExactVersusQuadrature:
         ((2, 1), 3, 2), ((3, 2), 3, 2), ((2, 2, 1), 3, 1),
     ])
     def test_qhahn(self, xs, N, J):
-        spec = ObservableSpec(qhahn_model(J=J), xs, N)
-        assert abs(lhs_exact(spec) - rhs_quadrature(spec)) < 1e-9
+        assert_identity(ObservableSpec(qhahn_model(J=J), xs, N))
+
+    def test_qhahn_k4(self):
+        spec = ObservableSpec(qhahn_model(q=0.75), (1, 1, 1, 1), 4)
+        assert lhs_exact(spec) == pytest.approx(0.00769317266531289,
+                                                rel=1e-12)
+        assert_identity(spec)
 
     @pytest.mark.parametrize("xs,N,J,gamma", [
         ((2,), 3, 1, 5.0), ((1,), 2, 2, 7.0), ((3,), 3, 2, 7.0),
@@ -84,15 +100,14 @@ class TestExactVersusQuadrature:
     ])
     def test_pep(self, xs, N, J, gamma):
         m = ModelSpec.jgamma_pep(J=J, gamma=gamma)
-        spec = ObservableSpec(m, xs, N)
-        assert abs(lhs_exact(spec) - rhs_quadrature(spec)) < 1e-9
+        assert_identity(ObservableSpec(m, xs, N))
 
     @pytest.mark.parametrize("q", [0.3, 0.5])
     @pytest.mark.parametrize("delta", [0.0, -0.5])
     @pytest.mark.parametrize("J", [1, 2])
     def test_parameter_grid(self, q, delta, J):
-        spec = ObservableSpec(qhahn_model(q, delta, -0.05, J), (2, 1), 3)
-        assert abs(lhs_exact(spec) - rhs_quadrature(spec)) < 1e-9
+        assert_identity(
+            ObservableSpec(qhahn_model(q, delta, -0.05, J), (2, 1), 3))
 
 
 class TestDeltaDependence:
@@ -177,14 +192,61 @@ class TestContours:
             rhs_quadrature(
                 spec, ContourSpec(circles=((1.5, 0.5005),)))
 
-    def test_k4_rejected(self):
+    def test_k4_budget(self, monkeypatch):
+        # The exact value is 0 (h(1) = N zeroes the last factor) and the
+        # doubling approaches it slowly: it must either converge to 0 or
+        # raise NotConverged without a pass beyond n^4 <= 2^32.
+        passes = []
+        quad_once = observables._quad_once
+
+        def spy(spec, contour, n):
+            passes.append(n)
+            return quad_once(spec, contour, n)
+
+        monkeypatch.setattr(observables, "_quad_once", spy)
         spec = ObservableSpec(QHAHN, (2, 2, 1, 1), 3)
+        assert lhs_exact(spec) == 0.0
+        try:
+            assert abs(rhs_quadrature(spec)) < 1e-9
+        except NotConverged:
+            pass
+        assert passes[0] == 32 and max(passes) ** 4 <= 2 ** 32
+
+    def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
-            rhs_quadrature(spec)
+            rhs_quadrature(ObservableSpec(QHAHN, (1,), 1), tol=0.0)
 
     def test_bad_node_count(self):
         with pytest.raises(ValueError):
             ContourSpec(circles=((1.0, 0.3),), nodes_per_circle=500)
+
+
+@st.composite
+def contraction_draws(draw):
+    """Random complex single factors g_j and pair matrices for k <= 4
+    variables with n <= 6 nodes each.  Node a of variable j is the integer
+    j * n + a, so cross(zi, zj) is a lookup in one (k n) x (k n) matrix."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return k, n, [cplx(n) for _ in range(k)], cplx(k * n, k * n)
+
+
+class TestContraction:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(contraction_draws())
+    def test_matches_brute_force(self, draw):
+        k, n, g, cross = draw
+        z = [j * n + np.arange(n) for j in range(k)]
+        terms = [np.prod([g[j][a[j]] for j in range(k)])
+                 * np.prod([cross[z[i][a[i]], z[j][a[j]]]
+                            for i in range(k) for j in range(i + 1, k)])
+                 for a in itertools.product(range(n), repeat=k)]
+        got = observables._contract(z, g, lambda zi, zj: cross[zi, zj])
+        assert abs(got - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
 
 
 class TestMonteCarlo:
