@@ -2,8 +2,10 @@
 exact small-system distribution oracle.
 
 Particle systems live on sites 1, 2, 3, ... with step boundary data: at time
-t one packet of J_y arrows enters at the left of row y = t+1.  Occupancy is
-stored densely over [1, t+1] (support cannot outrun the step data).
+t one packet of J_y arrows enters at the left of row y = t+1.  A scalar
+trajectory stores its occupancy densely over [1, t+1] (support cannot
+outrun the step data); the exclusion-process window engine stores the
+height function instead.
 
 Every particle system follows one local rule.  A time step sweeps its row
 left to right, and at each site x one per-vertex kernel per variant,
@@ -26,11 +28,16 @@ height-dependent) coin.
 
 Large ensembles run on vectorized engines that advance all trajectories in
 lockstep.  One window engine serves both exclusion processes (asym_pep is
-its J = 1 case); it confines updates to a moving active window, since the
-packed prefix and empty suffix of the system evolve deterministically and
-are tracked in closed form.  The q-Hahn engine groups trajectories by
-(occupancy, height) at each site and draws from the shared kernel.  Engine
-integer dtypes are chosen from the largest reachable occupancy.
+its J = 1 case).  Its state is the height function h(x) over a moving
+active window, one row per site and one column per trajectory; the packed
+prefix and the empty suffix of the system evolve deterministically and are
+tracked in closed form.  A step moves the height by the bond flux,
+h'(x) = h(x) + X(x-1), and draws every X from one table of the shared
+stay probability per step, since the dynamical parameter depends on
+(x, t, h) only through an integer key.  The q-Hahn engine groups
+trajectories by (occupancy, height) at each site and draws from the shared
+kernel.  Engine integer dtypes are chosen from the largest reachable value
+(occupancy, height or key).
 """
 
 import math
@@ -39,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DynVertexError,
     InadmissibleParameters,
     InadmissibleWeights,
     SizeLimit,
@@ -300,27 +308,30 @@ def _kappa_general(spec, x, y, h):
     return val
 
 
-def _pep_param(spec, x, t, h):
-    """The dynamical parameter of either exclusion process at sites x and
-    time t, elementwise over scalars or numpy arrays, in closed form in the
-    height h = h_t(x): the exponent e of kappa = delta * q**e (asym_pep),
-    or Upsilon, checked against gamma (jgamma_pep)."""
+def _pep_key(spec, x, t, h):
+    """The integer through which the dynamical parameter of either
+    exclusion process depends on the site x, the time t and the height
+    h = h_t(x), elementwise over integers or integer arrays (the result
+    keeps their dtype): the exponent e of kappa = delta * q**e (asym_pep),
+    or Upsilon - gamma (jgamma_pep), which must be nonnegative."""
     if spec.variant == "asym_pep":
         return t - 2 * (x - 1) - 2 * h
-    ups = spec.gamma + 2.0 * h + (spec.J + 1) * (x - 1) - spec.J * t
-    low = np.min(ups)
-    if low < spec.gamma - 1e-9:
-        raise InadmissibleWeights(
-            "Upsilon %.6f < gamma at time %d" % (low, t))
-    return ups
+    return 2 * h + (spec.J + 1) * (x - 1) - spec.J * t
 
 
-def _pep_stay(spec, eta, param):
+def _pep_stay(spec, eta, key):
     """P[X(x) = eta - 1] from the shared formula in `weights`, elementwise,
-    at the dynamical parameter from _pep_param."""
+    at the dynamical parameter of the key from _pep_key."""
     if spec.variant == "asym_pep":
-        return asym_pep_stay(eta, spec.q, spec.delta, param)
-    return jgamma_pep_stay(eta, spec.J, param)
+        return asym_pep_stay(eta, spec.q, spec.delta, key)
+    return jgamma_pep_stay(eta, spec.J, spec.gamma + key)
+
+
+def _upsilon_error(key, t, x):
+    """jgamma_pep needs Upsilon = gamma + key >= gamma: the exact integer
+    test key >= 0, failed at site x and time t."""
+    return InadmissibleWeights(
+        "Upsilon = gamma - %d < gamma at time %d, site %d" % (-key, t, x))
 
 
 def _kernel(spec, x, t, i1, j1, h):
@@ -334,7 +345,10 @@ def _kernel(spec, x, t, i1, j1, h):
     if spec.variant in _PEP:
         if i1 == 0:
             return (0,), (1.0,), 0
-        stay = float(_pep_stay(spec, i1, _pep_param(spec, x, t, h)))
+        key = _pep_key(spec, x, t, h)
+        if key < 0 and spec.variant == "jgamma_pep":
+            raise _upsilon_error(key, t, x)
+        stay = float(_pep_stay(spec, i1, key))
         w, clamped = _validate_weights([stay, 1.0 - stay], where)
         return (i1 - 1, i1), w, clamped
     if spec.variant == "general":
@@ -628,87 +642,129 @@ def _trajectory_rng(base_seed, index):
 
 class _WindowView:
     """Read-only final-state view of one trajectory from a vectorized
-    window engine: sites < lo hold `packed` particles, sites beyond the
-    window are empty."""
+    engine, over its height function: sites < lo hold `packed` particles,
+    window sites lo, lo+1, ... have the heights in `heights`, and sites
+    beyond the window are empty."""
 
-    __slots__ = ("time", "lo", "packed", "total", "_suffix")
+    __slots__ = ("time", "lo", "packed", "total", "_heights")
 
-    def __init__(self, time, lo, packed, total, suffix):
+    def __init__(self, time, lo, packed, total, heights):
         self.time = time
         self.lo = lo
         self.packed = packed
         self.total = total
-        self._suffix = suffix  # suffix[i] = particles at window sites >= i
+        self._heights = heights  # heights[i] = h(lo + i)
 
     def _hcur(self, x):
         if x <= self.lo:
             return self.total - self.packed * (x - 1)
         i = x - self.lo
-        if i >= len(self._suffix):
+        if i >= len(self._heights):
             return 0
-        return int(self._suffix[i])
-
-
-def _advance_window(arr, lo, packed, grow=64):
-    """Maintain the moving-window invariant: grow on the right if the last
-    column is touched, advance lo past columns packed in every sample."""
-    if arr.shape[1] == 0 or arr[:, -1].any():
-        arr = np.concatenate(
-            [arr, np.zeros((arr.shape[0], grow), dtype=arr.dtype)], axis=1)
-    full = (arr.min(axis=0) == packed)
-    k = 0
-    while k < len(full) and full[k]:
-        k += 1
-    if k:
-        arr = arr[:, k:]
-        lo += k
-    return arr, lo
+        return int(self._heights[i])
 
 
 def _int_dtype(top):
-    """Signed integer dtype, int16 or wider, that holds 0..top."""
+    """Signed integer dtype, int16 or wider, that holds -top..top."""
     return np.promote_types(np.int16, np.min_scalar_type(-int(top)))
 
 
+def _occupancy(h):
+    """Site occupancies eta(x) = h(x) - h(x+1) of a window of heights
+    (rows are sites; the site past the window is empty)."""
+    eta = np.empty_like(h)
+    np.subtract(h[:-1], h[1:], out=eta[:-1])
+    eta[-1] = h[-1]
+    return eta
+
+
+_WINDOW_GROW = 64  # sites added when a window's last site is reached
+
+
+def _advance_window(h, lo, cap, t):
+    """Keep the moving-window invariant of a height state at time t: grow
+    on the right if the last site is occupied in some sample, check that
+    every occupancy lies in [0, cap], and advance lo past the leading sites
+    packed in every sample.  Returns (heights, occupancies, lo)."""
+    if h[-1].any():
+        h = np.concatenate(
+            [h, np.zeros((_WINDOW_GROW, h.shape[1]), dtype=h.dtype)])
+    eta = _occupancy(h)
+    if eta.min() < 0 or eta.max() > cap:
+        i, k = np.argwhere((eta < 0) | (eta > cap))[0]
+        raise InadmissibleWeights(
+            "occupancy %d out of [0, %d] at time %d, site %d"
+            % (eta[i, k], cap, t, lo + i))
+    k = 0
+    while k < len(eta) - 1 and (eta[k] == cap).all():
+        k += 1
+    return h[k:], eta[k:], lo + k
+
+
 def _ensemble_pep(spec, N, samples, rng):
-    """Vectorized engine for both exclusion processes, capacity J+1.  All
-    X(x) of a step are drawn from the time-t state.  Window columns are
-    sites lo, lo+1, ...; sites < lo are packed at J+1 (they
-    deterministically forward J arrows), sites past the window are
-    empty."""
+    """Vectorized engine for both exclusion processes, capacity J+1, on
+    the windowed height function: row i of the state holds h_t(lo + i),
+    the number of particles at sites >= lo + i, for every sample (column).
+    Sites < lo are packed at J+1 (they deterministically forward J arrows),
+    sites past the window are empty.  All X(x) of a step are drawn from
+    the time-t state, and the height moves by the bond flux,
+    h'(x) = h(x) + X(x-1) = h(x-1) - S(x-1), where S = eta - X is 1 when
+    a particle stays at x.
+
+    The stay probability depends on (x, t, h) only through the integer key
+    of _pep_key, so each step evaluates the shared formula once on a table
+    over the occupancies 0..J+1 and the keys present, and gathers from it;
+    at delta = 0 the asym_pep table is the J+2 values over the occupancy.
+    """
     J = int(spec.J)
     cap = J + 1
-    arr = np.zeros((samples, 8), dtype=_int_dtype(cap))
+    keyed = spec.variant == "jgamma_pep" or spec.delta != 0.0
+    # Sites stay below N + _WINDOW_GROW and |key| <= 2h + (J+1)(x-1) + Jt.
+    dtype = _int_dtype((4 * J + 1) * (N + _WINDOW_GROW))
+    h = np.zeros((8, samples), dtype=dtype)
+    eta = np.zeros_like(h)
     lo = 1
     for t in range(N):
-        # Height at each window column, from the suffix sums.
-        h = arr[:, ::-1].cumsum(axis=1)[:, ::-1]
-        x = np.arange(lo, lo + arr.shape[1])
-        # param stays bound for the whole step: releasing this window-sized
-        # array early tripled the page faults of the engine.
-        param = _pep_param(spec, x, t, h)
-        stay = _pep_stay(spec, arr, param)
-        if ((stay < -_WEIGHT_NEG_TOL) | (stay > 1 + _WEIGHT_NEG_TOL)).any():
-            raise InadmissibleWeights(
-                "stay probability out of [0, 1] at time %d" % t)
-        xs = arr - (rng.random(arr.shape) < stay)  # arrows passed right
-        inc = np.empty_like(xs)
-        inc[:, 0] = J  # from the packed region / step data
-        inc[:, 1:] = xs[:, :-1]
-        arr = inc - xs + arr
-        if arr.max() > cap or arr.min() < 0:
-            raise InadmissibleWeights(
-                "occupancy out of [0, J+1] at time %d" % (t + 1))
-        arr, lo = _advance_window(arr, lo, cap)
-    return _window_views(arr, lo, cap, J * N, N, samples)
+        kmin, nk, idx = 0, 1, eta
+        if keyed:
+            x = np.arange(lo, lo + len(h), dtype=dtype)[:, None]
+            key = _pep_key(spec, x, t, h)
+            kmin = int(key.min())
+            if kmin < 0 and spec.variant == "jgamma_pep":
+                raise _upsilon_error(kmin, t,
+                                     lo + int(key.argmin()) // samples)
+            nk = int(key.max()) - kmin + 1
+            key -= kmin
+            idx = eta.astype(_int_dtype((cap + 1) * nk))
+            idx *= nk
+            idx += key
+        if (cap + 1) * nk <= idx.size:
+            pairs = np.arange((cap + 1) * nk)
+        else:  # a table wider than the window (large J): the pairs present
+            pairs, idx = np.unique(idx, return_inverse=True)
+        occ, keys = np.divmod(pairs, nk)
+        table = _pep_stay(spec, occ, keys + kmin)
+        stay = table.take(idx.reshape(h.shape))
+        if ((table < -_WEIGHT_NEG_TOL) | (table > 1 + _WEIGHT_NEG_TOL)).any():
+            _check_stay(stay, t, lo)
+        kept = rng.random((samples, h.shape[0])).T < stay
+        new = np.empty_like(h)
+        new[0] = h[0] + J  # from the packed region / step data
+        np.subtract(h[:-1], kept[:-1], out=new[1:])
+        h, eta, lo = _advance_window(new, lo, cap, t + 1)
+    views = np.ascontiguousarray(h.T)
+    return [_WindowView(N, lo, cap, J * N, views[i]) for i in range(samples)]
 
 
-def _window_views(arr, lo, packed, total, time, samples):
-    width = arr.shape[1]
-    suf = np.zeros((samples, width + 1), dtype=np.int64)
-    suf[:, :width] = arr[:, ::-1].cumsum(axis=1)[:, ::-1]
-    return [_WindowView(time, lo, packed, total, suf[i])
-            for i in range(samples)]
+def _check_stay(stay, t, lo):
+    """Every stay probability drawn in the step at time t lies in [0, 1]
+    (up to rounding); otherwise names the first site that drew one."""
+    bad = (stay < -_WEIGHT_NEG_TOL) | (stay > 1 + _WEIGHT_NEG_TOL)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise InadmissibleWeights(
+            "stay probability %.6f out of [0, 1] at time %d, site %d"
+            % (stay[i, k], t, lo + i))
 
 
 def _ensemble_qhahn(spec, N, samples, rng):
@@ -767,7 +823,8 @@ def run_ensemble(spec, N, samples, base_seed, observables,
     with vectorized engines advance all trajectories in lockstep from a
     single generator split off (base_seed, 0); the scalar path gives each
     trajectory its own split (base_seed, index).  Both are deterministic
-    given base_seed.
+    given base_seed.  A package error raised on the scalar path carries the
+    index of its trajectory as `.trajectory` and in its message.
     """
     samples = int(samples)
     if samples < 1:
@@ -787,8 +844,10 @@ def run_ensemble(spec, N, samples, base_seed, observables,
             try:
                 for _ in range(int(N)):
                     state = step(state, spec)
-            except Exception as exc:
-                raise type(exc)("trajectory %d: %s" % (i, exc)) from exc
+            except DynVertexError as exc:
+                exc.trajectory = i
+                exc.args = ("trajectory %d: %s" % (i, exc),)
+                raise
             for k, obs in enumerate(observables):
                 vals[k, i] = obs(state)
     out = []

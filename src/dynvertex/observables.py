@@ -52,6 +52,8 @@ _RHS_PEP_SIGN_PER_VAR = -1   # integral carries (-1)^k from orientation
 _MAX_NODES = 4096   # nodes per circle
 _MAX_GRID = 2 ** 32  # nodes per pass, n^k
 _FLOOR_ULPS = 64    # floor = _FLOOR_ULPS * eps * prod_j sum_a |g_j[a]|
+_CONTRACT_ROWS = 64  # rows per block of the 3-variable step and of inner
+_IMAG_TOL = 1e-9    # cap on the imaginary-part bound, per max(1, |value|)
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +363,30 @@ def _cross_factor(spec, zi, zj):
 
 def _contract(z, g, cross, inner=None):
     """Sum of prod_j g[j][a_j] * prod_{i<j} cross(z[i][a_i], z[j][a_j]) over
-    the node grid, for any number of variables: each node of the first
-    variable scales every later g_j by its cross row and recurses; the last
-    pair is g @ inner @ g', its n x n matrix built once."""
+    the node grid, for any number of variables.  The last pair's n x n
+    matrix `inner` is built once, in blocks of rows.  Two variables are
+    g @ inner @ g'; three go through matrix products against inner,
+    _CONTRACT_ROWS nodes of the first variable at a time; with more, each
+    node of the first variable scales every later g_j by its cross row and
+    recurses."""
     if len(g) == 1:
         return g[0].sum()
     if inner is None:
-        inner = cross(z[-2][:, None], z[-1][None, :])
+        # Filled in blocks so that no n x n temporary is ever alive.
+        inner = np.empty((len(z[-2]), len(z[-1])), dtype=complex)
+        for r in range(0, len(z[-2]), _CONTRACT_ROWS):
+            inner[r:r + _CONTRACT_ROWS] = cross(
+                z[-2][r:r + _CONTRACT_ROWS, None], z[-1])
     if len(g) == 2:
         return g[0] @ inner @ g[1]
+    if len(g) == 3:
+        total = 0.0
+        for r in range(0, len(z[0]), _CONTRACT_ROWS):
+            za = z[0][r:r + _CONTRACT_ROWS, None]
+            left = (g[1] * cross(za, z[1])) @ inner
+            total += g[0][r:r + _CONTRACT_ROWS] @ (
+                left * (g[2] * cross(za, z[2]))).sum(axis=1)
+        return total
     return sum(ga * _contract(z[1:], [gj * cross(za, zj)
                                       for gj, zj in zip(g[1:], z[1:])],
                               cross, inner)
@@ -400,7 +417,9 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
     contour.nodes_per_circle until |cur - prev| / max(|cur|, floor / tol)
     (the doubling_change of full=True) is at most tol, within the
     _MAX_NODES / _MAX_GRID budget.  Returns a float when the imaginary part
-    is negligible; with full=True, a dict with the value and diagnostics."""
+    is at most max(tol |value|, floor), and at most 1e-9 max(1, |value|),
+    else raises NotConverged; with full=True, a dict with the value and
+    diagnostics."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if contour is None:
@@ -419,8 +438,14 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
                 break
         prev = cur
         n *= 2
-    if abs(cur.imag) > 1e-9 * max(1.0, abs(cur)):
-        raise NotConverged("integral has non-negligible imaginary part")
+    # The imaginary part must vanish to the accuracy of the real part, as
+    # in the doubling rule, and in no case beyond _IMAG_TOL * max(1, |cur|).
+    imag_bound = min(max(tol * abs(cur), floor),
+                     _IMAG_TOL * max(1.0, abs(cur)))
+    if abs(cur.imag) > imag_bound:
+        raise NotConverged(
+            "integral has non-negligible imaginary part %.3e (bound %.3e)"
+            % (cur.imag, imag_bound))
     if full:
         return {"value": float(cur.real), "nodes_used": n,
                 "doubling_change": float(change),

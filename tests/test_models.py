@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dynvertex import models
 from dynvertex.errors import (
     InadmissibleParameters,
     InadmissibleWeights,
@@ -13,6 +15,8 @@ from dynvertex.errors import (
 )
 from dynvertex.models import (
     ModelSpec,
+    _ensemble_pep,
+    _trajectory_rng,
     corner_heights_exact,
     corner_view,
     corner_view_exact,
@@ -23,6 +27,7 @@ from dynvertex.models import (
     run_ensemble,
     step,
 )
+from dynvertex.weights import asym_pep_stay, jgamma_pep_stay
 
 Q = 0.4
 DELTA = -0.2
@@ -37,6 +42,53 @@ ASYM = ModelSpec.asym_pep(0.25, -0.5)
 def h_tail(cfg, x):
     """Particles at sites >= x of an occupancy tuple."""
     return sum(cfg[x - 1:]) if x - 1 < len(cfg) else 0
+
+
+def suffix_cumsum_pep(spec, N, samples, rng):
+    """Oracle for the exclusion-process window engine: the same window
+    rules and random stream on an occupancy state (samples, width), with
+    the heights recomputed by a suffix cumsum and the stay probability
+    evaluated at every cell.  Returns (lo, occupancy)."""
+    J, cap = spec.J, spec.J + 1
+    arr = np.zeros((samples, 8), dtype=np.int64)
+    lo = 1
+    for t in range(N):
+        h = arr[:, ::-1].cumsum(axis=1)[:, ::-1]
+        x = np.arange(lo, lo + arr.shape[1])
+        if spec.variant == "asym_pep":
+            stay = asym_pep_stay(arr, spec.q, spec.delta,
+                                 t - 2 * (x - 1) - 2 * h)
+        else:
+            stay = jgamma_pep_stay(
+                arr, J, spec.gamma + 2.0 * h + cap * (x - 1) - J * t)
+        xs = arr - (rng.random(arr.shape) < stay)
+        arr = arr - xs
+        arr[:, 0] += J
+        arr[:, 1:] += xs[:, :-1]
+        if arr[:, -1].any():
+            arr = np.concatenate([arr, np.zeros((samples, 64), np.int64)],
+                                 axis=1)
+        k = 0
+        while (arr[:, k] == cap).all():
+            k += 1
+        arr, lo = arr[:, k:], lo + k
+    return lo, arr
+
+
+def assert_engine_matches_oracle(spec, N, samples, seed):
+    """Final heights of the engine equal the oracle's at every site, bit
+    for bit, from the same generator; returns the engine's (lo, width)."""
+    views = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
+    lo, occ = suffix_cumsum_pep(spec, N, samples, _trajectory_rng(seed, 0))
+    total = spec.J * N
+    for x in range(1, N + 3):
+        if x <= lo:
+            ref = np.full(samples, total - (spec.J + 1) * (x - 1))
+        else:
+            ref = occ[:, x - lo:].sum(axis=1)
+        got = np.array([current(v, x) for v in views])
+        assert np.array_equal(got, ref), (spec, x)
+    return views[0].lo, len(views[0]._heights)
 
 
 class TestModelSpec:
@@ -252,12 +304,66 @@ class TestEnsembles:
             assert (h1.mean, h3.mean) == (80000, 0)
             assert 39999 <= h2.mean <= 40000
 
+    def test_scalar_error_carries_trajectory(self):
+        # The test parameters of general reach a negative weight at row 8.
+        gen = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,),
+                                S=(S_IM,), J=(1,))
+        with pytest.raises(InadmissibleWeights) as info:
+            run_ensemble(gen, 8, 20, 1, [lambda st: current(st, 1)])
+        i = info.value.trajectory
+        assert isinstance(i, int) and 0 <= i < 20
+        assert str(info.value).startswith("trajectory %d: negative" % i)
+
+    def test_other_errors_propagate_untouched(self, monkeypatch):
+        class TwoArgs(Exception):
+            def __init__(self, a, b):
+                super().__init__(a, b)
+
+        def fail(state, spec):
+            raise TwoArgs(1, 2)
+
+        monkeypatch.setattr(models, "step", fail)
+        with pytest.raises(TwoArgs) as info:
+            run_ensemble(JG, 2, 3, 1, [lambda st: 0.0], vectorized=False)
+        assert info.value.args == (1, 2)
+        assert not hasattr(info.value, "trajectory")
+
+    def test_vector_error_names_time_and_site(self):
+        # gamma below J+1 (bypassing the constructor): at time 1 site 1
+        # holds one particle at Upsilon = 0.5, so P[stay] = 1.5.
+        bad = ModelSpec(variant="jgamma_pep", J=1, gamma=-0.5)
+        with pytest.raises(InadmissibleWeights,
+                           match=r"1\.5.* at time 1, site 1$"):
+            run_ensemble(bad, 3, 4, 1, [lambda st: 0.0])
+
     def test_asym_mean_matches_exact(self):
         law = exact_law(ASYM, 3)
         est = run_ensemble(ASYM, 3, 40000, 3,
                            [lambda st: current(st, 2)])[0]
         exact = law.mean(lambda cfg: h_tail(cfg, 2))
         assert abs(est.mean - exact) < 4 * est.stderr + 1e-12
+
+
+class TestWindowEngine:
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.asym_pep(0.25, 0.0), ModelSpec.asym_pep(0.25, -0.5),
+        ModelSpec.jgamma_pep(J=1, gamma=3.0),
+        ModelSpec.jgamma_pep(J=2, gamma=7.0)],
+        ids=["asym-d0", "asym-d-0.5", "jgamma-J1", "jgamma-J2"])
+    def test_matches_suffix_cumsum_oracle(self, spec):
+        lo, width = assert_engine_matches_oracle(spec, 80, 20, 5)
+        # The window advanced and grew by 64 past its first 8 sites.
+        assert lo > 1 and lo + width - 1 >= 72
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.builds(ModelSpec.asym_pep, st.floats(0.01, 0.99),
+                  st.one_of(st.just(0.0), st.floats(-1e3, 0.0))),
+        st.builds(lambda J, extra: ModelSpec.jgamma_pep(J, J + 2 + extra),
+                  st.integers(1, 3), st.integers(0, 20))),
+        st.integers(1, 60), st.integers(1, 12), st.integers(0, 2 ** 20))
+    def test_matches_oracle_property(self, spec, N, samples, seed):
+        assert_engine_matches_oracle(spec, N, samples, seed)
 
 
 class TestCornerView:

@@ -216,6 +216,19 @@ class TestContours:
         with pytest.raises(ValueError):
             rhs_quadrature(ObservableSpec(QHAHN, (1,), 1), tol=0.0)
 
+    @pytest.mark.parametrize("imag, ok", [(1e-14, True), (1e-12, False)])
+    def test_imag_part_relative(self, imag, ok, monkeypatch):
+        # A value of 1e-5 carries at most tol * 1e-5 = 1e-13 of imaginary
+        # part (an absolute 1e-9 bound would accept 1e-12).
+        monkeypatch.setattr(observables, "_quad_once",
+                            lambda spec, contour, n: (1e-5 + imag * 1j, 0.0))
+        spec = ObservableSpec(QHAHN, (1,), 1)
+        if ok:
+            assert rhs_quadrature(spec) == 1e-5
+        else:
+            with pytest.raises(NotConverged, match="imaginary part"):
+                rhs_quadrature(spec)
+
     def test_bad_node_count(self):
         with pytest.raises(ValueError):
             ContourSpec(circles=((1.0, 0.3),), nodes_per_circle=500)
@@ -247,6 +260,21 @@ class TestContraction:
                  for a in itertools.product(range(n), repeat=k)]
         got = observables._contract(z, g, lambda zi, zj: cross[zi, zj])
         assert abs(got - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_row_blocks(self, k, monkeypatch):
+        # Blocks of 2 rows over n = 5 nodes (a short last block), in the
+        # inner matrix and the three-variable step, give the one-block
+        # value.
+        n = 5
+        rng = np.random.default_rng(k)
+        g = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(k)]
+        cross = rng.normal(size=(k * n, k * n))
+        z = [j * n + np.arange(n) for j in range(k)]
+        one = observables._contract(z, g, lambda zi, zj: cross[zi, zj])
+        monkeypatch.setattr(observables, "_CONTRACT_ROWS", 2)
+        blocked = observables._contract(z, g, lambda zi, zj: cross[zi, zj])
+        assert abs(blocked - one) <= 1e-13 * abs(one)
 
 
 class TestMonteCarlo:
