@@ -313,10 +313,11 @@ def _pep_key(spec, x, t, h):
     exclusion process depends on the site x, the time t and the height
     h = h_t(x), elementwise over integers or integer arrays (the result
     keeps their dtype): the exponent e of kappa = delta * q**e (asym_pep),
-    or Upsilon - gamma (jgamma_pep), which must be nonnegative."""
+    or Upsilon - gamma (jgamma_pep), which must be nonnegative.  The (x, t)
+    part is summed first, so a column of sites costs one pass over h."""
     if spec.variant == "asym_pep":
-        return t - 2 * (x - 1) - 2 * h
-    return 2 * h + (spec.J + 1) * (x - 1) - spec.J * t
+        return (t - 2 * (x - 1)) - 2 * h
+    return 2 * h + ((spec.J + 1) * (x - 1) - spec.J * t)
 
 
 def _pep_stay(spec, eta, key):
@@ -713,8 +714,15 @@ def _ensemble_pep(spec, N, samples, rng):
 
     The stay probability depends on (x, t, h) only through the integer key
     of _pep_key, so each step evaluates the shared formula once on a table
-    over the occupancies 0..J+1 and the keys present, and gathers from it;
-    at delta = 0 the asym_pep table is the J+2 values over the occupancy.
+    over the occupancies 0..J+1 and the keys present; at delta = 0 the
+    asym_pep table is the J+2 values over the occupancy.  An empty site
+    keeps nothing and a full one keeps exactly one particle (every step
+    checks that the table's occupancy-0 and occupancy-(J+1) entries are
+    exactly 0 and 1), so the table is gathered, and a uniform drawn, only
+    for the cells with 0 < eta < J+1, in site-major order (the order of
+    np.flatnonzero on the state).  The seeded asym_pep and jgamma_pep
+    streams this gives differ from those of a draw for every window cell;
+    the law does not.
     """
     J = int(spec.J)
     cap = J + 1
@@ -725,7 +733,12 @@ def _ensemble_pep(spec, N, samples, rng):
     eta = np.zeros_like(h)
     lo = 1
     for t in range(N):
-        kmin, nk, idx = 0, 1, eta
+        kept = eta == cap
+        # (eta > 0) ^ kept is 0 < eta < J+1; at J = 1 it is eta == 1, and
+        # every drawn cell holds one particle.
+        drawn = np.flatnonzero(eta == 1 if J == 1 else (eta > 0) ^ kept)
+        occ = np.intp(1) if J == 1 else eta.ravel()[drawn].astype(np.intp)
+        kmin, nk, idx = 0, 1, occ
         if keyed:
             x = np.arange(lo, lo + len(h), dtype=dtype)[:, None]
             key = _pep_key(spec, x, t, h)
@@ -734,20 +747,25 @@ def _ensemble_pep(spec, N, samples, rng):
                 raise _upsilon_error(kmin, t,
                                      lo + int(key.argmin()) // samples)
             nk = int(key.max()) - kmin + 1
-            key -= kmin
-            idx = eta.astype(_int_dtype((cap + 1) * nk))
-            idx *= nk
-            idx += key
-        if (cap + 1) * nk <= idx.size:
+            idx = occ * nk + (key.ravel()[drawn] - kmin)
+        if (cap + 1) * nk <= h.size:
             pairs = np.arange((cap + 1) * nk)
-        else:  # a table wider than the window (large J): the pairs present
-            pairs, idx = np.unique(idx, return_inverse=True)
-        occ, keys = np.divmod(pairs, nk)
-        table = _pep_stay(spec, occ, keys + kmin)
-        stay = table.take(idx.reshape(h.shape))
+        else:  # a keyed table wider than the window (large J): the pairs
+            # present in the window
+            pairs, idx = np.unique(eta.astype(np.intp) * nk + (key - kmin),
+                                   return_inverse=True)
+            idx = idx.ravel()[drawn]
+        occs, keys = np.divmod(pairs, nk)
+        table = _pep_stay(spec, occs, keys + kmin)
+        stay = table.take(idx)
         if ((table < -_WEIGHT_NEG_TOL) | (table > 1 + _WEIGHT_NEG_TOL)).any():
-            _check_stay(stay, t, lo)
-        kept = rng.random((samples, h.shape[0])).T < stay
+            _check_stay(stay, drawn // samples, t, lo)
+        empty, full = table[occs == 0], table[occs == cap]
+        if empty.any() or (full != 1.0).any():
+            raise InadmissibleWeights(
+                "stay probability of an empty or full site is not exactly "
+                "0 or 1 at time %d" % t)
+        kept.ravel()[drawn] = rng.random(len(drawn)) < stay
         new = np.empty_like(h)
         new[0] = h[0] + J  # from the packed region / step data
         np.subtract(h[:-1], kept[:-1], out=new[1:])
@@ -756,15 +774,19 @@ def _ensemble_pep(spec, N, samples, rng):
     return [_WindowView(N, lo, cap, J * N, views[i]) for i in range(samples)]
 
 
-def _check_stay(stay, t, lo):
+def _check_stay(stay, rows, t, lo):
     """Every stay probability drawn in the step at time t lies in [0, 1]
-    (up to rounding); otherwise names the first site that drew one."""
-    bad = (stay < -_WEIGHT_NEG_TOL) | (stay > 1 + _WEIGHT_NEG_TOL)
-    if bad.any():
-        i, k = np.argwhere(bad)[0]
+    (up to rounding); otherwise names the first site that drew one.  rows
+    are the window rows of the drawn cells, and a scalar stay is shared by
+    all of them."""
+    stay = np.broadcast_to(stay, rows.shape)
+    bad = np.flatnonzero((stay < -_WEIGHT_NEG_TOL)
+                         | (stay > 1 + _WEIGHT_NEG_TOL))
+    if len(bad):
+        k = bad[0]
         raise InadmissibleWeights(
             "stay probability %.6f out of [0, 1] at time %d, site %d"
-            % (stay[i, k], t, lo + i))
+            % (stay[k], t, lo + rows[k]))
 
 
 def _ensemble_qhahn(spec, N, samples, rng):
@@ -823,8 +845,12 @@ def run_ensemble(spec, N, samples, base_seed, observables,
     with vectorized engines advance all trajectories in lockstep from a
     single generator split off (base_seed, 0); the scalar path gives each
     trajectory its own split (base_seed, index).  Both are deterministic
-    given base_seed.  A package error raised on the scalar path carries the
-    index of its trajectory as `.trajectory` and in its message.
+    given base_seed.  The exclusion-process engine draws a uniform only for
+    the sites with 0 < eta < J+1, site by site: its asym_pep and jgamma_pep
+    results differ from those of earlier versions, which drew one for
+    every window cell, in the seeded stream but not in law.  A package
+    error raised on the scalar path carries the index of its trajectory as
+    `.trajectory` and in its message.
     """
     samples = int(samples)
     if samples < 1:

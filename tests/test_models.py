@@ -48,7 +48,10 @@ def suffix_cumsum_pep(spec, N, samples, rng):
     """Oracle for the exclusion-process window engine: the same window
     rules and random stream on an occupancy state (samples, width), with
     the heights recomputed by a suffix cumsum and the stay probability
-    evaluated at every cell.  Returns (lo, occupancy)."""
+    evaluated at every cell.  A uniform is drawn only where
+    0 < eta < J+1, site by site; the other cells compare 0.5 with their
+    stay probability, exactly 0 (empty) or 1 (full).
+    Returns (lo, occupancy)."""
     J, cap = spec.J, spec.J + 1
     arr = np.zeros((samples, 8), dtype=np.int64)
     lo = 1
@@ -61,7 +64,10 @@ def suffix_cumsum_pep(spec, N, samples, rng):
         else:
             stay = jgamma_pep_stay(
                 arr, J, spec.gamma + 2.0 * h + cap * (x - 1) - J * t)
-        xs = arr - (rng.random(arr.shape) < stay)
+        u = np.full(arr.shape, 0.5)
+        drawn = (arr > 0) & (arr < cap)
+        u.T[drawn.T] = rng.random(drawn.sum())
+        xs = arr - (u < stay)
         arr = arr - xs
         arr[:, 0] += J
         arr[:, 1:] += xs[:, :-1]
@@ -257,8 +263,10 @@ class TestEnsembles:
 
     @pytest.mark.parametrize("vectorized", [True, False],
                              ids=["vector", "scalar"])
-    @pytest.mark.parametrize("spec", [QHAHN, JG, ASYM],
-                             ids=["qhahn", "jgamma", "asym"])
+    @pytest.mark.parametrize("spec", [
+        QHAHN, JG, ASYM, ModelSpec.jgamma_pep(J=2, gamma=7.0),
+        ModelSpec.asym_pep(0.25, 0.0)],
+        ids=["qhahn", "jgamma", "asym", "jgamma-J2", "asym-d0"])
     def test_frequencies_match_exact_law(self, spec, vectorized):
         n = 100000 if vectorized else 4000
         law = exact_law(spec, 3)
@@ -335,6 +343,38 @@ class TestEnsembles:
         with pytest.raises(InadmissibleWeights,
                            match=r"1\.5.* at time 1, site 1$"):
             run_ensemble(bad, 3, 4, 1, [lambda st: 0.0])
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.asym_pep(0.25, 0.0), ASYM, JG,
+        ModelSpec.jgamma_pep(J=2, gamma=7.0)],
+        ids=["asym-d0", "asym-d-0.5", "jgamma-J1", "jgamma-J2"])
+    @pytest.mark.parametrize("occ", ["empty", "full"])
+    def test_skipped_draws_guarded(self, monkeypatch, spec, occ):
+        # From the third step on, the table's empty (full) entries are
+        # off 0 (1) by 1e-9, still inside [0, 1].
+        cap = spec.J + 1
+        target, value = (0, 1e-9) if occ == "empty" else (cap, 1 - 1e-9)
+        real, calls = models._pep_stay, []
+
+        def perturbed(spec, eta, key):
+            calls.append(None)
+            p = real(spec, eta, key)
+            return np.where(eta == target, value, p) if len(calls) > 2 else p
+
+        monkeypatch.setattr(models, "_pep_stay", perturbed)
+        with pytest.raises(InadmissibleWeights, match=r"at time 2$"):
+            run_ensemble(spec, 5, 64, 1, [lambda st: 0.0])
+
+    def test_skipped_draws_guarded_sparse_table(self, monkeypatch):
+        # J + 1 = 40001: the table holds only the (occupancy, key) pairs
+        # present, and at time 0 every site is empty.
+        real = models._pep_stay
+        monkeypatch.setattr(
+            models, "_pep_stay",
+            lambda spec, eta, key: real(spec, eta, key) + 1e-9 * (eta == 0))
+        with pytest.raises(InadmissibleWeights, match=r"at time 0$"):
+            run_ensemble(ModelSpec.jgamma_pep(J=40000, gamma=1e6), 2, 3, 1,
+                         [lambda st: 0.0])
 
     def test_asym_mean_matches_exact(self):
         law = exact_law(ASYM, 3)

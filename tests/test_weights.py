@@ -392,6 +392,26 @@ class TestExclusionFormulas:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.floats(0.01, 0.99),
+           st.one_of(st.just(0.0), st.just(-5e-324), st.floats(-1e3, 0.0),
+                     st.floats(-1e-307, 0.0)),
+           st.integers(-2000, 2000),
+           st.integers(1, 60).flatmap(lambda J: st.tuples(
+               st.just(J), st.floats(J + 1, 1e12, exclude_min=True))))
+    def test_empty_and_full_sites_exact(self, q, delta, e, ups):
+        # The vector engine draws no uniform at an empty or a full site:
+        # these probabilities must be exactly 0 and 1, scalar and array.
+        J, upsilon = ups
+        assert asym_pep_stay(0, q, delta, e) == 0.0
+        assert asym_pep_stay(2, q, delta, e) == 1.0
+        assert jgamma_pep_stay(0, J, upsilon) == 0.0
+        assert jgamma_pep_stay(J + 1, J, upsilon) == 1.0
+        assert asym_pep_stay(np.array([0, 2]), q, delta,
+                             np.array([e, e])).tolist() == [0.0, 1.0]
+        assert jgamma_pep_stay(np.array([0, J + 1]), J,
+                               upsilon).tolist() == [0.0, 1.0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(0.01, 0.99),
            st.one_of(st.just(0.0), st.floats(-1e3, 0.0)),
            st.lists(st.tuples(st.integers(0, 2), st.integers(-2000, 2000)),
                     min_size=1, max_size=12))
