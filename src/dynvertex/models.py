@@ -313,11 +313,10 @@ def _pep_key(spec, x, t, h):
     exclusion process depends on the site x, the time t and the height
     h = h_t(x), elementwise over integers or integer arrays (the result
     keeps their dtype): the exponent e of kappa = delta * q**e (asym_pep),
-    or Upsilon - gamma (jgamma_pep), which must be nonnegative.  The (x, t)
-    part is summed first, so a column of sites costs one pass over h."""
+    or Upsilon - gamma (jgamma_pep), which must be nonnegative."""
     if spec.variant == "asym_pep":
-        return (t - 2 * (x - 1)) - 2 * h
-    return 2 * h + ((spec.J + 1) * (x - 1) - spec.J * t)
+        return t - 2 * (x - 1) - 2 * h
+    return 2 * h + (spec.J + 1) * (x - 1) - spec.J * t
 
 
 def _pep_stay(spec, eta, key):
@@ -737,8 +736,7 @@ def _ensemble_pep(spec, N, samples, rng):
         # (eta > 0) ^ kept is 0 < eta < J+1; at J = 1 it is eta == 1, and
         # every drawn cell holds one particle.
         drawn = np.flatnonzero(eta == 1 if J == 1 else (eta > 0) ^ kept)
-        occ = np.intp(1) if J == 1 else eta.ravel()[drawn].astype(np.intp)
-        kmin, nk, idx = 0, 1, occ
+        kmin, nk = 0, 1
         if keyed:
             x = np.arange(lo, lo + len(h), dtype=dtype)[:, None]
             key = _pep_key(spec, x, t, h)
@@ -747,14 +745,16 @@ def _ensemble_pep(spec, N, samples, rng):
                 raise _upsilon_error(kmin, t,
                                      lo + int(key.argmin()) // samples)
             nk = int(key.max()) - kmin + 1
-            idx = occ * nk + (key.ravel()[drawn] - kmin)
-        if (cap + 1) * nk <= h.size:
-            pairs = np.arange((cap + 1) * nk)
-        else:  # a keyed table wider than the window (large J): the pairs
-            # present in the window
+        if keyed and (cap + 1) * nk > h.size:
+            # a table wider than the window (large J): the pairs present
             pairs, idx = np.unique(eta.astype(np.intp) * nk + (key - kmin),
                                    return_inverse=True)
             idx = idx.ravel()[drawn]
+        else:
+            pairs = np.arange((cap + 1) * nk)
+            idx = np.intp(1) if J == 1 else eta.ravel()[drawn].astype(np.intp)
+            if keyed:
+                idx = idx * nk + (key.ravel()[drawn] - kmin)
         occs, keys = np.divmod(pairs, nk)
         table = _pep_stay(spec, occs, keys + kmin)
         stay = table.take(idx)
