@@ -556,12 +556,25 @@ def _model_from_config(model, cfg):
         raise _ConfigError("invalid model parameters: %s" % exc)
 
 
+def _probe_site(s, spec, steps):
+    """A --sites value checked against the model's lattice, as an int
+    where it is integral: corner positions p need p + steps/2 integral,
+    particle-system sites are integers >= 1."""
+    if spec.is_corner:
+        if not (s + steps / 2).is_integer():
+            raise _ConfigError(
+                "site %g is not on the time-%d lattice of the corner model "
+                "(site + steps/2 must be an integer)" % (s, steps))
+    elif not (s.is_integer() and s >= 1):
+        raise _ConfigError("site %g is not an integer >= 1, as particle "
+                           "system sites must be" % s)
+    return int(s) if s.is_integer() else s
+
+
 def _run_simulate(args):
     cfg = _load_config(args.config)
     spec = _model_from_config(args.model, cfg)
-    sites = tuple(args.sites)
-    if any(s < 1 for s in sites) and not spec.is_corner:
-        raise _ConfigError("sites must be >= 1 for particle systems")
+    sites = tuple(_probe_site(s, spec, args.steps) for s in args.sites)
     if spec.is_corner:
         observables = [lambda st, s=s: st.height(s) for s in sites]
     else:
@@ -793,8 +806,10 @@ def _build_parser():
                    "inline or @file")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--sites", type=int, nargs="+", default=[1],
-                   help="probe sites (positions for corner models)")
+    p.add_argument("--sites", type=float, nargs="+", default=[1.0],
+                   help="probe sites: integers >= 1 for particle systems; "
+                   "for corner models, positions p with p + steps/2 an "
+                   "integer (half-integers at odd --steps)")
     p.add_argument("--csv", help="write the ensemble summary CSV here")
     p.add_argument("--trajectory-csv",
                    help="write one seeded trajectory as CSV")

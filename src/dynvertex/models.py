@@ -16,8 +16,7 @@ its closed form in the height function: kappa = delta * q^(-2h) * prod(b)
 * prod(c) for the row-update models, and its exclusion-process
 degenerations.  The two exclusion processes fit the same sweep because
 their X(x) depends only on (eta(x), h(x)); their probabilities are the
-shared formulas of `weights`.  An incremental-update audit utility checks
-the exponent bookkeeping invariant.
+shared formulas of `weights`.
 
 The sweep takes a pick rule: `step` makes one inverse-CDF draw per vertex,
 and `exact_law` follows every positive branch.  The corner-growth variants
@@ -36,8 +35,9 @@ h'(x) = h(x) + X(x-1), and draws every X from one table of the shared
 stay probability per step, since the dynamical parameter depends on
 (x, t, h) only through an integer key.  The q-Hahn engine groups
 trajectories by (occupancy, height) at each site and draws from the shared
-kernel.  Engine integer dtypes are chosen from the largest reachable value
-(occupancy, height or key).
+kernel.  The corner engine keeps the scalar path's lattice and draws one
+coin per flat segment.  Engine integer dtypes are chosen from the largest
+reachable value (occupancy, height or key).
 """
 
 import math
@@ -829,10 +829,57 @@ def _ensemble_qhahn(spec, N, samples, rng):
             for i in range(samples)]
 
 
+def _ensemble_corner(spec, N, samples, rng):
+    """Vectorized engine for both corner-growth variants, on the lattice of
+    the scalar path: row i of the state holds the height at left + i for
+    every sample (column).  Each step extends the window by one wedge
+    value on each side and moves left by -1/2, as `_corner_sweep` does;
+    sloped segments take the midpoint.  One uniform is drawn per flat
+    segment, in site-major order (the order of np.flatnonzero on the
+    state), and the segment goes down by one when u < 1 - up, else up by
+    one.  At samples = 1 this is the draw order of `step`, so the engine
+    reproduces the scalar trajectory from the same generator."""
+    init = initial_state(spec, rng=rng)
+    left = init.left
+    h = np.repeat(init.heights[:, None], samples, axis=1)
+    for t in range(N):
+        n = len(h)
+        ext = np.empty((n + 2, samples), dtype=np.int64)
+        ext[0] = round(2 * abs(left - 1))
+        ext[1:-1] = h
+        ext[-1] = round(2 * abs(left + n))
+        h1, h2 = ext[:-1], ext[1:]
+        slope = h2 - h1
+        bad = (slope != 0) & (slope != 2) & (slope != -2)
+        if bad.any():
+            raise InadmissibleWeights(
+                "segment slope %d not in {-2, 0, 2} at time %d"
+                % (slope.ravel()[np.flatnonzero(bad)[0]], t))
+        flat = np.flatnonzero(slope == 0)
+        up = np.broadcast_to(_corner_up_prob(spec, h1.ravel()[flat]),
+                             flat.shape)
+        out = np.flatnonzero((up < -_WEIGHT_NEG_TOL)
+                             | (up > 1 + _WEIGHT_NEG_TOL))
+        if len(out):
+            k = out[0]
+            raise InadmissibleWeights(
+                "up-probability %.6f at x=%.1f, time %d"
+                % (up[k], left - 0.5 + flat[k] // samples, t))
+        h = h1 + h2
+        h //= 2
+        h.ravel()[flat] += np.where(rng.random(len(flat)) < 1.0 - up, -1, 1)
+        left -= 0.5
+    columns = np.ascontiguousarray(h.T)
+    return [CornerState(time=N, left=left, heights=columns[i], rng=None)
+            for i in range(samples)]
+
+
 _VECTOR_ENGINES = {
     "jgamma_pep": _ensemble_pep,
     "asym_pep": _ensemble_pep,
     "qhahn": _ensemble_qhahn,
+    "corner": _ensemble_corner,
+    "corner_dyn": _ensemble_corner,
 }
 
 
@@ -841,16 +888,23 @@ def run_ensemble(spec, N, samples, base_seed, observables,
     """Independent trajectories; one MCEstimate per observable.
 
     Observables are callables evaluated on the final state (use
-    `current(state, x)` for height observables).  The three degenerations
-    with vectorized engines advance all trajectories in lockstep from a
-    single generator split off (base_seed, 0); the scalar path gives each
-    trajectory its own split (base_seed, index).  Both are deterministic
-    given base_seed.  The exclusion-process engine draws a uniform only for
-    the sites with 0 < eta < J+1, site by site: its asym_pep and jgamma_pep
-    results differ from those of earlier versions, which drew one for
-    every window cell, in the seeded stream but not in law.  A package
-    error raised on the scalar path carries the index of its trajectory as
-    `.trajectory` and in its message.
+    `current(state, x)` for particle-system heights and `state.height(x)`
+    for corner positions).  There are four engine families.  Three advance
+    all trajectories in lockstep from a single generator split off
+    (base_seed, 0): the exclusion-process window engine (jgamma_pep,
+    asym_pep), the q-Hahn engine and the corner engine (corner,
+    corner_dyn).  The fourth, the scalar path, runs `general` (and any
+    variant when vectorized=False) and gives each trajectory its own split
+    (base_seed, index).  Both are deterministic given base_seed.  The
+    exclusion-process engine draws a uniform only for the sites with
+    0 < eta < J+1, site by site: its asym_pep and jgamma_pep results differ
+    from those of earlier versions, which drew one for every window cell,
+    in the seeded stream but not in law.  Corner ensembles, which earlier
+    versions ran on the scalar path, now advance in lockstep too, so the
+    seeded averages of `simulate --model corner|corner-dyn` change with the
+    stream but not in law; at samples = 1 the corner engine equals the
+    scalar path.  A package error raised on the scalar path carries the
+    index of its trajectory as `.trajectory` and in its message.
     """
     samples = int(samples)
     if samples < 1:
@@ -883,62 +937,3 @@ def run_ensemble(spec, N, samples, base_seed, observables,
         out.append(MCEstimate(mean=mean, stderr=std / math.sqrt(samples),
                               n_samples=samples, base_seed=int(base_seed)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Exponent bookkeeping audit
-
-
-def kappa_audit(spec, N, seed=0):
-    """Run one scalar trajectory of a row-update model and check, at every
-    visited vertex, that the incremental dynamical-parameter recursion
-    (multiply by q^{J_y - 2 j1} moving up, by q^{2 i2} b_x moving right)
-    reproduces the closed form q^{-2 h} * prod b * prod c exactly at the
-    level of integer q-exponents.  Returns the number of vertices checked.
-    """
-    if spec.variant not in ("qhahn", "general", "asym_pep"):
-        raise ValueError("kappa audit applies to row-update models")
-    state = initial_state(spec, seed=seed)
-    checked = 0
-    # exponents[x] = integer q-exponent of kappa_{x, y} after row y,
-    # relative to delta * prod_{k<x} b_k * prod_{k<=y} c_k.
-    exponents = {1: 0}
-    for t in range(N):
-        pre = [int(v) for v in state.occupancy]
-        state = step(state, spec)
-        post = [int(v) for v in state.occupancy]
-        y = t + 1
-        # Recover the row data: j1 entering site x and i2 leaving above.
-        j_in = spec.row_degree(y)
-        x = 0
-        row_j1 = {}
-        while True:
-            x += 1
-            i1 = pre[x - 1] if x <= len(pre) else 0
-            i2 = post[x - 1] if x <= len(post) else 0
-            row_j1[x] = j_in
-            j_out = i1 + j_in - i2
-            if x > len(pre) and j_in == 0:
-                break
-            j_in = j_out
-        max_x = x
-        # Move every tracked exponent up one row (the c_y factor sits in
-        # the reference product), then extend to the right.
-        for xx in list(exponents):
-            exponents[xx] -= 2 * row_j1.get(xx, 0)
-        for xx in range(2, max_x + 1):
-            if xx not in exponents:
-                i2 = post[xx - 2] if xx - 2 < len(post) else 0
-                exponents[xx] = exponents[xx - 1] + 2 * i2
-        # Closed form: exponent of kappa_{x, y} is -2 h_y(x).
-        h = sum(post)
-        for xx in range(1, max_x + 1):
-            closed = -2 * h
-            if exponents[xx] != closed:
-                raise AssertionError(
-                    "kappa exponent mismatch at site %d after row %d: "
-                    "incremental %d, closed %d"
-                    % (xx, y, exponents[xx], closed))
-            checked += 1
-            h -= post[xx - 1] if xx - 1 < len(post) else 0
-    return checked

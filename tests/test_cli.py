@@ -182,6 +182,25 @@ class TestSimulate:
         val = rep["checks"][0]["value"]
         assert 0.0 <= val <= 4.0
 
+    def test_corner_half_integer_site(self, tmp_path):
+        # At odd --steps the corner lattice holds the half-integers.
+        code, rep = run(tmp_path, "simulate", "--model", "corner",
+                        "--steps", "3", "--samples", "200",
+                        "--sites", "0.5")
+        assert code == 0
+        assert rep["checks"][0]["name"] == "height_site_0.5"
+        assert 1.0 <= rep["checks"][0]["value"] <= 3.0
+
+    @pytest.mark.parametrize("model, site", [("corner", "0"),
+                                             ("pep", "1.5")])
+    def test_site_off_lattice(self, tmp_path, capsys, model, site):
+        code, _ = run(tmp_path, "simulate", "--model", model,
+                      "--steps", "3", "--samples", "20", "--sites", site)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "site %s is not" % site in err
+        assert "Traceback" not in err
+
 
 class TestVerifyIdentity:
     def test_hand_case(self, tmp_path):

@@ -249,7 +249,7 @@ def contraction_draws(draw):
 
 
 class TestContraction:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(contraction_draws())
     def test_matches_brute_force(self, draw):
         k, n, g, cross = draw

@@ -376,7 +376,7 @@ class TestExclusionFormulas:
     formulas shared by degeneration_weight, the scalar kernel and the
     vector engine: arrays and scalars must agree."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(jgamma_draws())
     def test_jgamma_pep_stay(self, draw):
         J, gamma, sites = draw
@@ -390,7 +390,7 @@ class TestExclusionFormulas:
             assert one == degeneration_weight("jgamma_pep", J=J, Upsilon=u,
                                               eta=e, x=e - 1)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(st.floats(0.01, 0.99),
            st.one_of(st.just(0.0), st.just(-5e-324), st.floats(-1e3, 0.0),
                      st.floats(-1e-307, 0.0)),
@@ -410,7 +410,7 @@ class TestExclusionFormulas:
         assert jgamma_pep_stay(np.array([0, J + 1]), J,
                                upsilon).tolist() == [0.0, 1.0]
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(st.floats(0.01, 0.99),
            st.one_of(st.just(0.0), st.floats(-1e3, 0.0)),
            st.lists(st.tuples(st.integers(0, 2), st.integers(-2000, 2000)),
