@@ -18,6 +18,13 @@ degenerations.  The two exclusion processes fit the same sweep because
 their X(x) depends only on (eta(x), h(x)); their probabilities are the
 shared formulas of `weights`.
 
+Each spec memoizes its kernel on exactly the inputs the kernel reads (see
+`_kernel`): the samplers and the exact law ask the same few questions many
+times, and a dynamical weight costs tens of sin calls.  The memo holds at
+most _KERNEL_MEMO_CAP entries, stores no input that raises (so every error
+names its own calling site) and calls the kernel's helpers only on a miss,
+so a test that monkeypatches one of them must build a fresh spec.
+
 The sweep takes a pick rule: `step` makes one inverse-CDF draw per vertex,
 and `exact_law` follows every positive branch.  The corner-growth variants
 evolve a piecewise-linear height function with slopes in {-2, 0, 2}
@@ -41,7 +48,7 @@ reachable value (occupancy, height or key).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,6 +98,9 @@ class ModelSpec:
     J: object = None
     gamma: float = None
     p: float = None
+    # The memo of `_kernel` for this spec; outside equality and hashing.
+    _kernel_memo: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -334,7 +344,36 @@ def _upsilon_error(key, t, x):
         "Upsilon = gamma - %d < gamma at time %d, site %d" % (-key, t, x))
 
 
+_KERNEL_MEMO_CAP = 1 << 14  # entries per spec; the memo is cleared when full
+
+
 def _kernel(spec, x, t, i1, j1, h):
+    """`_kernel_eval`, memoized per spec on exactly what it reads besides
+    the spec: (i1, _pep_key(...)) for the exclusion processes (one entry
+    for every i1 = 0), (x, t, i1, j1, h) for general and (x, t, i1, h) for
+    qhahn.  The memo is cleared when it holds _KERNEL_MEMO_CAP entries.  A
+    miss evaluates at the calling site and an input that raises is never
+    stored, so every error names the site and row of its own call.  Calls
+    share the returned weights, which must not be modified; a test that
+    monkeypatches a helper of the kernel must build a fresh spec."""
+    variant = spec.variant
+    if variant in _PEP:
+        key = (i1, _pep_key(spec, x, t, h)) if i1 else 0
+    elif variant == "general":
+        key = (x, t, i1, j1, h)
+    else:
+        key = (x, t, i1, h)
+    memo = spec._kernel_memo
+    out = memo.get(key)
+    if out is None:
+        out = _kernel_eval(spec, x, t, i1, j1, h)
+        if len(memo) >= _KERNEL_MEMO_CAP:
+            memo.clear()
+        memo[key] = out
+    return out
+
+
+def _kernel_eval(spec, x, t, i1, j1, h):
     """The per-vertex kernel at site x of row t+1.  From the vertical input
     i1 (the occupancy of x before the step), the horizontal input j1 and
     the height h = h_t(x), returns (values of j2, their validated
@@ -519,9 +558,6 @@ class ExactLaw:
             raise InadmissibleWeights(
                 "exact law has total mass %.15f" % total)
         return cls(support=tuple(items), total_mass=total)
-
-    def prob(self, cfg):
-        return dict(self.support).get(tuple(cfg), 0.0)
 
     def mean(self, fn):
         return sum(pr * fn(cfg) for cfg, pr in self.support)

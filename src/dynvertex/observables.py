@@ -17,10 +17,12 @@ identities require the probe sites listed in weakly decreasing order.
 For every k the integrand is prod_j f_j(z_j) times the pair factors
 (z_i - z_j)/(z_i - q z_j), or (z_i - z_j)/(z_i - z_j - 1) for PEP, so one
 recursive contraction runs the trapezoid rule for any k.  Node doubling
-starts at 32 nodes per circle and stops once the relative change is below
-tol, with the rounding level of the sum as a floor (so a zero integral
-converges); a pass beyond 4096 nodes per circle or 2^32 nodes in all
-raises NotConverged instead.
+starts at 32 nodes per circle, or at the first power of two above the
+largest pole order inside the contours (fewer nodes alias the integrand's
+Laurent coefficients), and stops once the relative change is below tol,
+with the rounding level of the sum as a floor (so a zero integral
+converges).  A pass beyond 4096 nodes per circle or 2^32 nodes in all, or
+a rounding floor above tol * max(1, |value|), raises NotConverged instead.
 
 The printed sources drift by one in a few indices; the conventions frozen
 here (which factors read the current at x_j versus x_j + 1, which prefix
@@ -96,8 +98,9 @@ class ObservableSpec:
 class ContourSpec:
     """Nested circles on the real axis, one per integration variable,
     ordered outermost first.  nodes_per_circle is where node doubling
-    starts; it must be a power of two and stay within the quadrature
-    budget (4096 per circle, 2^32 per pass)."""
+    starts, unless the pole order inside the contours needs more; it must
+    be a power of two and stay within the quadrature budget (4096 per
+    circle, 2^32 per pass)."""
 
     circles: tuple  # ((center, radius), ...) as floats
     nodes_per_circle: int = 32
@@ -278,6 +281,16 @@ def solve_contours(spec, nodes_per_circle=32, margin=0.25):
                        nesting_offsets=offsets)
 
 
+def _pole_order(spec):
+    """Largest order of a pole inside the contours in one variable: the
+    pole of f_j at J+1 has order N - x_j, and each of the k-1 cross factors
+    can add one (PEP form); every row puts a pole at z = 1, so the cluster
+    multiplicity there is N (multiplicative form)."""
+    if spec.form == "qhahn":
+        return spec.N
+    return spec.N - min(spec.x_list) + spec.k - 1
+
+
 def _relation(img_c, img_r, c, r):
     """Placement of an image circle against a disk on the real axis."""
     d = abs(img_c - c)
@@ -414,18 +427,24 @@ def _quad_once(spec, contour, n):
 
 def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
     """The k-fold contour integral for any k, doubling the nodes from
-    contour.nodes_per_circle until |cur - prev| / max(|cur|, floor / tol)
-    (the doubling_change of full=True) is at most tol, within the
-    _MAX_NODES / _MAX_GRID budget.  Returns a float when the imaginary part
-    is at most max(tol |value|, floor), and at most 1e-9 max(1, |value|),
-    else raises NotConverged; with full=True, a dict with the value and
-    diagnostics."""
+    contour.nodes_per_circle, or from the first power of two above
+    _pole_order, until |cur - prev| / max(|cur|, floor / tol) (the
+    doubling_change of full=True) is at most tol, within the
+    _MAX_NODES / _MAX_GRID budget.  Returns a float when the rounding floor
+    is at most tol max(1, |value|) and the imaginary part at most
+    max(tol |value|, floor) and 1e-9 max(1, |value|), else raises
+    NotConverged; with full=True, a dict with the value and diagnostics."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if contour is None:
         contour = solve_contours(spec)
     _check_contour(spec, contour)
     n, prev = contour.nodes_per_circle, None
+    # Fewer nodes than the pole order alias the Laurent coefficients of the
+    # integrand, and two aliased passes can agree.
+    order = _pole_order(spec)
+    while n <= order:
+        n *= 2
     while True:
         if n > _MAX_NODES or n ** spec.k > _MAX_GRID:
             raise NotConverged(
@@ -438,6 +457,12 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
                 break
         prev = cur
         n *= 2
+    # A sum whose rounding floor exceeds the tolerance cannot resolve its
+    # value, however well two passes agree.
+    if floor > tol * max(1.0, abs(cur)):
+        raise NotConverged(
+            "rounding floor %.3e of the sum exceeds tol * max(1, |value|) "
+            "at value %.3e" % (floor, abs(cur)))
     # The imaginary part must vanish to the accuracy of the real part, as
     # in the doubling rule, and in no case beyond _IMAG_TOL * max(1, |cur|).
     imag_bound = min(max(tol * abs(cur), floor),

@@ -227,6 +227,13 @@ class TestVerifyIdentity:
         assert code == 0
         assert rep["identity"]["quadrature_diagnostics"]["nodes_used"] == 256
 
+    def test_unresolvable_quadrature_exits_1(self, tmp_path, capsys):
+        # The N=200 integral lies below the rounding floor of its circle.
+        code, _ = run(tmp_path, "verify-identity", "--form", "pep",
+                      "--x", "100", "--N", "200", "--gamma", "3")
+        assert code == 1
+        assert "NotConverged: rounding floor" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["--form", "pep", "--x", "1", "--N", "2", "--J", "2",
          "--gamma", "7"],

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynvertex import models
 from dynvertex.errors import (
+    DynVertexError,
     InadmissibleParameters,
     InadmissibleWeights,
     SizeLimit,
@@ -547,3 +548,101 @@ class TestKappaBookkeeping:
         gen = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,), S=(S_IM,),
                                 J=(1,))
         assert kappa_audit(gen, 5, seed=1) > 8
+
+
+@st.composite
+def kernel_draws(draw):
+    """A fresh spec of qhahn, general, jgamma_pep or asym_pep with drawn
+    parameters, and a list of kernel inputs (x, t, i1, j1, h) that may
+    repeat each other or share an exclusion-process key."""
+    variant = draw(st.sampled_from(["qhahn", "general", "jgamma_pep",
+                                    "asym_pep"]))
+    if variant == "qhahn":
+        q = draw(st.sampled_from([0.25, 0.4, 0.6]))
+        J = draw(st.integers(1, 2))
+        spec = ModelSpec.qhahn(q, draw(st.sampled_from([0.0, -0.2, -1.0])),
+                               B=(draw(st.sampled_from([-0.3, -0.5])),),
+                               C=(q ** J,), J=(J,))
+    elif variant == "general":
+        spec = ModelSpec.general(draw(st.sampled_from([0.3, 0.4])),
+                                 draw(st.sampled_from([-0.2, -0.5])),
+                                 U=(draw(st.sampled_from([1.0, 1.05])),),
+                                 Xi=(S_IM,), S=(S_IM,),
+                                 J=(draw(st.integers(1, 2)),))
+    elif variant == "jgamma_pep":
+        J = draw(st.integers(1, 3))
+        spec = ModelSpec.jgamma_pep(J, J + 1 + draw(st.floats(0.1, 30.0)))
+    else:
+        spec = ModelSpec.asym_pep(draw(st.floats(0.05, 0.95)),
+                                  draw(st.floats(-2.0, 0.0)))
+    cap = spec.row_degree(1) + 1
+    inputs = st.tuples(st.integers(1, 6), st.integers(0, 6),
+                       st.integers(0, cap), st.integers(0, cap - 1),
+                       st.integers(0, 8))
+    return spec, draw(st.lists(inputs, min_size=1, max_size=6))
+
+
+def kernel_outcome(fn, spec, args):
+    """(values, weight bytes, clamp count) of one kernel call, or the type
+    and message of the package error it raises."""
+    try:
+        values, w, clamped = fn(spec, *args)
+    except DynVertexError as exc:
+        return type(exc), str(exc)
+    return tuple(values), np.asarray(w, dtype=float).tobytes(), clamped
+
+
+class TestKernelMemo:
+    @settings(max_examples=150)
+    @given(kernel_draws())
+    def test_cold_and_warm_equal_eval(self, draw):
+        spec, calls = draw
+        want = [kernel_outcome(models._kernel_eval, spec, a) for a in calls]
+        for _ in ("cold", "warm"):
+            got = [kernel_outcome(models._kernel, spec, a) for a in calls]
+            assert got == want
+
+    def test_failing_sites_sharing_a_key_name_themselves(self):
+        # gamma below J+1 (bypassing the constructor).  Key 1 means
+        # Upsilon = 0.5 and P[stay] = 1.5; key -1 fails the Upsilon test.
+        # Each pair of sites shares its key.
+        bad = ModelSpec(variant="jgamma_pep", J=1, gamma=-0.5)
+        for (x, t, h), where in [((1, 1, 1), r"site 1, row 2 "),
+                                 ((2, 3, 1), r"site 2, row 4 "),
+                                 ((1, 1, 0), r"time 1, site 1$"),
+                                 ((2, 3, 0), r"time 3, site 2$")]:
+            with pytest.raises(InadmissibleWeights, match=where):
+                models._kernel(bad, x, t, 1, 0, h)
+        assert bad._kernel_memo == {}
+
+    @pytest.mark.parametrize("spec, N", [
+        (QHAHN, 4), (JG, 6), (ASYM, 6), (ModelSpec.jgamma_pep(2, 7.0), 5),
+        (ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,), S=(S_IM,),
+                           J=(1,)), 3)],
+        ids=["qhahn", "jgamma-J1", "asym", "jgamma-J2", "general"])
+    def test_engines_equal_unmemoized(self, monkeypatch, spec, N):
+        obs = [lambda st: current(st, 1), lambda st: current(st, 2)]
+        memo = (exact_law(spec, N).support,
+                run_ensemble(spec, N, 50, 5, obs, vectorized=False))
+        monkeypatch.setattr(models, "_kernel", models._kernel_eval)
+        plain = (exact_law(spec, N).support,
+                 run_ensemble(spec, N, 50, 5, obs, vectorized=False))
+        assert memo == plain
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        spec = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,),
+                                 S=(S_IM,), J=(1,))
+        want = exact_law(spec, 3).support
+        spec = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,),
+                                 S=(S_IM,), J=(1,))
+        kernel, sizes = models._kernel, []
+
+        def spy(spec, *args):
+            out = kernel(spec, *args)
+            sizes.append(len(spec._kernel_memo))
+            return out
+
+        monkeypatch.setattr(models, "_KERNEL_MEMO_CAP", 8)
+        monkeypatch.setattr(models, "_kernel", spy)
+        assert exact_law(spec, 3).support == want
+        assert max(sizes) == 8 and sizes.count(1) > 1

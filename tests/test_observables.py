@@ -234,6 +234,47 @@ class TestContours:
             ContourSpec(circles=((1.0, 0.3),), nodes_per_circle=500)
 
 
+class TestAliasing:
+    # jgamma_pep J=1, gamma=3, x = N/2: the integrand has a pole of order
+    # N - x at z = 2 inside the circle of radius 0.25.
+    MODEL = ModelSpec.jgamma_pep(J=1, gamma=3.0)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Node counts of the quadrature passes, in order."""
+        passes, quad_once = [], observables._quad_once
+
+        def spy(spec, contour, n):
+            passes.append(n)
+            return quad_once(spec, contour, n)
+
+        monkeypatch.setattr(observables, "_quad_once", spy)
+        return passes
+
+    def test_pole_order_above_nodes_raises(self, passes):
+        # With 32 and 64 nodes two aliased passes agreed to 1e-9 on
+        # -2.08e42; the true value, about -5.6, lies far below the
+        # rounding floor on this circle.
+        with pytest.raises(NotConverged, match="rounding floor"):
+            rhs_quadrature(ObservableSpec(self.MODEL, (100,), 200))
+        assert passes[0] == 128
+
+    def test_qhahn_starts_above_the_cluster_multiplicity(self, passes):
+        # z = 1 is a pole of order N = 40; two circles of different radii
+        # give the same value.
+        spec = ObservableSpec(QHAHN, (1,), 40)
+        small = rhs_quadrature(spec, ContourSpec(circles=((1.0, 0.6),)))
+        assert passes[0] == 64
+        large = rhs_quadrature(spec, ContourSpec(circles=((1.0, 0.9),)))
+        assert abs(small - large) < 1e-9
+
+    def test_resolvable_case_unchanged(self):
+        diag = rhs_quadrature(ObservableSpec(self.MODEL, (15,), 30),
+                              full=True)
+        assert diag["nodes_used"] == 64
+        assert abs(diag["value"] + 2.16696672173) < 1e-10
+
+
 @st.composite
 def contraction_draws(draw):
     """Random complex single factors g_j and pair matrices for k <= 4
