@@ -250,20 +250,36 @@ def _experiment_dynamic_gamma(config, seed):
     return rep
 
 
-def _asym_height_stats(q, T, sites, samples, seed):
+def _asym_height_stats(q, T, sites, samples, seed, centers=()):
+    """(mean, std) of h_T(x) at each site x of asym_pep(q, 0).  With
+    centers, one per site, each tuple also carries the delta-method
+    variance of log(std), (m4 - s^4) / (4 n s^4); the central moments come
+    from the powers of h - center, which keep the float cancellation of
+    E[h^4] ~ T^4 out."""
     model = ModelSpec.asym_pep(q, 0.0)
     obs = [lambda st, x=x: float(current(st, x)) for x in sites]
     sq = [lambda st, x=x: float(current(st, x)) ** 2 for x in sites]
-    ests = run_ensemble(model, T, samples, seed, obs + sq)
-    out = []
-    for i in range(len(sites)):
+    cen = [lambda st, x=x, c=c, k=k: (current(st, x) - c) ** k
+           for x, c in zip(sites, centers) for k in (1, 2, 3, 4)]
+    ests = run_ensemble(model, T, samples, seed, obs + sq + cen)
+    out, n = [], len(sites)
+    for i in range(n):
         mean = ests[i].mean
-        var = max(ests[len(sites) + i].mean - mean * mean, 0.0)
+        var = max(ests[n + i].mean - mean * mean, 0.0)
         out.append((mean, math.sqrt(var)))
+        if centers:
+            d1, d2, d3, d4 = (e.mean for e in ests[2 * n + 4 * i:][:4])
+            m2 = d2 - d1 * d1
+            m4 = d4 - 4 * d1 * d3 + 6 * d1 * d1 * d2 - 3 * d1 ** 4
+            out[-1] += ((m4 - m2 * m2) / (4 * samples * m2 * m2)
+                        if m2 > 0 else math.inf,)
     return out
 
 
 def _experiment_kpz_exponent(config, seed):
+    """Least-squares slope of log std(h_T(eta T)) against log T, over
+    independent seeds per T, with the stderr of the slope propagated from
+    the delta-method variance of each log std."""
     q = float(_cfg(config, "q", 0.25))
     eta = float(_cfg(config, "eta", 0.5))
     T_list = [int(t) for t in _cfg(config, "T_list",
@@ -272,13 +288,20 @@ def _experiment_kpz_exponent(config, seed):
     points = []
     for i, T in enumerate(T_list):
         x = int(math.floor(eta * T))
-        (mean, std), = _asym_height_stats(q, T, [x], samples, seed + i)
-        points.append({"T": T, "site": x, "mean": mean, "std": std})
-    slope, intercept = np.polyfit([math.log(p["T"]) for p in points],
-                                  [math.log(p["std"]) for p in points], 1)
+        (mean, std, var_log), = _asym_height_stats(
+            q, T, [x], samples, seed + i, [lln_shapes(q, "m", eta) * T])
+        points.append({"T": T, "site": x, "mean": mean, "std": std,
+                       "log_std_stderr": math.sqrt(var_log)})
+    log_t = np.array([math.log(p["T"]) for p in points])
+    slope, intercept = np.polyfit(log_t, [math.log(p["std"])
+                                          for p in points], 1)
+    weights = (log_t - log_t.mean()) / ((log_t - log_t.mean()) ** 2).sum()
+    var_slope = sum(w * w * p["log_std_stderr"] ** 2
+                    for w, p in zip(weights, points))
     return {"kind": "kpz_exponent", "q": q, "eta": eta,
             "n_samples": samples, "points": points,
             "fitted_exponent": float(slope),
+            "fitted_exponent_stderr": math.sqrt(var_slope),
             "fit_intercept": float(intercept)}
 
 

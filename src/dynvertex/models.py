@@ -4,7 +4,7 @@ exact small-system distribution oracle.
 Particle systems live on sites 1, 2, 3, ... with step boundary data: at time
 t one packet of J_y arrows enters at the left of row y = t+1.  A scalar
 trajectory stores its occupancy densely over [1, t+1] (support cannot
-outrun the step data); the exclusion-process window engine stores the
+outrun the step data); the exclusion-process band engine stores the
 height function instead.
 
 Every particle system follows one local rule.  A time step sweeps its row
@@ -33,12 +33,12 @@ segments midpoint deterministically and flat segments flip a (possibly
 height-dependent) coin.
 
 Large ensembles run on vectorized engines that advance all trajectories in
-lockstep.  One window engine serves both exclusion processes (asym_pep is
-its J = 1 case).  Its state is the height function h(x) over a moving
-active window, one row per site and one column per trajectory; the packed
-prefix and the empty suffix of the system evolve deterministically and are
-tracked in closed form.  A step moves the height by the bond flux,
-h'(x) = h(x) + X(x-1), and draws every X from one table of the shared
+lockstep.  One band engine serves both exclusion processes (asym_pep is
+its J = 1 case).  Its state is the height function h(x) over the occupied
+band, one row per site and one column per trajectory; the packed prefix
+and the empty suffix of the system evolve deterministically and are
+tracked in closed form.  A step moves the height in place by the bond
+flux, h'(x) = h(x) + X(x-1), and draws every X from one table of the shared
 stay probability per step, since the dynamical parameter depends on
 (x, t, h) only through an integer key.  The q-Hahn engine groups
 trajectories by (occupancy, height) at each site and draws from the shared
@@ -705,84 +705,87 @@ def _int_dtype(top):
     return np.promote_types(np.int16, np.min_scalar_type(-int(top)))
 
 
-def _occupancy(h):
-    """Site occupancies eta(x) = h(x) - h(x+1) of a window of heights
-    (rows are sites; the site past the window is empty)."""
-    eta = np.empty_like(h)
-    np.subtract(h[:-1], h[1:], out=eta[:-1])
-    eta[-1] = h[-1]
-    return eta
-
-
-_WINDOW_GROW = 64  # sites added when a window's last site is reached
-
-
-def _advance_window(h, lo, cap, t):
-    """Keep the moving-window invariant of a height state at time t: grow
-    on the right if the last site is occupied in some sample, check that
-    every occupancy lies in [0, cap], and advance lo past the leading sites
-    packed in every sample.  Returns (heights, occupancies, lo)."""
-    if h[-1].any():
-        h = np.concatenate(
-            [h, np.zeros((_WINDOW_GROW, h.shape[1]), dtype=h.dtype)])
-    eta = _occupancy(h)
-    if eta.min() < 0 or eta.max() > cap:
-        i, k = np.argwhere((eta < 0) | (eta > cap))[0]
-        raise InadmissibleWeights(
-            "occupancy %d out of [0, %d] at time %d, site %d"
-            % (eta[i, k], cap, t, lo + i))
-    k = 0
-    while k < len(eta) - 1 and (eta[k] == cap).all():
-        k += 1
-    return h[k:], eta[k:], lo + k
+_WINDOW_GROW = 64  # free rows before a moved band; see _ensemble_pep
 
 
 def _ensemble_pep(spec, N, samples, rng):
-    """Vectorized engine for both exclusion processes, capacity J+1, on
-    the windowed height function: row i of the state holds h_t(lo + i),
-    the number of particles at sites >= lo + i, for every sample (column).
-    Sites < lo are packed at J+1 (they deterministically forward J arrows),
-    sites past the window are empty.  All X(x) of a step are drawn from
-    the time-t state, and the height moves by the bond flux,
-    h'(x) = h(x) + X(x-1) = h(x-1) - S(x-1), where S = eta - X is 1 when
-    a particle stays at x.
+    """Vectorized engine for both exclusion processes, capacity J+1, on the
+    height function h_t(x) (particles at sites >= x), one column per
+    sample.  Sites < lo are packed at J+1 (they deterministically forward
+    J arrows) and sites past r, the last site non-empty in some sample, are
+    empty, so a step works only on the band lo..r+1: rows o, o+1, ... of a
+    height buffer and the first rows of per-cell buffers reused across
+    steps.  All X(x) are drawn from the time-t state, and the height moves
+    by the bond flux, h'(x) = h(x) + X(x-1) = h(x-1) - S(x-1), where S is 1
+    when a particle stays at x, in place on a moving origin: after h -= S
+    the row of site x holds h'(x+1), and the one new row, h'(lo) =
+    h(lo) + J, goes just before the band.  Only when no row is left there
+    does the band move, _WINDOW_GROW rows on (into a larger buffer if it
+    needs one); r moves right by at most one site per step.
 
     The stay probability depends on (x, t, h) only through the integer key
-    of _pep_key, so each step evaluates the shared formula once on a table
-    over the occupancies 0..J+1 and the keys present; at delta = 0 the
-    asym_pep table is the J+2 values over the occupancy.  An empty site
-    keeps nothing and a full one keeps exactly one particle (every step
-    checks that the table's occupancy-0 and occupancy-(J+1) entries are
-    exactly 0 and 1), so the table is gathered, and a uniform drawn, only
-    for the cells with 0 < eta < J+1, in site-major order (the order of
-    np.flatnonzero on the state).  The seeded asym_pep and jgamma_pep
-    streams this gives differ from those of a draw for every window cell;
-    the law does not.
-    """
+    of _pep_key, so each step evaluates the shared formula once, on a table
+    over the occupancies 0..J+1 and the band's keys, and checks that its
+    occupancy-0 and occupancy-(J+1) entries are exactly 0 and 1.  A uniform
+    is drawn only for the cells with 0 < eta < J+1, in site-major order.
+    No such cell lies outside the band, so the seeded stream and the final
+    heights are those of the earlier engine that stepped a whole window
+    grown by _WINDOW_GROW sites at a time; the views keep its extent, up
+    to the first site 8 + _WINDOW_GROW * k > r."""
     J = int(spec.J)
     cap = J + 1
     keyed = spec.variant == "jgamma_pep" or spec.delta != 0.0
-    # Sites stay below N + _WINDOW_GROW and |key| <= 2h + (J+1)(x-1) + Jt.
-    dtype = _int_dtype((4 * J + 1) * (N + _WINDOW_GROW))
-    h = np.zeros((8, samples), dtype=dtype)
-    eta = np.zeros_like(h)
-    lo = 1
-    for t in range(N):
-        kept = eta == cap
+    # Band sites stay below N + 2 and |key| <= 2h + (J+1)(x-1) + Jt.
+    dtype = _int_dtype((4 * J + 1) * (N + 1))
+    slope = _pep_key(spec, 1, 0, 1) - _pep_key(spec, 1, 0, 0)
+    # Rows [o, o + n) of hbuf hold h at sites lo, ..., lo + n - 1 = r + 1.
+    hbuf, o, n, lo = np.zeros((1, samples), dtype=dtype), 0, 1, 1
+    for t in range(N + 1):
+        if o == 0:  # no row left before the band: move it _WINDOW_GROW on
+            band = hbuf[:n]
+            if n + _WINDOW_GROW > len(hbuf):
+                hbuf = np.empty((n + 2 * _WINDOW_GROW, samples), dtype=dtype)
+                eta_buf = np.empty_like(hbuf)
+                key_buf = np.empty_like(hbuf) if keyed else None
+                kept_buf = np.empty(hbuf.shape, dtype=bool)
+                mask_buf = np.empty_like(kept_buf)
+            o = _WINDOW_GROW
+            hbuf[o:o + n] = band
+        h, eta = hbuf[o:o + n], eta_buf[:n]
+        np.subtract(h[:-1], h[1:], out=eta[:-1])
+        eta[-1] = h[-1]
+        if eta.min() < 0 or eta.max() > cap:
+            i, k = np.argwhere((eta < 0) | (eta > cap))[0]
+            raise InadmissibleWeights(
+                "occupancy %d out of [0, %d] at time %d, site %d"
+                % (eta[i, k], cap, t, lo + i))
+        k = 0
+        while k < n - 1 and (eta[k] == cap).all():
+            k += 1
+        o, n, lo, h, eta = o + k, n - k, lo + k, h[k:], eta[k:]
+        if t == N:
+            break
+        kept = np.equal(eta, cap, out=kept_buf[:n])
         # (eta > 0) ^ kept is 0 < eta < J+1; at J = 1 it is eta == 1, and
         # every drawn cell holds one particle.
-        drawn = np.flatnonzero(eta == 1 if J == 1 else (eta > 0) ^ kept)
+        mask = mask_buf[:n]
+        if J == 1:
+            np.equal(eta, 1, out=mask)
+        else:
+            np.logical_xor(np.greater(eta, 0, out=mask), kept, out=mask)
+        drawn = np.flatnonzero(mask)
         kmin, nk = 0, 1
-        if keyed:
-            x = np.arange(lo, lo + len(h), dtype=dtype)[:, None]
-            key = _pep_key(spec, x, t, h)
+        if keyed:  # _pep_key is affine in h: its offset is taken per row
+            key = np.multiply(h, slope, out=key_buf[:n])
+            key += _pep_key(spec, np.arange(lo, lo + n, dtype=dtype)[:, None],
+                            t, 0)
             kmin = int(key.min())
             if kmin < 0 and spec.variant == "jgamma_pep":
                 raise _upsilon_error(kmin, t,
                                      lo + int(key.argmin()) // samples)
             nk = int(key.max()) - kmin + 1
         if keyed and (cap + 1) * nk > h.size:
-            # a table wider than the window (large J): the pairs present
+            # a table wider than the band (large J): the pairs present
             pairs, idx = np.unique(eta.astype(np.intp) * nk + (key - kmin),
                                    return_inverse=True)
             idx = idx.ravel()[drawn]
@@ -790,39 +793,33 @@ def _ensemble_pep(spec, N, samples, rng):
             pairs = np.arange((cap + 1) * nk)
             idx = np.intp(1) if J == 1 else eta.ravel()[drawn].astype(np.intp)
             if keyed:
-                idx = idx * nk + (key.ravel()[drawn] - kmin)
+                idx = idx * nk - kmin + key.ravel()[drawn]
         occs, keys = np.divmod(pairs, nk)
         table = _pep_stay(spec, occs, keys + kmin)
         stay = table.take(idx)
         if ((table < -_WEIGHT_NEG_TOL) | (table > 1 + _WEIGHT_NEG_TOL)).any():
-            _check_stay(stay, drawn // samples, t, lo)
+            stay = np.broadcast_to(stay, drawn.shape)
+            bad = np.flatnonzero((stay < -_WEIGHT_NEG_TOL)
+                                 | (stay > 1 + _WEIGHT_NEG_TOL))
+            if len(bad):
+                raise InadmissibleWeights(
+                    "stay probability %.6f out of [0, 1] at time %d, site %d"
+                    % (stay[bad[0]], t, lo + drawn[bad[0]] // samples))
         empty, full = table[occs == 0], table[occs == cap]
         if empty.any() or (full != 1.0).any():
             raise InadmissibleWeights(
                 "stay probability of an empty or full site is not exactly "
                 "0 or 1 at time %d" % t)
         kept.ravel()[drawn] = rng.random(len(drawn)) < stay
-        new = np.empty_like(h)
-        new[0] = h[0] + J  # from the packed region / step data
-        np.subtract(h[:-1], kept[:-1], out=new[1:])
-        h, eta, lo = _advance_window(new, lo, cap, t + 1)
-    views = np.ascontiguousarray(h.T)
+        np.add(h[0], J, out=hbuf[o - 1])  # from the packed region / step data
+        h -= kept
+        o -= 1
+        if hbuf[o + n - 1].any():  # h'(r + 1) > 0 in some sample
+            n += 1
+    end = 8 + _WINDOW_GROW * -(-max(lo + n - 9, 0) // _WINDOW_GROW)
+    views = np.zeros((samples, end - lo + 1), dtype=dtype)
+    views[:, :n] = h.T
     return [_WindowView(N, lo, cap, J * N, views[i]) for i in range(samples)]
-
-
-def _check_stay(stay, rows, t, lo):
-    """Every stay probability drawn in the step at time t lies in [0, 1]
-    (up to rounding); otherwise names the first site that drew one.  rows
-    are the window rows of the drawn cells, and a scalar stay is shared by
-    all of them."""
-    stay = np.broadcast_to(stay, rows.shape)
-    bad = np.flatnonzero((stay < -_WEIGHT_NEG_TOL)
-                         | (stay > 1 + _WEIGHT_NEG_TOL))
-    if len(bad):
-        k = bad[0]
-        raise InadmissibleWeights(
-            "stay probability %.6f out of [0, 1] at time %d, site %d"
-            % (stay[k], t, lo + rows[k]))
 
 
 def _ensemble_qhahn(spec, N, samples, rng):
@@ -925,22 +922,20 @@ def run_ensemble(spec, N, samples, base_seed, observables,
 
     Observables are callables evaluated on the final state (use
     `current(state, x)` for particle-system heights and `state.height(x)`
-    for corner positions).  There are four engine families.  Three advance
-    all trajectories in lockstep from a single generator split off
-    (base_seed, 0): the exclusion-process window engine (jgamma_pep,
-    asym_pep), the q-Hahn engine and the corner engine (corner,
-    corner_dyn).  The fourth, the scalar path, runs `general` (and any
-    variant when vectorized=False) and gives each trajectory its own split
-    (base_seed, index).  Both are deterministic given base_seed.  The
-    exclusion-process engine draws a uniform only for the sites with
-    0 < eta < J+1, site by site: its asym_pep and jgamma_pep results differ
-    from those of earlier versions, which drew one for every window cell,
-    in the seeded stream but not in law.  Corner ensembles, which earlier
-    versions ran on the scalar path, now advance in lockstep too, so the
-    seeded averages of `simulate --model corner|corner-dyn` change with the
-    stream but not in law; at samples = 1 the corner engine equals the
-    scalar path.  A package error raised on the scalar path carries the
-    index of its trajectory as `.trajectory` and in its message.
+    for corner positions).  Three engines advance all trajectories in
+    lockstep from one generator split off (base_seed, 0): the
+    exclusion-process engine (jgamma_pep, asym_pep), which steps only the
+    occupied band, in place, and draws a uniform only for the sites with
+    0 < eta < J+1, site by site; the q-Hahn engine; and the corner engine
+    (corner, corner_dyn), which equals the scalar path at samples = 1.  The
+    scalar path runs `general` (and any variant when vectorized=False) and
+    gives each trajectory its own split (base_seed, index).  All are
+    deterministic given base_seed.  The band engine keeps the seeded
+    streams of the window engine before it; versions older than that drew
+    a uniform for every window cell, and ran corner ensembles on the scalar
+    path: other seeded streams, the same law.  A package error raised on
+    the scalar path carries the index of its trajectory as `.trajectory`
+    and in its message.
     """
     samples = int(samples)
     if samples < 1:

@@ -163,12 +163,15 @@ class TestExperiments:
             assert d["rel_error"] < 0.8
 
     def test_kpz_exponent_structure(self):
-        rep = experiment("kpz_exponent",
-                         {"T_list": (100, 200, 400), "samples": 800},
-                         seed=3)
+        cfg = {"T_list": (100, 200, 400), "samples": 800}
+        rep = experiment("kpz_exponent", cfg, seed=3)
         stds = [p["std"] for p in rep["points"]]
         assert all(b > a for a, b in zip(stds, stds[1:]))
         assert 0.1 < rep["fitted_exponent"] < 0.6
+        err = rep["fitted_exponent_stderr"]
+        assert math.isfinite(err) and err > 0
+        assert experiment("kpz_exponent", cfg, seed=3)[
+            "fitted_exponent_stderr"] == err
 
     def test_f_collapse_structure(self):
         rep = experiment("f_collapse",

@@ -38,6 +38,11 @@ S_IM = 1j * math.sqrt(-B0)
 QHAHN = ModelSpec.qhahn(Q, DELTA, B=(B0,), C=(Q,), J=(1,))
 JG = ModelSpec.jgamma_pep(J=1, gamma=10.0)
 ASYM = ModelSpec.asym_pep(0.25, -0.5)
+# Both exclusion processes, at delta = 0 and delta < 0 and at J = 1 and 2.
+PEP_SPECS = pytest.mark.parametrize("spec", [
+    ModelSpec.asym_pep(0.25, 0.0), ASYM, ModelSpec.jgamma_pep(J=1, gamma=3.0),
+    ModelSpec.jgamma_pep(J=2, gamma=7.0)],
+    ids=["asym-d0", "asym-d-0.5", "jgamma-J1", "jgamma-J2"])
 
 
 def h_tail(cfg, x):
@@ -45,14 +50,14 @@ def h_tail(cfg, x):
     return sum(cfg[x - 1:]) if x - 1 < len(cfg) else 0
 
 
-def suffix_cumsum_pep(spec, N, samples, rng):
+def suffix_cumsum_pep(spec, N, samples, rng, trace=None):
     """Oracle for the exclusion-process window engine: the same window
     rules and random stream on an occupancy state (samples, width), with
     the heights recomputed by a suffix cumsum and the stay probability
     evaluated at every cell.  A uniform is drawn only where
     0 < eta < J+1, site by site; the other cells compare 0.5 with their
     stay probability, exactly 0 (empty) or 1 (full).
-    Returns (lo, occupancy)."""
+    Returns (lo, occupancy); a trace list gets (lo, advance) per step."""
     J, cap = spec.J, spec.J + 1
     arr = np.zeros((samples, 8), dtype=np.int64)
     lo = 1
@@ -79,6 +84,8 @@ def suffix_cumsum_pep(spec, N, samples, rng):
         while (arr[:, k] == cap).all():
             k += 1
         arr, lo = arr[:, k:], lo + k
+        if trace is not None:
+            trace.append((lo, k))
     return lo, arr
 
 
@@ -137,11 +144,12 @@ def kappa_audit(spec, N, seed=0):
     return checked
 
 
-def assert_engine_matches_oracle(spec, N, samples, seed):
+def assert_engine_matches_oracle(spec, N, samples, seed, trace=None):
     """Final heights of the engine equal the oracle's at every site, bit
     for bit, from the same generator; returns the engine's (lo, width)."""
     views = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
-    lo, occ = suffix_cumsum_pep(spec, N, samples, _trajectory_rng(seed, 0))
+    lo, occ = suffix_cumsum_pep(spec, N, samples, _trajectory_rng(seed, 0),
+                                trace)
     total = spec.J * N
     for x in range(1, N + 3):
         if x <= lo:
@@ -477,6 +485,63 @@ class TestEnsembles:
             run_ensemble(ModelSpec.jgamma_pep(J=40000, gamma=1e6), 2, 3, 1,
                          [lambda st: 0.0])
 
+    @PEP_SPECS
+    def test_late_stay_error_names_site(self, monkeypatch, spec):
+        # From time 100 on, after the band has moved, the occupancy-1
+        # entries of the table read 1.5: the first site holding exactly
+        # one particle in some sample at time 100 names the error.
+        lo, occ = suffix_cumsum_pep(spec, 100, 6, _trajectory_rng(5, 0))
+        site = lo + np.flatnonzero((occ == 1).any(axis=0))[0]
+        real, calls = models._pep_stay, []
+
+        def patched(spec, eta, key):
+            calls.append(None)
+            p = real(spec, eta, key)
+            return np.where(eta == 1, 1.5, p) if len(calls) > 100 else p
+
+        monkeypatch.setattr(models, "_pep_stay", patched)
+        with pytest.raises(InadmissibleWeights, match=r"1\.500000 out of "
+                           r"\[0, 1\] at time 100, site %d$" % site):
+            run_ensemble(spec, 120, 6, 5, [lambda st: 0.0])
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.asym_pep(0.25, 0.0), ModelSpec.jgamma_pep(J=2, gamma=7.0)],
+        ids=["asym-d0", "jgamma-J2"])
+    @pytest.mark.parametrize("occ", ["empty", "full"])
+    def test_late_skipped_draws_guarded(self, monkeypatch, spec, occ):
+        # As test_skipped_draws_guarded, from time 100 on.
+        cap = spec.J + 1
+        target, value = (0, 1e-9) if occ == "empty" else (cap, 1 - 1e-9)
+        real, calls = models._pep_stay, []
+
+        def perturbed(spec, eta, key):
+            calls.append(None)
+            p = real(spec, eta, key)
+            return np.where(eta == target, value, p) if len(calls) > 100 else p
+
+        monkeypatch.setattr(models, "_pep_stay", perturbed)
+        with pytest.raises(InadmissibleWeights, match=r"at time 100$"):
+            run_ensemble(spec, 120, 6, 5, [lambda st: 0.0])
+
+    @pytest.mark.parametrize("J", [1, 2])
+    def test_late_upsilon_error_names_site(self, monkeypatch, J):
+        # From time 100 on every key reads 1000 lower, so Upsilon < gamma
+        # first at the minimal key of the time-100 window, site by site
+        # (the window the oracle keeps, past the band's right end too).
+        spec = ModelSpec.jgamma_pep(J, 2.0 * J + 5.0)
+        lo, occ = suffix_cumsum_pep(spec, 100, 6, _trajectory_rng(5, 0))
+        h = occ[:, ::-1].cumsum(axis=1)[:, ::-1]
+        x = np.arange(lo, lo + occ.shape[1])
+        key = (2 * h + (J + 1) * (x - 1) - J * 100).T  # site-major
+        site = lo + int(key.argmin()) // key.shape[1]
+        real = models._pep_key
+        monkeypatch.setattr(models, "_pep_key", lambda spec, x, t, h:
+                            real(spec, x, t, h) - 1000 * (t >= 100))
+        with pytest.raises(InadmissibleWeights, match=r"gamma - %d < gamma "
+                           r"at time 100, site %d$"
+                           % (1000 - key.min(), site)):
+            run_ensemble(spec, 120, 6, 5, [lambda st: 0.0])
+
     def test_asym_mean_matches_exact(self):
         law = exact_law(ASYM, 3)
         est = run_ensemble(ASYM, 3, 40000, 3,
@@ -505,6 +570,31 @@ class TestWindowEngine:
         st.integers(1, 60), st.integers(1, 12), st.integers(0, 2 ** 20))
     def test_matches_oracle_property(self, spec, N, samples, seed):
         assert_engine_matches_oracle(spec, N, samples, seed)
+
+    @PEP_SPECS
+    def test_band_moves_match_oracle(self, spec):
+        trace = []
+        lo, width = assert_engine_matches_oracle(spec, 200, 3, 7, trace)
+        grow = models._WINDOW_GROW
+        # The origin starts _WINDOW_GROW rows before site 1 and moves left
+        # one row a step and right with lo: at time t it is used up once
+        # t - lo_t + 1 reaches _WINDOW_GROW, and the band must move.
+        los = [1] + [lo_t for lo_t, _ in trace[:-1]]
+        assert max(t - lo_t + 1 for t, lo_t in enumerate(los)) >= grow + 8
+        # The right end passed 8 + _WINDOW_GROW, so the views reach the
+        # window's second extent.
+        assert lo + width - 1 >= 8 + 2 * grow
+        # lo never advances by two sites in one step: a site left not full
+        # in some sample keeps its right neighbour below J + 1 there, so
+        # the engine's advance loop runs at most once a step.
+        assert {k for _, k in trace} == {0, 1}
+
+    @PEP_SPECS
+    def test_frequent_band_moves_match_oracle(self, monkeypatch, spec):
+        # Two free rows: the band moves every other step and its buffer
+        # grows every few, in place and into a new buffer alike.
+        monkeypatch.setattr(models, "_WINDOW_GROW", 2)
+        assert_engine_matches_oracle(spec, 60, 4, 11)
 
 
 class TestCornerView:
