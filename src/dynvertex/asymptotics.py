@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import OutOfDomain
 from .models import ModelSpec, current, run_ensemble
+from .observables import pep_site
 
 # The height profile solves 2 (J+1)^2 dH/dr = J d^2H/ds^2 (the constant
 # arrangement forced by the integral formula) with H(s, 0) = (J+1)|s| for
@@ -163,17 +164,21 @@ def _mc_summary(est, target):
 
 
 def _heat_observable(s, r, J, T):
-    """Midpoint-centred lattice estimate of the scaled current at the
-    continuum position p = J r T/(J+1) + s*sqrt(T).  The lattice current
-    at site x carries the mass of [x - 1/2, oo), so averaging sites x and
-    x + 1 with x = floor(p + 1/2) centres the estimate at p (exactly so
-    when p is an integer) instead of biasing it by half a lattice step."""
-    p = J * r * T / (J + 1.0) + s * math.sqrt(T)
-    x = max(int(math.floor(p + 0.5)), 1)
-    scale = 0.5 / math.sqrt(T)
+    """The scaled current at the continuum position p = J r T/(J+1) +
+    s*sqrt(T) (clamped at 0), read where the PEP identity reads its height:
+    h(p) = current(pep_site(p)) at integer p, and otherwise the linear
+    interpolation between the neighbouring identity sites floor(p) and
+    floor(p) + 1.  Returns (fn, floor(p))."""
+    p = max(J * r * T / (J + 1.0) + s * math.sqrt(T), 0.0)
+    x = int(math.floor(p))
+    frac = p - x
+    scale = 1.0 / math.sqrt(T)
 
-    def fn(st, x=x, scale=scale):
-        return scale * (current(st, x) + current(st, x + 1))
+    def fn(st):
+        val = current(st, pep_site(x))
+        if frac:
+            val = (1.0 - frac) * val + frac * current(st, pep_site(x + 1))
+        return scale * val
 
     return fn, x
 
@@ -192,7 +197,7 @@ def _experiment_heat_lln(config, seed):
     ests = run_ensemble(model, N, samples, seed, list(obs))
     points = []
     for s, x, est in zip(s_list, sites, ests):
-        d = {"s": s, "site": x}
+        d = {"s": s, "site": x, "current_site": pep_site(x)}
         d.update(_mc_summary(est, heat_profile(s, r, J)))
         points.append(d)
     rep = {"kind": "heat_lln", "J": J, "r": r, "T": T, "steps": N,
@@ -209,6 +214,26 @@ def _factorial_product(h, m, shift, gamma):
     return out
 
 
+def _gamma_observables(J, r, s, T, gamma, m_list):
+    """(x, N, fns) of dynamic_gamma: the identity site x = floor(J r T/(J+1)
+    + s T^(1/4)), the steps N = floor(r T), and per m the scaled factorial
+    moment T^(-m/2) prod_{j<m} (h - j)(h - P + gamma + j) of h = h(x) =
+    current(pep_site(x)), with the identity's exact prefactor
+    P = NJ - (J+1)x.  Its mean is the k = m identity at x_1 = ... = x_m = x,
+    times (-1)^m gamma (gamma+1) ... (gamma+m-1) T^(-m/2)."""
+    N = int(math.floor(r * T))
+    x = int(math.floor(J * r * T / (J + 1) + s * T ** 0.25))
+    shift = (J + 1) * x - N * J
+    fns = []
+    for m in m_list:
+        def fn(st, m=m, scale=T ** (-m / 2.0)):
+            return scale * _factorial_product(current(st, pep_site(x)), m,
+                                              shift, gamma)
+
+        fns.append(fn)
+    return x, N, fns
+
+
 def _experiment_dynamic_gamma(config, seed):
     J = int(_cfg(config, "J", 1))
     r = float(_cfg(config, "r", 1.0))
@@ -218,21 +243,11 @@ def _experiment_dynamic_gamma(config, seed):
     samples = int(_cfg(config, "samples", 10000))
     m_list = [int(m) for m in _cfg(config, "m_list", (1, 2))]
     model = ModelSpec.jgamma_pep(J=J, gamma=gamma)
-    N = int(math.floor(r * T))
-    x = int(math.floor(J * r * T / (J + 1) + s * T ** 0.25))
-    shift = s * (J + 1) * T ** 0.25
-    obs = []
-    for m in m_list:
-        scale = T ** (-m / 2.0)
-
-        def fn(st, m=m, scale=scale):
-            return scale * _factorial_product(current(st, x), m, shift,
-                                              gamma)
-
-        obs.append(fn)
+    x, N, obs = _gamma_observables(J, r, s, T, gamma, m_list)
     ests = run_ensemble(model, N, samples, seed, obs)
     rep = {"kind": "dynamic_gamma", "J": J, "r": r, "s": s, "T": T,
-           "gamma": gamma, "site": x, "steps": N, "moments": {}}
+           "gamma": gamma, "site": x, "current_site": pep_site(x),
+           "steps": N, "moments": {}}
     for m, est in zip(m_list, ests):
         target = ((r * J / (2.0 * math.pi)) ** (m / 2.0)
                   * gamma_moment(GammaLaw(gamma, 1.0), m))

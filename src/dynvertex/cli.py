@@ -636,12 +636,18 @@ def _run_verify_identity(args):
         raise _ConfigError("--tol must be positive")
     rep = identity_check(spec, samples=args.samples, seed=args.seed,
                          tol=args.tol)
-    # Both gates are relative: the doubling change is already normalised,
-    # the exact residual is scaled by min(1, |lhs|) (absolute at lhs = 0).
+    # The gates are relative: the doubling change is already normalised,
+    # the exact right side's residual is scaled by max(1, |rhs_exact|), and
+    # the exact left side's by min(1, |lhs|) (absolute at lhs = 0).
     checks = [_record("rhs_quadrature_converged",
                       rep["rhs_quadrature"],
                       rep["quadrature_diagnostics"]["doubling_change"],
                       args.tol)]
+    if rep["rhs_exact"] is not None:
+        checks.append(_record("quadrature_vs_exact_rhs",
+                              rep["rhs_exact"],
+                              rep["residual_quadrature_vs_rhs_exact"],
+                              args.tol))
     ex = rep["lhs_exact"]
     if ex is not None:
         checks.append(_record("exact_expectation_vs_quadrature", ex,

@@ -40,7 +40,9 @@ and the empty suffix of the system evolve deterministically and are
 tracked in closed form.  A step moves the height in place by the bond
 flux, h'(x) = h(x) + X(x-1), and draws every X from one table of the shared
 stay probability per step, since the dynamical parameter depends on
-(x, t, h) only through an integer key.  The q-Hahn engine groups
+(x, t, h) only through an integer key.  asym_pep at delta = 0, whose stay
+probability is one constant, runs bit-sliced instead: 64 trajectories per
+uint64 word, two bit planes per site.  The q-Hahn engine groups
 trajectories by (occupancy, height) at each site and draws from the shared
 kernel.  The corner engine keeps the scalar path's lattice and draws one
 coin per flat segment.  Engine integer dtypes are chosen from the largest
@@ -708,10 +710,110 @@ def _int_dtype(top):
 _WINDOW_GROW = 64  # free rows before a moved band; see _ensemble_pep
 
 
+def _band_views(N, J, lo, n, samples, dtype):
+    """A zeroed (samples, width) height array, whose first n columns hold h
+    at sites lo.. once the engine fills them, and one view per row; the
+    width is the window engine's, up to a site 8 + _WINDOW_GROW * k."""
+    end = 8 + _WINDOW_GROW * -(-max(lo + n - 9, 0) // _WINDOW_GROW)
+    heights = np.zeros((samples, end - lo + 1), dtype=dtype)
+    return heights, [_WindowView(N, lo, J + 1, J * N, heights[i])
+                     for i in range(samples)]
+
+
+_BERNOULLI_DENSE = 8  # digits of p compared on every word; see below
+
+
+def _bernoulli_words(bitgen, p, lanes):
+    """Independent Bernoulli(p) bits, p a float in [0, 1], on the set bits
+    of the uint64 array `lanes` (0 elsewhere).  A bit is U < p, where bit l
+    of successive bitgen.random_raw words gives the binary digits of lane
+    l's U.  They meet the digits of p = num / 2**k lazily: the first
+    _BERNOULLI_DENSE on every word (digit-major), later ones only on the
+    words with an undecided lane, in order.  A lane still undecided after
+    digit k has U >= p and gets 0, so P(bit) = p exactly."""
+    num, den = p.as_integer_ratio()
+    if num == den:
+        return lanes.copy()
+    k = den.bit_length() - 1
+    dense = min(k, _BERNOULLI_DENSE)
+    out = np.zeros_like(lanes).ravel()
+    und = lanes.ravel().copy()  # undecided lanes: U's digits equal p's
+    raw = bitgen.random_raw(dense * und.size).reshape(dense, und.size)
+    for i in range(1, k + 1):
+        if i > dense:
+            live = np.flatnonzero(und != 0)
+            idx = live if i == dense + 1 else idx[live]
+            und = und[live]
+            if not len(und):
+                break
+        r = raw[i - 1] if i <= dense else bitgen.random_raw(len(und))
+        r &= und  # the undecided lanes whose digit of U is 1
+        und ^= r  # ... and those whose digit is 0
+        if num >> (k - i) & 1:  # p's digit is 1: a 0 decides U < p
+            if i <= dense:
+                out |= und
+            else:
+                out[idx] |= und
+            und = r
+    return out.reshape(lanes.shape)
+
+
+def _ensemble_bits(spec, N, samples, rng):
+    """Bit-sliced engine for asym_pep at delta = 0 (J = 1, capacity 2),
+    where one particle on a site stays with one probability p at every
+    site, time and height.  Lane l of word w is sample 64 w + l (padding
+    lanes are trajectories too, dropped at the end).  Bit planes, a row
+    per site, hold A = (eta >= 1) and F = (eta = 2) on the band lo..r+1 of
+    _ensemble_pep.  With B the stay bits of _bernoulli_words on A & ~F, a
+    step keeps S = F | B and passes X = (A ^ S) | F on: A'(x) = S(x) |
+    X(x-1) and F'(x) = S(x) & X(x-1), with X(lo-1) all ones (the packed
+    region or the step data).  The stay table at eta = 0, 1, 2 is checked
+    each step as in _ensemble_pep; the occupancy range is structural."""
+    ones = ~np.uint64(0)
+    # Row x - 1 holds site x; r is the last site non-empty in some lane.
+    a_all, f_all, s_all, x_all = (np.zeros((N + 2, -(-samples // 64)),
+                                           dtype=np.uint64) for _ in "afsx")
+    lo, r = 1, 0
+    for t in range(N + 1):
+        while lo <= r and (f_all[lo - 1] == ones).all():
+            lo += 1
+        a, f, n = a_all[lo - 1:r + 1], f_all[lo - 1:r + 1], r + 2 - lo
+        if t == N:
+            break
+        single = np.bitwise_xor(a, f, out=s_all[:n])  # eta = 1
+        table = _pep_stay(spec, np.arange(3), 0)
+        p = float(table[1])
+        if not -_WEIGHT_NEG_TOL <= p <= 1 + _WEIGHT_NEG_TOL:
+            at = np.flatnonzero(single.any(axis=1))
+            if len(at):
+                raise InadmissibleWeights(
+                    "stay probability %.6f out of [0, 1] at time %d, site %d"
+                    % (p, t, lo + at[0]))
+        if table[0] != 0.0 or table[2] != 1.0:
+            raise InadmissibleWeights(
+                "stay probability of an empty or full site is not exactly "
+                "0 or 1 at time %d" % t)
+        b = _bernoulli_words(rng.bit_generator, min(max(p, 0.0), 1.0), single)
+        s = np.bitwise_or(f, b, out=single)
+        x = np.bitwise_xor(a, s, out=x_all[:n])
+        x |= f
+        np.bitwise_or(s[1:], x[:-1], out=a[1:])
+        np.bitwise_and(s[1:], x[:-1], out=f[1:])
+        a[0], f[0] = ones, s[0]
+        r += bool(a[-1].any())  # site r + 1 took a particle in some lane
+    heights, views = _band_views(N, 1, lo, n, samples, _int_dtype(N))
+    occ = sum(np.unpackbits(plane.view(np.uint8), axis=1, count=samples,
+                            bitorder="little") for plane in (a, f))
+    np.cumsum(occ[::-1].T, axis=1, dtype=heights.dtype,
+              out=heights[:, n - 1::-1])
+    return views
+
+
 def _ensemble_pep(spec, N, samples, rng):
     """Vectorized engine for both exclusion processes, capacity J+1, on the
     height function h_t(x) (particles at sites >= x), one column per
-    sample.  Sites < lo are packed at J+1 (they deterministically forward
+    sample; asym_pep at delta = 0 runs on the bit-sliced _ensemble_bits.
+    Sites < lo are packed at J+1 (they deterministically forward
     J arrows) and sites past r, the last site non-empty in some sample, are
     empty, so a step works only on the band lo..r+1: rows o, o+1, ... of a
     height buffer and the first rows of per-cell buffers reused across
@@ -727,14 +829,14 @@ def _ensemble_pep(spec, N, samples, rng):
     of _pep_key, so each step evaluates the shared formula once, on a table
     over the occupancies 0..J+1 and the band's keys, and checks that its
     occupancy-0 and occupancy-(J+1) entries are exactly 0 and 1.  A uniform
-    is drawn only for the cells with 0 < eta < J+1, in site-major order.
-    No such cell lies outside the band, so the seeded stream and the final
-    heights are those of the earlier engine that stepped a whole window
-    grown by _WINDOW_GROW sites at a time; the views keep its extent, up
-    to the first site 8 + _WINDOW_GROW * k > r."""
+    is drawn only for the cells with 0 < eta < J+1, in site-major order,
+    all inside the band: the seeded stream and heights are those of the
+    earlier engine that stepped a window grown _WINDOW_GROW sites at a
+    time, whose extent the views keep."""
+    if spec.variant == "asym_pep" and spec.delta == 0.0:
+        return _ensemble_bits(spec, N, samples, rng)
     J = int(spec.J)
     cap = J + 1
-    keyed = spec.variant == "jgamma_pep" or spec.delta != 0.0
     # Band sites stay below N + 2 and |key| <= 2h + (J+1)(x-1) + Jt.
     dtype = _int_dtype((4 * J + 1) * (N + 1))
     slope = _pep_key(spec, 1, 0, 1) - _pep_key(spec, 1, 0, 0)
@@ -746,7 +848,7 @@ def _ensemble_pep(spec, N, samples, rng):
             if n + _WINDOW_GROW > len(hbuf):
                 hbuf = np.empty((n + 2 * _WINDOW_GROW, samples), dtype=dtype)
                 eta_buf = np.empty_like(hbuf)
-                key_buf = np.empty_like(hbuf) if keyed else None
+                key_buf = np.empty_like(hbuf)
                 kept_buf = np.empty(hbuf.shape, dtype=bool)
                 mask_buf = np.empty_like(kept_buf)
             o = _WINDOW_GROW
@@ -774,17 +876,15 @@ def _ensemble_pep(spec, N, samples, rng):
         else:
             np.logical_xor(np.greater(eta, 0, out=mask), kept, out=mask)
         drawn = np.flatnonzero(mask)
-        kmin, nk = 0, 1
-        if keyed:  # _pep_key is affine in h: its offset is taken per row
-            key = np.multiply(h, slope, out=key_buf[:n])
-            key += _pep_key(spec, np.arange(lo, lo + n, dtype=dtype)[:, None],
-                            t, 0)
-            kmin = int(key.min())
-            if kmin < 0 and spec.variant == "jgamma_pep":
-                raise _upsilon_error(kmin, t,
-                                     lo + int(key.argmin()) // samples)
-            nk = int(key.max()) - kmin + 1
-        if keyed and (cap + 1) * nk > h.size:
+        # _pep_key is affine in h: its offset is taken per row
+        key = np.multiply(h, slope, out=key_buf[:n])
+        key += _pep_key(spec, np.arange(lo, lo + n, dtype=dtype)[:, None],
+                        t, 0)
+        kmin = int(key.min())
+        if kmin < 0 and spec.variant == "jgamma_pep":
+            raise _upsilon_error(kmin, t, lo + int(key.argmin()) // samples)
+        nk = int(key.max()) - kmin + 1
+        if (cap + 1) * nk > h.size:
             # a table wider than the band (large J): the pairs present
             pairs, idx = np.unique(eta.astype(np.intp) * nk + (key - kmin),
                                    return_inverse=True)
@@ -792,8 +892,7 @@ def _ensemble_pep(spec, N, samples, rng):
         else:
             pairs = np.arange((cap + 1) * nk)
             idx = np.intp(1) if J == 1 else eta.ravel()[drawn].astype(np.intp)
-            if keyed:
-                idx = idx * nk - kmin + key.ravel()[drawn]
+            idx = idx * nk - kmin + key.ravel()[drawn]
         occs, keys = np.divmod(pairs, nk)
         table = _pep_stay(spec, occs, keys + kmin)
         stay = table.take(idx)
@@ -816,10 +915,9 @@ def _ensemble_pep(spec, N, samples, rng):
         o -= 1
         if hbuf[o + n - 1].any():  # h'(r + 1) > 0 in some sample
             n += 1
-    end = 8 + _WINDOW_GROW * -(-max(lo + n - 9, 0) // _WINDOW_GROW)
-    views = np.zeros((samples, end - lo + 1), dtype=dtype)
-    views[:, :n] = h.T
-    return [_WindowView(N, lo, cap, J * N, views[i]) for i in range(samples)]
+    heights, views = _band_views(N, J, lo, n, samples, dtype)
+    heights[:, :n] = h.T
+    return views
 
 
 def _ensemble_qhahn(spec, N, samples, rng):
@@ -925,17 +1023,18 @@ def run_ensemble(spec, N, samples, base_seed, observables,
     for corner positions).  Three engines advance all trajectories in
     lockstep from one generator split off (base_seed, 0): the
     exclusion-process engine (jgamma_pep, asym_pep), which steps only the
-    occupied band, in place, and draws a uniform only for the sites with
-    0 < eta < J+1, site by site; the q-Hahn engine; and the corner engine
-    (corner, corner_dyn), which equals the scalar path at samples = 1.  The
-    scalar path runs `general` (and any variant when vectorized=False) and
-    gives each trajectory its own split (base_seed, index).  All are
-    deterministic given base_seed.  The band engine keeps the seeded
-    streams of the window engine before it; versions older than that drew
-    a uniform for every window cell, and ran corner ensembles on the scalar
-    path: other seeded streams, the same law.  A package error raised on
-    the scalar path carries the index of its trajectory as `.trajectory`
-    and in its message.
+    occupied band and draws a uniform only for the sites with
+    0 < eta < J+1, site by site, or, for asym_pep at delta = 0, exact
+    Bernoulli bits 64 trajectories to a word; the q-Hahn engine; and the
+    corner engine (corner, corner_dyn), which equals the scalar path at
+    samples = 1.  The scalar path runs `general` (and any variant when
+    vectorized=False) and gives each trajectory its own split
+    (base_seed, index).  All are deterministic given base_seed.  The
+    bit-sliced engine changed the seeded asym_pep delta = 0 streams, as
+    did older versions that drew a uniform for every window cell and ran
+    corner ensembles on the scalar path: other seeded streams, the same
+    law.  A package error raised on the scalar path carries the index of
+    its trajectory as `.trajectory` and in its message.
     """
     samples = int(samples)
     if samples < 1:

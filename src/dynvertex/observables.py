@@ -184,11 +184,17 @@ def _pep_lhs_factors(spec):
     return fn
 
 
+def pep_site(x):
+    """The lattice site whose current is h(x) of the PEP identity:
+    current(state, x + _PEP_H_SHIFT)."""
+    return x + _PEP_H_SHIFT
+
+
 def _lhs_functional(spec):
     """(sites, fn): the sites whose currents h feed fn(h) -> float."""
     if spec.form == "qhahn":
         return list(spec.x_list), _qhahn_lhs_factors(spec)
-    return [x + _PEP_H_SHIFT for x in spec.x_list], _pep_lhs_factors(spec)
+    return [pep_site(x) for x in spec.x_list], _pep_lhs_factors(spec)
 
 
 def lhs_mc(spec, samples, seed):
@@ -478,6 +484,32 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
     return float(cur.real)
 
 
+def rhs_exact(spec):
+    """The right side exactly, as a Fraction, where a closed form is known:
+    the jgamma_pep J = 1, k = 1 identity, whose integral is minus the
+    residue at z = 2,
+
+        -sum_{b=0..B} (-1)^b C(N, B-b) C(x+b-1, b) 2^-(x+b),  B = N-x-1
+
+    (0 when x >= N).  The sum runs on one integer term
+    t_b = C(N, B-b) C(x+b-1, b) 2^(B-b), updated by exact division.
+    Returns None for every other observable."""
+    from fractions import Fraction  # here: the CLI's start-up needs none
+
+    m = spec.model
+    if spec.form != "pep" or m.J != 1 or spec.k != 1:
+        return None
+    (x,), N = spec.x_list, spec.N
+    B = N - x - 1
+    if B < 0:
+        return Fraction(0)
+    t, total = math.comb(N, B) << B, 0
+    for b in range(B + 1):
+        total += -t if b & 1 else t
+        t = t * (B - b) * (x + b) // (2 * (N - B + b + 1) * (b + 1))
+    return Fraction(-total, 1 << (x + B))
+
+
 # ---------------------------------------------------------------------------
 # Combined check
 
@@ -486,10 +518,12 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
                    contour=None, tol=1e-8):
     """Evaluate the available sides of the identity and report residuals.
 
-    Always computes the quadrature; computes the exact expectation when
-    the system is small enough, and a Monte Carlo estimate when samples
-    are requested.  Residuals between MC and the others are normalized by
-    the standard error."""
+    Always computes the quadrature, and the exact right side where
+    rhs_exact has it (with the quadrature's residual against it, relative
+    to max(1, |exact|)); computes the exact expectation when the system is
+    small enough, and a Monte Carlo estimate when samples are requested.
+    Residuals between MC and the others are normalized by the standard
+    error."""
     report = {
         "form": spec.form,
         "k": spec.k,
@@ -513,6 +547,12 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
     report["rhs_quadrature"] = rhs
     report["quadrature_diagnostics"] = {
         key: val for key, val in diag.items() if key != "value"}
+    exact_rhs = rhs_exact(spec)
+    if exact_rhs is not None:
+        exact_rhs = float(exact_rhs)
+        report["residual_quadrature_vs_rhs_exact"] = (
+            abs(rhs - exact_rhs) / max(1.0, abs(exact_rhs)))
+    report["rhs_exact"] = exact_rhs
     try:
         ex = lhs_exact(spec, bound=exact_bound)
         report["lhs_exact"] = ex

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dynvertex import asymptotics
 from dynvertex.asymptotics import (
     AsymptoticShape,
     GammaLaw,
@@ -15,6 +16,8 @@ from dynvertex.asymptotics import (
     lln_shapes,
 )
 from dynvertex.errors import OutOfDomain
+from dynvertex.models import ModelSpec, SystemState, exact_law
+from dynvertex.observables import ObservableSpec, rhs_exact
 
 Q = 0.25
 
@@ -191,3 +194,56 @@ class TestExperiments:
         m1 = rep["corner_moments"][1]
         assert m1["corner_target"] == pytest.approx(4 * m1["target"])
         assert m1["rel_error"] < 0.8
+
+
+def exact_mean(spec, N, fn):
+    """Mean of the observable fn(state) over the exact law after N steps."""
+    def state(cfg):
+        occ = np.array(cfg or (0,), dtype=np.int64)
+        return SystemState(time=N, occupancy=occ,
+                           total_particles=int(occ.sum()),
+                           prefix_particle_counts=np.cumsum(occ), rng=None)
+
+    return exact_law(spec, N).mean(lambda cfg: fn(state(cfg)))
+
+
+def exact_rhs(gamma, x, N):
+    return float(rhs_exact(
+        ObservableSpec(ModelSpec.jgamma_pep(1, gamma), (x,), N)))
+
+
+class TestIdentitySite:
+    """The experiments read the current where the PEP identity reads h(x):
+    at J = 1 its k = 1 case is E[h(h - P + gamma)] = -gamma * RHS, with
+    h = h(x) and P = N - 2x."""
+
+    @pytest.mark.parametrize("gamma", [3.0, 5.0])
+    @pytest.mark.parametrize("T, s, x", [(8, 0.0, 4), (10, 0.6, 6)])
+    def test_gamma_m1_is_the_exact_identity(self, gamma, T, s, x):
+        got_x, N, (fn,) = asymptotics._gamma_observables(1, 1.0, s, T,
+                                                         gamma, (1,))
+        assert (got_x, N) == (x, T)
+        mean = exact_mean(ModelSpec.jgamma_pep(1, gamma), N, fn)
+        assert mean == pytest.approx(
+            -gamma * exact_rhs(gamma, x, N) / math.sqrt(T), rel=1e-12)
+
+    def test_gamma_m1_value(self):
+        # E[h(5)(h(5) + 3)] = 3.28125 after 8 steps.
+        _, _, (fn,) = asymptotics._gamma_observables(1, 1.0, 0.0, 8, 3.0,
+                                                     (1,))
+        assert exact_mean(ModelSpec.jgamma_pep(1, 3.0), 8, fn) * \
+            math.sqrt(8) == pytest.approx(3.28125, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [4.0, 4.25])
+    def test_heat_reads_identity_sites(self, p):
+        # At gamma = 1e12 the identity gives E[h(x)] = -RHS up to 1e-11;
+        # between identity sites the observable interpolates linearly.
+        T, gamma = 8, 1e12
+        fn, x = asymptotics._heat_observable((p - 4.0) / math.sqrt(T), 1.0,
+                                             1, T)
+        assert x == 4
+        frac = p - x
+        want = -((1 - frac) * exact_rhs(gamma, 4, T)
+                 + frac * exact_rhs(gamma, 5, T)) / math.sqrt(T)
+        mean = exact_mean(ModelSpec.jgamma_pep(1, gamma), T, fn)
+        assert mean == pytest.approx(want, rel=1e-10)

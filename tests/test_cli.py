@@ -227,6 +227,15 @@ class TestVerifyIdentity:
         assert code == 0
         assert rep["identity"]["quadrature_diagnostics"]["nodes_used"] == 256
 
+    def test_exact_rhs_gate(self, tmp_path):
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep",
+                        "--x", "3", "--N", "8", "--gamma", "3")
+        assert code == 0
+        check = {c["name"]: c for c in rep["checks"]}[
+            "quadrature_vs_exact_rhs"]
+        assert check["value"] == rep["identity"]["rhs_exact"] == -2.3671875
+        assert check["passed"] and check["residual"] <= check["tolerance"]
+
     def test_unresolvable_quadrature_exits_1(self, tmp_path, capsys):
         # The N=200 integral lies below the rounding floor of its circle.
         code, _ = run(tmp_path, "verify-identity", "--form", "pep",

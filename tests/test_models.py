@@ -2,6 +2,7 @@
 vectorized ensemble engines, and the height-function views."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,85 @@ def suffix_cumsum_pep(spec, N, samples, rng, trace=None):
     return lo, arr
 
 
+def keyless(spec):
+    """asym_pep at delta = 0, the one exclusion process whose stay
+    probability does not depend on the height."""
+    return spec.variant == "asym_pep" and spec.delta == 0.0
+
+
+def lane_bits(words):
+    """Bit l of every uint64 word, along a new last axis of length 64."""
+    return (words[..., None] >> np.arange(64, dtype=np.uint64)) & 1
+
+
+def bernoulli_lanes(bitgen, p, lanes):
+    """Oracle for the Bernoulli words: 0/1 stay bits on the True entries
+    of the bool array `lanes` (words along its second-to-last axis, their
+    64 lanes along the last), 0 elsewhere, from the random_raw words read
+    in the order the engine reads them: the first 8 binary digits of every
+    lane's uniform U from whole digit-major passes over all words, then one
+    word per digit for each word that still holds a lane whose digits so
+    far equal those of p.  A lane gets 1 when U < p."""
+    num, den = p.as_integer_ratio()
+    if num == den:
+        return lanes.astype(np.int64)
+    k = den.bit_length() - 1
+    shape = lanes.shape[:-1]
+    out = np.zeros(lanes.shape, dtype=np.int64)
+    und = lanes.copy()
+    dense = min(k, 8)
+    raw = bitgen.random_raw(dense * math.prod(shape)).reshape((dense,) + shape)
+    for i in range(1, k + 1):
+        if i <= dense:
+            u = lane_bits(raw[i - 1])
+        else:
+            live = und.any(axis=-1)
+            if not live.any():
+                break
+            words = np.zeros(shape, dtype=np.uint64)
+            words[live] = bitgen.random_raw(int(live.sum()))
+            u = lane_bits(words)
+        d = num >> (k - i) & 1
+        out[und & (u < d)] = 1
+        und &= u == d
+    return out
+
+
+def bitplane_pep(spec, N, samples, rng, trace=None):
+    """Oracle for the bit-sliced asym_pep delta = 0 engine: the same step
+    per lane on an occupancy state (lanes, width), where the lanes fill
+    whole 64-lane words and every lane is a trajectory.  The band runs
+    from lo, the first site not full in every lane, to r + 1, with r the
+    last site non-empty in some lane; the stay bits of the cells holding
+    one particle come from bernoulli_lanes on the same random_raw words,
+    with the band's words site-major.  A cell
+    holding one particle keeps it when its bit is 1, a full cell keeps one
+    and passes one, and site lo receives one particle from the left.
+    Returns (lo, occupancy of the first `samples` lanes); a trace list gets
+    (lo, advance) per step."""
+    words = -(-samples // 64)
+    occ = np.zeros((64 * words, 1), dtype=np.int64)
+    lo = 1
+    for t in range(N):
+        p = float(models._pep_stay(spec, np.arange(3), 0)[1])
+        single = (occ == 1).T.reshape(occ.shape[1], words, 64)
+        stay = bernoulli_lanes(rng.bit_generator, p, single)
+        s = (occ == 2) | (stay.reshape(occ.shape[1], -1).T == 1)
+        xs = occ - s
+        occ = s + np.concatenate([np.ones((len(occ), 1), np.int64),
+                                  xs[:, :-1]], axis=1)
+        if occ[:, -1].any():
+            occ = np.concatenate([occ, np.zeros((len(occ), 1), np.int64)],
+                                 axis=1)
+        k = 0
+        while k < occ.shape[1] - 1 and (occ[:, k] == 2).all():
+            k += 1
+        occ, lo = occ[:, k:], lo + k
+        if trace is not None:
+            trace.append((lo, k))
+    return lo, occ[:samples]
+
+
 def kappa_audit(spec, N, seed=0):
     """Run one scalar trajectory of a row-update model and check, at every
     visited vertex, that the incremental dynamical-parameter recursion
@@ -145,11 +225,12 @@ def kappa_audit(spec, N, seed=0):
 
 
 def assert_engine_matches_oracle(spec, N, samples, seed, trace=None):
-    """Final heights of the engine equal the oracle's at every site, bit
-    for bit, from the same generator; returns the engine's (lo, width)."""
+    """Final heights of the engine equal the oracle's (bitplane_pep for
+    asym_pep at delta = 0, else suffix_cumsum_pep) at every site, bit for
+    bit, from the same generator; returns the engine's (lo, width)."""
     views = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
-    lo, occ = suffix_cumsum_pep(spec, N, samples, _trajectory_rng(seed, 0),
-                                trace)
+    oracle = bitplane_pep if keyless(spec) else suffix_cumsum_pep
+    lo, occ = oracle(spec, N, samples, _trajectory_rng(seed, 0), trace)
     total = spec.J * N
     for x in range(1, N + 3):
         if x <= lo:
@@ -489,8 +570,12 @@ class TestEnsembles:
     def test_late_stay_error_names_site(self, monkeypatch, spec):
         # From time 100 on, after the band has moved, the occupancy-1
         # entries of the table read 1.5: the first site holding exactly
-        # one particle in some sample at time 100 names the error.
-        lo, occ = suffix_cumsum_pep(spec, 100, 6, _trajectory_rng(5, 0))
+        # one particle in some sample at time 100 names the error.  The
+        # bit-sliced engine steps all 64 lanes of its one word.
+        if keyless(spec):
+            lo, occ = bitplane_pep(spec, 100, 64, _trajectory_rng(5, 0))
+        else:
+            lo, occ = suffix_cumsum_pep(spec, 100, 6, _trajectory_rng(5, 0))
         site = lo + np.flatnonzero((occ == 1).any(axis=0))[0]
         real, calls = models._pep_stay, []
 
@@ -576,14 +661,16 @@ class TestWindowEngine:
         trace = []
         lo, width = assert_engine_matches_oracle(spec, 200, 3, 7, trace)
         grow = models._WINDOW_GROW
-        # The origin starts _WINDOW_GROW rows before site 1 and moves left
-        # one row a step and right with lo: at time t it is used up once
-        # t - lo_t + 1 reaches _WINDOW_GROW, and the band must move.
-        los = [1] + [lo_t for lo_t, _ in trace[:-1]]
-        assert max(t - lo_t + 1 for t, lo_t in enumerate(los)) >= grow + 8
-        # The right end passed 8 + _WINDOW_GROW, so the views reach the
-        # window's second extent.
-        assert lo + width - 1 >= 8 + 2 * grow
+        if not keyless(spec):  # the height buffer of _ensemble_pep
+            # The origin starts _WINDOW_GROW rows before site 1 and moves
+            # left one row a step and right with lo: at time t it is used
+            # up once t - lo_t + 1 reaches _WINDOW_GROW, and the band must
+            # move.
+            los = [1] + [lo_t for lo_t, _ in trace[:-1]]
+            assert max(t - lo_t + 1 for t, lo_t in enumerate(los)) >= grow + 8
+            # The right end passed 8 + _WINDOW_GROW, so the views reach
+            # the window's second extent.
+            assert lo + width - 1 >= 8 + 2 * grow
         # lo never advances by two sites in one step: a site left not full
         # in some sample keeps its right neighbour below J + 1 there, so
         # the engine's advance loop runs at most once a step.
@@ -595,6 +682,124 @@ class TestWindowEngine:
         # grows every few, in place and into a new buffer alike.
         monkeypatch.setattr(models, "_WINDOW_GROW", 2)
         assert_engine_matches_oracle(spec, 60, 4, 11)
+
+
+class ScriptedBits:
+    """A bit generator whose random_raw hands out fixed words in order."""
+
+    def __init__(self, words):
+        self.words, self.used = np.asarray(words, dtype=np.uint64), 0
+
+    def random_raw(self, size):
+        out = self.words[self.used:self.used + size].copy()
+        assert len(out) == size, "script ran out of words"
+        self.used += size
+        return out
+
+
+def bit_engine_configs(spec, N, samples, seed):
+    """{occupancy tuple, trailing zeros dropped: count} over the final
+    views of the exclusion-process engine."""
+    views = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
+    lo = views[0].lo
+    band = np.stack([v._heights for v in views])  # h at sites lo, lo+1, ...
+    h = np.zeros((samples, N + 3), dtype=np.int64)
+    for x in range(1, N + 3):
+        if x <= lo:
+            h[:, x - 1] = N - 2 * (x - 1)
+        elif x - lo < band.shape[1]:
+            h[:, x - 1] = band[:, x - lo]
+    cfgs, counts = np.unique(h[:, :-1] - h[:, 1:], axis=0, return_counts=True)
+    return {tuple(int(c) for c in np.trim_zeros(cfg, "b")): int(n)
+            for cfg, n in zip(cfgs, counts)}
+
+
+class TestBitSlicedEngine:
+    """asym_pep at delta = 0 on the bit-sliced engine: its law against
+    exact_law, its Bernoulli words against exact rational comparisons, and
+    its padding lanes."""
+
+    @pytest.mark.parametrize("q", [0.25, 0.6])
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_frequencies_per_configuration(self, q, N):
+        spec = ModelSpec.asym_pep(q, 0.0)
+        n = 100000
+        counts = bit_engine_configs(spec, N, n, 41)
+        law = dict(exact_law(spec, N).support)
+        assert set(counts) <= set(law)
+        for cfg, pr in law.items():
+            if pr > 1e-3:
+                sigma = math.sqrt(pr * (1 - pr) / n)
+                assert abs(counts.get(cfg, 0) / n - pr) < 4 * sigma, cfg
+
+    @pytest.mark.parametrize("p", [
+        0.0, 1.0, 0.5, 0.75, 0.2, 1 / 3, 0.1, 0.6 / 1.6, 2.0 ** -60,
+        1 - 2.0 ** -53])
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "masked"])
+    def test_bernoulli_words_match_fraction_comparison(self, p, masked):
+        # Word j, lane l has the uniform U whose i-th binary digit is
+        # digits[j, l, i - 1]; some lanes copy p's first m digits, so they
+        # stay undecided up to digit m + 1, or to the end at m = k.
+        n, gen = 24, np.random.default_rng(5)
+        num, den = p.as_integer_ratio()
+        k = den.bit_length() - 1
+        pd = [num >> (k - i) & 1 for i in range(1, k + 1)]
+        digits = gen.integers(0, 2, size=(n, 64, max(k, 1)))
+        for j, l in zip(gen.integers(0, n, 40), gen.integers(0, 64, 40)):
+            m = int(gen.integers(0, k + 1))
+            digits[j, l, :m] = pd[:m]
+        lanes = (gen.integers(0, 2, size=(n, 64)) if masked
+                 else np.ones((n, 64), dtype=np.int64))
+
+        def word(bits):
+            return sum(int(b) << l for l, b in enumerate(bits))
+
+        # The stream the sampler must read: the first min(k, 8) digits of
+        # every word, then each later digit of the words with a lane whose
+        # digits so far equal p's.
+        dense = min(k, 8) if num != den else 0
+        script = [word(digits[j, :, i]) for i in range(dense)
+                  for j in range(n)]
+        read = [dense] * n
+        for i in range(dense + 1, k + 1 if num != den else 0):
+            live = [j for j in range(n) if any(
+                lanes[j, l] and list(digits[j, l, :i - 1]) == pd[:i - 1]
+                for l in range(64))]
+            script += [word(digits[j, :, i - 1]) for j in live]
+            for j in live:
+                read[j] = i
+        bitgen = ScriptedBits(script)
+        got = models._bernoulli_words(
+            bitgen, p, np.array([word(lanes[j]) for j in range(n)],
+                                dtype=np.uint64))
+        assert bitgen.used == len(script)
+        for j in range(n):
+            for l in range(64):
+                u = Fraction(word(digits[j, l, read[j] - 1::-1]),
+                             2 ** read[j]) if read[j] else Fraction(0)
+                want = bool(lanes[j, l]) and (
+                    num == den or u < Fraction(num, den))
+                assert (int(got[j]) >> l & 1) == want, (j, l)
+
+    @pytest.mark.parametrize("samples", [1, 63, 64, 65])
+    def test_padding_lanes(self, samples):
+        spec = ModelSpec.asym_pep(0.25, 0.0)
+        assert_engine_matches_oracle(spec, 40, samples, 3)
+        views = _ensemble_pep(spec, 40, samples, _trajectory_rng(3, 0))
+        assert len(views) == samples
+        assert all(current(v, 1) == 40 and current(v, 42) == 0
+                   for v in views)
+
+    @settings(max_examples=20)
+    @given(st.floats(0.02, 0.98), st.integers(1, 3), st.integers(0, 2 ** 20))
+    def test_mean_heights_match_exact_law(self, q, N, seed):
+        spec = ModelSpec.asym_pep(q, 0.0)
+        law = exact_law(spec, N)
+        obs = [lambda st, x=x: current(st, x) for x in range(1, N + 2)]
+        for x, est in zip(range(1, N + 2),
+                          run_ensemble(spec, N, 2000, seed, obs)):
+            exact = law.mean(lambda cfg: h_tail(cfg, x))
+            assert abs(est.mean - exact) <= 5 * est.stderr + 1e-12, x
 
 
 class TestCornerView:

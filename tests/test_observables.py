@@ -3,6 +3,8 @@ Carlo, delta-independence, and contour geometry validation."""
 
 import itertools
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from dynvertex.observables import (
     identity_check,
     lhs_exact,
     lhs_mc,
+    rhs_exact,
     rhs_quadrature,
     solve_contours,
 )
@@ -350,3 +353,43 @@ class TestIdentityCheck:
         rep = identity_check(spec, samples=0, exact_bound=2)
         assert rep["lhs_exact"] is None
         assert isinstance(rep["rhs_quadrature"], float)
+
+    def test_exact_rhs_reported_and_matched(self):
+        rep = identity_check(ObservableSpec(PEP, (3,), 8))
+        assert rep["rhs_exact"] == -2.3671875
+        assert rep["residual_quadrature_vs_rhs_exact"] < 1e-8
+        assert identity_check(ObservableSpec(QHAHN, (2,), 3))[
+            "rhs_exact"] is None
+
+
+class TestRhsExact:
+    @pytest.mark.parametrize("gamma", [3.0, 5.0])
+    def test_equals_lhs_exact(self, gamma):
+        model = ModelSpec.jgamma_pep(J=1, gamma=gamma)
+        for N in range(1, 11):
+            for x in sorted({1, 2, N // 2 + 1, N - 1, N, N + 1} - {0}):
+                spec = ObservableSpec(model, (x,), N)
+                ex = rhs_exact(spec)
+                assert isinstance(ex, Fraction)
+                assert float(ex) == pytest.approx(lhs_exact(spec),
+                                                  rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("N, value", [
+        (30, -2.16696672141552), (40, -2.50741375239159),
+        (200, -5.63484790092564)])
+    def test_values_at_half_filling(self, N, value):
+        spec = ObservableSpec(PEP, (N // 2,), N)
+        assert float(rhs_exact(spec)) == pytest.approx(value, rel=1e-13)
+
+    def test_large_N_is_fast(self):
+        start = time.perf_counter()
+        ex = rhs_exact(ObservableSpec(PEP, (5000,), 10 ** 4))
+        assert time.perf_counter() - start < 1.0
+        assert float(ex) == pytest.approx(-39.8932306969108, rel=1e-13)
+
+    @pytest.mark.parametrize("spec", [
+        ObservableSpec(QHAHN, (2,), 3),
+        ObservableSpec(ModelSpec.jgamma_pep(J=2, gamma=7.0), (2,), 4),
+        ObservableSpec(PEP, (2, 1), 4)], ids=["qhahn", "J2", "k2"])
+    def test_none_without_closed_form(self, spec):
+        assert rhs_exact(spec) is None
