@@ -58,7 +58,7 @@ from .symfun import (
     d_munu,
     _b_stochastic_vertex,
 )
-from .weights import ArrowConfig, PhiParams, PsiParams, phi, psi, \
+from .weights import ArrowConfig, PhiParams, PsiParams, phi, psi_row, \
     psi_u_equals_s
 
 
@@ -370,10 +370,7 @@ def _psi_row_sum_checks(tol):
                         count += 1
                         for i1 in range(5):
                             for j1 in range(J + 1):
-                                tot = sum(
-                                    psi(ArrowConfig(i1, j1, i1 + j1 - j2,
-                                                    j2), pp)
-                                    for j2 in range(min(J, i1 + j1) + 1))
+                                tot = sum(psi_row(i1, j1, pp))
                                 worst = max(worst, abs(tot - 1.0))
     return _record("psi_row_sums", None, worst, tol, points=count)
 
@@ -384,10 +381,9 @@ def _psi_phi_degeneration_check(tol):
         pp = PsiParams(u=0.3, s=0.3, q=0.4, J=J, kappa=0.15)
         for i1 in range(4):
             for j1 in range(J + 1):
-                for j2 in range(min(J, i1 + j1) + 1):
+                for j2, w in enumerate(psi_row(i1, j1, pp)):
                     cfg = ArrowConfig(i1, j1, i1 + j1 - j2, j2)
-                    worst = max(worst,
-                                abs(psi(cfg, pp) - psi_u_equals_s(cfg, pp)))
+                    worst = max(worst, abs(w - psi_u_equals_s(cfg, pp)))
     return _record("psi_at_u_equals_s_matches_phi", None, worst, tol)
 
 

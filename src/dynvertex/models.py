@@ -66,7 +66,7 @@ from .weights import (
     asym_pep_stay,
     jgamma_pep_stay,
     phi,
-    psi,
+    psi_row,
 )
 
 _WEIGHT_SUM_TOL = 1e-10
@@ -403,8 +403,7 @@ def _kernel_eval(spec, x, t, i1, j1, h):
         p = PsiParams(u=complex(_cyc(spec.U, y)) * complex(_cyc(spec.Xi, x)),
                       s=complex(_cyc(spec.S, x)), q=complex(spec.q), J=Jy,
                       kappa=kappa)
-        raw = [complex(psi((i1, j1, i1 + j1 - j2, j2), p))
-               for j2 in range(min(Jy, i1 + j1) + 1)]
+        raw = psi_row(i1, j1, p)
     else:
         bx = _cyc(spec.B, x)
         p = PhiParams(q=spec.q, a=bx * _cyc(spec.C, y), b=bx,

@@ -33,6 +33,7 @@ class EllipticContext:
     series_tol: float = 1e-12
     max_terms: int = 256
     q: complex = field(init=False)
+    theta_exponents: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("elliptic", "trigonometric"):
@@ -47,6 +48,15 @@ class EllipticContext:
         object.__setattr__(
             self, "q", cmath.exp(-4j * math.pi * complex(self.eta))
         )
+        # theta1's z-free exponents (1j*pi*tau*h*h, 2j*pi*h) of its paired
+        # terms j and -1-j, at h = j + 1/2 and at -h.
+        exps = ()
+        if self.is_elliptic:
+            tau = complex(self.tau)
+            exps = tuple((1j * math.pi * tau * h * h, 2j * math.pi * h,
+                          1j * math.pi * tau * -h * -h, 2j * math.pi * -h)
+                         for h in (j + 0.5 for j in range(self.max_terms)))
+        object.__setattr__(self, "theta_exponents", exps)
 
     @property
     def is_elliptic(self):
@@ -94,8 +104,6 @@ def rational_pochhammer(a, k):
     else:
         for j in range(1, -k + 1):
             out /= _check_denominator(a - j, "a - j")
-    if out.imag == 0.0:
-        return out
     return out
 
 
@@ -105,22 +113,18 @@ def theta1(z, ctx):
         theta(z) = -sum_j exp(pi*i*tau*(j+1/2)**2 + 2*pi*i*(j+1/2)*(z+1/2)),
 
     summed symmetrically in j until the next term falls below series_tol
-    relative to the partial sum.  Odd in z; theta(z+1) = -theta(z)."""
+    relative to the partial sum.  Odd in z; theta(z+1) = -theta(z).  The
+    z-free parts of the exponents are read from ctx.theta_exponents,
+    computed once per context by the same expressions, so values equal
+    those of recomputing them on every call bit for bit."""
     if not ctx.is_elliptic:
         raise ValueError("theta1 requires an elliptic context")
-    z = complex(z)
-    tau = complex(ctx.tau)
+    zh = complex(z) + 0.5
     total = 0.0 + 0.0j
-
-    def term(j):
-        h = j + 0.5
-        return cmath.exp(1j * math.pi * tau * h * h
-                         + 2j * math.pi * h * (z + 0.5))
-
     # Pair j and -1-j: the quadratic exponent is symmetric under the swap.
     scale = 0.0
-    for j in range(ctx.max_terms):
-        t = term(j) + term(-1 - j)
+    for j, (a, b, a2, b2) in enumerate(ctx.theta_exponents):
+        t = cmath.exp(a + b * zh) + cmath.exp(a2 + b2 * zh)
         total += t
         scale = max(scale, abs(total))
         if abs(t) < ctx.series_tol * max(scale, 1e-300) and j >= 1:

@@ -1,5 +1,5 @@
-"""Vertex weights: the unfused four-case weight, column weights, fused
-weights (recursion, closed hypergeometric form, factored special cases),
+"""Vertex weights: the unfused four-case weight, fused weights
+(recursion, closed hypergeometric form, factored special cases),
 the stochastic correction and stochastic weights, the multiplicative-
 parameter psi/phi families, and the closed-form degeneration weights.
 """
@@ -75,19 +75,16 @@ def _inv(value, what):
     return 1.0 / value
 
 
-def w1(cfg, p):
-    """The four-case unfused vertex weight; 0 off the support."""
-    i1, j1, i2, j2 = cfg
-    if min(i1, j1, i2, j2) < 0 or j1 > 1 or j2 > 1:
-        return 0.0 + 0.0j
-    if i1 + j1 != i2 + j2:
-        return 0.0 + 0.0j
-    ctx = p.ctx
+def _w1_dinv(v, lam, L, ctx):
+    """1 / (f(eta*Lambda - v) * f(lambda)), the denominator of all four
+    cases of w1."""
+    denom = f_eval(complex(ctx.eta) * L - v, ctx) * f_eval(lam, ctx)
+    return _inv(denom, "f(eta*Lambda - v) * f(lambda)")
+
+
+def _w1_case(k, j1, j2, v, lam, L, dinv, ctx):
+    """The four-case numerators of w1 at vertical input k, times dinv."""
     eta = complex(ctx.eta)
-    v, lam, L = complex(p.v), complex(p.lam), complex(p.Lambda)
-    denom = f_eval(eta * L - v, ctx) * f_eval(lam, ctx)
-    dinv = _inv(denom, "f(eta*Lambda - v) * f(lambda)")
-    k = i1
     if j1 == 0 and j2 == 0:
         return (f_eval(eta * (L - 2 * k) - v, ctx)
                 * f_eval(lam + 2 * k * eta, ctx) * dinv)
@@ -106,39 +103,31 @@ def w1(cfg, p):
             * f_eval(lam + 2 * eta * (k - L), ctx) * dinv)
 
 
-def column_weight(i1, j1_bits, i2, j2_bits, v_base, p):
-    """Weight of a single column of J unfused vertices.
-
-    Rows are indexed bottom to top; row k (0-based) carries spectral
-    parameter v_base + 2*eta*k.  The dynamical parameter at the topmost row
-    is p.lam; going down it shifts by -2*eta where the row above has
-    horizontal input 0 and by +2*eta where it has input 1.  Vertical counts
-    flow upward from i1 to i2."""
-    J = len(j1_bits)
-    if len(j2_bits) != J:
-        raise ValueError("bit lists must have equal length")
-    eta = complex(p.ctx.eta)
-    lam_rows = [0.0j] * J
-    lam_rows[J - 1] = complex(p.lam)
-    for y in range(J - 2, -1, -1):
-        shift = 2 * eta if j1_bits[y + 1] else -2 * eta
-        lam_rows[y] = lam_rows[y + 1] + shift
-    out = 1.0 + 0.0j
-    i_cur = i1
-    for k in range(J):
-        b1, b2 = j1_bits[k], j2_bits[k]
-        i_next = i_cur + b1 - b2
-        if i_next < 0:
-            return 0.0 + 0.0j
-        pk = UnfusedWeightParams(complex(v_base) + 2 * eta * k, lam_rows[k],
-                                 p.Lambda, p.ctx)
-        out *= w1(ArrowConfig(i_cur, b1, i_next, b2), pk)
-        if out == 0:
-            return 0.0 + 0.0j
-        i_cur = i_next
-    if i_cur != i2:
+def w1(cfg, p):
+    """The four-case unfused vertex weight; 0 off the support."""
+    i1, j1, i2, j2 = cfg
+    if min(i1, j1, i2, j2) < 0 or j1 > 1 or j2 > 1:
         return 0.0 + 0.0j
-    return out
+    if i1 + j1 != i2 + j2:
+        return 0.0 + 0.0j
+    v, lam, L = complex(p.v), complex(p.lam), complex(p.Lambda)
+    return _w1_case(i1, j1, j2, v, lam, L, _w1_dinv(v, lam, L, p.ctx), p.ctx)
+
+
+def _top_row(J, i2, loff, p):
+    """The four top-row weights w1 entering vertical count i2 of a level-J
+    block, in the order of the _w_hat recursion, sharing one denominator."""
+    ctx = p.ctx
+    eta = complex(ctx.eta)
+    v = complex(p.v) + 2 * eta * (J - 1)
+    lam = complex(p.lam) + 2 * eta * loff
+    L = complex(p.Lambda)
+    dinv = _w1_dinv(v, lam, L, ctx)
+    return (_w1_case(i2, 0, 0, v, lam, L, dinv, ctx),
+            (_w1_case(i2 - 1, 1, 0, v, lam, L, dinv, ctx) if i2 > 0
+             else 0.0 + 0.0j),
+            _w1_case(i2 + 1, 0, 1, v, lam, L, dinv, ctx),
+            _w1_case(i2, 1, 1, v, lam, L, dinv, ctx))
 
 
 def _w_hat(J, i1, j1, i2, j2, p, loff, memo):
@@ -146,7 +135,10 @@ def _w_hat(J, i1, j1, i2, j2, p, loff, memo):
 
     loff counts the accumulated dynamical shift in units of 2*eta relative
     to p.lam; the spectral base p.v is fixed and the top row of a level-J
-    block sits at p.v + 2*eta*(J-1)."""
+    block sits at p.v + 2*eta*(J-1).  The four top-row weights of
+    (J, i2, loff) are computed once, by _top_row, and kept in memo under
+    that key next to the node values.  Every product and sum is the one a
+    w1 call per term makes, so values equal that bit for bit."""
     if j1 < 0 or j2 < 0 or j1 > J or j2 > J or i1 < 0 or i2 < 0:
         return 0.0 + 0.0j
     if i1 + j1 != i2 + j2:
@@ -157,19 +149,17 @@ def _w_hat(J, i1, j1, i2, j2, p, loff, memo):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    eta = complex(p.ctx.eta)
-    top = UnfusedWeightParams(complex(p.v) + 2 * eta * (J - 1),
-                              complex(p.lam) + 2 * eta * loff,
-                              p.Lambda, p.ctx)
+    first = _w_hat(J - 1, i1, j1, i2, j2, p, loff - 1, memo)
+    # The top row is read after the first subtree, so singular inputs raise
+    # in the recursion's order.
+    top = memo.get((J, i2, loff))
+    if top is None:
+        top = memo[(J, i2, loff)] = _top_row(J, i2, loff, p)
     val = 0.0 + 0.0j
-    val += (_w_hat(J - 1, i1, j1, i2, j2, p, loff - 1, memo)
-            * w1(ArrowConfig(i2, 0, i2, 0), top))
-    val += (_w_hat(J - 1, i1, j1 - 1, i2 - 1, j2, p, loff + 1, memo)
-            * w1(ArrowConfig(i2 - 1, 1, i2, 0), top))
-    val += (_w_hat(J - 1, i1, j1, i2 + 1, j2 - 1, p, loff - 1, memo)
-            * w1(ArrowConfig(i2 + 1, 0, i2, 1), top))
-    val += (_w_hat(J - 1, i1, j1 - 1, i2, j2 - 1, p, loff + 1, memo)
-            * w1(ArrowConfig(i2, 1, i2, 1), top))
+    val += first * top[0]
+    val += _w_hat(J - 1, i1, j1 - 1, i2 - 1, j2, p, loff + 1, memo) * top[1]
+    val += _w_hat(J - 1, i1, j1, i2 + 1, j2 - 1, p, loff - 1, memo) * top[2]
+    val += _w_hat(J - 1, i1, j1 - 1, i2, j2 - 1, p, loff + 1, memo) * top[3]
     memo[key] = val
     return val
 
@@ -367,9 +357,12 @@ def c_correction(J, cfg, lam, Lambda, ctx):
                         J - j2), "den"))
 
 
-def sigma(J, cfg, p, w_value=None):
+def sigma(J, cfg, p, w_value=None, memo=None):
     """Stochastic vertex weight sigma_J = C_J * W_J * (elliptic binomial
-    ratio).  w_value optionally supplies a precomputed W_J."""
+    ratio).  w_value optionally supplies a precomputed W_J; otherwise memo,
+    when given, is the W_J recursion's memo, shared by calls at the same J
+    and p (psi_row passes one per row), which leaves every value equal bit
+    for bit to a call without it."""
     i1, j1, i2, j2 = cfg
     if j1 < 0 or j1 > J or j2 < 0 or j2 > J or i1 < 0 or i2 < 0:
         return 0.0 + 0.0j
@@ -381,7 +374,7 @@ def sigma(J, cfg, p, w_value=None):
         # The recursion is exact to rounding; the closed form (equal to it,
         # and cross-checked in the tests) needs Richardson regularization on
         # part of the domain and is kept as an independent oracle.
-        w_value = w_fused_recursive(J, cfg, p)
+        w_value = w_fused_recursive(J, cfg, p, memo)
     cval = c_correction(J, cfg, p.lam, p.Lambda, ctx)
 
     def ep(k):
@@ -437,6 +430,20 @@ def psi(cfg, p):
         return 0.0 + 0.0j
     up = _psi_unfused_params(p, j1)
     return sigma(J, cfg, up)
+
+
+def psi_row(i1, j1, p):
+    """[psi((i1, j1, i1 + j1 - j2, j2), p) for j2 = 0..min(J, i1 + j1)],
+    equal bit for bit, from one _psi_unfused_params and one W_J memo for
+    the whole row (its entries share the parameters; the memo dies with
+    the call)."""
+    row = [ArrowConfig(i1, j1, i1 + j1 - j2, j2)
+           for j2 in range(min(p.J, i1 + j1) + 1)]
+    if i1 < 0 or not 0 <= j1 <= p.J:
+        return [0.0 + 0.0j for _ in row]
+    up = _psi_unfused_params(p, j1)
+    memo = {}
+    return [sigma(p.J, cfg, up, memo=memo) for cfg in row]
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ import sys
 import pytest
 
 import dynvertex
+import prior_weights as prior
 from dynvertex.cli import dispatch
 from dynvertex.models import ModelSpec, current, run_ensemble
+from dynvertex.weights import ArrowConfig, PsiParams, psi_u_equals_s
 
 S_IM = 1j * math.sqrt(0.3)
 GENERAL_CONFIG = ('{"q": 0.4, "delta": -0.2, "U": [1.05], "Xi": [%s], '
@@ -104,6 +106,39 @@ class TestCheckWeights:
         assert by_name["phi_row_sums"]["residual"] < 1e-10
         assert by_name["psi_row_sums"]["residual"] < 1e-10
         assert by_name["psi_at_u_equals_s_matches_phi"]["residual"] < 1e-10
+
+    def test_psi_residuals_equal_prior(self, tmp_path):
+        # The default report's psi residuals, recomputed on the same grids
+        # from the reference copies of psi, must match bit for bit.
+        code, rep = run(tmp_path, "check-weights")
+        assert code == 0
+        by_name = {c["name"]: c for c in rep["checks"]}
+
+        def row(i1, j1, pp):
+            return [prior.psi(ArrowConfig(i1, j1, i1 + j1 - j2, j2), pp)
+                    for j2 in range(min(pp.J, i1 + j1) + 1)]
+
+        worst = 0.0
+        for u in (0.91, 0.7, 0.5):
+            for s in (0.3, 0.45):
+                for q in (0.3, 0.4, 0.55):
+                    for J in (1, 2, 3):
+                        for kappa in (0.1, 0.15, 0.35):
+                            pp = PsiParams(u=u, s=s, q=q, J=J, kappa=kappa)
+                            for i1 in range(5):
+                                for j1 in range(J + 1):
+                                    worst = max(worst,
+                                                abs(sum(row(i1, j1, pp)) - 1))
+        assert by_name["psi_row_sums"]["residual"] == worst
+        worst = 0.0
+        for J in (1, 2, 3):
+            pp = PsiParams(u=0.3, s=0.3, q=0.4, J=J, kappa=0.15)
+            for i1 in range(4):
+                for j1 in range(J + 1):
+                    for j2, w in enumerate(row(i1, j1, pp)):
+                        cfg = ArrowConfig(i1, j1, i1 + j1 - j2, j2)
+                        worst = max(worst, abs(w - psi_u_equals_s(cfg, pp)))
+        assert by_name["psi_at_u_equals_s_matches_phi"]["residual"] == worst
 
     def test_phi_only(self, tmp_path):
         code, rep = run(tmp_path, "check-weights", "--family", "phi")

@@ -5,8 +5,10 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dynvertex.errors import NonTerminating, SingularParameter
+import prior_weights as prior
+from dynvertex.errors import NonConvergent, NonTerminating, SingularParameter
 from dynvertex.specfun import (
     EllipticContext,
     basic_hyp,
@@ -131,6 +133,23 @@ class TestTheta:
         z = 0.31 - 0.04j
         lead = 2 * cmath.exp(1j * math.pi * 8j / 4) * cmath.sin(math.pi * z)
         assert theta1(z, far) == pytest.approx(lead, rel=1e-9)
+
+    @settings(max_examples=200)
+    @given(st.floats(-2.0, 2.0), st.floats(-0.6, 0.6),
+           st.sampled_from([1.3j, 0.4 + 0.9j, 8j, -0.3 + 0.05j]))
+    def test_equal_to_prior(self, x, y, tau):
+        # tau = -0.3 + 0.05j converges slowly (about 15 paired terms).
+        ctx = EllipticContext(mode="elliptic", eta=0.07, tau=tau)
+        assert theta1(complex(x, y), ctx) == prior.theta1(complex(x, y), ctx)
+
+    def test_too_few_terms_raise(self):
+        # Im tau = 1e-3 needs about 190 paired terms at this z.
+        few = EllipticContext(mode="elliptic", eta=0.07, tau=1e-3j,
+                              max_terms=64)
+        with pytest.raises(NonConvergent):
+            theta1(0.3 + 0.1j, few)
+        enough = EllipticContext(mode="elliptic", eta=0.07, tau=1e-3j)
+        assert theta1(0.3 + 0.1j, enough) == prior.theta1(0.3 + 0.1j, enough)
 
     def test_trig_mode_f(self):
         z = 0.42 + 0.11j

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynvertex.errors import InadmissibleParameters, PatternMismatch
+import prior_weights as prior
+from dynvertex.errors import (
+    DynVertexError,
+    InadmissibleParameters,
+    PatternMismatch,
+    SingularParameter,
+)
 from dynvertex.specfun import EllipticContext, elliptic_pochhammer, f_eval
 from dynvertex.weights import (
     ArrowConfig,
@@ -19,11 +25,11 @@ from dynvertex.weights import (
     UnfusedWeightParams,
     asym_pep_stay,
     c_correction,
-    column_weight,
     degeneration_weight,
     jgamma_pep_stay,
     phi,
     psi,
+    psi_row,
     psi_u_equals_s,
     sigma,
     sigma_j1_full_row,
@@ -31,7 +37,6 @@ from dynvertex.weights import (
     w_fused_closed,
     w_fused_recursive,
     w_fused_special,
-    column_weight as _column_weight,
 )
 
 TRIG = EllipticContext(mode="trigonometric", eta=0.07)
@@ -40,6 +45,41 @@ ELL = EllipticContext(mode="elliptic", eta=0.07, tau=1.3j)
 
 def params(ctx):
     return UnfusedWeightParams(-0.05 + 0.02j, 0.8 + 0.03j, 2.3 + 0.1j, ctx)
+
+
+def column_weight(i1, j1_bits, i2, j2_bits, v_base, p):
+    """Weight of a single column of J unfused vertices.
+
+    Rows are indexed bottom to top; row k (0-based) carries spectral
+    parameter v_base + 2*eta*k.  The dynamical parameter at the topmost row
+    is p.lam; going down it shifts by -2*eta where the row above has
+    horizontal input 0 and by +2*eta where it has input 1.  Vertical counts
+    flow upward from i1 to i2."""
+    J = len(j1_bits)
+    if len(j2_bits) != J:
+        raise ValueError("bit lists must have equal length")
+    eta = complex(p.ctx.eta)
+    lam_rows = [0.0j] * J
+    lam_rows[J - 1] = complex(p.lam)
+    for y in range(J - 2, -1, -1):
+        shift = 2 * eta if j1_bits[y + 1] else -2 * eta
+        lam_rows[y] = lam_rows[y + 1] + shift
+    out = 1.0 + 0.0j
+    i_cur = i1
+    for k in range(J):
+        b1, b2 = j1_bits[k], j2_bits[k]
+        i_next = i_cur + b1 - b2
+        if i_next < 0:
+            return 0.0 + 0.0j
+        pk = UnfusedWeightParams(complex(v_base) + 2 * eta * k, lam_rows[k],
+                                 p.Lambda, p.ctx)
+        out *= w1(ArrowConfig(i_cur, b1, i_next, b2), pk)
+        if out == 0:
+            return 0.0 + 0.0j
+        i_cur = i_next
+    if i_cur != i2:
+        return 0.0 + 0.0j
+    return out
 
 
 def conserving_configs(J, imax):
@@ -430,3 +470,95 @@ class TestExclusionFormulas:
             if abs(kap) <= 1e6 and i > 0:
                 p = PhiParams(q=q, a=1 / q, b=1 / q ** 2, kappa=kap)
                 assert abs(phi(i - 1, i, p).real - one) <= 1e-12
+
+
+def outcome(fn, *args, **kw):
+    """fn's value, or the type and message of the library error it raised,
+    so that equal outcomes mean equal values or the same failure."""
+    try:
+        return fn(*args, **kw)
+    except DynVertexError as err:
+        return type(err), str(err)
+
+
+ELL_SKEW = EllipticContext(mode="elliptic", eta=0.11 + 0.02j, tau=0.4 + 0.9j)
+
+
+def cplx(re_lo, re_hi, im):
+    return st.builds(complex, st.floats(re_lo, re_hi), st.floats(-im, im))
+
+
+@st.composite
+def weight_rows(draw):
+    """A context, unfused parameters and one admissible row (J, i1, j1):
+    every j2 with i2 = i1 + j1 - j2 >= 0."""
+    ctx = draw(st.sampled_from([TRIG, ELL, ELL_SKEW]))
+    p = UnfusedWeightParams(draw(cplx(-0.3, 0.3, 0.1)),
+                            draw(cplx(0.2, 1.2, 0.1)),
+                            draw(cplx(1.0, 3.0, 0.2)), ctx)
+    J = draw(st.integers(1, 4))
+    i1 = draw(st.integers(0, 3))
+    j1 = draw(st.integers(0, J))
+    return p, J, i1, j1
+
+
+@st.composite
+def psi_rows(draw):
+    """Multiplicative parameters (s real or imaginary, as in the general
+    model's defaults) and a row (i1, j1), including rows off the support."""
+    J = draw(st.integers(1, 4))
+    s = draw(st.floats(0.2, 0.6)) * draw(st.sampled_from([1, 1j]))
+    pp = PsiParams(u=draw(st.floats(0.3, 0.95)), s=s,
+                   q=draw(st.floats(0.2, 0.7)), J=J,
+                   kappa=draw(st.floats(0.05, 0.5)))
+    return pp, draw(st.integers(-1, 4)), draw(st.integers(-1, J + 1))
+
+
+class TestEqualToPrior:
+    """The shared top-row weights, the per-row memo and psi_row change no
+    floating-point operation: values equal the reference copies with ==,
+    and inputs that raise still raise the same error."""
+
+    @settings(max_examples=60)
+    @given(weight_rows())
+    def test_w1_w_fused_and_sigma(self, draw):
+        p, J, i1, j1 = draw
+        for cfg in [(i1, 0, i1, 0), (i1, 1, i1 + 1, 0), (i1, 0, i1 - 1, 1),
+                    (i1, 1, i1, 1)]:
+            cfg = ArrowConfig(*cfg)
+            assert outcome(w1, cfg, p) == outcome(prior.w1, cfg, p)
+        memo = {}
+        for j2 in range(min(J, i1 + j1) + 1):
+            cfg = ArrowConfig(i1, j1, i1 + j1 - j2, j2)
+            ref = outcome(prior.w_fused_recursive, J, cfg, p)
+            assert outcome(w_fused_recursive, J, cfg, p) == ref
+            ref = outcome(prior.sigma, J, cfg, p)
+            assert outcome(sigma, J, cfg, p) == ref
+            assert outcome(sigma, J, cfg, p, memo=memo) == ref
+
+    @settings(max_examples=100)
+    @given(psi_rows())
+    def test_psi_and_psi_row(self, draw):
+        pp, i1, j1 = draw
+        cfgs = [ArrowConfig(i1, j1, i1 + j1 - j2, j2)
+                for j2 in range(min(pp.J, i1 + j1) + 1)]
+        ref = [outcome(prior.psi, cfg, pp) for cfg in cfgs]
+        assert [outcome(psi, cfg, pp) for cfg in cfgs] == ref
+        row = outcome(psi_row, i1, j1, pp)
+        errors = [r for r in ref if isinstance(r, tuple)]
+        assert row == (errors[0] if errors else ref)
+
+    def test_vanishing_top_row_denominator_raises(self):
+        # lam = 0 puts f(lambda) = 0 in the level-J top row at loff = 0.
+        p = UnfusedWeightParams(-0.05 + 0.02j, 0.0, 2.3 + 0.1j, TRIG)
+        msg = r"^vanishing f\(eta\*Lambda - v\) \* f\(lambda\)$"
+        for J in (1, 2, 3):
+            for f in (w_fused_recursive, prior.w_fused_recursive):
+                with pytest.raises(SingularParameter, match=msg):
+                    f(J, ArrowConfig(1, 1, 1, 1), p)
+        # kappa = q**(2*j1 - J) maps to lam = 0 (here J = 2, j1 = 1).
+        pp = PsiParams(u=0.7, s=0.3, q=0.4, J=2, kappa=1.0)
+        with pytest.raises(SingularParameter, match=msg):
+            psi_row(1, 1, pp)
+        with pytest.raises(SingularParameter, match=msg):
+            prior.psi(ArrowConfig(1, 1, 2, 0), pp)
