@@ -272,8 +272,8 @@ def _asym_height_stats(q, T, sites, samples, seed, centers=()):
     from the powers of h - center, which keep the float cancellation of
     E[h^4] ~ T^4 out."""
     model = ModelSpec.asym_pep(q, 0.0)
-    obs = [lambda st, x=x: float(current(st, x)) for x in sites]
-    sq = [lambda st, x=x: float(current(st, x)) ** 2 for x in sites]
+    obs = [lambda st, x=x: current(st, x) for x in sites]
+    sq = [lambda st, x=x: current(st, x) ** 2 for x in sites]
     cen = [lambda st, x=x, c=c, k=k: (current(st, x) - c) ** k
            for x, c in zip(sites, centers) for k in (1, 2, 3, 4)]
     ests = run_ensemble(model, T, samples, seed, obs + sq + cen)

@@ -47,6 +47,11 @@ trajectories by (occupancy, height) at each site and draws from the shared
 kernel.  The corner engine keeps the scalar path's lattice and draws one
 coin per flat segment.  Engine integer dtypes are chosen from the largest
 reachable value (occupancy, height or key).
+
+Every ensemble ends in one `Ensemble`, the (samples, width) height matrix
+and the numbers that locate it, read as int64 arrays over the samples so
+that no product of heights wraps in a narrow engine dtype; `run_ensemble`
+calls each observable once with it.
 """
 
 import math
@@ -239,17 +244,46 @@ class CornerState:
     clamped: int = 0
 
     def height(self, x):
+        return int(Ensemble(self.time, self.left, self.heights[None],
+                            corner=True).height(x)[0])
+
+    def positions(self):
+        return [self.left + i for i in range(len(self.heights))]
+
+
+@dataclass
+class Ensemble:
+    """The final heights of an ensemble: heights[i, j] is sample i's height
+    at left + j, a particle-system site or a corner lattice position.
+    Outside the stored columns, a particle system of `total` particles
+    holds `packed` on each site before `left` and none after; a corner
+    height is the wedge 2|x|.  `height(x)` (or `current`) returns the
+    heights at x of every sample as a new int64 array."""
+
+    time: int
+    left: float
+    heights: np.ndarray
+    packed: int = 0
+    total: int = 0
+    corner: bool = False
+
+    def height(self, x):
         i = x - self.left
         j = int(round(i))
         if abs(i - j) > 1e-9:
             raise ValueError("x=%r is not on the time-%d lattice"
                              % (x, self.time))
-        if 0 <= j < len(self.heights):
-            return int(self.heights[j])
-        return int(round(2 * abs(x)))
+        if 0 <= j < self.heights.shape[1]:
+            return self.heights[:, j].astype(np.int64)
+        if self.corner:
+            value = round(2 * abs(x))
+        elif j < 0:
+            value = self.total - self.packed * (x - 1)
+        else:
+            value = 0
+        return np.full(len(self.heights), value, dtype=np.int64)
 
-    def positions(self):
-        return [self.left + i for i in range(len(self.heights))]
+    _hcur = height  # what `current` reads
 
 
 def initial_state(spec, seed=0, rng=None):
@@ -268,7 +302,8 @@ def initial_state(spec, seed=0, rng=None):
 
 
 def current(state, x):
-    """Height function h_t(x) = number of particles at sites >= x."""
+    """Height function h_t(x) = number of particles at sites >= x: an int
+    for one trajectory, an int64 array over the samples of an Ensemble."""
     x = int(x)
     if x < 1:
         raise ValueError("site index must be >= 1")
@@ -608,54 +643,6 @@ def exact_law(spec, N, bound=200000):
 
 
 # ---------------------------------------------------------------------------
-# Corner view of the J=1 partial exclusion process
-
-
-def corner_view(state, spec=None):
-    """Height-function samples of a J=1 partial-exclusion state: returns
-    {position: height} with height(x - t/2 - 1) = 2*h_t(x) + 2*(x-1) - t,
-    on the grid x = 1, ..., t+2."""
-    if spec is not None and spec.variant == "jgamma_pep" and spec.J != 1:
-        raise ValueError("corner_view requires J = 1")
-    t = state.time
-    out = {}
-    for x in range(1, t + 3):
-        pos = x - t / 2.0 - 1.0
-        out[pos] = 2 * current(state, x) + 2 * (x - 1) - t
-    return out
-
-
-def corner_view_exact(spec, N, bound=200000):
-    """Exact law of the corner_view height vector after N steps of a J=1
-    partial-exclusion model, as {height tuple on the grid: probability}."""
-    law = exact_law(spec, N, bound=bound)
-    out = {}
-    for cfg, pr in law.support:
-        occ = list(cfg)
-
-        def h(x):
-            return sum(occ[x - 1:]) if x - 1 < len(occ) else 0
-
-        key = tuple(2 * h(x) + 2 * (x - 1) - N for x in range(1, N + 3))
-        out[key] = out.get(key, 0.0) + pr
-    return out
-
-
-def corner_heights_exact(spec, N, positions, bound=200000):
-    """Exact law of the direct corner model restricted to the given
-    positions, as {height tuple: probability}."""
-    law = exact_law(spec, N, bound=bound)
-    out = {}
-    for (heights, left), pr in law.support:
-        st = CornerState(time=N, left=left,
-                         heights=np.array(heights, dtype=np.int64),
-                         rng=None)
-        key = tuple(st.height(p) for p in positions)
-        out[key] = out.get(key, 0.0) + pr
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Ensembles
 
 
@@ -677,30 +664,6 @@ def _trajectory_rng(base_seed, index):
                                spawn_key=(int(index),)))
 
 
-class _WindowView:
-    """Read-only final-state view of one trajectory from a vectorized
-    engine, over its height function: sites < lo hold `packed` particles,
-    window sites lo, lo+1, ... have the heights in `heights`, and sites
-    beyond the window are empty."""
-
-    __slots__ = ("time", "lo", "packed", "total", "_heights")
-
-    def __init__(self, time, lo, packed, total, heights):
-        self.time = time
-        self.lo = lo
-        self.packed = packed
-        self.total = total
-        self._heights = heights  # heights[i] = h(lo + i)
-
-    def _hcur(self, x):
-        if x <= self.lo:
-            return self.total - self.packed * (x - 1)
-        i = x - self.lo
-        if i >= len(self._heights):
-            return 0
-        return int(self._heights[i])
-
-
 def _int_dtype(top):
     """Signed integer dtype, int16 or wider, that holds -top..top."""
     return np.promote_types(np.int16, np.min_scalar_type(-int(top)))
@@ -709,14 +672,14 @@ def _int_dtype(top):
 _WINDOW_GROW = 64  # free rows before a moved band; see _ensemble_pep
 
 
-def _band_views(N, J, lo, n, samples, dtype):
-    """A zeroed (samples, width) height array, whose first n columns hold h
-    at sites lo.. once the engine fills them, and one view per row; the
-    width is the window engine's, up to a site 8 + _WINDOW_GROW * k."""
+def _band_ensemble(N, J, lo, band):
+    """The Ensemble of an exclusion-process engine from `band`, the heights
+    at sites lo, lo+1, ... (one row per site, one column per sample),
+    zero-padded to the window engine's extent, a site 8 + _WINDOW_GROW * k."""
+    n = len(band)
     end = 8 + _WINDOW_GROW * -(-max(lo + n - 9, 0) // _WINDOW_GROW)
-    heights = np.zeros((samples, end - lo + 1), dtype=dtype)
-    return heights, [_WindowView(N, lo, J + 1, J * N, heights[i])
-                     for i in range(samples)]
+    heights = np.pad(band, ((0, end - lo + 1 - n), (0, 0)))
+    return Ensemble(N, lo, heights.T, packed=J + 1, total=J * N)
 
 
 _BERNOULLI_DENSE = 8  # digits of p compared on every word; see below
@@ -800,12 +763,10 @@ def _ensemble_bits(spec, N, samples, rng):
         np.bitwise_and(s[1:], x[:-1], out=f[1:])
         a[0], f[0] = ones, s[0]
         r += bool(a[-1].any())  # site r + 1 took a particle in some lane
-    heights, views = _band_views(N, 1, lo, n, samples, _int_dtype(N))
     occ = sum(np.unpackbits(plane.view(np.uint8), axis=1, count=samples,
                             bitorder="little") for plane in (a, f))
-    np.cumsum(occ[::-1].T, axis=1, dtype=heights.dtype,
-              out=heights[:, n - 1::-1])
-    return views
+    return _band_ensemble(N, 1, lo, np.cumsum(occ[::-1], axis=0,
+                                              dtype=_int_dtype(N))[::-1])
 
 
 def _ensemble_pep(spec, N, samples, rng):
@@ -831,7 +792,7 @@ def _ensemble_pep(spec, N, samples, rng):
     is drawn only for the cells with 0 < eta < J+1, in site-major order,
     all inside the band: the seeded stream and heights are those of the
     earlier engine that stepped a window grown _WINDOW_GROW sites at a
-    time, whose extent the views keep."""
+    time, whose extent the Ensemble keeps."""
     if spec.variant == "asym_pep" and spec.delta == 0.0:
         return _ensemble_bits(spec, N, samples, rng)
     J = int(spec.J)
@@ -914,9 +875,7 @@ def _ensemble_pep(spec, N, samples, rng):
         o -= 1
         if hbuf[o + n - 1].any():  # h'(r + 1) > 0 in some sample
             n += 1
-    heights, views = _band_views(N, J, lo, n, samples, dtype)
-    heights[:, :n] = h.T
-    return views
+    return _band_ensemble(N, J, lo, h)
 
 
 def _ensemble_qhahn(spec, N, samples, rng):
@@ -940,8 +899,7 @@ def _ensemble_qhahn(spec, N, samples, rng):
             j2 = np.zeros(samples, dtype=dtype)
             for kv in np.unique(key):
                 mask = key == kv
-                ik = int(i1[mask][0])
-                hk = int(h[mask][0])
+                ik, hk = divmod(int(kv), total + 1)
                 if ik == 0:
                     continue
                 _, w, _ = _kernel(spec, x, t, ik, 0, hk)
@@ -953,10 +911,7 @@ def _ensemble_qhahn(spec, N, samples, rng):
         if j_in.any():
             raise SizeLimit("horizontal propagation past the support")
         total += spec.row_degree(y)
-    suf = np.zeros((samples, occ.shape[1] + 1), dtype=np.int64)
-    suf[:, :-1] = occ[:, ::-1].cumsum(axis=1)[:, ::-1]
-    return [_WindowView(N, 1, 0, int(suf[i, 0]), suf[i])
-            for i in range(samples)]
+    return Ensemble(N, 1, occ[:, ::-1].cumsum(axis=1)[:, ::-1])
 
 
 def _ensemble_corner(spec, N, samples, rng):
@@ -999,9 +954,7 @@ def _ensemble_corner(spec, N, samples, rng):
         h //= 2
         h.ravel()[flat] += np.where(rng.random(len(flat)) < 1.0 - up, -1, 1)
         left -= 0.5
-    columns = np.ascontiguousarray(h.T)
-    return [CornerState(time=N, left=left, heights=columns[i], rng=None)
-            for i in range(samples)]
+    return Ensemble(N, left, h.T, corner=True)
 
 
 _VECTOR_ENGINES = {
@@ -1017,52 +970,50 @@ def run_ensemble(spec, N, samples, base_seed, observables,
                  vectorized=None):
     """Independent trajectories; one MCEstimate per observable.
 
-    Observables are callables evaluated on the final state (use
-    `current(state, x)` for particle-system heights and `state.height(x)`
-    for corner positions).  Three engines advance all trajectories in
-    lockstep from one generator split off (base_seed, 0): the
-    exclusion-process engine (jgamma_pep, asym_pep), which steps only the
-    occupied band and draws a uniform only for the sites with
-    0 < eta < J+1, site by site, or, for asym_pep at delta = 0, exact
-    Bernoulli bits 64 trajectories to a word; the q-Hahn engine; and the
-    corner engine (corner, corner_dyn), which equals the scalar path at
-    samples = 1.  The scalar path runs `general` (and any variant when
-    vectorized=False) and gives each trajectory its own split
-    (base_seed, index).  All are deterministic given base_seed.  The
-    bit-sliced engine changed the seeded asym_pep delta = 0 streams, as
-    did older versions that drew a uniform for every window cell and ran
-    corner ensembles on the scalar path: other seeded streams, the same
-    law.  A package error raised on the scalar path carries the index of
-    its trajectory as `.trajectory` and in its message.
+    Each observable is called once, with the final Ensemble, and returns
+    one value per sample or one scalar for all: `current(ens, x)` (particle
+    systems) and `ens.height(x)` (corner positions) give int64 arrays.
+    Three engines advance all trajectories in lockstep from one generator
+    split off (base_seed, 0): the exclusion-process engine (jgamma_pep,
+    asym_pep), which steps only the occupied band and draws a uniform only
+    for the sites with 0 < eta < J+1, site by site, or, for asym_pep at
+    delta = 0, exact Bernoulli bits 64 trajectories to a word; the q-Hahn
+    engine; and the corner engine (corner, corner_dyn), which equals the
+    scalar path at samples = 1.  The scalar path runs `general` (and any
+    variant when vectorized=False) and gives each trajectory its own split
+    (base_seed, index).  All are deterministic given base_seed.  A package
+    error raised on the scalar path carries the index of its trajectory as
+    `.trajectory` and in its message.
     """
-    samples = int(samples)
+    N, samples = int(N), int(samples)
     if samples < 1:
         raise ValueError("need at least one sample")
-    if vectorized is None:
-        vectorized = spec.variant in _VECTOR_ENGINES
-    vals = np.zeros((len(observables), samples))
-    if vectorized and spec.variant in _VECTOR_ENGINES:
-        rng = _trajectory_rng(base_seed, 0)
-        views = _VECTOR_ENGINES[spec.variant](spec, int(N), samples, rng)
-        for i, view in enumerate(views):
-            for k, obs in enumerate(observables):
-                vals[k, i] = obs(view)
+    if spec.variant in _VECTOR_ENGINES and (vectorized is None or vectorized):
+        ens = _VECTOR_ENGINES[spec.variant](spec, N, samples,
+                                            _trajectory_rng(base_seed, 0))
     else:
+        rows = []
         for i in range(samples):
             state = initial_state(spec, rng=_trajectory_rng(base_seed, i))
             try:
-                for _ in range(int(N)):
+                for _ in range(N):
                     state = step(state, spec)
             except DynVertexError as exc:
                 exc.trajectory = i
                 exc.args = ("trajectory %d: %s" % (i, exc),)
                 raise
-            for k, obs in enumerate(observables):
-                vals[k, i] = obs(state)
+            rows.append(state.heights if spec.is_corner
+                        else state.occupancy[::-1].cumsum()[::-1])
+        heights = np.zeros((samples, max(map(len, rows))), dtype=np.int64)
+        for row, final in zip(heights, rows):
+            row[:len(final)] = final
+        ens = Ensemble(N, state.left if spec.is_corner else 1, heights,
+                       corner=spec.is_corner)
     out = []
-    for k in range(len(observables)):
-        mean = float(np.mean(vals[k]))
-        std = float(np.std(vals[k], ddof=1)) if samples > 1 else 0.0
-        out.append(MCEstimate(mean=mean, stderr=std / math.sqrt(samples),
+    for obs in observables:
+        vals = np.full(samples, obs(ens), dtype=float)
+        std = float(np.std(vals, ddof=1)) if samples > 1 else 0.0
+        out.append(MCEstimate(mean=float(np.mean(vals)),
+                              stderr=std / math.sqrt(samples),
                               n_samples=samples, base_seed=int(base_seed)))
     return out

@@ -33,6 +33,7 @@ class EllipticContext:
     series_tol: float = 1e-12
     max_terms: int = 256
     q: complex = field(init=False)
+    is_elliptic: bool = field(init=False, repr=False, compare=False)
     theta_exponents: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -48,6 +49,8 @@ class EllipticContext:
         object.__setattr__(
             self, "q", cmath.exp(-4j * math.pi * complex(self.eta))
         )
+        # f_eval reads the mode on every call: store it once.
+        object.__setattr__(self, "is_elliptic", self.mode == "elliptic")
         # theta1's z-free exponents (1j*pi*tau*h*h, 2j*pi*h) of its paired
         # terms j and -1-j, at h = j + 1/2 and at -h.
         exps = ()
@@ -57,10 +60,6 @@ class EllipticContext:
                           1j * math.pi * tau * -h * -h, 2j * math.pi * -h)
                          for h in (j + 0.5 for j in range(self.max_terms)))
         object.__setattr__(self, "theta_exponents", exps)
-
-    @property
-    def is_elliptic(self):
-        return self.mode == "elliptic"
 
 
 def _check_denominator(value, what="denominator"):

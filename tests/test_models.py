@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from dynvertex import models
 from dynvertex.errors import (
@@ -16,13 +16,12 @@ from dynvertex.errors import (
     SizeLimit,
 )
 from dynvertex.models import (
+    CornerState,
     ModelSpec,
     _ensemble_corner,
     _ensemble_pep,
+    _ensemble_qhahn,
     _trajectory_rng,
-    corner_heights_exact,
-    corner_view,
-    corner_view_exact,
     current,
     exact_law,
     initial_state,
@@ -224,22 +223,75 @@ def kappa_audit(spec, N, seed=0):
     return checked
 
 
-def assert_engine_matches_oracle(spec, N, samples, seed, trace=None):
-    """Final heights of the engine equal the oracle's (bitplane_pep for
-    asym_pep at delta = 0, else suffix_cumsum_pep) at every site, bit for
-    bit, from the same generator; returns the engine's (lo, width)."""
-    views = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
+def oracle_heights(spec, N, samples, seed, trace=None):
+    """The oracle's int64 heights (bitplane_pep for asym_pep at delta = 0,
+    else suffix_cumsum_pep) from the engine's generator: column x - 1
+    holds h(x) of every sample, at the sites x = 1, ..., N + 2."""
     oracle = bitplane_pep if keyless(spec) else suffix_cumsum_pep
     lo, occ = oracle(spec, N, samples, _trajectory_rng(seed, 0), trace)
     total = spec.J * N
+    h = np.empty((samples, N + 2), dtype=np.int64)
     for x in range(1, N + 3):
         if x <= lo:
-            ref = np.full(samples, total - (spec.J + 1) * (x - 1))
+            h[:, x - 1] = total - (spec.J + 1) * (x - 1)
         else:
-            ref = occ[:, x - lo:].sum(axis=1)
-        got = np.array([current(v, x) for v in views])
-        assert np.array_equal(got, ref), (spec, x)
-    return views[0].lo, len(views[0]._heights)
+            h[:, x - 1] = occ[:, x - lo:].sum(axis=1)
+    return h
+
+
+def assert_engine_matches_oracle(spec, N, samples, seed, trace=None):
+    """Final heights of the engine equal the oracle's at every site, bit
+    for bit, from the same generator; returns the engine's (lo, width)."""
+    ens = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
+    ref = oracle_heights(spec, N, samples, seed, trace)
+    for x in range(1, N + 3):
+        got = current(ens, x)
+        assert np.array_equal(got, ref[:, x - 1]), (spec, x)
+    return ens.left, ens.heights.shape[1]
+
+
+def corner_view(state, spec=None):
+    """Height-function samples of a J=1 partial-exclusion state: returns
+    {position: height} with height(x - t/2 - 1) = 2*h_t(x) + 2*(x-1) - t,
+    on the grid x = 1, ..., t+2."""
+    if spec is not None and spec.variant == "jgamma_pep" and spec.J != 1:
+        raise ValueError("corner_view requires J = 1")
+    t = state.time
+    out = {}
+    for x in range(1, t + 3):
+        pos = x - t / 2.0 - 1.0
+        out[pos] = 2 * current(state, x) + 2 * (x - 1) - t
+    return out
+
+
+def corner_view_exact(spec, N, bound=200000):
+    """Exact law of the corner_view height vector after N steps of a J=1
+    partial-exclusion model, as {height tuple on the grid: probability}."""
+    law = exact_law(spec, N, bound=bound)
+    out = {}
+    for cfg, pr in law.support:
+        occ = list(cfg)
+
+        def h(x):
+            return sum(occ[x - 1:]) if x - 1 < len(occ) else 0
+
+        key = tuple(2 * h(x) + 2 * (x - 1) - N for x in range(1, N + 3))
+        out[key] = out.get(key, 0.0) + pr
+    return out
+
+
+def corner_heights_exact(spec, N, positions, bound=200000):
+    """Exact law of the direct corner model restricted to the given
+    positions, as {height tuple: probability}."""
+    law = exact_law(spec, N, bound=bound)
+    out = {}
+    for (heights, left), pr in law.support:
+        st = CornerState(time=N, left=left,
+                         heights=np.array(heights, dtype=np.int64),
+                         rng=None)
+        key = tuple(st.height(p) for p in positions)
+        out[key] = out.get(key, 0.0) + pr
+    return out
 
 
 class TestModelSpec:
@@ -356,12 +408,12 @@ class TestCorner:
                   st.floats(1, 1e6, exclude_min=True))),
         st.integers(0, 60), st.integers(0, 2 ** 20))
     def test_engine_equals_scalar_path(self, spec, N, seed):
-        view, = _ensemble_corner(spec, N, 1, _trajectory_rng(seed, 0))
+        ens = _ensemble_corner(spec, N, 1, _trajectory_rng(seed, 0))
         state = initial_state(spec, rng=_trajectory_rng(seed, 0))
         for _ in range(N):
             state = step(state, spec)
-        assert view.left == state.left
-        assert np.array_equal(view.heights, state.heights)
+        assert ens.left == state.left
+        assert np.array_equal(ens.heights[0], state.heights)
 
     @pytest.mark.parametrize("vectorized", [True, False],
                              ids=["vector", "scalar"])
@@ -476,12 +528,12 @@ class TestEnsembles:
         n = 100000
         law = exact_law(QHAHN, 3)
         counts = {}
-        from dynvertex.models import _ensemble_qhahn
-        views = _ensemble_qhahn(
+        ens = _ensemble_qhahn(
             QHAHN, 3, n, np.random.default_rng(np.random.SeedSequence(99)))
-        for v in views:
-            cfg = tuple(v._hcur(x) - v._hcur(x + 1) for x in range(1, 5))
-            cfg = tuple(int(c) for c in cfg)
+        occ = np.stack([current(ens, x) - current(ens, x + 1)
+                        for x in range(1, 5)], axis=1)
+        for row in occ:
+            cfg = tuple(int(c) for c in row)
             while cfg and cfg[-1] == 0:
                 cfg = cfg[:-1]
             counts[cfg] = counts.get(cfg, 0) + 1
@@ -668,7 +720,7 @@ class TestWindowEngine:
             # move.
             los = [1] + [lo_t for lo_t, _ in trace[:-1]]
             assert max(t - lo_t + 1 for t, lo_t in enumerate(los)) >= grow + 8
-            # The right end passed 8 + _WINDOW_GROW, so the views reach
+            # The right end passed 8 + _WINDOW_GROW, so the heights reach
             # the window's second extent.
             assert lo + width - 1 >= 8 + 2 * grow
         # lo never advances by two sites in one step: a site left not full
@@ -699,10 +751,10 @@ class ScriptedBits:
 
 def bit_engine_configs(spec, N, samples, seed):
     """{occupancy tuple, trailing zeros dropped: count} over the final
-    views of the exclusion-process engine."""
-    views = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
-    lo = views[0].lo
-    band = np.stack([v._heights for v in views])  # h at sites lo, lo+1, ...
+    heights of the exclusion-process engine."""
+    ens = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
+    lo = ens.left
+    band = ens.heights  # h at sites lo, lo+1, ...
     h = np.zeros((samples, N + 3), dtype=np.int64)
     for x in range(1, N + 3):
         if x <= lo:
@@ -785,10 +837,9 @@ class TestBitSlicedEngine:
     def test_padding_lanes(self, samples):
         spec = ModelSpec.asym_pep(0.25, 0.0)
         assert_engine_matches_oracle(spec, 40, samples, 3)
-        views = _ensemble_pep(spec, 40, samples, _trajectory_rng(3, 0))
-        assert len(views) == samples
-        assert all(current(v, 1) == 40 and current(v, 42) == 0
-                   for v in views)
+        ens = _ensemble_pep(spec, 40, samples, _trajectory_rng(3, 0))
+        assert len(ens.heights) == samples
+        assert (current(ens, 1) == 40).all() and (current(ens, 42) == 0).all()
 
     @settings(max_examples=20)
     @given(st.floats(0.02, 0.98), st.integers(1, 3), st.integers(0, 2 ** 20))
@@ -843,6 +894,105 @@ class TestKappaBookkeeping:
         gen = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,), S=(S_IM,),
                                 J=(1,))
         assert kappa_audit(gen, 5, seed=1) > 8
+
+
+GENERAL = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,), S=(S_IM,),
+                            J=(1,))
+
+
+class TestEnsembleContract:
+    @pytest.mark.parametrize("vectorized", [True, False],
+                             ids=["vector", "scalar"])
+    @pytest.mark.parametrize("spec", [
+        JG, ModelSpec.jgamma_pep(J=2, gamma=7.0), ASYM,
+        ModelSpec.asym_pep(0.25, 0.0), QHAHN, GENERAL, ModelSpec.corner(0.3),
+        ModelSpec.corner_dyn(3.0)],
+        ids=["jgamma", "jgamma-J2", "asym", "asym-d0", "qhahn", "general",
+             "corner", "corner_dyn"])
+    def test_observables_run_once_on_int64_heights(self, spec, vectorized):
+        # At N = 4 the corner lattice holds the integers; site 40 and
+        # position -40 lie outside every stored window.
+        seen = []
+        obs = [lambda ens, k=k: seen.append((k, ens)) or 0.0 for k in (0, 1)]
+        run_ensemble(spec, 4, 7, 1, obs, vectorized=vectorized)
+        assert [k for k, _ in seen] == [0, 1]
+        ens = seen[0][1]
+        assert seen[1][1] is ens
+        got = [current(ens, x) for x in (1, 2, 3, 40)]
+        got += [ens.height(x) for x in (1, 2, 3, 40)]
+        if spec.is_corner:
+            got.append(ens.height(-40.0))
+        for h in got:
+            assert h.dtype == np.int64 and h.shape == (7,)
+
+    def test_squares_do_not_wrap(self):
+        # The engine stores int16 here, and h(1) = 400 squares past it.
+        spec, N, samples, seed = ModelSpec.jgamma_pep(1, 1e12), 400, 20, 7
+        ens = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
+        assert ens.heights.dtype == np.int16
+        ref = oracle_heights(spec, N, samples, seed)
+        sites = range(1, N + 3)
+        obs = [lambda ens, x=x: current(ens, x) ** 2 for x in sites]
+        for x, est in zip(sites, run_ensemble(spec, N, samples, seed, obs)):
+            assert est.mean == np.mean((ref[:, x - 1] ** 2).astype(float)), x
+
+
+@st.composite
+def small_models(draw, variant):
+    """A spec of the variant with drawn parameters, a number of steps
+    N <= 3 and the exact law, which raises no weight error at these
+    parameters (they are admissible up to N)."""
+    N = draw(st.integers(1, 3))
+    if variant == "jgamma_pep":
+        J = draw(st.integers(1, 2))
+        spec = ModelSpec.jgamma_pep(J, J + 1 + draw(st.floats(0.01, 50.0)))
+    elif variant == "asym_pep":
+        spec = ModelSpec.asym_pep(
+            draw(st.floats(0.01, 0.99)),
+            draw(st.one_of(st.just(0.0), st.floats(-1e3, 0.0))))
+    elif variant == "qhahn":
+        q, J = draw(st.floats(0.05, 0.95)), draw(st.integers(1, 2))
+        spec = ModelSpec.qhahn(q, draw(st.floats(-1.0, 0.0)),
+                               B=(draw(st.floats(-3.0, -0.01)),),
+                               C=(q ** J,), J=(J,))
+    elif variant == "corner":
+        spec = ModelSpec.corner(draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                               st.floats(0, 1))))
+    else:
+        spec = ModelSpec.corner_dyn(draw(st.floats(1, 1e6, exclude_min=True)))
+    try:
+        law = exact_law(spec, N)
+    except InadmissibleWeights:
+        reject()
+    return spec, N, law
+
+
+class TestLawsAgree:
+    @pytest.mark.parametrize("variant", [
+        "jgamma_pep", "asym_pep", "qhahn", "corner", "corner_dyn"])
+    @settings(max_examples=12)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 20))
+    def test_scalar_vector_and_exact_means(self, variant, data, seed):
+        # The mean height at every stored site or position, on both paths,
+        # lies within 5 sigma of the exact mean, sigma from the exact
+        # variance (so a branch too rare to be sampled is no failure).
+        spec, N, law = data.draw(small_models(variant))
+        if spec.is_corner:
+            (heights, left), _ = law.support[0]
+            sites = [left + j for j in range(len(heights))]
+
+            def h(cfg, x):
+                return cfg[0][round(x - left)]
+        else:
+            sites, h = range(1, N + 3), h_tail
+        obs = [lambda ens, x=x: ens.height(x) for x in sites]
+        for vectorized, n in ((True, 4000), (False, 400)):
+            ests = run_ensemble(spec, N, n, seed, obs, vectorized=vectorized)
+            for x, est in zip(sites, ests):
+                mean = law.mean(lambda cfg: h(cfg, x))
+                var = law.mean(lambda cfg: (h(cfg, x) - mean) ** 2)
+                assert (abs(est.mean - mean)
+                        <= 5 * math.sqrt(var / n) + 1e-9), (vectorized, x)
 
 
 @st.composite
