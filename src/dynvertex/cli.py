@@ -17,10 +17,6 @@ Reports are JSON documents whose body is a deterministic function of the
 resolved configuration and seed; the "timing" field (wall clock and
 timestamp) is the only part excluded from reproducibility comparisons.
 CSV column layouts are documented in each subcommand's --help text.
-
-The env var DYNVERTEX_THREADS caps the thread count of numerical
-backends; --deterministic forces the single-threaded policy.  All
-samplers are deterministic given the seed under either policy.
 """
 
 import argparse
@@ -28,7 +24,6 @@ import csv
 import datetime
 import json
 import math
-import os
 import sys
 import time
 
@@ -94,31 +89,6 @@ def _jsonable(obj):
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
     return str(obj)
-
-
-def _thread_policy(deterministic):
-    if deterministic:
-        return {"policy": "deterministic-single", "threads": 1}
-    env = os.environ.get("DYNVERTEX_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise _ConfigError("DYNVERTEX_THREADS must be an integer, got %r"
-                               % env)
-        if n < 1:
-            raise _ConfigError("DYNVERTEX_THREADS must be >= 1")
-    else:
-        n = None
-    return {"policy": "parallel", "threads": n}
-
-
-def _apply_thread_policy(policy):
-    n = policy["threads"]
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
 
 
 def _finish(report, args, t0):
@@ -748,8 +718,6 @@ def _add_common(sub):
                      help="base seed (default 0)")
     sub.add_argument("--out", help="write the JSON report here "
                      "(default: stdout)")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="force the single-threaded policy")
 
 
 def _build_parser():
@@ -874,8 +842,6 @@ def dispatch(argv=None):
         return int(exc.code or 0)
     t0 = time.monotonic()
     try:
-        policy = _thread_policy(args.deterministic)
-        _apply_thread_policy(policy)
         report = args.handler(args)
     except _ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -884,7 +850,6 @@ def dispatch(argv=None):
         print("check failed: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return 1
-    report["config"]["thread_policy"] = policy
     return _finish(report, args, t0)
 
 

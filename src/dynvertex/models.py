@@ -3,9 +3,8 @@ exact small-system distribution oracle.
 
 Particle systems live on sites 1, 2, 3, ... with step boundary data: at time
 t one packet of J_y arrows enters at the left of row y = t+1.  A scalar
-trajectory stores its occupancy densely over [1, t+1] (support cannot
-outrun the step data); the exclusion-process band engine stores the
-height function instead.
+trajectory (`step`) stores its occupancy; every ensemble engine stores the
+height function, one row per site and one column per trajectory.
 
 Every particle system follows one local rule.  A time step sweeps its row
 left to right, and at each site x one per-vertex kernel per variant,
@@ -32,21 +31,22 @@ directly, through the same pick-driven sweep over its segments: sloped
 segments midpoint deterministically and flat segments flip a (possibly
 height-dependent) coin.
 
-Large ensembles run on vectorized engines that advance all trajectories in
-lockstep.  One band engine serves both exclusion processes (asym_pep is
-its J = 1 case).  Its state is the height function h(x) over the occupied
-band, one row per site and one column per trajectory; the packed prefix
-and the empty suffix of the system evolve deterministically and are
+Ensembles run on one vectorized engine per variant, which advances all
+trajectories in lockstep.  The row engine serves both row-update models
+(qhahn is the u = s point of general): it sweeps each row as `step` does,
+site by site, and draws the trajectories at a site from one inverse-CDF
+table per kernel memo key.  One band engine serves both exclusion
+processes (asym_pep is its J = 1 case).  It stores the occupied band; the
+packed prefix and the empty suffix evolve deterministically and are
 tracked in closed form.  A step moves the height in place by the bond
 flux, h'(x) = h(x) + X(x-1), and draws every X from one table of the shared
 stay probability per step, since the dynamical parameter depends on
 (x, t, h) only through an integer key.  asym_pep at delta = 0, whose stay
 probability is one constant, runs bit-sliced instead: 64 trajectories per
-uint64 word, two bit planes per site.  The q-Hahn engine groups
-trajectories by (occupancy, height) at each site and draws from the shared
-kernel.  The corner engine keeps the scalar path's lattice and draws one
-coin per flat segment.  Engine integer dtypes are chosen from the largest
-reachable value (occupancy, height or key).
+uint64 word, two bit planes per site.  The corner engine keeps the
+lattice of `step` and draws one coin per flat segment.  Engine integer
+dtypes are chosen from the largest reachable value (occupancy, height or
+key).
 
 Every ensemble ends in one `Ensemble`, the (samples, width) height matrix
 and the numbers that locate it, read as int64 arrays over the samples so
@@ -60,7 +60,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DynVertexError,
     InadmissibleParameters,
     InadmissibleWeights,
     SizeLimit,
@@ -388,11 +387,13 @@ def _kernel(spec, x, t, i1, j1, h):
     """`_kernel_eval`, memoized per spec on exactly what it reads besides
     the spec: (i1, _pep_key(...)) for the exclusion processes (one entry
     for every i1 = 0), (x, t, i1, j1, h) for general and (x, t, i1, h) for
-    qhahn.  The memo is cleared when it holds _KERNEL_MEMO_CAP entries.  A
-    miss evaluates at the calling site and an input that raises is never
-    stored, so every error names the site and row of its own call.  Calls
-    share the returned weights, which must not be modified; a test that
-    monkeypatches a helper of the kernel must build a fresh spec."""
+    qhahn.  `_row_sweep` calls it per vertex, the row engine once per key
+    present at a site.  The memo is cleared when it holds _KERNEL_MEMO_CAP
+    entries.  A miss evaluates at the calling site and an input that
+    raises is never stored, so every error names the site and row of its
+    own call.  Calls share the returned weights, which must not be
+    modified; a test that monkeypatches a helper of the kernel must build
+    a fresh spec."""
     variant = spec.variant
     if variant in _PEP:
         key = (i1, _pep_key(spec, x, t, h)) if i1 else 0
@@ -878,45 +879,61 @@ def _ensemble_pep(spec, N, samples, rng):
     return _band_ensemble(N, J, lo, h)
 
 
-def _ensemble_qhahn(spec, N, samples, rng):
-    """Vectorized q-Hahn engine: per site, trajectories are grouped by
-    (occupancy, height) and share one exact inverse-CDF table."""
+def _ensemble_rows(spec, N, samples, rng):
+    """Engine for qhahn and general; row x - 1 of h holds h(x).  Row t + 1
+    sweeps x = 1, 2, ... as `_row_sweep` does: a sample calls the kernel
+    while h(x) > 0 or its incoming arrows j1 > 0, with the memo key (i1, h)
+    (qhahn) or (i1, j1, h) (general), i1 = h(x) - h(x+1).  One uniform u
+    per sample and site gives j2 = the number of its key's cumulative
+    weights, all but the last, that are <= u (the comparisons of
+    `_sample_index`); then h(x) += j1 and j1 = j2.  The buffer grows when
+    a general arrow slides past it, and a sample more than _SWEEP_CAP sites
+    past its support raises SizeLimit."""
+    general = spec.variant == "general"
     dtype = _int_dtype(sum(spec.row_degree(y) for y in range(1, N + 1)))
-    occ = np.zeros((samples, N + 2), dtype=dtype)
-    total = 0
+    h = np.zeros((N + 2, samples), dtype=dtype)
     for t in range(N):
-        y = t + 1
-        j_in = np.full(samples, spec.row_degree(y), dtype=dtype)
-        pre = occ.copy()
-        suf = pre[:, ::-1].cumsum(axis=1)[:, ::-1]
-        for x in range(1, t + 3):
-            i1 = pre[:, x - 1].astype(np.int64)
-            h = suf[:, x - 1].astype(np.int64)
-            if not h.any() and not j_in.any():
+        Jy = spec.row_degree(t + 1)
+        jw = Jy + 1 if general else 1  # the j1 digit of the key
+        reach = np.maximum((h > 0).sum(axis=0), 1) + _SWEEP_CAP
+        j1 = np.full(samples, Jy, dtype=dtype)
+        x = 0
+        while True:
+            x += 1
+            if x == len(h):  # a slide needs the next row
+                h = np.concatenate([h, np.zeros_like(h)])
+            hx = h[x - 1]
+            active = (hx > 0) | (j1 > 0)
+            if not active.any():
                 break
-            key = i1 * (total + 1) + h
+            if (active & (x > reach)).any():
+                raise SizeLimit("horizontal propagation exceeded the cap")
+            lo = int(hx.min())
+            span = int(hx.max()) - lo + 1
+            key = (hx - h[x]).astype(np.intp) * span + (hx - lo)
+            if general:
+                key = key * jw + j1
+            key = np.where(active, key + 1, 0)  # 0: no kernel call, j2 = 0
             u = rng.random(samples)
+            present = np.flatnonzero(np.bincount(key)[1:])
+            cdfs = []
+            for k in present.tolist():
+                (i1, d), j = divmod(k // jw, span), k % jw
+                cdfs.append(np.cumsum(_kernel(spec, x, t, i1, j, lo + d)[1]))
+            table = np.full((max(map(len, cdfs)) - 1, present[-1] + 2), np.inf)
+            for k, cdf in zip(present, cdfs):
+                table[:len(cdf) - 1, k + 1] = cdf[:-1]
             j2 = np.zeros(samples, dtype=dtype)
-            for kv in np.unique(key):
-                mask = key == kv
-                ik, hk = divmod(int(kv), total + 1)
-                if ik == 0:
-                    continue
-                _, w, _ = _kernel(spec, x, t, ik, 0, hk)
-                cdf = np.cumsum(w)
-                j2[mask] = np.searchsorted(
-                    cdf, u[mask], side="right").clip(0, ik)
-            occ[:, x - 1] = i1 + j_in - j2
-            j_in = j2
-        if j_in.any():
-            raise SizeLimit("horizontal propagation past the support")
-        total += spec.row_degree(y)
-    return Ensemble(N, 1, occ[:, ::-1].cumsum(axis=1)[:, ::-1])
+            for row in table:  # the kernel's values are 0, 1, ...
+                j2 += row[key] <= u
+            hx += j1
+            j1 = j2
+    return Ensemble(N, 1, h.T)
 
 
 def _ensemble_corner(spec, N, samples, rng):
     """Vectorized engine for both corner-growth variants, on the lattice of
-    the scalar path: row i of the state holds the height at left + i for
+    `step`: row i of the state holds the height at left + i for
     every sample (column).  Each step extends the window by one wedge
     value on each side and moves left by -1/2, as `_corner_sweep` does;
     sloped segments take the midpoint.  One uniform is drawn per flat
@@ -957,58 +974,40 @@ def _ensemble_corner(spec, N, samples, rng):
     return Ensemble(N, left, h.T, corner=True)
 
 
-_VECTOR_ENGINES = {
+_ENGINES = {
+    "general": _ensemble_rows,
+    "qhahn": _ensemble_rows,
     "jgamma_pep": _ensemble_pep,
     "asym_pep": _ensemble_pep,
-    "qhahn": _ensemble_qhahn,
     "corner": _ensemble_corner,
     "corner_dyn": _ensemble_corner,
 }
 
 
-def run_ensemble(spec, N, samples, base_seed, observables,
-                 vectorized=None):
+def run_ensemble(spec, N, samples, base_seed, observables):
     """Independent trajectories; one MCEstimate per observable.
 
-    Each observable is called once, with the final Ensemble, and returns
-    one value per sample or one scalar for all: `current(ens, x)` (particle
-    systems) and `ens.height(x)` (corner positions) give int64 arrays.
-    Three engines advance all trajectories in lockstep from one generator
-    split off (base_seed, 0): the exclusion-process engine (jgamma_pep,
-    asym_pep), which steps only the occupied band and draws a uniform only
-    for the sites with 0 < eta < J+1, site by site, or, for asym_pep at
-    delta = 0, exact Bernoulli bits 64 trajectories to a word; the q-Hahn
-    engine; and the corner engine (corner, corner_dyn), which equals the
-    scalar path at samples = 1.  The scalar path runs `general` (and any
-    variant when vectorized=False) and gives each trajectory its own split
-    (base_seed, index).  All are deterministic given base_seed.  A package
-    error raised on the scalar path carries the index of its trajectory as
-    `.trajectory` and in its message.
+    The variant's engine advances all trajectories in lockstep from one
+    generator split off (base_seed, 0), so the result is deterministic
+    given base_seed: the row engine (qhahn, general) draws one uniform per
+    sample and site, the band engine (jgamma_pep, asym_pep) one per site
+    with 0 < eta < J+1 or, at asym_pep delta = 0, exact Bernoulli bits 64
+    trajectories to a word, and the corner engine (corner, corner_dyn) one
+    per flat segment.  Each observable is called once, with the final
+    Ensemble, and returns one value per sample or one scalar for all:
+    `current(ens, x)` and `ens.height(x)` give int64 arrays.
     """
     N, samples = int(N), int(samples)
     if samples < 1:
         raise ValueError("need at least one sample")
-    if spec.variant in _VECTOR_ENGINES and (vectorized is None or vectorized):
-        ens = _VECTOR_ENGINES[spec.variant](spec, N, samples,
-                                            _trajectory_rng(base_seed, 0))
-    else:
-        rows = []
-        for i in range(samples):
-            state = initial_state(spec, rng=_trajectory_rng(base_seed, i))
-            try:
-                for _ in range(N):
-                    state = step(state, spec)
-            except DynVertexError as exc:
-                exc.trajectory = i
-                exc.args = ("trajectory %d: %s" % (i, exc),)
-                raise
-            rows.append(state.heights if spec.is_corner
-                        else state.occupancy[::-1].cumsum()[::-1])
-        heights = np.zeros((samples, max(map(len, rows))), dtype=np.int64)
-        for row, final in zip(heights, rows):
-            row[:len(final)] = final
-        ens = Ensemble(N, state.left if spec.is_corner else 1, heights,
-                       corner=spec.is_corner)
+    ens = _ENGINES[spec.variant](spec, N, samples,
+                                 _trajectory_rng(base_seed, 0))
+    return _estimates(ens, base_seed, observables)
+
+
+def _estimates(ens, base_seed, observables):
+    """One MCEstimate per observable, each called once with `ens`."""
+    samples = len(ens.heights)
     out = []
     for obs in observables:
         vals = np.full(samples, obs(ens), dtype=float)

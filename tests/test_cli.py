@@ -69,12 +69,6 @@ class TestUsageErrors:
         assert code == 2
         capsys.readouterr()
 
-    def test_invalid_thread_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DYNVERTEX_THREADS", "lots")
-        code, _ = run(tmp_path, "check-weights", "--family", "phi")
-        assert code == 2
-        capsys.readouterr()
-
 
 class TestSpecfun:
     def test_identities_pass(self, tmp_path):
@@ -347,13 +341,11 @@ class TestAsymptotics:
 class TestReportShape:
     def test_embeds_config_version_seed(self, tmp_path):
         code, rep = run(tmp_path, "check-weights", "--family", "phi",
-                        "--seed", "9", "--deterministic")
+                        "--seed", "9")
         assert code == 0
         assert rep["seed"] == 9
         assert rep["version"]
         assert rep["config"]["family"] == "phi"
-        assert rep["config"]["thread_policy"]["policy"] == \
-            "deterministic-single"
         assert "wall_clock_seconds" in rep["timing"]
 
     def test_stdout_when_no_out(self, capsys):
@@ -366,12 +358,11 @@ class TestReportShape:
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ["verify-identity", "--form", "qhahn", "--x", "2", "1", "--N", "3",
-         "--b", "-0.05", "--samples", "1000", "--seed", "5",
-         "--deterministic"],
-        ["specfun", "--grid-size", "10", "--seed", "7", "--deterministic"],
+         "--b", "-0.05", "--samples", "1000", "--seed", "5"],
+        ["specfun", "--grid-size", "10", "--seed", "7"],
         ["asymptotics", "--experiment", "gamma",
          "--config", '{"T": 50, "samples": 100, "m_list": [1]}',
-         "--seed", "4", "--deterministic"],
+         "--seed", "4"],
     ])
     def test_reports_identical_modulo_timing(self, tmp_path, argv):
         texts = []

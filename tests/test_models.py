@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+import prior_models as prior
 from dynvertex import models
 from dynvertex.errors import (
     DynVertexError,
@@ -17,10 +18,11 @@ from dynvertex.errors import (
 )
 from dynvertex.models import (
     CornerState,
+    Ensemble,
     ModelSpec,
     _ensemble_corner,
     _ensemble_pep,
-    _ensemble_qhahn,
+    _ensemble_rows,
     _trajectory_rng,
     current,
     exact_law,
@@ -36,6 +38,8 @@ B0 = -0.3  # s^2 for the stochastic regime (s imaginary)
 S_IM = 1j * math.sqrt(-B0)
 
 QHAHN = ModelSpec.qhahn(Q, DELTA, B=(B0,), C=(Q,), J=(1,))
+GENERAL = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,), S=(S_IM,),
+                            J=(1,))
 JG = ModelSpec.jgamma_pep(J=1, gamma=10.0)
 ASYM = ModelSpec.asym_pep(0.25, -0.5)
 # Both exclusion processes, at delta = 0 and delta < 0 and at J = 1 and 2.
@@ -223,6 +227,30 @@ def kappa_audit(spec, N, seed=0):
     return checked
 
 
+def run_scalar(spec, N, samples, seed, observables):
+    """run_ensemble on `step`: trajectory i runs from _trajectory_rng(seed,
+    i), and the final states are stacked into one Ensemble (suffix sums
+    padded with zeros, corner heights on their common lattice)."""
+    rows = []
+    for i in range(samples):
+        state = initial_state(spec, rng=_trajectory_rng(seed, i))
+        for _ in range(N):
+            state = step(state, spec)
+        rows.append(state.heights if spec.is_corner
+                    else state.occupancy[::-1].cumsum()[::-1])
+    heights = np.zeros((samples, max(map(len, rows))), dtype=np.int64)
+    for row, final in zip(heights, rows):
+        row[:len(final)] = final
+    ens = Ensemble(N, state.left if spec.is_corner else 1, heights,
+                   corner=spec.is_corner)
+    return models._estimates(ens, seed, observables)
+
+
+def sampler(vectorized):
+    """The engine of run_ensemble, or `step` through run_scalar."""
+    return run_ensemble if vectorized else run_scalar
+
+
 def oracle_heights(spec, N, samples, seed, trace=None):
     """The oracle's int64 heights (bitplane_pep for asym_pep at delta = 0,
     else suffix_cumsum_pep) from the engine's generator: column x - 1
@@ -395,7 +423,7 @@ class TestCorner:
         positions = [p - 3.5 for p in range(8)]  # the N = 3 lattice
         law = corner_heights_exact(spec, 3, positions)
         obs = [lambda st, p=p: st.height(p) for p in positions]
-        ests = run_ensemble(spec, 3, n, 57, obs, vectorized=vectorized)
+        ests = sampler(vectorized)(spec, 3, n, 57, obs)
         for i, got in enumerate(ests):
             exact = sum(pr * key[i] for key, pr in law.items())
             assert abs(got.mean - exact) < 4 * got.stderr + 1e-12
@@ -427,8 +455,8 @@ class TestCorner:
                                      real(spec, h)))
         with pytest.raises(InadmissibleWeights,
                            match=r"up-probability 1\.5.* time 2$"):
-            run_ensemble(ModelSpec.corner(1.0), 4, 3, 1, [lambda st: 0.0],
-                         vectorized=vectorized)
+            sampler(vectorized)(ModelSpec.corner(1.0), 4, 3, 1,
+                                [lambda st: 0.0])
 
 
 class TestExactLaw:
@@ -492,8 +520,8 @@ class TestEnsembles:
         a = run_ensemble(QHAHN, 3, 400, 23, obs)[0]
         b = run_ensemble(QHAHN, 3, 400, 23, obs)[0]
         assert a == b
-        c = run_ensemble(JG, 3, 200, 23, obs, vectorized=False)[0]
-        d = run_ensemble(JG, 3, 200, 23, obs, vectorized=False)[0]
+        c = run_scalar(JG, 3, 200, 23, obs)[0]
+        d = run_scalar(JG, 3, 200, 23, obs)[0]
         assert c == d
 
     def test_jgamma_mean_within_4_sigma(self):
@@ -506,15 +534,15 @@ class TestEnsembles:
     @pytest.mark.parametrize("vectorized", [True, False],
                              ids=["vector", "scalar"])
     @pytest.mark.parametrize("spec", [
-        QHAHN, JG, ASYM, ModelSpec.jgamma_pep(J=2, gamma=7.0),
+        QHAHN, GENERAL, JG, ASYM, ModelSpec.jgamma_pep(J=2, gamma=7.0),
         ModelSpec.asym_pep(0.25, 0.0)],
-        ids=["qhahn", "jgamma", "asym", "jgamma-J2", "asym-d0"])
+        ids=["qhahn", "general", "jgamma", "asym", "jgamma-J2", "asym-d0"])
     def test_frequencies_match_exact_law(self, spec, vectorized):
         n = 100000 if vectorized else 4000
         law = exact_law(spec, 3)
         # Joint law of the height vector determines the configuration.
         obs = [lambda st, x=x: current(st, x) for x in range(1, 5)]
-        ests = run_ensemble(spec, 3, n, 57, obs, vectorized=vectorized)
+        ests = sampler(vectorized)(spec, 3, n, 57, obs)
         for x in range(1, 5):
             exact = law.mean(lambda cfg, x=x: h_tail(cfg, x))
             got = ests[x - 1]
@@ -528,7 +556,7 @@ class TestEnsembles:
         n = 100000
         law = exact_law(QHAHN, 3)
         counts = {}
-        ens = _ensemble_qhahn(
+        ens = _ensemble_rows(
             QHAHN, 3, n, np.random.default_rng(np.random.SeedSequence(99)))
         occ = np.stack([current(ens, x) - current(ens, x + 1)
                         for x in range(1, 5)], axis=1)
@@ -549,34 +577,25 @@ class TestEnsembles:
         spec = ModelSpec.jgamma_pep(J=40000, gamma=1e6)
         obs = [lambda st, x=x: current(st, x) for x in (1, 2, 3)]
         for vectorized in (True, False):
-            h1, h2, h3 = run_ensemble(spec, 2, 10, 1, obs,
-                                      vectorized=vectorized)
+            h1, h2, h3 = sampler(vectorized)(spec, 2, 10, 1, obs)
             assert (h1.mean, h3.mean) == (80000, 0)
             assert 39999 <= h2.mean <= 40000
 
-    def test_scalar_error_carries_trajectory(self):
-        # The test parameters of general reach a negative weight at row 8.
-        gen = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,),
-                                S=(S_IM,), J=(1,))
-        with pytest.raises(InadmissibleWeights) as info:
-            run_ensemble(gen, 8, 20, 1, [lambda st: current(st, 1)])
-        i = info.value.trajectory
-        assert isinstance(i, int) and 0 <= i < 20
-        assert str(info.value).startswith("trajectory %d: negative" % i)
+    def test_general_error_names_site_and_row(self):
+        # The test parameters of general reach a negative weight by row 8;
+        # the kernel's message names the vertex of the engine's call.
+        with pytest.raises(InadmissibleWeights, match=r"^negative weight "
+                           r"-\S+ at site \d+, row \d+ \(general\)$"):
+            run_ensemble(GENERAL, 8, 20, 1, [lambda st: current(st, 1)])
 
-    def test_other_errors_propagate_untouched(self, monkeypatch):
-        class TwoArgs(Exception):
-            def __init__(self, a, b):
-                super().__init__(a, b)
-
-        def fail(state, spec):
-            raise TwoArgs(1, 2)
-
-        monkeypatch.setattr(models, "step", fail)
-        with pytest.raises(TwoArgs) as info:
-            run_ensemble(JG, 2, 3, 1, [lambda st: 0.0], vectorized=False)
-        assert info.value.args == (1, 2)
-        assert not hasattr(info.value, "trajectory")
+    def test_sweep_cap_raises_size_limit(self, monkeypatch):
+        # With one site of slack past the support, arrows that slide
+        # further stop the engine as they stop the exact law.
+        monkeypatch.setattr(models, "_SWEEP_CAP", 1)
+        with pytest.raises(SizeLimit, match="exceeded the cap"):
+            exact_law(GENERAL, 3)
+        with pytest.raises(SizeLimit, match="exceeded the cap"):
+            run_ensemble(GENERAL, 3, 2000, 1, [])
 
     def test_vector_error_names_time_and_site(self):
         # gamma below J+1 (bypassing the constructor): at time 1 site 1
@@ -896,10 +915,6 @@ class TestKappaBookkeeping:
         assert kappa_audit(gen, 5, seed=1) > 8
 
 
-GENERAL = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,), S=(S_IM,),
-                            J=(1,))
-
-
 class TestEnsembleContract:
     @pytest.mark.parametrize("vectorized", [True, False],
                              ids=["vector", "scalar"])
@@ -914,7 +929,7 @@ class TestEnsembleContract:
         # position -40 lie outside every stored window.
         seen = []
         obs = [lambda ens, k=k: seen.append((k, ens)) or 0.0 for k in (0, 1)]
-        run_ensemble(spec, 4, 7, 1, obs, vectorized=vectorized)
+        sampler(vectorized)(spec, 4, 7, 1, obs)
         assert [k for k, _ in seen] == [0, 1]
         ens = seen[0][1]
         assert seen[1][1] is ens
@@ -937,6 +952,41 @@ class TestEnsembleContract:
             assert est.mean == np.mean((ref[:, x - 1] ** 2).astype(float)), x
 
 
+# The general model on a grid of its test parameters.
+general_specs = st.builds(
+    lambda q, delta, U, J: ModelSpec.general(q, delta, U=(U,), Xi=(S_IM,),
+                                             S=(S_IM,), J=(J,)),
+    st.sampled_from([0.3, 0.4]), st.sampled_from([-0.2, -0.5]),
+    st.sampled_from([1.0, 1.05]), st.integers(1, 2))
+
+
+class TestRowEngine:
+    @pytest.mark.parametrize("spec, N, samples, seed", [
+        (QHAHN, 0, 5, 0), (QHAHN, 1, 10, 2), (QHAHN, 3, 1000, 1),
+        (QHAHN, 5, 100000, 7),
+        (ModelSpec.qhahn(Q, DELTA, B=(B0, 2 * B0), C=(Q, Q * Q), J=(1, 2)),
+         4, 20000, 3)],
+        ids=["N0", "N1", "N3", "N5-1e5", "J12-N4"])
+    def test_qhahn_equals_prior_engine(self, spec, N, samples, seed):
+        # The q-Hahn stream and heights of the engine before the row
+        # engine, value for value.
+        ens = _ensemble_rows(spec, N, samples, _trajectory_rng(seed, 0))
+        ref = prior.ensemble_qhahn(spec, N, samples, _trajectory_rng(seed, 0))
+        assert (ens.time, ens.left) == (ref.time, ref.left)
+        assert np.array_equal(ens.heights, ref.heights)
+
+    def test_qhahn_error_equals_prior_engine(self):
+        # At N = 5 the two-row parameters meet a negative weight.
+        spec = ModelSpec.qhahn(Q, DELTA, B=(B0, 2 * B0), C=(Q, Q * Q),
+                               J=(1, 2))
+        errors = []
+        for engine in (_ensemble_rows, prior.ensemble_qhahn):
+            with pytest.raises(InadmissibleWeights) as info:
+                engine(spec, 5, 2000, _trajectory_rng(11, 0))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
 @st.composite
 def small_models(draw, variant):
     """A spec of the variant with drawn parameters, a number of steps
@@ -950,6 +1000,8 @@ def small_models(draw, variant):
         spec = ModelSpec.asym_pep(
             draw(st.floats(0.01, 0.99)),
             draw(st.one_of(st.just(0.0), st.floats(-1e3, 0.0))))
+    elif variant == "general":
+        spec = draw(general_specs)
     elif variant == "qhahn":
         q, J = draw(st.floats(0.05, 0.95)), draw(st.integers(1, 2))
         spec = ModelSpec.qhahn(q, draw(st.floats(-1.0, 0.0)),
@@ -969,7 +1021,7 @@ def small_models(draw, variant):
 
 class TestLawsAgree:
     @pytest.mark.parametrize("variant", [
-        "jgamma_pep", "asym_pep", "qhahn", "corner", "corner_dyn"])
+        "jgamma_pep", "asym_pep", "qhahn", "general", "corner", "corner_dyn"])
     @settings(max_examples=12)
     @given(data=st.data(), seed=st.integers(0, 2 ** 20))
     def test_scalar_vector_and_exact_means(self, variant, data, seed):
@@ -987,7 +1039,7 @@ class TestLawsAgree:
             sites, h = range(1, N + 3), h_tail
         obs = [lambda ens, x=x: ens.height(x) for x in sites]
         for vectorized, n in ((True, 4000), (False, 400)):
-            ests = run_ensemble(spec, N, n, seed, obs, vectorized=vectorized)
+            ests = sampler(vectorized)(spec, N, n, seed, obs)
             for x, est in zip(sites, ests):
                 mean = law.mean(lambda cfg: h(cfg, x))
                 var = law.mean(lambda cfg: (h(cfg, x) - mean) ** 2)
@@ -1009,11 +1061,7 @@ def kernel_draws(draw):
                                B=(draw(st.sampled_from([-0.3, -0.5])),),
                                C=(q ** J,), J=(J,))
     elif variant == "general":
-        spec = ModelSpec.general(draw(st.sampled_from([0.3, 0.4])),
-                                 draw(st.sampled_from([-0.2, -0.5])),
-                                 U=(draw(st.sampled_from([1.0, 1.05])),),
-                                 Xi=(S_IM,), S=(S_IM,),
-                                 J=(draw(st.integers(1, 2)),))
+        spec = draw(general_specs)
     elif variant == "jgamma_pep":
         J = draw(st.integers(1, 3))
         spec = ModelSpec.jgamma_pep(J, J + 1 + draw(st.floats(0.1, 30.0)))
@@ -1067,11 +1115,11 @@ class TestKernelMemo:
         ids=["qhahn", "jgamma-J1", "asym", "jgamma-J2", "general"])
     def test_engines_equal_unmemoized(self, monkeypatch, spec, N):
         obs = [lambda st: current(st, 1), lambda st: current(st, 2)]
-        memo = (exact_law(spec, N).support,
-                run_ensemble(spec, N, 50, 5, obs, vectorized=False))
+        memo = (exact_law(spec, N).support, run_scalar(spec, N, 50, 5, obs),
+                run_ensemble(spec, N, 50, 5, obs))
         monkeypatch.setattr(models, "_kernel", models._kernel_eval)
-        plain = (exact_law(spec, N).support,
-                 run_ensemble(spec, N, 50, 5, obs, vectorized=False))
+        plain = (exact_law(spec, N).support, run_scalar(spec, N, 50, 5, obs),
+                 run_ensemble(spec, N, 50, 5, obs))
         assert memo == plain
 
     def test_memo_stays_within_its_bound(self, monkeypatch):
