@@ -12,7 +12,9 @@ ensemble statistics against the closed forms; they gate regressions with
 finite-size tolerances rather than proving limits.
 """
 
+import inspect
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,40 +116,12 @@ def lln_shapes(q, which, point):
     raise ValueError("which must be one of 'm', 'f', 'M', 'F'")
 
 
-@dataclass(frozen=True)
-class AsymptoticShape:
-    """Bundle of the limit evaluators for one parameter choice."""
-
-    J: int = 1
-    q: float = 0.25
-    gamma: float = math.inf
-
-    def heat(self, s, r):
-        return heat_profile(s, r, self.J)
-
-    def m(self, eta):
-        return lln_shapes(self.q, "m", eta)
-
-    def f(self, eta):
-        return lln_shapes(self.q, "f", eta)
-
-    def M(self, s):
-        return lln_shapes(self.q, "M", s)
-
-    def F(self, s):
-        return lln_shapes(self.q, "F", s)
-
-    def gamma_law(self, r):
-        return GammaLaw(a=self.gamma, b=math.sqrt(2.0 * math.pi
-                                                  / (r * self.J)))
-
-
 # ---------------------------------------------------------------------------
 # Experiments
-
-
-def _cfg(config, key, default):
-    return config.get(key, default) if config else default
+#
+# Each experiment takes the seed and then its config as keyword parameters,
+# and returns (report, checks, csv): the gated rows (name, value, residual)
+# and the CSV table (columns, rows).
 
 
 def _mc_summary(est, target):
@@ -183,14 +157,13 @@ def _heat_observable(s, r, J, T):
     return fn, x
 
 
-def _experiment_heat_lln(config, seed):
-    J = int(_cfg(config, "J", 1))
-    r = float(_cfg(config, "r", 1.0))
-    s_raw = _cfg(config, "s", 0.0)
-    multi = isinstance(s_raw, (list, tuple))
-    s_list = [float(s) for s in s_raw] if multi else [float(s_raw)]
-    T = int(_cfg(config, "T", 1600))
-    samples = int(_cfg(config, "samples", 20000))
+def _experiment_heat_lln(seed, /, J=1, r=1.0, s=0.0, T=1600, samples=20000):
+    """The scaled current against heat_profile at each s (a number or a
+    list); the CSV tabulates the profile on s = -2, -1.9, ..., 2 and at each
+    configured s, with the empirical mean where one was measured."""
+    J, r, T, samples = int(J), float(r), int(T), int(samples)
+    multi = isinstance(s, (list, tuple))
+    s_list = [float(v) for v in s] if multi else [float(s)]
     model = ModelSpec.jgamma_pep(J=J, gamma=_NONDYN_GAMMA)
     N = int(math.floor(r * T))
     obs, sites = zip(*(_heat_observable(s, r, J, T) for s in s_list))
@@ -204,7 +177,14 @@ def _experiment_heat_lln(config, seed):
            "points": points}
     if not multi:
         rep.update(points[0])
-    return rep
+    checks = [("scaled_mean_vs_limit_profile"
+               + ("_s%g" % p["s"] if multi else ""), p["mc_mean"],
+               p["rel_error"]) for p in points]
+    means = {round(p["s"], 10): p["mc_mean"] for p in points}
+    grid = {round(float(v), 10) for v in np.arange(-2.0, 2.0 + 1e-9, 0.1)}
+    return rep, checks, (("s", "limit_profile", "empirical_mean"),
+                         [(v, heat_profile(v, r, J), means.get(v, ""))
+                          for v in sorted(grid | set(means))])
 
 
 def _factorial_product(h, m, shift, gamma):
@@ -234,14 +214,20 @@ def _gamma_observables(J, r, s, T, gamma, m_list):
     return x, N, fns
 
 
-def _experiment_dynamic_gamma(config, seed):
-    J = int(_cfg(config, "J", 1))
-    r = float(_cfg(config, "r", 1.0))
-    s = float(_cfg(config, "s", 0.0))
-    T = int(_cfg(config, "T", 10000))
-    gamma = float(_cfg(config, "gamma", 3.0))
-    samples = int(_cfg(config, "samples", 10000))
-    m_list = [int(m) for m in _cfg(config, "m_list", (1, 2))]
+def _moment_table(moments):
+    """The gated rows and the CSV of a factorial-moment table."""
+    return ([("factorial_moment_m%s" % m, d["mc_mean"], d["rel_error"])
+             for m, d in moments.items()],
+            (("m", "mc_mean", "mc_stderr", "target", "rel_error"),
+             [(m, d["mc_mean"], d["mc_stderr"], d["target"], d["rel_error"])
+              for m, d in moments.items()]))
+
+
+def _experiment_dynamic_gamma(seed, /, J=1, r=1.0, s=0.0, T=10000,
+                              gamma=3.0, samples=10000, m_list=(1, 2)):
+    J, r, s, T = int(J), float(r), float(s), int(T)
+    gamma, samples = float(gamma), int(samples)
+    m_list = [int(m) for m in m_list]
     model = ModelSpec.jgamma_pep(J=J, gamma=gamma)
     x, N, obs = _gamma_observables(J, r, s, T, gamma, m_list)
     ests = run_ensemble(model, N, samples, seed, obs)
@@ -262,7 +248,7 @@ def _experiment_dynamic_gamma(config, seed):
             m: (d["mc_mean"] - d["target"]) / d["target"]
             for m, d in rep["moments"].items()},
     }
-    return rep
+    return (rep, *_moment_table(rep["moments"]))
 
 
 def _asym_height_stats(q, T, sites, samples, seed, centers=()):
@@ -291,15 +277,16 @@ def _asym_height_stats(q, T, sites, samples, seed, centers=()):
     return out
 
 
-def _experiment_kpz_exponent(config, seed):
+def _experiment_kpz_exponent(seed, /, q=0.25, eta=0.5,
+                             T_list=(500, 1000, 2000, 4000), samples=4000):
     """Least-squares slope of log std(h_T(eta T)) against log T, over
     independent seeds per T, with the stderr of the slope propagated from
     the delta-method variance of each log std."""
-    q = float(_cfg(config, "q", 0.25))
-    eta = float(_cfg(config, "eta", 0.5))
-    T_list = [int(t) for t in _cfg(config, "T_list",
-                                   (500, 1000, 2000, 4000))]
-    samples = int(_cfg(config, "samples", 4000))
+    q, eta, samples = float(q), float(eta), int(samples)
+    T_list = [int(t) for t in T_list]
+    if len(set(T_list)) < 2:
+        raise ValueError("T_list needs two distinct horizons to fit an "
+                         "exponent; got %s" % T_list)
     points = []
     for i, T in enumerate(T_list):
         x = int(math.floor(eta * T))
@@ -313,18 +300,20 @@ def _experiment_kpz_exponent(config, seed):
     weights = (log_t - log_t.mean()) / ((log_t - log_t.mean()) ** 2).sum()
     var_slope = sum(w * w * p["log_std_stderr"] ** 2
                     for w, p in zip(weights, points))
-    return {"kind": "kpz_exponent", "q": q, "eta": eta,
-            "n_samples": samples, "points": points,
-            "fitted_exponent": float(slope),
-            "fitted_exponent_stderr": math.sqrt(var_slope),
-            "fit_intercept": float(intercept)}
+    rep = {"kind": "kpz_exponent", "q": q, "eta": eta,
+           "n_samples": samples, "points": points,
+           "fitted_exponent": float(slope),
+           "fitted_exponent_stderr": math.sqrt(var_slope),
+           "fit_intercept": float(intercept)}
+    return (rep, [("fluctuation_exponent_vs_one_third", float(slope),
+                   abs(float(slope) - 1.0 / 3.0))],
+            (("T", "std"), [(p["T"], p["std"]) for p in points]))
 
 
-def _experiment_f_collapse(config, seed):
-    q = float(_cfg(config, "q", 0.25))
-    T = int(_cfg(config, "T", 4000))
-    eta_list = [float(e) for e in _cfg(config, "eta_list", (0.4, 0.5, 0.6))]
-    samples = int(_cfg(config, "samples", 4000))
+def _experiment_f_collapse(seed, /, q=0.25, T=4000, eta_list=(0.4, 0.5, 0.6),
+                           samples=4000):
+    q, T, samples = float(q), int(T), int(samples)
+    eta_list = [float(e) for e in eta_list]
     sites = [int(math.floor(e * T)) for e in eta_list]
     statv = _asym_height_stats(q, T, sites, samples, seed)
     scale = T ** (1.0 / 3.0)
@@ -337,23 +326,26 @@ def _experiment_f_collapse(config, seed):
                      "lln_target": lln_shapes(q, "m", eta)})
     norms = [r["normalized_std"] for r in rows]
     spread = (max(norms) - min(norms)) / min(norms)
-    return {"kind": "f_collapse", "q": q, "T": T, "n_samples": samples,
-            "rows": rows, "pairwise_spread": spread}
+    rep = {"kind": "f_collapse", "q": q, "T": T, "n_samples": samples,
+           "rows": rows, "pairwise_spread": spread}
+    return (rep, [("normalized_std_pairwise_spread", None, spread)],
+            (("eta", "site", "mean", "std", "normalized_std"),
+             [(r["eta"], r["site"], r["mean"], r["std"], r["normalized_std"])
+              for r in rows]))
 
 
-def _experiment_corner_quartic(config, seed):
+def _experiment_corner_quartic(seed, /, r=1.0, T=10000, gamma=3.0,
+                               samples=10000, m_list=(1, 2),
+                               chi_samples=200000):
     # J = 1 corner-growth reading of the dynamic Gamma limit: the corner
     # height at the origin is twice the exclusion current at site T/2 + 1,
     # and T^(-1/4) zeta(0) converges to 2 sqrt(chi_{a,b}).
-    r = float(_cfg(config, "r", 1.0))
-    T = int(_cfg(config, "T", 10000))
-    gamma = float(_cfg(config, "gamma", 3.0))
-    samples = int(_cfg(config, "samples", 10000))
-    m_list = [int(m) for m in _cfg(config, "m_list", (1, 2))]
-    chi_samples = int(_cfg(config, "chi_samples", 200000))
-    rep = _experiment_dynamic_gamma(
-        {"J": 1, "r": r, "s": 0.0, "T": T, "gamma": gamma,
-         "samples": samples, "m_list": m_list}, seed)
+    r, T, gamma, samples = float(r), int(T), float(gamma), int(samples)
+    m_list = [int(m) for m in m_list]
+    chi_samples = int(chi_samples)
+    rep, _, _ = _experiment_dynamic_gamma(
+        seed, J=1, r=r, s=0.0, T=T, gamma=gamma, samples=samples,
+        m_list=m_list)
     law = GammaLaw(a=gamma, b=math.sqrt(2.0 * math.pi / r))
     draws = law.sample(chi_samples,
                        np.random.default_rng(
@@ -368,15 +360,15 @@ def _experiment_corner_quartic(config, seed):
         sampler_check[m] = {"sampled": mean, "stderr": stderr,
                             "exact": exact,
                             "sigmas": abs(mean - exact) / stderr}
-    return {"kind": "corner_quartic", "r": r, "T": T, "gamma": gamma,
-            "height_scale": "zeta(0) = 2 * current(T/2 + 1)",
-            "corner_moments": {
-                m: {**rep["moments"][m],
-                    "corner_value": 4.0 ** m * rep["moments"][m]["mc_mean"],
-                    "corner_target": 4.0 ** m
-                    * rep["moments"][m]["target"]}
-                for m in m_list},
-            "gamma_sampler_check": sampler_check}
+    moments = {m: {**rep["moments"][m],
+                   "corner_value": 4.0 ** m * rep["moments"][m]["mc_mean"],
+                   "corner_target": 4.0 ** m * rep["moments"][m]["target"]}
+               for m in m_list}
+    return ({"kind": "corner_quartic", "r": r, "T": T, "gamma": gamma,
+             "height_scale": "zeta(0) = 2 * current(T/2 + 1)",
+             "corner_moments": moments,
+             "gamma_sampler_check": sampler_check},
+            *_moment_table(moments))
 
 
 _EXPERIMENTS = {
@@ -388,9 +380,21 @@ _EXPERIMENTS = {
 }
 
 
+ExperimentRun = namedtuple("ExperimentRun", "report config checks csv")
+
+
 def experiment(kind, config=None, seed=0):
-    """Run one named scaling-limit experiment and return its report."""
+    """Run one named scaling-limit experiment.  config holds the
+    experiment's keyword parameters; an unknown key raises TypeError.
+    Returns an ExperimentRun: the report, the config completed with its
+    defaults, the gated rows (name, value, residual), and the CSV table
+    (columns, rows)."""
     if kind not in _EXPERIMENTS:
         raise ValueError("unknown experiment %r; choose from %s"
                          % (kind, sorted(_EXPERIMENTS)))
-    return _EXPERIMENTS[kind](config or {}, int(seed))
+    fn = _EXPERIMENTS[kind]
+    bound = inspect.signature(fn).bind(int(seed), **(config or {}))
+    bound.apply_defaults()
+    config = dict(bound.arguments)
+    report, checks, csv = fn(config.pop("seed"), **config)
+    return ExperimentRun(report, config, checks, csv)

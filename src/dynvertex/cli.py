@@ -33,7 +33,7 @@ from . import __version__
 from .errors import DynVertexError
 from .models import ModelSpec, current, initial_state, run_ensemble, step
 from .observables import ObservableSpec, identity_check
-from .asymptotics import experiment, heat_profile
+from .asymptotics import experiment
 from .specfun import (
     EllipticContext,
     elliptic_pochhammer,
@@ -85,9 +85,10 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        # strict JSON has no inf or nan; they become "inf", "-inf", "nan"
+        return float(obj) if math.isfinite(obj) else str(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
     return str(obj)
 
 
@@ -100,7 +101,8 @@ def _finish(report, args, t0):
         "timestamp_utc": datetime.datetime.now(
             datetime.timezone.utc).isoformat(),
     }
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    text = json.dumps(_jsonable(report), indent=2, sort_keys=True,
+                      allow_nan=False)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -598,32 +600,10 @@ def _run_verify_identity(args):
         spec = ObservableSpec(model, xs, args.N)
     except (ValueError, DynVertexError) as exc:
         raise _ConfigError("invalid identity parameters: %s" % exc)
-    if not args.tol > 0:
-        raise _ConfigError("--tol must be positive")
-    rep = identity_check(spec, samples=args.samples, seed=args.seed,
-                         tol=args.tol)
-    # The gates are relative: the doubling change is already normalised,
-    # the exact right side's residual is scaled by max(1, |rhs_exact|), and
-    # the exact left side's by min(1, |lhs|) (absolute at lhs = 0).
-    checks = [_record("rhs_quadrature_converged",
-                      rep["rhs_quadrature"],
-                      rep["quadrature_diagnostics"]["doubling_change"],
-                      args.tol)]
-    if rep["rhs_exact"] is not None:
-        checks.append(_record("quadrature_vs_exact_rhs",
-                              rep["rhs_exact"],
-                              rep["residual_quadrature_vs_rhs_exact"],
-                              args.tol))
-    ex = rep["lhs_exact"]
-    if ex is not None:
-        checks.append(_record("exact_expectation_vs_quadrature", ex,
-                              rep["residual_exact_vs_quadrature"]
-                              / (min(1.0, abs(ex)) or 1.0), args.tol))
-    if args.samples > 0:
-        checks.append(_record("mc_expectation_vs_quadrature_sigmas",
-                              rep["lhs_mc"]["mean"],
-                              rep["residual_mc_vs_quadrature_sigmas"],
-                              4.0))
+    if not args.tol > 0 or args.samples < 0:
+        raise _ConfigError("--tol must be positive and --samples >= 0")
+    rep, rows = identity_check(spec, samples=args.samples, seed=args.seed,
+                               tol=args.tol)
     return {"subcommand": "verify-identity",
             "config": {"form": args.form, "x": list(xs), "N": args.N,
                        "q": args.q, "delta": args.delta,
@@ -631,7 +611,7 @@ def _run_verify_identity(args):
                        "gamma": args.gamma, "samples": args.samples,
                        "tol": args.tol},
             "identity": rep,
-            "checks": checks}
+            "checks": [_record(*row) for row in rows]}
 
 
 # ---------------------------------------------------------------------------
@@ -646,67 +626,23 @@ _EXPERIMENT_NAMES = {
 }
 
 
-def _asymptotics_csv(name, rep, cfg, path):
-    if name == "heat":
-        r = float(cfg.get("r", 1.0))
-        J = int(cfg.get("J", 1))
-        rows = []
-        for s in np.arange(-2.0, 2.0 + 1e-9, 0.1):
-            s = round(float(s), 10)
-            emp = rep["mc_mean"] if abs(s - rep["s"]) < 1e-12 else ""
-            rows.append((s, heat_profile(s, r, J), emp))
-        _write_csv(path, ("s", "limit_profile", "empirical_mean"), rows)
-    elif name == "kpz-exponent":
-        _write_csv(path, ("T", "std"),
-                   [(p["T"], p["std"]) for p in rep["points"]])
-    elif name == "f-collapse":
-        _write_csv(path, ("eta", "site", "mean", "std", "normalized_std"),
-                   [(r["eta"], r["site"], r["mean"], r["std"],
-                     r["normalized_std"]) for r in rep["rows"]])
-    else:  # gamma / corner-quartic: factorial-moment table
-        key = "moments" if name == "gamma" else "corner_moments"
-        _write_csv(path, ("m", "mc_mean", "mc_stderr", "target",
-                          "rel_error"),
-                   [(m, d["mc_mean"], d["mc_stderr"], d["target"],
-                     d["rel_error"]) for m, d in rep[key].items()])
-
-
 def _run_asymptotics(args):
     cfg = _load_config(args.config)
-    kind = _EXPERIMENT_NAMES[args.experiment]
     try:
-        rep = experiment(kind, cfg, seed=args.seed)
+        run = experiment(_EXPERIMENT_NAMES[args.experiment], cfg,
+                         seed=args.seed)
     except (ValueError, TypeError) as exc:
         raise _ConfigError("invalid experiment config: %s" % exc)
-    checks = []
-    gate = args.gate
-    if args.experiment == "heat":
-        checks.append(_record("scaled_mean_vs_limit_profile",
-                              rep["mc_mean"], rep["rel_error"], gate,
-                              gated=gate is not None))
-    elif args.experiment in ("gamma", "corner-quartic"):
-        key = "moments" if args.experiment == "gamma" else "corner_moments"
-        for m, d in rep[key].items():
-            checks.append(_record("factorial_moment_m%s" % m, d["mc_mean"],
-                                  d["rel_error"], gate,
-                                  gated=gate is not None))
-    elif args.experiment == "kpz-exponent":
-        dev = abs(rep["fitted_exponent"] - 1.0 / 3.0)
-        checks.append(_record("fluctuation_exponent_vs_one_third",
-                              rep["fitted_exponent"], dev, gate,
-                              gated=gate is not None))
-    else:
-        checks.append(_record("normalized_std_pairwise_spread", None,
-                              rep["pairwise_spread"], gate,
-                              gated=gate is not None))
     if args.csv:
-        _asymptotics_csv(args.experiment, rep, cfg, args.csv)
+        _write_csv(args.csv, *run.csv)
+    gate = args.gate
     return {"subcommand": "asymptotics",
             "config": {"experiment": args.experiment,
-                       "experiment_config": cfg, "gate": gate,
+                       "experiment_config": run.config, "gate": gate,
                        "csv": args.csv},
-            "experiment": rep,
-            "checks": checks}
+            "experiment": run.report,
+            "checks": [_record(*row, gate, gated=gate is not None)
+                       for row in run.checks]}
 
 
 # ---------------------------------------------------------------------------
@@ -817,15 +753,17 @@ def _build_parser():
         "asymptotics", help="scaling-limit experiments",
         description="Runs one experiment and reports observed vs "
         "predicted limits.  --csv layouts: heat -> (s, limit_profile, "
-        "empirical_mean); kpz-exponent -> (T, std); f-collapse -> (eta, "
-        "site, mean, std, normalized_std); gamma/corner-quartic -> (m, "
-        "mc_mean, mc_stderr, target, rel_error).")
+        "empirical_mean) on s = -2, -1.9, ..., 2 and each configured s, "
+        "the mean filled at configured s; kpz-exponent -> (T, std); "
+        "f-collapse -> (eta, site, mean, std, normalized_std); "
+        "gamma/corner-quartic -> (m, mc_mean, mc_stderr, target, "
+        "rel_error).")
     p.add_argument("--experiment", required=True,
                    choices=tuple(_EXPERIMENT_NAMES))
     p.add_argument("--config", help="JSON experiment config, inline or "
                    "@file")
     p.add_argument("--gate", type=float,
-                   help="gate the headline residual at this value")
+                   help="gate each check's residual at this value")
     p.add_argument("--csv", help="write the profile/summary CSV here")
     _add_common(p)
     p.set_defaults(handler=_run_asymptotics)

@@ -42,12 +42,9 @@ from .models import ModelSpec, _cyc, current, exact_law, run_ensemble
 # Frozen index conventions (calibrated against exact enumeration; see the
 # tests).  The multiplicative-form expectation factor j (0-based) reads the
 # current at site x_{j+1} and multiplies prod_{i=1}^{x_{j+1}-1} b_i; the
-# PEP-form factors read the current at x_j + 1 and use the site exponent
-# x_j as below.
-_QHAHN_B_AT_SAME_X = True  # b-product index = current index (x_{j+1})
+# PEP-form factors read the current at x_j + 1 and use (J+1) x_j and the
+# site exponent x_j.
 _PEP_H_SHIFT = 1           # current read at x_j + PEP_H_SHIFT
-_PEP_X_COEFF_SHIFT = 0     # first factor uses (J+1)*(x_j + shift)
-_RHS_PEP_EXPONENT_SHIFT = 0  # ((y-J-1)/y)^(x_j + shift)
 _RHS_PEP_SIGN_PER_VAR = -1   # integral carries (-1)^k from orientation
 
 # Quadrature budget and rounding floor (see rhs_quadrature).
@@ -177,8 +174,7 @@ def _pep_lhs_factors(spec):
         out = 1.0 / norm
         for j in range(k):
             x = spec.x_list[j]
-            out *= ((N * J - (J + 1) * (x + _PEP_X_COEFF_SHIFT) - h[j]
-                     - gamma - j) * (h[j] - j))
+            out *= (N * J - (J + 1) * x - h[j] - gamma - j) * (h[j] - j)
         return out
 
     return fn
@@ -369,8 +365,7 @@ def _rhs_single(spec, j, z):
             out = out * (1.0 - _cyc(m.C, i) * z) / (1.0 - z)
         return out
     J = int(m.J)
-    return (((z - J - 1.0) / z) ** (x + _RHS_PEP_EXPONENT_SHIFT)
-            * ((z - 1.0) / (z - J - 1.0)) ** spec.N)
+    return ((z - J - 1.0) / z) ** x * ((z - 1.0) / (z - J - 1.0)) ** spec.N
 
 
 def _cross_factor(spec, zi, zj):
@@ -517,23 +512,24 @@ def rhs_exact(spec):
 def identity_check(spec, samples=0, seed=0, exact_bound=200000,
                    contour=None, tol=1e-8):
     """Evaluate the available sides of the identity and report residuals.
+    Returns (report, checks), checks being the gated rows (name, value,
+    residual, tolerance).
 
-    Always computes the quadrature, and the exact right side where
-    rhs_exact has it (with the quadrature's residual against it, relative
-    to max(1, |exact|)); computes the exact expectation when the system is
-    small enough, and a Monte Carlo estimate when samples are requested.
-    Residuals between MC and the others are normalized by the standard
-    error."""
+    Always computes the quadrature, gated by its relative doubling change,
+    and the exact right side where rhs_exact has it (with the quadrature's
+    residual against it, relative to max(1, |exact|)); computes the exact
+    expectation when the system is small enough, gated against the
+    quadrature relative to min(1, |exact|) (absolute at 0), and a Monte
+    Carlo estimate when samples are requested.  Residuals between MC and
+    the others are normalized by the standard error, and the MC gate is
+    4 of them."""
     report = {
         "form": spec.form,
         "k": spec.k,
         "x_list": list(spec.x_list),
         "N": spec.N,
         "conventions": {
-            "qhahn_b_product_at_current_site": _QHAHN_B_AT_SAME_X,
             "pep_current_site_shift": _PEP_H_SHIFT,
-            "pep_x_coefficient_shift": _PEP_X_COEFF_SHIFT,
-            "pep_rhs_exponent_shift": _RHS_PEP_EXPONENT_SHIFT,
             "pep_rhs_sign_per_variable": _RHS_PEP_SIGN_PER_VAR,
         },
     }
@@ -547,16 +543,22 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
     report["rhs_quadrature"] = rhs
     report["quadrature_diagnostics"] = {
         key: val for key, val in diag.items() if key != "value"}
+    checks = [("rhs_quadrature_converged", rhs, diag["doubling_change"],
+               tol)]
     exact_rhs = rhs_exact(spec)
     if exact_rhs is not None:
         exact_rhs = float(exact_rhs)
         report["residual_quadrature_vs_rhs_exact"] = (
             abs(rhs - exact_rhs) / max(1.0, abs(exact_rhs)))
+        checks.append(("quadrature_vs_exact_rhs", exact_rhs,
+                       report["residual_quadrature_vs_rhs_exact"], tol))
     report["rhs_exact"] = exact_rhs
     try:
         ex = lhs_exact(spec, bound=exact_bound)
         report["lhs_exact"] = ex
         report["residual_exact_vs_quadrature"] = abs(ex - rhs)
+        checks.append(("exact_expectation_vs_quadrature", ex,
+                       abs(ex - rhs) / (min(1.0, abs(ex)) or 1.0), tol))
     except SizeLimit:
         report["lhs_exact"] = None
     if samples:
@@ -571,7 +573,9 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
 
         report["residual_mc_vs_quadrature_sigmas"] = sigmas(
             abs(est.mean - rhs))
+        checks.append(("mc_expectation_vs_quadrature_sigmas", est.mean,
+                       report["residual_mc_vs_quadrature_sigmas"], 4.0))
         if report.get("lhs_exact") is not None:
             report["residual_mc_vs_exact_sigmas"] = sigmas(
                 abs(est.mean - report["lhs_exact"]))
-    return report
+    return report, checks

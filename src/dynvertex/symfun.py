@@ -211,7 +211,7 @@ def b_fused(mu, nu, spec):
                   spec.J)
 
 
-def d_munu(mu, nu, spec, normalized=False):
+def d_munu(mu, nu, spec):
     """D partition function: l(mu) = l(nu) paths entering from the bottom
     at nu and exiting at the top at mu, across len(spec.W) rows."""
     if mu.length != nu.length:
@@ -219,12 +219,7 @@ def d_munu(mu, nu, spec, normalized=False):
     N = spec.rows
     eta = complex(spec.ctx.eta)
     base = complex(spec.lam) - 2 * eta * N
-    val = _sweep(mu, nu, spec, base, _fused_vertex_weight(spec),
-                 (0,) * N)
-    if normalized:
-        for k in range(N):
-            val *= f_eval(complex(spec.lam) + 2 * eta * k, spec.ctx)
-    return val
+    return _sweep(mu, nu, spec, base, _fused_vertex_weight(spec), (0,) * N)
 
 
 def _c_mu(mu, lam, L, ctx):
@@ -301,23 +296,18 @@ def _b_stochastic_vertex(mu, nu, spec):
     return _sweep(mu, nu, spec, base, weight, spec.J)
 
 
-def b_stochastic(mu, nu, spec, rho, method="formula"):
-    """Stochastically corrected B function (trigonometric mode only).
-
-    The default route multiplies the fused B partition function by the
-    factorized prefactor and the ratio of normalized D functions at the
-    factorizing specialization rho.  method="vertex" instead evaluates the
-    corrected-weight partition function directly; the two agree.
+def b_stochastic(mu, nu, spec, rho):
+    """Stochastically corrected B function (trigonometric mode only): the
+    fused B partition function times the factorized prefactor and the
+    ratio of normalized D functions at the factorizing specialization rho.
+    It agrees with _b_stochastic_vertex, the corrected-weight partition
+    function evaluated directly.
     """
     ctx = spec.ctx
     if ctx.is_elliptic:
         raise ModeError("stochastic correction requires trigonometric mode")
     if nu.parts and nu.parts[-1] == 0:
         raise SingularParameter("nu must have positive parts")
-    if method == "vertex":
-        return _b_stochastic_vertex(mu, nu, spec)
-    if method != "formula":
-        raise ValueError("method must be 'formula' or 'vertex'")
     eta = complex(ctx.eta)
     lam = complex(spec.lam)
     J = spec.total_degree

@@ -357,12 +357,11 @@ def c_correction(J, cfg, lam, Lambda, ctx):
                         J - j2), "den"))
 
 
-def sigma(J, cfg, p, w_value=None, memo=None):
+def sigma(J, cfg, p, memo=None):
     """Stochastic vertex weight sigma_J = C_J * W_J * (elliptic binomial
-    ratio).  w_value optionally supplies a precomputed W_J; otherwise memo,
-    when given, is the W_J recursion's memo, shared by calls at the same J
-    and p (psi_row passes one per row), which leaves every value equal bit
-    for bit to a call without it."""
+    ratio).  memo, when given, is the W_J recursion's memo, shared by calls
+    at the same J and p (psi_row passes one per row), which leaves every
+    value equal bit for bit to a call without it."""
     i1, j1, i2, j2 = cfg
     if j1 < 0 or j1 > J or j2 < 0 or j2 > J or i1 < 0 or i2 < 0:
         return 0.0 + 0.0j
@@ -370,11 +369,10 @@ def sigma(J, cfg, p, w_value=None, memo=None):
         return 0.0 + 0.0j
     ctx = p.ctx
     eta = complex(ctx.eta)
-    if w_value is None:
-        # The recursion is exact to rounding; the closed form (equal to it,
-        # and cross-checked in the tests) needs Richardson regularization on
-        # part of the domain and is kept as an independent oracle.
-        w_value = w_fused_recursive(J, cfg, p, memo)
+    # The recursion is exact to rounding; the closed form (equal to it, and
+    # cross-checked in the tests) needs Richardson regularization on part
+    # of the domain and is kept as an independent oracle.
+    w_value = w_fused_recursive(J, cfg, p, memo)
     cval = c_correction(J, cfg, p.lam, p.Lambda, ctx)
 
     def ep(k):

@@ -8,7 +8,6 @@ import pytest
 
 from dynvertex import asymptotics
 from dynvertex.asymptotics import (
-    AsymptoticShape,
     GammaLaw,
     experiment,
     gamma_moment,
@@ -127,24 +126,28 @@ class TestLlnShapes:
         with pytest.raises(ValueError):
             lln_shapes(Q, "bogus", 0.5)
 
-    def test_shape_bundle(self):
-        shape = AsymptoticShape(J=1, q=Q, gamma=3.0)
-        assert shape.m(0.5) == lln_shapes(Q, "m", 0.5)
-        assert shape.F(0.1) == lln_shapes(Q, "F", 0.1)
-        assert shape.heat(0.0, 1.0) == pytest.approx(
-            math.sqrt(1 / (2 * math.pi)), abs=1e-10)
-        law = shape.gamma_law(2.0)
-        assert law.a == 3.0
-        assert law.b == pytest.approx(math.sqrt(math.pi))
-
 
 class TestExperiments:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             experiment("bogus")
 
+    def test_config_is_keyword_parameters(self):
+        run = experiment("f_collapse", {"T": 16, "samples": 20})
+        assert run.config == {"q": 0.25, "T": 16,
+                              "eta_list": (0.4, 0.5, 0.6), "samples": 20}
+        with pytest.raises(TypeError, match="smaples"):
+            experiment("f_collapse", {"T": 16, "smaples": 20})
+        with pytest.raises(TypeError):
+            experiment("f_collapse", {"seed": 3})
+
+    def test_kpz_needs_two_horizons(self):
+        with pytest.raises(ValueError, match="two distinct"):
+            experiment("kpz_exponent", {"T_list": [64, 64], "samples": 20})
+
     def test_heat_lln_small(self):
-        rep = experiment("heat_lln", {"T": 400, "samples": 4000}, seed=1)
+        rep = experiment("heat_lln", {"T": 400, "samples": 4000},
+                         seed=1).report
         assert rep["kind"] == "heat_lln"
         assert rep["n_samples"] == 4000
         # loose finite-size gate at this tiny horizon
@@ -158,7 +161,8 @@ class TestExperiments:
 
     def test_dynamic_gamma_small(self):
         rep = experiment("dynamic_gamma",
-                         {"T": 800, "samples": 2000, "gamma": 3.0}, seed=2)
+                         {"T": 800, "samples": 2000, "gamma": 3.0},
+                         seed=2).report
         assert set(rep["moments"]) == {1, 2}
         for d in rep["moments"].values():
             assert d["mc_stderr"] > 0
@@ -167,18 +171,18 @@ class TestExperiments:
 
     def test_kpz_exponent_structure(self):
         cfg = {"T_list": (100, 200, 400), "samples": 800}
-        rep = experiment("kpz_exponent", cfg, seed=3)
+        rep = experiment("kpz_exponent", cfg, seed=3).report
         stds = [p["std"] for p in rep["points"]]
         assert all(b > a for a, b in zip(stds, stds[1:]))
         assert 0.1 < rep["fitted_exponent"] < 0.6
         err = rep["fitted_exponent_stderr"]
         assert math.isfinite(err) and err > 0
-        assert experiment("kpz_exponent", cfg, seed=3)[
+        assert experiment("kpz_exponent", cfg, seed=3).report[
             "fitted_exponent_stderr"] == err
 
     def test_f_collapse_structure(self):
         rep = experiment("f_collapse",
-                         {"T": 400, "samples": 800}, seed=4)
+                         {"T": 400, "samples": 800}, seed=4).report
         assert len(rep["rows"]) == 3
         for row in rep["rows"]:
             assert row["normalized_std"] > 0
@@ -188,7 +192,7 @@ class TestExperiments:
     def test_corner_quartic_small(self):
         rep = experiment("corner_quartic",
                          {"T": 800, "samples": 1500, "m_list": (1,),
-                          "chi_samples": 50000}, seed=5)
+                          "chi_samples": 50000}, seed=5).report
         chk = rep["gamma_sampler_check"][1]
         assert chk["sigmas"] < 4
         m1 = rep["corner_moments"][1]

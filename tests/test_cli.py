@@ -296,6 +296,12 @@ class TestVerifyIdentity:
         assert code == 2
         capsys.readouterr()
 
+    def test_negative_samples_rejected(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "verify-identity", "--form", "pep",
+                      "--samples", "-1")
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_k_mismatch(self, tmp_path, capsys):
         code, _ = run(tmp_path, "verify-identity", "--form", "qhahn",
                       "--k", "2", "--x", "1")
@@ -321,6 +327,53 @@ class TestAsymptotics:
         assert len(lines) == 42
         assert rep["experiment"]["kind"] == "heat_lln"
 
+    @pytest.mark.parametrize("name, config, header, rows", [
+        ("gamma", '{"T": 16, "samples": 50, "m_list": [1, 2]}',
+         "m,mc_mean,mc_stderr,target,rel_error", 2),
+        ("corner-quartic", '{"T": 16, "samples": 50, "m_list": [1], '
+         '"chi_samples": 100}', "m,mc_mean,mc_stderr,target,rel_error", 1),
+        ("kpz-exponent", '{"T_list": [16, 32], "samples": 50}', "T,std", 2),
+        ("f-collapse", '{"T": 16, "samples": 50}',
+         "eta,site,mean,std,normalized_std", 3),
+    ])
+    def test_csv_layouts(self, tmp_path, name, config, header, rows):
+        csvf = tmp_path / "table.csv"
+        code, _ = run(tmp_path, "asymptotics", "--experiment", name,
+                      "--config", config, "--csv", str(csvf))
+        assert code == 0
+        lines = csvf.read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == rows + 1
+
+    def test_heat_list_of_s(self, tmp_path):
+        csvf = tmp_path / "profile.csv"
+        code, rep = run(tmp_path, "asymptotics", "--experiment", "heat",
+                        "--config", '{"T": 64, "samples": 100, '
+                        '"s": [0.0, 0.5]}', "--csv", str(csvf))
+        assert code == 0
+        points = rep["experiment"]["points"]
+        assert [c["name"] for c in rep["checks"]] == [
+            "scaled_mean_vs_limit_profile_s0",
+            "scaled_mean_vs_limit_profile_s0.5"]
+        assert [c["value"] for c in rep["checks"]] == [
+            p["mc_mean"] for p in points]
+        means = {float(s): float(emp) for s, _, emp in
+                 (line.split(",") for line in
+                  csvf.read_text().splitlines()[1:]) if emp}
+        assert means == {p["s"]: p["mc_mean"] for p in points}
+
+    @pytest.mark.parametrize("name, config, says", [
+        ("heat", '{"T": 16, "smaples": 20}', "smaples"),
+        ("kpz-exponent", '{"T_list": [64], "samples": 20}', "two distinct"),
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, name, config, says):
+        code, rep = run(tmp_path, "asymptotics", "--experiment", name,
+                        "--config", config)
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert says in err
+        assert "Traceback" not in err
+
     def test_gate_failure(self, tmp_path):
         code, rep = run(tmp_path, "asymptotics", "--experiment", "heat",
                         "--config", '{"T": 64, "samples": 400}',
@@ -336,6 +389,8 @@ class TestAsymptotics:
         assert code == 0
         assert rep["checks"][0]["name"] == \
             "fluctuation_exponent_vs_one_third"
+        assert rep["config"]["experiment_config"] == {
+            "q": 0.25, "eta": 0.5, "T_list": [50, 100], "samples": 200}
 
 
 class TestReportShape:
@@ -347,6 +402,21 @@ class TestReportShape:
         assert rep["version"]
         assert rep["config"]["family"] == "phi"
         assert "wall_clock_seconds" in rep["timing"]
+
+    def test_strict_json(self, tmp_path):
+        # One MC sample has zero standard error, so the sigma residuals are
+        # infinite; they are written as strings, not as Infinity.
+        out = tmp_path / "report.json"
+        code = dispatch(["verify-identity", "--form", "pep", "--x", "2",
+                         "--N", "4", "--samples", "1", "--out", str(out)])
+        assert code == 1
+
+        def reject(name):
+            raise ValueError("not strict JSON: %s" % name)
+
+        rep = json.loads(out.read_text(), parse_constant=reject)
+        assert rep["identity"]["residual_mc_vs_quadrature_sigmas"] == "inf"
+        assert rep["passed"] is False
 
     def test_stdout_when_no_out(self, capsys):
         code = dispatch(["check-weights", "--family", "phi"])

@@ -340,7 +340,7 @@ class TestMonteCarlo:
 class TestIdentityCheck:
     def test_report_contents(self):
         spec = ObservableSpec(QHAHN, (2, 1), 3)
-        rep = identity_check(spec, samples=4000, seed=7)
+        rep, _ = identity_check(spec, samples=4000, seed=7)
         assert rep["residual_exact_vs_quadrature"] < 1e-10
         assert rep["residual_mc_vs_quadrature_sigmas"] < 4.0
         assert rep["quadrature_diagnostics"]["doubling_change"] < 1e-8
@@ -350,15 +350,15 @@ class TestIdentityCheck:
 
     def test_size_limited_exact_is_none(self):
         spec = ObservableSpec(QHAHN, (2,), 3)
-        rep = identity_check(spec, samples=0, exact_bound=2)
+        rep, _ = identity_check(spec, samples=0, exact_bound=2)
         assert rep["lhs_exact"] is None
         assert isinstance(rep["rhs_quadrature"], float)
 
     def test_exact_rhs_reported_and_matched(self):
-        rep = identity_check(ObservableSpec(PEP, (3,), 8))
+        rep, _ = identity_check(ObservableSpec(PEP, (3,), 8))
         assert rep["rhs_exact"] == -2.3671875
         assert rep["residual_quadrature_vs_rhs_exact"] < 1e-8
-        assert identity_check(ObservableSpec(QHAHN, (2,), 3))[
+        assert identity_check(ObservableSpec(QHAHN, (2,), 3))[0][
             "rhs_exact"] is None
 
 
