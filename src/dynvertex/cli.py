@@ -10,6 +10,11 @@ simulate         seeded Monte Carlo simulation with JSON/CSV output
 verify-identity  observable expectation vs contour-integral quadrature
 asymptotics      scaling-limit experiments
 
+Each report's checks are built by the module that computes its numbers
+(specfun.identity_checks, weights.row_sum_checks,
+symfun.consistency_checks, observables.identity_check and
+asymptotics.experiment); this module parses, calls and formats.
+
 Exit codes: 0 every gated check passed; 1 a gated check failed or a
 numerical routine reported failure; 2 usage or configuration error.
 
@@ -34,27 +39,9 @@ from .errors import DynVertexError
 from .models import ModelSpec, current, initial_state, run_ensemble, step
 from .observables import ObservableSpec, identity_check
 from .asymptotics import experiment
-from .specfun import (
-    EllipticContext,
-    elliptic_pochhammer,
-    f_eval,
-    q_pochhammer,
-    rational_pochhammer,
-    vwp_basic_W,
-    vwp_elliptic_v,
-)
-from .symfun import (
-    ColumnSpec,
-    RhoSpecialization,
-    Signature,
-    b_fused,
-    b_munu,
-    b_stochastic,
-    d_munu,
-    _b_stochastic_vertex,
-)
-from .weights import ArrowConfig, PhiParams, PsiParams, phi, psi_row, \
-    psi_u_equals_s
+from .specfun import identity_checks
+from .symfun import SUITES, consistency_checks
+from .weights import row_sum_checks
 
 
 class _ConfigError(Exception):
@@ -65,11 +52,15 @@ class _ConfigError(Exception):
 # Report plumbing
 
 
-def _record(name, value, residual, tolerance, gated=True, **extra):
+def _record(name, value, residual, tolerance, points=None, **extra):
+    """One report check, gated when it has a tolerance."""
+    gated = tolerance is not None
     rec = {"name": name, "value": value, "residual": residual,
            "tolerance": tolerance, "gated": gated}
     rec["passed"] = (not gated) or (residual is not None
                                     and residual <= tolerance)
+    if points is not None:
+        rec["points"] = points
     rec.update(extra)
     return rec
 
@@ -145,333 +136,32 @@ def _write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# specfun subcommand
-
-_TRIG = EllipticContext(mode="trigonometric", eta=0.07)
-_ELL = EllipticContext(mode="elliptic", eta=0.07, tau=1.3j)
-
-
-def _cplx(rng, lo, hi, im=0.15):
-    return complex(rng.uniform(lo, hi), rng.uniform(-im, im))
-
-
-def _rel(lhs, rhs):
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-
-
-def _rogers_residual(rng, n, npts):
-    worst = 0.0
-    for _ in range(npts):
-        q = _cplx(rng, 0.3, 0.6, 0.05)
-        a = _cplx(rng, 0.5, 0.9)
-        b = _cplx(rng, 0.25, 0.45)
-        c = _cplx(rng, -0.7, -0.4)
-        lhs = vwp_basic_W(a, [b, c, q ** -n], q,
-                          a * q ** (n + 1) / (b * c), terminate_at=n)
-        rhs = (q_pochhammer(a * q, q, n)
-               * q_pochhammer(a * q / (b * c), q, n)
-               / (q_pochhammer(a * q / b, q, n)
-                  * q_pochhammer(a * q / c, q, n)))
-        worst = max(worst, _rel(lhs, rhs))
-    return worst
-
-
-def _jackson_residual(rng, ctx, n, npts):
-    eta = complex(ctx.eta)
-    worst = 0.0
-    for _ in range(npts):
-        a = _cplx(rng, 0.5, 0.8)
-        b = _cplx(rng, 0.15, 0.3, 0.1)
-        c = _cplx(rng, 0.1, 0.22, 0.08)
-        d = _cplx(rng, -0.35, -0.2, 0.1)
-        e = 2 * a - 2 * eta - b - c - d - 2 * eta * n
-        lhs = vwp_elliptic_v(a, [b, c, d, e, 2 * eta * n], 1.0, ctx,
-                             terminate_at=n)
-        ep = lambda x, k: elliptic_pochhammer(x, k, ctx)
-        rhs = (ep(a - 2 * eta, n) * ep(a - b - c - 2 * eta, n)
-               * ep(a - b - d - 2 * eta, n) * ep(a - c - d - 2 * eta, n)
-               / (ep(a - b - 2 * eta, n) * ep(a - c - 2 * eta, n)
-                  * ep(a - d - 2 * eta, n)
-                  * ep(a - b - c - d - 2 * eta, n)))
-        worst = max(worst, _rel(lhs, rhs))
-    return worst
-
-
-def _quartic_residual(rng, ctx, npts):
-    worst = 0.0
-    for _ in range(npts):
-        w, x, y, z = (complex(rng.uniform(0.05, 0.45),
-                              rng.uniform(-0.2, 0.2)) for _ in range(4))
-        fe = lambda u: f_eval(u, ctx)
-        lhs = fe(x + z) * fe(x - z) * fe(y + w) * fe(y - w)
-        rhs = (fe(x + y) * fe(x - y) * fe(z + w) * fe(z - w)
-               + fe(x + w) * fe(x - w) * fe(y + z) * fe(y - z))
-        worst = max(worst, _rel(lhs, rhs))
-    return worst
-
-
-def _basic_list_residual(rng, which, npts):
-    worst = 0.0
-    for _ in range(npts):
-        a = _cplx(rng, 0.3, 0.8, 0.3)
-        q = _cplx(rng, 0.35, 0.65, 0.1)
-        k = int(rng.integers(-3, 5))
-        m = int(rng.integers(-3, 5))
-        qp = q_pochhammer
-        if which == 1:
-            lhs = qp(a, q, k) * qp(a * q ** k, q, m)
-            rhs = qp(a, q, k + m)
-        elif which == 2:
-            lhs = qp(q ** (m - k) * a, q, m - k) \
-                * qp(q ** (2 * m - 2 * k + 1) * a, q, k)
-            rhs = qp(q ** (m - k) * a, q, m + 1) \
-                / (1 - q ** (2 * m - 2 * k) * a)
-        elif which == 3:
-            lhs = qp(q ** -k * a, q, m)
-            rhs = (qp(a, q, m) * qp(q / a, q, k)
-                   / (q ** (m * k) * qp(1 / (q ** (m - 1) * a), q, k)))
-        elif which == 4:
-            lhs = qp(a, q, m - k)
-            rhs = (q ** ((k + 1) * k // 2 - m * k) / (-a) ** k
-                   * qp(a, q, m) / qp(1 / (a * q ** (m - 1)), q, k))
-        elif which == 5:
-            k = abs(k)
-            lhs = qp(a, q, k) * qp(-a, q, k)
-            rhs = qp(a * a, q * q, k)
-        elif which == 6:
-            lhs = qp(q * q * a, q * q, k) / qp(a, q * q, k)
-            rhs = (1 - q ** (2 * k) * a) / (1 - a)
-        else:  # q -> 1 degeneration to the rational symbol, factor by
-            # factor via expm1/log1p so the 1 - q^{a+j} differences keep
-            # full relative accuracy at q = 1 - 1e-12.
-            eps = 1e-12
-            lq = math.log1p(-eps)
-            ar = rng.uniform(3.2, 3.9)
-            kk = int(rng.integers(-3, 6))
-            lhs = 1.0
-            if kk >= 0:
-                for j in range(kk):
-                    lhs *= -math.expm1((ar + j) * lq) / eps
-            else:
-                for j in range(1, -kk + 1):
-                    lhs /= -math.expm1((ar - j) * lq) / eps
-            rhs = rational_pochhammer(ar, kk)
-        worst = max(worst, _rel(lhs, rhs))
-    return worst
-
-
-def _elliptic_list_residual(rng, ctx, which, npts):
-    eta = complex(ctx.eta)
-    worst = 0.0
-    for _ in range(npts):
-        a = _cplx(rng, 0.2, 0.6, 0.2)
-        m = int(rng.integers(0, 6))
-        k = int(rng.integers(0, m + 1))
-        ep = lambda x, n: elliptic_pochhammer(x, n, ctx)
-        if which == 1:
-            lhs = ep(a, m)
-            rhs = (-1) ** m * ep(2 * eta * (m - 1) - a, m)
-        elif which == 2:
-            lhs = ep(a, m - k)
-            rhs = ep(a, m) / ep(a - 2 * eta * (m - k), k)
-        else:
-            lhs = ep(a, k) * ep(a - 2 * eta * (k + 1), m - k)
-            rhs = ep(a, m + 1) / f_eval(a - 2 * eta * k, ctx)
-        worst = max(worst, _rel(lhs, rhs))
-    return worst
+# specfun, check-weights and symfun subcommands
 
 
 def _run_specfun(args):
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    npts, tol = args.grid_size, args.tol
-    checks = []
-    for n in range(6):
-        checks.append(_record("rogers_6w5_n%d" % n, None,
-                              _rogers_residual(rng, n, npts), tol,
-                              points=npts))
-    for label, ctx in (("trig", _TRIG), ("elliptic", _ELL)):
-        for n in range(5):
-            checks.append(_record("jackson_10v9_%s_n%d" % (label, n), None,
-                                  _jackson_residual(rng, ctx, n, npts), tol,
-                                  points=npts))
-        checks.append(_record("riemann_quartic_%s" % label, None,
-                              _quartic_residual(rng, ctx, npts), tol,
-                              points=npts))
-        for i in range(1, 4):
-            checks.append(_record(
-                "elliptic_pochhammer_identity_%d_%s" % (i, label), None,
-                _elliptic_list_residual(rng, ctx, i, npts), tol,
-                points=npts))
-    for i in range(1, 8):
-        checks.append(_record("basic_pochhammer_identity_%d" % i, None,
-                              _basic_list_residual(rng, i, npts), tol,
-                              points=npts))
+    if args.grid_size < 1:
+        raise _ConfigError("--grid-size must be >= 1, got %d"
+                           % args.grid_size)
+    rows = identity_checks(args.seed, args.grid_size, args.tol)
     return {"subcommand": "specfun",
-            "config": {"grid_size": npts, "tol": tol},
-            "checks": checks}
-
-
-# ---------------------------------------------------------------------------
-# check-weights subcommand
-
-
-def _phi_row_sum_checks(tol):
-    worst, count = 0.0, 0
-    for q in (0.25, 0.4, 0.6):
-        for b in (0.05, 0.09, 0.15):
-            for J in (1, 2, 3):
-                for kappa in (0.0, 0.1, 0.25, 0.4):
-                    p = PhiParams(q=q, a=b * q ** J, b=b, kappa=kappa)
-                    count += 1
-                    for i in range(8):
-                        tot = sum(phi(j, i, p) for j in range(i + 1))
-                        worst = max(worst, abs(tot - 1.0))
-    return _record("phi_row_sums", None, worst, tol, points=count)
-
-
-def _psi_row_sum_checks(tol):
-    worst, count = 0.0, 0
-    for u in (0.91, 0.7, 0.5):
-        for s in (0.3, 0.45):
-            for q in (0.3, 0.4, 0.55):
-                for J in (1, 2, 3):
-                    # kappa = q is a singular line of the weights; the
-                    # grid stays clear of it
-                    for kappa in (0.1, 0.15, 0.35):
-                        pp = PsiParams(u=u, s=s, q=q, J=J, kappa=kappa)
-                        count += 1
-                        for i1 in range(5):
-                            for j1 in range(J + 1):
-                                tot = sum(psi_row(i1, j1, pp))
-                                worst = max(worst, abs(tot - 1.0))
-    return _record("psi_row_sums", None, worst, tol, points=count)
-
-
-def _psi_phi_degeneration_check(tol):
-    worst = 0.0
-    for J in (1, 2, 3):
-        pp = PsiParams(u=0.3, s=0.3, q=0.4, J=J, kappa=0.15)
-        for i1 in range(4):
-            for j1 in range(J + 1):
-                for j2, w in enumerate(psi_row(i1, j1, pp)):
-                    cfg = ArrowConfig(i1, j1, i1 + j1 - j2, j2)
-                    worst = max(worst, abs(w - psi_u_equals_s(cfg, pp)))
-    return _record("psi_at_u_equals_s_matches_phi", None, worst, tol)
+            "config": {"grid_size": args.grid_size, "tol": args.tol},
+            "checks": [_record(*row) for row in rows]}
 
 
 def _run_check_weights(args):
-    if args.grid != "default":
-        raise _ConfigError("unknown grid %r (available: default)" % args.grid)
-    checks = []
-    if args.family in ("phi", "both"):
-        checks.append(_phi_row_sum_checks(args.tol))
-    if args.family in ("psi", "both"):
-        checks.append(_psi_row_sum_checks(args.tol))
-        checks.append(_psi_phi_degeneration_check(args.tol))
+    rows = row_sum_checks(args.family, args.tol)
     return {"subcommand": "check-weights",
-            "config": {"family": args.family, "grid": args.grid,
-                       "tol": args.tol},
-            "checks": checks}
-
-
-# ---------------------------------------------------------------------------
-# symfun subcommand
-
-_LAM = 0.31 + 0.12j
-_Z = (0.11, -0.05 + 0.02j, 0.21, 0.08, -0.13, 0.17, 0.02, 0.09)
-_L = (0.83, 0.67 + 0.05j, 0.91, 0.55, 0.73, 0.61, 0.77, 0.59)
-_W1, _W2, _W3 = 0.45, 0.29 + 0.1j, -0.18 + 0.07j
-_ETA = 0.07
-
-
-def _sigs(n, maxp):
-    import itertools
-    for p in itertools.combinations_with_replacement(range(maxp + 1), n):
-        yield tuple(sorted(p, reverse=True))
-
-
-def _symfun_checks(tol, mass_tol, suite="all"):
-    checks = []
-    want = lambda name: suite in ("all", name)
-    for label, ctx in (("trig", _TRIG), ("elliptic", _ELL)):
-        mu, nu = Signature((3, 2, 1)), Signature((2,))
-        if want("symmetry") or want("branching"):
-            a = b_munu(mu, nu, ColumnSpec(_LAM, (_W1, _W2), _Z, _L, ctx))
-        if want("symmetry"):
-            b = b_munu(mu, nu, ColumnSpec(_LAM, (_W2, _W1), _Z, _L, ctx))
-            checks.append(_record("b_symmetry_%s" % label, None,
-                                  _rel(a, b), tol))
-            da = d_munu(mu, Signature((2, 1, 0)),
-                        ColumnSpec(_LAM, (_W1, _W2), _Z, _L, ctx))
-            db = d_munu(mu, Signature((2, 1, 0)),
-                        ColumnSpec(_LAM, (_W2, _W1), _Z, _L, ctx))
-            checks.append(_record("d_symmetry_%s" % label, None,
-                                  _rel(da, db), tol))
-        if want("branching"):
-            tot = 0.0
-            for kp in _sigs(2, 4):
-                kap = Signature(kp)
-                tot += (b_munu(mu, kap,
-                               ColumnSpec(_LAM, (_W1,), _Z, _L, ctx))
-                        * b_munu(kap, nu,
-                                 ColumnSpec(_LAM + 2 * _ETA, (_W2,),
-                                            _Z, _L, ctx)))
-            checks.append(_record("b_branching_%s" % label, None,
-                                  _rel(a, tot), tol))
-        if not want("fusion"):
-            continue
-        worst = 0.0
-        for jlist, wbase in (((2,), (_W1,)), ((1, 2), (_W1, _W2))):
-            jtot = sum(jlist)
-            flat = []
-            for j, w in zip(jlist, wbase):
-                flat += [w + 2 * _ETA * k for k in range(j)]
-            fmu = Signature(tuple(range(jtot, 0, -1)))
-            fnu = Signature(())
-            fused = b_fused(fmu, fnu,
-                            ColumnSpec(_LAM, wbase, _Z, _L, ctx, jlist))
-            unfused = b_munu(fmu, fnu, ColumnSpec(_LAM, flat, _Z, _L, ctx))
-            worst = max(worst, _rel(fused, unfused))
-        checks.append(_record("b_fusion_%s" % label, None, worst, tol))
-    if not want("stochastic-b"):
-        return checks
-    # stochastic variant: formula vs direct vertex evaluation, and total
-    # mass over all reachable outputs (trigonometric mode only)
-    rho = RhoSpecialization(_Z[0], _L[0])
-    worst = 0.0
-    for jlist, wbase in (((1,), (_W1,)), ((2,), (_W1,))):
-        jtot = sum(jlist)
-        spec = ColumnSpec(0.31, wbase, [_Z[0]] * 8, [_L[0]] * 8, _TRIG,
-                          jlist)
-        mu, nu = Signature((2,) * jtot + (1,)), Signature((1,))
-        a = b_stochastic(mu, nu, spec, rho)
-        b = _b_stochastic_vertex(mu, nu, spec)
-        worst = max(worst, abs(a - b))
-    checks.append(_record("b_stochastic_formula_vs_vertex", None, worst,
-                          tol))
-    import cmath
-    q, s, uxi, delta, cut = 0.4, 0.3, 0.25, -0.2 + 0j, 16
-    eta = 1j * cmath.log(q) / (4 * math.pi)
-    ctx = EllipticContext(mode="trigonometric", eta=eta)
-    Lam = cmath.log(s) / (2j * math.pi * eta)
-    w = -cmath.log(uxi) / (2j * math.pi) + eta
-    lam = 1j * cmath.log(delta) / (2 * math.pi)
-    spec = ColumnSpec(lam, (w,), [0.0] * (cut + 1), [Lam] * (cut + 1),
-                      ctx, (1,))
-    total = sum(b_stochastic(Signature(mup), Signature((1,)), spec,
-                             RhoSpecialization(0.0, Lam)).real
-                for mup in _sigs(2, cut))
-    checks.append(_record("b_stochastic_total_mass", total,
-                          abs(total - 1.0), mass_tol))
-    return checks
+            "config": {"family": args.family, "tol": args.tol},
+            "checks": [_record(*row) for row in rows]}
 
 
 def _run_symfun(args):
-    checks = _symfun_checks(args.tol, args.mass_tol, args.suite)
+    rows = consistency_checks(args.suite, args.tol, args.mass_tol)
     return {"subcommand": "symfun",
             "config": {"suite": args.suite, "tol": args.tol,
                        "mass_tol": args.mass_tol},
-            "checks": checks}
+            "checks": [_record(*row) for row in rows]}
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +230,10 @@ def _probe_site(s, spec, steps):
 
 
 def _run_simulate(args):
+    if args.steps < 0:
+        raise _ConfigError("--steps must be >= 0, got %d" % args.steps)
+    if args.samples < 1:
+        raise _ConfigError("--samples must be >= 1, got %d" % args.samples)
     cfg = _load_config(args.config)
     spec = _model_from_config(args.model, cfg)
     sites = tuple(_probe_site(s, spec, args.steps) for s in args.sites)
@@ -553,7 +247,7 @@ def _run_simulate(args):
     rows = []
     for s, est in zip(sites, ests):
         checks.append(_record("height_site_%s" % s, est.mean, None, None,
-                              gated=False, stderr=est.stderr))
+                              stderr=est.stderr))
         rows.append((s, est.mean, est.stderr, est.n_samples))
     if args.csv:
         _write_csv(args.csv, ("site", "mean", "stderr", "n_samples"), rows)
@@ -641,8 +335,7 @@ def _run_asymptotics(args):
                        "experiment_config": run.config, "gate": gate,
                        "csv": args.csv},
             "experiment": run.report,
-            "checks": [_record(*row, gate, gated=gate is not None)
-                       for row in run.checks]}
+            "checks": [_record(*row, gate) for row in run.checks]}
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +362,7 @@ def _build_parser():
                         description="Gated summation-identity checks on "
                         "random parameter grids.")
     p.add_argument("--grid-size", type=int, default=100,
-                   help="random points per identity (default 100)")
+                   help="random points per identity, >= 1 (default 100)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="relative-residual gate (default 1e-10)")
     _add_common(p)
@@ -677,11 +370,14 @@ def _build_parser():
 
     p = subs.add_parser("check-weights", help="stochasticity checks",
                         description="Row sums of the transition weights "
-                        "must equal 1 on the parameter grid.")
+                        "must equal 1 on the parameter grid.  The phi "
+                        "family also reports phi_negative_weight_share, "
+                        "not gated: the share of the grid's phi(j, i) "
+                        "entries with negative real part (points: the "
+                        "entries evaluated), where phi is not a "
+                        "probability law.")
     p.add_argument("--family", choices=("phi", "psi", "both"),
                    default="both")
-    p.add_argument("--grid", default="default",
-                   help="parameter grid name (available: default)")
     p.add_argument("--tol", type=float, default=1e-10)
     _add_common(p)
     p.set_defaults(handler=_run_check_weights)
@@ -690,11 +386,7 @@ def _build_parser():
                         description="Symmetry, branching, fusion, and "
                         "stochastic-variant consistency on small "
                         "signatures.")
-    p.add_argument("action", nargs="?", default="verify",
-                   choices=("verify",))
-    p.add_argument("--suite", default="all",
-                   choices=("symmetry", "branching", "fusion",
-                            "stochastic-b", "all"))
+    p.add_argument("--suite", default="all", choices=SUITES)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--mass-tol", type=float, default=1e-8,
                    help="gate for the truncated total-mass sum")

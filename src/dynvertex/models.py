@@ -998,8 +998,8 @@ def run_ensemble(spec, N, samples, base_seed, observables):
     `current(ens, x)` and `ens.height(x)` give int64 arrays.
     """
     N, samples = int(N), int(samples)
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if samples < 1 or N < 0:
+        raise ValueError("need at least one sample and N >= 0 steps")
     ens = _ENGINES[spec.variant](spec, N, samples,
                                  _trajectory_rng(base_seed, 0))
     return _estimates(ens, base_seed, observables)

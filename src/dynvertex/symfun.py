@@ -12,6 +12,9 @@ Coordinate convention of this module: columns are indexed from 0, rows from
 parameter at the origin is the base value; it shifts by
 +2*eta*J_y - 4*eta*j1 when moving up one (possibly fused) row and by
 +4*eta*i2 - 2*eta*Lambda_x when moving right one column.
+
+consistency_checks checks the symmetry, branching and fusion of B and D
+and the stochastic variant's formula and total mass at a fixed test point.
 """
 
 import cmath
@@ -21,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ModeError, SingularParameter, SizeLimit
-from .specfun import f_eval
+from .specfun import CHECK_CONTEXTS, EllipticContext, f_eval, rel_residual
 from .weights import ArrowConfig, UnfusedWeightParams, sigma, w1, \
     w_fused_recursive
 
@@ -331,3 +334,91 @@ def b_stochastic(mu, nu, spec, rho):
                      * f_eval(lam + 2 * eta * k, ctx) / fp)
             k += 1
     return pref * (num / den) * b_fused(mu, nu, spec)
+
+
+# ---------------------------------------------------------------------------
+# Consistency checks
+
+SUITES = ("symmetry", "branching", "fusion", "stochastic-b", "all")
+
+# The test point: dynamical argument, column inhomogeneities and spins,
+# and two row spectral parameters.
+_LAM = 0.31 + 0.12j
+_Z = (0.11, -0.05 + 0.02j, 0.21, 0.08, -0.13, 0.17, 0.02, 0.09)
+_L = (0.83, 0.67 + 0.05j, 0.91, 0.55, 0.73, 0.61, 0.77, 0.59)
+_W1, _W2 = 0.45, 0.29 + 0.1j
+
+
+def _signatures(n, maxp):
+    for p in itertools.combinations_with_replacement(range(maxp + 1), n):
+        yield Signature(sorted(p, reverse=True))
+
+
+def consistency_checks(suite, tol, mass_tol):
+    """Rows (name, value, residual, tolerance) of one suite of SUITES, in
+    both modes of CHECK_CONTEXTS: B and D symmetric in the row parameters,
+    B branching over one-row B's, fused B equal to unfused B (relative
+    residuals), and, trigonometric only, b_stochastic equal to
+    _b_stochastic_vertex and of total mass 1 (gated at mass_tol)."""
+    if suite not in SUITES:
+        raise ValueError("unknown suite %r" % (suite,))
+    want = lambda name: suite in ("all", name)
+    rows = []
+    mu, nu = Signature((3, 2, 1)), Signature((2,))
+    for label, ctx in CHECK_CONTEXTS.items():
+        spec = lambda lam, W, J=None: ColumnSpec(lam, W, _Z, _L, ctx, J)
+        if want("symmetry") or want("branching"):
+            a = b_munu(mu, nu, spec(_LAM, (_W1, _W2)))
+        if want("symmetry"):
+            b = b_munu(mu, nu, spec(_LAM, (_W2, _W1)))
+            rows.append(("b_symmetry_" + label, None, rel_residual(a, b),
+                         tol))
+            da = d_munu(mu, Signature((2, 1, 0)), spec(_LAM, (_W1, _W2)))
+            db = d_munu(mu, Signature((2, 1, 0)), spec(_LAM, (_W2, _W1)))
+            rows.append(("d_symmetry_" + label, None, rel_residual(da, db),
+                         tol))
+        if want("branching"):
+            tot = 0.0
+            for kap in _signatures(2, 4):
+                tot += (b_munu(mu, kap, spec(_LAM, (_W1,)))
+                        * b_munu(kap, nu, spec(_LAM + 2 * ctx.eta, (_W2,))))
+            rows.append(("b_branching_" + label, None, rel_residual(a, tot),
+                         tol))
+        if want("fusion"):
+            worst = 0.0
+            for jlist, wbase in (((2,), (_W1,)), ((1, 2), (_W1, _W2))):
+                flat = [w + 2 * ctx.eta * k
+                        for j, w in zip(jlist, wbase) for k in range(j)]
+                fmu = Signature(tuple(range(sum(jlist), 0, -1)))
+                fused = b_fused(fmu, EMPTY, spec(_LAM, wbase, jlist))
+                unfused = b_munu(fmu, EMPTY, spec(_LAM, flat))
+                worst = max(worst, rel_residual(fused, unfused))
+            rows.append(("b_fusion_" + label, None, worst, tol))
+    if want("stochastic-b"):
+        trig = CHECK_CONTEXTS["trig"]
+        worst = 0.0
+        for J in (1, 2):
+            spec = ColumnSpec(0.31, (_W1,), [_Z[0]] * 8, [_L[0]] * 8, trig,
+                              (J,))
+            smu = Signature((2,) * J + (1,))
+            worst = max(worst, abs(
+                b_stochastic(smu, Signature((1,)), spec,
+                             RhoSpecialization(_Z[0], _L[0]))
+                - _b_stochastic_vertex(smu, Signature((1,)), spec)))
+        rows.append(("b_stochastic_formula_vs_vertex", None, worst, tol))
+        # total mass over all reachable outputs, q = 0.4, s = 0.3,
+        # u*xi = 0.25, delta = -0.2, parts up to 16
+        q, s, uxi, delta, cut = 0.4, 0.3, 0.25, -0.2 + 0j, 16
+        eta = 1j * cmath.log(q) / (4 * math.pi)
+        ctx = EllipticContext(mode="trigonometric", eta=eta)
+        Lam = cmath.log(s) / (2j * math.pi * eta)
+        w = -cmath.log(uxi) / (2j * math.pi) + eta
+        lam = 1j * cmath.log(delta) / (2 * math.pi)
+        spec = ColumnSpec(lam, (w,), [0.0] * (cut + 1), [Lam] * (cut + 1),
+                          ctx, (1,))
+        total = sum(b_stochastic(smu, Signature((1,)), spec,
+                                 RhoSpecialization(0.0, Lam)).real
+                    for smu in _signatures(2, cut))
+        rows.append(("b_stochastic_total_mass", total, abs(total - 1.0),
+                     mass_tol))
+    return rows

@@ -1,20 +1,20 @@
 """Vertex weights: the unfused four-case weight, fused weights
 (recursion, closed hypergeometric form, factored special cases),
 the stochastic correction and stochastic weights, the multiplicative-
-parameter psi/phi families, and the closed-form degeneration weights.
+parameter psi/phi families, and the exclusion-process probabilities.
+
+row_sum_checks checks on fixed parameter grids that the rows of phi and
+psi sum to 1, and that psi at u = s matches phi.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InadmissibleParameters,
-    PatternMismatch,
-    SingularParameter,
-)
+from .errors import PatternMismatch, SingularParameter
 from .specfun import (
     EllipticContext,
     elliptic_pochhammer,
@@ -539,66 +539,65 @@ def jgamma_pep_stay(eta, J, upsilon):
     return (eta / (J + 1)) * (1 + (J + 1 - eta) / upsilon)
 
 
-def degeneration_weight(kind, **kw):
-    """Closed-form probabilities/rates for the named degenerations.
+# ---------------------------------------------------------------------------
+# Row-sum checks
 
-    aip:       kw A, B, j, i          -> coalescing jump probability
-    asym_pep:  kw q, kappa, j, i      -> two-state exclusion probability
-    hahn_pep:  kw A, J, kappa_hat, j, i
-    jgamma_pep: kw J, Upsilon, eta, x -> P[X = x], x in {eta-1, eta}
-    madm_rate: kw q, kappa_hat, j, i  -> continuous-time jump rate
-    """
-    if kind == "aip":
-        A, B, j, i = kw["A"], kw["B"], kw["j"], kw["i"]
-        if A <= 0 or B <= 0:
-            raise InadmissibleParameters("aip requires A, B > 0")
-        if i == 0:
-            return 1.0 if j == 0 else 0.0
-        if j == 0:
-            return A / (A + B)
-        if j == i:
-            return B / (A + B)
-        return 0.0
-    if kind == "asym_pep":
-        q, kap, j, i = kw["q"], kw["kappa"], kw["j"], kw["i"]
-        if not (0 < q < 1) or kap > 0:
-            raise InadmissibleParameters(
-                "asym_pep requires q in (0,1) and kappa <= 0")
-        if not 0 <= i <= 2 or j not in (i - 1, i):
-            return 0.0
-        stay = float(asym_pep_stay(i, q, kap, 0))
-        return stay if j == i - 1 else 1.0 - stay
-    if kind == "hahn_pep":
-        A, J, kh, j, i = (kw["A"], kw["J"], kw["kappa_hat"], kw["j"],
-                          kw["i"])
-        if kh <= 2 * A + 2 * J:
-            raise InadmissibleParameters(
-                "hahn_pep requires kappa_hat > 2A + 2J")
-        if j < 0 or j > min(i, J) or i - j > A:
-            return 0.0
-        from .specfun import rational_pochhammer as rp
-        val = (math.comb(J, j) * math.comb(A, i - j) / math.comb(A + J, i)
-               * rp(i - A - J - kh, i - j) * rp(i - j - kh + 1, j)
-               / (rp(i - j - A - kh, i - j)
-                  * rp(2 * i - 2 * j + 1 - A - kh, j)))
-        return val.real
-    if kind == "jgamma_pep":
-        J, ups, eta_k, x = kw["J"], kw["Upsilon"], kw["eta"], kw["x"]
-        if ups < J + 1:
-            raise InadmissibleParameters("jgamma_pep requires Upsilon >= J+1")
-        if not 0 <= eta_k <= J + 1:
-            raise InadmissibleParameters("eta must lie in [0, J+1]")
-        if x not in (eta_k - 1, eta_k):
-            return 0.0
-        stay = jgamma_pep_stay(eta_k, J, ups)
-        return stay if x == eta_k - 1 else 1.0 - stay
-    if kind == "madm_rate":
-        q, kh, j, i = kw["q"], kw["kappa_hat"], kw["j"], kw["i"]
-        if not (0 < q < 1) or kh > 0:
-            raise InadmissibleParameters(
-                "madm_rate requires q in (0,1) and kappa_hat <= 0")
-        if j < 1 or j > i:
-            return 0.0
-        return (q ** j * (1 - q ** (2 * i - 2 * j + 1) * kh)
-                / ((1 - q ** j) * (1 - q ** (2 * i - j + 1) * kh)))
-    raise ValueError("unknown degeneration kind %r" % (kind,))
+# phi over (q, b, J, kappa) at a = b q^J; psi over (u, s, q, J, kappa).
+# kappa = q is a singular line of the psi weights; the grid stays clear of
+# it.
+_PHI_GRID = ((0.25, 0.4, 0.6), (0.05, 0.09, 0.15), (1, 2, 3),
+             (0.0, 0.1, 0.25, 0.4))
+_PSI_GRID = ((0.91, 0.7, 0.5), (0.3, 0.45), (0.3, 0.4, 0.55), (1, 2, 3),
+             (0.1, 0.15, 0.35))
+
+
+def _phi_checks(tol):
+    worst, entries, negative = 0.0, 0, 0
+    for q, b, J, kappa in itertools.product(*_PHI_GRID):
+        p = PhiParams(q=q, a=b * q ** J, b=b, kappa=kappa)
+        for i in range(8):
+            row = [phi(j, i, p) for j in range(i + 1)]
+            worst = max(worst, abs(sum(row) - 1.0))
+            entries += len(row)
+            negative += sum(w.real < 0 for w in row)
+    points = math.prod(map(len, _PHI_GRID))
+    return [("phi_row_sums", None, worst, tol, points),
+            ("phi_negative_weight_share", negative / entries, None, None,
+             entries)]
+
+
+def _psi_checks(tol):
+    worst = 0.0
+    for u, s, q, J, kappa in itertools.product(*_PSI_GRID):
+        pp = PsiParams(u=u, s=s, q=q, J=J, kappa=kappa)
+        for i1 in range(5):
+            for j1 in range(J + 1):
+                worst = max(worst, abs(sum(psi_row(i1, j1, pp)) - 1.0))
+    points = math.prod(map(len, _PSI_GRID))
+    at_u_equals_s = 0.0
+    for J in (1, 2, 3):
+        pp = PsiParams(u=0.3, s=0.3, q=0.4, J=J, kappa=0.15)
+        for i1 in range(4):
+            for j1 in range(J + 1):
+                for j2, w in enumerate(psi_row(i1, j1, pp)):
+                    cfg = ArrowConfig(i1, j1, i1 + j1 - j2, j2)
+                    at_u_equals_s = max(at_u_equals_s,
+                                        abs(w - psi_u_equals_s(cfg, pp)))
+    return [("psi_row_sums", None, worst, tol, points),
+            ("psi_at_u_equals_s_matches_phi", None, at_u_equals_s, tol)]
+
+
+def row_sum_checks(family, tol):
+    """Rows (name, value, residual, tolerance[, points]) for family "phi",
+    "psi" or "both": the largest |row sum - 1| over each grid (points: its
+    parameter sets) and |psi - psi_u_equals_s| at u = s, gated at tol; and
+    phi_negative_weight_share, not gated, the share of phi(j, i) entries
+    with negative real part (points: the entries), where phi is no law."""
+    if family not in ("phi", "psi", "both"):
+        raise ValueError("unknown weight family %r" % (family,))
+    rows = []
+    if family in ("phi", "both"):
+        rows += _phi_checks(tol)
+    if family in ("psi", "both"):
+        rows += _psi_checks(tol)
+    return rows

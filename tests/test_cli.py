@@ -1,6 +1,7 @@
 """Command-line layer: exit-code contract, report shape, CSV dumps, and
 byte-level reproducibility."""
 
+import ast
 import json
 import math
 import os
@@ -13,7 +14,14 @@ import dynvertex
 import prior_weights as prior
 from dynvertex.cli import dispatch
 from dynvertex.models import ModelSpec, current, run_ensemble
-from dynvertex.weights import ArrowConfig, PsiParams, psi_u_equals_s
+from dynvertex.specfun import identity_checks
+from dynvertex.symfun import consistency_checks
+from dynvertex.weights import (
+    ArrowConfig,
+    PsiParams,
+    psi_u_equals_s,
+    row_sum_checks,
+)
 
 S_IM = 1j * math.sqrt(0.3)
 GENERAL_CONFIG = ('{"q": 0.4, "delta": -0.2, "U": [1.05], "Xi": [%s], '
@@ -37,6 +45,21 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_cli_imports_no_private_names(self):
+        # The report modules own their checks; the CLI uses their public
+        # functions only (dunders such as __version__ are public).
+        path = os.path.join(os.path.dirname(dynvertex.__file__), "cli.py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        private = [(node.module, alias.name)
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level > 0 or (node.module or "").startswith(
+                       "dynvertex"))
+                   for alias in node.names if alias.name.startswith("_")
+                   and not alias.name.endswith("__")]
+        assert private == []
 
 
 class TestUsageErrors:
@@ -83,6 +106,15 @@ class TestSpecfun:
         assert "elliptic_pochhammer_identity_3_elliptic" in names
         assert all(c["residual"] < 1e-10 for c in rep["checks"])
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_empty_grid_rejected(self, tmp_path, capsys, size):
+        # A grid with no points would pass every check vacuously.
+        code, rep = run(tmp_path, "specfun", "--grid-size", size)
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert "error: --grid-size must be >= 1" in err
+        assert "Traceback" not in err
+
     def test_impossible_tolerance_fails(self, tmp_path):
         code, rep = run(tmp_path, "specfun", "--grid-size", "5",
                         "--tol", "1e-18")
@@ -100,6 +132,16 @@ class TestCheckWeights:
         assert by_name["phi_row_sums"]["residual"] < 1e-10
         assert by_name["psi_row_sums"]["residual"] < 1e-10
         assert by_name["psi_at_u_equals_s_matches_phi"]["residual"] < 1e-10
+
+    def test_phi_negative_weight_share(self, tmp_path):
+        code, rep = run(tmp_path, "check-weights", "--family", "phi")
+        assert code == 0
+        share = {c["name"]: c for c in rep["checks"]}[
+            "phi_negative_weight_share"]
+        assert share["points"] == 3888
+        assert share["value"] == 1144 / 3888
+        assert share["gated"] is False and share["passed"] is True
+        assert share["residual"] is None and share["tolerance"] is None
 
     def test_psi_residuals_equal_prior(self, tmp_path):
         # The default report's psi residuals, recomputed on the same grids
@@ -137,7 +179,8 @@ class TestCheckWeights:
     def test_phi_only(self, tmp_path):
         code, rep = run(tmp_path, "check-weights", "--family", "phi")
         assert code == 0
-        assert [c["name"] for c in rep["checks"]] == ["phi_row_sums"]
+        assert [c["name"] for c in rep["checks"]] == [
+            "phi_row_sums", "phi_negative_weight_share"]
 
 
 class TestSymfun:
@@ -150,8 +193,7 @@ class TestSymfun:
         assert rep["passed"] is True
 
     def test_suite_selection(self, tmp_path):
-        code, rep = run(tmp_path, "symfun", "verify", "--suite",
-                        "symmetry")
+        code, rep = run(tmp_path, "symfun", "--suite", "symmetry")
         assert code == 0
         assert {c["name"] for c in rep["checks"]} == {
             "b_symmetry_trig", "d_symmetry_trig",
@@ -219,6 +261,24 @@ class TestSimulate:
         assert code == 0
         assert rep["checks"][0]["name"] == "height_site_0.5"
         assert 1.0 <= rep["checks"][0]["value"] <= 3.0
+
+    @pytest.mark.parametrize("steps, samples, flag", [
+        ("2", "0", "--samples"), ("2", "-2", "--samples"),
+        ("-1", "20", "--steps")])
+    def test_bad_sizes_rejected(self, tmp_path, capsys, steps, samples,
+                                flag):
+        code, rep = run(tmp_path, "simulate", "--model", "pep",
+                        "--steps", steps, "--samples", samples)
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert "error: %s must be" % flag in err
+        assert "Traceback" not in err
+
+    def test_zero_steps(self, tmp_path):
+        code, rep = run(tmp_path, "simulate", "--model", "pep",
+                        "--steps", "0", "--samples", "20")
+        assert code == 0
+        assert rep["checks"][0]["value"] == 0.0
 
     @pytest.mark.parametrize("model, site", [("corner", "0"),
                                              ("pep", "1.5")])
@@ -417,6 +477,25 @@ class TestReportShape:
         rep = json.loads(out.read_text(), parse_constant=reject)
         assert rep["identity"]["residual_mc_vs_quadrature_sigmas"] == "inf"
         assert rep["passed"] is False
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["specfun", "--grid-size", "3", "--seed", "5"],
+         lambda: identity_checks(5, 3, 1e-10)),
+        (["check-weights"], lambda: row_sum_checks("both", 1e-10)),
+        (["symfun"], lambda: consistency_checks("all", 1e-9, 1e-8)),
+    ])
+    def test_checks_are_the_library_rows(self, tmp_path, argv, rows):
+        code, rep = run(tmp_path, *argv)
+        assert code == 0
+        assert [(c["name"], c["value"], c["residual"], c["tolerance"])
+                for c in rep["checks"]] == [row[:4] for row in rows()]
+
+    @pytest.mark.parametrize("argv", [["symfun", "verify"],
+                                      ["check-weights", "--grid",
+                                       "default"]])
+    def test_removed_options(self, capsys, argv):
+        assert dispatch(argv) == 2
+        capsys.readouterr()
 
     def test_stdout_when_no_out(self, capsys):
         code = dispatch(["check-weights", "--family", "phi"])

@@ -940,6 +940,11 @@ class TestEnsembleContract:
         for h in got:
             assert h.dtype == np.int64 and h.shape == (7,)
 
+    @pytest.mark.parametrize("N, samples", [(-1, 5), (3, 0)])
+    def test_bad_sizes_rejected(self, N, samples):
+        with pytest.raises(ValueError, match="at least one sample"):
+            run_ensemble(JG, N, samples, 1, [])
+
     def test_squares_do_not_wrap(self):
         # The engine stores int16 here, and h(1) = 400 squares past it.
         spec, N, samples, seed = ModelSpec.jgamma_pep(1, 1e12), 400, 20, 7

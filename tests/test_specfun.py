@@ -14,6 +14,7 @@ from dynvertex.specfun import (
     basic_hyp,
     elliptic_pochhammer,
     f_eval,
+    identity_checks,
     q_pochhammer,
     rational_pochhammer,
     theta1,
@@ -228,3 +229,10 @@ class TestSeries:
     def test_elliptic_series_requires_termination(self):
         with pytest.raises(NonTerminating):
             vwp_elliptic_v(0.3, [0.1], 1.0, TRIG)
+
+
+class TestIdentityChecks:
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_empty_grid_rejected(self, size):
+        with pytest.raises(ValueError, match="grid_size"):
+            identity_checks(0, size, 1e-10)

@@ -16,6 +16,7 @@ from dynvertex.symfun import (
     b_fused,
     b_munu,
     b_stochastic,
+    consistency_checks,
     d_munu,
 )
 from dynvertex.symfun import _b_stochastic_vertex
@@ -244,3 +245,9 @@ class TestStochastic:
             assert abs(val.imag) < 1e-9
             total += val.real
         assert total == pytest.approx(1.0, abs=1e-8)
+
+
+class TestConsistencyChecks:
+    def test_unknown_suite(self):
+        with pytest.raises(ValueError, match="suite"):
+            consistency_checks("verify", 1e-9, 1e-8)

@@ -25,12 +25,12 @@ from dynvertex.weights import (
     UnfusedWeightParams,
     asym_pep_stay,
     c_correction,
-    degeneration_weight,
     jgamma_pep_stay,
     phi,
     psi,
     psi_row,
     psi_u_equals_s,
+    row_sum_checks,
     sigma,
     sigma_j1_full_row,
     w1,
@@ -308,6 +308,77 @@ class TestMultiplicative:
         p = PhiParams(q=0.4, a=0.3, b=0.12, kappa=0.15)
         assert phi(3, 2, p) == 0
         assert phi(-1, 2, p) == 0
+
+
+def degeneration_weight(kind, **kw):
+    """Closed-form probabilities/rates for the named degenerations.
+
+    aip:       kw A, B, j, i          -> coalescing jump probability
+    asym_pep:  kw q, kappa, j, i      -> two-state exclusion probability
+    hahn_pep:  kw A, J, kappa_hat, j, i
+    jgamma_pep: kw J, Upsilon, eta, x -> P[X = x], x in {eta-1, eta}
+    madm_rate: kw q, kappa_hat, j, i  -> continuous-time jump rate
+    """
+    if kind == "aip":
+        A, B, j, i = kw["A"], kw["B"], kw["j"], kw["i"]
+        if A <= 0 or B <= 0:
+            raise InadmissibleParameters("aip requires A, B > 0")
+        if i == 0:
+            return 1.0 if j == 0 else 0.0
+        if j == 0:
+            return A / (A + B)
+        if j == i:
+            return B / (A + B)
+        return 0.0
+    if kind == "asym_pep":
+        q, kap, j, i = kw["q"], kw["kappa"], kw["j"], kw["i"]
+        if not (0 < q < 1) or kap > 0:
+            raise InadmissibleParameters(
+                "asym_pep requires q in (0,1) and kappa <= 0")
+        if not 0 <= i <= 2 or j not in (i - 1, i):
+            return 0.0
+        stay = float(asym_pep_stay(i, q, kap, 0))
+        return stay if j == i - 1 else 1.0 - stay
+    if kind == "hahn_pep":
+        A, J, kh, j, i = (kw["A"], kw["J"], kw["kappa_hat"], kw["j"],
+                          kw["i"])
+        if kh <= 2 * A + 2 * J:
+            raise InadmissibleParameters(
+                "hahn_pep requires kappa_hat > 2A + 2J")
+        if j < 0 or j > min(i, J) or i - j > A:
+            return 0.0
+        from dynvertex.specfun import rational_pochhammer as rp
+        val = (math.comb(J, j) * math.comb(A, i - j) / math.comb(A + J, i)
+               * rp(i - A - J - kh, i - j) * rp(i - j - kh + 1, j)
+               / (rp(i - j - A - kh, i - j)
+                  * rp(2 * i - 2 * j + 1 - A - kh, j)))
+        return val.real
+    if kind == "jgamma_pep":
+        J, ups, eta_k, x = kw["J"], kw["Upsilon"], kw["eta"], kw["x"]
+        if ups < J + 1:
+            raise InadmissibleParameters("jgamma_pep requires Upsilon >= J+1")
+        if not 0 <= eta_k <= J + 1:
+            raise InadmissibleParameters("eta must lie in [0, J+1]")
+        if x not in (eta_k - 1, eta_k):
+            return 0.0
+        stay = jgamma_pep_stay(eta_k, J, ups)
+        return stay if x == eta_k - 1 else 1.0 - stay
+    if kind == "madm_rate":
+        q, kh, j, i = kw["q"], kw["kappa_hat"], kw["j"], kw["i"]
+        if not (0 < q < 1) or kh > 0:
+            raise InadmissibleParameters(
+                "madm_rate requires q in (0,1) and kappa_hat <= 0")
+        if j < 1 or j > i:
+            return 0.0
+        return (q ** j * (1 - q ** (2 * i - 2 * j + 1) * kh)
+                / ((1 - q ** j) * (1 - q ** (2 * i - j + 1) * kh)))
+    raise ValueError("unknown degeneration kind %r" % (kind,))
+
+
+class TestRowSumChecks:
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="family"):
+            row_sum_checks("default", 1e-10)
 
 
 class TestDegenerations:
