@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DynVertexError
-from .models import ModelSpec, current, initial_state, run_ensemble, step
+from .models import ModelSpec, initial_state, run_ensemble, step
 from .observables import ObservableSpec, identity_check
 from .asymptotics import experiment
 from .specfun import identity_checks
@@ -71,7 +71,9 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, str)) or obj is None:
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, str) or obj is None:
         return obj
     if isinstance(obj, (int, np.integer)):
         return int(obj)
@@ -126,6 +128,17 @@ def _check_keys(cfg, allowed, where):
     if extra:
         raise _ConfigError("unknown %s config keys: %s (allowed: %s)"
                            % (where, ", ".join(extra), ", ".join(allowed)))
+
+
+def _positive(text):
+    """The argparse type of the tolerances: a float > 0, else exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number: %r" % text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be positive, got %r" % value)
+    return value
 
 
 def _write_csv(path, header, rows):
@@ -237,18 +250,12 @@ def _run_simulate(args):
     cfg = _load_config(args.config)
     spec = _model_from_config(args.model, cfg)
     sites = tuple(_probe_site(s, spec, args.steps) for s in args.sites)
-    if spec.is_corner:
-        observables = [lambda st, s=s: st.height(s) for s in sites]
-    else:
-        observables = [lambda st, s=s: current(st, s) for s in sites]
     ests = run_ensemble(spec, args.steps, args.samples, args.seed,
-                        observables)
-    checks = []
-    rows = []
-    for s, est in zip(sites, ests):
-        checks.append(_record("height_site_%s" % s, est.mean, None, None,
-                              stderr=est.stderr))
-        rows.append((s, est.mean, est.stderr, est.n_samples))
+                        [lambda st, s=s: st.height(s) for s in sites])
+    checks = [_record("height_site_%s" % s, est.mean, None, None,
+                      stderr=est.stderr) for s, est in zip(sites, ests)]
+    rows = [(s, est.mean, est.stderr, est.n_samples)
+            for s, est in zip(sites, ests)]
     if args.csv:
         _write_csv(args.csv, ("site", "mean", "stderr", "n_samples"), rows)
     traj = None
@@ -294,8 +301,9 @@ def _run_verify_identity(args):
         spec = ObservableSpec(model, xs, args.N)
     except (ValueError, DynVertexError) as exc:
         raise _ConfigError("invalid identity parameters: %s" % exc)
-    if not args.tol > 0 or args.samples < 0:
-        raise _ConfigError("--tol must be positive and --samples >= 0")
+    if args.samples < 0 or args.samples == 1:  # a stderr needs two
+        raise _ConfigError("--samples must be 0 or >= 2, got %d"
+                           % args.samples)
     rep, rows = identity_check(spec, samples=args.samples, seed=args.seed,
                                tol=args.tol)
     return {"subcommand": "verify-identity",
@@ -363,7 +371,7 @@ def _build_parser():
                         "random parameter grids.")
     p.add_argument("--grid-size", type=int, default=100,
                    help="random points per identity, >= 1 (default 100)")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=_positive, default=1e-10,
                    help="relative-residual gate (default 1e-10)")
     _add_common(p)
     p.set_defaults(handler=_run_specfun)
@@ -378,7 +386,7 @@ def _build_parser():
                         "probability law.")
     p.add_argument("--family", choices=("phi", "psi", "both"),
                    default="both")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     _add_common(p)
     p.set_defaults(handler=_run_check_weights)
 
@@ -387,8 +395,8 @@ def _build_parser():
                         "stochastic-variant consistency on small "
                         "signatures.")
     p.add_argument("--suite", default="all", choices=SUITES)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--mass-tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=_positive, default=1e-9)
+    p.add_argument("--mass-tol", type=_positive, default=1e-8,
                    help="gate for the truncated total-mass sum")
     _add_common(p)
     p.set_defaults(handler=_run_symfun)
@@ -434,8 +442,8 @@ def _build_parser():
     p.add_argument("--gamma", type=float, default=5.0,
                    help="dynamical rate (pep form)")
     p.add_argument("--samples", type=int, default=0,
-                   help="Monte Carlo samples (0: exact only)")
-    p.add_argument("--tol", type=float, default=1e-8,
+                   help="Monte Carlo samples, 0 (exact only) or >= 2")
+    p.add_argument("--tol", type=_positive, default=1e-8,
                    help="relative gate for node doubling and for the exact "
                    "residual (default 1e-8)")
     _add_common(p)

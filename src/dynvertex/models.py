@@ -19,10 +19,7 @@ shared formulas of `weights`.
 
 Each spec memoizes its kernel on exactly the inputs the kernel reads (see
 `_kernel`): the samplers and the exact law ask the same few questions many
-times, and a dynamical weight costs tens of sin calls.  The memo holds at
-most _KERNEL_MEMO_CAP entries, stores no input that raises (so every error
-names its own calling site) and calls the kernel's helpers only on a miss,
-so a test that monkeypatches one of them must build a fresh spec.
+times, and a dynamical weight costs tens of sin calls.
 
 The sweep takes a pick rule: `step` makes one inverse-CDF draw per vertex,
 and `exact_law` follows every positive branch.  The corner-growth variants
@@ -41,9 +38,10 @@ packed prefix and the empty suffix evolve deterministically and are
 tracked in closed form.  A step moves the height in place by the bond
 flux, h'(x) = h(x) + X(x-1), and draws every X from one table of the shared
 stay probability per step, since the dynamical parameter depends on
-(x, t, h) only through an integer key.  asym_pep at delta = 0, whose stay
-probability is one constant, runs bit-sliced instead: 64 trajectories per
-uint64 word, two bit planes per site.  The corner engine keeps the
+(x, t, h) only through an integer key.  It hands two J = 1 cases to a
+bit-sliced engine, 64 trajectories per uint64 word: asym_pep at delta = 0
+and jgamma_pep at large gamma (`heat`), a fair coin plus a correction of
+chance 1/Upsilon <= 1/gamma drawn by thinning.  The corner engine keeps the
 lattice of `step` and draws one coin per flat segment.  Engine integer
 dtypes are chosen from the largest reachable value (occupancy, height or
 key).
@@ -328,29 +326,30 @@ def _validate_weights(w, where):
         clamped = int(neg.sum())
         w = np.where(neg, 0.0, w)
     s = w.sum()
-    if abs(s - 1.0) > _WEIGHT_SUM_TOL:
+    if not abs(s - 1.0) <= _WEIGHT_SUM_TOL:  # a nan sum fails too
         raise InadmissibleWeights(
             "weight sum %.15f != 1 at %s" % (s, where))
     return w / s, clamped
 
 
-def _kappa_qhahn(spec, x, y, h):
-    """Closed-form dynamical parameter at vertex (x, y-1) given the height
-    h = h_{y-1}(x)."""
-    val = float(spec.delta) * float(spec.q) ** (-2 * h)
-    for k in range(1, x):
-        val *= _cyc(spec.B, k)
-    for k in range(1, y):
-        val *= _cyc(spec.C, k)
-    return val
-
-
-def _kappa_general(spec, x, y, h):
-    val = complex(spec.delta) * complex(spec.q) ** (-2 * h)
-    for k in range(1, x):
-        val *= complex(_cyc(spec.S, k)) ** 2
-    for k in range(1, y):
-        val *= complex(spec.q) ** _cyc(spec.J, k)
+def _kappa(spec, x, y, h, where):
+    """Closed-form dynamical parameter at vertex (x, y-1) given h = h_{y-1}(x),
+    float (qhahn) or complex (general); InadmissibleWeights if not finite."""
+    general = spec.variant == "general"
+    num = complex if general else float
+    try:
+        val = num(spec.delta) * num(spec.q) ** (-2 * h)
+        for k in range(1, x):
+            val *= (complex(_cyc(spec.S, k)) ** 2 if general
+                    else _cyc(spec.B, k))
+        for k in range(1, y):
+            val *= (complex(spec.q) ** _cyc(spec.J, k) if general
+                    else _cyc(spec.C, k))
+    except OverflowError:  # in q ** (-2h): delta = 0 still gives 0
+        val = num(0) if spec.delta == 0 else math.inf
+    if not np.isfinite(val):
+        raise InadmissibleWeights(
+            "dynamical parameter out of float range at %s" % where)
     return val
 
 
@@ -429,7 +428,7 @@ def _kernel_eval(spec, x, t, i1, j1, h):
         w, clamped = _validate_weights([stay, 1.0 - stay], where)
         return (i1 - 1, i1), w, clamped
     if spec.variant == "general":
-        kappa = _kappa_general(spec, x, y, h)
+        kappa = _kappa(spec, x, y, h, where)
         if abs(kappa) < 1e-40:
             # Reachable only after ~70 consecutive slide-past-empty moves
             # in one row (branch probability far below any tolerance
@@ -443,7 +442,7 @@ def _kernel_eval(spec, x, t, i1, j1, h):
     else:
         bx = _cyc(spec.B, x)
         p = PhiParams(q=spec.q, a=bx * _cyc(spec.C, y), b=bx,
-                      kappa=_kappa_qhahn(spec, x, y, h))
+                      kappa=_kappa(spec, x, y, h, where))
         raw = [complex(phi(j2, i1, p)) for j2 in range(i1 + 1)]
     if any(abs(w.imag) > 1e-9 for w in raw):
         raise InadmissibleWeights("non-real weight at %s" % where)
@@ -684,6 +683,7 @@ def _band_ensemble(N, J, lo, band):
 
 
 _BERNOULLI_DENSE = 8  # digits of p compared on every word; see below
+_THIN_GAMMA = 1e4  # least gamma of jgamma_pep J = 1 on _ensemble_bits
 
 
 def _bernoulli_words(bitgen, p, lanes):
@@ -721,17 +721,51 @@ def _bernoulli_words(bitgen, p, lanes):
     return out.reshape(lanes.shape)
 
 
+def _thinned_words(spec, rng, elig, a, f, lo, t):
+    """D ~ Bernoulli(1/Upsilon) of _ensemble_bits on the set bits of `elig`
+    by thinning (Lewis and Shedler 1979): the candidates lie skips of
+    rng.geometric(1/gamma) set bits apart in (site, word, lane) order, as
+    the law is memoryless (a skip saturated at INT64_MAX, at 1/gamma <=
+    1e-19, still passes every bit); then each reads its height from the A
+    and F planes and is kept when a uniform u has u (gamma + key) < gamma."""
+    out = np.zeros_like(elig)
+    at = int(rng.geometric(1.0 / spec.gamma))
+    if at > 64 * elig.size:  # past every set bit
+        return out
+    cum, pos = np.cumsum(np.bitwise_count(elig).ravel()), []
+    while at <= cum[-1]:
+        pos.append(at)
+        at += int(rng.geometric(1.0 / spec.gamma))
+    if not pos:
+        return out
+    w = np.searchsorted(cum, pos)  # flat index of each candidate's word
+    bits = np.unpackbits(elig.ravel()[w].view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    rank = np.array(pos) - cum[w] + bits.sum(1, dtype=np.int64)  # in word
+    lane = (np.cumsum(bits, axis=1) < rank[:, None]).sum(1, dtype=np.uint64)
+    site, col = np.divmod(w, elig.shape[1])
+    occ = (a[:, col] >> lane & 1) + (f[:, col] >> lane & 1)
+    h = np.cumsum(occ[::-1], axis=0)[::-1][site, np.arange(len(w))]
+    key = _pep_key(spec, lo + site, t, h.astype(np.int64))
+    if key.min() < 0:
+        raise _upsilon_error(int(key.min()), t, lo + site[key.argmin()])
+    keep = rng.random(len(w)) * (spec.gamma + key) < spec.gamma
+    np.bitwise_or.at(out.ravel(), w[keep], np.uint64(1) << lane[keep])
+    return out
+
+
 def _ensemble_bits(spec, N, samples, rng):
-    """Bit-sliced engine for asym_pep at delta = 0 (J = 1, capacity 2),
-    where one particle on a site stays with one probability p at every
-    site, time and height.  Lane l of word w is sample 64 w + l (padding
-    lanes are trajectories too, dropped at the end).  Bit planes, a row
-    per site, hold A = (eta >= 1) and F = (eta = 2) on the band lo..r+1 of
-    _ensemble_pep.  With B the stay bits of _bernoulli_words on A & ~F, a
-    step keeps S = F | B and passes X = (A ^ S) | F on: A'(x) = S(x) |
-    X(x-1) and F'(x) = S(x) & X(x-1), with X(lo-1) all ones (the packed
-    region or the step data).  The stay table at eta = 0, 1, 2 is checked
-    each step as in _ensemble_pep; the occupancy range is structural."""
+    """Bit-sliced engine for the J = 1 specs of _ensemble_pep, where one
+    particle on a site stays with a constant p (asym_pep) or with
+    (1/2)(1 + 1/Upsilon) (jgamma_pep): C | D, C a fair coin and D from
+    _thinned_words where C = 0.  Lane l of word w is sample 64 w + l.  Bit
+    planes, a row per site, hold A = (eta >= 1) and F = (eta = 2) on the
+    band lo..r+1 of _ensemble_pep.  With B the stay bits on A & ~F, a step
+    keeps S = F | B and passes X = (A ^ S) | F on: A'(x) = S(x) | X(x-1)
+    and F'(x) = S(x) & X(x-1), with X(lo-1) all ones.  The stay table at
+    eta = 0, 1, 2 (key 0) is checked each step.  The occupancy range is
+    structural, and so is Upsilon >= gamma off the candidates of D: at most
+    J+1 particles a site give h_t(x) >= Jt - (J+1)(x-1), so key >= h."""
     ones = ~np.uint64(0)
     # Row x - 1 holds site x; r is the last site non-empty in some lane.
     a_all, f_all, s_all, x_all = (np.zeros((N + 2, -(-samples // 64)),
@@ -756,7 +790,10 @@ def _ensemble_bits(spec, N, samples, rng):
             raise InadmissibleWeights(
                 "stay probability of an empty or full site is not exactly "
                 "0 or 1 at time %d" % t)
-        b = _bernoulli_words(rng.bit_generator, min(max(p, 0.0), 1.0), single)
+        coin = 0.5 if spec.variant == "jgamma_pep" else min(max(p, 0.0), 1.0)
+        b = _bernoulli_words(rng.bit_generator, coin, single)
+        if spec.variant == "jgamma_pep":  # D where the coin C is 0
+            b |= _thinned_words(spec, rng, single & ~b, a, f, lo, t)
         s = np.bitwise_or(f, b, out=single)
         x = np.bitwise_xor(a, s, out=x_all[:n])
         x |= f
@@ -772,29 +809,31 @@ def _ensemble_bits(spec, N, samples, rng):
 
 def _ensemble_pep(spec, N, samples, rng):
     """Vectorized engine for both exclusion processes, capacity J+1, on the
-    height function h_t(x) (particles at sites >= x), one column per
-    sample; asym_pep at delta = 0 runs on the bit-sliced _ensemble_bits.
-    Sites < lo are packed at J+1 (they deterministically forward
-    J arrows) and sites past r, the last site non-empty in some sample, are
-    empty, so a step works only on the band lo..r+1: rows o, o+1, ... of a
-    height buffer and the first rows of per-cell buffers reused across
-    steps.  All X(x) are drawn from the time-t state, and the height moves
-    by the bond flux, h'(x) = h(x) + X(x-1) = h(x-1) - S(x-1), where S is 1
-    when a particle stays at x, in place on a moving origin: after h -= S
-    the row of site x holds h'(x+1), and the one new row, h'(lo) =
-    h(lo) + J, goes just before the band.  Only when no row is left there
-    does the band move, _WINDOW_GROW rows on (into a larger buffer if it
-    needs one); r moves right by at most one site per step.
+    height function h_t(x) (particles at sites >= x), one column per sample;
+    asym_pep at delta = 0 and jgamma_pep at J = 1, gamma >= _THIN_GAMMA run on
+    the bit-sliced _ensemble_bits.  Sites < lo are packed at J+1 (they
+    deterministically forward J arrows) and sites past r, the last site
+    non-empty in some sample, are empty, so a step works only on the band
+    lo..r+1: rows o, o+1, ... of a height buffer and the first rows of per-cell
+    buffers reused across steps.  All X(x) are drawn from the time-t state, and
+    the height moves by the bond flux, h'(x) = h(x) + X(x-1) = h(x-1) - S(x-1),
+    where S is 1 when a particle stays at x, in place on a moving origin: after
+    h -= S the row of site x holds h'(x+1), and the one new row, h'(lo) =
+    h(lo) + J, goes just before the band.  Only when no row is left there does
+    the band move, _WINDOW_GROW rows on (into a larger buffer if it needs one);
+    r moves right by at most one site per step.
 
     The stay probability depends on (x, t, h) only through the integer key
     of _pep_key, so each step evaluates the shared formula once, on a table
     over the occupancies 0..J+1 and the band's keys, and checks that its
     occupancy-0 and occupancy-(J+1) entries are exactly 0 and 1.  A uniform
-    is drawn only for the cells with 0 < eta < J+1, in site-major order,
-    all inside the band: the seeded stream and heights are those of the
-    earlier engine that stepped a window grown _WINDOW_GROW sites at a
-    time, whose extent the Ensemble keeps."""
-    if spec.variant == "asym_pep" and spec.delta == 0.0:
+    is drawn only for the cells with 0 < eta < J+1, in site-major order.
+    Thinning pays per candidate, 1/(2 gamma) of the one-particle cells at
+    any size, so it beats this engine from a fixed gamma: 60 to 100 at N =
+    400 x 4000 and 1000 x 1000 samples (2-CPU x86-64).  _THIN_GAMMA keeps a
+    wide margin, and gamma = 3 and every J >= 2 here."""
+    if spec.J == 1 and (spec.delta == 0.0 if spec.variant == "asym_pep"
+                        else spec.gamma >= _THIN_GAMMA):
         return _ensemble_bits(spec, N, samples, rng)
     J = int(spec.J)
     cap = J + 1
@@ -991,11 +1030,12 @@ def run_ensemble(spec, N, samples, base_seed, observables):
     generator split off (base_seed, 0), so the result is deterministic
     given base_seed: the row engine (qhahn, general) draws one uniform per
     sample and site, the band engine (jgamma_pep, asym_pep) one per site
-    with 0 < eta < J+1 or, at asym_pep delta = 0, exact Bernoulli bits 64
-    trajectories to a word, and the corner engine (corner, corner_dyn) one
-    per flat segment.  Each observable is called once, with the final
-    Ensemble, and returns one value per sample or one scalar for all:
-    `current(ens, x)` and `ens.height(x)` give int64 arrays.
+    with 0 < eta < J+1 or, bit-sliced (see _ensemble_pep), exact Bernoulli
+    bits 64 trajectories to a word and a thinned correction, and the corner
+    engine (corner, corner_dyn) one per flat segment.  Each observable is
+    called once, with the final Ensemble, and returns one value per sample
+    or one scalar for all: `current(ens, x)` and `ens.height(x)` give int64
+    arrays.
     """
     N, samples = int(N), int(samples)
     if samples < 1 or N < 0:

@@ -451,7 +451,15 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
             raise NotConverged(
                 "node doubling did not reach relative change %g before "
                 "the budget stopped it at %d nodes per circle" % (tol, n))
-        cur, floor = _quad_once(spec, contour, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cur, floor = _quad_once(spec, contour, n)
+        # Non-finite terms, or terms that all underflowed to 0, leave the
+        # doubling rule below with no number to compare.
+        if not (np.isfinite(cur) and np.isfinite(floor)
+                and max(abs(cur), floor) > 0.0):
+            raise NotConverged(
+                "the sum at %d nodes per circle is %s with rounding floor %s:"
+                " its terms overflowed or all underflowed" % (n, cur, floor))
         if prev is not None:
             change = abs(cur - prev) / max(abs(cur), floor / tol)
             if change <= tol:

@@ -238,6 +238,15 @@ class TestIdentitySite:
         assert exact_mean(ModelSpec.jgamma_pep(1, 3.0), 8, fn) * \
             math.sqrt(8) == pytest.approx(3.28125, rel=1e-12)
 
+    def test_default_heat_within_5_sigma_of_exact(self):
+        # The default run (T = 1600, 20000 samples, gamma = 1e12, the
+        # bit-sliced engine) against the exact E[h(800)] / 40 = -RHS / 40
+        # = 0.39888 of the identity.
+        rep = experiment("heat_lln", seed=0).report
+        exact = -exact_rhs(1e12, 800, 1600) / 40
+        assert abs(exact - 0.39888) < 1e-5
+        assert abs(rep["mc_mean"] - exact) <= 5 * rep["mc_stderr"]
+
     @pytest.mark.parametrize("p", [4.0, 4.25])
     def test_heat_reads_identity_sites(self, p):
         # At gamma = 1e12 the identity gives E[h(x)] = -RHS up to 1e-11;

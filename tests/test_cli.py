@@ -93,6 +93,32 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("argv, flag", [
+        (["specfun", "--grid-size", "1", "--tol", "-1"], "--tol"),
+        (["specfun", "--tol", "nan"], "--tol"),
+        (["check-weights", "--tol", "0"], "--tol"),
+        (["symfun", "--tol", "0"], "--tol"),
+        (["symfun", "--mass-tol", "0"], "--mass-tol"),
+        (["verify-identity", "--form", "qhahn", "--tol=-1e-8"], "--tol"),
+    ])
+    def test_nonpositive_tolerance_exits_2(self, tmp_path, capsys, argv,
+                                           flag):
+        # A tolerance <= 0 fails every gated check: a bad config, not a
+        # failed check.
+        code, rep = run(tmp_path, *argv)
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert "argument %s: must be positive" % flag in err
+        assert "Traceback" not in err
+
+    def test_tolerance_not_a_number(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "check-weights", "--tol", "tiny")
+        assert code == 2
+        assert "argument --tol: not a number: 'tiny'" in \
+            capsys.readouterr().err
+
+
 class TestSpecfun:
     def test_identities_pass(self, tmp_path):
         code, rep = run(tmp_path, "specfun", "--grid-size", "10")
@@ -356,6 +382,15 @@ class TestVerifyIdentity:
         assert code == 2
         capsys.readouterr()
 
+    def test_one_sample_rejected(self, tmp_path, capsys):
+        # A standard error needs two samples; one used to report 0.0 and
+        # fail the MC check with infinite sigmas.
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep",
+                        "--x", "2", "--N", "4", "--samples", "1")
+        assert code == 2 and rep is None
+        assert "error: --samples must be 0 or >= 2, got 1" in \
+            capsys.readouterr().err
+
     def test_negative_samples_rejected(self, tmp_path, capsys):
         code, _ = run(tmp_path, "verify-identity", "--form", "pep",
                       "--samples", "-1")
@@ -464,11 +499,13 @@ class TestReportShape:
         assert "wall_clock_seconds" in rep["timing"]
 
     def test_strict_json(self, tmp_path):
-        # One MC sample has zero standard error, so the sigma residuals are
-        # infinite; they are written as strings, not as Infinity.
+        # Both MC samples are equal here, so the standard error is zero and
+        # the sigma residuals are infinite; they are written as strings,
+        # not as Infinity.
         out = tmp_path / "report.json"
         code = dispatch(["verify-identity", "--form", "pep", "--x", "2",
-                         "--N", "4", "--samples", "1", "--out", str(out)])
+                         "--N", "3", "--samples", "2", "--seed", "1",
+                         "--out", str(out)])
         assert code == 1
 
         def reject(name):
@@ -477,6 +514,24 @@ class TestReportShape:
         rep = json.loads(out.read_text(), parse_constant=reject)
         assert rep["identity"]["residual_mc_vs_quadrature_sigmas"] == "inf"
         assert rep["passed"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["--x", "2", "--N", "4"],
+        ["--x", "3", "--N", "8", "--gamma", "3", "--samples", "500"],
+        # both MC samples agree: the sigma row fails at an infinite residual
+        ["--x", "2", "--N", "3", "--samples", "2", "--seed", "1"],
+    ])
+    def test_passed_is_a_json_bool(self, tmp_path, argv):
+        # Every check row of a verify-identity report, gated or not.
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep", *argv)
+        assert len(rep["checks"]) >= 2
+        for check in rep["checks"]:
+            assert type(check["passed"]) is bool, check
+            assert type(check["gated"]) is bool, check
+            assert check["passed"] == (
+                float(check["residual"]) <= check["tolerance"])
+        assert rep["passed"] is all(c["passed"] for c in rep["checks"])
+        assert code == (0 if rep["passed"] else 1)
 
     @pytest.mark.parametrize("argv, rows", [
         (["specfun", "--grid-size", "3", "--seed", "5"],

@@ -2,6 +2,7 @@
 vectorized ensemble engines, and the height-function views."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -42,11 +43,12 @@ GENERAL = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,), S=(S_IM,),
                             J=(1,))
 JG = ModelSpec.jgamma_pep(J=1, gamma=10.0)
 ASYM = ModelSpec.asym_pep(0.25, -0.5)
-# Both exclusion processes, at delta = 0 and delta < 0 and at J = 1 and 2.
+# Both exclusion processes, at delta = 0 and delta < 0, at J = 1 and 2, and
+# jgamma_pep J = 1 at the gamma of `heat`, which runs bit-sliced.
 PEP_SPECS = pytest.mark.parametrize("spec", [
     ModelSpec.asym_pep(0.25, 0.0), ASYM, ModelSpec.jgamma_pep(J=1, gamma=3.0),
-    ModelSpec.jgamma_pep(J=2, gamma=7.0)],
-    ids=["asym-d0", "asym-d-0.5", "jgamma-J1", "jgamma-J2"])
+    ModelSpec.jgamma_pep(J=2, gamma=7.0), ModelSpec.jgamma_pep(1, 1e12)],
+    ids=["asym-d0", "asym-d-0.5", "jgamma-J1", "jgamma-J2", "jgamma-thin"])
 
 
 def h_tail(cfg, x):
@@ -93,10 +95,13 @@ def suffix_cumsum_pep(spec, N, samples, rng, trace=None):
     return lo, arr
 
 
-def keyless(spec):
-    """asym_pep at delta = 0, the one exclusion process whose stay
-    probability does not depend on the height."""
-    return spec.variant == "asym_pep" and spec.delta == 0.0
+def bit_sliced(spec):
+    """The exclusion processes of the bit-sliced engine: asym_pep at
+    delta = 0, whose stay probability does not depend on the height, and
+    jgamma_pep at J = 1 from gamma = models._THIN_GAMMA on."""
+    return (spec.variant == "asym_pep" and spec.delta == 0.0
+            or spec.variant == "jgamma_pep" and spec.J == 1
+            and spec.gamma >= models._THIN_GAMMA)
 
 
 def lane_bits(words):
@@ -137,25 +142,54 @@ def bernoulli_lanes(bitgen, p, lanes):
     return out
 
 
+def thinned_lanes(spec, rng, lanes, occ, lo, t):
+    """Oracle for the thinned correction of jgamma_pep J = 1: 0/1 bits on
+    the True entries of `lanes` (sites, words, 64), 0 elsewhere.  The
+    candidates are found by skipping rng.geometric(1/gamma) True entries
+    at a time in (site, word, lane) order, one skip per candidate and one
+    that ends past the last entry; then each candidate draws a uniform u
+    and gets 1 when u * Upsilon < gamma, with Upsilon = gamma + 2h +
+    2(x - 1) - t at its site x and height h (the suffix sum of its lane's
+    occupancies `occ`, of shape (lanes, sites))."""
+    flat, found = np.flatnonzero(lanes), []
+    at = rng.geometric(1 / spec.gamma)
+    while at <= len(flat):
+        found.append(flat[at - 1])
+        at += rng.geometric(1 / spec.gamma)
+    out = np.zeros(lanes.shape, dtype=np.int64)
+    if found:
+        site, lane = np.divmod(np.array(found), lanes[0].size)
+        h = occ[:, ::-1].cumsum(axis=1)[:, ::-1][lane, site]
+        upsilon = spec.gamma + (2 * h + 2 * (lo + site - 1) - t)
+        keep = rng.random(len(found)) * upsilon < spec.gamma
+        out.reshape(-1)[np.array(found)[keep]] = 1
+    return out
+
+
 def bitplane_pep(spec, N, samples, rng, trace=None):
-    """Oracle for the bit-sliced asym_pep delta = 0 engine: the same step
-    per lane on an occupancy state (lanes, width), where the lanes fill
-    whole 64-lane words and every lane is a trajectory.  The band runs
-    from lo, the first site not full in every lane, to r + 1, with r the
-    last site non-empty in some lane; the stay bits of the cells holding
-    one particle come from bernoulli_lanes on the same random_raw words,
-    with the band's words site-major.  A cell
-    holding one particle keeps it when its bit is 1, a full cell keeps one
-    and passes one, and site lo receives one particle from the left.
-    Returns (lo, occupancy of the first `samples` lanes); a trace list gets
-    (lo, advance) per step."""
+    """Oracle for the bit-sliced engine: the same step per lane on an
+    occupancy state (lanes, width), where the lanes fill whole 64-lane
+    words and every lane is a trajectory.  The band runs from lo, the
+    first site not full in every lane, to r + 1, with r the last site
+    non-empty in some lane; the stay bits of the cells holding one
+    particle come from bernoulli_lanes on the same random_raw words, with
+    the band's words site-major: at asym_pep's stay probability, or, for
+    jgamma_pep, a fair coin C or'ed with thinned_lanes on the cells where
+    C = 0.  A cell holding one particle keeps it when its bit is 1, a full
+    cell keeps one and passes one, and site lo receives one particle from
+    the left.  Returns (lo, occupancy of the first `samples` lanes); a
+    trace list gets (lo, advance) per step."""
     words = -(-samples // 64)
     occ = np.zeros((64 * words, 1), dtype=np.int64)
     lo = 1
     for t in range(N):
-        p = float(models._pep_stay(spec, np.arange(3), 0)[1])
         single = (occ == 1).T.reshape(occ.shape[1], words, 64)
-        stay = bernoulli_lanes(rng.bit_generator, p, single)
+        if spec.variant == "asym_pep":
+            p = float(models._pep_stay(spec, np.arange(3), 0)[1])
+            stay = bernoulli_lanes(rng.bit_generator, p, single)
+        else:
+            stay = bernoulli_lanes(rng.bit_generator, 0.5, single)
+            stay |= thinned_lanes(spec, rng, single & (stay == 0), occ, lo, t)
         s = (occ == 2) | (stay.reshape(occ.shape[1], -1).T == 1)
         xs = occ - s
         occ = s + np.concatenate([np.ones((len(occ), 1), np.int64),
@@ -252,10 +286,10 @@ def sampler(vectorized):
 
 
 def oracle_heights(spec, N, samples, seed, trace=None):
-    """The oracle's int64 heights (bitplane_pep for asym_pep at delta = 0,
+    """The oracle's int64 heights (bitplane_pep for the bit-sliced specs,
     else suffix_cumsum_pep) from the engine's generator: column x - 1
     holds h(x) of every sample, at the sites x = 1, ..., N + 2."""
-    oracle = bitplane_pep if keyless(spec) else suffix_cumsum_pep
+    oracle = bitplane_pep if bit_sliced(spec) else suffix_cumsum_pep
     lo, occ = oracle(spec, N, samples, _trajectory_rng(seed, 0), trace)
     total = spec.J * N
     h = np.empty((samples, N + 2), dtype=np.int64)
@@ -643,7 +677,7 @@ class TestEnsembles:
         # entries of the table read 1.5: the first site holding exactly
         # one particle in some sample at time 100 names the error.  The
         # bit-sliced engine steps all 64 lanes of its one word.
-        if keyless(spec):
+        if bit_sliced(spec):
             lo, occ = bitplane_pep(spec, 100, 64, _trajectory_rng(5, 0))
         else:
             lo, occ = suffix_cumsum_pep(spec, 100, 6, _trajectory_rng(5, 0))
@@ -661,8 +695,9 @@ class TestEnsembles:
             run_ensemble(spec, 120, 6, 5, [lambda st: 0.0])
 
     @pytest.mark.parametrize("spec", [
-        ModelSpec.asym_pep(0.25, 0.0), ModelSpec.jgamma_pep(J=2, gamma=7.0)],
-        ids=["asym-d0", "jgamma-J2"])
+        ModelSpec.asym_pep(0.25, 0.0), ModelSpec.jgamma_pep(J=2, gamma=7.0),
+        ModelSpec.jgamma_pep(1, 1e12)],
+        ids=["asym-d0", "jgamma-J2", "jgamma-thin"])
     @pytest.mark.parametrize("occ", ["empty", "full"])
     def test_late_skipped_draws_guarded(self, monkeypatch, spec, occ):
         # As test_skipped_draws_guarded, from time 100 on.
@@ -732,7 +767,7 @@ class TestWindowEngine:
         trace = []
         lo, width = assert_engine_matches_oracle(spec, 200, 3, 7, trace)
         grow = models._WINDOW_GROW
-        if not keyless(spec):  # the height buffer of _ensemble_pep
+        if not bit_sliced(spec):  # the height buffer of _ensemble_pep
             # The origin starts _WINDOW_GROW rows before site 1 and moves
             # left one row a step and right with lo: at time t it is used
             # up once t - lo_t + 1 reaches _WINDOW_GROW, and the band must
@@ -786,9 +821,75 @@ def bit_engine_configs(spec, N, samples, seed):
 
 
 class TestBitSlicedEngine:
-    """asym_pep at delta = 0 on the bit-sliced engine: its law against
-    exact_law, its Bernoulli words against exact rational comparisons, and
-    its padding lanes."""
+    """asym_pep at delta = 0 and jgamma_pep at J = 1 on the bit-sliced
+    engine: their law against exact_law, the Bernoulli words against exact
+    rational comparisons, the thinned stream against its oracle, and the
+    padding lanes."""
+
+    @pytest.mark.parametrize("spec, bits", [
+        (ModelSpec.asym_pep(0.25, 0.0), True), (ASYM, False),
+        (ModelSpec.jgamma_pep(1, 1e4), True),
+        (ModelSpec.jgamma_pep(1, 9999.0), False),
+        (ModelSpec.jgamma_pep(2, 1e12), False)])
+    def test_which_specs_run_bit_sliced(self, monkeypatch, spec, bits):
+        def bit_engine(*args):
+            raise LookupError("bit-sliced")
+
+        monkeypatch.setattr(models, "_ensemble_bits", bit_engine)
+        assert bit_sliced(spec) == bits
+        if bits:
+            with pytest.raises(LookupError):
+                run_ensemble(spec, 3, 2, 1, [])
+        else:
+            run_ensemble(spec, 3, 2, 1, [])
+
+    @pytest.mark.parametrize("gamma", [2.5, 3.0, 7.0])
+    @pytest.mark.parametrize("samples", [20, 65])
+    def test_thinned_stream_matches_oracle(self, monkeypatch, gamma,
+                                           samples):
+        # With the floor at 0 a small gamma runs thinned, and candidates
+        # (the only cells whose key the engine reads) are common.
+        monkeypatch.setattr(models, "_THIN_GAMMA", 0.0)
+        real, calls = models._pep_key, []
+        monkeypatch.setattr(models, "_pep_key", lambda spec, x, t, h:
+                            calls.append(len(x)) or real(spec, x, t, h))
+        spec = ModelSpec.jgamma_pep(1, gamma)
+        assert_engine_matches_oracle(spec, 80, samples, 5)
+        assert sum(calls) > 80
+
+    @pytest.mark.parametrize("gamma", [2.5, 3.0, 7.0])
+    @pytest.mark.parametrize("N", [4, 5])
+    def test_thinned_frequencies_per_configuration(self, monkeypatch, gamma,
+                                                   N):
+        monkeypatch.setattr(models, "_THIN_GAMMA", 0.0)
+        spec = ModelSpec.jgamma_pep(1, gamma)
+        n = 100000
+        counts = bit_engine_configs(spec, N, n, 43)
+        law = dict(exact_law(spec, N).support)
+        assert set(counts) <= set(law)
+        for cfg, pr in law.items():
+            if pr > 1e-3:
+                sigma = math.sqrt(pr * (1 - pr) / n)
+                assert abs(counts.get(cfg, 0) / n - pr) < 4 * sigma, cfg
+
+    def test_thinned_upsilon_checked_at_candidates(self, monkeypatch):
+        # From time 10 on every key reads 1000 lower; the first candidate
+        # then names the error.
+        monkeypatch.setattr(models, "_THIN_GAMMA", 0.0)
+        real = models._pep_key
+        monkeypatch.setattr(models, "_pep_key", lambda spec, x, t, h:
+                            real(spec, x, t, h) - 1000 * (t >= 10))
+        with pytest.raises(InadmissibleWeights,
+                           match=r"< gamma at time 10, site \d+$"):
+            run_ensemble(ModelSpec.jgamma_pep(1, 3.0), 20, 64, 5, [])
+
+    def test_extreme_gamma(self):
+        # 1/gamma = 1e-300: every skip saturates at INT64_MAX, and no
+        # candidate is drawn, without overflow.
+        spec = ModelSpec.jgamma_pep(1, 1e300)
+        assert_engine_matches_oracle(spec, 60, 70, 9)
+        est, = run_ensemble(spec, 60, 70, 9, [lambda st: current(st, 1)])
+        assert est.mean == 60
 
     @pytest.mark.parametrize("q", [0.25, 0.6])
     @pytest.mark.parametrize("N", [3, 4])
@@ -913,6 +1014,35 @@ class TestKappaBookkeeping:
         gen = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,), S=(S_IM,),
                                 J=(1,))
         assert kappa_audit(gen, 5, seed=1) > 8
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("spec, vertex, where", [
+        # q**(-2h) overflows at h = 388 in a Python power (real, complex)
+        (ModelSpec.qhahn(Q, DELTA, B=(15.625,), C=(Q,), J=(1,)),
+         (1, 388, 1, 1, 400), "site 1, row 389 (qhahn)"),
+        (GENERAL, (1, 388, 1, 1, 400), "site 1, row 389 (general)"),
+        # b_1 b_2 = 1e600 overflows to inf without an exception
+        (ModelSpec.qhahn(Q, DELTA, B=(1e300,), C=(Q,), J=(1,)),
+         (3, 0, 1, 1, 1), "site 3, row 1 (qhahn)")],
+        ids=["qhahn-power", "general-power", "qhahn-product"])
+    def test_kappa_out_of_range_is_typed(self, spec, vertex, where):
+        with pytest.raises(InadmissibleWeights, match=r"^dynamical "
+                           r"parameter out of float range at %s$"
+                           % re.escape(where)):
+            models._kernel(spec, *vertex)
+
+    def test_zero_delta_past_overflow(self):
+        # At delta = 0 kappa is 0 at every height, also where q**(-2h)
+        # overflows: the kernel at h = 400 is the kernel at h = 0.
+        spec = ModelSpec.qhahn(0.25, 0.0, B=(16.0,), C=(0.25,), J=(1,))
+        far, near = (models._kernel(spec, 1, 388, 1, 1, h)[1]
+                     for h in (400, 0))
+        assert np.array_equal(far, near)
+
+    def test_nan_weights_rejected(self):
+        with pytest.raises(InadmissibleWeights, match="weight sum nan"):
+            models._validate_weights([math.nan, 1.0], "here")
 
 
 class TestEnsembleContract:

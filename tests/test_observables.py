@@ -215,6 +215,26 @@ class TestContours:
             pass
         assert passes[0] == 32 and max(passes) ** 4 <= 2 ** 32
 
+    def test_underflowed_sum_not_converged(self):
+        # asym_pep(0.25, 0) as its q-Hahn spec: at N = 400, x = 600 every
+        # node's term underflows to 0, so the sum and its rounding floor
+        # are 0 and the doubling rule would divide 0 by 0.
+        spec = ObservableSpec(
+            ModelSpec.qhahn(0.25, 0.0, B=(16.0,), C=(0.25,), J=(1,)),
+            (600,), 400)
+        with pytest.raises(NotConverged, match=r"^the sum at 512 nodes per "
+                           r"circle is 0j with rounding floor 0\.0: its "
+                           r"terms overflowed or all underflowed$"):
+            rhs_quadrature(spec)
+
+    @pytest.mark.parametrize("value", [complex(math.inf, 0.0),
+                                       complex(math.nan, 0.0)])
+    def test_non_finite_sum_not_converged(self, value, monkeypatch):
+        monkeypatch.setattr(observables, "_quad_once",
+                            lambda spec, contour, n: (value, 1.0))
+        with pytest.raises(NotConverged, match="overflowed"):
+            rhs_quadrature(ObservableSpec(QHAHN, (1,), 1))
+
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             rhs_quadrature(ObservableSpec(QHAHN, (1,), 1), tol=0.0)
