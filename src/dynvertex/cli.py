@@ -52,7 +52,8 @@ class _ConfigError(Exception):
 # Report plumbing
 
 
-def _record(name, value, residual, tolerance, points=None, **extra):
+def _record(name, value, residual, tolerance, points=None, message=None,
+            **extra):
     """One report check, gated when it has a tolerance."""
     gated = tolerance is not None
     rec = {"name": name, "value": value, "residual": residual,
@@ -61,6 +62,8 @@ def _record(name, value, residual, tolerance, points=None, **extra):
                                     and residual <= tolerance)
     if points is not None:
         rec["points"] = points
+    if message is not None:
+        rec["message"] = message
     rec.update(extra)
     return rec
 
@@ -213,7 +216,7 @@ def _model_from_config(model, cfg):
             J = tuple(cfg.get("J", (1,)))
             C = tuple(cfg.get("C", tuple(q ** j for j in J)))
             return ModelSpec.qhahn(q, cfg.get("delta", -0.2),
-                                   tuple(cfg.get("B", (-0.3,))), C, J)
+                                   tuple(cfg.get("B", (q ** -2,))), C, J)
         if model == "pep":
             return ModelSpec.jgamma_pep(cfg.get("J", 1),
                                         cfg.get("gamma", 5.0))
@@ -426,7 +429,9 @@ def _build_parser():
         "verify-identity", help="observable identity check",
         description="Expectation of the multiplicative observable vs the "
         "contour-integral formula, by exact enumeration and optionally "
-        "Monte Carlo.")
+        "Monte Carlo.  Where the quadrature does not converge and the "
+        "right side has a closed form, the exact value is the answer and "
+        "the quadrature's outcome an ungated row.")
     p.add_argument("--form", choices=("qhahn", "pep"), required=True)
     p.add_argument("--k", type=int, help="observable order (must match "
                    "the number of probe sites)")
@@ -444,7 +449,8 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=0,
                    help="Monte Carlo samples, 0 (exact only) or >= 2")
     p.add_argument("--tol", type=_positive, default=1e-8,
-                   help="relative gate for node doubling and for the exact "
+                   help="relative gate for the change over the "
+                   "quadrature's final (m, 2m) node pair and for the exact "
                    "residual (default 1e-8)")
     _add_common(p)
     p.set_defaults(handler=_run_verify_identity)

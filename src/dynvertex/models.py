@@ -611,7 +611,17 @@ def exact_law(spec, N, bound=200000):
     pairs (corner variants).  For the general model, whose horizontal
     arrows slide past empty sites with geometrically small probability
     (an infinite tail of negligible mass), branches and configurations of
-    probability at most 1e-14 are dropped."""
+    probability at most 1e-14 are dropped.
+
+    SizeLimit is raised once the support passes `bound` configurations
+    (or the branches swept in one step pass 64 bound), and as soon as the
+    support projected to step N does: after step t with s_t
+    configurations, the growth of the last step is taken to persist, so
+    the projection is s_t (s_t / s_(t-1))^(N - t).  Where the growth
+    factor per step is steady or rising, as the exclusion processes' is,
+    the projection does not overstate the support at step N, so it stops
+    only enumerations that would pass the bound, and stops them before
+    the work is done."""
     if spec.is_corner:
         init = initial_state(spec)
         start = (tuple(int(v) for v in init.heights), init.left)
@@ -635,9 +645,18 @@ def exact_law(spec, N, bound=200000):
                 work += 1
                 if len(nxt) > bound or work > 64 * bound:
                     raise SizeLimit(
-                        "exact law exceeds the configuration bound")
+                        "exact law exceeds the configuration bound %d at "
+                        "step %d of %d" % (bound, t + 1, N))
         if prune:
             nxt = {c: p for c, p in nxt.items() if p > prune}
+        growth = len(nxt) / len(dist)
+        if growth > 1 and (N - t - 1) * math.log(growth) > math.log(
+                bound / len(nxt)):
+            raise SizeLimit(
+                "exact law support of %d configurations at step %d of %d, "
+                "growing %.3gx per step, is projected past the "
+                "configuration bound %d" % (len(nxt), t + 1, N, growth,
+                                            bound))
         dist = nxt
     return ExactLaw.from_dict(dist)
 

@@ -16,13 +16,18 @@ identities require the probe sites listed in weakly decreasing order.
 
 For every k the integrand is prod_j f_j(z_j) times the pair factors
 (z_i - z_j)/(z_i - q z_j), or (z_i - z_j)/(z_i - z_j - 1) for PEP, so one
-recursive contraction runs the trapezoid rule for any k.  Node doubling
-starts at 32 nodes per circle, or at the first power of two above the
-largest pole order inside the contours (fewer nodes alias the integrand's
-Laurent coefficients), and stops once the relative change is below tol,
-with the rounding level of the sum as a floor (so a zero integral
-converges).  A pass beyond 4096 nodes per circle or 2^32 nodes in all, or
-a rounding floor above tol * max(1, |value|), raises NotConverged instead.
+recursive contraction runs the trapezoid rule for any k.  The value is
+accepted from a pair of passes at m and 2m nodes per circle whose
+relative change (doubling_change) is below tol, with the rounding level
+of the sum as a floor (so a zero integral converges).  Passes start at 32
+nodes per circle, or at the first power of two above the largest pole
+order inside the contours (fewer nodes alias the integrand's Laurent
+coefficients), and double; since the rule's error falls geometrically in
+the node count, once two successive pairs have failed, the final pair is
+chosen from their measured rate, with m between two powers of two, and
+never ends above where doubling would.  A pass beyond 4096 nodes per
+circle or 2^32 nodes in all, or a rounding floor above
+tol * max(1, |value|), raises NotConverged instead.
 
 The printed sources drift by one in a few indices; the conventions frozen
 here (which factors read the current at x_j versus x_j + 1, which prefix
@@ -53,6 +58,7 @@ _MAX_GRID = 2 ** 32  # nodes per pass, n^k
 _FLOOR_ULPS = 64    # floor = _FLOOR_ULPS * eps * prod_j sum_a |g_j[a]|
 _CONTRACT_ROWS = 64  # rows per block of the 3-variable step and of inner
 _IMAG_TOL = 1e-9    # cap on the imaginary-part bound, per max(1, |value|)
+_JUMP_SAFETY = 10.0  # predicted error of a jump's pair, per tol
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +100,10 @@ class ObservableSpec:
 @dataclass(frozen=True)
 class ContourSpec:
     """Nested circles on the real axis, one per integration variable,
-    ordered outermost first.  nodes_per_circle is where node doubling
-    starts, unless the pole order inside the contours needs more; it must
-    be a power of two and stay within the quadrature budget (4096 per
-    circle, 2^32 per pass)."""
+    ordered outermost first.  nodes_per_circle is the first pass of the
+    quadrature's node schedule, unless the pole order inside the contours
+    needs more; it must be a power of two and stay within the quadrature
+    budget (4096 per circle, 2^32 per pass)."""
 
     circles: tuple  # ((center, radius), ...) as floats
     nodes_per_circle: int = 32
@@ -426,27 +432,50 @@ def _quad_once(spec, contour, n):
     return _contract(z, g, lambda zi, zj: _cross_factor(spec, zi, zj)), floor
 
 
+def _jump(changes, n, k, tol):
+    """The m of the final pair (m, 2m), n < m < 2n, chosen from the rate of
+    convergence once the pairs (n/2, n) and (n, 2n) have failed, or None to
+    keep doubling.  Their changes c_a > c_b, both below 1, fit the change
+    of a pair at m as c_b exp(-r (m - n)), r = ln(c_a / c_b) / (n/2); m is
+    the least count predicted to reach tol / _JUMP_SAFETY.  No jump unless
+    2m stays within the budget and the passes m and 2m cost fewer nodes,
+    m^k + (2m)^k, than the doubling pass 4n they replace."""
+    if len(changes) < 2 or not 1.0 > changes[-2] > changes[-1]:
+        return None
+    c_a, c_b = changes[-2:]
+    rate = math.log(c_a / c_b) / (n / 2)
+    m = n + math.ceil(math.log(c_b * _JUMP_SAFETY / tol) / rate)
+    if (m >= 2 * n or 2 * m > _MAX_NODES or (2 * m) ** k > _MAX_GRID
+            or m ** k + (2 * m) ** k >= (4 * n) ** k):
+        return None
+    return m
+
+
 def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
-    """The k-fold contour integral for any k, doubling the nodes from
-    contour.nodes_per_circle, or from the first power of two above
-    _pole_order, until |cur - prev| / max(|cur|, floor / tol) (the
-    doubling_change of full=True) is at most tol, within the
-    _MAX_NODES / _MAX_GRID budget.  Returns a float when the rounding floor
-    is at most tol max(1, |value|) and the imaginary part at most
-    max(tol |value|, floor) and 1e-9 max(1, |value|), else raises
-    NotConverged; with full=True, a dict with the value and diagnostics."""
+    """The k-fold contour integral for any k.  The value is that of a pass
+    at 2m nodes per circle whose change from the pass at m,
+    |cur - prev| / max(|cur|, floor / tol) (the doubling_change of
+    full=True, with nodes_used = 2m), is at most tol.  Passes start at
+    contour.nodes_per_circle, or at the first power of two above
+    _pole_order, and double.  The rule's error falls geometrically in the
+    node count, so once two successive pairs have failed with falling
+    changes, the final pair is chosen from their rate (_jump): after
+    (n/2, n) and (n, 2n) fail, the passes m and 2m with n < m < 2n replace
+    the doubling pass 4n.  If that pair fails too, doubling goes on from
+    2n with no further jump, so nodes_used never exceeds doubling's.  No
+    pass goes beyond _MAX_NODES per circle or _MAX_GRID in all.  Returns a
+    float when the rounding floor is at most tol max(1, |value|) and the
+    imaginary part at most max(tol |value|, floor) and
+    1e-9 max(1, |value|), else raises NotConverged; with full=True, a dict
+    with the value and diagnostics."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if contour is None:
         contour = solve_contours(spec)
     _check_contour(spec, contour)
-    n, prev = contour.nodes_per_circle, None
-    # Fewer nodes than the pole order alias the Laurent coefficients of the
-    # integrand, and two aliased passes can agree.
-    order = _pole_order(spec)
-    while n <= order:
-        n *= 2
-    while True:
+
+    def run(n):
+        """(value, rounding floor) of the pass at n nodes per circle."""
         if n > _MAX_NODES or n ** spec.k > _MAX_GRID:
             raise NotConverged(
                 "node doubling did not reach relative change %g before "
@@ -454,18 +483,40 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
         with np.errstate(over="ignore", invalid="ignore"):
             cur, floor = _quad_once(spec, contour, n)
         # Non-finite terms, or terms that all underflowed to 0, leave the
-        # doubling rule below with no number to compare.
+        # pair rule with no number to compare.
         if not (np.isfinite(cur) and np.isfinite(floor)
                 and max(abs(cur), floor) > 0.0):
             raise NotConverged(
                 "the sum at %d nodes per circle is %s with rounding floor %s:"
                 " its terms overflowed or all underflowed" % (n, cur, floor))
-        if prev is not None:
-            change = abs(cur - prev) / max(abs(cur), floor / tol)
+        return cur, floor
+
+    def pair_change(prev, cur, floor):
+        return abs(cur - prev) / max(abs(cur), floor / tol)
+
+    n = contour.nodes_per_circle
+    # Fewer nodes than the pole order alias the Laurent coefficients of the
+    # integrand, and two aliased passes can agree.
+    order = _pole_order(spec)
+    while n <= order:
+        n *= 2
+    low, _ = run(n)
+    changes, jumped = [], False
+    while True:
+        top, floor = run(2 * n)
+        cur, nodes, change = top, 2 * n, pair_change(low, top, floor)
+        if change <= tol:
+            break
+        changes.append(change)
+        m = None if jumped else _jump(changes, n, spec.k, tol)
+        if m is not None:
+            jumped = True
+            prev = run(m)[0]
+            cur, floor = run(2 * m)
+            nodes, change = 2 * m, pair_change(prev, cur, floor)
             if change <= tol:
                 break
-        prev = cur
-        n *= 2
+        n, low = 2 * n, top
     # A sum whose rounding floor exceeds the tolerance cannot resolve its
     # value, however well two passes agree.
     if floor > tol * max(1.0, abs(cur)):
@@ -473,7 +524,7 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
             "rounding floor %.3e of the sum exceeds tol * max(1, |value|) "
             "at value %.3e" % (floor, abs(cur)))
     # The imaginary part must vanish to the accuracy of the real part, as
-    # in the doubling rule, and in no case beyond _IMAG_TOL * max(1, |cur|).
+    # in the pair rule, and in no case beyond _IMAG_TOL * max(1, |cur|).
     imag_bound = min(max(tol * abs(cur), floor),
                      _IMAG_TOL * max(1.0, abs(cur)))
     if abs(cur.imag) > imag_bound:
@@ -481,7 +532,7 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
             "integral has non-negligible imaginary part %.3e (bound %.3e)"
             % (cur.imag, imag_bound))
     if full:
-        return {"value": float(cur.real), "nodes_used": n,
+        return {"value": float(cur.real), "nodes_used": nodes,
                 "doubling_change": float(change),
                 "imag_part": float(cur.imag)}
     return float(cur.real)
@@ -523,14 +574,18 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
     Returns (report, checks), checks being the gated rows (name, value,
     residual, tolerance).
 
-    Always computes the quadrature, gated by its relative doubling change,
-    and the exact right side where rhs_exact has it (with the quadrature's
-    residual against it, relative to max(1, |exact|)); computes the exact
-    expectation when the system is small enough, gated against the
-    quadrature relative to min(1, |exact|) (absolute at 0), and a Monte
-    Carlo estimate when samples are requested.  Residuals between MC and
-    the others are normalized by the standard error, and the MC gate is
-    4 of them."""
+    The answer, report["rhs"], is the quadrature, gated by the relative
+    change of its final pair, or rhs_exact where the quadrature raises
+    NotConverged and rhs_exact has a closed form.  The quadrature's outcome
+    is then an ungated row, rhs_quadrature_not_converged, whose sixth
+    field is the NotConverged message (the fifth, points, is None);
+    without rhs_exact the NotConverged propagates.  Where both exist, the
+    quadrature is gated against the exact right side relative to
+    max(1, |exact|).  The exact expectation, when the system is small
+    enough, is gated against the answer relative to min(1, |exact|)
+    (absolute at 0); otherwise report["lhs_exact_skipped"] gives the
+    SizeLimit reason.  A Monte Carlo estimate, when samples are requested,
+    is gated at 4 standard errors from the answer."""
     report = {
         "form": spec.form,
         "k": spec.k,
@@ -546,29 +601,42 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
     report["contour"] = {"circles": [list(c) for c in contour.circles],
                          "nodes_per_circle": contour.nodes_per_circle,
                          "nesting_offsets": list(contour.nesting_offsets)}
-    diag = rhs_quadrature(spec, contour, tol=tol, full=True)
-    rhs = diag["value"]
-    report["rhs_quadrature"] = rhs
-    report["quadrature_diagnostics"] = {
-        key: val for key, val in diag.items() if key != "value"}
-    checks = [("rhs_quadrature_converged", rhs, diag["doubling_change"],
-               tol)]
     exact_rhs = rhs_exact(spec)
     if exact_rhs is not None:
         exact_rhs = float(exact_rhs)
-        report["residual_quadrature_vs_rhs_exact"] = (
-            abs(rhs - exact_rhs) / max(1.0, abs(exact_rhs)))
-        checks.append(("quadrature_vs_exact_rhs", exact_rhs,
-                       report["residual_quadrature_vs_rhs_exact"], tol))
     report["rhs_exact"] = exact_rhs
+    try:
+        diag = rhs_quadrature(spec, contour, tol=tol, full=True)
+    except NotConverged as exc:
+        if exact_rhs is None:
+            raise
+        rhs, against = exact_rhs, "rhs_exact"
+        report["rhs_quadrature"] = None
+        report["quadrature_diagnostics"] = {"not_converged": str(exc)}
+        checks = [("rhs_quadrature_not_converged", None, None, None, None,
+                   str(exc))]
+    else:
+        rhs, against = diag["value"], "quadrature"
+        report["rhs_quadrature"] = rhs
+        report["quadrature_diagnostics"] = {
+            key: val for key, val in diag.items() if key != "value"}
+        checks = [("rhs_quadrature_converged", rhs, diag["doubling_change"],
+                   tol)]
+        if exact_rhs is not None:
+            report["residual_quadrature_vs_rhs_exact"] = (
+                abs(rhs - exact_rhs) / max(1.0, abs(exact_rhs)))
+            checks.append(("quadrature_vs_exact_rhs", exact_rhs,
+                           report["residual_quadrature_vs_rhs_exact"], tol))
+    report["rhs"] = rhs
     try:
         ex = lhs_exact(spec, bound=exact_bound)
         report["lhs_exact"] = ex
-        report["residual_exact_vs_quadrature"] = abs(ex - rhs)
-        checks.append(("exact_expectation_vs_quadrature", ex,
+        report["residual_exact_vs_" + against] = abs(ex - rhs)
+        checks.append(("exact_expectation_vs_" + against, ex,
                        abs(ex - rhs) / (min(1.0, abs(ex)) or 1.0), tol))
-    except SizeLimit:
+    except SizeLimit as exc:
         report["lhs_exact"] = None
+        report["lhs_exact_skipped"] = str(exc)
     if samples:
         est = lhs_mc(spec, samples, seed)
         report["lhs_mc"] = {"mean": est.mean, "stderr": est.stderr,
@@ -579,10 +647,10 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
                 return diff / est.stderr
             return 0.0 if diff < 1e-12 else math.inf
 
-        report["residual_mc_vs_quadrature_sigmas"] = sigmas(
-            abs(est.mean - rhs))
-        checks.append(("mc_expectation_vs_quadrature_sigmas", est.mean,
-                       report["residual_mc_vs_quadrature_sigmas"], 4.0))
+        key = "residual_mc_vs_%s_sigmas" % against
+        report[key] = sigmas(abs(est.mean - rhs))
+        checks.append(("mc_expectation_vs_%s_sigmas" % against, est.mean,
+                       report[key], 4.0))
         if report.get("lhs_exact") is not None:
             report["residual_mc_vs_exact_sigmas"] = sigmas(
                 abs(est.mean - report["lhs_exact"]))

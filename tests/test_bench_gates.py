@@ -1,8 +1,8 @@
-"""Every benchmark task at its tiny size, seed 3, must pass the benchmark's
-own gates against the stored tiny references, so a wrong answer shows in
-the test suite before it shows in a benchmark run.  The benchmark's
-modules are loaded read-only from perfbench/ (no bytecode is written
-there)."""
+"""Every benchmark task at its tiny size, seed 3, and the deterministic
+`exact` tasks also at the benchmark's own size, must pass the benchmark's
+gates against the stored references, so a wrong answer shows in the test
+suite before it shows in a benchmark run.  The benchmark's modules are
+loaded read-only from perfbench/ (no bytecode is written there)."""
 
 import importlib.util
 import json
@@ -29,7 +29,8 @@ def load(name):
 
 workloads = load("workloads")
 tracer = load("tracer")
-REFS = json.loads((BENCH / "refs.json").read_text())["tiny"]
+ALL_REFS = json.loads((BENCH / "refs.json").read_text())
+REFS = ALL_REFS["tiny"]
 TASKS = [(workload, i, name, fn)
          for workload, tasks in sorted(workloads.WORKLOADS.items())
          for i, (name, fn) in enumerate(tasks)]
@@ -46,3 +47,17 @@ def test_task_passes_its_gate(workload, index, name, fn):
                         workloads.task_seed(SEED, workload, index),
                         workloads.SIZES["tiny"][name])
     workloads.gate(fn(ctx), REFS[name])
+
+
+EXACT = workloads.WORKLOADS["exact"]
+
+
+@pytest.mark.parametrize("index, name, fn",
+                         [(i, name, fn) for i, (name, fn) in enumerate(EXACT)],
+                         ids=[name for name, _ in EXACT])
+def test_exact_task_passes_its_gate_at_full_size(index, name, fn):
+    # The exact workload's inputs are fixed; the seed changes none of them.
+    ctx = workloads.Ctx(tracer.NullTracer(),
+                        workloads.task_seed(SEED, "exact", index),
+                        workloads.SIZES["full"][name])
+    workloads.gate(fn(ctx), ALL_REFS["full"][name])

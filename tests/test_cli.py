@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -227,6 +228,15 @@ class TestSymfun:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("steps", [6, 200])
+    def test_qhahn_default_is_admissible(self, tmp_path, steps):
+        # The default B = (q^-2,) with delta = -0.2 is the b = q^-I family,
+        # where every weight is nonnegative; B = (-0.3,) failed at row 6.
+        code, rep = run(tmp_path, "simulate", "--model", "qhahn",
+                        "--steps", str(steps))
+        assert code == 0
+        assert rep["config"]["model_config"] == {}
+
     def test_ensemble_and_csv(self, tmp_path):
         csvf = tmp_path / "sites.csv"
         trajf = tmp_path / "traj.csv"
@@ -351,12 +361,55 @@ class TestVerifyIdentity:
         assert check["value"] == rep["identity"]["rhs_exact"] == -2.3671875
         assert check["passed"] and check["residual"] <= check["tolerance"]
 
-    def test_unresolvable_quadrature_exits_1(self, tmp_path, capsys):
-        # The N=200 integral lies below the rounding floor of its circle.
+    @pytest.mark.parametrize("x, N, value, reason", [
+        (20, 40, -2.50741375239159, "rounding floor 5.028e-07"),
+        (100, 200, -5.63484790092564, "rounding floor"),
+        (5000, 10 ** 4, -39.8932306969108,
+         "budget stopped it at 8192 nodes per circle"),
+    ], ids=["N40", "N200", "N10000"])
+    def test_unresolvable_quadrature_answered_exactly(self, tmp_path, x, N,
+                                                       value, reason):
+        # These integrals lie below the rounding floor of their circle, or
+        # need more nodes than the budget allows; rhs_exact answers, and
+        # the quadrature's outcome stays as an ungated row.
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep",
+                        "--x", str(x), "--N", str(N), "--gamma", "3")
+        assert code == 0
+        ident = rep["identity"]
+        assert ident["rhs"] == ident["rhs_exact"] == pytest.approx(
+            value, rel=1e-13)
+        assert ident["rhs_quadrature"] is None
+        assert ident["lhs_exact"] is None
+        assert "projected past the configuration bound" in \
+            ident["lhs_exact_skipped"]
+        (row,) = rep["checks"]
+        assert row["name"] == "rhs_quadrature_not_converged"
+        assert row["value"] is None and row["gated"] is False
+        assert reason in row["message"]
+        assert row["message"] == ident["quadrature_diagnostics"][
+            "not_converged"]
+
+    def test_unresolvable_quadrature_without_exact_rhs_exits_1(
+            self, tmp_path, capsys):
+        # J=2 has no closed-form right side to fall back on.
         code, _ = run(tmp_path, "verify-identity", "--form", "pep",
-                      "--x", "100", "--N", "200", "--gamma", "3")
+                      "--x", "100", "--N", "200", "--J", "2", "--gamma", "7")
         assert code == 1
         assert "NotConverged: rounding floor" in capsys.readouterr().err
+
+    def test_oversized_exact_law_skipped_before_enumerating(self, tmp_path):
+        # The N=30 support would pass 200000 configurations near step 14;
+        # its growth per step shows that within the first steps.
+        start = time.perf_counter()
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep",
+                        "--x", "15", "--N", "30", "--gamma", "3")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        ident = rep["identity"]
+        assert ident["lhs_exact"] is None
+        assert ident["lhs_exact_skipped"].startswith(
+            "exact law support of ")
+        assert ident["rhs"] == ident["rhs_quadrature"]
 
     @pytest.mark.parametrize("argv", [
         ["--form", "pep", "--x", "1", "--N", "2", "--J", "2",

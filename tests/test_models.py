@@ -537,6 +537,23 @@ class TestExactLaw:
         with pytest.raises(SizeLimit):
             exact_law(QHAHN, 5, bound=3)
 
+    def test_projected_size_limit(self):
+        # jgamma J=1 gamma=3 has 1, 2, 4, 9, ... configurations: 2x per
+        # step from step 2 projects past 200000 long before step 30.
+        with pytest.raises(SizeLimit, match=r"^exact law support of 2 "
+                           r"configurations at step 2 of 30, growing 2x per"
+                           r" step, is projected past the configuration "
+                           r"bound 200000$"):
+            exact_law(ModelSpec.jgamma_pep(J=1, gamma=3.0), 30)
+
+    def test_projection_spares_a_support_within_the_bound(self):
+        # 2188 configurations at N=10, growing faster every step: a bound
+        # just above that must not be cut short by the projection.
+        model = ModelSpec.jgamma_pep(J=1, gamma=3.0)
+        assert len(exact_law(model, 10, bound=2188).support) == 2188
+        with pytest.raises(SizeLimit, match="bound 2187 at step 10 of 10"):
+            exact_law(model, 10, bound=2187)
+
     def test_inadmissible_regime_detected(self):
         bad = ModelSpec.qhahn(Q, DELTA, B=(0.09,), C=(Q,), J=(1,))
         with pytest.raises(InadmissibleWeights):

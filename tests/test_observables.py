@@ -5,14 +5,21 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import prior_observables as prior
 from dynvertex import observables
-from dynvertex.errors import ContourInfeasible, NotConverged, SizeLimit
+from dynvertex.errors import (
+    ContourInfeasible,
+    InadmissibleWeights,
+    NotConverged,
+    SizeLimit,
+)
 from dynvertex.models import ModelSpec
 from dynvertex.observables import (
     ContourSpec,
@@ -299,6 +306,88 @@ class TestAliasing:
 
 
 @st.composite
+def schedule_specs(draw):
+    """Small q-Hahn specs with k = 1-3 and PEP specs with k = 1-2 (no PEP
+    contour nests three circles; see test_pep_k3_infeasible)."""
+    N = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        k, J = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+        model = qhahn_model(q=draw(st.sampled_from([0.25, 0.4, 0.5, 0.75])),
+                            b=draw(st.sampled_from([-0.05, -0.3, -3.0])),
+                            J=J)
+    else:
+        k, J = draw(st.integers(1, 2)), draw(st.sampled_from([1, 2]))
+        model = ModelSpec.jgamma_pep(
+            J, draw(st.sampled_from([J + 1.5, 5.0, 7.0])))
+    xs = draw(st.lists(st.integers(1, N + 1), min_size=k, max_size=k))
+    return ObservableSpec(model, sorted(xs, reverse=True), N)
+
+
+def recorded(fn):
+    """fn() and the (n, value, floor) of every quadrature pass it ran."""
+    passes, quad_once = [], observables._quad_once
+
+    def spy(spec, contour, n):
+        out = quad_once(spec, contour, n)
+        passes.append((n,) + tuple(out))
+        return out
+
+    with mock.patch.object(observables, "_quad_once", spy):
+        return fn(), passes
+
+
+class TestNodeSchedule:
+    """The rate-chosen final pair against pure doubling
+    (prior_observables): same acceptance, never more nodes."""
+
+    def test_qhahn_k3_final_pair(self):
+        # 256 nodes are 2.1e-8 off and 512 are 5.5e-16 off, so doubling
+        # would certify the 512 pass with a 1024 pass; the measured rate
+        # puts the final pair at (301, 602) instead.
+        spec = ObservableSpec(QHAHN, (3, 2, 1), 3)
+        diag, passes = recorded(lambda: rhs_quadrature(spec, full=True))
+        assert [p[0] for p in passes] == [32, 64, 128, 256, 512, 301, 602]
+        assert diag["nodes_used"] == 602
+        ex = lhs_exact(spec)
+        assert abs(diag["value"] - ex) <= 1e-12 * abs(ex)
+
+    @settings(max_examples=40)
+    @given(schedule_specs())
+    def test_against_doubling(self, spec):
+        tol = 1e-8
+        try:
+            contour = solve_contours(spec)
+        except ContourInfeasible:
+            reject()
+        try:
+            old, old_passes = recorded(
+                lambda: prior.rhs_quadrature_doubling(spec, contour, tol))
+        except NotConverged:
+            reject()
+        new, passes = recorded(
+            lambda: rhs_quadrature(spec, contour, tol=tol, full=True))
+        nodes = [p[0] for p in passes]
+        assert old["passes"] == [p[0] for p in old_passes]
+        # The accepted pair is (m, 2m): the last two passes.
+        m = new["nodes_used"] // 2
+        assert nodes[-2:] == [m, 2 * m]
+        (_, prev, _), (_, cur, floor) = passes[-2:]
+        assert new["doubling_change"] == abs(cur - prev) / max(
+            abs(cur), floor / tol) <= tol
+        assert all(n <= observables._MAX_NODES
+                   and n ** spec.k <= observables._MAX_GRID for n in nodes)
+        assert new["nodes_used"] <= old["nodes_used"]
+        # Both values lie within the acceptance scale of the truth.
+        scale = max(tol * abs(old["value"]), floor, old_passes[-1][2])
+        assert abs(new["value"] - old["value"]) <= 2 * scale
+        try:
+            ex = lhs_exact(spec)
+        except (SizeLimit, InadmissibleWeights):
+            return
+        assert abs(new["value"] - ex) <= 2 * max(tol * abs(ex), floor)
+
+
+@st.composite
 def contraction_draws(draw):
     """Random complex single factors g_j and pair matrices for k <= 4
     variables with n <= 6 nodes each.  Node a of variable j is the integer
@@ -372,7 +461,24 @@ class TestIdentityCheck:
         spec = ObservableSpec(QHAHN, (2,), 3)
         rep, _ = identity_check(spec, samples=0, exact_bound=2)
         assert rep["lhs_exact"] is None
+        assert rep["lhs_exact_skipped"].startswith("exact law ")
         assert isinstance(rep["rhs_quadrature"], float)
+
+    def test_exact_rhs_answers_where_quadrature_cannot(self):
+        # x = N/2 at N = 40 lies below the rounding floor of the default
+        # circle; the Monte Carlo row is gated against the exact value.
+        spec = ObservableSpec(ModelSpec.jgamma_pep(J=1, gamma=3.0), (20,), 40)
+        rep, checks = identity_check(spec, samples=4000, seed=2)
+        assert rep["rhs"] == rep["rhs_exact"] == float(rhs_exact(spec))
+        assert rep["rhs_quadrature"] is None
+        message = rep["quadrature_diagnostics"]["not_converged"]
+        assert message.startswith("rounding floor 5.028e-07")
+        assert checks[0] == ("rhs_quadrature_not_converged", None, None,
+                             None, None, message)
+        name, mean, sigmas, gate = checks[1]
+        assert name == "mc_expectation_vs_rhs_exact_sigmas"
+        assert sigmas == rep["residual_mc_vs_rhs_exact_sigmas"] < gate
+        assert len(checks) == 2
 
     def test_exact_rhs_reported_and_matched(self):
         rep, _ = identity_check(ObservableSpec(PEP, (3,), 8))
