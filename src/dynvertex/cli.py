@@ -36,7 +36,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DynVertexError
-from .models import ModelSpec, initial_state, run_ensemble, step
+from .models import (ModelSpec, initial_state, occupancy_ensemble,
+                     run_ensemble, step)
 from .observables import ObservableSpec, identity_check
 from .asymptotics import experiment
 from .specfun import identity_checks
@@ -268,9 +269,11 @@ def _run_simulate(args):
         for _ in range(args.steps):
             state = step(state, spec)
             if spec.is_corner:
-                for pos in state.positions():
+                ens = occupancy_ensemble(spec, state.time, [state.occupancy])
+                for i in range(state.time + 5):
+                    pos = i - 2 - state.time / 2
                     traj_rows.append((state.time, pos,
-                                      state.height(pos)))
+                                      int(ens.height(pos)[0])))
             else:
                 for i, n in enumerate(state.occupancy, start=1):
                     traj_rows.append((state.time, i, int(n)))
@@ -409,7 +412,9 @@ def _build_parser():
         description="Seeded ensemble simulation; reports mean/stderr of "
         "the height function at the requested sites.  --csv columns: "
         "site, mean, stderr, n_samples.  --trajectory-csv columns: time, "
-        "site, value (occupancy, or height for corner models).")
+        "site, value: the occupancy, or for corner models the height "
+        "H_t(p) = 2p + 2h_t(p + t/2 + 1) at p = -2 - t/2, ..., 2 + t/2, "
+        "with h the height of the J = 1 exclusion process they run.")
     p.add_argument("--model", required=True, choices=tuple(_MODEL_KEYS))
     p.add_argument("--config", help="JSON object with model parameters, "
                    "inline or @file")
@@ -468,8 +473,8 @@ def _build_parser():
                    choices=tuple(_EXPERIMENT_NAMES))
     p.add_argument("--config", help="JSON experiment config, inline or "
                    "@file")
-    p.add_argument("--gate", type=float,
-                   help="gate each check's residual at this value")
+    p.add_argument("--gate", type=_positive,
+                   help="gate each check's residual at this value, > 0")
     p.add_argument("--csv", help="write the profile/summary CSV here")
     _add_common(p)
     p.set_defaults(handler=_run_asymptotics)

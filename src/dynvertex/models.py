@@ -21,30 +21,35 @@ Each spec memoizes its kernel on exactly the inputs the kernel reads (see
 `_kernel`): the samplers and the exact law ask the same few questions many
 times, and a dynamical weight costs tens of sin calls.
 
+The corner-growth variants are the J = 1 exclusion process read through
+its height function (Borodin's dynamic exclusion processes): the corner
+height at position y is H_t(y) = 2y + 2 h_t(y + t/2 + 1), a flat segment
+is a site holding one particle, and it goes up when that particle moves
+on.  `corner(p)` is the process whose lone particle stays with the
+constant chance 1 - p, and `corner_dyn(gamma)` is jgamma_pep(1, gamma),
+with Upsilon - gamma = H.  They run on the exclusion sweep, kernel and
+engines; only `Ensemble.height` reads their positions through the map.
+
 The sweep takes a pick rule: `step` makes one inverse-CDF draw per vertex,
-and `exact_law` follows every positive branch.  The corner-growth variants
-evolve a piecewise-linear height function with slopes in {-2, 0, 2}
-directly, through the same pick-driven sweep over its segments: sloped
-segments midpoint deterministically and flat segments flip a (possibly
-height-dependent) coin.
+and `exact_law` follows every positive branch.
 
 Ensembles run on one vectorized engine per variant, which advances all
 trajectories in lockstep.  The row engine serves both row-update models
 (qhahn is the u = s point of general): it sweeps each row as `step` does,
 site by site, and draws the trajectories at a site from one inverse-CDF
-table per kernel memo key.  One band engine serves both exclusion
-processes (asym_pep is its J = 1 case).  It stores the occupied band; the
-packed prefix and the empty suffix evolve deterministically and are
-tracked in closed form.  A step moves the height in place by the bond
-flux, h'(x) = h(x) + X(x-1), and draws every X from one table of the shared
-stay probability per step, since the dynamical parameter depends on
-(x, t, h) only through an integer key.  It hands two J = 1 cases to a
-bit-sliced engine, 64 trajectories per uint64 word: asym_pep at delta = 0
-and jgamma_pep at large gamma (`heat`), a fair coin plus a correction of
-chance 1/Upsilon <= 1/gamma drawn by thinning.  The corner engine keeps the
-lattice of `step` and draws one coin per flat segment.  Engine integer
-dtypes are chosen from the largest reachable value (occupancy, height or
-key).
+table per kernel memo key.  One band engine serves the exclusion
+processes (asym_pep and the corner models are its J = 1 cases).  It
+stores the occupied band; the packed prefix and the empty suffix evolve
+deterministically and are tracked in closed form.  A step moves the
+height in place by the bond flux, h'(x) = h(x) + X(x-1), and draws every X
+from one table of the shared stay probability per step, since the
+dynamical parameter depends on (x, t, h) only through an integer key.  It
+hands the J = 1 cases whose lone particle stays with a constant chance
+(asym_pep at delta = 0, corner) or with a fair coin plus a correction of
+chance 1/Upsilon <= 1/gamma at large gamma (jgamma_pep as in `heat`,
+corner_dyn) to a bit-sliced engine, 64 trajectories per uint64 word, which
+draws the correction by thinning.  Engine integer dtypes are chosen from
+the largest reachable value (occupancy, height or key).
 
 Every ensemble ends in one `Ensemble`, the (samples, width) height matrix
 and the numbers that locate it, read as int64 arrays over the samples so
@@ -75,7 +80,7 @@ _WEIGHT_SUM_TOL = 1e-10
 _WEIGHT_NEG_TOL = 1e-12
 _VARIANTS = ("general", "qhahn", "jgamma_pep", "asym_pep", "corner",
              "corner_dyn")
-_PEP = ("jgamma_pep", "asym_pep")
+_PEP = ("jgamma_pep", "asym_pep", "corner", "corner_dyn")
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +124,7 @@ class ModelSpec:
     @classmethod
     def general(cls, q, delta, U, Xi, S, J):
         """Row-update model with the full psi transition weights."""
-        J = tuple(int(j) for j in J)
-        if any(j < 1 for j in J):
-            raise ValueError("row degrees must be positive integers")
+        J = _degrees(J)
         return cls(variant="general", q=float(q), delta=complex(delta),
                    U=tuple(complex(u) for u in U),
                    Xi=tuple(complex(xi) for xi in Xi),
@@ -132,10 +135,8 @@ class ModelSpec:
         """Row-update model with the q-Hahn-type phi transition weights;
         requires c_y = q^{J_y} with positive integer J_y."""
         q = float(q)
-        J = tuple(int(j) for j in J)
+        J = _degrees(J)
         C = tuple(float(c) for c in C)
-        if any(j < 1 for j in J):
-            raise ValueError("row degrees must be positive integers")
         if len(C) != len(J):
             raise ValueError("C and J must have matching lengths")
         for c, j in zip(C, J):
@@ -149,10 +150,8 @@ class ModelSpec:
     def jgamma_pep(cls, J, gamma):
         """Discrete-time partial exclusion with capacity J+1 and dynamical
         rate parameter gamma > J+1."""
-        J = int(J)
+        J, = _degrees((J,))
         gamma = float(gamma)
-        if J < 1:
-            raise ValueError("J must be a positive integer")
         if not gamma > J + 1:
             raise InadmissibleParameters("jgamma_pep requires gamma > J+1")
         return cls(variant="jgamma_pep", J=J, gamma=gamma)
@@ -170,25 +169,30 @@ class ModelSpec:
 
     @classmethod
     def corner(cls, p):
-        """Midpoint corner growth with constant up-probability p."""
+        """Midpoint corner growth with constant up-probability p: the J = 1
+        exclusion process whose lone particle stays with chance 1 - p,
+        asym_pep((1 - p)/p, 0) for p > 1/2."""
         p = float(p)
         if not 0 <= p <= 1:
             raise ValueError("p must lie in [0, 1]")
-        return cls(variant="corner", p=p)
+        return cls(variant="corner", p=p, J=1)
 
     @classmethod
     def corner_dyn(cls, gamma):
         """Midpoint corner growth with height-dependent up-probability
-        (1/2) * (1 - 1/(gamma + height))."""
+        (1/2) * (1 - 1/(gamma + height)): jgamma_pep(1, gamma), where
+        Upsilon - gamma is the corner height of the flat segment; gamma in
+        (1, 2] is admissible here, as that height is at least 1."""
         gamma = float(gamma)
         if not gamma > 1:
             raise InadmissibleParameters("corner_dyn requires gamma > 1")
-        return cls(variant="corner_dyn", gamma=gamma)
+        return cls(variant="corner_dyn", gamma=gamma, J=1)
 
     # -- derived quantities -------------------------------------------------
 
     @property
     def is_corner(self):
+        """Whether `Ensemble.height` reads corner positions."""
         return self.variant in ("corner", "corner_dyn")
 
     def row_degree(self, y):
@@ -196,6 +200,15 @@ class ModelSpec:
         if self.variant in _PEP:
             return int(self.J)
         return _cyc(self.J, y)
+
+
+def _degrees(J):
+    """Row degrees as a tuple of ints; ValueError unless each is a positive
+    integer (a float is taken only where it is integral)."""
+    if not all(float(j).is_integer() and j >= 1 for j in J):
+        raise ValueError("row degrees must be positive integers, got %r"
+                         % (tuple(J),))
+    return tuple(int(j) for j in J)
 
 
 def _cyc(seq, i):
@@ -229,73 +242,62 @@ class SystemState:
 
 
 @dataclass
-class CornerState:
-    """One corner-growth trajectory: heights at lattice positions
-    left, left+1, ..., left+len(heights)-1 (the lattice shifts by 1/2 each
-    step); the height equals 2|x| outside the stored window."""
-
-    time: int
-    left: float
-    heights: np.ndarray
-    rng: np.random.Generator
-    clamped: int = 0
-
-    def height(self, x):
-        return int(Ensemble(self.time, self.left, self.heights[None],
-                            corner=True).height(x)[0])
-
-    def positions(self):
-        return [self.left + i for i in range(len(self.heights))]
-
-
-@dataclass
 class Ensemble:
     """The final heights of an ensemble: heights[i, j] is sample i's height
-    at left + j, a particle-system site or a corner lattice position.
-    Outside the stored columns, a particle system of `total` particles
-    holds `packed` on each site before `left` and none after; a corner
-    height is the wedge 2|x|.  `height(x)` (or `current`) returns the
-    heights at x of every sample as a new int64 array."""
+    h(left + j) at a particle-system site.  Outside the stored columns, a
+    particle system of `total` particles holds `packed` on each site before
+    `left` and none after.  `height(x)` (or `current`) returns the heights
+    at x of every sample as a new int64 array; for a corner model, `height`
+    reads position x of the time-t lattice (x + t/2 an integer) as
+    H_t(x) = 2x + 2 h(x + t/2 + 1), which off the stored columns is the
+    wedge 2|x|."""
 
     time: int
-    left: float
+    left: int
     heights: np.ndarray
     packed: int = 0
     total: int = 0
     corner: bool = False
 
-    def height(self, x):
-        i = x - self.left
-        j = int(round(i))
-        if abs(i - j) > 1e-9:
-            raise ValueError("x=%r is not on the time-%d lattice"
-                             % (x, self.time))
+    def _hcur(self, x):
+        """h(x) of every sample at the integer site x; what `current`
+        reads."""
+        j = x - self.left
         if 0 <= j < self.heights.shape[1]:
             return self.heights[:, j].astype(np.int64)
-        if self.corner:
-            value = round(2 * abs(x))
-        elif j < 0:
-            value = self.total - self.packed * (x - 1)
-        else:
-            value = 0
+        value = self.total - self.packed * (x - 1) if j < 0 else 0
         return np.full(len(self.heights), value, dtype=np.int64)
 
-    _hcur = height  # what `current` reads
+    def height(self, x):
+        site = x + self.time / 2 + 1 if self.corner else x
+        if abs(site - round(site)) > 1e-9:
+            raise ValueError("x=%r is not on the time-%d lattice"
+                             % (x, self.time))
+        h = self._hcur(round(site))
+        return 2 * h + round(2 * x) if self.corner else h
 
 
 def initial_state(spec, seed=0, rng=None):
-    """Fresh trajectory at time 0 (empty system / wedge height)."""
+    """Fresh trajectory at time 0 (an empty system)."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    if spec.is_corner:
-        left = -2.0
-        heights = np.array([2 * abs(left + i) for i in range(5)],
-                           dtype=np.int64)
-        return CornerState(time=0, left=left, heights=heights, rng=rng)
     occ = np.zeros(1, dtype=np.int64)
     return SystemState(time=0, occupancy=occ, total_particles=0,
                        prefix_particle_counts=np.zeros(1, dtype=np.int64),
                        rng=rng)
+
+
+def occupancy_ensemble(spec, t, rows):
+    """The Ensemble of `spec` at time t whose sample i has the occupancy
+    rows[i] (site x at index x - 1): one scalar trajectory, or the
+    configurations of an exact law."""
+    occ = np.zeros((len(rows), 1 + max(map(len, rows))), dtype=np.int64)
+    for row, cfg in zip(occ, rows):
+        row[:len(cfg)] = cfg
+    heights = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+    pep = spec.variant in _PEP  # as the engines locate their heights
+    packed, total = (spec.J + 1, spec.J * t) if pep else (0, 0)
+    return Ensemble(t, 1, heights, packed, total, spec.is_corner)
 
 
 def current(state, x):
@@ -354,11 +356,12 @@ def _kappa(spec, x, y, h, where):
 
 
 def _pep_key(spec, x, t, h):
-    """The integer through which the dynamical parameter of either
-    exclusion process depends on the site x, the time t and the height
-    h = h_t(x), elementwise over integers or integer arrays (the result
-    keeps their dtype): the exponent e of kappa = delta * q**e (asym_pep),
-    or Upsilon - gamma (jgamma_pep), which must be nonnegative."""
+    """The integer through which the dynamical parameter of an exclusion
+    process depends on the site x, the time t and the height h = h_t(x),
+    elementwise over integers or integer arrays (the result keeps their
+    dtype): the exponent e of kappa = delta * q**e (asym_pep), or
+    Upsilon - gamma, which must be nonnegative where gamma is set; at J = 1
+    it is the corner height H_t(x - t/2 - 1)."""
     if spec.variant == "asym_pep":
         return t - 2 * (x - 1) - 2 * h
     return 2 * h + (spec.J + 1) * (x - 1) - spec.J * t
@@ -369,6 +372,8 @@ def _pep_stay(spec, eta, key):
     at the dynamical parameter of the key from _pep_key."""
     if spec.variant == "asym_pep":
         return asym_pep_stay(eta, spec.q, spec.delta, key)
+    if spec.variant == "corner":  # a constant coin
+        return np.where(eta == 1, 1.0 - spec.p, eta / 2.0)
     return jgamma_pep_stay(eta, spec.J, spec.gamma + key)
 
 
@@ -422,7 +427,7 @@ def _kernel_eval(spec, x, t, i1, j1, h):
         if i1 == 0:
             return (0,), (1.0,), 0
         key = _pep_key(spec, x, t, h)
-        if key < 0 and spec.variant == "jgamma_pep":
+        if key < 0 and spec.gamma is not None:
             raise _upsilon_error(key, t, x)
         stay = float(_pep_stay(spec, i1, key))
         w, clamped = _validate_weights([stay, 1.0 - stay], where)
@@ -448,12 +453,6 @@ def _kernel_eval(spec, x, t, i1, j1, h):
         raise InadmissibleWeights("non-real weight at %s" % where)
     w, clamped = _validate_weights([w.real for w in raw], where)
     return range(len(w)), w, clamped
-
-
-def _corner_up_prob(spec, height):
-    if spec.variant == "corner":
-        return spec.p
-    return 0.5 * (1.0 - 1.0 / (spec.gamma + height))
 
 
 # ---------------------------------------------------------------------------
@@ -504,35 +503,6 @@ def _row_sweep(occ, t, spec, pick):
     return done
 
 
-def _corner_sweep(cfg, t, spec, pick):
-    """One midpoint update of a corner height function cfg = (heights,
-    left).  The stored window is first extended by one lattice unit on each
-    side with wedge values; sloped segments midpoint deterministically,
-    flat segments go up or down by one with the (possibly height-dependent)
-    coin.  Returns one ((heights, left), probability, 0) per branch."""
-    heights, left = cfg
-    n = len(heights)
-    ext = ([int(round(2 * abs(left - 1)))] + [int(v) for v in heights]
-           + [int(round(2 * abs(left + n)))])
-    live = [(None, 1.0)]
-    for i in range(n + 1):
-        h1, h2 = ext[i], ext[i + 1]
-        if h1 != h2:
-            if abs(h1 - h2) != 2:
-                raise InadmissibleWeights(
-                    "segment slope %d not in {-2, 0, 2} at time %d"
-                    % (h2 - h1, t))
-            live = [(((h1 + h2) // 2, new), pr) for new, pr in live]
-            continue
-        up = _corner_up_prob(spec, h1)
-        if not -_WEIGHT_NEG_TOL <= up <= 1 + _WEIGHT_NEG_TOL:
-            raise InadmissibleWeights("up-probability %.6f at x=%.1f, time %d"
-                                      % (up, left - 0.5 + i, t))
-        live = [((h1 + move, new), p) for new, pr in live
-                for move, p in pick((-1, 1), (1.0 - up, up), pr)]
-    return [((_unroll(new), left - 0.5), pr, 0) for new, pr in live]
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -555,12 +525,6 @@ def step(state, spec):
     def pick(values, w, pr):
         return ((values[_sample_index(w, rng)], pr),)
 
-    if spec.is_corner:
-        ((heights, left), _, _), = _corner_sweep(
-            (state.heights, state.left), state.time, spec, pick)
-        return CornerState(time=state.time + 1, left=left,
-                           heights=np.array(heights, dtype=np.int64),
-                           rng=rng, clamped=state.clamped)
     (new, _, clamped), = _row_sweep(
         tuple(int(v) for v in state.occupancy), state.time, spec, pick)
     arr = np.array(new if new else [0], dtype=np.int64)
@@ -576,7 +540,8 @@ def step(state, spec):
 
 @dataclass(frozen=True)
 class ExactLaw:
-    """Exact distribution over occupancy (or height) configurations."""
+    """Exact distribution over occupancy tuples (site x at index x - 1);
+    `occupancy_ensemble` reads their heights."""
 
     support: tuple
     total_mass: float
@@ -607,11 +572,10 @@ class ExactLaw:
 def exact_law(spec, N, bound=200000):
     """Exact forward distribution after N steps: every step sweeps each
     configuration along all its positive branches.  Configurations are
-    occupancy tuples (particle systems) or (heights tuple, left position)
-    pairs (corner variants).  For the general model, whose horizontal
-    arrows slide past empty sites with geometrically small probability
-    (an infinite tail of negligible mass), branches and configurations of
-    probability at most 1e-14 are dropped.
+    occupancy tuples, the corner models' too.  For the general model,
+    whose horizontal arrows slide past empty sites with geometrically small
+    probability (an infinite tail of negligible mass), branches and
+    configurations of probability at most 1e-14 are dropped.
 
     SizeLimit is raised once the support passes `bound` configurations
     (or the branches swept in one step pass 64 bound), and as soon as the
@@ -622,25 +586,18 @@ def exact_law(spec, N, bound=200000):
     the projection does not overstate the support at step N, so it stops
     only enumerations that would pass the bound, and stops them before
     the work is done."""
-    if spec.is_corner:
-        init = initial_state(spec)
-        start = (tuple(int(v) for v in init.heights), init.left)
-        sweep = _corner_sweep
-    else:
-        start = ()
-        sweep = _row_sweep
     prune = 1e-14 if spec.variant == "general" else 0.0
 
     def pick(values, w, pr):
         return [(v, pr * p) for v, p in zip(values, w)
                 if p > 0.0 and pr * p > prune]
 
-    dist = {start: 1.0}
+    dist = {(): 1.0}
     for t in range(N):
         nxt = {}
         work = 0
         for cfg, pr in dist.items():
-            for ncfg, npr, _ in sweep(cfg, t, spec, pick):
+            for ncfg, npr, _ in _row_sweep(cfg, t, spec, pick):
                 nxt[ncfg] = nxt.get(ncfg, 0.0) + pr * npr
                 work += 1
                 if len(nxt) > bound or work > 64 * bound:
@@ -691,18 +648,19 @@ def _int_dtype(top):
 _WINDOW_GROW = 64  # free rows before a moved band; see _ensemble_pep
 
 
-def _band_ensemble(N, J, lo, band):
+def _band_ensemble(spec, N, lo, band):
     """The Ensemble of an exclusion-process engine from `band`, the heights
     at sites lo, lo+1, ... (one row per site, one column per sample),
     zero-padded to the window engine's extent, a site 8 + _WINDOW_GROW * k."""
     n = len(band)
     end = 8 + _WINDOW_GROW * -(-max(lo + n - 9, 0) // _WINDOW_GROW)
     heights = np.pad(band, ((0, end - lo + 1 - n), (0, 0)))
-    return Ensemble(N, lo, heights.T, packed=J + 1, total=J * N)
+    return Ensemble(N, lo, heights.T, packed=spec.J + 1, total=spec.J * N,
+                    corner=spec.is_corner)
 
 
 _BERNOULLI_DENSE = 8  # digits of p compared on every word; see below
-_THIN_GAMMA = 1e4  # least gamma of jgamma_pep J = 1 on _ensemble_bits
+_THIN_GAMMA = 1e4  # least gamma of J = 1 on _ensemble_bits
 
 
 def _bernoulli_words(bitgen, p, lanes):
@@ -745,9 +703,12 @@ def _thinned_words(spec, rng, elig, a, f, lo, t):
     by thinning (Lewis and Shedler 1979): the candidates lie skips of
     rng.geometric(1/gamma) set bits apart in (site, word, lane) order, as
     the law is memoryless (a skip saturated at INT64_MAX, at 1/gamma <=
-    1e-19, still passes every bit); then each reads its height from the A
-    and F planes and is kept when a uniform u has u (gamma + key) < gamma."""
+    1e-19, still passes every bit, and at 1/gamma = 0 none is drawn); then
+    each reads its height from the A and F planes and is kept when a
+    uniform u has u (gamma + key) < gamma."""
     out = np.zeros_like(elig)
+    if not 1.0 / spec.gamma:
+        return out
     at = int(rng.geometric(1.0 / spec.gamma))
     if at > 64 * elig.size:  # past every set bit
         return out
@@ -775,17 +736,18 @@ def _thinned_words(spec, rng, elig, a, f, lo, t):
 
 def _ensemble_bits(spec, N, samples, rng):
     """Bit-sliced engine for the J = 1 specs of _ensemble_pep, where one
-    particle on a site stays with a constant p (asym_pep) or with
-    (1/2)(1 + 1/Upsilon) (jgamma_pep): C | D, C a fair coin and D from
-    _thinned_words where C = 0.  Lane l of word w is sample 64 w + l.  Bit
-    planes, a row per site, hold A = (eta >= 1) and F = (eta = 2) on the
-    band lo..r+1 of _ensemble_pep.  With B the stay bits on A & ~F, a step
-    keeps S = F | B and passes X = (A ^ S) | F on: A'(x) = S(x) | X(x-1)
-    and F'(x) = S(x) & X(x-1), with X(lo-1) all ones.  The stay table at
+    particle on a site stays with a constant p (asym_pep, corner) or with
+    (1/2)(1 + 1/Upsilon) where gamma is set (jgamma_pep, corner_dyn): C | D,
+    C a fair coin and D from _thinned_words where C = 0.  Lane l of word w
+    is sample 64 w + l.  Bit planes, a row per site, hold A = (eta >= 1)
+    and F = (eta = 2) on the band lo..r+1 of _ensemble_pep.  With B the
+    stay bits on A & ~F, a step keeps S = F | B and passes X = (A ^ S) | F
+    on: A'(x) = S(x) | X(x-1) and F'(x) = S(x) & X(x-1), with X(lo-1) all
+    ones.  The stay table at
     eta = 0, 1, 2 (key 0) is checked each step.  The occupancy range is
     structural, and so is Upsilon >= gamma off the candidates of D: at most
     J+1 particles a site give h_t(x) >= Jt - (J+1)(x-1), so key >= h."""
-    ones = ~np.uint64(0)
+    ones, thinned = ~np.uint64(0), spec.gamma is not None
     # Row x - 1 holds site x; r is the last site non-empty in some lane.
     a_all, f_all, s_all, x_all = (np.zeros((N + 2, -(-samples // 64)),
                                            dtype=np.uint64) for _ in "afsx")
@@ -809,9 +771,9 @@ def _ensemble_bits(spec, N, samples, rng):
             raise InadmissibleWeights(
                 "stay probability of an empty or full site is not exactly "
                 "0 or 1 at time %d" % t)
-        coin = 0.5 if spec.variant == "jgamma_pep" else min(max(p, 0.0), 1.0)
+        coin = 0.5 if thinned else min(max(p, 0.0), 1.0)
         b = _bernoulli_words(rng.bit_generator, coin, single)
-        if spec.variant == "jgamma_pep":  # D where the coin C is 0
+        if thinned:  # D where the coin C is 0
             b |= _thinned_words(spec, rng, single & ~b, a, f, lo, t)
         s = np.bitwise_or(f, b, out=single)
         x = np.bitwise_xor(a, s, out=x_all[:n])
@@ -822,15 +784,17 @@ def _ensemble_bits(spec, N, samples, rng):
         r += bool(a[-1].any())  # site r + 1 took a particle in some lane
     occ = sum(np.unpackbits(plane.view(np.uint8), axis=1, count=samples,
                             bitorder="little") for plane in (a, f))
-    return _band_ensemble(N, 1, lo, np.cumsum(occ[::-1], axis=0,
-                                              dtype=_int_dtype(N))[::-1])
+    return _band_ensemble(spec, N, lo, np.cumsum(occ[::-1], axis=0,
+                                                 dtype=_int_dtype(N))[::-1])
 
 
 def _ensemble_pep(spec, N, samples, rng):
-    """Vectorized engine for both exclusion processes, capacity J+1, on the
-    height function h_t(x) (particles at sites >= x), one column per sample;
-    asym_pep at delta = 0 and jgamma_pep at J = 1, gamma >= _THIN_GAMMA run on
-    the bit-sliced _ensemble_bits.  Sites < lo are packed at J+1 (they
+    """Vectorized engine for the exclusion processes, capacity J+1, on the
+    height function h_t(x) (particles at sites >= x), one column per sample.
+    At J = 1 a lone particle that stays with a constant chance (no gamma,
+    delta 0 or unset: asym_pep at delta = 0, corner) or with gamma >=
+    _THIN_GAMMA (jgamma_pep, corner_dyn) runs on the bit-sliced
+    _ensemble_bits.  Sites < lo are packed at J+1 (they
     deterministically forward J arrows) and sites past r, the last site
     non-empty in some sample, are empty, so a step works only on the band
     lo..r+1: rows o, o+1, ... of a height buffer and the first rows of per-cell
@@ -851,7 +815,7 @@ def _ensemble_pep(spec, N, samples, rng):
     any size, so it beats this engine from a fixed gamma: 60 to 100 at N =
     400 x 4000 and 1000 x 1000 samples (2-CPU x86-64).  _THIN_GAMMA keeps a
     wide margin, and gamma = 3 and every J >= 2 here."""
-    if spec.J == 1 and (spec.delta == 0.0 if spec.variant == "asym_pep"
+    if spec.J == 1 and (not spec.delta if spec.gamma is None
                         else spec.gamma >= _THIN_GAMMA):
         return _ensemble_bits(spec, N, samples, rng)
     J = int(spec.J)
@@ -900,7 +864,7 @@ def _ensemble_pep(spec, N, samples, rng):
         key += _pep_key(spec, np.arange(lo, lo + n, dtype=dtype)[:, None],
                         t, 0)
         kmin = int(key.min())
-        if kmin < 0 and spec.variant == "jgamma_pep":
+        if kmin < 0 and spec.gamma is not None:
             raise _upsilon_error(kmin, t, lo + int(key.argmin()) // samples)
         nk = int(key.max()) - kmin + 1
         if (cap + 1) * nk > h.size:
@@ -934,7 +898,7 @@ def _ensemble_pep(spec, N, samples, rng):
         o -= 1
         if hbuf[o + n - 1].any():  # h'(r + 1) > 0 in some sample
             n += 1
-    return _band_ensemble(N, J, lo, h)
+    return _band_ensemble(spec, N, lo, h)
 
 
 def _ensemble_rows(spec, N, samples, rng):
@@ -989,56 +953,13 @@ def _ensemble_rows(spec, N, samples, rng):
     return Ensemble(N, 1, h.T)
 
 
-def _ensemble_corner(spec, N, samples, rng):
-    """Vectorized engine for both corner-growth variants, on the lattice of
-    `step`: row i of the state holds the height at left + i for
-    every sample (column).  Each step extends the window by one wedge
-    value on each side and moves left by -1/2, as `_corner_sweep` does;
-    sloped segments take the midpoint.  One uniform is drawn per flat
-    segment, in site-major order (the order of np.flatnonzero on the
-    state), and the segment goes down by one when u < 1 - up, else up by
-    one.  At samples = 1 this is the draw order of `step`, so the engine
-    reproduces the scalar trajectory from the same generator."""
-    init = initial_state(spec, rng=rng)
-    left = init.left
-    h = np.repeat(init.heights[:, None], samples, axis=1)
-    for t in range(N):
-        n = len(h)
-        ext = np.empty((n + 2, samples), dtype=np.int64)
-        ext[0] = round(2 * abs(left - 1))
-        ext[1:-1] = h
-        ext[-1] = round(2 * abs(left + n))
-        h1, h2 = ext[:-1], ext[1:]
-        slope = h2 - h1
-        bad = (slope != 0) & (slope != 2) & (slope != -2)
-        if bad.any():
-            raise InadmissibleWeights(
-                "segment slope %d not in {-2, 0, 2} at time %d"
-                % (slope.ravel()[np.flatnonzero(bad)[0]], t))
-        flat = np.flatnonzero(slope == 0)
-        up = np.broadcast_to(_corner_up_prob(spec, h1.ravel()[flat]),
-                             flat.shape)
-        out = np.flatnonzero((up < -_WEIGHT_NEG_TOL)
-                             | (up > 1 + _WEIGHT_NEG_TOL))
-        if len(out):
-            k = out[0]
-            raise InadmissibleWeights(
-                "up-probability %.6f at x=%.1f, time %d"
-                % (up[k], left - 0.5 + flat[k] // samples, t))
-        h = h1 + h2
-        h //= 2
-        h.ravel()[flat] += np.where(rng.random(len(flat)) < 1.0 - up, -1, 1)
-        left -= 0.5
-    return Ensemble(N, left, h.T, corner=True)
-
-
 _ENGINES = {
     "general": _ensemble_rows,
     "qhahn": _ensemble_rows,
     "jgamma_pep": _ensemble_pep,
     "asym_pep": _ensemble_pep,
-    "corner": _ensemble_corner,
-    "corner_dyn": _ensemble_corner,
+    "corner": _ensemble_pep,
+    "corner_dyn": _ensemble_pep,
 }
 
 
@@ -1048,13 +969,14 @@ def run_ensemble(spec, N, samples, base_seed, observables):
     The variant's engine advances all trajectories in lockstep from one
     generator split off (base_seed, 0), so the result is deterministic
     given base_seed: the row engine (qhahn, general) draws one uniform per
-    sample and site, the band engine (jgamma_pep, asym_pep) one per site
+    sample and site, and the band engine (jgamma_pep, asym_pep and the
+    corner models, whose configurations are occupancies too) one per site
     with 0 < eta < J+1 or, bit-sliced (see _ensemble_pep), exact Bernoulli
-    bits 64 trajectories to a word and a thinned correction, and the corner
-    engine (corner, corner_dyn) one per flat segment.  Each observable is
-    called once, with the final Ensemble, and returns one value per sample
-    or one scalar for all: `current(ens, x)` and `ens.height(x)` give int64
-    arrays.
+    bits 64 trajectories to a word and a thinned correction.  Each
+    observable is called once, with the final Ensemble, and returns one
+    value per sample or one scalar for all: `current(ens, x)` and
+    `ens.height(x)` give int64 arrays, `height` at corner positions for the
+    corner models.
     """
     N, samples = int(N), int(samples)
     if samples < 1 or N < 0:

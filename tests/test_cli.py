@@ -102,6 +102,10 @@ class TestTolerances:
         (["symfun", "--tol", "0"], "--tol"),
         (["symfun", "--mass-tol", "0"], "--mass-tol"),
         (["verify-identity", "--form", "qhahn", "--tol=-1e-8"], "--tol"),
+        (["asymptotics", "--experiment", "heat", "--gate=-1"], "--gate"),
+        (["asymptotics", "--experiment", "heat", "--gate", "0"], "--gate"),
+        (["asymptotics", "--experiment", "heat", "--gate", "nan"],
+         "--gate"),
     ])
     def test_nonpositive_tolerance_exits_2(self, tmp_path, capsys, argv,
                                            flag):
@@ -297,6 +301,45 @@ class TestSimulate:
         assert code == 0
         assert rep["checks"][0]["name"] == "height_site_0.5"
         assert 1.0 <= rep["checks"][0]["value"] <= 3.0
+
+    def test_corner_trajectory_csv(self, tmp_path):
+        # Each time t lists the heights at -2 - t/2, ..., 2 + t/2; at time
+        # 1 the corner of the wedge is cut off deterministically.
+        trajf = tmp_path / "traj.csv"
+        code, _ = run(tmp_path, "simulate", "--model", "corner-dyn",
+                      "--steps", "6", "--samples", "2", "--sites", "0",
+                      "--trajectory-csv", str(trajf))
+        assert code == 0
+        lines = trajf.read_text().splitlines()
+        assert lines[0] == "time,site,value"
+        rows = [(int(t), float(p), int(v)) for t, p, v in
+                (line.split(",") for line in lines[1:])]
+        for t in range(1, 7):
+            got = [(p, v) for s, p, v in rows if s == t]
+            assert [p for p, _ in got] == [i - 2 - t / 2 for i in range(t + 5)]
+            assert {b - a for (_, a), (_, b) in zip(got, got[1:])} <= {
+                -2, 0, 2}
+            assert (got[0][1], got[-1][1]) == (4 + t, 4 + t)  # the wedge
+        assert {p: v for s, p, v in rows if s == 1} == {
+            -2.5: 5, -1.5: 3, -0.5: 1, 0.5: 1, 1.5: 3, 2.5: 5}
+
+    @pytest.mark.parametrize("model, site", [("pep", "1"),
+                                             ("corner-dyn", "0.5")])
+    def test_infinite_gamma(self, tmp_path, model, site):
+        # 1e400 parses as inf: 1/gamma = 0, and the thinned correction of
+        # the bit-sliced engine draws no candidate.
+        code, rep = run(tmp_path, "simulate", "--model", model,
+                        "--config", '{"gamma": 1e400}', "--steps", "5",
+                        "--samples", "70", "--sites", site)
+        assert code == 0 and rep["passed"] is True
+
+    def test_non_integral_degree_rejected(self, tmp_path, capsys):
+        code, rep = run(tmp_path, "simulate", "--model", "pep",
+                        "--config", '{"J": 1.5}', "--steps", "5")
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert "row degrees must be positive integers" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("steps, samples, flag", [
         ("2", "0", "--samples"), ("2", "-2", "--samples"),

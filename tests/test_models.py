@@ -18,16 +18,14 @@ from dynvertex.errors import (
     SizeLimit,
 )
 from dynvertex.models import (
-    CornerState,
-    Ensemble,
     ModelSpec,
-    _ensemble_corner,
     _ensemble_pep,
     _ensemble_rows,
     _trajectory_rng,
     current,
     exact_law,
     initial_state,
+    occupancy_ensemble,
     run_ensemble,
     step,
 )
@@ -43,12 +41,16 @@ GENERAL = ModelSpec.general(Q, DELTA, U=(1.05,), Xi=(S_IM,), S=(S_IM,),
                             J=(1,))
 JG = ModelSpec.jgamma_pep(J=1, gamma=10.0)
 ASYM = ModelSpec.asym_pep(0.25, -0.5)
-# Both exclusion processes, at delta = 0 and delta < 0, at J = 1 and 2, and
-# jgamma_pep J = 1 at the gamma of `heat`, which runs bit-sliced.
+# Both exclusion processes, at delta = 0 and delta < 0, at J = 1 and 2,
+# jgamma_pep J = 1 at the gamma of `heat`, which runs bit-sliced, and the
+# corner models, J = 1 exclusion processes: corner on the bit-sliced engine,
+# corner_dyn at the gamma of the benchmark's corner-dyn task on the band.
 PEP_SPECS = pytest.mark.parametrize("spec", [
     ModelSpec.asym_pep(0.25, 0.0), ASYM, ModelSpec.jgamma_pep(J=1, gamma=3.0),
-    ModelSpec.jgamma_pep(J=2, gamma=7.0), ModelSpec.jgamma_pep(1, 1e12)],
-    ids=["asym-d0", "asym-d-0.5", "jgamma-J1", "jgamma-J2", "jgamma-thin"])
+    ModelSpec.jgamma_pep(J=2, gamma=7.0), ModelSpec.jgamma_pep(1, 1e12),
+    ModelSpec.corner(0.3), ModelSpec.corner_dyn(3.0)],
+    ids=["asym-d0", "asym-d-0.5", "jgamma-J1", "jgamma-J2", "jgamma-thin",
+         "corner", "corner-dyn"])
 
 
 def h_tail(cfg, x):
@@ -97,10 +99,12 @@ def suffix_cumsum_pep(spec, N, samples, rng, trace=None):
 
 def bit_sliced(spec):
     """The exclusion processes of the bit-sliced engine: asym_pep at
-    delta = 0, whose stay probability does not depend on the height, and
-    jgamma_pep at J = 1 from gamma = models._THIN_GAMMA on."""
+    delta = 0 and corner, whose stay probability does not depend on the
+    height, and jgamma_pep and corner_dyn at J = 1 from gamma =
+    models._THIN_GAMMA on."""
     return (spec.variant == "asym_pep" and spec.delta == 0.0
-            or spec.variant == "jgamma_pep" and spec.J == 1
+            or spec.variant == "corner"
+            or spec.variant in ("jgamma_pep", "corner_dyn") and spec.J == 1
             and spec.gamma >= models._THIN_GAMMA)
 
 
@@ -173,18 +177,19 @@ def bitplane_pep(spec, N, samples, rng, trace=None):
     first site not full in every lane, to r + 1, with r the last site
     non-empty in some lane; the stay bits of the cells holding one
     particle come from bernoulli_lanes on the same random_raw words, with
-    the band's words site-major: at asym_pep's stay probability, or, for
-    jgamma_pep, a fair coin C or'ed with thinned_lanes on the cells where
-    C = 0.  A cell holding one particle keeps it when its bit is 1, a full
-    cell keeps one and passes one, and site lo receives one particle from
-    the left.  Returns (lo, occupancy of the first `samples` lanes); a
-    trace list gets (lo, advance) per step."""
+    the band's words site-major: at the constant stay probability of
+    asym_pep or corner, or, for jgamma_pep and corner_dyn, a fair coin C
+    or'ed with thinned_lanes on the cells where C = 0.  A cell holding one
+    particle keeps it when its bit is 1, a full cell keeps one and passes
+    one, and site lo receives one particle from the left.  Returns (lo,
+    occupancy of the first `samples` lanes); a trace list gets (lo,
+    advance) per step."""
     words = -(-samples // 64)
     occ = np.zeros((64 * words, 1), dtype=np.int64)
     lo = 1
     for t in range(N):
         single = (occ == 1).T.reshape(occ.shape[1], words, 64)
-        if spec.variant == "asym_pep":
+        if spec.gamma is None:
             p = float(models._pep_stay(spec, np.arange(3), 0)[1])
             stay = bernoulli_lanes(rng.bit_generator, p, single)
         else:
@@ -263,21 +268,15 @@ def kappa_audit(spec, N, seed=0):
 
 def run_scalar(spec, N, samples, seed, observables):
     """run_ensemble on `step`: trajectory i runs from _trajectory_rng(seed,
-    i), and the final states are stacked into one Ensemble (suffix sums
-    padded with zeros, corner heights on their common lattice)."""
+    i), and the final occupancies make one Ensemble."""
     rows = []
     for i in range(samples):
         state = initial_state(spec, rng=_trajectory_rng(seed, i))
         for _ in range(N):
             state = step(state, spec)
-        rows.append(state.heights if spec.is_corner
-                    else state.occupancy[::-1].cumsum()[::-1])
-    heights = np.zeros((samples, max(map(len, rows))), dtype=np.int64)
-    for row, final in zip(heights, rows):
-        row[:len(final)] = final
-    ens = Ensemble(N, state.left if spec.is_corner else 1, heights,
-                   corner=spec.is_corner)
-    return models._estimates(ens, seed, observables)
+        rows.append(state.occupancy)
+    return models._estimates(occupancy_ensemble(spec, N, rows), seed,
+                             observables)
 
 
 def sampler(vectorized):
@@ -342,18 +341,36 @@ def corner_view_exact(spec, N, bound=200000):
     return out
 
 
+def corner_window(t):
+    """The positions -2 - t/2, ..., 2 + t/2 the corner models stored at
+    time t when they ran on their own lattice."""
+    return [i - 2 - t / 2 for i in range(t + 5)]
+
+
 def corner_heights_exact(spec, N, positions, bound=200000):
-    """Exact law of the direct corner model restricted to the given
-    positions, as {height tuple: probability}."""
+    """Exact law of a corner model's heights at the given positions, read
+    by `Ensemble.height` from exact_law, as {height tuple: probability}."""
     law = exact_law(spec, N, bound=bound)
+    ens = occupancy_ensemble(spec, N, [cfg for cfg, _ in law.support])
+    cols = np.stack([ens.height(p) for p in positions], axis=1)
     out = {}
-    for (heights, left), pr in law.support:
-        st = CornerState(time=N, left=left,
-                         heights=np.array(heights, dtype=np.int64),
-                         rng=None)
-        key = tuple(st.height(p) for p in positions)
+    for row, (_, pr) in zip(cols, law.support):
+        key = tuple(int(v) for v in row)
         out[key] = out.get(key, 0.0) + pr
     return out
+
+
+def prior_corner_heights(spec, N, positions):
+    """The same law from the corner models' prior lattice sweep."""
+    out = {}
+    for (heights, left), pr in prior.corner_exact_law(spec, N).items():
+        key = tuple(heights[round(p - left)] for p in positions)
+        out[key] = out.get(key, 0.0) + pr
+    return out
+
+
+def tv(a, b):
+    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a | b)
 
 
 class TestModelSpec:
@@ -378,6 +395,19 @@ class TestModelSpec:
     def test_corner_dyn_bound(self):
         with pytest.raises(InadmissibleParameters):
             ModelSpec.corner_dyn(0.5)
+
+    @pytest.mark.parametrize("J", [1.5, 0, math.inf, math.nan])
+    def test_degrees_are_positive_integers(self, J):
+        # int(J) used to run J = 1.5 as J = 1 and raise OverflowError at inf.
+        for make in (lambda: ModelSpec.jgamma_pep(J, 9.0),
+                     lambda: ModelSpec.qhahn(Q, DELTA, B=(B0,), C=(Q,),
+                                             J=(J,)),
+                     lambda: ModelSpec.general(Q, DELTA, U=(1.05,),
+                                               Xi=(S_IM,), S=(S_IM,),
+                                               J=(J,))):
+            with pytest.raises(ValueError, match="row degrees must be "
+                               "positive integers"):
+                make()
 
 
 class TestStepAndCurrent:
@@ -425,27 +455,35 @@ class TestStepAndCurrent:
             assert st.occupancy.max() <= 2
 
 
+def corner_state_heights(spec, state):
+    """One trajectory's heights at the corner positions of its time."""
+    ens = occupancy_ensemble(spec, state.time, [state.occupancy])
+    return {p: int(ens.height(p)[0]) for p in corner_window(state.time)}
+
+
 class TestCorner:
     def test_initial_wedge(self):
-        st = initial_state(ModelSpec.corner(0.5))
-        for p in st.positions():
-            assert st.height(p) == 2 * abs(p)
-        assert st.height(17) == 34  # outside the stored window
+        spec = ModelSpec.corner(0.5)
+        ens = occupancy_ensemble(spec, 0, [initial_state(spec).occupancy])
+        for p in corner_window(0):
+            assert ens.height(p) == 2 * abs(p)
+        assert ens.height(17) == 34  # outside the stored window
 
     def test_time_one_deterministic(self):
         spec = ModelSpec.corner(0.3)
         for seed in range(4):
-            st = step(initial_state(spec, seed=seed), spec)
-            assert st.height(0.5) == 1 and st.height(-0.5) == 1
-            assert st.height(1.5) == 3
+            h = corner_state_heights(spec, step(initial_state(spec, seed=seed),
+                                                spec))
+            assert h[0.5] == 1 and h[-0.5] == 1
+            assert h[1.5] == 3
 
     def test_height_above_wedge(self):
         spec = ModelSpec.corner_dyn(5.0)
         st = initial_state(spec, seed=2)
         for _ in range(10):
             st = step(st, spec)
-            for p in st.positions():
-                assert st.height(p) >= 2 * abs(p) - 1e-9
+            for p, h in corner_state_heights(spec, st).items():
+                assert h >= 2 * abs(p)
 
     @pytest.mark.parametrize("vectorized", [True, False],
                              ids=["vector", "scalar"])
@@ -462,35 +500,61 @@ class TestCorner:
             exact = sum(pr * key[i] for key, pr in law.items())
             assert abs(got.mean - exact) < 4 * got.stderr + 1e-12
 
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.corner(p) for p in (0.0, 0.3, 0.5, 1.0)] + [
+        ModelSpec.corner_dyn(g) for g in (1.5, 3.0, 50.0)],
+        ids=lambda spec: "%s(%g)" % (spec.variant, spec.p if spec.gamma
+                                     is None else spec.gamma))
+    def test_exact_law_equals_prior(self, spec):
+        # The heights of the J = 1 exclusion law at every position of the
+        # prior lattice have the law of the prior midpoint sweep.
+        for N in range(7):
+            grid = corner_window(N)
+            assert tv(corner_heights_exact(spec, N, grid),
+                      prior_corner_heights(spec, N, grid)) <= 1e-15, N
+
+    @pytest.mark.parametrize("N, samples", [(200, 100), (20, 20)])
+    def test_benchmark_inputs_equal_prior_engine(self, N, samples):
+        # The sizes of the benchmark's corner-dyn task, full and tiny, at
+        # its base seeds for benchmark seeds 1..20 (the kernels workload's
+        # task 7: 64 seed + 23).  A lone particle stays where the prior
+        # engine's flat segment went down, from the same uniform.
+        spec = ModelSpec.corner_dyn(3.0)
+        grid = corner_window(N)
+        for seed in range(1, 21):
+            rng = _trajectory_rng(64 * seed + 23, 0)
+            ens = _ensemble_pep(spec, N, samples, rng)
+            left, ref = prior.ensemble_corner(
+                spec, N, samples, _trajectory_rng(64 * seed + 23, 0))
+            assert left == grid[0]
+            got = np.stack([ens.height(p) for p in grid], axis=1)
+            assert np.array_equal(got, ref), seed
+
     @settings(max_examples=60)
-    @given(st.one_of(
-        st.builds(ModelSpec.corner,
-                  st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))),
-        st.builds(ModelSpec.corner_dyn,
-                  st.floats(1, 1e6, exclude_min=True))),
-        st.integers(0, 60), st.integers(0, 2 ** 20))
-    def test_engine_equals_scalar_path(self, spec, N, seed):
-        ens = _ensemble_corner(spec, N, 1, _trajectory_rng(seed, 0))
-        state = initial_state(spec, rng=_trajectory_rng(seed, 0))
-        for _ in range(N):
-            state = step(state, spec)
-        assert ens.left == state.left
-        assert np.array_equal(ens.heights[0], state.heights)
+    @given(st.floats(1, models._THIN_GAMMA, exclude_min=True,
+                     exclude_max=True),
+           st.integers(0, 60), st.integers(1, 5), st.integers(0, 2 ** 20))
+    def test_engine_equals_prior_engine(self, gamma, N, samples, seed):
+        # corner_dyn below the bit-sliced gamma runs on the band engine,
+        # which draws the prior engine's uniforms in the prior's order.
+        spec = ModelSpec.corner_dyn(gamma)
+        ens = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
+        _, ref = prior.ensemble_corner(spec, N, samples,
+                                       _trajectory_rng(seed, 0))
+        got = np.stack([ens.height(p) for p in corner_window(N)], axis=1)
+        assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("vectorized", [True, False],
                              ids=["vector", "scalar"])
-    def test_up_probability_checked(self, monkeypatch, vectorized):
-        # At p = 1 every flat segment goes up, so the first flat segments
-        # at height 2 meet the check in the step at time 2.
-        real = models._corner_up_prob
-        monkeypatch.setattr(
-            models, "_corner_up_prob",
-            lambda spec, h: np.where(np.asarray(h) >= 2, 1.5,
-                                     real(spec, h)))
-        with pytest.raises(InadmissibleWeights,
-                           match=r"up-probability 1\.5.* time 2$"):
-            sampler(vectorized)(ModelSpec.corner(1.0), 4, 3, 1,
-                                [lambda st: 0.0])
+    def test_up_probability_checked(self, vectorized):
+        # p = -0.5 (bypassing the constructor): the lone particle at site 1
+        # at time 1 stays with chance 1.5, an up-probability of -0.5.
+        bad = ModelSpec(variant="corner", p=-0.5, J=1)
+        match = (r"^stay probability 1\.500000 out of \[0, 1\] at time 1, "
+                 r"site 1$" if vectorized else
+                 r"^negative weight -5\.000e-01 at site 1, row 2 \(corner\)$")
+        with pytest.raises(InadmissibleWeights, match=match):
+            sampler(vectorized)(bad, 4, 3, 1, [lambda st: 0.0])
 
 
 class TestExactLaw:
@@ -731,12 +795,14 @@ class TestEnsembles:
         with pytest.raises(InadmissibleWeights, match=r"at time 100$"):
             run_ensemble(spec, 120, 6, 5, [lambda st: 0.0])
 
-    @pytest.mark.parametrize("J", [1, 2])
-    def test_late_upsilon_error_names_site(self, monkeypatch, J):
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.jgamma_pep(1, 7.0), ModelSpec.jgamma_pep(2, 9.0),
+        ModelSpec.corner_dyn(7.0)], ids=["1", "2", "corner-dyn"])
+    def test_late_upsilon_error_names_site(self, monkeypatch, spec):
         # From time 100 on every key reads 1000 lower, so Upsilon < gamma
         # first at the minimal key of the time-100 window, site by site
         # (the window the oracle keeps, past the band's right end too).
-        spec = ModelSpec.jgamma_pep(J, 2.0 * J + 5.0)
+        J = spec.J
         lo, occ = suffix_cumsum_pep(spec, 100, 6, _trajectory_rng(5, 0))
         h = occ[:, ::-1].cumsum(axis=1)[:, ::-1]
         x = np.arange(lo, lo + occ.shape[1])
@@ -838,16 +904,17 @@ def bit_engine_configs(spec, N, samples, seed):
 
 
 class TestBitSlicedEngine:
-    """asym_pep at delta = 0 and jgamma_pep at J = 1 on the bit-sliced
-    engine: their law against exact_law, the Bernoulli words against exact
-    rational comparisons, the thinned stream against its oracle, and the
-    padding lanes."""
+    """asym_pep at delta = 0 and jgamma_pep at J = 1 (and the corner models,
+    which run as them) on the bit-sliced engine: their law against
+    exact_law, the Bernoulli words against exact rational comparisons, the
+    thinned stream against its oracle, and the padding lanes."""
 
     @pytest.mark.parametrize("spec, bits", [
         (ModelSpec.asym_pep(0.25, 0.0), True), (ASYM, False),
         (ModelSpec.jgamma_pep(1, 1e4), True),
         (ModelSpec.jgamma_pep(1, 9999.0), False),
-        (ModelSpec.jgamma_pep(2, 1e12), False)])
+        (ModelSpec.jgamma_pep(2, 1e12), False), (ModelSpec.corner(0.3), True),
+        (ModelSpec.corner_dyn(1e4), True), (ModelSpec.corner_dyn(3.0), False)])
     def test_which_specs_run_bit_sliced(self, monkeypatch, spec, bits):
         def bit_engine(*args):
             raise LookupError("bit-sliced")
@@ -1013,11 +1080,8 @@ class TestCornerView:
         pep = ModelSpec.jgamma_pep(J=1, gamma=1e12)
         via_pep = corner_view_exact(pep, t)
         grid = [x - t / 2.0 - 1.0 for x in range(1, t + 3)]
-        direct = corner_heights_exact(ModelSpec.corner(0.5), t, grid)
-        keys = set(via_pep) | set(direct)
-        tv = 0.5 * sum(abs(via_pep.get(k, 0.0) - direct.get(k, 0.0))
-                       for k in keys)
-        assert tv < 1e-9
+        direct = prior_corner_heights(ModelSpec.corner(0.5), t, grid)
+        assert tv(via_pep, direct) < 1e-9
 
 
 class TestKappaBookkeeping:
@@ -1181,14 +1245,15 @@ class TestLawsAgree:
         # lies within 5 sigma of the exact mean, sigma from the exact
         # variance (so a branch too rare to be sampled is no failure).
         spec, N, law = data.draw(small_models(variant))
-        if spec.is_corner:
-            (heights, left), _ = law.support[0]
-            sites = [left + j for j in range(len(heights))]
+        sites, h = range(1, N + 3), h_tail
+        if spec.is_corner:  # the prior lattice, read through the map
+            sites = corner_window(N)
+            ens = occupancy_ensemble(spec, N, [cfg for cfg, _ in law.support])
+            cols = {x: dict(zip((cfg for cfg, _ in law.support),
+                                ens.height(x).tolist())) for x in sites}
 
             def h(cfg, x):
-                return cfg[0][round(x - left)]
-        else:
-            sites, h = range(1, N + 3), h_tail
+                return cols[x][cfg]
         obs = [lambda ens, x=x: ens.height(x) for x in sites]
         for vectorized, n in ((True, 4000), (False, 400)):
             ests = sampler(vectorized)(spec, N, n, seed, obs)
