@@ -454,9 +454,9 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=0,
                    help="Monte Carlo samples, 0 (exact only) or >= 2")
     p.add_argument("--tol", type=_positive, default=1e-8,
-                   help="relative gate for the change over the "
-                   "quadrature's final (m, 2m) node pair and for the exact "
-                   "residual (default 1e-8)")
+                   help="relative gate for the change of the "
+                   "quadrature's accepted pass from its pass at half the "
+                   "nodes and for the exact residual (default 1e-8)")
     _add_common(p)
     p.set_defaults(handler=_run_verify_identity)
 

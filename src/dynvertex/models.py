@@ -250,7 +250,8 @@ class Ensemble:
     at x of every sample as a new int64 array; for a corner model, `height`
     reads position x of the time-t lattice (x + t/2 an integer) as
     H_t(x) = 2x + 2 h(x + t/2 + 1), which off the stored columns is the
-    wedge 2|x|."""
+    wedge 2|x|.  A row model (packed 0) has no site left of 1, so there
+    `height`, like `current`, rejects x < 1."""
 
     time: int
     left: int
@@ -273,6 +274,8 @@ class Ensemble:
         if abs(site - round(site)) > 1e-9:
             raise ValueError("x=%r is not on the time-%d lattice"
                              % (x, self.time))
+        if site < 1 and not self.packed:
+            raise ValueError("site index must be >= 1")
         h = self._hcur(round(site))
         return 2 * h + round(2 * x) if self.corner else h
 

@@ -16,18 +16,25 @@ identities require the probe sites listed in weakly decreasing order.
 
 For every k the integrand is prod_j f_j(z_j) times the pair factors
 (z_i - z_j)/(z_i - q z_j), or (z_i - z_j)/(z_i - z_j - 1) for PEP, so one
-recursive contraction runs the trapezoid rule for any k.  The value is
-accepted from a pair of passes at m and 2m nodes per circle whose
-relative change (doubling_change) is below tol, with the rounding level
-of the sum as a floor (so a zero integral converges).  Passes start at 32
-nodes per circle, or at the first power of two above the largest pole
+recursive contraction runs the trapezoid rule for any k.  Each circle has
+its own node count, since the rule converges on each at the geometric
+rate its nearest singularity sets.  A pass orders every circle's nodes
+evens first and returns the sums over the 2^k parity classes of its node
+tuples, which give, at no extra cost, the value with any set of circles
+at half their nodes.  The value is accepted from a pass whose relative
+change (doubling_change) from the pass at half the nodes on every circle
+is below tol, with the rounding level of the sum as a floor (so a zero
+integral converges).  The first pass puts twice the start count on every
+circle: twice 32, or twice the first power of two above the largest pole
 order inside the contours (fewer nodes alias the integrand's Laurent
-coefficients), and double; since the rule's error falls geometrically in
-the node count, once two successive pairs have failed, the final pair is
-chosen from their measured rate, with m between two powers of two, and
-never ends above where doubling would.  A pass beyond 4096 nodes per
-circle or 2^32 nodes in all, or a rounding floor above
-tol * max(1, |value|), raises NotConverged instead.
+coefficients), so that its halved pass keeps that guard.  A failed pass
+doubles the fewest circles after which the next change is predicted
+small, or every circle; since the rule's error falls geometrically in the
+node count, a doubled circle may instead jump, once, to a count read from
+its measured rate, and no circle ever gets more nodes than doubling would
+give it.  A pass beyond 4096 nodes on a circle or 2^32 node tuples in
+all, or a rounding floor above tol * max(1, |value|), raises NotConverged
+instead.
 
 The printed sources drift by one in a few indices; the conventions frozen
 here (which factors read the current at x_j versus x_j + 1, which prefix
@@ -36,6 +43,7 @@ pinned by an automated offset sweep against exact enumeration and are
 exercised by the tests.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,11 +62,11 @@ _RHS_PEP_SIGN_PER_VAR = -1   # integral carries (-1)^k from orientation
 
 # Quadrature budget and rounding floor (see rhs_quadrature).
 _MAX_NODES = 4096   # nodes per circle
-_MAX_GRID = 2 ** 32  # nodes per pass, n^k
+_MAX_GRID = 2 ** 32  # node tuples per pass, prod_j n_j
 _FLOOR_ULPS = 64    # floor = _FLOOR_ULPS * eps * prod_j sum_a |g_j[a]|
 _CONTRACT_ROWS = 64  # rows per block of the 3-variable step and of inner
 _IMAG_TOL = 1e-9    # cap on the imaginary-part bound, per max(1, |value|)
-_JUMP_SAFETY = 10.0  # predicted error of a jump's pair, per tol
+_SAFETY = 10.0      # a planned pass aims at tol / _SAFETY
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +108,11 @@ class ObservableSpec:
 @dataclass(frozen=True)
 class ContourSpec:
     """Nested circles on the real axis, one per integration variable,
-    ordered outermost first.  nodes_per_circle is the first pass of the
+    ordered outermost first.  nodes_per_circle is the start count of the
     quadrature's node schedule, unless the pole order inside the contours
-    needs more; it must be a power of two and stay within the quadrature
-    budget (4096 per circle, 2^32 per pass)."""
+    needs more: the first pass puts twice it on every circle, so that its
+    halved pass has the start count, and later passes give each circle its
+    own count.  It must be a power of two >= 4."""
 
     circles: tuple  # ((center, radius), ...) as floats
     nodes_per_circle: int = 32
@@ -381,45 +390,73 @@ def _cross_factor(spec, zi, zj):
     return (zi - zj) / (zi - zj - 1.0)
 
 
+def _halves(n):
+    """The slices of the first and the second half of n nodes."""
+    return slice(0, n // 2), slice(n // 2, n)
+
+
+def _halved(sums, circles):
+    """The value of a pass, from its parity sums, with the circles in
+    `circles` at half their nodes: their even nodes alone, at twice the
+    weight."""
+    index = tuple(0 if j in circles else slice(None)
+                  for j in range(sums.ndim))
+    return 2 ** len(circles) * sums[index].sum()
+
+
 def _contract(z, g, cross, inner=None):
-    """Sum of prod_j g[j][a_j] * prod_{i<j} cross(z[i][a_i], z[j][a_j]) over
-    the node grid, for any number of variables.  The last pair's n x n
-    matrix `inner` is built once, in blocks of rows.  Two variables are
-    g @ inner @ g'; three go through matrix products against inner,
-    _CONTRACT_ROWS nodes of the first variable at a time; with more, each
-    node of the first variable scales every later g_j by its cross row and
-    recurses."""
+    """The 2^k sums S[p_1, ..., p_k] of prod_j g[j][a_j] *
+    prod_{i<j} cross(z[i][a_i], z[j][a_j]) over the node tuples whose node
+    a_j lies in half p_j (0 the first, 1 the second) of variable j's nodes,
+    for any number k of variables; each variable may have its own count.
+    _quad_once orders every circle's nodes evens first, so the halves are
+    the parity classes of the node indices, and the split costs no extra
+    flops and no copies.  The last pair's matrix `inner` is built once, in
+    blocks of rows.  Two variables are g @ inner @ g' by halves; three go
+    through matrix products of each half of the last variable against
+    inner, _CONTRACT_ROWS nodes of the first variable at a time; with
+    more, each node of the first variable scales every later g_j by its
+    cross row and recurses."""
     if len(g) == 1:
-        return g[0].sum()
+        return np.array([g[0][s].sum() for s in _halves(len(g[0]))])
     if inner is None:
         # Filled in blocks so that no n x n temporary is ever alive.
         inner = np.empty((len(z[-2]), len(z[-1])), dtype=complex)
         for r in range(0, len(z[-2]), _CONTRACT_ROWS):
             inner[r:r + _CONTRACT_ROWS] = cross(
                 z[-2][r:r + _CONTRACT_ROWS, None], z[-1])
+    first, last = _halves(len(g[0])), _halves(len(g[-1]))
     if len(g) == 2:
-        return g[0] @ inner @ g[1]
+        rows = [g[0][s] @ inner[s] for s in first]
+        return np.array([[row[t] @ g[1][t] for t in last] for row in rows])
     if len(g) == 3:
-        total = 0.0
+        sums = np.empty((len(z[0]), 2, 2), dtype=complex)
         for r in range(0, len(z[0]), _CONTRACT_ROWS):
             za = z[0][r:r + _CONTRACT_ROWS, None]
-            left = (g[1] * cross(za, z[1])) @ inner
-            total += g[0][r:r + _CONTRACT_ROWS] @ (
-                left * (g[2] * cross(za, z[2]))).sum(axis=1)
-        return total
-    return sum(ga * _contract(z[1:], [gj * cross(za, zj)
-                                      for gj, zj in zip(g[1:], z[1:])],
-                              cross, inner)
-               for za, ga in zip(z[0], g[0]))
+            left, right = g[1] * cross(za, z[1]), g[2] * cross(za, z[2])
+            for t, u in enumerate(last):
+                terms = left * (right[:, u] @ inner[:, u].T)
+                for p, s in enumerate(_halves(len(g[1]))):
+                    sums[r:r + _CONTRACT_ROWS, p, t] = terms[:, s].sum(axis=1)
+        return np.array([np.tensordot(g[0][s], sums[s], axes=1)
+                         for s in first])
+    out = np.zeros((2,) * len(g), dtype=complex)
+    for p, s in enumerate(first):
+        for za, ga in zip(z[0][s], g[0][s]):
+            out[p] += ga * _contract(z[1:], [gj * cross(za, zj)
+                                             for gj, zj in zip(g[1:], z[1:])],
+                                     cross, inner)
+    return out
 
 
-def _quad_once(spec, contour, n):
-    """Tensor-product trapezoid rule with n nodes per circle.  Returns the
-    value and its rounding floor, _FLOOR_ULPS * eps * prod_j sum |g_j|."""
-    theta = 2.0 * math.pi * np.arange(n) / n
+def _quad_once(spec, contour, ns):
+    """Tensor-product trapezoid rule with ns[j] nodes (even) on circle j,
+    each circle's nodes ordered evens first.  Returns the 2^k parity sums
+    of _contract, whose total is the value of the rule, and the rounding
+    floor, _FLOOR_ULPS * eps * prod_j sum |g_j|."""
     z, g = [], []
-    for j, (c, r) in enumerate(contour.circles):
-        e = r * np.exp(1j * theta)
+    for j, ((c, r), n) in enumerate(zip(contour.circles, ns)):
+        e = r * np.exp(2j * math.pi / n * np.r_[0:n:2, 1:n:2])
         z.append(c + e)
         # (1/2 pi i) dz -> (r e^{i theta} / n) per node; the measure of the
         # multiplicative form also divides by z, that of the PEP form
@@ -432,67 +469,75 @@ def _quad_once(spec, contour, n):
     return _contract(z, g, lambda zi, zj: _cross_factor(spec, zi, zj)), floor
 
 
-def _jump(changes, n, k, tol):
-    """The m of the final pair (m, 2m), n < m < 2n, chosen from the rate of
-    convergence once the pairs (n/2, n) and (n, 2n) have failed, or None to
-    keep doubling.  Their changes c_a > c_b, both below 1, fit the change
-    of a pair at m as c_b exp(-r (m - n)), r = ln(c_a / c_b) / (n/2); m is
-    the least count predicted to reach tol / _JUMP_SAFETY.  No jump unless
-    2m stays within the budget and the passes m and 2m cost fewer nodes,
-    m^k + (2m)^k, than the doubling pass 4n they replace."""
-    if len(changes) < 2 or not 1.0 > changes[-2] > changes[-1]:
+def _jump(moves, n, k, tol):
+    """Half the next count, m with n < m < 2n, of a circle at 2n nodes,
+    read from its rate of convergence, or None to double it.  The moves
+    c_a > c_b, both below 1, of its last two doublings, the pairs (n/2, n)
+    and (n, 2n), fit the move of a pair at m as c_b exp(-r (m - n)),
+    r = ln(c_a / c_b) / (n/2); m is the least count predicted to reach
+    tol / (k _SAFETY).  The jump to 2m replaces doubling to 4n."""
+    if len(moves) < 2 or not 1.0 > moves[-2] > moves[-1]:
         return None
-    c_a, c_b = changes[-2:]
+    c_a, c_b = moves[-2:]
     rate = math.log(c_a / c_b) / (n / 2)
-    m = n + math.ceil(math.log(c_b * _JUMP_SAFETY / tol) / rate)
-    if (m >= 2 * n or 2 * m > _MAX_NODES or (2 * m) ** k > _MAX_GRID
-            or m ** k + (2 * m) ** k >= (4 * n) ** k):
-        return None
-    return m
+    m = n + math.ceil(math.log(c_b * k * _SAFETY / tol) / rate)
+    return m if n < m < 2 * n else None
 
 
 def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
-    """The k-fold contour integral for any k.  The value is that of a pass
-    at 2m nodes per circle whose change from the pass at m,
-    |cur - prev| / max(|cur|, floor / tol) (the doubling_change of
-    full=True, with nodes_used = 2m), is at most tol.  Passes start at
-    contour.nodes_per_circle, or at the first power of two above
-    _pole_order, and double.  The rule's error falls geometrically in the
-    node count, so once two successive pairs have failed with falling
-    changes, the final pair is chosen from their rate (_jump): after
-    (n/2, n) and (n, 2n) fail, the passes m and 2m with n < m < 2n replace
-    the doubling pass 4n.  If that pair fails too, doubling goes on from
-    2n with no further jump, so nodes_used never exceeds doubling's.  No
-    pass goes beyond _MAX_NODES per circle or _MAX_GRID in all.  Returns a
-    float when the rounding floor is at most tol max(1, |value|) and the
-    imaginary part at most max(tol |value|, floor) and
-    1e-9 max(1, |value|), else raises NotConverged; with full=True, a dict
-    with the value and diagnostics."""
+    """The k-fold contour integral for any k.  Each pass puts its own even
+    count N_j of nodes on circle j, and its parity sums (_contract) give
+    its value V and, for any set of circles, the value with those circles
+    at N_j / 2 (_halved).  V is accepted when its change from V_half, the
+    value with every circle halved, |V - V_half| / max(|V|, floor / tol)
+    (the doubling_change of full=True), is at most tol.  The first pass
+    puts twice contour.nodes_per_circle, or twice the first power of two
+    above _pole_order, on every circle.  After a failed pass, the fewest
+    circles double whose doubling the sums predict to bring the next
+    change within tol / _SAFETY: with every other circle halved, the value
+    must already lie that close to V.  If no proper subset does, every
+    circle doubles.  The rule's error falls geometrically in the node
+    count, so a doubled circle may instead take its next count, once, from
+    the rate at which its move V_j - V (circle j alone halved) fell over
+    its last two doublings (_jump).  It does so only when the moves of
+    single circles account for all but 1 / _SAFETY of V_half - V, since
+    terms that alias on several circles at once follow no one circle's
+    rate, and when the jump leaves it with the most nodes of the next
+    pass, since counts out of step with each other meet such terms.  If a
+    jumped count falls short, the circle goes on at the count doubling
+    would have given it, so no circle ever gets more nodes than doubling
+    would.  No pass goes beyond _MAX_NODES on a circle or _MAX_GRID node
+    tuples in all.  Returns a float when the rounding floor
+    is at most tol max(1, |value|) and the imaginary part at most
+    max(tol |value|, floor) and 1e-9 max(1, |value|), else raises
+    NotConverged.  With full=True it returns a dict with the value and
+    diagnostics: nodes_used, the largest count of the accepted pass, and
+    nodes_per_circle, its counts; passes, the counts of every pass; and
+    nodes_evaluated, the node tuples summed over the passes."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if contour is None:
         contour = solve_contours(spec)
     _check_contour(spec, contour)
+    k = spec.k
 
-    def run(n):
-        """(value, rounding floor) of the pass at n nodes per circle."""
-        if n > _MAX_NODES or n ** spec.k > _MAX_GRID:
+    def run(ns):
+        """(parity sums, value, rounding floor) of the pass at ns."""
+        if max(ns) > _MAX_NODES or math.prod(ns) > _MAX_GRID:
             raise NotConverged(
                 "node doubling did not reach relative change %g before "
-                "the budget stopped it at %d nodes per circle" % (tol, n))
+                "the budget stopped it at %s nodes per circle" % (tol, ns))
         with np.errstate(over="ignore", invalid="ignore"):
-            cur, floor = _quad_once(spec, contour, n)
+            sums, floor = _quad_once(spec, contour, ns)
+        cur = sums.sum()
         # Non-finite terms, or terms that all underflowed to 0, leave the
-        # pair rule with no number to compare.
-        if not (np.isfinite(cur) and np.isfinite(floor)
+        # pass with no number to compare.
+        if not (np.isfinite(sums).all() and np.isfinite(floor)
                 and max(abs(cur), floor) > 0.0):
             raise NotConverged(
-                "the sum at %d nodes per circle is %s with rounding floor %s:"
-                " its terms overflowed or all underflowed" % (n, cur, floor))
-        return cur, floor
-
-    def pair_change(prev, cur, floor):
-        return abs(cur - prev) / max(abs(cur), floor / tol)
+                "the sum at %s nodes per circle is %s with rounding floor %s:"
+                " its terms overflowed or all underflowed" % (ns, cur, floor))
+        return sums, cur, floor
 
     n = contour.nodes_per_circle
     # Fewer nodes than the pole order alias the Laurent coefficients of the
@@ -500,23 +545,47 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
     order = _pole_order(spec)
     while n <= order:
         n *= 2
-    low, _ = run(n)
-    changes, jumped = [], False
+    every = tuple(range(k))
+    ns = [2 * n] * k
+    ladder = list(ns)  # each circle's count under doubling alone
+    moves = [[] for _ in every]  # each circle's moves at its doublings
+    jumped, passes = set(), []
     while True:
-        top, floor = run(2 * n)
-        cur, nodes, change = top, 2 * n, pair_change(low, top, floor)
+        passes.append(list(ns))
+        sums, cur, floor = run(passes[-1])
+        scale = max(abs(cur), floor / tol)
+        change = abs(_halved(sums, every) - cur) / scale
         if change <= tol:
             break
-        changes.append(change)
-        m = None if jumped else _jump(changes, n, spec.k, tol)
-        if m is not None:
-            jumped = True
-            prev = run(m)[0]
-            cur, floor = run(2 * m)
-            nodes, change = 2 * m, pair_change(prev, cur, floor)
-            if change <= tol:
+        # Double the fewest circles after which the next change is
+        # predicted within tol / _SAFETY.  A circle's own move, V_j - V,
+        # would miss terms that alias on several circles at once.
+        grow = every
+        for size in range(1, k):
+            pred, subset = min(
+                (abs(_halved(sums, set(every) - set(t)) - cur), t)
+                for t in itertools.combinations(every, size))
+            if pred <= tol * scale / _SAFETY:
+                grow = subset
                 break
-        n, low = 2 * n, top
+        alone = [_halved(sums, (j,)) - cur for j in every]
+        mixed = abs(_halved(sums, every) - cur - sum(alone)) / scale
+        new = list(ns)
+        for j in grow:
+            moves[j].append(abs(alone[j]) / scale)
+            if ns[j] == ladder[j]:
+                ladder[j] *= 2
+            new[j] = ladder[j]  # or back on the ladder after a jump
+        # A doubled circle may jump instead, once (see the docstring).
+        for j in grow:
+            if j in jumped or mixed * _SAFETY > change:
+                continue
+            m = _jump(moves[j], ns[j] // 2, k, tol)
+            if m is not None and all(2 * m >= new[i]
+                                     for i in every if i != j):
+                jumped.add(j)
+                new[j] = 2 * m
+        ns = new
     # A sum whose rounding floor exceeds the tolerance cannot resolve its
     # value, however well two passes agree.
     if floor > tol * max(1.0, abs(cur)):
@@ -532,9 +601,10 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
             "integral has non-negligible imaginary part %.3e (bound %.3e)"
             % (cur.imag, imag_bound))
     if full:
-        return {"value": float(cur.real), "nodes_used": nodes,
-                "doubling_change": float(change),
-                "imag_part": float(cur.imag)}
+        return {"value": float(cur.real), "nodes_used": max(ns),
+                "nodes_per_circle": ns, "doubling_change": float(change),
+                "imag_part": float(cur.imag), "passes": passes,
+                "nodes_evaluated": sum(map(math.prod, passes))}
     return float(cur.real)
 
 
@@ -585,7 +655,10 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
     enough, is gated against the answer relative to min(1, |exact|)
     (absolute at 0); otherwise report["lhs_exact_skipped"] gives the
     SizeLimit reason.  A Monte Carlo estimate, when samples are requested,
-    is gated at 4 standard errors from the answer."""
+    is gated at 4 standard errors from the answer; when every sample
+    agrees, its standard error is 0 and its row is ungated, with the
+    reason as its sixth field: a gap between that mean and the answer
+    then goes unchecked."""
     report = {
         "form": spec.form,
         "k": spec.k,
@@ -649,8 +722,15 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
 
         key = "residual_mc_vs_%s_sigmas" % against
         report[key] = sigmas(abs(est.mean - rhs))
-        checks.append(("mc_expectation_vs_%s_sigmas" % against, est.mean,
-                       report[key], 4.0))
+        name = "mc_expectation_vs_%s_sigmas" % against
+        if est.stderr > 0.0:
+            checks.append((name, est.mean, report[key], 4.0))
+        else:
+            checks.append((name, est.mean, report[key], None, None,
+                           "all %d samples agree, so the standard error is 0"
+                           " and a sigma gate has no scale; |mean - rhs| = "
+                           "%.3e is not gated" % (est.n_samples,
+                                                 abs(est.mean - rhs))))
         if report.get("lhs_exact") is not None:
             report["residual_mc_vs_exact_sigmas"] = sigmas(
                 abs(est.mean - report["lhs_exact"]))

@@ -1,9 +1,11 @@
 """Reference copy of the contour quadrature's node schedule as it was
-before the rate-based final pair: pure doubling from the start count
-until a pair of passes at n and 2n changes by at most tol, with the same
-budget, rounding-floor and imaginary-part gates.  The schedule test
-compares the library's rhs_quadrature against it.  The passes, the
-contour checks and the pole order are the library's own."""
+before per-circle node counts and the rate-based final pair: pure
+doubling of every circle from the start count until a pair of passes at
+n and 2n nodes per circle changes by at most tol, with the same budget,
+rounding-floor and imaginary-part gates.  The schedule test compares the
+library's rhs_quadrature against it.  The passes (the total of the
+library's parity sums), the contour checks and the pole order are the
+library's own."""
 
 import numpy as np
 
@@ -37,7 +39,9 @@ def rhs_quadrature_doubling(spec, contour=None, tol=1e-8):
                 "node doubling did not reach relative change %g before "
                 "the budget stopped it at %d nodes per circle" % (tol, n))
         with np.errstate(over="ignore", invalid="ignore"):
-            cur, floor = observables._quad_once(spec, contour, n)
+            sums, floor = observables._quad_once(spec, contour,
+                                                 [n] * spec.k)
+        cur = sums.sum()
         passes.append(n)
         if not (np.isfinite(cur) and np.isfinite(floor)
                 and max(abs(cur), floor) > 0.0):

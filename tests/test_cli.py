@@ -389,11 +389,32 @@ class TestVerifyIdentity:
         names = [c["name"] for c in rep["checks"]]
         assert "mc_expectation_vs_quadrature_sigmas" in names
 
+    def test_monte_carlo_without_spread_is_ungated(self, tmp_path):
+        # Both samples give the same current, so the standard error is 0:
+        # the row is reported, ungated, with the reason, and the exact
+        # rows still gate the answer.
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep",
+                        "--x", "2", "--N", "3", "--samples", "2",
+                        "--seed", "1")
+        assert code == 0
+        row = rep["checks"][-1]
+        assert row["name"] == "mc_expectation_vs_quadrature_sigmas"
+        assert row["gated"] is False and row["tolerance"] is None
+        assert row["message"].startswith(
+            "all 2 samples agree, so the standard error is 0")
+        assert rep["identity"]["lhs_mc"]["stderr"] == 0.0
+        assert all(c["passed"] for c in rep["checks"] if c["gated"])
+
     def test_k4(self, tmp_path):
         code, rep = run(tmp_path, "verify-identity", "--form", "qhahn",
                         "--q", "0.75", "--x", "1", "1", "1", "1", "--N", "4")
         assert code == 0
-        assert rep["identity"]["quadrature_diagnostics"]["nodes_used"] == 256
+        diag = rep["identity"]["quadrature_diagnostics"]
+        assert diag["nodes_used"] == 256
+        assert diag["nodes_per_circle"] == [128, 256, 256, 256]
+        assert diag["passes"][0] == [64] * 4
+        assert diag["nodes_evaluated"] == sum(
+            math.prod(p) for p in diag["passes"])
 
     def test_exact_rhs_gate(self, tmp_path):
         code, rep = run(tmp_path, "verify-identity", "--form", "pep",
@@ -408,7 +429,7 @@ class TestVerifyIdentity:
         (20, 40, -2.50741375239159, "rounding floor 5.028e-07"),
         (100, 200, -5.63484790092564, "rounding floor"),
         (5000, 10 ** 4, -39.8932306969108,
-         "budget stopped it at 8192 nodes per circle"),
+         "budget stopped it at [16384] nodes per circle"),
     ], ids=["N40", "N200", "N10000"])
     def test_unresolvable_quadrature_answered_exactly(self, tmp_path, x, N,
                                                        value, reason):
@@ -602,19 +623,20 @@ class TestReportShape:
         code = dispatch(["verify-identity", "--form", "pep", "--x", "2",
                          "--N", "3", "--samples", "2", "--seed", "1",
                          "--out", str(out)])
-        assert code == 1
+        assert code == 0
 
         def reject(name):
             raise ValueError("not strict JSON: %s" % name)
 
         rep = json.loads(out.read_text(), parse_constant=reject)
         assert rep["identity"]["residual_mc_vs_quadrature_sigmas"] == "inf"
-        assert rep["passed"] is False
+        assert rep["checks"][-1]["residual"] == "inf"
+        assert rep["passed"] is True
 
     @pytest.mark.parametrize("argv", [
         ["--x", "2", "--N", "4"],
         ["--x", "3", "--N", "8", "--gamma", "3", "--samples", "500"],
-        # both MC samples agree: the sigma row fails at an infinite residual
+        # both MC samples agree: the sigma row is ungated, with the reason
         ["--x", "2", "--N", "3", "--samples", "2", "--seed", "1"],
     ])
     def test_passed_is_a_json_bool(self, tmp_path, argv):
@@ -624,8 +646,11 @@ class TestReportShape:
         for check in rep["checks"]:
             assert type(check["passed"]) is bool, check
             assert type(check["gated"]) is bool, check
-            assert check["passed"] == (
-                float(check["residual"]) <= check["tolerance"])
+            if check["gated"]:
+                assert check["passed"] == (
+                    float(check["residual"]) <= check["tolerance"])
+            else:
+                assert check["passed"] is True and check["message"]
         assert rep["passed"] is all(c["passed"] for c in rep["checks"])
         assert code == (0 if rep["passed"] else 1)
 

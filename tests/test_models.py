@@ -1151,6 +1151,37 @@ class TestEnsembleContract:
         for h in got:
             assert h.dtype == np.int64 and h.shape == (7,)
 
+    @pytest.mark.parametrize("vectorized", [True, False],
+                             ids=["vector", "scalar"])
+    @pytest.mark.parametrize("spec", [QHAHN, GENERAL],
+                             ids=["qhahn", "general"])
+    def test_row_model_height_left_of_site_1(self, spec, vectorized):
+        # A row model has no site left of 1, so height rejects x < 1 as
+        # current does.
+        seen = []
+        sampler(vectorized)(spec, 3, 5, 1,
+                            [lambda ens: seen.append(ens) or 0.0])
+        (ens,) = seen
+        assert (ens.height(1) == current(ens, 1)).all()
+        for x in (0, -3):
+            with pytest.raises(ValueError, match="site index must be >= 1"):
+                ens.height(x)
+            with pytest.raises(ValueError, match="site index must be >= 1"):
+                current(ens, x)
+
+    @pytest.mark.parametrize("spec", [JG, ModelSpec.corner(0.3)],
+                             ids=["jgamma", "corner"])
+    def test_exclusion_height_left_of_site_1(self, spec):
+        # Sites left of 1 of an exclusion process hold J + 1 particles
+        # each; the corner lattice reads the wedge there.
+        seen = []
+        run_ensemble(spec, 4, 5, 1, [lambda ens: seen.append(ens) or 0.0])
+        (ens,) = seen
+        if spec.is_corner:
+            assert (ens.height(-40.0) == 80).all()
+        else:
+            assert (ens.height(0) == current(ens, 1) + spec.J + 1).all()
+
     @pytest.mark.parametrize("N, samples", [(-1, 5), (3, 0)])
     def test_bad_sizes_rejected(self, N, samples):
         with pytest.raises(ValueError, match="at least one sample"):

@@ -205,13 +205,13 @@ class TestContours:
     def test_k4_budget(self, monkeypatch):
         # The exact value is 0 (h(1) = N zeroes the last factor) and the
         # doubling approaches it slowly: it must either converge to 0 or
-        # raise NotConverged without a pass beyond n^4 <= 2^32.
+        # raise NotConverged without a pass beyond 2^32 node tuples.
         passes = []
         quad_once = observables._quad_once
 
-        def spy(spec, contour, n):
-            passes.append(n)
-            return quad_once(spec, contour, n)
+        def spy(spec, contour, ns):
+            passes.append(ns)
+            return quad_once(spec, contour, ns)
 
         monkeypatch.setattr(observables, "_quad_once", spy)
         spec = ObservableSpec(QHAHN, (2, 2, 1, 1), 3)
@@ -220,17 +220,19 @@ class TestContours:
             assert abs(rhs_quadrature(spec)) < 1e-9
         except NotConverged:
             pass
-        assert passes[0] == 32 and max(passes) ** 4 <= 2 ** 32
+        assert passes[0] == [64] * 4
+        assert all(math.prod(ns) <= 2 ** 32 for ns in passes)
 
     def test_underflowed_sum_not_converged(self):
         # asym_pep(0.25, 0) as its q-Hahn spec: at N = 400, x = 600 every
         # node's term underflows to 0, so the sum and its rounding floor
-        # are 0 and the doubling rule would divide 0 by 0.
+        # are 0 and the doubling rule would divide 0 by 0.  The first pass
+        # has 1024 nodes: twice 512, the first power of two above N.
         spec = ObservableSpec(
             ModelSpec.qhahn(0.25, 0.0, B=(16.0,), C=(0.25,), J=(1,)),
             (600,), 400)
-        with pytest.raises(NotConverged, match=r"^the sum at 512 nodes per "
-                           r"circle is 0j with rounding floor 0\.0: its "
+        with pytest.raises(NotConverged, match=r"^the sum at \[1024\] nodes "
+                           r"per circle is 0j with rounding floor 0\.0: its "
                            r"terms overflowed or all underflowed$"):
             rhs_quadrature(spec)
 
@@ -238,7 +240,7 @@ class TestContours:
                                        complex(math.nan, 0.0)])
     def test_non_finite_sum_not_converged(self, value, monkeypatch):
         monkeypatch.setattr(observables, "_quad_once",
-                            lambda spec, contour, n: (value, 1.0))
+                            lambda spec, contour, ns: (np.full(2, value), 1.0))
         with pytest.raises(NotConverged, match="overflowed"):
             rhs_quadrature(ObservableSpec(QHAHN, (1,), 1))
 
@@ -249,9 +251,11 @@ class TestContours:
     @pytest.mark.parametrize("imag, ok", [(1e-14, True), (1e-12, False)])
     def test_imag_part_relative(self, imag, ok, monkeypatch):
         # A value of 1e-5 carries at most tol * 1e-5 = 1e-13 of imaginary
-        # part (an absolute 1e-9 bound would accept 1e-12).
+        # part (an absolute 1e-9 bound would accept 1e-12).  Equal parity
+        # sums make the pass agree with its halved pass.
+        half = (1e-5 + imag * 1j) / 2
         monkeypatch.setattr(observables, "_quad_once",
-                            lambda spec, contour, n: (1e-5 + imag * 1j, 0.0))
+                            lambda spec, contour, ns: (np.full(2, half), 0.0))
         spec = ObservableSpec(QHAHN, (1,), 1)
         if ok:
             assert rhs_quadrature(spec) == 1e-5
@@ -274,9 +278,9 @@ class TestAliasing:
         """Node counts of the quadrature passes, in order."""
         passes, quad_once = [], observables._quad_once
 
-        def spy(spec, contour, n):
-            passes.append(n)
-            return quad_once(spec, contour, n)
+        def spy(spec, contour, ns):
+            passes.append(ns)
+            return quad_once(spec, contour, ns)
 
         monkeypatch.setattr(observables, "_quad_once", spy)
         return passes
@@ -284,17 +288,18 @@ class TestAliasing:
     def test_pole_order_above_nodes_raises(self, passes):
         # With 32 and 64 nodes two aliased passes agreed to 1e-9 on
         # -2.08e42; the true value, about -5.6, lies far below the
-        # rounding floor on this circle.
+        # rounding floor on this circle.  The first pass has 256 nodes, so
+        # its halved pass has 128, the first power of two above N - x.
         with pytest.raises(NotConverged, match="rounding floor"):
             rhs_quadrature(ObservableSpec(self.MODEL, (100,), 200))
-        assert passes[0] == 128
+        assert passes[0] == [256]
 
     def test_qhahn_starts_above_the_cluster_multiplicity(self, passes):
         # z = 1 is a pole of order N = 40; two circles of different radii
         # give the same value.
         spec = ObservableSpec(QHAHN, (1,), 40)
         small = rhs_quadrature(spec, ContourSpec(circles=((1.0, 0.6),)))
-        assert passes[0] == 64
+        assert passes[0] == [128]
         large = rhs_quadrature(spec, ContourSpec(circles=((1.0, 0.9),)))
         assert abs(small - large) < 1e-9
 
@@ -324,12 +329,13 @@ def schedule_specs(draw):
 
 
 def recorded(fn):
-    """fn() and the (n, value, floor) of every quadrature pass it ran."""
+    """fn() and the (counts, parity sums, floor) of every quadrature pass
+    it ran."""
     passes, quad_once = [], observables._quad_once
 
-    def spy(spec, contour, n):
-        out = quad_once(spec, contour, n)
-        passes.append((n,) + tuple(out))
+    def spy(spec, contour, ns):
+        out = quad_once(spec, contour, ns)
+        passes.append((list(ns),) + tuple(out))
         return out
 
     with mock.patch.object(observables, "_quad_once", spy):
@@ -337,19 +343,43 @@ def recorded(fn):
 
 
 class TestNodeSchedule:
-    """The rate-chosen final pair against pure doubling
-    (prior_observables): same acceptance, never more nodes."""
+    """Per-circle node counts against pure doubling of every circle
+    (prior_observables): the same acceptance rule, never more nodes on a
+    circle, and no more node tuples in all."""
+
+    QHAHN_K3 = ObservableSpec(QHAHN, (3, 2, 1), 3)
 
     def test_qhahn_k3_final_pair(self):
-        # 256 nodes are 2.1e-8 off and 512 are 5.5e-16 off, so doubling
-        # would certify the 512 pass with a 1024 pass; the measured rate
-        # puts the final pair at (301, 602) instead.
-        spec = ObservableSpec(QHAHN, (3, 2, 1), 3)
-        diag, passes = recorded(lambda: rhs_quadrature(spec, full=True))
-        assert [p[0] for p in passes] == [32, 64, 128, 256, 512, 301, 602]
-        assert diag["nodes_used"] == 602
-        ex = lhs_exact(spec)
+        # Circle 1 (1, 0.25) settles at 128 nodes and circle 2 (2, 1.25) at
+        # 256; only circle 3 (4.5, 3.75), whose left edge passes 0.25 from
+        # the order-3 pole at z = 1, needs more, and its measured rate
+        # takes it from 512 to 634 nodes where doubling would go on to 1024.
+        diag, passes = recorded(
+            lambda: rhs_quadrature(self.QHAHN_K3, full=True))
+        assert [p[0] for p in passes] == diag["passes"] == [
+            [64, 64, 64], [128, 128, 128], [128, 256, 256],
+            [128, 256, 512], [128, 256, 634]]
+        assert diag["nodes_per_circle"] == [128, 256, 634]
+        assert diag["nodes_used"] == 634
+        ex = lhs_exact(self.QHAHN_K3)
         assert abs(diag["value"] - ex) <= 1e-12 * abs(ex)
+
+    def test_jump_that_falls_short_goes_on_doubling(self):
+        # Circle 1 jumps from 128 to 154 nodes on its rate, the pass there
+        # fails, and it goes on at 256, where doubling would have put it.
+        spec = ObservableSpec(qhahn_model(q=0.5), (3, 2), 2)
+        diag = rhs_quadrature(spec, full=True)
+        assert diag["passes"] == [[64, 64], [128, 128], [154, 128],
+                                  [256, 128]]
+        assert lhs_exact(spec) == 0.0 and abs(diag["value"]) < 1e-18
+
+    def test_qhahn_k3_nodes_evaluated(self):
+        # Doubling with the rate-chosen final pair evaluated
+        # 32^3 + ... + 512^3 + 301^3 + 602^3 = 398,825,117 node triples.
+        diag = rhs_quadrature(self.QHAHN_K3, full=True)
+        assert diag["nodes_evaluated"] == sum(
+            math.prod(p) for p in diag["passes"])
+        assert diag["nodes_evaluated"] <= 398825117 / 4
 
     @settings(max_examples=40)
     @given(schedule_specs())
@@ -366,17 +396,25 @@ class TestNodeSchedule:
             reject()
         new, passes = recorded(
             lambda: rhs_quadrature(spec, contour, tol=tol, full=True))
-        nodes = [p[0] for p in passes]
-        assert old["passes"] == [p[0] for p in old_passes]
-        # The accepted pair is (m, 2m): the last two passes.
-        m = new["nodes_used"] // 2
-        assert nodes[-2:] == [m, 2 * m]
-        (_, prev, _), (_, cur, floor) = passes[-2:]
-        assert new["doubling_change"] == abs(cur - prev) / max(
+        counts = [p[0] for p in passes]
+        assert old["passes"] == [p[0][0] for p in old_passes]
+        assert new["passes"] == counts
+        assert new["nodes_per_circle"] == counts[-1]
+        assert new["nodes_used"] == max(counts[-1])
+        # The accepted pass changes by at most tol from its halved pass.
+        _, sums, floor = passes[-1]
+        cur = sums.sum()
+        assert new["doubling_change"] == abs(
+            cur - 2 ** spec.k * sums[(0,) * spec.k]) / max(
             abs(cur), floor / tol) <= tol
-        assert all(n <= observables._MAX_NODES
-                   and n ** spec.k <= observables._MAX_GRID for n in nodes)
-        assert new["nodes_used"] <= old["nodes_used"]
+        assert all(max(ns) <= observables._MAX_NODES
+                   and math.prod(ns) <= observables._MAX_GRID
+                   for ns in counts)
+        # No circle gets more nodes than doubling gives it, and the passes
+        # evaluate no more node tuples than doubling's.
+        assert max(max(ns) for ns in counts) <= old["nodes_used"]
+        assert new["nodes_evaluated"] == sum(map(math.prod, counts)) <= sum(
+            n ** spec.k for n in old["passes"])
         # Both values lie within the acceptance scale of the truth.
         scale = max(tol * abs(old["value"]), floor, old_passes[-1][2])
         assert abs(new["value"] - old["value"]) <= 2 * scale
@@ -390,29 +428,42 @@ class TestNodeSchedule:
 @st.composite
 def contraction_draws(draw):
     """Random complex single factors g_j and pair matrices for k <= 4
-    variables with n <= 6 nodes each.  Node a of variable j is the integer
-    j * n + a, so cross(zi, zj) is a lookup in one (k n) x (k n) matrix."""
-    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    variables with an even number n_j <= 6 of nodes each.  Node a of
+    variable j is the integer 6 j + a, so cross(zi, zj) is a lookup in one
+    6k x 6k matrix."""
+    k = draw(st.integers(1, 4))
+    ns = draw(st.lists(st.sampled_from([2, 4, 6]), min_size=k, max_size=k))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
     def cplx(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    return k, n, [cplx(n) for _ in range(k)], cplx(k * n, k * n)
+    return k, ns, [cplx(n) for n in ns], cplx(6 * k, 6 * k)
 
 
 class TestContraction:
     @settings(max_examples=200)
     @given(contraction_draws())
     def test_matches_brute_force(self, draw):
-        k, n, g, cross = draw
-        z = [j * n + np.arange(n) for j in range(k)]
-        terms = [np.prod([g[j][a[j]] for j in range(k)])
-                 * np.prod([cross[z[i][a[i]], z[j][a[j]]]
-                            for i in range(k) for j in range(i + 1, k)])
-                 for a in itertools.product(range(n), repeat=k)]
-        got = observables._contract(z, g, lambda zi, zj: cross[zi, zj])
-        assert abs(got - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+        # Each variable's nodes go evens first, as _quad_once orders them;
+        # the result is the sums over the parity classes of the node
+        # indices.
+        k, ns, g, cross = draw
+        order = [np.r_[0:n:2, 1:n:2] for n in ns]
+        z = [6 * j + order[j] for j in range(k)]
+        want = np.zeros((2,) * k, dtype=complex)
+        size = np.zeros((2,) * k)
+        for a in itertools.product(*map(range, ns)):
+            term = (np.prod([g[j][a[j]] for j in range(k)])
+                    * np.prod([cross[6 * i + a[i], 6 * j + a[j]]
+                               for i in range(k) for j in range(i + 1, k)]))
+            parity = tuple(aj % 2 for aj in a)
+            want[parity] += term
+            size[parity] += abs(term)
+        got = observables._contract(z, [gj[o] for gj, o in zip(g, order)],
+                                    lambda zi, zj: cross[zi, zj])
+        assert got.shape == (2,) * k
+        assert (np.abs(got - want) <= 1e-12 * size).all()
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_row_blocks(self, k, monkeypatch):
@@ -427,7 +478,7 @@ class TestContraction:
         one = observables._contract(z, g, lambda zi, zj: cross[zi, zj])
         monkeypatch.setattr(observables, "_CONTRACT_ROWS", 2)
         blocked = observables._contract(z, g, lambda zi, zj: cross[zi, zj])
-        assert abs(blocked - one) <= 1e-13 * abs(one)
+        assert np.abs(blocked - one).max() <= 1e-13 * np.abs(one).max()
 
 
 class TestMonteCarlo:
@@ -479,6 +530,21 @@ class TestIdentityCheck:
         assert name == "mc_expectation_vs_rhs_exact_sigmas"
         assert sigmas == rep["residual_mc_vs_rhs_exact_sigmas"] < gate
         assert len(checks) == 2
+
+    def test_mc_row_ungated_when_samples_agree(self):
+        # Both samples give the same current: a standard error of 0 gives
+        # the sigma gate no scale, so the row is reported ungated.
+        rep, checks = identity_check(ObservableSpec(PEP, (2,), 3),
+                                     samples=2, seed=1)
+        assert rep["lhs_mc"]["stderr"] == 0.0
+        assert rep["residual_mc_vs_quadrature_sigmas"] == math.inf
+        name, mean, residual, tolerance, points, message = checks[-1]
+        assert name == "mc_expectation_vs_quadrature_sigmas"
+        assert (mean, residual, tolerance, points) == (
+            rep["lhs_mc"]["mean"], math.inf, None, None)
+        assert message == ("all 2 samples agree, so the standard error is 0 "
+                           "and a sigma gate has no scale; |mean - rhs| = "
+                           "2.500e-01 is not gated")
 
     def test_exact_rhs_reported_and_matched(self):
         rep, _ = identity_check(ObservableSpec(PEP, (3,), 8))
