@@ -54,13 +54,17 @@ class _ConfigError(Exception):
 
 
 def _record(name, value, residual, tolerance, points=None, message=None,
-            **extra):
-    """One report check, gated when it has a tolerance."""
+            floor=False, **extra):
+    """One report check, gated when it has a tolerance: it passes when the
+    residual is at most the tolerance, or at least it for a floor gate
+    (marked "floor": true)."""
     gated = tolerance is not None
     rec = {"name": name, "value": value, "residual": residual,
            "tolerance": tolerance, "gated": gated}
-    rec["passed"] = (not gated) or (residual is not None
-                                    and residual <= tolerance)
+    rec["passed"] = (not gated) or (residual is not None and (
+        residual >= tolerance if floor else residual <= tolerance))
+    if floor:
+        rec["floor"] = True
     if points is not None:
         rec["points"] = points
     if message is not None:

@@ -30,8 +30,8 @@ constant chance 1 - p, and `corner_dyn(gamma)` is jgamma_pep(1, gamma),
 with Upsilon - gamma = H.  They run on the exclusion sweep, kernel and
 engines; only `Ensemble.height` reads their positions through the map.
 
-The sweep takes a pick rule: `step` makes one inverse-CDF draw per vertex,
-and `exact_law` follows every positive branch.
+`step` draws a uniform only at vertices with two or more positive weights;
+`exact_law` sweeps all branches of many configurations at once, as arrays.
 
 Ensembles run on one vectorized engine per variant, which advances all
 trajectories in lockstep.  The row engine serves both row-update models
@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DynVertexError,
     InadmissibleParameters,
     InadmissibleWeights,
     SizeLimit,
@@ -394,8 +395,9 @@ def _kernel(spec, x, t, i1, j1, h):
     """`_kernel_eval`, memoized per spec on exactly what it reads besides
     the spec: (i1, _pep_key(...)) for the exclusion processes (one entry
     for every i1 = 0), (x, t, i1, j1, h) for general and (x, t, i1, h) for
-    qhahn.  `_row_sweep` calls it per vertex, the row engine once per key
-    present at a site.  The memo is cleared when it holds _KERNEL_MEMO_CAP
+    qhahn.  `_row_sweep` calls it per vertex, the row engine and
+    `_sweep_block` once per key present at a site (the latter in order of
+    first appearance).  The memo is cleared when it holds _KERNEL_MEMO_CAP
     entries.  A miss evaluates at the calling site and an input that
     raises is never stored, so every error names the site and row of its
     own call.  Calls share the returned weights, which must not be
@@ -459,59 +461,17 @@ def _kernel_eval(spec, x, t, i1, j1, h):
 
 
 # ---------------------------------------------------------------------------
-# Sweeps: one time step, left to right, following the branches a pick rule
-# keeps at each vertex.  pick(values, weights, prob) returns the
-# (value, prob * weight) pairs to follow: one inverse-CDF draw when
-# sampling, every positive branch for the exact law.  Partial rows are
-# cons lists (value, rest), so a branch is extended in constant time.
+# Sampling: one time step of one trajectory, left to right
 
 _SWEEP_CAP = 256  # safety bound on horizontal propagation past the support
 
 
-def _unroll(cons):
-    out = []
-    while cons is not None:
-        value, cons = cons
-        out.append(value)
-    return tuple(reversed(out))
-
-
-def _row_sweep(occ, t, spec, pick):
-    """Row t+1 of a particle system over the occupancy tuple occ (site x at
-    index x-1).  Returns one (new occupancy tuple, probability, clamp
-    count) per branch."""
-    done = []
-    live = [(None, spec.row_degree(t + 1), sum(occ), 1.0, 0)]
-    x = 0
-    while live:
-        x += 1
-        i1 = occ[x - 1] if x <= len(occ) else 0
-        nxt = []
-        for new, j1, h, pr, clamped in live:
-            if x > len(occ) and j1 == 0:
-                while new is not None and new[0] == 0:
-                    new = new[1]
-                done.append((_unroll(new), pr, clamped))
-                continue
-            if x > len(occ) + _SWEEP_CAP:
-                raise SizeLimit("horizontal propagation exceeded the cap")
-            values, w, c = _kernel(spec, x, t, i1, j1, h)
-            for j2, p in pick(values, w, pr):
-                i2 = i1 + j1 - j2
-                if spec.variant in _PEP and i2 > spec.J + 1:
-                    raise InadmissibleWeights(
-                        "occupancy %d out of [0, J+1] at site %d" % (i2, x))
-                nxt.append(((i2, new), j2, h - i1, p, clamped + c))
-        live = nxt
-    return done
-
-
-# ---------------------------------------------------------------------------
-# Sampling
-
-
 def _sample_index(w, rng):
-    """Inverse-CDF draw from a validated weight vector."""
+    """Inverse-CDF draw from a validated weight vector; no uniform is drawn
+    where one weight holds all the mass (it is then exactly 1.0)."""
+    pos = [k for k, p in enumerate(w) if p > 0.0]
+    if len(pos) == 1:
+        return pos[0]
     u = rng.random()
     acc = 0.0
     for k, p in enumerate(w):
@@ -521,20 +481,42 @@ def _sample_index(w, rng):
     return len(w) - 1
 
 
+def _row_sweep(occ, t, spec, rng):
+    """Row t+1 of one trajectory over the occupancy tuple occ (site x at
+    index x-1), vertex by vertex as one branch of `_sweep_block`, with its
+    checks, and a `_sample_index` draw from each kernel until the sweep is
+    past the support with no arrow left.  Returns (the new occupancy list
+    without trailing zeros, clamp count)."""
+    new, clamped = [], 0
+    j1, h = spec.row_degree(t + 1), sum(occ)
+    x = 0
+    while x < len(occ) or j1:
+        x += 1
+        if x > len(occ) + _SWEEP_CAP:
+            raise SizeLimit("horizontal propagation exceeded the cap")
+        i1 = occ[x - 1] if x <= len(occ) else 0
+        values, w, c = _kernel(spec, x, t, i1, j1, h)
+        j2 = values[_sample_index(w, rng)]
+        i2 = i1 + j1 - j2
+        if spec.variant in _PEP and i2 > spec.J + 1:
+            raise InadmissibleWeights(
+                "occupancy %d out of [0, J+1] at site %d" % (i2, x))
+        new.append(i2)
+        j1, h, clamped = j2, h - i1, clamped + c
+    while new and new[-1] == 0:
+        new.pop()
+    return new, clamped
+
+
 def step(state, spec):
     """Advance one trajectory by one time step."""
-    rng = state.rng
-
-    def pick(values, w, pr):
-        return ((values[_sample_index(w, rng)], pr),)
-
-    (new, _, clamped), = _row_sweep(
-        tuple(int(v) for v in state.occupancy), state.time, spec, pick)
-    arr = np.array(new if new else [0], dtype=np.int64)
+    new, clamped = _row_sweep(tuple(int(v) for v in state.occupancy),
+                              state.time, spec, state.rng)
+    arr = np.array(new or [0], dtype=np.int64)
     return SystemState(time=state.time + 1, occupancy=arr,
                        total_particles=int(arr.sum()),
                        prefix_particle_counts=np.cumsum(arr),
-                       rng=rng, clamped=state.clamped + clamped)
+                       rng=state.rng, clamped=state.clamped + clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +526,17 @@ def step(state, spec):
 @dataclass(frozen=True)
 class ExactLaw:
     """Exact distribution over occupancy tuples (site x at index x - 1);
-    `occupancy_ensemble` reads their heights."""
+    `occupancy_ensemble` reads their heights.  The counters of `exact_law`:
+    support size per step, finished branches and pruned mass."""
 
     support: tuple
     total_mass: float
+    configs: tuple = ()
+    branches: int = 0
+    pruned_mass: float = 0.0
 
     @classmethod
-    def from_dict(cls, dist):
+    def from_dict(cls, dist, **counters):
         items = sorted(dist.items())
         total = 0.0
         for cfg, pr in items:
@@ -561,7 +547,7 @@ class ExactLaw:
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise InadmissibleWeights(
                 "exact law has total mass %.15f" % total)
-        return cls(support=tuple(items), total_mass=total)
+        return cls(support=tuple(items), total_mass=total, **counters)
 
     def mean(self, fn):
         return sum(pr * fn(cfg) for cfg, pr in self.support)
@@ -572,6 +558,97 @@ class ExactLaw:
         return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
+_EXACT_BLOCK = 512  # configurations whose branches exact_law sweeps at once
+_CODE_LIMIT = 2 ** 63  # codes from here on are Python ints, not int64
+
+
+def _sweep_block(spec, t, occ, mass, base, prune):
+    """Row t+1 over configurations occ[r] (zero-padded) of mass mass[r]:
+    entry k of (c, j1, h, pr, code) is a branch of occ[c[k]], its new
+    occupancies the base-`base` digits of its code (Python ints past
+    int64).  At site x the branches past their support (h = 0) with j1 = 0
+    finish, `_kernel` is called once per (i1, h) ((i1, j1, h) for general)
+    in order of first appearance, and every other branch becomes its
+    outcomes in value order with pr * w > prune.  A failing branch stops
+    its configuration and the later ones, so the error kept is the one a
+    sweep per configuration meets first.  Returns the codes and masses
+    mass[c] * pr of the finished branches in the order configuration,
+    site, branch, the mass pruned, the error or None and the last site."""
+    c, h, code = np.arange(len(occ)), occ.sum(axis=1), np.zeros(len(occ), int)
+    j1, pr = np.full(len(occ), spec.row_degree(t + 1)), np.ones(len(occ))
+    done, cut, err, x = [(c[:0], code[:0], pr[:0])], 0.0, None, 0
+    while len(c):
+        x += 1
+        fin = (h == 0) & (j1 == 0)
+        if fin.any():
+            done.append((c[fin], code[fin], pr[fin]))
+            c, j1, h, pr, code = (a[~fin] for a in (c, j1, h, pr, code))
+            if not len(c):
+                break
+        i1 = occ[c, x - 1] if x <= occ.shape[1] else np.zeros_like(c)
+        key = (i1 * (h.max() + 1) + h) * (j1.max() + 1) + j1 * (
+            spec.variant == "general")
+        # The first branch of each key, in order, without a sort (whose
+        # code would add to peak memory), and each branch's key index.
+        inv = np.full(key.max() + 1, len(key))
+        np.minimum.at(inv, key, np.arange(len(key)))
+        first = np.zeros(len(key) + 1, dtype=bool)
+        first[inv] = True
+        first = np.flatnonzero(first[:-1])
+        inv[key[first]] = np.arange(len(first))
+        inv = inv[key]
+        outs, kerr = [], {}
+        for g, b in enumerate(first.tolist()):
+            try:
+                outs.append(_kernel(spec, x, t, int(i1[b]), int(j1[b]),
+                                    int(h[b]))[:2])
+            except DynVertexError as exc:  # raised at its branch, in turn
+                outs.append(((), ()))
+                kerr[g] = exc
+        # Each branch reads its key's row of zero-padded (values, weights).
+        table = np.zeros((len(outs), 2, max(len(v) for v, _ in outs)))
+        for row, (values, w) in zip(table, outs):
+            row[0, :len(values)], row[1, :len(w)] = values, w
+        table = table[inv]
+        p = pr[:, None] * table[:, 1]
+        keep = p > prune
+        if prune:
+            cc, kk = np.nonzero(~keep & (table[:, 1] > 0.0))
+            cut += float((mass[c[cc]] * p[cc, kk]).sum())
+        # Past the cap: no particle at sites >= x - _SWEEP_CAP
+        bad = (~occ[c, x - _SWEEP_CAP - 1:].any(axis=1) if x > _SWEEP_CAP
+               else np.zeros(len(c), dtype=bool))
+        if kerr:
+            bad |= np.isin(inv, list(kerr))
+        keep[bad] = False
+        rep, k = np.nonzero(keep)
+        j2, p = table[rep, 0, k].astype(int), p[rep, k]
+        i2 = i1[rep] + j1[rep] - j2
+        over = (i2 > spec.J + 1 if spec.variant in _PEP
+                else np.zeros(len(i2), dtype=bool))
+        fails = np.flatnonzero(bad)[:1].tolist() + rep[over][:1].tolist()
+        if fails:
+            fb = min(fails)
+            if x > _SWEEP_CAP and not occ[c[fb], x - _SWEEP_CAP - 1:].any():
+                exc = SizeLimit("horizontal propagation exceeded the cap")
+            elif bad[fb]:
+                exc = kerr[inv[fb]]
+            else:
+                exc = InadmissibleWeights("occupancy %d out of [0, J+1] at "
+                                          "site %d" % (i2[over][0], x))
+            err, ok = (c[fb], exc), c[rep] < c[fb]
+            rep, j2, p, i2 = rep[ok], j2[ok], p[ok], i2[ok]
+        if base ** x >= _CODE_LIMIT:
+            code, i2 = code.astype(object), i2.astype(object)
+        c, j1, h, pr = c[rep], j2, (h - i1)[rep], p
+        code = code[rep] + i2 * base ** (x - 1)
+    c, code, pr = (np.concatenate(a) for a in zip(*done))
+    order = np.argsort(c, kind="stable")
+    if err is not None:
+        order, err = order[c[order] < err[0]], err[1]
+    return code[order], mass[c[order]] * pr[order], cut, err, x
+
+
 def exact_law(spec, N, bound=200000):
     """Exact forward distribution after N steps: every step sweeps each
     configuration along all its positive branches.  Configurations are
@@ -579,6 +656,12 @@ def exact_law(spec, N, bound=200000):
     whose horizontal arrows slide past empty sites with geometrically small
     probability (an infinite tail of negligible mass), branches and
     configurations of probability at most 1e-14 are dropped.
+
+    Steps sweep the support _EXACT_BLOCK configurations at a time, to the
+    law of one sweep per configuration bit for bit: each new configuration,
+    told by the exact integer code of its occupancies and numbered by first
+    appearance, sums P[cfg] * (the product pr * w along a branch) from 0.0
+    over its branches in the order configuration, site, branch.
 
     SizeLimit is raised once the support passes `bound` configurations
     (or the branches swept in one step pass 64 bound), and as soon as the
@@ -590,35 +673,54 @@ def exact_law(spec, N, bound=200000):
     only enumerations that would pass the bound, and stops them before
     the work is done."""
     prune = 1e-14 if spec.variant == "general" else 0.0
-
-    def pick(values, w, pr):
-        return [(v, pr * p) for v, p in zip(values, w)
-                if p > 0.0 and pr * p > prune]
-
-    dist = {(): 1.0}
+    rows, mass = np.zeros((1, 0), int), np.ones(1)
+    configs, branches, pruned = [], 0, 0.0
+    top = spec.J + 1 if spec.variant in _PEP else sum(  # occupancies' bound
+        spec.row_degree(y) for y in range(1, N + 1))
     for t in range(N):
-        nxt = {}
-        work = 0
-        for cfg, pr in dist.items():
-            for ncfg, npr, _ in _row_sweep(cfg, t, spec, pick):
-                nxt[ncfg] = nxt.get(ncfg, 0.0) + pr * npr
-                work += 1
-                if len(nxt) > bound or work > 64 * bound:
-                    raise SizeLimit(
-                        "exact law exceeds the configuration bound %d at "
-                        "step %d of %d" % (bound, t + 1, N))
+        index, acc, work, width = {}, np.zeros(len(rows)), 0, 0
+        for at in range(0, len(rows), _EXACT_BLOCK):
+            at = slice(at, at + _EXACT_BLOCK)
+            code, contrib, cut, err, x = _sweep_block(
+                spec, t, rows[at], mass[at], top + 1, prune)
+            ids = [index.setdefault(k, len(index)) for k in code.tolist()]
+            if len(index) > len(acc):
+                acc = np.concatenate([acc, np.zeros(len(index))])
+            np.add.at(acc, ids, contrib)
+            pruned, work = pruned + cut, work + len(code)
+            width = max(width, x - 1)
+            if len(index) > bound or work > 64 * bound:
+                raise SizeLimit(
+                    "exact law exceeds the configuration bound %d at "
+                    "step %d of %d" % (bound, t + 1, N))
+            if err is not None:
+                raise err
+        big = (top + 1) ** width >= _CODE_LIMIT
+        code = np.array(list(index), dtype=object if big else int)
+        powers = np.array([(top + 1) ** k for k in range(width)], code.dtype)
+        grown, mass = len(rows), acc[:len(index)]
+        rows = (code[:, None] // powers % (top + 1)).astype(int)
         if prune:
-            nxt = {c: p for c, p in nxt.items() if p > prune}
-        growth = len(nxt) / len(dist)
+            keep = mass > prune
+            pruned += float(mass[~keep].sum())
+            rows, mass = rows[keep], mass[keep]
+        configs.append(len(rows))
+        branches += work
+        growth = len(rows) / grown
         if growth > 1 and (N - t - 1) * math.log(growth) > math.log(
-                bound / len(nxt)):
+                bound / len(rows)):
             raise SizeLimit(
                 "exact law support of %d configurations at step %d of %d, "
                 "growing %.3gx per step, is projected past the "
-                "configuration bound %d" % (len(nxt), t + 1, N, growth,
+                "configuration bound %d" % (len(rows), t + 1, N, growth,
                                             bound))
-        dist = nxt
-    return ExactLaw.from_dict(dist)
+    support = {}
+    for row, pr in zip(rows.tolist(), mass.tolist()):
+        while row and row[-1] == 0:
+            row.pop()
+        support[tuple(row)] = pr
+    return ExactLaw.from_dict(support, configs=tuple(configs),
+                              branches=branches, pruned_mass=pruned)
 
 
 # ---------------------------------------------------------------------------

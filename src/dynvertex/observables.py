@@ -67,6 +67,7 @@ _FLOOR_ULPS = 64    # floor = _FLOOR_ULPS * eps * prod_j sum_a |g_j[a]|
 _CONTRACT_ROWS = 64  # rows per block of the 3-variable step and of inner
 _IMAG_TOL = 1e-9    # cap on the imaginary-part bound, per max(1, |value|)
 _SAFETY = 10.0      # a planned pass aims at tol / _SAFETY
+_MC_AGREE_FLOOR = 1e-6  # least exact chance that every MC sample agrees
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +219,20 @@ def lhs_mc(spec, samples, seed):
     return run_ensemble(spec.model, spec.N, samples, seed, [obs])[0]
 
 
+def _lhs_law(spec, bound):
+    """(law, values): the small-system law and the functional's value on
+    each configuration of its support."""
+    sites, fn = _lhs_functional(spec)
+    law = exact_law(spec.model, spec.N, bound=bound)
+    return law, [fn([sum(cfg[x - 1:]) if x - 1 < len(cfg) else 0
+                     for x in sites]) for cfg, _ in law.support]
+
+
 def lhs_exact(spec, bound=200000):
     """The same functional summed exactly over the support of the
     small-system law."""
-    sites, fn = _lhs_functional(spec)
-    law = exact_law(spec.model, spec.N, bound=bound)
-
-    def value(cfg):
-        h = [sum(cfg[x - 1:]) if x - 1 < len(cfg) else 0 for x in sites]
-        return fn(h)
-
-    return law.mean(value)
+    law, values = _lhs_law(spec, bound)
+    return sum(pr * v for (_, pr), v in zip(law.support, values))
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +658,14 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
     max(1, |exact|).  The exact expectation, when the system is small
     enough, is gated against the answer relative to min(1, |exact|)
     (absolute at 0); otherwise report["lhs_exact_skipped"] gives the
-    SizeLimit reason.  A Monte Carlo estimate, when samples are requested,
-    is gated at 4 standard errors from the answer; when every sample
-    agrees, its standard error is 0 and its row is ungated, with the
-    reason as its sixth field: a gap between that mean and the answer
-    then goes unchecked."""
+    SizeLimit reason, and report["lhs_exact_diagnostics"] its counters.  A
+    Monte Carlo estimate, when samples are requested, is gated at 4
+    standard errors from the answer.  When all n samples equal one value v
+    its standard error is 0: where the exact law ran, the row's residual
+    is then P_exact(X = v)^n, the chance of that agreement, and it fails
+    below _MC_AGREE_FLOOR (its seventh field marks the floor gate); where
+    the law was skipped the row is ungated, with the reason as its sixth
+    field, and a gap between that mean and the answer goes unchecked."""
     report = {
         "form": spec.form,
         "k": spec.k,
@@ -701,9 +708,15 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
             checks.append(("quadrature_vs_exact_rhs", exact_rhs,
                            report["residual_quadrature_vs_rhs_exact"], tol))
     report["rhs"] = rhs
+    law = None
     try:
-        ex = lhs_exact(spec, bound=exact_bound)
+        law, values = _lhs_law(spec, exact_bound)
+        ex = sum(pr * v for (_, pr), v in zip(law.support, values))
         report["lhs_exact"] = ex
+        report["lhs_exact_diagnostics"] = {
+            "configurations_per_step": list(law.configs),
+            "completed_branches": law.branches,
+            "pruned_mass": law.pruned_mass}
         report["residual_exact_vs_" + against] = abs(ex - rhs)
         checks.append(("exact_expectation_vs_" + against, ex,
                        abs(ex - rhs) / (min(1.0, abs(ex)) or 1.0), tol))
@@ -725,6 +738,17 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
         name = "mc_expectation_vs_%s_sigmas" % against
         if est.stderr > 0.0:
             checks.append((name, est.mean, report[key], 4.0))
+        elif law is not None:
+            # The samples equal their mean; the law's values are matched
+            # to it within rounding.
+            agree = sum(pr for (_, pr), v in zip(law.support, values)
+                        if abs(v - est.mean) <= 1e-12 * max(1.0, abs(v)))
+            checks.append((name, est.mean, agree ** est.n_samples,
+                           _MC_AGREE_FLOOR, None,
+                           "all %d samples agree, so the standard error is "
+                           "0; the residual is the exact chance of that, "
+                           "gated to be at least the tolerance"
+                           % est.n_samples, True))
         else:
             checks.append((name, est.mean, report[key], None, None,
                            "all %d samples agree, so the standard error is 0"

@@ -9,17 +9,27 @@ rule and the Ensemble are the library's own.
 
 The corner-growth sweep, exact law and vector engine on their own
 half-integer lattice, before the corner models ran as the J = 1 exclusion
-process: the tests compare the library's laws and streams against them."""
+process: the tests compare the library's laws and streams against them.
+
+The exact law as it enumerated before its branches were swept in
+parallel: one sweep per configuration, every positive branch followed as a
+cons list.  The tests compare the library's support, total mass and errors
+against it with ==."""
+
+import math
 
 import numpy as np
 
+from dynvertex import models
 from dynvertex.errors import InadmissibleWeights, SizeLimit
 from dynvertex.models import (
+    _PEP,
+    _SWEEP_CAP,
     _WEIGHT_NEG_TOL,
     Ensemble,
+    ExactLaw,
     _int_dtype,
     _kernel,
-    _unroll,
 )
 
 
@@ -154,3 +164,81 @@ def ensemble_corner(spec, N, samples, rng):
         h.ravel()[flat] += np.where(rng.random(len(flat)) < 1.0 - up, -1, 1)
         left -= 0.5
     return left, h.T
+
+
+# The exact law before the branch-parallel sweep.  Partial rows are cons
+# lists (value, rest), so a branch is extended in constant time.
+
+
+def _unroll(cons):
+    out = []
+    while cons is not None:
+        value, cons = cons
+        out.append(value)
+    return tuple(reversed(out))
+
+
+def row_sweep(occ, t, spec, pick):
+    """Row t+1 of a particle system over the occupancy tuple occ (site x at
+    index x-1).  Returns one (new occupancy tuple, probability, clamp
+    count) per branch."""
+    done = []
+    live = [(None, spec.row_degree(t + 1), sum(occ), 1.0, 0)]
+    x = 0
+    while live:
+        x += 1
+        i1 = occ[x - 1] if x <= len(occ) else 0
+        nxt = []
+        for new, j1, h, pr, clamped in live:
+            if x > len(occ) and j1 == 0:
+                while new is not None and new[0] == 0:
+                    new = new[1]
+                done.append((_unroll(new), pr, clamped))
+                continue
+            if x > len(occ) + _SWEEP_CAP:
+                raise SizeLimit("horizontal propagation exceeded the cap")
+            values, w, c = models._kernel(spec, x, t, i1, j1, h)
+            for j2, p in pick(values, w, pr):
+                i2 = i1 + j1 - j2
+                if spec.variant in _PEP and i2 > spec.J + 1:
+                    raise InadmissibleWeights(
+                        "occupancy %d out of [0, J+1] at site %d" % (i2, x))
+                nxt.append(((i2, new), j2, h - i1, p, clamped + c))
+        live = nxt
+    return done
+
+
+def exact_law(spec, N, bound=200000):
+    """Exact forward distribution after N steps, one row_sweep per
+    configuration; the general model drops branches and configurations of
+    probability at most 1e-14."""
+    prune = 1e-14 if spec.variant == "general" else 0.0
+
+    def pick(values, w, pr):
+        return [(v, pr * p) for v, p in zip(values, w)
+                if p > 0.0 and pr * p > prune]
+
+    dist = {(): 1.0}
+    for t in range(N):
+        nxt = {}
+        work = 0
+        for cfg, pr in dist.items():
+            for ncfg, npr, _ in row_sweep(cfg, t, spec, pick):
+                nxt[ncfg] = nxt.get(ncfg, 0.0) + pr * npr
+                work += 1
+                if len(nxt) > bound or work > 64 * bound:
+                    raise SizeLimit(
+                        "exact law exceeds the configuration bound %d at "
+                        "step %d of %d" % (bound, t + 1, N))
+        if prune:
+            nxt = {c: p for c, p in nxt.items() if p > prune}
+        growth = len(nxt) / len(dist)
+        if growth > 1 and (N - t - 1) * math.log(growth) > math.log(
+                bound / len(nxt)):
+            raise SizeLimit(
+                "exact law support of %d configurations at step %d of %d, "
+                "growing %.3gx per step, is projected past the "
+                "configuration bound %d" % (len(nxt), t + 1, N, growth,
+                                            bound))
+        dist = nxt
+    return ExactLaw.from_dict(dist)

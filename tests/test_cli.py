@@ -14,7 +14,14 @@ import pytest
 import dynvertex
 import prior_weights as prior
 from dynvertex.cli import dispatch
-from dynvertex.models import ModelSpec, current, run_ensemble
+from dynvertex import observables
+from dynvertex.models import (
+    MCEstimate,
+    ModelSpec,
+    current,
+    exact_law,
+    run_ensemble,
+)
 from dynvertex.specfun import identity_checks
 from dynvertex.symfun import consistency_checks
 from dynvertex.weights import (
@@ -389,21 +396,53 @@ class TestVerifyIdentity:
         names = [c["name"] for c in rep["checks"]]
         assert "mc_expectation_vs_quadrature_sigmas" in names
 
-    def test_monte_carlo_without_spread_is_ungated(self, tmp_path):
+    def test_monte_carlo_without_spread_is_gated_by_its_chance(
+            self, tmp_path):
         # Both samples give the same current, so the standard error is 0:
-        # the row is reported, ungated, with the reason, and the exact
-        # rows still gate the answer.
+        # the row's residual is the exact chance that two samples agree on
+        # that value, a floor gate at 1e-6, and it passes.
         code, rep = run(tmp_path, "verify-identity", "--form", "pep",
                         "--x", "2", "--N", "3", "--samples", "2",
                         "--seed", "1")
         assert code == 0
         row = rep["checks"][-1]
         assert row["name"] == "mc_expectation_vs_quadrature_sigmas"
-        assert row["gated"] is False and row["tolerance"] is None
+        assert row["gated"] is True and row["floor"] is True
+        assert row["tolerance"] == 1e-6 and row["passed"] is True
+        assert 1e-6 <= row["residual"] <= 1.0
         assert row["message"].startswith(
             "all 2 samples agree, so the standard error is 0")
         assert rep["identity"]["lhs_mc"]["stderr"] == 0.0
         assert all(c["passed"] for c in rep["checks"] if c["gated"])
+
+    def test_many_agreeing_samples_off_the_answer_exit_1(
+            self, tmp_path, monkeypatch):
+        # 10000 samples that all agree on a value other than the answer:
+        # under the exact law that agreement has a vanishing chance.
+        def lhs_mc(spec, samples, seed):
+            return MCEstimate(mean=0.0, stderr=0.0, n_samples=10000,
+                              base_seed=seed)
+
+        monkeypatch.setattr(observables, "lhs_mc", lhs_mc)
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep",
+                        "--x", "2", "--N", "3", "--samples", "2",
+                        "--seed", "1")
+        assert code == 1
+        row = rep["checks"][-1]
+        assert row["gated"] and not row["passed"]
+        assert row["residual"] < row["tolerance"] == 1e-6
+        assert all(c["passed"] for c in rep["checks"][:-1])
+
+    def test_lhs_exact_diagnostics(self, tmp_path):
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep",
+                        "--x", "2", "--N", "4")
+        assert code == 0
+        diag = rep["identity"]["lhs_exact_diagnostics"]
+        law = exact_law(ModelSpec.jgamma_pep(1, 5.0), 4)
+        assert diag == {"configurations_per_step": list(law.configs),
+                        "completed_branches": law.branches,
+                        "pruned_mass": 0.0}
+        assert diag["configurations_per_step"][-1] == len(law.support)
 
     def test_k4(self, tmp_path):
         code, rep = run(tmp_path, "verify-identity", "--form", "qhahn",
@@ -630,13 +669,13 @@ class TestReportShape:
 
         rep = json.loads(out.read_text(), parse_constant=reject)
         assert rep["identity"]["residual_mc_vs_quadrature_sigmas"] == "inf"
-        assert rep["checks"][-1]["residual"] == "inf"
+        assert rep["identity"]["residual_mc_vs_exact_sigmas"] == "inf"
         assert rep["passed"] is True
 
     @pytest.mark.parametrize("argv", [
         ["--x", "2", "--N", "4"],
         ["--x", "3", "--N", "8", "--gamma", "3", "--samples", "500"],
-        # both MC samples agree: the sigma row is ungated, with the reason
+        # both MC samples agree: the row is a floor gate on their chance
         ["--x", "2", "--N", "3", "--samples", "2", "--seed", "1"],
     ])
     def test_passed_is_a_json_bool(self, tmp_path, argv):
@@ -646,7 +685,10 @@ class TestReportShape:
         for check in rep["checks"]:
             assert type(check["passed"]) is bool, check
             assert type(check["gated"]) is bool, check
-            if check["gated"]:
+            if check.get("floor"):
+                assert check["passed"] == (
+                    float(check["residual"]) >= check["tolerance"])
+            elif check["gated"]:
                 assert check["passed"] == (
                     float(check["residual"]) <= check["tolerance"])
             else:

@@ -422,6 +422,15 @@ class TestStepAndCurrent:
             st = step(initial_state(spec, seed=seed), spec)
             assert list(st.occupancy) == [J]
 
+    def test_no_uniform_drawn_where_the_kernel_is_certain(self):
+        # Every vertex of a first jgamma step, and of a step of an empty
+        # qhahn row, has one outcome of weight 1: the generator is not read.
+        for spec in (ModelSpec.jgamma_pep(J=1, gamma=5.0), QHAHN):
+            st = initial_state(spec, seed=3)
+            before = st.rng.bit_generator.state
+            step(st, spec)
+            assert st.rng.bit_generator.state == before
+
     def test_total_particles_match_step_data(self):
         spec = ModelSpec.qhahn(Q, DELTA, B=(B0, 2 * B0), C=(Q, Q * Q),
                                J=(1, 2))
@@ -590,6 +599,14 @@ class TestExactLaw:
         law = exact_law(ModelSpec.jgamma_pep(J=2, gamma=7.0), 8)
         assert len(law.support) == 939
         assert law.total_mass == pytest.approx(1.0, abs=1e-10)
+        assert law.configs == (1, 2, 5, 13, 36, 104, 309, 939)
+        assert law.branches == 7577 and law.pruned_mass == 0.0
+
+    def test_pruned_mass_is_the_missing_mass(self):
+        law = exact_law(GENERAL, 3)
+        assert law.configs == (8, 24, 51) and law.branches == 1291
+        assert 0.0 < law.pruned_mass < 1e-12
+        assert abs(law.total_mass + law.pruned_mass - 1.0) < 1e-15
 
     def test_jgamma_two_step_height(self):
         gamma = 10.0
@@ -622,6 +639,99 @@ class TestExactLaw:
         bad = ModelSpec.qhahn(Q, DELTA, B=(0.09,), C=(Q,), J=(1,))
         with pytest.raises(InadmissibleWeights):
             exact_law(bad, 2)
+
+
+@st.composite
+def enumerated_models(draw):
+    """A spec of any variant with drawn parameters, some of them
+    inadmissible, and a number of steps: up to 6 for the exclusion
+    processes, 3 for the row models."""
+    variant = draw(st.sampled_from(models._VARIANTS))
+    N = draw(st.integers(0, 6 if variant in models._PEP else 3))
+    if variant == "jgamma_pep":
+        J = draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            spec = ModelSpec.jgamma_pep(J, J + 1 + draw(st.floats(0.01, 50)))
+        else:  # gamma below J+1, past the constructor's check
+            spec = ModelSpec(variant="jgamma_pep", J=J,
+                             gamma=draw(st.floats(-3.0, J + 1.0)))
+    elif variant == "asym_pep":
+        spec = ModelSpec.asym_pep(
+            draw(st.floats(0.01, 0.99)),
+            draw(st.one_of(st.just(0.0), st.floats(-1e3, 0.0))))
+    elif variant == "general":
+        spec = draw(general_specs)
+    elif variant == "qhahn":
+        q, J = draw(st.floats(0.05, 0.95)), draw(st.integers(1, 2))
+        spec = ModelSpec.qhahn(q, draw(st.floats(-1.0, 0.0)),
+                               B=(draw(st.floats(-3.0, 0.5)),),
+                               C=(q ** J,), J=(J,))
+    elif variant == "corner":
+        spec = ModelSpec.corner(draw(st.floats(0, 1)))
+    else:
+        spec = ModelSpec.corner_dyn(draw(st.floats(1, 1e6, exclude_min=True)))
+    return spec, N
+
+
+def law_outcome(law, spec, N, **kw):
+    """(support, total mass) of an exact law, or the type and message of
+    the package error it raises."""
+    try:
+        out = law(spec, N, **kw)
+    except DynVertexError as exc:
+        return type(exc), str(exc)
+    return out.support, out.total_mass
+
+
+class TestExactLawEqualsPrior:
+    # The branch-parallel enumeration against one sweep per configuration
+    # (prior_models): the same support, mass and errors, bit for bit.
+    @settings(max_examples=80, deadline=None)
+    @given(enumerated_models())
+    def test_drawn_specs(self, model):
+        spec, N = model
+        assert law_outcome(exact_law, spec, N) == law_outcome(
+            prior.exact_law, spec, N)
+
+    @pytest.mark.parametrize("spec, N, bound", [
+        (ModelSpec.jgamma_pep(J=2, gamma=7.0), 6, 200000),
+        (ModelSpec.jgamma_pep(J=1, gamma=3.0), 10, 2187),
+        (GENERAL, 3, 200000), (QHAHN, 4, 200000), (QHAHN, 5, 3),
+        (ModelSpec.qhahn(Q, DELTA, B=(0.09,), C=(Q,), J=(1,)), 3, 200000),
+        (ModelSpec.corner_dyn(1.5), 6, 200000)],
+        ids=["jgamma-J2", "bound", "general", "qhahn", "qhahn-bound",
+             "qhahn-bad", "corner-dyn"])
+    def test_across_blocks(self, monkeypatch, spec, N, bound):
+        monkeypatch.setattr(models, "_EXACT_BLOCK", 3)
+        assert law_outcome(exact_law, spec, N, bound=bound) == law_outcome(
+            prior.exact_law, spec, N, bound=bound)
+        # Codes as Python ints, as where int64 would wrap.
+        monkeypatch.setattr(models, "_CODE_LIMIT", 2 ** 5)
+        assert law_outcome(exact_law, spec, N, bound=bound) == law_outcome(
+            prior.exact_law, spec, N, bound=bound)
+
+    def test_earlier_configuration_failing_later_wins(self, monkeypatch):
+        # Step 3 of jgamma J = 1 sweeps (2,), then (1, 1).  The first fails
+        # at site 2, the second at site 1, which the site-major sweep meets
+        # first; one sweep per configuration raises the first one's error.
+        kernel = models._kernel
+
+        def failing(spec, x, t, i1, j1, h):
+            if t == 2 and (x, i1, h) in ((2, 0, 0), (1, 1, 2)):
+                raise InadmissibleWeights("fails at site %d" % x)
+            return kernel(spec, x, t, i1, j1, h)
+
+        monkeypatch.setattr(models, "_kernel", failing)
+        spec = ModelSpec.jgamma_pep(J=1, gamma=10.0)
+        want = (InadmissibleWeights, "fails at site 2")
+        assert law_outcome(prior.exact_law, spec, 3) == want
+        assert law_outcome(exact_law, spec, 3) == want
+
+    def test_jgamma_j2_n10(self):
+        spec = ModelSpec.jgamma_pep(J=2, gamma=7.0)
+        law = exact_law(spec, 10)
+        assert len(law.support) == 9118
+        assert law.support == prior.exact_law(spec, 10).support
 
 
 class TestEnsembles:
@@ -661,6 +771,13 @@ class TestEnsembles:
         for x in range(1, 5):
             exact = law.mean(lambda cfg, x=x: h_tail(cfg, x))
             got = ests[x - 1]
+            if got.stderr == 0.0:
+                # Every sample agrees, so there is no standard error: the
+                # chance of that under the exact law must not be tiny.
+                same = sum(pr for cfg, pr in law.support
+                           if h_tail(cfg, x) == got.mean)
+                assert same ** n >= 1e-6
+                continue
             tol = 4 * got.stderr + 1e-12
             assert abs(got.mean - exact) < tol
 

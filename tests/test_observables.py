@@ -533,9 +533,11 @@ class TestIdentityCheck:
 
     def test_mc_row_ungated_when_samples_agree(self):
         # Both samples give the same current: a standard error of 0 gives
-        # the sigma gate no scale, so the row is reported ungated.
+        # the sigma gate no scale, and with the exact law skipped nothing
+        # gives the agreement a chance, so the row is reported ungated.
         rep, checks = identity_check(ObservableSpec(PEP, (2,), 3),
-                                     samples=2, seed=1)
+                                     samples=2, seed=1, exact_bound=1)
+        assert rep["lhs_exact"] is None
         assert rep["lhs_mc"]["stderr"] == 0.0
         assert rep["residual_mc_vs_quadrature_sigmas"] == math.inf
         name, mean, residual, tolerance, points, message = checks[-1]
@@ -545,6 +547,21 @@ class TestIdentityCheck:
         assert message == ("all 2 samples agree, so the standard error is 0 "
                            "and a sigma gate has no scale; |mean - rhs| = "
                            "2.500e-01 is not gated")
+
+    def test_mc_row_gated_by_the_exact_chance_of_agreeing(self):
+        # With the exact law the same row's residual is P(X = v)^n, the
+        # chance that n samples all equal v, with a floor of 1e-6.
+        spec = ObservableSpec(PEP, (2,), 3)
+        rep, checks = identity_check(spec, samples=2, seed=1)
+        name, mean, residual, tolerance, points, message, floor = checks[-1]
+        law, values = observables._lhs_law(spec, 200000)
+        chance = sum(pr for (_, pr), v in zip(law.support, values)
+                     if v == mean)
+        assert 0.0 < chance < 1.0 and residual == chance ** 2
+        assert (tolerance, points, floor) == (1e-6, None, True)
+        assert message.startswith("all 2 samples agree")
+        assert rep["lhs_exact_diagnostics"]["configurations_per_step"] == [
+            1, 2, 4]
 
     def test_exact_rhs_reported_and_matched(self):
         rep, _ = identity_check(ObservableSpec(PEP, (3,), 8))
