@@ -334,7 +334,6 @@ _EXPERIMENT_NAMES = {
     "gamma": "dynamic_gamma",
     "kpz-exponent": "kpz_exponent",
     "f-collapse": "f_collapse",
-    "corner-quartic": "corner_quartic",
 }
 
 
@@ -471,8 +470,10 @@ def _build_parser():
         "empirical_mean) on s = -2, -1.9, ..., 2 and each configured s, "
         "the mean filled at configured s; kpz-exponent -> (T, std); "
         "f-collapse -> (eta, site, mean, std, normalized_std); "
-        "gamma/corner-quartic -> (m, mc_mean, mc_stderr, target, "
-        "rel_error).")
+        "gamma -> (m, mc_mean, mc_stderr, target, rel_error).  At J = 1, "
+        "s = 0 and an even step count, gamma's report also reads its "
+        "moments at the corner origin, zeta(0) = 2 * current(T/2 + 1), "
+        "in a corner_moments block.")
     p.add_argument("--experiment", required=True,
                    choices=tuple(_EXPERIMENT_NAMES))
     p.add_argument("--config", help="JSON experiment config, inline or "

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import prior_asymptotics as prior
 from dynvertex import asymptotics
 from dynvertex.asymptotics import (
     GammaLaw,
@@ -15,7 +17,7 @@ from dynvertex.asymptotics import (
     lln_shapes,
 )
 from dynvertex.errors import OutOfDomain
-from dynvertex.models import ModelSpec, SystemState, exact_law
+from dynvertex.models import ModelSpec, exact_law, occupancy_ensemble
 from dynvertex.observables import ObservableSpec, rhs_exact
 
 Q = 0.25
@@ -85,14 +87,6 @@ class TestGammaLaw:
         with pytest.raises(ValueError):
             gamma_moment(GammaLaw(1.0, 1.0), -1)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_sampler_consistent(self, m):
-        law = GammaLaw(a=3.0, b=1.7)
-        rng = np.random.default_rng(np.random.SeedSequence(12))
-        draws = law.sample(200000, rng) ** m
-        stderr = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - gamma_moment(law, m)) < 4 * stderr
-
 
 class TestLlnShapes:
     def test_density_edges(self):
@@ -125,6 +119,21 @@ class TestLlnShapes:
             lln_shapes(1.5, "m", 0.5)
         with pytest.raises(ValueError):
             lln_shapes(Q, "bogus", 0.5)
+
+    @settings(max_examples=200)
+    @given(st.floats(0.02, 0.98), st.floats(-0.999, 0.999))
+    def test_corner_shapes_equal_prior_closed_forms(self, q, u):
+        # M and F through the corner map equal their closed forms in s.
+        half = 0.5 * (1 - q) / (1 + q)
+        s = u * half
+        assert lln_shapes(q, "M", s) == pytest.approx(
+            prior.corner_shape_M(q, s), rel=1e-10)
+        assert lln_shapes(q, "F", s) == pytest.approx(
+            prior.corner_shape_F(q, s), rel=1e-10)
+        for which in ("M", "F"):
+            for edge in (-half, half, 1.001 * half, -1.001 * half):
+                with pytest.raises(OutOfDomain):
+                    lln_shapes(q, which, edge)
 
 
 class TestExperiments:
@@ -190,25 +199,40 @@ class TestExperiments:
         assert rep["pairwise_spread"] < 0.5
 
     def test_corner_quartic_small(self):
-        rep = experiment("corner_quartic",
-                         {"T": 800, "samples": 1500, "m_list": (1,),
-                          "chi_samples": 50000}, seed=5).report
-        chk = rep["gamma_sampler_check"][1]
-        assert chk["sigmas"] < 4
-        m1 = rep["corner_moments"][1]
-        assert m1["corner_target"] == pytest.approx(4 * m1["target"])
-        assert m1["rel_error"] < 0.8
+        # gamma's corner block carries the values of the corner-quartic
+        # experiment it replaced, bit for bit.
+        run = experiment("dynamic_gamma", {"T": 800, "samples": 1500},
+                         seed=5)
+        rep = run.report
+        assert rep["height_scale"] == "zeta(0) = 2 * current(T/2 + 1)"
+        corner = rep["corner_moments"]
+        assert (corner[1]["corner_value"], corner[2]["corner_value"]) == (
+            4.778533346354529, 28.62432)
+        assert (corner[1]["corner_target"], corner[2]["corner_target"]) == (
+            4.787307364817193, 30.557749073643905)
+        for m, d in rep["moments"].items():
+            assert corner[m]["corner_value"] == 4.0 ** m * d["mc_mean"]
+        assert [c[0] for c in run.checks] == ["factorial_moment_m1",
+                                             "factorial_moment_m2"]
+
+    @pytest.mark.parametrize("config", [
+        {"J": 2, "gamma": 5.0}, {"s": 0.5}, {"T": 15}],
+        ids=["J2", "s0.5", "odd-N"])
+    def test_no_corner_block_off_the_origin(self, config):
+        # Only at J = 1, s = 0 and an even step count is the identity site
+        # the corner origin.
+        rep = experiment("dynamic_gamma",
+                         {"T": 16, "samples": 20, **config}).report
+        assert "corner_moments" not in rep
+        assert "height_scale" not in rep
 
 
 def exact_mean(spec, N, fn):
-    """Mean of the observable fn(state) over the exact law after N steps."""
-    def state(cfg):
-        occ = np.array(cfg or (0,), dtype=np.int64)
-        return SystemState(time=N, occupancy=occ,
-                           total_particles=int(occ.sum()),
-                           prefix_particle_counts=np.cumsum(occ), rng=None)
-
-    return exact_law(spec, N).mean(lambda cfg: fn(state(cfg)))
+    """Mean of the observable fn over the exact law after N steps, read
+    from the Ensemble of the law's configurations."""
+    law = exact_law(spec, N)
+    ens = occupancy_ensemble(spec, N, [cfg for cfg, _ in law.support])
+    return sum(pr * v for (_, pr), v in zip(law.support, fn(ens)))
 
 
 def exact_rhs(gamma, x, N):

@@ -14,7 +14,7 @@ import pytest
 import dynvertex
 import prior_weights as prior
 from dynvertex.cli import dispatch
-from dynvertex import observables
+from dynvertex import asymptotics, cli, observables
 from dynvertex.models import (
     MCEstimate,
     ModelSpec,
@@ -80,8 +80,10 @@ class TestUsageErrors:
         capsys.readouterr()
 
     def test_unknown_experiment(self, capsys):
-        assert dispatch(["asymptotics", "--experiment", "bogus"]) == 2
-        capsys.readouterr()
+        # corner-quartic is a block of gamma's report now, not a choice.
+        for name in ("bogus", "corner-quartic"):
+            assert dispatch(["asymptotics", "--experiment", name]) == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_model_config(self, tmp_path, capsys):
         code, _ = run(tmp_path, "simulate", "--model", "qhahn",
@@ -581,8 +583,6 @@ class TestAsymptotics:
     @pytest.mark.parametrize("name, config, header, rows", [
         ("gamma", '{"T": 16, "samples": 50, "m_list": [1, 2]}',
          "m,mc_mean,mc_stderr,target,rel_error", 2),
-        ("corner-quartic", '{"T": 16, "samples": 50, "m_list": [1], '
-         '"chi_samples": 100}', "m,mc_mean,mc_stderr,target,rel_error", 1),
         ("kpz-exponent", '{"T_list": [16, 32], "samples": 50}', "T,std", 2),
         ("f-collapse", '{"T": 16, "samples": 50}',
          "eta,site,mean,std,normalized_std", 3),
@@ -595,6 +595,27 @@ class TestAsymptotics:
         lines = csvf.read_text().splitlines()
         assert lines[0] == header
         assert len(lines) == rows + 1
+
+    def test_gamma_corner_moments(self, tmp_path):
+        # The corner reading of gamma, once its own experiment, is a block
+        # of gamma's report; the CSV keeps gamma's layout.
+        csvf = tmp_path / "table.csv"
+        code, rep = run(tmp_path, "asymptotics", "--experiment", "gamma",
+                        "--config", '{"T": 16, "samples": 50}',
+                        "--seed", "5", "--csv", str(csvf))
+        assert code == 0
+        corner = rep["experiment"]["corner_moments"]
+        assert [corner[m]["corner_value"] for m in ("1", "2")] == [4.88,
+                                                                   16.8]
+        assert [corner[m]["corner_target"] for m in ("1", "2")] == [
+            4.787307364817193, 30.557749073643905]
+        assert csvf.read_text().splitlines()[0] == (
+            "m,mc_mean,mc_stderr,target,rel_error")
+
+    def test_experiment_names_match_the_experiments(self):
+        # One choice per experiment, none left over for a deleted one.
+        assert sorted(cli._EXPERIMENT_NAMES.values()) == sorted(
+            asymptotics._EXPERIMENTS)
 
     def test_heat_list_of_s(self, tmp_path):
         csvf = tmp_path / "profile.csv"

@@ -341,6 +341,21 @@ def corner_view_exact(spec, N, bound=200000):
     return out
 
 
+def assert_mean_matches(est, dist, sigmas, floor=1e-12):
+    """est.mean lies within sigmas standard errors, plus floor, of the mean
+    of dist, the exact law of the observable as (value, probability)
+    pairs.  When every sample agrees there is no standard error to gate
+    with: then the exact chance of that agreement, P(X = est.mean)^n, must
+    not be tiny."""
+    dist = list(dist)
+    if est.stderr == 0.0:
+        same = sum(pr for v, pr in dist if v == est.mean)
+        assert same ** est.n_samples >= 1e-6
+        return
+    exact = sum(pr * v for v, pr in dist)
+    assert abs(est.mean - exact) < sigmas * est.stderr + floor
+
+
 def corner_window(t):
     """The positions -2 - t/2, ..., 2 + t/2 the corner models stored at
     time t when they ran on their own lattice."""
@@ -506,8 +521,8 @@ class TestCorner:
         obs = [lambda st, p=p: st.height(p) for p in positions]
         ests = sampler(vectorized)(spec, 3, n, 57, obs)
         for i, got in enumerate(ests):
-            exact = sum(pr * key[i] for key, pr in law.items())
-            assert abs(got.mean - exact) < 4 * got.stderr + 1e-12
+            assert_mean_matches(got, [(key[i], pr)
+                                      for key, pr in law.items()], 4)
 
     @pytest.mark.parametrize("spec", [
         ModelSpec.corner(p) for p in (0.0, 0.3, 0.5, 1.0)] + [
@@ -753,8 +768,8 @@ class TestEnsembles:
         law = exact_law(JG, 2)
         est = run_ensemble(JG, 2, 20000, 31,
                            [lambda st: current(st, 2)])[0]
-        exact = law.mean(lambda cfg: h_tail(cfg, 2))
-        assert abs(est.mean - exact) < 4 * est.stderr
+        assert_mean_matches(est, [(h_tail(cfg, 2), pr)
+                                  for cfg, pr in law.support], 4, floor=0.0)
 
     @pytest.mark.parametrize("vectorized", [True, False],
                              ids=["vector", "scalar"])
@@ -768,18 +783,9 @@ class TestEnsembles:
         # Joint law of the height vector determines the configuration.
         obs = [lambda st, x=x: current(st, x) for x in range(1, 5)]
         ests = sampler(vectorized)(spec, 3, n, 57, obs)
-        for x in range(1, 5):
-            exact = law.mean(lambda cfg, x=x: h_tail(cfg, x))
-            got = ests[x - 1]
-            if got.stderr == 0.0:
-                # Every sample agrees, so there is no standard error: the
-                # chance of that under the exact law must not be tiny.
-                same = sum(pr for cfg, pr in law.support
-                           if h_tail(cfg, x) == got.mean)
-                assert same ** n >= 1e-6
-                continue
-            tol = 4 * got.stderr + 1e-12
-            assert abs(got.mean - exact) < tol
+        for x, got in zip(range(1, 5), ests):
+            assert_mean_matches(got, [(h_tail(cfg, x), pr)
+                                      for cfg, pr in law.support], 4)
 
     def test_frequencies_per_configuration(self):
         # Sharper oracle comparison: per-configuration frequencies within
@@ -937,8 +943,8 @@ class TestEnsembles:
         law = exact_law(ASYM, 3)
         est = run_ensemble(ASYM, 3, 40000, 3,
                            [lambda st: current(st, 2)])[0]
-        exact = law.mean(lambda cfg: h_tail(cfg, 2))
-        assert abs(est.mean - exact) < 4 * est.stderr + 1e-12
+        assert_mean_matches(est, [(h_tail(cfg, 2), pr)
+                                  for cfg, pr in law.support], 4)
 
 
 class TestWindowEngine:
@@ -1170,8 +1176,8 @@ class TestBitSlicedEngine:
         obs = [lambda st, x=x: current(st, x) for x in range(1, N + 2)]
         for x, est in zip(range(1, N + 2),
                           run_ensemble(spec, N, 2000, seed, obs)):
-            exact = law.mean(lambda cfg: h_tail(cfg, x))
-            assert abs(est.mean - exact) <= 5 * est.stderr + 1e-12, x
+            assert_mean_matches(est, [(h_tail(cfg, x), pr)
+                                      for cfg, pr in law.support], 5)
 
 
 class TestCornerView:
