@@ -402,7 +402,10 @@ def _kernel(spec, x, t, i1, j1, h):
     raises is never stored, so every error names the site and row of its
     own call.  Calls share the returned weights, which must not be
     modified; a test that monkeypatches a helper of the kernel must build
-    a fresh spec."""
+    a fresh spec.  The weights below the kernel keep memos of their own
+    (the Pochhammer memo of each `EllipticContext`, psi's contexts and W_J
+    memos in `weights`), so a test that monkeypatches a helper of theirs
+    must also clear those, or use parameters not seen before."""
     variant = spec.variant
     if variant in _PEP:
         key = (i1, _pep_key(spec, x, t, h)) if i1 else 0
@@ -486,10 +489,20 @@ def _row_sweep(occ, t, spec, rng):
     index x-1), vertex by vertex as one branch of `_sweep_block`, with its
     checks, and a `_sample_index` draw from each kernel until the sweep is
     past the support with no arrow left.  Returns (the new occupancy list
-    without trailing zeros, clamp count)."""
+    without trailing zeros, clamp count).
+
+    An exclusion process starts past the leading sites at occupancy J+1,
+    as `_ensemble_pep` does with lo.  Each of them takes J arrows in and
+    passes J on with a stay of exactly 1, so it stays full, draws no
+    uniform and clamps nothing; its key from _pep_key is h >= 0, so no
+    check can fire there either."""
     new, clamped = [], 0
     j1, h = spec.row_degree(t + 1), sum(occ)
     x = 0
+    if spec.variant in _PEP:
+        while x < len(occ) and occ[x] == spec.J + 1:
+            x += 1
+        new, h = list(occ[:x]), h - (spec.J + 1) * x
     while x < len(occ) or j1:
         x += 1
         if x > len(occ) + _SWEEP_CAP:
@@ -509,7 +522,8 @@ def _row_sweep(occ, t, spec, rng):
 
 
 def step(state, spec):
-    """Advance one trajectory by one time step."""
+    """Advance one trajectory by one time step (`_row_sweep`, which skips
+    an exclusion process's packed prefix without changing its draws)."""
     new, clamped = _row_sweep(tuple(int(v) for v in state.occupancy),
                               state.time, spec, state.rng)
     arr = np.array(new or [0], dtype=np.int64)

@@ -12,6 +12,7 @@ and the Pochhammer-symbol identities) on seeded random grids.
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,11 @@ from .errors import (
 )
 
 _SINGULAR_TOL = 1e-13
+_POCHHAMMER_MEMO_CAP = 1 << 11  # entries per context; cleared when full
+# The memo key of elliptic_pochhammer: the bytes of (Re a, Im a, k).  Keys
+# of exact bits keep apart the signed zeros, which == confuses and whose
+# bits can reach a result.
+_pochhammer_key = struct.Struct("<ddq").pack
 
 
 @dataclass(frozen=True)
@@ -31,6 +37,9 @@ class EllipticContext:
 
     mode is "elliptic" (f(z) = theta1(z; tau)) or "trigonometric"
     (f(z) = sin(pi z)).  q = exp(-4*pi*i*eta) is derived once and cached.
+    pochhammer_memo holds the values of elliptic_pochhammer in this
+    context; it is outside equality and hashing, so equal contexts built
+    apart keep memos of their own.
     """
 
     mode: str
@@ -41,6 +50,8 @@ class EllipticContext:
     q: complex = field(init=False)
     is_elliptic: bool = field(init=False, repr=False, compare=False)
     theta_exponents: tuple = field(init=False, repr=False, compare=False)
+    pochhammer_memo: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("elliptic", "trigonometric"):
@@ -146,8 +157,27 @@ def f_eval(z, ctx):
 
 def elliptic_pochhammer(a, k, ctx):
     """[a]_k = prod_{j=0}^{k-1} f(a - 2*eta*j) for k >= 0;
-    prod_{j=1}^{-k} 1 / f(a + 2*eta*j) for k < 0."""
+    prod_{j=1}^{-k} 1 / f(a + 2*eta*j) for k < 0.
+
+    Memoized on ctx.pochhammer_memo under the exact bits of a and k: a hit
+    returns the product a miss computes, in the same order, so values
+    equal recomputing them bit for bit.  An input that raises is never
+    stored, and the memo is cleared when it holds _POCHHAMMER_MEMO_CAP
+    entries."""
     a = complex(a)
+    key = _pochhammer_key(a.real, a.imag, k)
+    memo = ctx.pochhammer_memo
+    out = memo.get(key)
+    if out is None:
+        out = _pochhammer_product(a, k, ctx)
+        if len(memo) >= _POCHHAMMER_MEMO_CAP:
+            memo.clear()
+        memo[key] = out
+    return out
+
+
+def _pochhammer_product(a, k, ctx):
+    """The product of elliptic_pochhammer, factor by factor."""
     two_eta = 2.0 * complex(ctx.eta)
     out = 1.0 + 0.0j
     if k >= 0:

@@ -10,11 +10,16 @@ psi sum to 1, and that psi at u = s matches phi.
 import cmath
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PatternMismatch, SingularParameter
+from .errors import (
+    InadmissibleParameters,
+    PatternMismatch,
+    SingularParameter,
+)
 from .specfun import (
     EllipticContext,
     elliptic_pochhammer,
@@ -360,8 +365,10 @@ def c_correction(J, cfg, lam, Lambda, ctx):
 def sigma(J, cfg, p, memo=None):
     """Stochastic vertex weight sigma_J = C_J * W_J * (elliptic binomial
     ratio).  memo, when given, is the W_J recursion's memo, shared by calls
-    at the same J and p (psi_row passes one per row), which leaves every
-    value equal bit for bit to a call without it."""
+    at the same p (psi and psi_row keep one across calls), which leaves
+    every value equal bit for bit to a call without it.  The Pochhammer
+    factors of C_J and of the ratio come from p.ctx's memo (see
+    elliptic_pochhammer), so calls in one context compute each once."""
     i1, j1, i2, j2 = cfg
     if j1 < 0 or j1 > J or j2 < 0 or j2 > J or i1 < 0 or i2 < 0:
         return 0.0 + 0.0j
@@ -397,9 +404,58 @@ class PsiParams:
     kappa: complex
 
 
+_TRIG_CONTEXT_CAP = 8  # contexts kept by _trig_context; cleared when full
+_trig_contexts = {}  # the bytes of eta -> its trigonometric context
+_W_MEMO_COUNT = 8  # W_J memos kept by _psi_sigmas, first in first out
+_W_MEMO_ENTRIES = 1 << 12  # a memo a call leaves larger is cleared
+_w_memos = {}  # the bytes of (v, lam, Lambda, eta) -> W_J recursion memo
+# Keys of exact bits, as elliptic_pochhammer's: signed zeros stay apart.
+_complex_bytes = struct.Struct("<dd").pack
+_params_bytes = struct.Struct("<8d").pack
+
+
+def _trig_context(eta):
+    """The one trigonometric context of psi at eta, so that psi calls at
+    equal eta share its Pochhammer memo."""
+    key = _complex_bytes(eta.real, eta.imag)
+    ctx = _trig_contexts.get(key)
+    if ctx is None:
+        if len(_trig_contexts) >= _TRIG_CONTEXT_CAP:
+            _trig_contexts.clear()
+        ctx = _trig_contexts[key] = EllipticContext(mode="trigonometric",
+                                                    eta=eta)
+    return ctx
+
+
+def _psi_sigmas(cfgs, j1, p):
+    """[sigma(p.J, cfg, up) for cfg in cfgs] at the unfused parameters up
+    of (p, j1), bit for bit, with one W_J recursion memo per up kept
+    across calls.  The entries of a row share it, and so do the rows of
+    one (p, j1) at other i1, since its keys carry J and every arrow count.
+    The context of up is _trig_context's, fixed by eta, so the memo is
+    found by the exact bits of (v, lam, Lambda, eta).  The _W_MEMO_COUNT
+    newest memos are kept, and a call that leaves a memo with more than
+    _W_MEMO_ENTRIES entries clears it."""
+    up = _psi_unfused_params(p, j1)
+    eta = up.ctx.eta
+    key = _params_bytes(up.v.real, up.v.imag, up.lam.real, up.lam.imag,
+                        up.Lambda.real, up.Lambda.imag, eta.real, eta.imag)
+    memo = _w_memos.get(key)
+    if memo is None:
+        if len(_w_memos) >= _W_MEMO_COUNT:
+            del _w_memos[next(iter(_w_memos))]
+        memo = _w_memos[key] = {}
+    try:
+        return [sigma(p.J, cfg, up, memo=memo) for cfg in cfgs]
+    finally:
+        if len(memo) > _W_MEMO_ENTRIES:
+            memo.clear()
+
+
 def _psi_unfused_params(p, j1):
-    """Map PsiParams to the additive trigonometric parameters; the dynamical
-    parameter depends on the horizontal input j1."""
+    """Map PsiParams to the additive trigonometric parameters, in the
+    shared context of _trig_context; the dynamical parameter depends on
+    the horizontal input j1."""
     q = complex(p.q)
     if abs(q) < _SINGULAR_TOL:
         raise SingularParameter("q must be nonzero")
@@ -409,7 +465,7 @@ def _psi_unfused_params(p, j1):
         raise SingularParameter("psi evaluation requires kappa != 0")
     two_pi_i = 2j * math.pi
     eta = 1j * cmath.log(q) / (4 * math.pi)
-    ctx = EllipticContext(mode="trigonometric", eta=eta)
+    ctx = _trig_context(eta)
     Lambda = cmath.log(complex(p.s)) / (two_pi_i * eta)
     v = -cmath.log(complex(p.u)) / two_pi_i
     lam = ((2 * j1 - p.J) * cmath.log(q)
@@ -426,22 +482,19 @@ def psi(cfg, p):
         return 0.0 + 0.0j
     if i1 + j1 != i2 + j2:
         return 0.0 + 0.0j
-    up = _psi_unfused_params(p, j1)
-    return sigma(J, cfg, up)
+    return _psi_sigmas([cfg], j1, p)[0]
 
 
 def psi_row(i1, j1, p):
     """[psi((i1, j1, i1 + j1 - j2, j2), p) for j2 = 0..min(J, i1 + j1)],
     equal bit for bit, from one _psi_unfused_params and one W_J memo for
-    the whole row (its entries share the parameters; the memo dies with
-    the call)."""
+    the whole row (its entries share the parameters; the memo outlives the
+    call, for later rows and psi calls there: see _psi_sigmas)."""
     row = [ArrowConfig(i1, j1, i1 + j1 - j2, j2)
            for j2 in range(min(p.J, i1 + j1) + 1)]
     if i1 < 0 or not 0 <= j1 <= p.J:
         return [0.0 + 0.0j for _ in row]
-    up = _psi_unfused_params(p, j1)
-    memo = {}
-    return [sigma(p.J, cfg, up, memo=memo) for cfg in row]
+    return _psi_sigmas(row, j1, p)
 
 
 @dataclass(frozen=True)
@@ -454,7 +507,8 @@ class PhiParams:
 
 def phi(j, i, p):
     """The q-Hahn-type stochastic weight phi_{q,a,b,kappa}(j|i); 0 unless
-    0 <= j <= i."""
+    0 <= j <= i.  InadmissibleParameters where a power of a complex
+    parameter leaves float range."""
     if j < 0 or j > i:
         return 0.0 + 0.0j
     q, a, b, kap = (complex(p.q), complex(p.a), complex(p.b),
@@ -462,14 +516,18 @@ def phi(j, i, p):
     if abs(a) < _SINGULAR_TOL:
         raise SingularParameter("phi requires a != 0")
     qp = q_pochhammer
-    num = (a ** j
-           * qp(q, q, i)
-           * qp(b / a, q, j) * qp(a, q, i - j)
-           * qp(q ** i * b * kap, q, i - j)
-           * qp(q ** (i - j + 1) * kap, q, j))
-    den = (qp(q, q, j) * qp(q, q, i - j) * qp(b, q, i)
-           * qp(q ** (i - j) * a * kap, q, i - j)
-           * qp(q ** (2 * i - 2 * j + 1) * a * kap, q, j))
+    try:
+        num = (a ** j
+               * qp(q, q, i)
+               * qp(b / a, q, j) * qp(a, q, i - j)
+               * qp(q ** i * b * kap, q, i - j)
+               * qp(q ** (i - j + 1) * kap, q, j))
+        den = (qp(q, q, j) * qp(q, q, i - j) * qp(b, q, i)
+               * qp(q ** (i - j) * a * kap, q, i - j)
+               * qp(q ** (2 * i - 2 * j + 1) * a * kap, q, j))
+    except OverflowError as exc:  # complex ** raises where float gives inf
+        raise InadmissibleParameters(
+            "phi parameters out of float range (%s)" % exc) from None
     return num * _inv(den, "phi denominator")
 
 

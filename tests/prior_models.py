@@ -14,7 +14,9 @@ process: the tests compare the library's laws and streams against them.
 The exact law as it enumerated before its branches were swept in
 parallel: one sweep per configuration, every positive branch followed as a
 cons list.  The tests compare the library's support, total mass and errors
-against it with ==."""
+against it with ==.  Its row_sweep calls the kernel at every site, the
+packed prefix of an exclusion process too, so with one sampled branch it
+is also the reference for `step`."""
 
 import math
 

@@ -173,6 +173,18 @@ class TestCheckWeights:
         assert by_name["psi_row_sums"]["residual"] < 1e-10
         assert by_name["psi_at_u_equals_s_matches_phi"]["residual"] < 1e-10
 
+    def test_default_report_pinned(self, tmp_path):
+        # The residuals of the default report, bit for bit, as they read
+        # before psi kept its contexts, Pochhammer values and W_J memos
+        # across calls.
+        code, rep = run(tmp_path, "check-weights")
+        assert code == 0
+        assert {c["name"]: c["residual"] for c in rep["checks"]} == {
+            "phi_row_sums": 6.661338147750939e-16,
+            "phi_negative_weight_share": None,
+            "psi_row_sums": 1.4876988529977098e-14,
+            "psi_at_u_equals_s_matches_phi": 2.4424906541753444e-15}
+
     def test_phi_negative_weight_share(self, tmp_path):
         code, rep = run(tmp_path, "check-weights", "--family", "phi")
         assert code == 0

@@ -1,6 +1,7 @@
 """Particle-system samplers: transition laws, exact small-system oracle,
 vectorized ensemble engines, and the height-function views."""
 
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -477,6 +478,61 @@ class TestStepAndCurrent:
         for _ in range(20):
             st = step(st, ASYM)
             assert st.occupancy.max() <= 2
+
+
+class TestStepStreams:
+    # 300-step trajectories from seed 3, recorded before the scalar sweep
+    # skipped the packed prefix: the sha256 of the repr of every step's
+    # occupancy list, the particle count and the generator's next uniform.
+    @pytest.mark.parametrize("spec, digest, particles, draw", [
+        (ModelSpec.jgamma_pep(1, 5.0),
+         "e36fb0a81db096e889872b152ce00a4f03e6f00db4ecbb64e8d140e8ac52150e",
+         300, "0x1.3207a7ecb13bcp-3"),
+        (ModelSpec.jgamma_pep(2, 7.0),
+         "25bf2f097a7e68b4ec1c482f297c53b69436fd964374cab4f208c2d343ea642e",
+         600, "0x1.ba7d8c5d36cb4p-3"),
+        (ASYM,
+         "58e537a9bf16bbedbf2388c299afc55d40c7804ab712bd4a404c98f437f91176",
+         300, "0x1.ec726933b3a23p-1"),
+        (ModelSpec.corner(0.3),
+         "f80138f83ee104b6f6f54cdcb429efc3dc35a964cf944b50acff7bb4311a6cfd",
+         300, "0x1.2effc09d1960ep-2")],
+        ids=["jgamma-J1", "jgamma-J2", "asym", "corner"])
+    def test_pinned(self, spec, digest, particles, draw):
+        state = initial_state(spec, seed=3)
+        sha = hashlib.sha256()
+        for _ in range(300):
+            state = step(state, spec)
+            sha.update(repr(state.occupancy.tolist()).encode())
+        assert sha.hexdigest() == digest
+        assert (state.total_particles, state.clamped) == (particles, 0)
+        assert state.rng.random().hex() == draw
+
+    @settings(max_examples=30)
+    @given(st.sampled_from([ModelSpec.jgamma_pep(1, 3.0), JG, ASYM,
+                            ModelSpec.asym_pep(0.25, 0.0),
+                            ModelSpec.jgamma_pep(2, 7.0),
+                            ModelSpec.jgamma_pep(3, 9.0),
+                            ModelSpec.corner(0.3),
+                            ModelSpec.corner_dyn(3.0)]),
+           st.integers(1, 60), st.integers(0, 2 ** 32))
+    def test_equals_a_sweep_of_every_site(self, spec, N, seed):
+        # The reference sweep calls the kernel at every site, the packed
+        # prefix too, and draws from its kernels as step does.
+        state = initial_state(spec, seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        occ, clamped = (), 0
+
+        def pick(values, w, pr):
+            return [(values[models._sample_index(w, rng)], pr)]
+
+        for t in range(N):
+            state = step(state, spec)
+            (occ, _, c), = prior.row_sweep(occ, t, spec, pick)
+            clamped += c
+            assert tuple(state.occupancy.tolist()) == (occ or (0,))
+        assert state.clamped == clamped
+        assert state.rng.random() == rng.random()
 
 
 def corner_state_heights(spec, state):

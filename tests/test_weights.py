@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import prior_weights as prior
+from dynvertex import specfun, weights
 from dynvertex.errors import (
     DynVertexError,
     InadmissibleParameters,
@@ -308,6 +309,12 @@ class TestMultiplicative:
         p = PhiParams(q=0.4, a=0.3, b=0.12, kappa=0.15)
         assert phi(3, 2, p) == 0
         assert phi(-1, 2, p) == 0
+
+    def test_phi_out_of_float_range_is_typed(self):
+        # a ** j overflows in complex arithmetic, which raises.
+        p = PhiParams(q=0.4, a=4e299, b=1e300, kappa=0.1)
+        with pytest.raises(InadmissibleParameters, match="float range"):
+            phi(3, 4, p)
 
 
 def degeneration_weight(kind, **kw):
@@ -633,3 +640,103 @@ class TestEqualToPrior:
             psi_row(1, 1, pp)
         with pytest.raises(SingularParameter, match=msg):
             prior.psi(ArrowConfig(1, 1, 2, 0), pp)
+
+
+def bits(value):
+    """float.hex of the real and imaginary parts of a value or of each
+    entry of a row; an outcome's error as it is."""
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    if isinstance(value, tuple):
+        return value
+    return value.real.hex(), value.imag.hex()
+
+
+def clear_caches():
+    """Empty every weight-layer cache: psi's contexts and W_J memos, and
+    the Pochhammer memos of the contexts the tests build."""
+    weights._trig_contexts.clear()
+    weights._w_memos.clear()
+    for ctx in (TRIG, ELL, ELL_SKEW):
+        ctx.pochhammer_memo.clear()
+
+
+zeros = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def cached_calls(draw):
+    """psi, psi_row and elliptic_pochhammer calls that repeat parameters:
+    rows (i1, j1) at a few admissible PsiParams (u carrying a signed zero
+    imaginary part) and Pochhammer arguments with signed zero parts."""
+    params = []
+    for _ in range(draw(st.integers(1, 3))):
+        J = draw(st.integers(1, 3))
+        s = draw(st.floats(0.2, 0.6)) * draw(st.sampled_from([1, 1j]))
+        params.append(PsiParams(
+            u=complex(draw(st.floats(0.3, 0.95)), draw(zeros)),
+            s=s, q=draw(st.floats(0.2, 0.7)), J=J,
+            kappa=draw(st.floats(0.05, 0.5))))
+    calls = []
+    for _ in range(draw(st.integers(2, 10))):
+        pp = draw(st.sampled_from(params))
+        i1, j1 = draw(st.integers(0, 4)), draw(st.integers(0, pp.J))
+        if draw(st.booleans()):
+            calls.append((psi_row, (i1, j1, pp)))
+        else:
+            j2 = draw(st.integers(0, min(pp.J, i1 + j1)))
+            calls.append((psi, (ArrowConfig(i1, j1, i1 + j1 - j2, j2), pp)))
+    for _ in range(draw(st.integers(1, 6))):
+        parts = st.one_of(zeros, st.floats(-0.4, 0.4))
+        a = complex(draw(parts), draw(parts))
+        calls.append((elliptic_pochhammer,
+                      (a, draw(st.integers(-3, 4)),
+                       draw(st.sampled_from([TRIG, ELL, ELL_SKEW])))))
+    return calls
+
+
+class TestCaches:
+    """psi's shared contexts and W_J memos and the Pochhammer memo return
+    the bits a call with empty caches computes, in any order of calls."""
+
+    @settings(max_examples=60)
+    @given(cached_calls(), st.randoms(use_true_random=False))
+    def test_equal_to_empty_caches(self, calls, rnd):
+        fresh = []
+        for fn, args in calls:
+            clear_caches()
+            fresh.append(bits(outcome(fn, *args)))
+        order = list(range(len(calls))) * 2
+        rnd.shuffle(order)
+        for i in order:
+            fn, args = calls[i]
+            assert bits(outcome(fn, *args)) == fresh[i]
+
+    def test_signed_zero_arguments_kept_apart(self):
+        # [a]_1 = f(a) keeps the sign of a's zero real part: the two
+        # arguments compare equal but must not share a memo entry.
+        args = (complex(0.0, 0.3), complex(-0.0, 0.3))
+        fresh = []
+        for a in args:
+            clear_caches()
+            fresh.append(bits(elliptic_pochhammer(a, 1, TRIG)))
+        assert fresh[0] != fresh[1]
+        assert [bits(elliptic_pochhammer(a, 1, TRIG)) for a in args] == fresh
+
+    def test_caps_hold_after_the_check_grid(self, monkeypatch):
+        # At small caps every cache is cleared or evicted many times over,
+        # and the residuals keep their bits.
+        want = row_sum_checks("psi", 1e-10)
+        for caps in ({}, {"_W_MEMO_COUNT": 2, "_TRIG_CONTEXT_CAP": 2,
+                          "_W_MEMO_ENTRIES": 8, "_POCHHAMMER_MEMO_CAP": 16}):
+            for name, cap in caps.items():
+                monkeypatch.setattr(specfun if "POCH" in name else weights,
+                                    name, cap)
+            clear_caches()
+            assert row_sum_checks("psi", 1e-10) == want
+            assert len(weights._w_memos) <= weights._W_MEMO_COUNT
+            assert all(len(m) <= weights._W_MEMO_ENTRIES
+                       for m in weights._w_memos.values())
+            assert len(weights._trig_contexts) <= weights._TRIG_CONTEXT_CAP
+            assert all(len(c.pochhammer_memo) <= specfun._POCHHAMMER_MEMO_CAP
+                       for c in weights._trig_contexts.values())
