@@ -321,7 +321,9 @@ def _experiment_f_collapse(seed, /, q=0.25, T=4000, eta_list=(0.4, 0.5, 0.6),
                      "lln_mean": mean / T,
                      "lln_target": lln_shapes(q, "m", eta)})
     norms = [r["normalized_std"] for r in rows]
-    spread = (max(norms) - min(norms)) / min(norms)
+    # A row whose samples all agree has no spread to be relative to.
+    spread = ((max(norms) - min(norms)) / min(norms) if min(norms) > 0
+              else math.inf)
     rep = {"kind": "f_collapse", "q": q, "T": T, "n_samples": samples,
            "rows": rows, "pairwise_spread": spread}
     return (rep, [("normalized_std_pairwise_spread", None, spread)],

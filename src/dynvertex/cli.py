@@ -219,9 +219,14 @@ def _model_from_config(model, cfg):
         if model == "qhahn":
             q = cfg.get("q", 0.4)
             J = tuple(cfg.get("J", (1,)))
-            C = tuple(cfg.get("C", tuple(q ** j for j in J)))
-            return ModelSpec.qhahn(q, cfg.get("delta", -0.2),
-                                   tuple(cfg.get("B", (q ** -2,))), C, J)
+            try:
+                C = tuple(cfg.get("C", tuple(q ** j for j in J)))
+                B = tuple(cfg.get("B", (q ** -2,)))
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise _ConfigError("q = %r leaves the default B = (q^-2,) "
+                                   "or C = (q^J, ...) undefined: %s"
+                                   % (q, exc))
+            return ModelSpec.qhahn(q, cfg.get("delta", -0.2), B, C, J)
         if model == "pep":
             return ModelSpec.jgamma_pep(cfg.get("J", 1),
                                         cfg.get("gamma", 5.0))

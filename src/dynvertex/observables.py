@@ -28,13 +28,11 @@ integral converges).  The first pass puts twice the start count on every
 circle: twice 32, or twice the first power of two above the largest pole
 order inside the contours (fewer nodes alias the integrand's Laurent
 coefficients), so that its halved pass keeps that guard.  A failed pass
-doubles the fewest circles after which the next change is predicted
-small, or every circle; since the rule's error falls geometrically in the
-node count, a doubled circle may instead jump, once, to a count read from
-its measured rate, and no circle ever gets more nodes than doubling would
-give it.  A pass beyond 4096 nodes on a circle or 2^32 node tuples in
-all, or a rounding floor above tol * max(1, |value|), raises NotConverged
-instead.
+doubles the fewest circles predicted to suffice, or every circle, and
+sums only the node tuples new to it: a doubled circle's even nodes are
+its previous nodes.  A pass beyond 4096 nodes on a circle or 2^32 node
+tuples, or a rounding floor above tol * max(1, |value|), raises
+NotConverged instead.
 
 The printed sources drift by one in a few indices; the conventions frozen
 here (which factors read the current at x_j versus x_j + 1, which prefix
@@ -43,6 +41,7 @@ pinned by an automated offset sweep against exact enumeration and are
 exercised by the tests.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -453,11 +452,17 @@ def _contract(z, g, cross, inner=None):
     return out
 
 
-def _quad_once(spec, contour, ns):
+def _quad_once(spec, contour, ns, prev=None, grown=()):
     """Tensor-product trapezoid rule with ns[j] nodes (even) on circle j,
     each circle's nodes ordered evens first.  Returns the 2^k parity sums
     of _contract, whose total is the value of the rule, and the rounding
-    floor, _FLOOR_ULPS * eps * prod_j sum |g_j|."""
+    floor, _FLOOR_ULPS * eps * prod_j sum |g_j|.
+
+    prev, if given, holds the parity sums of the pass before, with the
+    circles in `grown` at half their counts.  Their even nodes are its
+    nodes at half the weight, so the classes with all of them even are
+    prev summed over their axes and divided by 2^|grown|; only the other
+    classes are summed afresh, over their matching halves of nodes."""
     z, g = [], []
     for j, ((c, r), n) in enumerate(zip(contour.circles, ns)):
         e = r * np.exp(2j * math.pi / n * np.r_[0:n:2, 1:n:2])
@@ -470,22 +475,21 @@ def _quad_once(spec, contour, ns):
         g.append(_rhs_single(spec, j, z[-1]) * w)
     floor = (_FLOOR_ULPS * np.finfo(float).eps
              * math.prod(float(np.abs(gj).sum()) for gj in g))
-    return _contract(z, g, lambda zi, zj: _cross_factor(spec, zi, zj)), floor
-
-
-def _jump(moves, n, k, tol):
-    """Half the next count, m with n < m < 2n, of a circle at 2n nodes,
-    read from its rate of convergence, or None to double it.  The moves
-    c_a > c_b, both below 1, of its last two doublings, the pairs (n/2, n)
-    and (n, 2n), fit the move of a pair at m as c_b exp(-r (m - n)),
-    r = ln(c_a / c_b) / (n/2); m is the least count predicted to reach
-    tol / (k _SAFETY).  The jump to 2m replaces doubling to 4n."""
-    if len(moves) < 2 or not 1.0 > moves[-2] > moves[-1]:
-        return None
-    c_a, c_b = moves[-2:]
-    rate = math.log(c_a / c_b) / (n / 2)
-    m = n + math.ceil(math.log(c_b * k * _SAFETY / tol) / rate)
-    return m if n < m < 2 * n else None
+    cross = functools.partial(_cross_factor, spec)
+    if prev is None:
+        return _contract(z, g, cross), floor
+    grown = tuple(grown)
+    sums = np.empty((2,) * len(ns), dtype=complex)
+    for bits in itertools.product((0, 1), repeat=len(grown)):
+        index, zs, gs = [slice(None)] * len(ns), list(z), list(g)
+        for j, b in zip(grown, bits):
+            index[j] = b
+            half = _halves(ns[j])[b]
+            zs[j], gs[j] = z[j][half], g[j][half]
+        sums[tuple(index)] = (_contract(zs, gs, cross).sum(axis=grown)
+                              if any(bits) else
+                              prev.sum(axis=grown) / 2 ** len(grown))
+    return sums, floor
 
 
 def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
@@ -500,24 +504,17 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
     circles double whose doubling the sums predict to bring the next
     change within tol / _SAFETY: with every other circle halved, the value
     must already lie that close to V.  If no proper subset does, every
-    circle doubles.  The rule's error falls geometrically in the node
-    count, so a doubled circle may instead take its next count, once, from
-    the rate at which its move V_j - V (circle j alone halved) fell over
-    its last two doublings (_jump).  It does so only when the moves of
-    single circles account for all but 1 / _SAFETY of V_half - V, since
-    terms that alias on several circles at once follow no one circle's
-    rate, and when the jump leaves it with the most nodes of the next
-    pass, since counts out of step with each other meet such terms.  If a
-    jumped count falls short, the circle goes on at the count doubling
-    would have given it, so no circle ever gets more nodes than doubling
-    would.  No pass goes beyond _MAX_NODES on a circle or _MAX_GRID node
-    tuples in all.  Returns a float when the rounding floor
-    is at most tol max(1, |value|) and the imaginary part at most
-    max(tol |value|, floor) and 1e-9 max(1, |value|), else raises
-    NotConverged.  With full=True it returns a dict with the value and
-    diagnostics: nodes_used, the largest count of the accepted pass, and
-    nodes_per_circle, its counts; passes, the counts of every pass; and
-    nodes_evaluated, the node tuples summed over the passes."""
+    circle doubles.  So every count is the start count times a power of
+    two, and a pass sums only its node tuples with a doubled circle at an
+    odd node, taking the rest from the pass before (_quad_once).  No pass
+    goes beyond _MAX_NODES on a circle or _MAX_GRID node tuples in all.
+    Returns a float when the rounding floor is at most tol max(1, |value|)
+    and the imaginary part at most max(tol |value|, floor) and
+    1e-9 max(1, |value|), else raises NotConverged.  With full=True it
+    returns a dict with the value and diagnostics: nodes_used, the largest
+    count of the accepted pass, and nodes_per_circle, its counts; passes,
+    the counts of every pass; and nodes_evaluated, the node tuples summed
+    over all passes, which is the product of the accepted pass's counts."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if contour is None:
@@ -525,14 +522,15 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
     _check_contour(spec, contour)
     k = spec.k
 
-    def run(ns):
-        """(parity sums, value, rounding floor) of the pass at ns."""
+    def run(ns, prev, grown):
+        """(parity sums, value, rounding floor) of the pass at ns, nested
+        in the pass with sums prev when the circles grown doubled."""
         if max(ns) > _MAX_NODES or math.prod(ns) > _MAX_GRID:
             raise NotConverged(
                 "node doubling did not reach relative change %g before "
                 "the budget stopped it at %s nodes per circle" % (tol, ns))
         with np.errstate(over="ignore", invalid="ignore"):
-            sums, floor = _quad_once(spec, contour, ns)
+            sums, floor = _quad_once(spec, contour, ns, prev, grown)
         cur = sums.sum()
         # Non-finite terms, or terms that all underflowed to 0, leave the
         # pass with no number to compare.
@@ -550,13 +548,10 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
     while n <= order:
         n *= 2
     every = tuple(range(k))
-    ns = [2 * n] * k
-    ladder = list(ns)  # each circle's count under doubling alone
-    moves = [[] for _ in every]  # each circle's moves at its doublings
-    jumped, passes = set(), []
+    ns, passes, sums, grow = [2 * n] * k, [], None, ()
     while True:
         passes.append(list(ns))
-        sums, cur, floor = run(passes[-1])
+        sums, cur, floor = run(passes[-1], sums, grow)
         scale = max(abs(cur), floor / tol)
         change = abs(_halved(sums, every) - cur) / scale
         if change <= tol:
@@ -572,24 +567,7 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
             if pred <= tol * scale / _SAFETY:
                 grow = subset
                 break
-        alone = [_halved(sums, (j,)) - cur for j in every]
-        mixed = abs(_halved(sums, every) - cur - sum(alone)) / scale
-        new = list(ns)
-        for j in grow:
-            moves[j].append(abs(alone[j]) / scale)
-            if ns[j] == ladder[j]:
-                ladder[j] *= 2
-            new[j] = ladder[j]  # or back on the ladder after a jump
-        # A doubled circle may jump instead, once (see the docstring).
-        for j in grow:
-            if j in jumped or mixed * _SAFETY > change:
-                continue
-            m = _jump(moves[j], ns[j] // 2, k, tol)
-            if m is not None and all(2 * m >= new[i]
-                                     for i in every if i != j):
-                jumped.add(j)
-                new[j] = 2 * m
-        ns = new
+        ns = [2 * n if j in grow else n for j, n in enumerate(ns)]
     # A sum whose rounding floor exceeds the tolerance cannot resolve its
     # value, however well two passes agree.
     if floor > tol * max(1.0, abs(cur)):
@@ -608,7 +586,7 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
         return {"value": float(cur.real), "nodes_used": max(ns),
                 "nodes_per_circle": ns, "doubling_change": float(change),
                 "imag_part": float(cur.imag), "passes": passes,
-                "nodes_evaluated": sum(map(math.prod, passes))}
+                "nodes_evaluated": math.prod(ns)}
     return float(cur.real)
 
 

@@ -306,6 +306,21 @@ class TestSimulate:
         assert "invalid model parameters" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("config, steps", [
+        ('{"q": 0, "J": [3]}', "6"),
+        ('{"q": 1e300, "J": [2]}', "5"),
+    ], ids=["q0-default-B", "q1e300-default-C"])
+    def test_qhahn_default_arithmetic_exits_2(self, tmp_path, capsys,
+                                              config, steps):
+        # q = 0 has no q^-2 for the default B, and q = 1e300 overflows q^2
+        # in the default C: a bad config, not a traceback.
+        code, rep = run(tmp_path, "simulate", "--model", "qhahn",
+                        "--steps", steps, "--config", config)
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: q = ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_corner_model(self, tmp_path):
         code, rep = run(tmp_path, "simulate", "--model", "corner",
                         "--config", '{"p": 0.5}', "--steps", "4",
@@ -466,8 +481,8 @@ class TestVerifyIdentity:
         assert diag["nodes_used"] == 256
         assert diag["nodes_per_circle"] == [128, 256, 256, 256]
         assert diag["passes"][0] == [64] * 4
-        assert diag["nodes_evaluated"] == sum(
-            math.prod(p) for p in diag["passes"])
+        assert diag["nodes_evaluated"] == math.prod(
+            diag["passes"][-1]) == 2147483648
 
     def test_exact_rhs_gate(self, tmp_path):
         code, rep = run(tmp_path, "verify-identity", "--form", "pep",
@@ -607,6 +622,19 @@ class TestAsymptotics:
         lines = csvf.read_text().splitlines()
         assert lines[0] == header
         assert len(lines) == rows + 1
+
+    def test_f_collapse_zero_spread(self, tmp_path):
+        # Two samples at T = 16 agree at two of the three sites, so the
+        # least normalized std is 0 and the spread relative to it is inf.
+        argv = ("asymptotics", "--experiment", "f-collapse",
+                "--config", '{"samples": 2, "T": 16}')
+        code, rep = run(tmp_path, *argv)
+        assert code == 0
+        assert min(r["normalized_std"] for r in rep["experiment"]["rows"]) == 0
+        assert rep["experiment"]["pairwise_spread"] == "inf"
+        assert rep["checks"][0]["residual"] == "inf"
+        code, rep = run(tmp_path, *argv, "--gate", "0.5")
+        assert code == 1 and not rep["checks"][0]["passed"]
 
     def test_gamma_corner_moments(self, tmp_path):
         # The corner reading of gamma, once its own experiment, is a block

@@ -1,6 +1,7 @@
 """Moment-identity layer: exact enumeration vs contour quadrature vs Monte
 Carlo, delta-independence, and contour geometry validation."""
 
+import contextlib
 import itertools
 import math
 import time
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import prior_observables as prior
@@ -45,6 +46,23 @@ def assert_identity(spec):
     """rhs_quadrature within 1e-9 * min(1, |lhs_exact|) (absolute at 0)."""
     ex = lhs_exact(spec)
     assert abs(ex - rhs_quadrature(spec)) < 1e-9 * (min(1.0, abs(ex)) or 1.0)
+
+
+@contextlib.contextmanager
+def recorded(result=None):
+    """The list, filled as they run, of the (counts, parity sums, floor)
+    of every quadrature pass inside the block.  Each pass returns `result`
+    when one is given, else what _quad_once returns; either way it takes
+    _quad_once's arguments."""
+    passes, quad_once = [], observables._quad_once
+
+    def spy(spec, contour, ns, *args, **kwargs):
+        out = result or quad_once(spec, contour, ns, *args, **kwargs)
+        passes.append((list(ns),) + tuple(out))
+        return out
+
+    with mock.patch.object(observables, "_quad_once", spy):
+        yield passes
 
 
 class TestObservableSpec:
@@ -202,26 +220,19 @@ class TestContours:
             rhs_quadrature(
                 spec, ContourSpec(circles=((1.5, 0.5005),)))
 
-    def test_k4_budget(self, monkeypatch):
+    def test_k4_budget(self):
         # The exact value is 0 (h(1) = N zeroes the last factor) and the
         # doubling approaches it slowly: it must either converge to 0 or
         # raise NotConverged without a pass beyond 2^32 node tuples.
-        passes = []
-        quad_once = observables._quad_once
-
-        def spy(spec, contour, ns):
-            passes.append(ns)
-            return quad_once(spec, contour, ns)
-
-        monkeypatch.setattr(observables, "_quad_once", spy)
         spec = ObservableSpec(QHAHN, (2, 2, 1, 1), 3)
         assert lhs_exact(spec) == 0.0
-        try:
-            assert abs(rhs_quadrature(spec)) < 1e-9
-        except NotConverged:
-            pass
-        assert passes[0] == [64] * 4
-        assert all(math.prod(ns) <= 2 ** 32 for ns in passes)
+        with recorded() as passes:
+            try:
+                assert abs(rhs_quadrature(spec)) < 1e-9
+            except NotConverged:
+                pass
+        assert passes[0][0] == [64] * 4
+        assert all(math.prod(p[0]) <= 2 ** 32 for p in passes)
 
     def test_underflowed_sum_not_converged(self):
         # asym_pep(0.25, 0) as its q-Hahn spec: at N = 400, x = 600 every
@@ -238,10 +249,9 @@ class TestContours:
 
     @pytest.mark.parametrize("value", [complex(math.inf, 0.0),
                                        complex(math.nan, 0.0)])
-    def test_non_finite_sum_not_converged(self, value, monkeypatch):
-        monkeypatch.setattr(observables, "_quad_once",
-                            lambda spec, contour, ns: (np.full(2, value), 1.0))
-        with pytest.raises(NotConverged, match="overflowed"):
+    def test_non_finite_sum_not_converged(self, value):
+        with recorded((np.full(2, value), 1.0)), pytest.raises(
+                NotConverged, match="overflowed"):
             rhs_quadrature(ObservableSpec(QHAHN, (1,), 1))
 
     def test_tol_must_be_positive(self):
@@ -249,19 +259,18 @@ class TestContours:
             rhs_quadrature(ObservableSpec(QHAHN, (1,), 1), tol=0.0)
 
     @pytest.mark.parametrize("imag, ok", [(1e-14, True), (1e-12, False)])
-    def test_imag_part_relative(self, imag, ok, monkeypatch):
+    def test_imag_part_relative(self, imag, ok):
         # A value of 1e-5 carries at most tol * 1e-5 = 1e-13 of imaginary
         # part (an absolute 1e-9 bound would accept 1e-12).  Equal parity
         # sums make the pass agree with its halved pass.
         half = (1e-5 + imag * 1j) / 2
-        monkeypatch.setattr(observables, "_quad_once",
-                            lambda spec, contour, ns: (np.full(2, half), 0.0))
         spec = ObservableSpec(QHAHN, (1,), 1)
-        if ok:
-            assert rhs_quadrature(spec) == 1e-5
-        else:
-            with pytest.raises(NotConverged, match="imaginary part"):
-                rhs_quadrature(spec)
+        with recorded((np.full(2, half), 0.0)):
+            if ok:
+                assert rhs_quadrature(spec) == 1e-5
+            else:
+                with pytest.raises(NotConverged, match="imaginary part"):
+                    rhs_quadrature(spec)
 
     def test_bad_node_count(self):
         with pytest.raises(ValueError):
@@ -273,33 +282,23 @@ class TestAliasing:
     # N - x at z = 2 inside the circle of radius 0.25.
     MODEL = ModelSpec.jgamma_pep(J=1, gamma=3.0)
 
-    @pytest.fixture
-    def passes(self, monkeypatch):
-        """Node counts of the quadrature passes, in order."""
-        passes, quad_once = [], observables._quad_once
-
-        def spy(spec, contour, ns):
-            passes.append(ns)
-            return quad_once(spec, contour, ns)
-
-        monkeypatch.setattr(observables, "_quad_once", spy)
-        return passes
-
-    def test_pole_order_above_nodes_raises(self, passes):
+    def test_pole_order_above_nodes_raises(self):
         # With 32 and 64 nodes two aliased passes agreed to 1e-9 on
         # -2.08e42; the true value, about -5.6, lies far below the
         # rounding floor on this circle.  The first pass has 256 nodes, so
         # its halved pass has 128, the first power of two above N - x.
-        with pytest.raises(NotConverged, match="rounding floor"):
+        with recorded() as passes, pytest.raises(NotConverged,
+                                                 match="rounding floor"):
             rhs_quadrature(ObservableSpec(self.MODEL, (100,), 200))
-        assert passes[0] == [256]
+        assert passes[0][0] == [256]
 
-    def test_qhahn_starts_above_the_cluster_multiplicity(self, passes):
+    def test_qhahn_starts_above_the_cluster_multiplicity(self):
         # z = 1 is a pole of order N = 40; two circles of different radii
         # give the same value.
         spec = ObservableSpec(QHAHN, (1,), 40)
-        small = rhs_quadrature(spec, ContourSpec(circles=((1.0, 0.6),)))
-        assert passes[0] == [128]
+        with recorded() as passes:
+            small = rhs_quadrature(spec, ContourSpec(circles=((1.0, 0.6),)))
+        assert passes[0][0] == [128]
         large = rhs_quadrature(spec, ContourSpec(circles=((1.0, 0.9),)))
         assert abs(small - large) < 1e-9
 
@@ -311,12 +310,12 @@ class TestAliasing:
 
 
 @st.composite
-def schedule_specs(draw):
-    """Small q-Hahn specs with k = 1-3 and PEP specs with k = 1-2 (no PEP
-    contour nests three circles; see test_pep_k3_infeasible)."""
+def schedule_specs(draw, max_k=3):
+    """Small q-Hahn specs with k = 1 to max_k and PEP specs with k = 1-2
+    (no PEP contour nests three circles; see test_pep_k3_infeasible)."""
     N = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        k, J = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+        k, J = draw(st.integers(1, max_k)), draw(st.sampled_from([1, 2]))
         model = qhahn_model(q=draw(st.sampled_from([0.25, 0.4, 0.5, 0.75])),
                             b=draw(st.sampled_from([-0.05, -0.3, -3.0])),
                             J=J)
@@ -326,20 +325,6 @@ def schedule_specs(draw):
             J, draw(st.sampled_from([J + 1.5, 5.0, 7.0])))
     xs = draw(st.lists(st.integers(1, N + 1), min_size=k, max_size=k))
     return ObservableSpec(model, sorted(xs, reverse=True), N)
-
-
-def recorded(fn):
-    """fn() and the (counts, parity sums, floor) of every quadrature pass
-    it ran."""
-    passes, quad_once = [], observables._quad_once
-
-    def spy(spec, contour, ns):
-        out = quad_once(spec, contour, ns)
-        passes.append((list(ns),) + tuple(out))
-        return out
-
-    with mock.patch.object(observables, "_quad_once", spy):
-        return fn(), passes
 
 
 class TestNodeSchedule:
@@ -352,37 +337,28 @@ class TestNodeSchedule:
     def test_qhahn_k3_final_pair(self):
         # Circle 1 (1, 0.25) settles at 128 nodes and circle 2 (2, 1.25) at
         # 256; only circle 3 (4.5, 3.75), whose left edge passes 0.25 from
-        # the order-3 pole at z = 1, needs more, and its measured rate
-        # takes it from 512 to 634 nodes where doubling would go on to 1024.
-        diag, passes = recorded(
-            lambda: rhs_quadrature(self.QHAHN_K3, full=True))
+        # the order-3 pole at z = 1, needs more, and doubles on to 1024.
+        with recorded() as passes:
+            diag = rhs_quadrature(self.QHAHN_K3, full=True)
         assert [p[0] for p in passes] == diag["passes"] == [
             [64, 64, 64], [128, 128, 128], [128, 256, 256],
-            [128, 256, 512], [128, 256, 634]]
-        assert diag["nodes_per_circle"] == [128, 256, 634]
-        assert diag["nodes_used"] == 634
+            [128, 256, 512], [128, 256, 1024]]
+        assert diag["nodes_per_circle"] == [128, 256, 1024]
+        assert diag["nodes_used"] == 1024
         ex = lhs_exact(self.QHAHN_K3)
         assert abs(diag["value"] - ex) <= 1e-12 * abs(ex)
 
-    def test_jump_that_falls_short_goes_on_doubling(self):
-        # Circle 1 jumps from 128 to 154 nodes on its rate, the pass there
-        # fails, and it goes on at 256, where doubling would have put it.
-        spec = ObservableSpec(qhahn_model(q=0.5), (3, 2), 2)
-        diag = rhs_quadrature(spec, full=True)
-        assert diag["passes"] == [[64, 64], [128, 128], [154, 128],
-                                  [256, 128]]
-        assert lhs_exact(spec) == 0.0 and abs(diag["value"]) < 1e-18
-
     def test_qhahn_k3_nodes_evaluated(self):
-        # Doubling with the rate-chosen final pair evaluated
-        # 32^3 + ... + 512^3 + 301^3 + 602^3 = 398,825,117 node triples.
+        # Each pass sums only the node triples new to it, so the passes
+        # evaluate the accepted pass's 128 * 256 * 1024 triples in all.
         diag = rhs_quadrature(self.QHAHN_K3, full=True)
-        assert diag["nodes_evaluated"] == sum(
-            math.prod(p) for p in diag["passes"])
-        assert diag["nodes_evaluated"] <= 398825117 / 4
+        assert diag["nodes_evaluated"] == math.prod(
+            diag["passes"][-1]) == 33554432
 
     @settings(max_examples=40)
     @given(schedule_specs())
+    # A zero integral, reached by doubling one circle of two.
+    @example(ObservableSpec(qhahn_model(q=0.5), (3, 2), 2))
     def test_against_doubling(self, spec):
         tol = 1e-8
         try:
@@ -390,12 +366,12 @@ class TestNodeSchedule:
         except ContourInfeasible:
             reject()
         try:
-            old, old_passes = recorded(
-                lambda: prior.rhs_quadrature_doubling(spec, contour, tol))
+            with recorded() as old_passes:
+                old = prior.rhs_quadrature_doubling(spec, contour, tol)
         except NotConverged:
             reject()
-        new, passes = recorded(
-            lambda: rhs_quadrature(spec, contour, tol=tol, full=True))
+        with recorded() as passes:
+            new = rhs_quadrature(spec, contour, tol=tol, full=True)
         counts = [p[0] for p in passes]
         assert old["passes"] == [p[0][0] for p in old_passes]
         assert new["passes"] == counts
@@ -410,10 +386,11 @@ class TestNodeSchedule:
         assert all(max(ns) <= observables._MAX_NODES
                    and math.prod(ns) <= observables._MAX_GRID
                    for ns in counts)
-        # No circle gets more nodes than doubling gives it, and the passes
-        # evaluate no more node tuples than doubling's.
+        # No circle gets more nodes than doubling gives it, and the passes,
+        # each summing only its new node tuples, evaluate no more of them
+        # than doubling's.
         assert max(max(ns) for ns in counts) <= old["nodes_used"]
-        assert new["nodes_evaluated"] == sum(map(math.prod, counts)) <= sum(
+        assert new["nodes_evaluated"] == math.prod(counts[-1]) <= sum(
             n ** spec.k for n in old["passes"])
         # Both values lie within the acceptance scale of the truth.
         scale = max(tol * abs(old["value"]), floor, old_passes[-1][2])
@@ -423,6 +400,30 @@ class TestNodeSchedule:
         except (SizeLimit, InadmissibleWeights):
             return
         assert abs(new["value"] - ex) <= 2 * max(tol * abs(ex), floor)
+
+    @settings(max_examples=60)
+    @given(schedule_specs(max_k=4), st.data())
+    def test_nested_pass_equals_fresh(self, spec, data):
+        # A pass nested in the one before, after doubling any set of
+        # circles, has the parity sums of a fresh pass at its counts,
+        # within its rounding floor.
+        try:
+            contour = solve_contours(spec)
+        except ContourInfeasible:
+            reject()
+        ns = data.draw(st.lists(st.sampled_from([4, 8]), min_size=spec.k,
+                                max_size=spec.k))
+        sums, _ = observables._quad_once(spec, contour, ns)
+        for _ in range(data.draw(st.integers(1, 3))):
+            grown = data.draw(st.sets(st.sampled_from(range(spec.k)),
+                                      min_size=1))
+            ns = [2 * n if j in grown else n for j, n in enumerate(ns)]
+            sums, floor = observables._quad_once(spec, contour, ns, sums,
+                                                 grown)
+            fresh, fresh_floor = observables._quad_once(spec, contour, ns)
+            assert floor == fresh_floor
+            assert sums.shape == fresh.shape == (2,) * spec.k
+            assert (np.abs(sums - fresh) <= floor).all()
 
 
 @st.composite
