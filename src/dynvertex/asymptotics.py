@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomain
+from .errors import Check, OutOfDomain
 from .models import ModelSpec, current, run_ensemble
 from .observables import pep_site
 
@@ -113,8 +113,15 @@ def lln_shapes(q, which, point):
 # Experiments
 #
 # Each experiment takes the seed and then its config as keyword parameters,
-# and returns (report, checks, csv): the gated rows (name, value, residual)
-# and the CSV table (columns, rows).
+# and returns (report, checks, csv): a list of Check, each with a name, a
+# value and a residual, and the CSV table (columns, rows).
+
+
+def _horizon(T):
+    """A time horizon as an int; T < 1 has no step to run."""
+    if not T >= 1:
+        raise ValueError("each time horizon T must be >= 1, got %r" % (T,))
+    return int(T)
 
 
 def _mc_summary(est, target):
@@ -154,7 +161,7 @@ def _experiment_heat_lln(seed, /, J=1, r=1.0, s=0.0, T=1600, samples=20000):
     """The scaled current against heat_profile at each s (a number or a
     list); the CSV tabulates the profile on s = -2, -1.9, ..., 2 and at each
     configured s, with the empirical mean where one was measured."""
-    J, r, T, samples = int(J), float(r), int(T), int(samples)
+    J, r, T, samples = int(J), float(r), _horizon(T), int(samples)
     multi = isinstance(s, (list, tuple))
     s_list = [float(v) for v in s] if multi else [float(s)]
     model = ModelSpec.jgamma_pep(J=J, gamma=_NONDYN_GAMMA)
@@ -170,9 +177,10 @@ def _experiment_heat_lln(seed, /, J=1, r=1.0, s=0.0, T=1600, samples=20000):
            "points": points}
     if not multi:
         rep.update(points[0])
-    checks = [("scaled_mean_vs_limit_profile"
-               + ("_s%g" % p["s"] if multi else ""), p["mc_mean"],
-               p["rel_error"]) for p in points]
+    checks = [Check("scaled_mean_vs_limit_profile"
+                    + ("_s%g" % p["s"] if multi else ""),
+                    value=p["mc_mean"], residual=p["rel_error"])
+              for p in points]
     means = {round(p["s"], 10): p["mc_mean"] for p in points}
     grid = {round(float(v), 10) for v in np.arange(-2.0, 2.0 + 1e-9, 0.1)}
     return rep, checks, (("s", "limit_profile", "empirical_mean"),
@@ -209,7 +217,7 @@ def _gamma_observables(J, r, s, T, gamma, m_list):
 
 def _experiment_dynamic_gamma(seed, /, J=1, r=1.0, s=0.0, T=10000,
                               gamma=3.0, samples=10000, m_list=(1, 2)):
-    J, r, s, T = int(J), float(r), float(s), int(T)
+    J, r, s, T = int(J), float(r), float(s), _horizon(T)
     gamma, samples = float(gamma), int(samples)
     m_list = [int(m) for m in m_list]
     model = ModelSpec.jgamma_pep(J=J, gamma=gamma)
@@ -240,7 +248,8 @@ def _experiment_dynamic_gamma(seed, /, J=1, r=1.0, s=0.0, T=10000,
             m: {"corner_value": 4.0 ** m * d["mc_mean"],
                 "corner_target": 4.0 ** m * d["target"]}
             for m, d in rep["moments"].items()}
-    return (rep, [("factorial_moment_m%s" % m, d["mc_mean"], d["rel_error"])
+    return (rep, [Check("factorial_moment_m%s" % m, value=d["mc_mean"],
+                        residual=d["rel_error"])
                   for m, d in rep["moments"].items()],
             (("m", "mc_mean", "mc_stderr", "target", "rel_error"),
              [(m, d["mc_mean"], d["mc_stderr"], d["target"], d["rel_error"])
@@ -279,7 +288,7 @@ def _experiment_kpz_exponent(seed, /, q=0.25, eta=0.5,
     independent seeds per T, with the stderr of the slope propagated from
     the delta-method variance of each log std."""
     q, eta, samples = float(q), float(eta), int(samples)
-    T_list = [int(t) for t in T_list]
+    T_list = [_horizon(t) for t in T_list]
     if len(set(T_list)) < 2:
         raise ValueError("T_list needs two distinct horizons to fit an "
                          "exponent; got %s" % T_list)
@@ -301,14 +310,15 @@ def _experiment_kpz_exponent(seed, /, q=0.25, eta=0.5,
            "fitted_exponent": float(slope),
            "fitted_exponent_stderr": math.sqrt(var_slope),
            "fit_intercept": float(intercept)}
-    return (rep, [("fluctuation_exponent_vs_one_third", float(slope),
-                   abs(float(slope) - 1.0 / 3.0))],
+    return (rep, [Check("fluctuation_exponent_vs_one_third",
+                        value=float(slope),
+                        residual=abs(float(slope) - 1.0 / 3.0))],
             (("T", "std"), [(p["T"], p["std"]) for p in points]))
 
 
 def _experiment_f_collapse(seed, /, q=0.25, T=4000, eta_list=(0.4, 0.5, 0.6),
                            samples=4000):
-    q, T, samples = float(q), int(T), int(samples)
+    q, T, samples = float(q), _horizon(T), int(samples)
     eta_list = [float(e) for e in eta_list]
     sites = [int(math.floor(e * T)) for e in eta_list]
     statv = _asym_height_stats(q, T, sites, samples, seed)
@@ -326,7 +336,7 @@ def _experiment_f_collapse(seed, /, q=0.25, T=4000, eta_list=(0.4, 0.5, 0.6),
               else math.inf)
     rep = {"kind": "f_collapse", "q": q, "T": T, "n_samples": samples,
            "rows": rows, "pairwise_spread": spread}
-    return (rep, [("normalized_std_pairwise_spread", None, spread)],
+    return (rep, [Check("normalized_std_pairwise_spread", residual=spread)],
             (("eta", "site", "mean", "std", "normalized_std"),
              [(r["eta"], r["site"], r["mean"], r["std"], r["normalized_std"])
               for r in rows]))
@@ -345,10 +355,11 @@ ExperimentRun = namedtuple("ExperimentRun", "report config checks csv")
 
 def experiment(kind, config=None, seed=0):
     """Run one named scaling-limit experiment.  config holds the
-    experiment's keyword parameters; an unknown key raises TypeError.
-    Returns an ExperimentRun: the report, the config completed with its
-    defaults, the gated rows (name, value, residual), and the CSV table
-    (columns, rows)."""
+    experiment's keyword parameters; an unknown key raises TypeError, and a
+    time horizon below 1 ValueError.  Returns an ExperimentRun: the report,
+    the config completed with its defaults, the checks (Checks with no
+    tolerance of their own, which the CLI's --gate fills), and the CSV
+    table (columns, rows)."""
     if kind not in _EXPERIMENTS:
         raise ValueError("unknown experiment %r; choose from %s"
                          % (kind, sorted(_EXPERIMENTS)))

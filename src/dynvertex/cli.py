@@ -10,8 +10,8 @@ simulate         seeded Monte Carlo simulation with JSON/CSV output
 verify-identity  observable expectation vs contour-integral quadrature
 asymptotics      scaling-limit experiments
 
-Each report's checks are built by the module that computes its numbers
-(specfun.identity_checks, weights.row_sum_checks,
+Each report's checks are errors.Check records built by the module that
+computes its numbers (specfun.identity_checks, weights.row_sum_checks,
 symfun.consistency_checks, observables.identity_check and
 asymptotics.experiment); this module parses, calls and formats.
 
@@ -26,6 +26,7 @@ CSV column layouts are documented in each subcommand's --help text.
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -35,7 +36,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import DynVertexError
+from .errors import Check, DynVertexError
 from .models import (ModelSpec, initial_state, occupancy_ensemble,
                      run_ensemble, step)
 from .observables import ObservableSpec, identity_check
@@ -51,26 +52,6 @@ class _ConfigError(Exception):
 
 # ---------------------------------------------------------------------------
 # Report plumbing
-
-
-def _record(name, value, residual, tolerance, points=None, message=None,
-            floor=False, **extra):
-    """One report check, gated when it has a tolerance: it passes when the
-    residual is at most the tolerance, or at least it for a floor gate
-    (marked "floor": true)."""
-    gated = tolerance is not None
-    rec = {"name": name, "value": value, "residual": residual,
-           "tolerance": tolerance, "gated": gated}
-    rec["passed"] = (not gated) or (residual is not None and (
-        residual >= tolerance if floor else residual <= tolerance))
-    if floor:
-        rec["floor"] = True
-    if points is not None:
-        rec["points"] = points
-    if message is not None:
-        rec["message"] = message
-    rec.update(extra)
-    return rec
 
 
 def _jsonable(obj):
@@ -167,14 +148,14 @@ def _run_specfun(args):
     rows = identity_checks(args.seed, args.grid_size, args.tol)
     return {"subcommand": "specfun",
             "config": {"grid_size": args.grid_size, "tol": args.tol},
-            "checks": [_record(*row) for row in rows]}
+            "checks": [row.as_dict() for row in rows]}
 
 
 def _run_check_weights(args):
     rows = row_sum_checks(args.family, args.tol)
     return {"subcommand": "check-weights",
             "config": {"family": args.family, "tol": args.tol},
-            "checks": [_record(*row) for row in rows]}
+            "checks": [row.as_dict() for row in rows]}
 
 
 def _run_symfun(args):
@@ -182,7 +163,7 @@ def _run_symfun(args):
     return {"subcommand": "symfun",
             "config": {"suite": args.suite, "tol": args.tol,
                        "mass_tol": args.mass_tol},
-            "checks": [_record(*row) for row in rows]}
+            "checks": [row.as_dict() for row in rows]}
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +224,11 @@ def _model_from_config(model, cfg):
 def _probe_site(s, spec, steps):
     """A --sites value checked against the model's lattice, as an int
     where it is integral: corner positions p need p + steps/2 integral,
-    particle-system sites are integers >= 1."""
+    particle-system sites are integers >= 1, and either lies within
+    2^53, where floats hold every integer."""
+    if abs(s) > 2.0 ** 53:
+        raise _ConfigError("site %g is beyond 2^53, where floats no longer "
+                           "hold every integer" % s)
     if spec.is_corner:
         if not (s + steps / 2).is_integer():
             raise _ConfigError(
@@ -265,8 +250,8 @@ def _run_simulate(args):
     sites = tuple(_probe_site(s, spec, args.steps) for s in args.sites)
     ests = run_ensemble(spec, args.steps, args.samples, args.seed,
                         [lambda st, s=s: st.height(s) for s in sites])
-    checks = [_record("height_site_%s" % s, est.mean, None, None,
-                      stderr=est.stderr) for s, est in zip(sites, ests)]
+    checks = [dict(Check("height_site_%s" % s, est.mean).as_dict(),
+                   stderr=est.stderr) for s, est in zip(sites, ests)]
     rows = [(s, est.mean, est.stderr, est.n_samples)
             for s, est in zip(sites, ests)]
     if args.csv:
@@ -309,7 +294,11 @@ def _run_verify_identity(args):
     try:
         if args.form == "qhahn":
             J = tuple(args.J)
-            C = tuple(args.q ** j for j in J)
+            try:
+                C = tuple(args.q ** j for j in J)
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise _ConfigError("q = %r leaves C = (q^J, ...) undefined:"
+                                   " %s" % (args.q, exc))
             model = ModelSpec.qhahn(args.q, args.delta, tuple(args.b), C, J)
         else:
             model = ModelSpec.jgamma_pep(args.J[0], args.gamma)
@@ -328,7 +317,7 @@ def _run_verify_identity(args):
                        "gamma": args.gamma, "samples": args.samples,
                        "tol": args.tol},
             "identity": rep,
-            "checks": [_record(*row) for row in rows]}
+            "checks": [row.as_dict() for row in rows]}
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +336,18 @@ def _run_asymptotics(args):
     try:
         run = experiment(_EXPERIMENT_NAMES[args.experiment], cfg,
                          seed=args.seed)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise _ConfigError("invalid experiment config: %s" % exc)
     if args.csv:
         _write_csv(args.csv, *run.csv)
-    gate = args.gate
     return {"subcommand": "asymptotics",
             "config": {"experiment": args.experiment,
-                       "experiment_config": run.config, "gate": gate,
+                       "experiment_config": run.config, "gate": args.gate,
                        "csv": args.csv},
             "experiment": run.report,
-            "checks": [_record(*row, gate) for row in run.checks]}
+            "checks": [(row if row.tolerance is not None else
+                        dataclasses.replace(row, tolerance=args.gate)
+                        ).as_dict() for row in run.checks]}
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +474,8 @@ def _build_parser():
     p.add_argument("--config", help="JSON experiment config, inline or "
                    "@file")
     p.add_argument("--gate", type=_positive,
-                   help="gate each check's residual at this value, > 0")
+                   help="gate the residual of each check that has no "
+                   "tolerance of its own at this value, > 0")
     p.add_argument("--csv", help="write the profile/summary CSV here")
     _add_common(p)
     p.set_defaults(handler=_run_asymptotics)

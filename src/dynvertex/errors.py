@@ -1,4 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types and the report-check record shared across the package."""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Check:
+    """One report check, gated when it has a tolerance: it passes when the
+    residual is at most the tolerance, or at least it for a floor gate."""
+
+    name: str
+    value: object = None
+    residual: object = None
+    tolerance: object = None
+    points: object = None  # the grid size behind the residual
+    message: object = None
+    floor: bool = False
+
+    def as_dict(self):
+        """The report row: the fields, with points, message and floor only
+        where set, and gated and passed."""
+        row = {key: v for key, v in vars(self).items() if v is not None
+               and v is not False or key in ("value", "residual", "tolerance")}
+        r, tol = self.residual, self.tolerance
+        row.update(gated=tol is not None, passed=tol is None or (
+            r is not None and (r >= tol if self.floor else r <= tol)))
+        return row
 
 
 class DynVertexError(Exception):

@@ -228,7 +228,6 @@ class SystemState:
     time: int
     occupancy: np.ndarray
     total_particles: int
-    prefix_particle_counts: np.ndarray
     rng: np.random.Generator
     clamped: int = 0
 
@@ -236,10 +235,7 @@ class SystemState:
         """Height function: number of particles at sites >= x."""
         if x <= 1:
             return self.total_particles
-        if x - 1 >= len(self.occupancy):
-            return 0
-        return self.total_particles - int(
-            self.prefix_particle_counts[x - 2])
+        return int(self.occupancy[x - 1:].sum())
 
 
 @dataclass
@@ -286,9 +282,7 @@ def initial_state(spec, seed=0, rng=None):
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     occ = np.zeros(1, dtype=np.int64)
-    return SystemState(time=0, occupancy=occ, total_particles=0,
-                       prefix_particle_counts=np.zeros(1, dtype=np.int64),
-                       rng=rng)
+    return SystemState(time=0, occupancy=occ, total_particles=0, rng=rng)
 
 
 def occupancy_ensemble(spec, t, rows):
@@ -528,9 +522,8 @@ def step(state, spec):
                               state.time, spec, state.rng)
     arr = np.array(new or [0], dtype=np.int64)
     return SystemState(time=state.time + 1, occupancy=arr,
-                       total_particles=int(arr.sum()),
-                       prefix_particle_counts=np.cumsum(arr),
-                       rng=state.rng, clamped=state.clamped + clamped)
+                       total_particles=int(arr.sum()), rng=state.rng,
+                       clamped=state.clamped + clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +558,6 @@ class ExactLaw:
 
     def mean(self, fn):
         return sum(pr * fn(cfg) for cfg, pr in self.support)
-
-    def tv_distance(self, other):
-        keys = {c for c, _ in self.support} | {c for c, _ in other.support}
-        a, b = dict(self.support), dict(other.support)
-        return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
 _EXACT_BLOCK = 512  # configurations whose branches exact_law sweeps at once

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourInfeasible, NotConverged, SizeLimit
+from .errors import Check, ContourInfeasible, NotConverged, SizeLimit
 from .models import ModelSpec, _cyc, current, exact_law, run_ensemble
 
 # Frozen index conventions (calibrated against exact enumeration; see the
@@ -95,6 +95,23 @@ class ObservableSpec:
         if self.model.variant not in ("qhahn", "jgamma_pep"):
             raise ValueError(
                 "moment identities cover the qhahn and jgamma_pep variants")
+        if self.form != "qhahn":
+            return
+        q, delta = self.model.q, self.model.delta
+        if q == 0.0:
+            raise ValueError("the qhahn identity needs q != 0: its contours "
+                             "nest by 1/q")
+        # The factors of the left side's normalization (none at delta = 0).
+        dinv = 1.0 / delta if delta else 0.0
+        try:
+            norm = [1.0 - dinv * q ** j for j in range(self.k)]
+        except OverflowError:
+            raise ValueError("q = %r overflows q^j for a j < k = %d"
+                             % (q, self.k))
+        if 0.0 in norm:
+            raise ValueError("delta = %r equals q^j for a j < k = %d, where "
+                             "the normalization prod_j (1 - q^j / delta) "
+                             "vanishes" % (delta, self.k))
 
     @property
     def k(self):
@@ -623,27 +640,26 @@ def rhs_exact(spec):
 def identity_check(spec, samples=0, seed=0, exact_bound=200000,
                    contour=None, tol=1e-8):
     """Evaluate the available sides of the identity and report residuals.
-    Returns (report, checks), checks being the gated rows (name, value,
-    residual, tolerance).
+    Returns (report, checks), checks being a list of Check.
 
     The answer, report["rhs"], is the quadrature, gated by the relative
     change of its final pair, or rhs_exact where the quadrature raises
     NotConverged and rhs_exact has a closed form.  The quadrature's outcome
-    is then an ungated row, rhs_quadrature_not_converged, whose sixth
-    field is the NotConverged message (the fifth, points, is None);
-    without rhs_exact the NotConverged propagates.  Where both exist, the
-    quadrature is gated against the exact right side relative to
-    max(1, |exact|).  The exact expectation, when the system is small
-    enough, is gated against the answer relative to min(1, |exact|)
-    (absolute at 0); otherwise report["lhs_exact_skipped"] gives the
-    SizeLimit reason, and report["lhs_exact_diagnostics"] its counters.  A
-    Monte Carlo estimate, when samples are requested, is gated at 4
-    standard errors from the answer.  When all n samples equal one value v
-    its standard error is 0: where the exact law ran, the row's residual
-    is then P_exact(X = v)^n, the chance of that agreement, and it fails
-    below _MC_AGREE_FLOOR (its seventh field marks the floor gate); where
-    the law was skipped the row is ungated, with the reason as its sixth
-    field, and a gap between that mean and the answer goes unchecked."""
+    is then an ungated check, rhs_quadrature_not_converged, whose message
+    is the NotConverged message; without rhs_exact the NotConverged
+    propagates.  Where both exist, the quadrature is gated against the
+    exact right side relative to max(1, |exact|).  The exact expectation,
+    when the system is small enough, is gated against the answer relative
+    to min(1, |exact|) (absolute at 0); otherwise
+    report["lhs_exact_skipped"] gives the SizeLimit reason, and
+    report["lhs_exact_diagnostics"] its counters.  A Monte Carlo estimate,
+    when samples are requested, is gated at 4 standard errors from the
+    answer.  When all n samples equal one value v its standard error is 0:
+    where the exact law ran, the check's residual is then P_exact(X = v)^n,
+    the chance of that agreement, and a floor gate fails it below
+    _MC_AGREE_FLOOR; where the law was skipped the check is ungated, with
+    the reason as its message, and a gap between that mean and the answer
+    goes unchecked."""
     report = {
         "form": spec.form,
         "k": spec.k,
@@ -671,20 +687,19 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
         rhs, against = exact_rhs, "rhs_exact"
         report["rhs_quadrature"] = None
         report["quadrature_diagnostics"] = {"not_converged": str(exc)}
-        checks = [("rhs_quadrature_not_converged", None, None, None, None,
-                   str(exc))]
+        checks = [Check("rhs_quadrature_not_converged", message=str(exc))]
     else:
         rhs, against = diag["value"], "quadrature"
         report["rhs_quadrature"] = rhs
         report["quadrature_diagnostics"] = {
             key: val for key, val in diag.items() if key != "value"}
-        checks = [("rhs_quadrature_converged", rhs, diag["doubling_change"],
-                   tol)]
+        checks = [Check("rhs_quadrature_converged", value=rhs,
+                        residual=diag["doubling_change"], tolerance=tol)]
         if exact_rhs is not None:
-            report["residual_quadrature_vs_rhs_exact"] = (
-                abs(rhs - exact_rhs) / max(1.0, abs(exact_rhs)))
-            checks.append(("quadrature_vs_exact_rhs", exact_rhs,
-                           report["residual_quadrature_vs_rhs_exact"], tol))
+            gap = abs(rhs - exact_rhs) / max(1.0, abs(exact_rhs))
+            report["residual_quadrature_vs_rhs_exact"] = gap
+            checks.append(Check("quadrature_vs_exact_rhs", value=exact_rhs,
+                                residual=gap, tolerance=tol))
     report["rhs"] = rhs
     law = None
     try:
@@ -696,8 +711,9 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
             "completed_branches": law.branches,
             "pruned_mass": law.pruned_mass}
         report["residual_exact_vs_" + against] = abs(ex - rhs)
-        checks.append(("exact_expectation_vs_" + against, ex,
-                       abs(ex - rhs) / (min(1.0, abs(ex)) or 1.0), tol))
+        checks.append(Check(
+            "exact_expectation_vs_" + against, value=ex, tolerance=tol,
+            residual=abs(ex - rhs) / (min(1.0, abs(ex)) or 1.0)))
     except SizeLimit as exc:
         report["lhs_exact"] = None
         report["lhs_exact_skipped"] = str(exc)
@@ -715,24 +731,25 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
         report[key] = sigmas(abs(est.mean - rhs))
         name = "mc_expectation_vs_%s_sigmas" % against
         if est.stderr > 0.0:
-            checks.append((name, est.mean, report[key], 4.0))
+            checks.append(Check(name, value=est.mean, residual=report[key],
+                                tolerance=4.0))
         elif law is not None:
             # The samples equal their mean; the law's values are matched
             # to it within rounding.
             agree = sum(pr for (_, pr), v in zip(law.support, values)
                         if abs(v - est.mean) <= 1e-12 * max(1.0, abs(v)))
-            checks.append((name, est.mean, agree ** est.n_samples,
-                           _MC_AGREE_FLOOR, None,
-                           "all %d samples agree, so the standard error is "
-                           "0; the residual is the exact chance of that, "
-                           "gated to be at least the tolerance"
-                           % est.n_samples, True))
+            checks.append(Check(
+                name, value=est.mean, residual=agree ** est.n_samples,
+                tolerance=_MC_AGREE_FLOOR, floor=True,
+                message="all %d samples agree, so the standard error is 0; "
+                "the residual is the exact chance of that, gated to be at "
+                "least the tolerance" % est.n_samples))
         else:
-            checks.append((name, est.mean, report[key], None, None,
-                           "all %d samples agree, so the standard error is 0"
-                           " and a sigma gate has no scale; |mean - rhs| = "
-                           "%.3e is not gated" % (est.n_samples,
-                                                 abs(est.mean - rhs))))
+            checks.append(Check(
+                name, value=est.mean, residual=report[key],
+                message="all %d samples agree, so the standard error is 0 "
+                "and a sigma gate has no scale; |mean - rhs| = %.3e is not "
+                "gated" % (est.n_samples, abs(est.mean - rhs))))
         if report.get("lhs_exact") is not None:
             report["residual_mc_vs_exact_sigmas"] = sigmas(
                 abs(est.mean - report["lhs_exact"]))

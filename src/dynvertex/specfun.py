@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    Check,
     NonConvergent,
     NonTerminating,
     SingularParameter,
@@ -188,49 +189,6 @@ def _pochhammer_product(a, k, ctx):
             out /= _check_denominator(f_eval(a + two_eta * j, ctx),
                                       "f(a + 2*eta*j)")
     return out
-
-
-def basic_hyp(numer, denom, q, z, series_tol=1e-14, max_terms=512,
-              terminate_at=None):
-    """Basic hypergeometric series
-
-        sum_k  z**k / (q;q)_k * prod_j (a_j;q)_k / prod_j (b_j;q)_k.
-
-    Terminates after k = terminate_at when supplied; otherwise stops when a
-    numerator Pochhammer factor vanishes (within 1e-12) or when successive
-    terms decay below series_tol."""
-    q = complex(q)
-    z = complex(z)
-    numer = [complex(a) for a in numer]
-    denom = [complex(b) for b in denom]
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    qk = 1.0 + 0.0j  # q**k
-    for k in range(max_terms):
-        if terminate_at is not None and k >= terminate_at:
-            return total
-        num_factor = 1.0 + 0.0j
-        vanished = False
-        for a in numer:
-            fac = 1.0 - qk * a
-            if abs(fac) < 1e-12:
-                vanished = True
-                break
-            num_factor *= fac
-        if vanished:
-            return total
-        den_factor = _check_denominator(1.0 - qk * q, "1 - q^{k+1}")
-        for b in denom:
-            den_factor *= _check_denominator(1.0 - qk * b, "1 - q^k b")
-        term = term * z * num_factor / den_factor
-        total += term
-        if terminate_at is None and abs(term) < series_tol * max(abs(total),
-                                                                 1e-300):
-            return total
-        qk *= q
-    if terminate_at is not None:
-        return total
-    raise NonConvergent("basic hypergeometric series did not converge")
 
 
 def vwp_basic_W(a1, rest, q, z, terminate_at=None, max_terms=512):
@@ -441,8 +399,8 @@ def _elliptic_list(rng, ctx, which):
 
 def identity_checks(seed, grid_size, tol):
     """Every summation identity at grid_size random points, all drawn from
-    one stream seeded by seed, in a fixed order.  Returns one gated row
-    (name, None, worst relative residual, tol, grid_size) per identity."""
+    one stream seeded by seed, in a fixed order: per identity, a Check of
+    the worst relative residual, gated at tol, over grid_size points."""
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1, got %d" % grid_size)
     draws = [("rogers_6w5_n%d" % n, _rogers, (n,)) for n in range(6)]
@@ -460,5 +418,6 @@ def identity_checks(seed, grid_size, tol):
         worst = 0.0
         for _ in range(grid_size):
             worst = max(worst, rel_residual(*draw(rng, *params)))
-        rows.append((name, None, worst, tol, grid_size))
+        rows.append(Check(name, residual=worst, tolerance=tol,
+                          points=grid_size))
     return rows

@@ -23,7 +23,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import ModeError, SingularParameter, SizeLimit
+from .errors import Check, ModeError, SingularParameter, SizeLimit
 from .specfun import CHECK_CONTEXTS, EllipticContext, f_eval, rel_residual
 from .weights import ArrowConfig, UnfusedWeightParams, sigma, w1, \
     w_fused_recursive
@@ -355,14 +355,15 @@ def _signatures(n, maxp):
 
 
 def consistency_checks(suite, tol, mass_tol):
-    """Rows (name, value, residual, tolerance) of one suite of SUITES, in
-    both modes of CHECK_CONTEXTS: B and D symmetric in the row parameters,
-    B branching over one-row B's, fused B equal to unfused B (relative
-    residuals), and, trigonometric only, b_stochastic equal to
-    _b_stochastic_vertex and of total mass 1 (gated at mass_tol)."""
+    """The Checks of one suite of SUITES, in both modes of CHECK_CONTEXTS,
+    gated at tol: B and D symmetric in the row parameters, B branching
+    over one-row B's, fused B equal to unfused B (relative residuals), and,
+    trigonometric only, b_stochastic equal to _b_stochastic_vertex; and its
+    total mass, the value, within mass_tol of 1."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % (suite,))
     want = lambda name: suite in ("all", name)
+    gate = lambda name, residual: Check(name, residual=residual, tolerance=tol)
     rows = []
     mu, nu = Signature((3, 2, 1)), Signature((2,))
     for label, ctx in CHECK_CONTEXTS.items():
@@ -371,19 +372,16 @@ def consistency_checks(suite, tol, mass_tol):
             a = b_munu(mu, nu, spec(_LAM, (_W1, _W2)))
         if want("symmetry"):
             b = b_munu(mu, nu, spec(_LAM, (_W2, _W1)))
-            rows.append(("b_symmetry_" + label, None, rel_residual(a, b),
-                         tol))
+            rows.append(gate("b_symmetry_" + label, rel_residual(a, b)))
             da = d_munu(mu, Signature((2, 1, 0)), spec(_LAM, (_W1, _W2)))
             db = d_munu(mu, Signature((2, 1, 0)), spec(_LAM, (_W2, _W1)))
-            rows.append(("d_symmetry_" + label, None, rel_residual(da, db),
-                         tol))
+            rows.append(gate("d_symmetry_" + label, rel_residual(da, db)))
         if want("branching"):
             tot = 0.0
             for kap in _signatures(2, 4):
                 tot += (b_munu(mu, kap, spec(_LAM, (_W1,)))
                         * b_munu(kap, nu, spec(_LAM + 2 * ctx.eta, (_W2,))))
-            rows.append(("b_branching_" + label, None, rel_residual(a, tot),
-                         tol))
+            rows.append(gate("b_branching_" + label, rel_residual(a, tot)))
         if want("fusion"):
             worst = 0.0
             for jlist, wbase in (((2,), (_W1,)), ((1, 2), (_W1, _W2))):
@@ -393,7 +391,7 @@ def consistency_checks(suite, tol, mass_tol):
                 fused = b_fused(fmu, EMPTY, spec(_LAM, wbase, jlist))
                 unfused = b_munu(fmu, EMPTY, spec(_LAM, flat))
                 worst = max(worst, rel_residual(fused, unfused))
-            rows.append(("b_fusion_" + label, None, worst, tol))
+            rows.append(gate("b_fusion_" + label, worst))
     if want("stochastic-b"):
         trig = CHECK_CONTEXTS["trig"]
         worst = 0.0
@@ -405,7 +403,7 @@ def consistency_checks(suite, tol, mass_tol):
                 b_stochastic(smu, Signature((1,)), spec,
                              RhoSpecialization(_Z[0], _L[0]))
                 - _b_stochastic_vertex(smu, Signature((1,)), spec)))
-        rows.append(("b_stochastic_formula_vs_vertex", None, worst, tol))
+        rows.append(gate("b_stochastic_formula_vs_vertex", worst))
         # total mass over all reachable outputs, q = 0.4, s = 0.3,
         # u*xi = 0.25, delta = -0.2, parts up to 16
         q, s, uxi, delta, cut = 0.4, 0.3, 0.25, -0.2 + 0j, 16
@@ -419,6 +417,6 @@ def consistency_checks(suite, tol, mass_tol):
         total = sum(b_stochastic(smu, Signature((1,)), spec,
                                  RhoSpecialization(0.0, Lam)).real
                     for smu in _signatures(2, cut))
-        rows.append(("b_stochastic_total_mass", total, abs(total - 1.0),
-                     mass_tol))
+        rows.append(Check("b_stochastic_total_mass", value=total,
+                          residual=abs(total - 1.0), tolerance=mass_tol))
     return rows

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    Check,
     InadmissibleParameters,
     PatternMismatch,
     SingularParameter,
@@ -618,10 +619,10 @@ def _phi_checks(tol):
             worst = max(worst, abs(sum(row) - 1.0))
             entries += len(row)
             negative += sum(w.real < 0 for w in row)
-    points = math.prod(map(len, _PHI_GRID))
-    return [("phi_row_sums", None, worst, tol, points),
-            ("phi_negative_weight_share", negative / entries, None, None,
-             entries)]
+    sets = math.prod(map(len, _PHI_GRID))
+    return [Check("phi_row_sums", residual=worst, tolerance=tol, points=sets),
+            Check("phi_negative_weight_share", value=negative / entries,
+                  points=entries)]
 
 
 def _psi_checks(tol):
@@ -631,7 +632,7 @@ def _psi_checks(tol):
         for i1 in range(5):
             for j1 in range(J + 1):
                 worst = max(worst, abs(sum(psi_row(i1, j1, pp)) - 1.0))
-    points = math.prod(map(len, _PSI_GRID))
+    sets = math.prod(map(len, _PSI_GRID))
     at_u_equals_s = 0.0
     for J in (1, 2, 3):
         pp = PsiParams(u=0.3, s=0.3, q=0.4, J=J, kappa=0.15)
@@ -641,16 +642,17 @@ def _psi_checks(tol):
                     cfg = ArrowConfig(i1, j1, i1 + j1 - j2, j2)
                     at_u_equals_s = max(at_u_equals_s,
                                         abs(w - psi_u_equals_s(cfg, pp)))
-    return [("psi_row_sums", None, worst, tol, points),
-            ("psi_at_u_equals_s_matches_phi", None, at_u_equals_s, tol)]
+    return [Check("psi_row_sums", residual=worst, tolerance=tol, points=sets),
+            Check("psi_at_u_equals_s_matches_phi", residual=at_u_equals_s,
+                  tolerance=tol)]
 
 
 def row_sum_checks(family, tol):
-    """Rows (name, value, residual, tolerance[, points]) for family "phi",
-    "psi" or "both": the largest |row sum - 1| over each grid (points: its
-    parameter sets) and |psi - psi_u_equals_s| at u = s, gated at tol; and
-    phi_negative_weight_share, not gated, the share of phi(j, i) entries
-    with negative real part (points: the entries), where phi is no law."""
+    """The Checks of family "phi", "psi" or "both": as residuals gated at
+    tol, the largest |row sum - 1| over each grid (points: its parameter
+    sets) and |psi - psi_u_equals_s| at u = s; and, ungated, the value
+    phi_negative_weight_share, the share of phi(j, i) entries with negative
+    real part (points: the entries), where phi is no law."""
     if family not in ("phi", "psi", "both"):
         raise ValueError("unknown weight family %r" % (family,))
     rows = []

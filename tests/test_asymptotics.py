@@ -16,7 +16,7 @@ from dynvertex.asymptotics import (
     heat_profile,
     lln_shapes,
 )
-from dynvertex.errors import OutOfDomain
+from dynvertex.errors import Check, OutOfDomain
 from dynvertex.models import ModelSpec, exact_law, occupancy_ensemble
 from dynvertex.observables import ObservableSpec, rhs_exact
 
@@ -212,8 +212,9 @@ class TestExperiments:
             4.787307364817193, 30.557749073643905)
         for m, d in rep["moments"].items():
             assert corner[m]["corner_value"] == 4.0 ** m * d["mc_mean"]
-        assert [c[0] for c in run.checks] == ["factorial_moment_m1",
-                                             "factorial_moment_m2"]
+        assert run.checks == [
+            Check("factorial_moment_m%d" % m, value=d["mc_mean"],
+                  residual=d["rel_error"]) for m, d in rep["moments"].items()]
 
     @pytest.mark.parametrize("config", [
         {"J": 2, "gamma": 5.0}, {"s": 0.5}, {"T": 15}],

@@ -15,6 +15,7 @@ import dynvertex
 import prior_weights as prior
 from dynvertex.cli import dispatch
 from dynvertex import asymptotics, cli, observables
+from dynvertex.errors import Check
 from dynvertex.models import (
     MCEstimate,
     ModelSpec,
@@ -405,6 +406,16 @@ class TestSimulate:
         assert "site %s is not" % site in err
         assert "Traceback" not in err
 
+    def test_corner_site_beyond_exact_floats(self, tmp_path, capsys):
+        # 1e300 is on the time-0 lattice, but its height 2|x| overflowed
+        # the int64 heights.
+        code, rep = run(tmp_path, "simulate", "--model", "corner",
+                        "--steps", "0", "--samples", "1", "--sites", "1e300")
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert err == ("error: site 1e+300 is beyond 2^53, where floats no "
+                       "longer hold every integer\n")
+
 
 class TestVerifyIdentity:
     def test_hand_case(self, tmp_path):
@@ -594,6 +605,24 @@ class TestVerifyIdentity:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, says", [
+        (["--q", "0", "--x", "1", "--N", "1"], "needs q != 0"),
+        (["--q", "0", "--J", "-1"], "q = 0.0 leaves C"),
+        (["--x", "1", "--N", "2", "--delta", "1"], "delta = 1.0 equals q^j"),
+        (["--x", "2", "1", "--N", "2", "--delta", "0.4"],
+         "delta = 0.4 equals q^j"),
+        (["--q", "1e300", "--x", "3", "2", "1", "--N", "3"],
+         "q = 1e+300 overflows q^j"),
+    ], ids=["q0-contours", "q0-C", "delta-q0", "delta-q1", "q-overflow"])
+    def test_qhahn_arithmetic_exits_2(self, tmp_path, capsys, argv, says):
+        # q = 0 has no 1/q to nest the contours by and no q^-1 for C;
+        # delta = q^j (j < k) zeroes the normalization prod (1 - q^j/delta),
+        # and q^j must be a float to compute it.
+        code, rep = run(tmp_path, "verify-identity", "--form", "qhahn", *argv)
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert says in err and err.count("\n") == 1
+
 
 class TestAsymptotics:
     def test_heat_with_csv(self, tmp_path):
@@ -686,6 +715,45 @@ class TestAsymptotics:
         assert says in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, config, says", [
+        ("heat", '{"T": 1e400}', "infinity"),
+        ("heat", '{"samples": 1e400, "T": 8}', "infinity"),
+        ("heat", '{"s": 1e300, "T": 8, "samples": 2}', "out of range"),
+        ("kpz-exponent", '{"eta": Infinity}', "infinity"),
+        ("heat", '{"T": 0, "samples": 2}', "T must be >= 1, got 0"),
+        ("gamma", '{"T": 0, "samples": 2}', "T must be >= 1, got 0"),
+        ("f-collapse", '{"T": 0.5, "samples": 2}', "got 0.5"),
+        ("kpz-exponent", '{"T_list": [16, 0], "samples": 2}', "got 0"),
+    ], ids=["T-inf", "samples-inf", "s-1e300", "eta-inf", "heat-T0",
+            "gamma-T0", "f-collapse-T0.5", "kpz-T_list-0"])
+    def test_config_arithmetic_exits_2(self, tmp_path, capsys, name, config,
+                                       says):
+        # Overflowing config arithmetic and horizons with no step to run
+        # are bad configs, not tracebacks.
+        code, rep = run(tmp_path, "asymptotics", "--experiment", name,
+                        "--config", config)
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment config: ")
+        assert says in err
+
+    def test_gate_fills_only_ungated_rows(self, tmp_path, monkeypatch):
+        # --gate is the tolerance of rows that have none; a row with its
+        # own tolerance keeps it, and a row of four fields gets no --gate
+        # as its points.
+        def stub(seed, /):
+            return {}, [Check("own", 1.0, 0.2, tolerance=0.1),
+                        Check("free", 1.0, 0.2)], (("a",), [])
+
+        monkeypatch.setitem(asymptotics._EXPERIMENTS, "heat_lln", stub)
+        code, rep = run(tmp_path, "asymptotics", "--experiment", "heat",
+                        "--gate", "0.5")
+        assert code == 1
+        assert rep["checks"] == [
+            Check("own", 1.0, 0.2, tolerance=0.1).as_dict(),
+            Check("free", 1.0, 0.2, tolerance=0.5).as_dict()]
+        assert [c["passed"] for c in rep["checks"]] == [False, True]
+
     def test_gate_failure(self, tmp_path):
         code, rep = run(tmp_path, "asymptotics", "--experiment", "heat",
                         "--config", '{"T": 64, "samples": 400}',
@@ -703,6 +771,36 @@ class TestAsymptotics:
             "fluctuation_exponent_vs_one_third"
         assert rep["config"]["experiment_config"] == {
             "q": 0.25, "eta": 0.5, "T_list": [50, 100], "samples": 200}
+
+
+class TestCheck:
+    def test_ungated_passes(self):
+        assert Check("a", 1.0, 5.0).as_dict() == {
+            "name": "a", "value": 1.0, "residual": 5.0, "tolerance": None,
+            "gated": False, "passed": True}
+
+    def test_gated_without_residual_fails(self):
+        row = Check("a", tolerance=1.0).as_dict()
+        assert (row["gated"], row["passed"]) == (True, False)
+
+    @pytest.mark.parametrize("residual, passed", [
+        (1e-6, True), (1.0, True), (9e-7, False)])
+    def test_floor_gate(self, residual, passed):
+        # A floor gate passes at residual >= tolerance, the gap included.
+        row = Check("a", residual=residual, tolerance=1e-6,
+                    floor=True).as_dict()
+        assert (row["passed"], row["floor"]) == (passed, True)
+
+    def test_optional_fields_where_set(self):
+        # points and message are reported when set, 0 and "" included;
+        # floor only when true.
+        row = Check("a", residual=0.5, tolerance=1.0, points=0,
+                    message="").as_dict()
+        assert (row["passed"], row["points"], row["message"]) == (
+            True, 0, "")
+        assert "floor" not in row
+        assert Check("a", residual=2.0, tolerance=1.0).as_dict()[
+            "passed"] is False
 
 
 class TestReportShape:
@@ -764,10 +862,10 @@ class TestReportShape:
         (["symfun"], lambda: consistency_checks("all", 1e-9, 1e-8)),
     ])
     def test_checks_are_the_library_rows(self, tmp_path, argv, rows):
+        # Every field of every row, points included.
         code, rep = run(tmp_path, *argv)
         assert code == 0
-        assert [(c["name"], c["value"], c["residual"], c["tolerance"])
-                for c in rep["checks"]] == [row[:4] for row in rows()]
+        assert rep["checks"] == [row.as_dict() for row in rows()]
 
     @pytest.mark.parametrize("argv", [["symfun", "verify"],
                                       ["check-weights", "--grid",

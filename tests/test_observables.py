@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import prior_observables as prior
 from dynvertex import observables
 from dynvertex.errors import (
+    Check,
     ContourInfeasible,
     InadmissibleWeights,
     NotConverged,
@@ -525,12 +526,13 @@ class TestIdentityCheck:
         assert rep["rhs_quadrature"] is None
         message = rep["quadrature_diagnostics"]["not_converged"]
         assert message.startswith("rounding floor 5.028e-07")
-        assert checks[0] == ("rhs_quadrature_not_converged", None, None,
-                             None, None, message)
-        name, mean, sigmas, gate = checks[1]
-        assert name == "mc_expectation_vs_rhs_exact_sigmas"
-        assert sigmas == rep["residual_mc_vs_rhs_exact_sigmas"] < gate
-        assert len(checks) == 2
+        assert checks == [
+            Check("rhs_quadrature_not_converged", message=message),
+            Check("mc_expectation_vs_rhs_exact_sigmas",
+                  value=rep["lhs_mc"]["mean"],
+                  residual=rep["residual_mc_vs_rhs_exact_sigmas"],
+                  tolerance=4.0)]
+        assert checks[1].residual < 4.0
 
     def test_mc_row_ungated_when_samples_agree(self):
         # Both samples give the same current: a standard error of 0 gives
@@ -541,26 +543,29 @@ class TestIdentityCheck:
         assert rep["lhs_exact"] is None
         assert rep["lhs_mc"]["stderr"] == 0.0
         assert rep["residual_mc_vs_quadrature_sigmas"] == math.inf
-        name, mean, residual, tolerance, points, message = checks[-1]
-        assert name == "mc_expectation_vs_quadrature_sigmas"
-        assert (mean, residual, tolerance, points) == (
-            rep["lhs_mc"]["mean"], math.inf, None, None)
-        assert message == ("all 2 samples agree, so the standard error is 0 "
-                           "and a sigma gate has no scale; |mean - rhs| = "
-                           "2.500e-01 is not gated")
+        assert checks[-1] == Check(
+            "mc_expectation_vs_quadrature_sigmas",
+            value=rep["lhs_mc"]["mean"], residual=math.inf,
+            message="all 2 samples agree, so the standard error is 0 and a "
+            "sigma gate has no scale; |mean - rhs| = 2.500e-01 is not gated")
 
     def test_mc_row_gated_by_the_exact_chance_of_agreeing(self):
         # With the exact law the same row's residual is P(X = v)^n, the
         # chance that n samples all equal v, with a floor of 1e-6.
         spec = ObservableSpec(PEP, (2,), 3)
         rep, checks = identity_check(spec, samples=2, seed=1)
-        name, mean, residual, tolerance, points, message, floor = checks[-1]
+        row = checks[-1]
         law, values = observables._lhs_law(spec, 200000)
         chance = sum(pr for (_, pr), v in zip(law.support, values)
-                     if v == mean)
-        assert 0.0 < chance < 1.0 and residual == chance ** 2
-        assert (tolerance, points, floor) == (1e-6, None, True)
-        assert message.startswith("all 2 samples agree")
+                     if v == row.value)
+        assert 0.0 < chance < 1.0
+        assert row == Check(
+            "mc_expectation_vs_quadrature_sigmas",
+            value=rep["lhs_mc"]["mean"], residual=chance ** 2,
+            tolerance=1e-6, floor=True,
+            message="all 2 samples agree, so the standard error is 0; the "
+            "residual is the exact chance of that, gated to be at least the "
+            "tolerance")
         assert rep["lhs_exact_diagnostics"]["configurations_per_step"] == [
             1, 2, 4]
 

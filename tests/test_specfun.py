@@ -11,7 +11,6 @@ import prior_weights as prior
 from dynvertex.errors import NonConvergent, NonTerminating, SingularParameter
 from dynvertex.specfun import (
     EllipticContext,
-    basic_hyp,
     elliptic_pochhammer,
     f_eval,
     identity_checks,
@@ -175,23 +174,6 @@ class TestTheta:
 
 
 class TestSeries:
-    def test_q_vandermonde(self):
-        # 2phi1(q^-n, b; c; q, c q^n / b) = (c/b; q)_n / (c; q)_n.
-        q = 0.45 + 0.08j
-        b, c = 0.3 - 0.2j, 0.8 + 0.15j
-        for n in range(6):
-            lhs = basic_hyp([q ** -n, b], [c], q, c * q ** n / b,
-                            terminate_at=n)
-            rhs = q_pochhammer(c / b, q, n) / q_pochhammer(c, q, n)
-            assert lhs == pytest.approx(rhs, rel=1e-11)
-
-    def test_nonterminating_geometric(self):
-        # 1phi0(a; -; q, z) converges to (a z; q)_inf / (z; q)_inf.
-        q, a, z = 0.35, 0.2, 0.4
-        val = basic_hyp([a], [], q, z)
-        ref = (q_pochhammer(a * z, q, 200) / q_pochhammer(z, q, 200))
-        assert val == pytest.approx(ref, rel=1e-10)
-
     def test_rogers_6w5(self):
         # 6W5(a; b, c, q^-n; q, a q^{n+1}/(b c))
         #   = (aq; q)_n (aq/bc; q)_n / ((aq/b; q)_n (aq/c; q)_n).
