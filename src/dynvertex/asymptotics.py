@@ -124,6 +124,16 @@ def _horizon(T):
     return int(T)
 
 
+def _site_at_density(eta, T):
+    """floor(eta T), the site probed at density eta after T steps; one
+    below site 1 has no current to read, and raises before any sampling."""
+    x = int(math.floor(eta * T))
+    if x < 1:
+        raise ValueError("probe site floor(eta * T) = %d is below site 1 at "
+                         "T = %d, eta = %g" % (x, T, eta))
+    return x
+
+
 def _mc_summary(est, target):
     rel = abs(est.mean - target) / abs(target) if target else math.inf
     return {
@@ -292,9 +302,9 @@ def _experiment_kpz_exponent(seed, /, q=0.25, eta=0.5,
     if len(set(T_list)) < 2:
         raise ValueError("T_list needs two distinct horizons to fit an "
                          "exponent; got %s" % T_list)
+    sites = [_site_at_density(eta, T) for T in T_list]
     points = []
-    for i, T in enumerate(T_list):
-        x = int(math.floor(eta * T))
+    for i, (T, x) in enumerate(zip(T_list, sites)):
         (mean, std, var_log), = _asym_height_stats(
             q, T, [x], samples, seed + i, [lln_shapes(q, "m", eta) * T])
         points.append({"T": T, "site": x, "mean": mean, "std": std,
@@ -320,7 +330,7 @@ def _experiment_f_collapse(seed, /, q=0.25, T=4000, eta_list=(0.4, 0.5, 0.6),
                            samples=4000):
     q, T, samples = float(q), _horizon(T), int(samples)
     eta_list = [float(e) for e in eta_list]
-    sites = [int(math.floor(e * T)) for e in eta_list]
+    sites = [_site_at_density(e, T) for e in eta_list]
     statv = _asym_height_stats(q, T, sites, samples, seed)
     scale = T ** (1.0 / 3.0)
     rows = []

@@ -6,13 +6,26 @@ Two forms are supported.  The multiplicative form applies to the q-Hahn
 model: the expectation of a k-fold product involving q^(+-h_N(x)) equals a
 k-fold contour integral over circles enclosing the cluster
 union_i {1, 1/q, ..., q^(1-J_i)} and excluding 0 and every b_i, with
-
 the nesting convention that, for i < j, the j-th circle strictly contains
-1/q times the i-th (so later circles grow to the right while every left
-edge hugs the cluster).  The additive (PEP) form applies to the partial
-exclusion process: circles enclose {2, ..., J+1}, exclude 0, and for
-i < j the j-th circle strictly contains the i-th shifted by -1.  Both
-identities require the probe sites listed in weakly decreasing order.
+1/q times the i-th (so later circles grow to the right).  The additive
+(PEP) form applies to the partial exclusion process: circles enclose
+{2, ..., J+1}, exclude 0, and for i < j the j-th circle strictly contains
+the i-th shifted by -1.  Both identities require the probe sites listed
+in weakly decreasing order.
+
+solve_contours places the circles.  Its seed is greedy: the first circle
+pads the cluster by 0.25 on each side, and each later one also contains
+the image of the one before, padded by 0.125.  A short coordinate search
+then moves each circle's two real-axis endpoints by 0.4, 0.2, 0.1 and
+0.05 of its radius to lower the product of the node counts that the
+trapezoid rule's geometric rate predicts on each circle: the rate is set
+by the circle's nearest singularity, weighed by its pole order (N - x_j +
+1 at 1, the multiplicity of each b_i and 1 at 0 in the multiplicative
+form; N - x_j at J + 1 and x_j at 0 in the PEP form), the images of the
+other circles counting at half weight.  A move is kept only if no pole's
+predicted count more than doubles, the contour stays valid and the
+rounding-floor estimate of the sum does not rise above the seed's.  An
+identity that vanishes whatever the parameters keeps the seed.
 
 For every k the integrand is prod_j f_j(z_j) times the pair factors
 (z_i - z_j)/(z_i - q z_j), or (z_i - z_j)/(z_i - z_j - 1) for PEP, so one
@@ -64,6 +77,12 @@ _MAX_NODES = 4096   # nodes per circle
 _MAX_GRID = 2 ** 32  # node tuples per pass, prod_j n_j
 _FLOOR_ULPS = 64    # floor = _FLOOR_ULPS * eps * prod_j sum_a |g_j[a]|
 _CONTRACT_ROWS = 64  # rows per block of the 3-variable step and of inner
+_START_NODES = 32   # start count of the node schedule (ContourSpec)
+_MARGIN = 0.25      # the seed circles' clearance around the pole cluster
+_LADDER = (0.4, 0.2, 0.1, 0.05)  # circle search steps, per radius
+_RATE_NODES = 64    # nodes a circle of the rate model and the floor guard
+_RATE_DIGITS = math.log(1e10)  # error reduction the rate model asks for
+_TRUST = 2.0        # a move may raise a pole's predicted count this much
 _IMAG_TOL = 1e-9    # cap on the imaginary-part bound, per max(1, |value|)
 _SAFETY = 10.0      # a planned pass aims at tol / _SAFETY
 _MC_AGREE_FLOOR = 1e-6  # least exact chance that every MC sample agrees
@@ -132,7 +151,7 @@ class ContourSpec:
     own count.  It must be a power of two >= 4."""
 
     circles: tuple  # ((center, radius), ...) as floats
-    nodes_per_circle: int = 32
+    nodes_per_circle: int = _START_NODES
     # Per-level nesting maps applied to earlier circles when checking the
     # later ones: a multiplicative factor (1/q) for the multiplicative form,
     # an additive shift (-1) for the PEP form.  Populated by solve_contours;
@@ -279,43 +298,208 @@ def _exclusions(spec):
     return [0.0]
 
 
-def solve_contours(spec, nodes_per_circle=32, margin=0.25):
-    """Greedy nested-circle geometry.  The first circle hugs the pole
-    cluster; for i < j the j-th circle additionally contains the image
-    (1/q times, or -1 plus) of the i-th circle, with a strict margin.
-    Raises ContourInfeasible when the exclusions cannot be kept outside."""
-    cluster = _pole_cluster(spec)
-    excl = _exclusions(spec)
-    lo0, hi0 = min(cluster), max(cluster)
-    q = spec.model.q if spec.form == "qhahn" else None
-    intervals = []
-    lo, hi = lo0 - margin, hi0 + margin
+def _seed_circles(spec):
+    """Greedy nested circles: the first pads the pole cluster by _MARGIN;
+    for i < j the j-th circle also contains the image (1/q times, or -1
+    plus) of the (j-1)-th, padded by _MARGIN / 2.  Raises
+    ContourInfeasible when the exclusions cannot be kept outside."""
+    cluster, excl = _pole_cluster(spec), _exclusions(spec)
+    lo0, hi0 = min(cluster) - _MARGIN, max(cluster) + _MARGIN
+    lo, hi = lo0, hi0
+    circles = []
     for depth in range(spec.k):
         if depth > 0:
-            plo, phi = intervals[-1]
             if spec.form == "qhahn":
-                ilo, ihi = plo / q, phi / q
+                lo, hi = lo / spec.model.q, hi / spec.model.q
             else:
-                ilo, ihi = plo - 1.0, phi - 1.0
-            lo = min(lo0 - margin, ilo - 0.5 * margin)
-            hi = max(hi0 + margin, ihi + 0.5 * margin)
-        intervals.append((lo, hi))
-    circles = []
-    for lo, hi in intervals:
+                lo, hi = lo - 1.0, hi - 1.0
+            lo = min(lo0, lo - 0.5 * _MARGIN)
+            hi = max(hi0, hi + 0.5 * _MARGIN)
         c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
         for e in excl:
-            if abs(e - c) <= r + 0.02 * margin:
+            if abs(e - c) <= r + 0.02 * _MARGIN:
                 raise ContourInfeasible(
                     "excluded point %.6f inside circle (%.4f, %.4f)"
                     % (e, c, r))
         circles.append((c, r))
+    return circles
+
+
+def _rate_poles(spec, j):
+    """(enclosed, excluded): the poles of variable j's integrand, f_j
+    times its measure, that circle j must enclose and exclude, each as
+    (point, _RATE_DIGITS + (order - 1) ln _RATE_NODES).  The multiplicative
+    form has order N - x_j + 1 at 1, the multiplicity of each b_i (i < x_j)
+    and 1 at 0; the PEP form has N - x_j at J + 1 and x_j at 0."""
+    m, x = spec.model, spec.x_list[j]
     if spec.form == "qhahn":
-        offsets = (1.0 / q,) * (spec.k - 1)
+        enclosed, excluded = {1.0: spec.N - x + 1}, {0.0: 1}
+        for i in range(1, x):
+            bi = float(_cyc(m.B, i))
+            excluded[bi] = excluded.get(bi, 0) + 1
     else:
-        offsets = (-1.0,) * (spec.k - 1)
-    return ContourSpec(circles=tuple(circles),
-                       nodes_per_circle=nodes_per_circle,
-                       nesting_offsets=offsets)
+        enclosed, excluded = {m.J + 1.0: spec.N - x}, {0.0: x}
+
+    def weigh(poles):
+        return [(p, _RATE_DIGITS + (order - 1) * math.log(_RATE_NODES))
+                for p, order in poles.items() if order > 0]
+
+    return weigh(enclosed), weigh(excluded)
+
+
+def _vanishes(spec):
+    """Whether the identity is 0 whatever the model's parameters.  h(x_j)
+    is at most J o_j, o_j = N - x_j + 1 (N - x_j in the PEP form, whose
+    current is read at x_j + 1) and J the largest row degree, and it grows
+    with j as the sites fall.  So where J o_j <= j for some j, the first i
+    with h(x_i) <= i has h(x_i) = i, and factor i of the left side,
+    q^i - q^h or h - i, is 0."""
+    m = spec.model
+    J = max(m.J) if spec.form == "qhahn" else m.J
+    shift = 1 if spec.form == "qhahn" else 0
+    return any(J * (spec.N - x + shift) <= j
+               for j, x in enumerate(spec.x_list))
+
+
+def _pole_nodes(circle, poles):
+    """The node counts at which the trapezoid rule on circle (c, r)
+    converges past each of its own poles (_rate_poles), enclosed first:
+    weight / -ln(rho), rho being |p - c| / r for an enclosed pole p and
+    r / |e - c| for an excluded pole e, and at least _START_NODES, below
+    which no circle's count falls; inf for a pole on the wrong side."""
+    c, r = circle
+    enclosed, excluded = poles
+    counts = []
+    for rho, w in ([(abs(p - c) / r, w) for p, w in enclosed]
+                   + [(r / abs(e - c) if e != c else math.inf, w)
+                      for e, w in excluded]):
+        if rho >= 1.0:
+            counts.append(math.inf)
+        elif rho > 0.0:
+            counts.append(max(_START_NODES, w / -math.log(rho)))
+        else:
+            counts.append(_START_NODES)
+    return counts
+
+
+def _predicted_nodes(spec, circles, own):
+    """The product over circles j of the node count the trapezoid rule's
+    geometric rate (Trefethen & Weideman, SIAM Review 56 (2014) 385)
+    predicts: the larger of own[j], the largest count of _pole_nodes on
+    circle j, and, for every other variable, the count past its circle's
+    image, the cross factor's poles in variable j.  An image's rho is that
+    of its nearest point: (d + a) / r inside circle j (allowed for an
+    earlier variable), r / (d - a) outside it, and r / (a - d) around it
+    (allowed for a later one), d being the distance of its center from c
+    and a its radius.  Its weight is _RATE_DIGITS / 2: the image's poles
+    are the other circle's nodes, so its error falls with that circle's
+    count as well.  Returns inf when an image crosses a circle or lies on
+    the wrong side of it."""
+    if spec.form == "qhahn":
+        q = spec.model.q
+        maps = ((1.0 / q, 0.0), (q, 0.0))  # images of earlier, later
+    else:
+        maps = ((1.0, -1.0), (1.0, 1.0))
+    total = 1.0
+    for j, (c, r) in enumerate(circles):
+        worst = 0.0  # the largest rho of an image
+        for i, (ci, ri) in enumerate(circles):
+            if i == j:
+                continue
+            scale, shift = maps[i > j]
+            a, d = scale * ri, abs(scale * ci + shift - c)
+            if d > r + a:
+                rho = r / (d - a)
+            elif i < j and d + a < r:
+                rho = (d + a) / r
+            elif i > j and d + r < a:
+                rho = r / (a - d)
+            else:
+                return math.inf
+            worst = max(worst, rho)
+        if worst >= 1.0:
+            return math.inf
+        total *= (max(own[j], 0.5 * _RATE_DIGITS / -math.log(worst))
+                  if worst > 0.0 else own[j])
+    return total
+
+
+def solve_contours(spec):
+    """Nested circles, one per variable, placed for the quadrature's
+    convergence rate.  The seed is the greedy geometry of _seed_circles.
+    A coordinate search then moves each circle's two real-axis endpoints
+    in turn, out or in, by each step of _LADDER, a fraction of the
+    circle's current radius, largest first, one sweep over the circles a
+    step.  A move is kept when
+
+    - no pole of the moved circle needs more than _TRUST times its
+      count before the move (_pole_nodes): the model misses cancellations
+      between the variables and the power-of-two counts, so a move whose
+      gain rests on it more than doubling a pole's count is not trusted;
+    - it lowers _predicted_nodes, the predicted product of the counts;
+    - the contour passes _check_contour;
+    - the rounding floor estimate _FLOOR_ULPS * eps * prod_j sum |g_j|, at
+      _RATE_NODES nodes a circle as _quad_once computes it, does not
+      exceed the seed's, so no spec meets a higher floor than on the seed.
+
+    The seed is returned where its estimate is 0 or not finite, and where
+    the identity vanishes (_vanishes): such a quadrature converges only on
+    its rounding floor, so its counts follow the floor and every term at
+    once, which the model does not see.  Raises ContourInfeasible when the
+    exclusions cannot be kept outside."""
+    circles, k = _seed_circles(spec), spec.k
+    if spec.form == "qhahn":
+        offsets = (1.0 / spec.model.q,) * (k - 1)
+    else:
+        offsets = (-1.0,) * (k - 1)
+    if _vanishes(spec):
+        return ContourSpec(circles=tuple(circles), nesting_offsets=offsets)
+    poles = [_rate_poles(spec, j) for j in range(k)]
+
+    def size(j, c, r):
+        g = _weighted_nodes(spec, j, c, r, _RATE_NODES)[1]
+        return float(np.abs(g).sum())
+
+    def estimate(sizes):
+        return _FLOOR_ULPS * eps * math.prod(sizes)
+
+    def moved(j, end, sign, frac):
+        """The search state with the endpoint c + end * r of circle j
+        moved by sign * frac * r, or None where the move is not kept."""
+        c, r = circles[j]
+        shift = 0.5 * sign * frac * r
+        trial, trial_own = list(circles), list(own)
+        trial[j] = (c + shift, r + end * shift)
+        trial_own[j] = _pole_nodes(trial[j], poles[j])
+        if any(n > _TRUST * n0 for n, n0 in zip(trial_own[j], own[j])):
+            return None
+        pred = _predicted_nodes(spec, trial, [max(n) for n in trial_own])
+        if not pred < best:
+            return None
+        try:
+            _check_contour(spec, ContourSpec(circles=trial))
+        except ContourInfeasible:
+            return None
+        trial_sizes = list(sizes)
+        trial_sizes[j] = size(j, *trial[j])
+        if not estimate(trial_sizes) <= floor:
+            return None
+        return trial, trial_own, trial_sizes, pred
+
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = [size(j, c, r) for j, (c, r) in enumerate(circles)]
+        own = [_pole_nodes(cr, pl) for cr, pl in zip(circles, poles)]
+        floor = estimate(sizes)
+        best = _predicted_nodes(spec, circles, [max(n) for n in own])
+        steps = (_LADDER if 0.0 < floor < math.inf and best < math.inf
+                 else ())
+        for frac, j, end in itertools.product(steps, range(k), (-1, 1)):
+            # Out, else in: at most one move per endpoint and step.
+            state = moved(j, end, 1.0, frac) or moved(j, end, -1.0, frac)
+            if state:
+                circles, own, sizes, best = state
+    return ContourSpec(circles=tuple(circles), nesting_offsets=offsets)
 
 
 def _pole_order(spec):
@@ -392,12 +576,12 @@ def _rhs_single(spec, j, z):
     m = spec.model
     x = spec.x_list[j]
     if spec.form == "qhahn":
-        out = np.ones_like(z)
+        out, one_minus_z = np.ones_like(z), 1.0 - z
         for i in range(1, x):
             bi = _cyc(m.B, i)
-            out = out * (1.0 - z) / (1.0 - z / bi)
+            out = out * one_minus_z / (1.0 - z / bi)
         for i in range(1, spec.N + 1):
-            out = out * (1.0 - _cyc(m.C, i) * z) / (1.0 - z)
+            out = out * (1.0 - _cyc(m.C, i) * z) / one_minus_z
         return out
     J = int(m.J)
     return ((z - J - 1.0) / z) ** x * ((z - 1.0) / (z - J - 1.0)) ** spec.N
@@ -408,6 +592,27 @@ def _cross_factor(spec, zi, zj):
     if spec.form == "qhahn":
         return (zi - zj) / (zi / spec.model.q - zj)
     return (zi - zj) / (zi - zj - 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_nodes(n):
+    """The n-th roots of unity, evens first (read-only; n is a power of
+    two no larger than _MAX_NODES, so the cache stays small)."""
+    nodes = np.exp(2j * math.pi / n * np.r_[0:n:2, 1:n:2])
+    nodes.flags.writeable = False
+    return nodes
+
+
+def _weighted_nodes(spec, j, c, r, n):
+    """(z, g): the n nodes of circle (c, r), evens first, and f_j times
+    the trapezoid weight at each."""
+    e = r * _unit_nodes(n)
+    z = c + e
+    # (1/2 pi i) dz -> (r e^{i theta} / n) per node; the measure of the
+    # multiplicative form also divides by z, that of the PEP form carries
+    # the orientation sign.
+    w = e / n / z if spec.form == "qhahn" else _RHS_PEP_SIGN_PER_VAR * e / n
+    return z, _rhs_single(spec, j, z) * w
 
 
 def _halves(n):
@@ -480,16 +685,8 @@ def _quad_once(spec, contour, ns, prev=None, grown=()):
     nodes at half the weight, so the classes with all of them even are
     prev summed over their axes and divided by 2^|grown|; only the other
     classes are summed afresh, over their matching halves of nodes."""
-    z, g = [], []
-    for j, ((c, r), n) in enumerate(zip(contour.circles, ns)):
-        e = r * np.exp(2j * math.pi / n * np.r_[0:n:2, 1:n:2])
-        z.append(c + e)
-        # (1/2 pi i) dz -> (r e^{i theta} / n) per node; the measure of the
-        # multiplicative form also divides by z, that of the PEP form
-        # carries the orientation sign.
-        w = (e / n / z[-1] if spec.form == "qhahn"
-             else _RHS_PEP_SIGN_PER_VAR * e / n)
-        g.append(_rhs_single(spec, j, z[-1]) * w)
+    z, g = zip(*(_weighted_nodes(spec, j, c, r, n)
+                 for j, ((c, r), n) in enumerate(zip(contour.circles, ns))))
     floor = (_FLOOR_ULPS * np.finfo(float).eps
              * math.prod(float(np.abs(gj).sum()) for gj in g))
     cross = functools.partial(_cross_factor, spec)
@@ -530,8 +727,10 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
     1e-9 max(1, |value|), else raises NotConverged.  With full=True it
     returns a dict with the value and diagnostics: nodes_used, the largest
     count of the accepted pass, and nodes_per_circle, its counts; passes,
-    the counts of every pass; and nodes_evaluated, the node tuples summed
-    over all passes, which is the product of the accepted pass's counts."""
+    the counts of every pass; nodes_evaluated, the node tuples summed
+    over all passes, which is the product of the accepted pass's counts;
+    and rounding_floor, the accepted pass's floor, which the floor gate
+    compares with tol * max(1, |value|)."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if contour is None:
@@ -603,7 +802,8 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
         return {"value": float(cur.real), "nodes_used": max(ns),
                 "nodes_per_circle": ns, "doubling_change": float(change),
                 "imag_part": float(cur.imag), "passes": passes,
-                "nodes_evaluated": math.prod(ns)}
+                "nodes_evaluated": math.prod(ns),
+                "rounding_floor": float(floor)}
     return float(cur.real)
 
 

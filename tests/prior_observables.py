@@ -1,24 +1,72 @@
-"""Reference copy of the contour quadrature's node schedule as it was
-before per-circle node counts and the rate-based final pair: pure
-doubling of every circle from the start count until a pair of passes at
-n and 2n nodes per circle changes by at most tol, with the same budget,
-rounding-floor and imaginary-part gates.  The schedule test compares the
-library's rhs_quadrature against it.  The passes (the total of the
-library's parity sums), the contour checks and the pole order are the
-library's own."""
+"""Reference copies of the contour quadrature as it was before the circles
+were placed by their convergence rate and before per-circle node counts.
+
+solve_contours is the greedy geometry with a fixed margin: the first
+circle pads the pole cluster by the margin, and each later one also
+contains the image of the one before, padded by half of it.  The
+placement test compares the library's circles against it.
+
+rhs_quadrature_doubling is the node schedule of pure doubling of every
+circle from the start count until a pair of passes at n and 2n nodes per
+circle changes by at most tol, with the same budget, rounding-floor and
+imaginary-part gates.  The schedule test compares the library's
+rhs_quadrature against it.  The passes (the total of the library's parity
+sums), the contour checks, the pole cluster, the exclusions and the pole
+order are the library's own."""
 
 import numpy as np
 
 from dynvertex import observables
-from dynvertex.errors import NotConverged
+from dynvertex.errors import ContourInfeasible, NotConverged
 from dynvertex.observables import (
     _IMAG_TOL,
     _MAX_GRID,
     _MAX_NODES,
+    ContourSpec,
     _check_contour,
+    _exclusions,
+    _pole_cluster,
     _pole_order,
-    solve_contours,
 )
+
+
+def solve_contours(spec, nodes_per_circle=32, margin=0.25):
+    """Greedy nested-circle geometry.  The first circle hugs the pole
+    cluster; for i < j the j-th circle additionally contains the image
+    (1/q times, or -1 plus) of the i-th circle, with a strict margin.
+    Raises ContourInfeasible when the exclusions cannot be kept outside."""
+    cluster = _pole_cluster(spec)
+    excl = _exclusions(spec)
+    lo0, hi0 = min(cluster), max(cluster)
+    q = spec.model.q if spec.form == "qhahn" else None
+    intervals = []
+    lo, hi = lo0 - margin, hi0 + margin
+    for depth in range(spec.k):
+        if depth > 0:
+            plo, phi = intervals[-1]
+            if spec.form == "qhahn":
+                ilo, ihi = plo / q, phi / q
+            else:
+                ilo, ihi = plo - 1.0, phi - 1.0
+            lo = min(lo0 - margin, ilo - 0.5 * margin)
+            hi = max(hi0 + margin, ihi + 0.5 * margin)
+        intervals.append((lo, hi))
+    circles = []
+    for lo, hi in intervals:
+        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for e in excl:
+            if abs(e - c) <= r + 0.02 * margin:
+                raise ContourInfeasible(
+                    "excluded point %.6f inside circle (%.4f, %.4f)"
+                    % (e, c, r))
+        circles.append((c, r))
+    if spec.form == "qhahn":
+        offsets = (1.0 / q,) * (spec.k - 1)
+    else:
+        offsets = (-1.0,) * (spec.k - 1)
+    return ContourSpec(circles=tuple(circles),
+                       nodes_per_circle=nodes_per_circle,
+                       nesting_offsets=offsets)
 
 
 def rhs_quadrature_doubling(spec, contour=None, tol=1e-8):

@@ -490,10 +490,11 @@ class TestVerifyIdentity:
         assert code == 0
         diag = rep["identity"]["quadrature_diagnostics"]
         assert diag["nodes_used"] == 256
-        assert diag["nodes_per_circle"] == [128, 256, 256, 256]
+        assert diag["nodes_per_circle"] == [64, 128, 128, 256]
         assert diag["passes"][0] == [64] * 4
         assert diag["nodes_evaluated"] == math.prod(
-            diag["passes"][-1]) == 2147483648
+            diag["passes"][-1]) == 268435456
+        assert diag["rounding_floor"] <= 1e-8
 
     def test_exact_rhs_gate(self, tmp_path):
         code, rep = run(tmp_path, "verify-identity", "--form", "pep",
@@ -736,6 +737,25 @@ class TestAsymptotics:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid experiment config: ")
         assert says in err
+
+    @pytest.mark.parametrize("name, config, at", [
+        ("f-collapse", '{"T": 1, "samples": 2}', "T = 1, eta = 0.4"),
+        ("kpz-exponent", '{"T_list": [1, 2]}', "T = 1, eta = 0.5"),
+    ], ids=["f-collapse", "kpz-exponent"])
+    def test_probe_site_below_1_exits_2_before_sampling(
+            self, tmp_path, capsys, monkeypatch, name, config, at):
+        # floor(eta T) = 0 has no current to read: a one-line bad config
+        # naming T and eta, raised before any ensemble runs.
+        def run_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the check")
+
+        monkeypatch.setattr(asymptotics, "run_ensemble", run_ensemble)
+        code, rep = run(tmp_path, "asymptotics", "--experiment", name,
+                        "--config", config)
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == (
+            "error: invalid experiment config: probe site floor(eta * T) = 0"
+            " is below site 1 at %s\n" % at)
 
     def test_gate_fills_only_ungated_rows(self, tmp_path, monkeypatch):
         # --gate is the tolerance of rows that have none; a row with its

@@ -4,6 +4,7 @@ Carlo, delta-independence, and contour geometry validation."""
 import contextlib
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -336,25 +337,32 @@ class TestNodeSchedule:
     QHAHN_K3 = ObservableSpec(QHAHN, (3, 2, 1), 3)
 
     def test_qhahn_k3_final_pair(self):
-        # Circle 1 (1, 0.25) settles at 128 nodes and circle 2 (2, 1.25) at
-        # 256; only circle 3 (4.5, 3.75), whose left edge passes 0.25 from
-        # the order-3 pole at z = 1, needs more, and doubles on to 1024.
+        # The placed circles (1.01, 0.16), (1.85, 1.27), (4.50, 3.94) settle
+        # at 64, 256 and 512 nodes.  On the greedy circles (1, 0.25),
+        # (2, 1.25), (4.5, 3.75) the third, whose left edge passes 0.25 from
+        # the order-3 pole at z = 1, doubled on to 1024.
         with recorded() as passes:
             diag = rhs_quadrature(self.QHAHN_K3, full=True)
         assert [p[0] for p in passes] == diag["passes"] == [
-            [64, 64, 64], [128, 128, 128], [128, 256, 256],
-            [128, 256, 512], [128, 256, 1024]]
-        assert diag["nodes_per_circle"] == [128, 256, 1024]
-        assert diag["nodes_used"] == 1024
+            [64, 64, 64], [64, 128, 128], [64, 256, 256], [64, 256, 512]]
+        assert diag["nodes_per_circle"] == [64, 256, 512]
+        assert diag["nodes_used"] == 512
         ex = lhs_exact(self.QHAHN_K3)
         assert abs(diag["value"] - ex) <= 1e-12 * abs(ex)
 
     def test_qhahn_k3_nodes_evaluated(self):
         # Each pass sums only the node triples new to it, so the passes
-        # evaluate the accepted pass's 128 * 256 * 1024 triples in all.
+        # evaluate the accepted pass's 64 * 256 * 512 triples in all.
         diag = rhs_quadrature(self.QHAHN_K3, full=True)
         assert diag["nodes_evaluated"] == math.prod(
-            diag["passes"][-1]) == 33554432
+            diag["passes"][-1]) == 8388608
+
+    def test_rounding_floor_reported(self):
+        # The floor the gate compares: that of the accepted pass.
+        with recorded() as passes:
+            diag = rhs_quadrature(self.QHAHN_K3, full=True)
+        assert diag["rounding_floor"] == passes[-1][2] <= 1e-8 * max(
+            1.0, abs(diag["value"]))
 
     @settings(max_examples=40)
     @given(schedule_specs())
@@ -393,6 +401,7 @@ class TestNodeSchedule:
         assert max(max(ns) for ns in counts) <= old["nodes_used"]
         assert new["nodes_evaluated"] == math.prod(counts[-1]) <= sum(
             n ** spec.k for n in old["passes"])
+        assert new["rounding_floor"] == floor
         # Both values lie within the acceptance scale of the truth.
         scale = max(tol * abs(old["value"]), floor, old_passes[-1][2])
         assert abs(new["value"] - old["value"]) <= 2 * scale
@@ -425,6 +434,96 @@ class TestNodeSchedule:
             assert floor == fresh_floor
             assert sums.shape == fresh.shape == (2,) * spec.k
             assert (np.abs(sums - fresh) <= floor).all()
+
+
+class TestPlacement:
+    """The placed circles of solve_contours against the greedy ones
+    (prior_observables.solve_contours), which seed the search."""
+
+    @settings(max_examples=40)
+    @given(schedule_specs())
+    # Each of these evaluated twice the greedy circles' node tuples
+    # (8,388,608 -> 16,777,216; 67,108,864 -> 134,217,728; 16,384 ->
+    # 32,768): the first with the images at the full weight of a pole, the
+    # second with no limit on a pole's count per move, the third, an
+    # identity that vanishes, when it was searched.
+    @example(ObservableSpec(qhahn_model(q=0.5, b=-3.0), (3, 2, 1), 4))
+    @example(ObservableSpec(qhahn_model(q=0.5, b=-3.0, J=2), (3, 2, 1), 4))
+    @example(ObservableSpec(qhahn_model(q=0.5, b=-0.05), (3, 3), 3))
+    def test_no_more_node_tuples_than_greedy(self, spec):
+        tol = 1e-8
+        try:
+            greedy = prior.solve_contours(spec)
+        except ContourInfeasible as exc:
+            with pytest.raises(ContourInfeasible, match=re.escape(str(exc))):
+                solve_contours(spec)
+            return
+        placed = solve_contours(spec)
+        observables._check_contour(spec, placed)
+        try:
+            old = rhs_quadrature(spec, greedy, tol=tol, full=True)
+        except NotConverged:
+            # The placed circles may stop too; where they converge, the
+            # exact left side checks them.
+            try:
+                new = rhs_quadrature(spec, placed, tol=tol, full=True)
+            except NotConverged:
+                return
+        else:
+            new = rhs_quadrature(spec, placed, tol=tol, full=True)
+            assert new["nodes_evaluated"] <= old["nodes_evaluated"]
+            floor = max(new["rounding_floor"], old["rounding_floor"])
+            assert abs(new["value"] - old["value"]) <= 2 * max(
+                tol * abs(old["value"]), floor)
+        try:
+            ex = lhs_exact(spec)
+        except (SizeLimit, InadmissibleWeights):
+            return
+        assert abs(new["value"] - ex) <= 2 * max(tol * abs(ex),
+                                                 new["rounding_floor"])
+
+    def test_rate_pole_orders(self):
+        # q-Hahn x = (3, 2, 1), N = 3, b = -0.3: order N - x_j + 1 at 1,
+        # x_j - 1 at b and 1 at 0.  PEP J = 1, x = (2, 1), N = 4: order
+        # N - x_j at J + 1 and x_j at 0.
+        def weight(order):
+            return math.log(1e10) + (order - 1) * math.log(64)
+
+        spec = ObservableSpec(QHAHN, (3, 2, 1), 3)
+        assert [observables._rate_poles(spec, j) for j in range(3)] == [
+            ([(1.0, weight(1))], [(0.0, weight(1)), (-0.3, weight(2))]),
+            ([(1.0, weight(2))], [(0.0, weight(1)), (-0.3, weight(1))]),
+            ([(1.0, weight(3))], [(0.0, weight(1))])]
+        spec = ObservableSpec(PEP, (2, 1), 4)
+        assert [observables._rate_poles(spec, j) for j in range(2)] == [
+            ([(2.0, weight(2))], [(0.0, weight(2))]),
+            ([(2.0, weight(3))], [(0.0, weight(1))])]
+
+    def test_floor_guard_keeps_the_seed(self):
+        # The rate model would shrink the circle away from the pole of
+        # order 20 at z = 0, to (2.003, 0.174), but the pole of order 20 at
+        # z = 2 raises the rounding floor there, so the seed stays; the
+        # quadrature still stops on its floor (see TestIdentityCheck).
+        spec = ObservableSpec(ModelSpec.jgamma_pep(J=1, gamma=3.0), (20,), 40)
+        assert solve_contours(spec).circles == ((2.0, 0.25),)
+
+    def test_non_finite_floor_keeps_the_seed(self):
+        # The terms overflow on the seed circle, so there is no floor to
+        # guard and the seed stays.
+        spec = ObservableSpec(PEP, (1,), 1000)
+        assert not observables._vanishes(spec)
+        assert solve_contours(spec) == prior.solve_contours(spec)
+
+    @settings(max_examples=60)
+    @given(schedule_specs(max_k=3))
+    def test_vanishes_where_the_left_side_is_zero(self, spec):
+        try:
+            ex = lhs_exact(spec)
+        except InadmissibleWeights:
+            reject()
+        assert observables._vanishes(spec) == (ex == 0.0)
+        if observables._vanishes(spec):
+            assert solve_contours(spec) == prior.solve_contours(spec)
 
 
 @st.composite
