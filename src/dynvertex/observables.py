@@ -174,8 +174,9 @@ class ContourSpec:
 
 
 def _qhahn_lhs_factors(spec):
-    """Per-sample functional fn(h_values) -> float of the current vector
-    for the multiplicative form."""
+    """(lead, factors) of the multiplicative form: the functional of the
+    current vector h is lead times factors[j](h[j]), multiplied on in
+    order of j."""
     m = spec.model
     q, delta = m.q, m.delta
     k = spec.k
@@ -191,44 +192,30 @@ def _qhahn_lhs_factors(spec):
 
     if delta == 0.0:
         # delta -> 0 limit of the normalized product.
-        def fn(h):
-            out = (-1.0) ** k
-            for j in range(k):
-                out *= q ** j - q ** h[j]
-            return out
-        return fn
+        return (-1.0) ** k, [lambda hj, j=j: q ** j - q ** hj
+                             for j in range(k)]
 
     dinv = 1.0 / delta
     norm = 1.0
     for j in range(k):
         norm *= 1.0 - dinv * q ** j
-
-    def fn(h):
-        out = 1.0 / norm
-        for j in range(k):
-            out *= ((dinv * q ** j - q ** (-h[j]) * cprod * bprods[j])
-                    * (q ** j - q ** h[j]))
-        return out
-
-    return fn
+    return 1.0 / norm, [
+        lambda hj, j=j: ((dinv * q ** j - q ** (-hj) * cprod * bprods[j])
+                         * (q ** j - q ** hj))
+        for j in range(k)]
 
 
 def _pep_lhs_factors(spec):
+    """(lead, factors) of the PEP form, as _qhahn_lhs_factors."""
     m = spec.model
     J, gamma = int(m.J), m.gamma
     k, N = spec.k, spec.N
     norm = 1.0
     for j in range(k):
         norm *= gamma + j
-
-    def fn(h):
-        out = 1.0 / norm
-        for j in range(k):
-            x = spec.x_list[j]
-            out *= (N * J - (J + 1) * x - h[j] - gamma - j) * (h[j] - j)
-        return out
-
-    return fn
+    return 1.0 / norm, [
+        lambda hj, j=j, x=x: (N * J - (J + 1) * x - hj - gamma - j) * (hj - j)
+        for j, x in enumerate(spec.x_list)]
 
 
 def pep_site(x):
@@ -237,11 +224,62 @@ def pep_site(x):
     return x + _PEP_H_SHIFT
 
 
+def _lhs_factors(spec):
+    """(sites, lead, factors): the sites whose currents h feed the
+    functional lead * prod_j factors[j](h[j])."""
+    if spec.form == "qhahn":
+        return (list(spec.x_list),) + _qhahn_lhs_factors(spec)
+    return ([pep_site(x) for x in spec.x_list],) + _pep_lhs_factors(spec)
+
+
 def _lhs_functional(spec):
     """(sites, fn): the sites whose currents h feed fn(h) -> float."""
-    if spec.form == "qhahn":
-        return list(spec.x_list), _qhahn_lhs_factors(spec)
-    return [pep_site(x) for x in spec.x_list], _pep_lhs_factors(spec)
+    sites, lead, factors = _lhs_factors(spec)
+
+    def fn(h):
+        out = lead
+        for factor, hj in zip(factors, h):
+            out *= factor(hj)
+        return out
+
+    return sites, fn
+
+
+def _lhs_range(spec):
+    """(lo, hi) bounding the functional over every current vector with
+    entries in 0..H, H the most particles a site can have passed: the
+    total of the row degrees, or J * N in the PEP form.  Each factor's
+    range over 0..H multiplies into the interval in turn, so the bound
+    holds however the currents of the sites are coupled.  (-inf, inf)
+    where a factor leaves float range."""
+    _, lead, factors = _lhs_factors(spec)
+    H = sum(map(spec.model.row_degree, range(1, spec.N + 1)))
+    lo = hi = lead
+    try:
+        for factor in factors:
+            values = [factor(h) for h in range(H + 1)]
+            a, b = min(values), max(values)
+            ends = (lo * a, lo * b, hi * a, hi * b)
+            lo, hi = min(ends), max(ends)
+    except OverflowError:
+        return -math.inf, math.inf
+    return lo, hi
+
+
+def _agreement_bound(v, rhs, lo, hi):
+    """Upper bound on P(X = v) for an X in [lo, hi] with mean rhs, by
+    Markov's inequality on X - lo (v > rhs) or hi - X (v < rhs); 1 at
+    v == rhs or where the range is not finite, and 0 where rhs lies
+    beyond v's side of the range, which no such X has."""
+    if v == rhs or not (math.isfinite(lo) and math.isfinite(hi)):
+        return 1.0
+    if v > rhs:
+        num, den = rhs - lo, v - lo
+    else:
+        num, den = hi - rhs, hi - v
+    if not den > 0.0:
+        return 0.0
+    return min(1.0, max(0.0, num / den))
 
 
 def lhs_mc(spec, samples, seed):
@@ -298,12 +336,12 @@ def _exclusions(spec):
     return [0.0]
 
 
-def _seed_circles(spec):
+def _seed_circles(spec, cluster, excl):
     """Greedy nested circles: the first pads the pole cluster by _MARGIN;
     for i < j the j-th circle also contains the image (1/q times, or -1
-    plus) of the (j-1)-th, padded by _MARGIN / 2.  Raises
-    ContourInfeasible when the exclusions cannot be kept outside."""
-    cluster, excl = _pole_cluster(spec), _exclusions(spec)
+    plus) of the (j-1)-th, padded by _MARGIN / 2.  cluster and excl are
+    _pole_cluster(spec) and _exclusions(spec).  Raises ContourInfeasible
+    when the exclusions cannot be kept outside."""
     lo0, hi0 = min(cluster) - _MARGIN, max(cluster) + _MARGIN
     lo, hi = lo0, hi0
     circles = []
@@ -447,7 +485,8 @@ def solve_contours(spec):
     its rounding floor, so its counts follow the floor and every term at
     once, which the model does not see.  Raises ContourInfeasible when the
     exclusions cannot be kept outside."""
-    circles, k = _seed_circles(spec), spec.k
+    points = _pole_cluster(spec), _exclusions(spec)
+    circles, k = _seed_circles(spec, *points), spec.k
     if spec.form == "qhahn":
         offsets = (1.0 / spec.model.q,) * (k - 1)
     else:
@@ -477,7 +516,7 @@ def solve_contours(spec):
         if not pred < best:
             return None
         try:
-            _check_contour(spec, ContourSpec(circles=trial))
+            _check_contour(spec, ContourSpec(circles=trial), points)
         except ContourInfeasible:
             return None
         trial_sizes = list(sizes)
@@ -524,9 +563,11 @@ def _relation(img_c, img_r, c, r):
     return "crossing"
 
 
-def _check_contour(spec, contour):
-    cluster = _pole_cluster(spec)
-    excl = _exclusions(spec)
+def _check_contour(spec, contour, points=None):
+    """Raise ContourInfeasible unless contour is valid for spec.  points,
+    when given, is (_pole_cluster(spec), _exclusions(spec)), built once by
+    a caller that checks many contours."""
+    cluster, excl = points or (_pole_cluster(spec), _exclusions(spec))
     if len(contour.circles) != spec.k:
         raise ContourInfeasible("need one circle per variable")
     for c, r in contour.circles:
@@ -857,9 +898,10 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
     answer.  When all n samples equal one value v its standard error is 0:
     where the exact law ran, the check's residual is then P_exact(X = v)^n,
     the chance of that agreement, and a floor gate fails it below
-    _MC_AGREE_FLOOR; where the law was skipped the check is ungated, with
-    the reason as its message, and a gap between that mean and the answer
-    goes unchecked."""
+    _MC_AGREE_FLOOR; where the law was skipped the residual is
+    _agreement_bound(v, answer, *_lhs_range(spec))^n, a bound on that
+    chance (1 where v is within the exact row's tolerance of the
+    answer), under the same floor gate."""
     report = {
         "form": spec.form,
         "k": spec.k,
@@ -945,11 +987,21 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
                 "the residual is the exact chance of that, gated to be at "
                 "least the tolerance" % est.n_samples))
         else:
+            # Without the law, the agreement's chance is bounded from the
+            # observable's range and its mean, the answer; a mean within
+            # the exact row's tolerance of the answer counts as at it.
+            lo, hi = _lhs_range(spec)
+            v = est.mean
+            at = abs(v - rhs) <= tol * (min(1.0, abs(v)) or 1.0)
+            bound = 1.0 if at else _agreement_bound(v, rhs, lo, hi)
             checks.append(Check(
-                name, value=est.mean, residual=report[key],
-                message="all %d samples agree, so the standard error is 0 "
-                "and a sigma gate has no scale; |mean - rhs| = %.3e is not "
-                "gated" % (est.n_samples, abs(est.mean - rhs))))
+                name, value=v, residual=bound ** est.n_samples,
+                tolerance=_MC_AGREE_FLOOR, floor=True,
+                message="all %d samples agree, so the standard error is 0; "
+                "the exact law was skipped, so the residual bounds the "
+                "chance of that by Markov's inequality on the observable's "
+                "range [%.6g, %.6g] and the answer, gated to be at least "
+                "the tolerance" % (est.n_samples, lo, hi)))
         if report.get("lhs_exact") is not None:
             report["residual_mc_vs_exact_sigmas"] = sigmas(
                 abs(est.mean - report["lhs_exact"]))

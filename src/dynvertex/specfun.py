@@ -25,6 +25,8 @@ from .errors import (
 )
 
 _SINGULAR_TOL = 1e-13
+_PI = math.pi
+_sin = cmath.sin
 _POCHHAMMER_MEMO_CAP = 1 << 11  # entries per context; cleared when full
 # The memo key of elliptic_pochhammer: the bytes of (Re a, Im a, k).  Keys
 # of exact bits keep apart the signed zeros, which == confuses and whose
@@ -37,10 +39,13 @@ class EllipticContext:
     """Evaluation context fixing the mode, nome, and series tolerances.
 
     mode is "elliptic" (f(z) = theta1(z; tau)) or "trigonometric"
-    (f(z) = sin(pi z)).  q = exp(-4*pi*i*eta) is derived once and cached.
-    pochhammer_memo holds the values of elliptic_pochhammer in this
-    context; it is outside equality and hashing, so equal contexts built
-    apart keep memos of their own.
+    (f(z) = sin(pi z)).  q = exp(-4*pi*i*eta) is derived once and cached,
+    and so are theta1's z-free exponents (theta_exponents).  Two values
+    are kept per context outside equality and hashing, so equal contexts
+    built apart keep their own: pochhammer_memo, the values of
+    elliptic_pochhammer, and f(2*eta), which f_two_eta evaluates at its
+    first use, never at construction, so that building a context
+    evaluates no f and cannot raise NonConvergent.
     """
 
     mode: str
@@ -52,6 +57,8 @@ class EllipticContext:
     is_elliptic: bool = field(init=False, repr=False, compare=False)
     theta_exponents: tuple = field(init=False, repr=False, compare=False)
     pochhammer_memo: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
+    f_two_eta_value: list = field(default_factory=list, init=False,
                                   repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,6 +85,15 @@ class EllipticContext:
                           1j * math.pi * tau * -h * -h, 2j * math.pi * -h)
                          for h in (j + 0.5 for j in range(self.max_terms)))
         object.__setattr__(self, "theta_exponents", exps)
+
+    def f_two_eta(self):
+        """f(2*eta), the value f_eval(2 * eta, self) gives, evaluated at
+        the first call and then kept.  A call that raises keeps nothing,
+        so every later call raises the same error."""
+        kept = self.f_two_eta_value
+        if not kept:
+            kept.append(f_eval(2 * complex(self.eta), self))
+        return kept[0]
 
 
 def _check_denominator(value, what="denominator"):
@@ -132,20 +148,31 @@ def theta1(z, ctx):
     summed symmetrically in j until the next term falls below series_tol
     relative to the partial sum.  Odd in z; theta(z+1) = -theta(z).  The
     z-free parts of the exponents are read from ctx.theta_exponents,
-    computed once per context by the same expressions, so values equal
-    those of recomputing them on every call bit for bit."""
+    computed once per context by the same expressions; the terms, sums
+    and stopping test are those of the plain loop, so values equal
+    recomputing everything on every call bit for bit.  Nothing that
+    depends on z is cached."""
     if not ctx.is_elliptic:
         raise ValueError("theta1 requires an elliptic context")
-    zh = complex(z) + 0.5
+    exp = cmath.exp
+    tol = ctx.series_tol
+    zh = (z if type(z) is complex else complex(z)) + 0.5
     total = 0.0 + 0.0j
     # Pair j and -1-j: the quadratic exponent is symmetric under the swap.
+    # scale is the largest |partial sum| so far; the test starts at j = 1.
     scale = 0.0
-    for j, (a, b, a2, b2) in enumerate(ctx.theta_exponents):
-        t = cmath.exp(a + b * zh) + cmath.exp(a2 + b2 * zh)
+    later = False
+    for a, b, a2, b2 in ctx.theta_exponents:
+        t = exp(a + b * zh) + exp(a2 + b2 * zh)
         total += t
-        scale = max(scale, abs(total))
-        if abs(t) < ctx.series_tol * max(scale, 1e-300) and j >= 1:
-            return -total
+        size = abs(total)
+        if size > scale:
+            scale = size
+        if later:
+            if abs(t) < tol * (scale if scale >= 1e-300 else 1e-300):
+                return -total
+        else:
+            later = True
     raise NonConvergent("theta series did not converge within max_terms")
 
 
@@ -153,19 +180,26 @@ def f_eval(z, ctx):
     """f(z): theta1(z; tau) in elliptic mode, sin(pi z) in trigonometric."""
     if ctx.is_elliptic:
         return theta1(z, ctx)
-    return cmath.sin(math.pi * complex(z))
+    if type(z) is not complex:  # complex(z) is z itself for a complex
+        z = complex(z)
+    return _sin(_PI * z)
 
 
 def elliptic_pochhammer(a, k, ctx):
     """[a]_k = prod_{j=0}^{k-1} f(a - 2*eta*j) for k >= 0;
     prod_{j=1}^{-k} 1 / f(a + 2*eta*j) for k < 0.
 
-    Memoized on ctx.pochhammer_memo under the exact bits of a and k: a hit
-    returns the product a miss computes, in the same order, so values
-    equal recomputing them bit for bit.  An input that raises is never
-    stored, and the memo is cleared when it holds _POCHHAMMER_MEMO_CAP
-    entries."""
-    a = complex(a)
+    k = 0 returns 1.0 + 0.0j, the empty product, without the memo.  Every
+    other k is memoized on ctx.pochhammer_memo under the exact bits of a
+    and k: a hit returns the product a miss computes, in the same order,
+    so values equal recomputing them bit for bit.  An input that raises is
+    never stored, and the memo is cleared when it holds
+    _POCHHAMMER_MEMO_CAP entries.  _pochhammer_product is the same product
+    without the memo, for arguments that do not repeat."""
+    if k == 0:
+        return 1.0 + 0.0j
+    if type(a) is not complex:
+        a = complex(a)
     key = _pochhammer_key(a.real, a.imag, k)
     memo = ctx.pochhammer_memo
     out = memo.get(key)
@@ -287,12 +321,22 @@ def rel_residual(lhs, rhs):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
+def _uniform(rng, lo, hi):
+    """rng.uniform(lo, hi) bit for bit, without its argument handling:
+    numpy's uniform is lo + (hi - lo) * u for the double u that
+    rng.random() returns."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _cplx(rng, lo, hi, im=0.15):
-    return complex(rng.uniform(lo, hi), rng.uniform(-im, im))
+    return complex(_uniform(rng, lo, hi), _uniform(rng, -im, im))
 
 
 # Each draw function takes its numbers from rng and returns the two sides
-# (lhs, rhs) of its identity at them.
+# (lhs, rhs) of its identity at them.  Random arguments never repeat, so
+# the elliptic Pochhammer symbols are evaluated by _pochhammer_product,
+# the product elliptic_pochhammer memoizes, and leave the memos of
+# CHECK_CONTEXTS alone.
 
 
 def _rogers(rng, n):
@@ -319,7 +363,7 @@ def _jackson(rng, ctx, n):
     e = 2 * a - 2 * eta - b - c - d - 2 * eta * n
     lhs = vwp_elliptic_v(a, [b, c, d, e, 2 * eta * n], 1.0, ctx,
                          terminate_at=n)
-    ep = lambda x, k: elliptic_pochhammer(x, k, ctx)
+    ep = lambda x, k: _pochhammer_product(x, k, ctx)
     rhs = (ep(a - 2 * eta, n) * ep(a - b - c - 2 * eta, n)
            * ep(a - b - d - 2 * eta, n) * ep(a - c - d - 2 * eta, n)
            / (ep(a - b - 2 * eta, n) * ep(a - c - 2 * eta, n)
@@ -370,7 +414,7 @@ def _basic_list(rng, which):
     # accuracy at q = 1 - 1e-12.
     eps = 1e-12
     lq = math.log1p(-eps)
-    ar = rng.uniform(3.2, 3.9)
+    ar = _uniform(rng, 3.2, 3.9)
     kk = int(rng.integers(-3, 6))
     lhs = 1.0
     if kk >= 0:
@@ -388,7 +432,7 @@ def _elliptic_list(rng, ctx, which):
     a = _cplx(rng, 0.2, 0.6, 0.2)
     m = int(rng.integers(0, 6))
     k = int(rng.integers(0, m + 1))
-    ep = lambda x, n: elliptic_pochhammer(x, n, ctx)
+    ep = lambda x, n: _pochhammer_product(x, n, ctx)
     if which == 1:
         return ep(a, m), (-1) ** m * ep(2 * eta * (m - 1) - a, m)
     if which == 2:

@@ -229,7 +229,7 @@ def _c_mu(mu, lam, L, ctx):
     """Normalization constant of the factorized D specialization."""
     eta = complex(ctx.eta)
     M = mu.length
-    total = math.pi ** (-M) * f_eval(2 * eta, ctx) ** M
+    total = math.pi ** (-M) * ctx.f_two_eta() ** M
     for j in range(M):
         den = f_eval(lam + 2 * eta * j, ctx)
         if abs(den) < 1e-13:
@@ -269,8 +269,8 @@ def d_rho_normalized(mu, lam, spec):
         return 0.0 + 0.0j
     _check_columns(mu, spec)
     L0 = complex(spec.L[0])
-    val = (-f_eval(2 * eta, ctx)) ** M / (math.pi ** M
-                                          * _c_mu(mu, lam, spec.L, ctx))
+    val = (-ctx.f_two_eta()) ** M / (math.pi ** M
+                                     * _c_mu(mu, lam, spec.L, ctx))
     for k in range(M):
         den = f_eval(lam + 2 * eta * k, ctx)
         if abs(den) < 1e-13:
@@ -322,7 +322,7 @@ def b_stochastic(mu, nu, spec, rho):
         raise SingularParameter("vanishing normalized D at rho for nu")
     p0 = rho.p0(eta)
     q0 = rho.q0(eta)
-    pref = (-1.0 / f_eval(2 * eta, ctx)) ** J
+    pref = (-1.0 / ctx.f_two_eta()) ** J
     k = 0
     for block, w in zip(spec.J, spec.W):
         for j in range(block):

@@ -81,32 +81,44 @@ def _inv(value, what):
     return 1.0 / value
 
 
-def _w1_dinv(v, lam, L, ctx):
+def _w1_dinv(v, lam, L, eta, ctx):
     """1 / (f(eta*Lambda - v) * f(lambda)), the denominator of all four
     cases of w1."""
-    denom = f_eval(complex(ctx.eta) * L - v, ctx) * f_eval(lam, ctx)
+    denom = f_eval(eta * L - v, ctx) * f_eval(lam, ctx)
     return _inv(denom, "f(eta*Lambda - v) * f(lambda)")
 
 
-def _w1_case(k, j1, j2, v, lam, L, dinv, ctx):
-    """The four-case numerators of w1 at vertical input k, times dinv."""
-    eta = complex(ctx.eta)
-    if j1 == 0 and j2 == 0:
-        return (f_eval(eta * (L - 2 * k) - v, ctx)
-                * f_eval(lam + 2 * k * eta, ctx) * dinv)
-    if j1 == 1 and j2 == 0:
-        # (k,1; k+1,0)
-        return (f_eval(v + lam + eta * (2 * k + 2 - L), ctx)
-                * f_eval(2 * eta, ctx) * dinv)
-    if j1 == 0 and j2 == 1:
-        # (k,0; k-1,1)
-        return (f_eval(lam - v + eta * (2 * k - 2 - L), ctx)
-                * f_eval(2 * eta * (L + 1 - k), ctx)
-                * f_eval(2 * k * eta, ctx)
-                * dinv * _inv(f_eval(2 * eta, ctx), "f(2*eta)"))
-    # (k,1; k,1)
+# The four cases of w1 at vertical input k, each times dinv (_w1_dinv's);
+# eta is complex(ctx.eta).
+
+
+def _w1_00(k, v, lam, L, eta, dinv, ctx):
+    """(k,0; k,0)"""
+    return (f_eval(eta * (L - 2 * k) - v, ctx)
+            * f_eval(lam + 2 * k * eta, ctx) * dinv)
+
+
+def _w1_10(k, v, lam, L, eta, dinv, ctx):
+    """(k,1; k+1,0)"""
+    return (f_eval(v + lam + eta * (2 * k + 2 - L), ctx)
+            * ctx.f_two_eta() * dinv)
+
+
+def _w1_01(k, v, lam, L, eta, dinv, ctx):
+    """(k,0; k-1,1)"""
+    return (f_eval(lam - v + eta * (2 * k - 2 - L), ctx)
+            * f_eval(2 * eta * (L + 1 - k), ctx)
+            * f_eval(2 * k * eta, ctx)
+            * dinv * _inv(ctx.f_two_eta(), "f(2*eta)"))
+
+
+def _w1_11(k, v, lam, L, eta, dinv, ctx):
+    """(k,1; k,1)"""
     return (f_eval(eta * (2 * k - L) - v, ctx)
             * f_eval(lam + 2 * eta * (k - L), ctx) * dinv)
+
+
+_W1_CASES = {(0, 0): _w1_00, (1, 0): _w1_10, (0, 1): _w1_01, (1, 1): _w1_11}
 
 
 def w1(cfg, p):
@@ -117,7 +129,10 @@ def w1(cfg, p):
     if i1 + j1 != i2 + j2:
         return 0.0 + 0.0j
     v, lam, L = complex(p.v), complex(p.lam), complex(p.Lambda)
-    return _w1_case(i1, j1, j2, v, lam, L, _w1_dinv(v, lam, L, p.ctx), p.ctx)
+    ctx = p.ctx
+    eta = complex(ctx.eta)
+    return _W1_CASES[j1, j2](i1, v, lam, L, eta,
+                             _w1_dinv(v, lam, L, eta, ctx), ctx)
 
 
 def _top_row(J, i2, loff, p):
@@ -125,37 +140,46 @@ def _top_row(J, i2, loff, p):
     block, in the order of the _w_hat recursion, sharing one denominator."""
     ctx = p.ctx
     eta = complex(ctx.eta)
-    v = complex(p.v) + 2 * eta * (J - 1)
-    lam = complex(p.lam) + 2 * eta * loff
+    e2 = 2 * eta
+    v = complex(p.v) + e2 * (J - 1)
+    lam = complex(p.lam) + e2 * loff
     L = complex(p.Lambda)
-    dinv = _w1_dinv(v, lam, L, ctx)
-    return (_w1_case(i2, 0, 0, v, lam, L, dinv, ctx),
-            (_w1_case(i2 - 1, 1, 0, v, lam, L, dinv, ctx) if i2 > 0
+    dinv = _w1_dinv(v, lam, L, eta, ctx)
+    return (_w1_00(i2, v, lam, L, eta, dinv, ctx),
+            (_w1_10(i2 - 1, v, lam, L, eta, dinv, ctx) if i2 > 0
              else 0.0 + 0.0j),
-            _w1_case(i2 + 1, 0, 1, v, lam, L, dinv, ctx),
-            _w1_case(i2, 1, 1, v, lam, L, dinv, ctx))
+            _w1_01(i2 + 1, v, lam, L, eta, dinv, ctx),
+            _w1_11(i2, v, lam, L, eta, dinv, ctx))
+
+
+_ZERO = 0.0 + 0.0j
+_ONE = 1.0 + 0.0j
 
 
 def _w_hat(J, i1, j1, i2, j2, p, loff, memo):
-    """Column-summed fused weight by the four-term top-row recursion.
+    """Column-summed fused weight by the four-term top-row recursion, on
+    the support only: 0 <= j1, j2 <= J, i1, i2 >= 0, i1 + j1 == i2 + j2.
 
     loff counts the accumulated dynamical shift in units of 2*eta relative
     to p.lam; the spectral base p.v is fixed and the top row of a level-J
     block sits at p.v + 2*eta*(J-1).  The four top-row weights of
     (J, i2, loff) are computed once, by _top_row, and kept in memo under
-    that key next to the node values.  Every product and sum is the one a
-    w1 call per term makes, so values equal that bit for bit."""
-    if j1 < 0 or j2 < 0 or j1 > J or j2 > J or i1 < 0 or i2 < 0:
-        return 0.0 + 0.0j
-    if i1 + j1 != i2 + j2:
-        return 0.0 + 0.0j
+    that key next to the node values.  A child off the support is not
+    called: its value, 0, still multiplies its top-row weight, so every
+    product and sum is the one a w1 call per term makes, inf and nan
+    included, and values equal that bit for bit."""
     if J == 0:
-        return 1.0 + 0.0j if (i1 == i2 and j1 == 0 and j2 == 0) else 0.0 + 0.0j
+        return _ONE  # on the support at J = 0, i1 == i2 and j1 == j2 == 0
     key = (J, i1, j1, i2, j2, loff)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    first = _w_hat(J - 1, i1, j1, i2, j2, p, loff - 1, memo)
+    K = J - 1
+    # A child that keeps j1 (or j2) is on the support only if it is <= K.
+    keep_j1 = j1 <= K
+    keep_j2 = j2 <= K
+    first = (_w_hat(K, i1, j1, i2, j2, p, loff - 1, memo)
+             if keep_j1 and keep_j2 else _ZERO)
     # The top row is read after the first subtree, so singular inputs raise
     # in the recursion's order.
     top = memo.get((J, i2, loff))
@@ -163,9 +187,12 @@ def _w_hat(J, i1, j1, i2, j2, p, loff, memo):
         top = memo[(J, i2, loff)] = _top_row(J, i2, loff, p)
     val = 0.0 + 0.0j
     val += first * top[0]
-    val += _w_hat(J - 1, i1, j1 - 1, i2 - 1, j2, p, loff + 1, memo) * top[1]
-    val += _w_hat(J - 1, i1, j1, i2 + 1, j2 - 1, p, loff - 1, memo) * top[2]
-    val += _w_hat(J - 1, i1, j1 - 1, i2, j2 - 1, p, loff + 1, memo) * top[3]
+    val += (_w_hat(K, i1, j1 - 1, i2 - 1, j2, p, loff + 1, memo)
+            if j1 and i2 and keep_j2 else _ZERO) * top[1]
+    val += (_w_hat(K, i1, j1, i2 + 1, j2 - 1, p, loff - 1, memo)
+            if keep_j1 and j2 else _ZERO) * top[2]
+    val += (_w_hat(K, i1, j1 - 1, i2, j2 - 1, p, loff + 1, memo)
+            if j1 and j2 else _ZERO) * top[3]
     memo[key] = val
     return val
 
@@ -208,7 +235,7 @@ def _closed_eval(J, cfg, p, eps):
         lam + 2 * eta * (I2 + j1 + j2 - Je),
     ]
     series = vwp_elliptic_v(a1, rest, 1.0, ctx, terminate_at=min(j1, j2))
-    f2e = f_eval(2 * eta, ctx)
+    f2e = ctx.f_two_eta()
     pref = (f2e ** (i2 - i1)
             * ep(2 * eta * L, i1) * _inv(ep(2 * eta * L, i2), "[2eL]_i2")
             * ep(2 * eta * I1, j2) * ep(2 * eta * (Je - j2), j1)
@@ -268,7 +295,7 @@ def w_fused_special(J, cfg, p, case):
     ctx = p.ctx
     eta = complex(ctx.eta)
     v, lam, L = complex(p.v), complex(p.lam), complex(p.Lambda)
-    f2e = f_eval(2 * eta, ctx)
+    f2e = ctx.f_two_eta()
 
     def ep(a, k):
         return elliptic_pochhammer(a, k, ctx)
@@ -344,23 +371,21 @@ def c_correction(J, cfg, lam, Lambda, ctx):
     eta = complex(ctx.eta)
     lam = complex(lam)
     L = complex(Lambda)
-    f2e = f_eval(2 * eta, ctx)
-
-    def ep(a, k):
-        return elliptic_pochhammer(a, k, ctx)
-
-    return (f2e ** (j2 - j1)
-            * ep(2 * eta * L, i2) * _inv(ep(2 * eta * L, i1), "[2eL]_i1")
-            * ep(lam + 2 * eta * (i1 + 2 * j1 - J), j2)
-            * ep(lam + 2 * eta * (i1 + 2 * j1 - j2 - 1 - L), J - j2)
-            * _inv(ep(lam + 2 * eta * (i1 + j1 - j2), J - j1)
-                   * ep(lam + 2 * eta * (i1 + 2 * j1 - j2 - 1 - L), j1),
-                   "den")
-            * ep(lam + 2 * eta * j1, J - j1)
-            * ep(lam + 2 * eta * (2 * j1 - J - 1), j1)
-            * _inv(ep(lam + 2 * eta * (2 * i1 + 2 * j1 - j2 - L), j2)
-                   * ep(lam + 2 * eta * (2 * i1 + 2 * j1 - 2 * j2 - 1 - L),
-                        J - j2), "den"))
+    ep = elliptic_pochhammer
+    e2 = 2 * eta
+    e2L = e2 * L
+    shifted = lam + e2 * (i1 + 2 * j1 - j2 - 1 - L)
+    return (ctx.f_two_eta() ** (j2 - j1)
+            * ep(e2L, i2, ctx) * _inv(ep(e2L, i1, ctx), "[2eL]_i1")
+            * ep(lam + e2 * (i1 + 2 * j1 - J), j2, ctx)
+            * ep(shifted, J - j2, ctx)
+            * _inv(ep(lam + e2 * (i1 + j1 - j2), J - j1, ctx)
+                   * ep(shifted, j1, ctx), "den")
+            * ep(lam + e2 * j1, J - j1, ctx)
+            * ep(lam + e2 * (2 * j1 - J - 1), j1, ctx)
+            * _inv(ep(lam + e2 * (2 * i1 + 2 * j1 - j2 - L), j2, ctx)
+                   * ep(lam + e2 * (2 * i1 + 2 * j1 - 2 * j2 - 1 - L),
+                        J - j2, ctx), "den"))
 
 
 def sigma(J, cfg, p, memo=None):
@@ -375,20 +400,22 @@ def sigma(J, cfg, p, memo=None):
         return 0.0 + 0.0j
     if i1 + j1 != i2 + j2:
         return 0.0 + 0.0j
+    return _sigma(J, cfg, p, {} if memo is None else memo)
+
+
+def _sigma(J, cfg, p, memo):
+    """sigma on the support, where the range checks have passed."""
+    i1, j1, i2, j2 = cfg
     ctx = p.ctx
-    eta = complex(ctx.eta)
     # The recursion is exact to rounding; the closed form (equal to it, and
     # cross-checked in the tests) needs Richardson regularization on part
     # of the domain and is kept as an independent oracle.
-    w_value = w_fused_recursive(J, cfg, p, memo)
+    w_value = _w_hat(J, i1, j1, i2, j2, p, 0, memo) / math.comb(J, j2)
     cval = c_correction(J, cfg, p.lam, p.Lambda, ctx)
-
-    def ep(k):
-        return elliptic_pochhammer(2 * eta * k, k, ctx)
-
-    ratio = (ep(j1) * elliptic_pochhammer(2 * eta * (J - j1), J - j1, ctx)
-             * _inv(ep(j2)
-                    * elliptic_pochhammer(2 * eta * (J - j2), J - j2, ctx),
+    ep = elliptic_pochhammer
+    e2 = 2 * complex(ctx.eta)
+    ratio = (ep(e2 * j1, j1, ctx) * ep(e2 * (J - j1), J - j1, ctx)
+             * _inv(ep(e2 * j2, j2, ctx) * ep(e2 * (J - j2), J - j2, ctx),
                     "binomial ratio den"))
     return cval * w_value * ratio
 
@@ -429,9 +456,9 @@ def _trig_context(eta):
 
 
 def _psi_sigmas(cfgs, j1, p):
-    """[sigma(p.J, cfg, up) for cfg in cfgs] at the unfused parameters up
-    of (p, j1), bit for bit, with one W_J recursion memo per up kept
-    across calls.  The entries of a row share it, and so do the rows of
+    """[sigma(p.J, cfg, up) for cfg in cfgs], cfgs all on the support, at
+    the unfused parameters up of (p, j1), bit for bit, with one W_J
+    recursion memo per up kept across calls.  The entries of a row share it, and so do the rows of
     one (p, j1) at other i1, since its keys carry J and every arrow count.
     The context of up is _trig_context's, fixed by eta, so the memo is
     found by the exact bits of (v, lam, Lambda, eta).  The _W_MEMO_COUNT
@@ -447,10 +474,14 @@ def _psi_sigmas(cfgs, j1, p):
             del _w_memos[next(iter(_w_memos))]
         memo = _w_memos[key] = {}
     try:
-        return [sigma(p.J, cfg, up, memo=memo) for cfg in cfgs]
+        return [_sigma(p.J, cfg, up, memo) for cfg in cfgs]
     finally:
         if len(memo) > _W_MEMO_ENTRIES:
             memo.clear()
+
+
+_TWO_PI_I = 2j * math.pi
+_FOUR_PI = 4 * math.pi
 
 
 def _psi_unfused_params(p, j1):
@@ -462,15 +493,15 @@ def _psi_unfused_params(p, j1):
         raise SingularParameter("q must be nonzero")
     # kappa enters only through its logarithm; values down to ~1e-60 stay
     # well inside floating range for the sine factors (|f| ~ |kappa|^(-1/2)).
-    if abs(complex(p.kappa)) < 1e-60:
+    kappa = complex(p.kappa)
+    if abs(kappa) < 1e-60:
         raise SingularParameter("psi evaluation requires kappa != 0")
-    two_pi_i = 2j * math.pi
-    eta = 1j * cmath.log(q) / (4 * math.pi)
+    log_q = cmath.log(q)
+    eta = 1j * log_q / _FOUR_PI
     ctx = _trig_context(eta)
-    Lambda = cmath.log(complex(p.s)) / (two_pi_i * eta)
-    v = -cmath.log(complex(p.u)) / two_pi_i
-    lam = ((2 * j1 - p.J) * cmath.log(q)
-           - cmath.log(complex(p.kappa))) / two_pi_i
+    Lambda = cmath.log(complex(p.s)) / (_TWO_PI_I * eta)
+    v = -cmath.log(complex(p.u)) / _TWO_PI_I
+    lam = ((2 * j1 - p.J) * log_q - cmath.log(kappa)) / _TWO_PI_I
     return UnfusedWeightParams(v, lam, Lambda, ctx)
 
 
@@ -509,23 +540,31 @@ class PhiParams:
 def phi(j, i, p):
     """The q-Hahn-type stochastic weight phi_{q,a,b,kappa}(j|i); 0 unless
     0 <= j <= i.  InadmissibleParameters where a power of a complex
-    parameter leaves float range."""
+    parameter leaves float range.  Every q-Pochhammer index here is >= 0,
+    and qp is q_pochhammer's product for those, factor by factor."""
     if j < 0 or j > i:
         return 0.0 + 0.0j
     q, a, b, kap = (complex(p.q), complex(p.a), complex(p.b),
                     complex(p.kappa))
     if abs(a) < _SINGULAR_TOL:
         raise SingularParameter("phi requires a != 0")
-    qp = q_pochhammer
+
+    def qp(x, k):
+        out = power = 1.0 + 0.0j
+        for _ in range(k):
+            out *= 1.0 - power * x
+            power *= q
+        return out
+
     try:
         num = (a ** j
-               * qp(q, q, i)
-               * qp(b / a, q, j) * qp(a, q, i - j)
-               * qp(q ** i * b * kap, q, i - j)
-               * qp(q ** (i - j + 1) * kap, q, j))
-        den = (qp(q, q, j) * qp(q, q, i - j) * qp(b, q, i)
-               * qp(q ** (i - j) * a * kap, q, i - j)
-               * qp(q ** (2 * i - 2 * j + 1) * a * kap, q, j))
+               * qp(q, i)
+               * qp(b / a, j) * qp(a, i - j)
+               * qp(q ** i * b * kap, i - j)
+               * qp(q ** (i - j + 1) * kap, j))
+        den = (qp(q, j) * qp(q, i - j) * qp(b, i)
+               * qp(q ** (i - j) * a * kap, i - j)
+               * qp(q ** (2 * i - 2 * j + 1) * a * kap, j))
     except OverflowError as exc:  # complex ** raises where float gives inf
         raise InadmissibleParameters(
             "phi parameters out of float range (%s)" % exc) from None

@@ -1,23 +1,25 @@
 """Reference copies of the weight and theta layers as they were before
-the shared top-row weights, the per-row W_J memo and the theta1 exponent
-table: w1, the W_J recursion calling w1 four times per node, sigma and
-psi on a fresh memo per entry, and theta1 recomputing its exponents for
-every term.  The equality tests compare the library against these with
-==.  w1 here evaluates f through the copied theta1; c_correction,
-elliptic_pochhammer and the psi parameter map are the library's own."""
+the shared top-row weights, the per-row W_J memo, the theta1 exponent
+table, the Pochhammer memo and the per-context f(2*eta): w1, the W_J
+recursion calling w1 four times per node, sigma and psi on a fresh memo
+per entry, c_correction evaluating f(2*eta) on every call, the elliptic
+Pochhammer symbol as a plain product, the psi parameter map building a
+fresh context, theta1 recomputing its exponents for every term, and phi
+through the general q-Pochhammer symbol.  The equality tests compare the
+library against these with ==.  Only _inv, the records ArrowConfig,
+UnfusedWeightParams and EllipticContext, and the error types are the
+library's own."""
 
 import cmath
 import math
 
-from dynvertex.errors import NonConvergent
-from dynvertex.weights import (
-    ArrowConfig,
-    UnfusedWeightParams,
-    _inv,
-    _psi_unfused_params,
-    c_correction,
+from dynvertex.errors import (
+    InadmissibleParameters,
+    NonConvergent,
+    SingularParameter,
 )
-from dynvertex.specfun import elliptic_pochhammer
+from dynvertex.specfun import EllipticContext
+from dynvertex.weights import ArrowConfig, UnfusedWeightParams, _inv
 
 
 def theta1(z, ctx):
@@ -170,3 +172,113 @@ def psi(cfg, p):
         return 0.0 + 0.0j
     up = _psi_unfused_params(p, j1)
     return sigma(J, cfg, up)
+
+
+def elliptic_pochhammer(a, k, ctx):
+    """[a]_k = prod_{j=0}^{k-1} f(a - 2*eta*j) for k >= 0;
+    prod_{j=1}^{-k} 1 / f(a + 2*eta*j) for k < 0."""
+    a = complex(a)
+    two_eta = 2.0 * complex(ctx.eta)
+    out = 1.0 + 0.0j
+    if k >= 0:
+        for j in range(k):
+            out *= f_eval(a - two_eta * j, ctx)
+    else:
+        what = "f(a + 2*eta*j)"
+        for j in range(1, -k + 1):
+            value = f_eval(a + two_eta * j, ctx)
+            if abs(value) < 1e-13:
+                raise SingularParameter("vanishing %s (|%s| = %.3e)"
+                                        % (what, what, abs(value)))
+            out /= value
+    return out
+
+
+def c_correction(J, cfg, lam, Lambda, ctx):
+    """Stochastic correction factor C_J(i1,j1;i2,j2|lambda)."""
+    i1, j1, i2, j2 = cfg
+    eta = complex(ctx.eta)
+    lam = complex(lam)
+    L = complex(Lambda)
+    f2e = f_eval(2 * eta, ctx)
+
+    def ep(a, k):
+        return elliptic_pochhammer(a, k, ctx)
+
+    return (f2e ** (j2 - j1)
+            * ep(2 * eta * L, i2) * _inv(ep(2 * eta * L, i1), "[2eL]_i1")
+            * ep(lam + 2 * eta * (i1 + 2 * j1 - J), j2)
+            * ep(lam + 2 * eta * (i1 + 2 * j1 - j2 - 1 - L), J - j2)
+            * _inv(ep(lam + 2 * eta * (i1 + j1 - j2), J - j1)
+                   * ep(lam + 2 * eta * (i1 + 2 * j1 - j2 - 1 - L), j1),
+                   "den")
+            * ep(lam + 2 * eta * j1, J - j1)
+            * ep(lam + 2 * eta * (2 * j1 - J - 1), j1)
+            * _inv(ep(lam + 2 * eta * (2 * i1 + 2 * j1 - j2 - L), j2)
+                   * ep(lam + 2 * eta * (2 * i1 + 2 * j1 - 2 * j2 - 1 - L),
+                        J - j2), "den"))
+
+
+def _psi_unfused_params(p, j1):
+    """Map PsiParams to the additive trigonometric parameters; the
+    dynamical parameter depends on the horizontal input j1."""
+    q = complex(p.q)
+    if abs(q) < 1e-13:
+        raise SingularParameter("q must be nonzero")
+    if abs(complex(p.kappa)) < 1e-60:
+        raise SingularParameter("psi evaluation requires kappa != 0")
+    two_pi_i = 2j * math.pi
+    eta = 1j * cmath.log(q) / (4 * math.pi)
+    ctx = EllipticContext(mode="trigonometric", eta=eta)
+    Lambda = cmath.log(complex(p.s)) / (two_pi_i * eta)
+    v = -cmath.log(complex(p.u)) / two_pi_i
+    lam = ((2 * j1 - p.J) * cmath.log(q)
+           - cmath.log(complex(p.kappa))) / two_pi_i
+    return UnfusedWeightParams(v, lam, Lambda, ctx)
+
+
+def q_pochhammer(a, q, k):
+    """(a; q)_k for any integer k."""
+    a = complex(a)
+    q = complex(q)
+    out = 1.0 + 0.0j
+    if k >= 0:
+        p = 1.0 + 0.0j
+        for _ in range(k):
+            out *= 1.0 - p * a
+            p *= q
+    else:
+        p = 1.0 + 0.0j
+        for _ in range(-k):
+            p /= q
+            den = 1.0 - p * a
+            if abs(den) < 1e-13:
+                raise SingularParameter(
+                    "vanishing 1 - a*q^-j (|1 - a*q^-j| = %.3e)" % abs(den))
+            out /= den
+    return out
+
+
+def phi(j, i, p):
+    """The q-Hahn-type stochastic weight phi_{q,a,b,kappa}(j|i); 0 unless
+    0 <= j <= i."""
+    if j < 0 or j > i:
+        return 0.0 + 0.0j
+    q, a, b, kap = (complex(p.q), complex(p.a), complex(p.b),
+                    complex(p.kappa))
+    if abs(a) < 1e-13:
+        raise SingularParameter("phi requires a != 0")
+    qp = q_pochhammer
+    try:
+        num = (a ** j
+               * qp(q, q, i)
+               * qp(b / a, q, j) * qp(a, q, i - j)
+               * qp(q ** i * b * kap, q, i - j)
+               * qp(q ** (i - j + 1) * kap, q, j))
+        den = (qp(q, q, j) * qp(q, q, i - j) * qp(b, q, i)
+               * qp(q ** (i - j) * a * kap, q, i - j)
+               * qp(q ** (2 * i - 2 * j + 1) * a * kap, q, j))
+    except OverflowError as exc:
+        raise InadmissibleParameters(
+            "phi parameters out of float range (%s)" % exc) from None
+    return num * _inv(den, "phi denominator")

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -15,7 +16,7 @@ import dynvertex
 import prior_weights as prior
 from dynvertex.cli import dispatch
 from dynvertex import asymptotics, cli, observables
-from dynvertex.errors import Check
+from dynvertex.errors import Check, SizeLimit
 from dynvertex.models import (
     MCEstimate,
     ModelSpec,
@@ -54,6 +55,34 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_import_and_contexts_evaluate_no_f(self):
+        # f(2*eta) is kept per context but evaluated at first use: importing
+        # the CLI (which builds the check contexts) and building contexts,
+        # one whose theta series fails at 2*eta among them, evaluate no f.
+        src = os.path.dirname(os.path.dirname(dynvertex.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = textwrap.dedent("""\
+            import sys
+            seen = []
+            def prof(frame, event, arg):
+                name = frame.f_code.co_name
+                if event == "call" and name in ("f_eval", "theta1"):
+                    seen.append(name)
+            sys.setprofile(prof)
+            import dynvertex.cli
+            from dynvertex.specfun import CHECK_CONTEXTS, EllipticContext
+            EllipticContext(mode="trigonometric", eta=0.5)
+            EllipticContext(mode="elliptic", eta=0.07 + 0.05j, tau=3e-3j,
+                            max_terms=64)
+            sys.setprofile(None)
+            print(seen, [c.f_two_eta_value for c in CHECK_CONTEXTS.values()])
+            """)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[] [[], []]"
 
     def test_cli_imports_no_private_names(self):
         # The report modules own their checks; the CLI uses their public
@@ -162,6 +191,45 @@ class TestSpecfun:
         assert code == 1
         assert rep["passed"] is False
 
+    def test_default_report_pinned(self, tmp_path):
+        # The residuals of the default report, bit for bit, as they read
+        # before the Pochhammer symbols of the checks left the memo and
+        # theta1 and f(2*eta) were trimmed.
+        code, rep = run(tmp_path, "specfun")
+        assert code == 0
+        assert {c["name"]: c["residual"] for c in rep["checks"]} == {
+            "rogers_6w5_n0": 5.625625445632637e-17,
+            "rogers_6w5_n1": 1.3701826523472164e-15,
+            "rogers_6w5_n2": 1.086648675334949e-15,
+            "rogers_6w5_n3": 1.5063565087922833e-15,
+            "rogers_6w5_n4": 1.5671075319976283e-15,
+            "rogers_6w5_n5": 1.8202544596960495e-15,
+            "jackson_10v9_trig_n0": 3.188728702140774e-17,
+            "jackson_10v9_trig_n1": 2.802533501428557e-15,
+            "jackson_10v9_trig_n2": 6.811018512633867e-15,
+            "jackson_10v9_trig_n3": 1.1723405665908502e-14,
+            "jackson_10v9_trig_n4": 4.8455923450265357e-14,
+            "riemann_quartic_trig": 1.2850769537376456e-14,
+            "elliptic_pochhammer_identity_1_trig": 3.667343151914493e-16,
+            "elliptic_pochhammer_identity_2_trig": 2.5285489727635094e-16,
+            "elliptic_pochhammer_identity_3_trig": 3.6934298932251344e-16,
+            "jackson_10v9_elliptic_n0": 4.086084237304895e-17,
+            "jackson_10v9_elliptic_n1": 3.5196396999546596e-15,
+            "jackson_10v9_elliptic_n2": 1.036764355321698e-14,
+            "jackson_10v9_elliptic_n3": 1.3103928983492675e-14,
+            "jackson_10v9_elliptic_n4": 1.889557150820152e-13,
+            "riemann_quartic_elliptic": 6.984851185334049e-14,
+            "elliptic_pochhammer_identity_1_elliptic": 4.754021644187405e-15,
+            "elliptic_pochhammer_identity_2_elliptic": 3.1258985767416475e-16,
+            "elliptic_pochhammer_identity_3_elliptic": 3.913680710947737e-16,
+            "basic_pochhammer_identity_1": 1.378868391507716e-15,
+            "basic_pochhammer_identity_2": 2.927462079944374e-15,
+            "basic_pochhammer_identity_3": 6.709959614022109e-15,
+            "basic_pochhammer_identity_4": 5.030966220022392e-15,
+            "basic_pochhammer_identity_5": 7.0058753067028255e-16,
+            "basic_pochhammer_identity_6": 6.54286368459899e-16,
+            "basic_pochhammer_identity_7": 1.1864434137773174e-11}
+
 
 class TestCheckWeights:
     def test_both_families(self, tmp_path):
@@ -251,6 +319,26 @@ class TestSymfun:
         assert {c["name"] for c in rep["checks"]} == {
             "b_symmetry_trig", "d_symmetry_trig",
             "b_symmetry_elliptic", "d_symmetry_elliptic"}
+
+    def test_default_report_pinned(self, tmp_path):
+        # The residuals and the total mass of the default report, bit for
+        # bit, as they read before theta1, w1 and sigma were trimmed.
+        code, rep = run(tmp_path, "symfun")
+        assert code == 0
+        by_name = {c["name"]: c for c in rep["checks"]}
+        mass = by_name["b_stochastic_total_mass"]["value"]
+        assert mass == 1.0000000000000013
+        assert {name: c["residual"] for name, c in by_name.items()} == {
+            "b_symmetry_trig": 1.2477834239360078e-15,
+            "d_symmetry_trig": 9.695503047290842e-16,
+            "b_branching_trig": 3.6293155777834413e-16,
+            "b_fusion_trig": 1.8789189141898726e-15,
+            "b_symmetry_elliptic": 1.9194624519770106e-15,
+            "d_symmetry_elliptic": 1.555137401607139e-15,
+            "b_branching_elliptic": 1.0349915892434814e-15,
+            "b_fusion_elliptic": 1.8512972782139014e-15,
+            "b_stochastic_formula_vs_vertex": 5.551115123125783e-17,
+            "b_stochastic_total_mass": 1.3322676295501878e-15}
 
 
 class TestSimulate:
@@ -470,6 +558,32 @@ class TestVerifyIdentity:
         assert code == 1
         row = rep["checks"][-1]
         assert row["gated"] and not row["passed"]
+        assert row["residual"] < row["tolerance"] == 1e-6
+        assert all(c["passed"] for c in rep["checks"][:-1])
+
+    def test_agreeing_samples_off_the_answer_exit_1_without_the_law(
+            self, tmp_path, monkeypatch):
+        # The same agreement with the exact law skipped: the Markov bound
+        # from the observable's range, ((rhs - lo) / (v - lo))^n with
+        # lo = -5.4, rhs = -0.25, v = 0 and n = 10000, fails the floor.
+        def lhs_mc(spec, samples, seed):
+            return MCEstimate(mean=0.0, stderr=0.0, n_samples=10000,
+                              base_seed=seed)
+
+        def lhs_law(spec, bound):
+            raise SizeLimit("exact law skipped")
+
+        monkeypatch.setattr(observables, "lhs_mc", lhs_mc)
+        monkeypatch.setattr(observables, "_lhs_law", lhs_law)
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep",
+                        "--x", "2", "--N", "3", "--samples", "2",
+                        "--seed", "1")
+        assert code == 1
+        assert rep["identity"]["lhs_exact_skipped"] == "exact law skipped"
+        row = rep["checks"][-1]
+        assert row["gated"] and row["floor"] and not row["passed"]
+        assert row["residual"] == pytest.approx(
+            ((rep["identity"]["rhs"] + 5.4) / 5.4) ** 10000, rel=1e-9)
         assert row["residual"] < row["tolerance"] == 1e-6
         assert all(c["passed"] for c in rep["checks"][:-1])
 

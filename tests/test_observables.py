@@ -23,7 +23,7 @@ from dynvertex.errors import (
     NotConverged,
     SizeLimit,
 )
-from dynvertex.models import ModelSpec
+from dynvertex.models import MCEstimate, ModelSpec
 from dynvertex.observables import (
     ContourSpec,
     ObservableSpec,
@@ -525,6 +525,29 @@ class TestPlacement:
         if observables._vanishes(spec):
             assert solve_contours(spec) == prior.solve_contours(spec)
 
+    def test_geometry_built_once_per_search(self, monkeypatch):
+        # The search checks many trial contours against one pole cluster
+        # and one set of exclusions, built once per solve_contours call.
+        spec = ObservableSpec(QHAHN, (3, 2, 1), 3)
+        want = solve_contours(spec)
+        calls = []
+
+        def counted(name):
+            fn = getattr(observables, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(observables, name, wrapper)
+
+        for name in ("_pole_cluster", "_exclusions", "_check_contour"):
+            counted(name)
+        assert solve_contours(spec) == want
+        assert calls.count("_pole_cluster") == 1
+        assert calls.count("_exclusions") == 1
+        assert calls.count("_check_contour") > 1
+
 
 @st.composite
 def contraction_draws(draw):
@@ -633,20 +656,79 @@ class TestIdentityCheck:
                   tolerance=4.0)]
         assert checks[1].residual < 4.0
 
-    def test_mc_row_ungated_when_samples_agree(self):
-        # Both samples give the same current: a standard error of 0 gives
-        # the sigma gate no scale, and with the exact law skipped nothing
-        # gives the agreement a chance, so the row is reported ungated.
-        rep, checks = identity_check(ObservableSpec(PEP, (2,), 3),
-                                     samples=2, seed=1, exact_bound=1)
+    def test_mc_row_gated_by_the_range_bound_when_the_law_is_skipped(self):
+        # Both samples give the same current and the exact law is skipped:
+        # the row's residual is a Markov bound on the chance of n samples
+        # at v from the observable's range and its mean, the answer.
+        spec = ObservableSpec(PEP, (2,), 3)
+        rep, checks = identity_check(spec, samples=2, seed=1, exact_bound=1)
         assert rep["lhs_exact"] is None
         assert rep["lhs_mc"]["stderr"] == 0.0
         assert rep["residual_mc_vs_quadrature_sigmas"] == math.inf
+        v, rhs = rep["lhs_mc"]["mean"], rep["rhs"]
+        # X = -(1 + h + 5) h / 5 over currents h = 0..3 (J N = 3).
+        assert observables._lhs_range(spec) == (-5.4, -0.0)
+        assert v == 0.0 and rhs == pytest.approx(-0.25, abs=1e-12)
         assert checks[-1] == Check(
-            "mc_expectation_vs_quadrature_sigmas",
-            value=rep["lhs_mc"]["mean"], residual=math.inf,
-            message="all 2 samples agree, so the standard error is 0 and a "
-            "sigma gate has no scale; |mean - rhs| = 2.500e-01 is not gated")
+            "mc_expectation_vs_quadrature_sigmas", value=v,
+            residual=((rhs + 5.4) / 5.4) ** 2, tolerance=1e-6, floor=True,
+            message="all 2 samples agree, so the standard error is 0; the "
+            "exact law was skipped, so the residual bounds the chance of "
+            "that by Markov's inequality on the observable's range "
+            "[-5.4, -0] and the answer, gated to be at least the tolerance")
+        assert checks[-1].as_dict()["passed"] is True
+
+    def test_law_skipped_agreement_off_the_answer_fails(self, monkeypatch):
+        # 10000 samples all at 0, a quarter above the answer -0.25: the
+        # bound ((rhs - lo) / (v - lo))^n is far below the floor.
+        def lhs_mc(spec, samples, seed):
+            return MCEstimate(mean=0.0, stderr=0.0, n_samples=10000,
+                              base_seed=seed)
+
+        monkeypatch.setattr(observables, "lhs_mc", lhs_mc)
+        _, checks = identity_check(ObservableSpec(PEP, (2,), 3), samples=2,
+                                   exact_bound=1)
+        row = checks[-1].as_dict()
+        assert row["gated"] and row["floor"] and not row["passed"]
+        assert row["residual"] < 1e-6
+        assert all(c.as_dict()["passed"] for c in checks[:-1])
+
+    @pytest.mark.parametrize("x", [3, 4])
+    def test_law_skipped_agreement_at_the_answer_passes(self, x):
+        # At x >= N no particle passes the probe site: every sample is 0,
+        # the answer is 0 up to the quadrature's rounding, and the bound
+        # is 1.
+        rep, checks = identity_check(ObservableSpec(PEP, (x,), 3),
+                                     samples=20, seed=1, exact_bound=1)
+        assert rep["lhs_exact"] is None
+        assert rep["lhs_mc"] == {"mean": 0.0, "stderr": 0.0,
+                                 "n_samples": 20, "base_seed": 1}
+        assert 0.0 < abs(rep["rhs"]) < 1e-15
+        assert checks[-1].residual == 1.0
+        assert checks[-1].floor and checks[-1].tolerance == 1e-6
+        assert all(c.as_dict()["passed"] for c in checks)
+
+    @pytest.mark.parametrize("spec", [
+        ObservableSpec(PEP, (2, 1), 4),
+        ObservableSpec(ModelSpec.jgamma_pep(J=2, gamma=7.0), (3,), 3),
+        ObservableSpec(QHAHN, (2, 1), 3),
+        ObservableSpec(qhahn_model(delta=0.0), (2,), 3),
+        ObservableSpec(ModelSpec.qhahn(Q, -0.2, B=(-0.3, -0.5),
+                                       C=(Q, Q ** 2), J=(1, 2)), (2, 1), 3)])
+    def test_range_holds_every_value_of_the_law(self, spec):
+        lo, hi = observables._lhs_range(spec)
+        _, values = observables._lhs_law(spec, 200000)
+        assert lo <= min(values) and max(values) <= hi
+
+    def test_agreement_bound(self):
+        bound = observables._agreement_bound
+        assert bound(2.0, 1.0, 0.0, 4.0) == 0.5   # (rhs - lo) / (v - lo)
+        assert bound(0.0, 1.0, 0.0, 4.0) == 0.75  # (hi - rhs) / (hi - v)
+        assert bound(1.0, 1.0, 0.0, 4.0) == 1.0
+        assert bound(2.0, 1.0, -math.inf, 4.0) == 1.0
+        assert bound(2.0, -1.0, 0.0, 4.0) == 0.0  # rhs below the range
+        assert bound(0.0, -1.0, 0.0, 4.0) == 0.0  # v at lo, above rhs
+        assert bound(4.0, 5.0, 0.0, 4.0) == 0.0
 
     def test_mc_row_gated_by_the_exact_chance_of_agreeing(self):
         # With the exact law the same row's residual is P(X = v)^n, the

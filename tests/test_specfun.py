@@ -4,11 +4,18 @@ functions, and terminating hypergeometric summation identities."""
 import cmath
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import prior_weights as prior
-from dynvertex.errors import NonConvergent, NonTerminating, SingularParameter
+from dynvertex import specfun
+from dynvertex.errors import (
+    DynVertexError,
+    NonConvergent,
+    NonTerminating,
+    SingularParameter,
+)
 from dynvertex.specfun import (
     EllipticContext,
     elliptic_pochhammer,
@@ -23,7 +30,19 @@ from dynvertex.specfun import (
 
 TRIG = EllipticContext(mode="trigonometric", eta=0.07)
 ELL = EllipticContext(mode="elliptic", eta=0.07, tau=1.3j)
+ELL_SKEW = EllipticContext(mode="elliptic", eta=0.11 + 0.02j,
+                           tau=0.4 + 0.9j)
 CONTEXTS = [TRIG, ELL]
+
+
+def outcome_bits(fn, *args):
+    """float.hex of the parts of fn's value, or the type and message of
+    the library error it raised."""
+    try:
+        value = fn(*args)
+    except DynVertexError as err:
+        return type(err), str(err)
+    return value.real.hex(), value.imag.hex()
 
 
 class TestContext:
@@ -82,6 +101,20 @@ class TestPochhammer:
                 rhs = (elliptic_pochhammer(a, k, ctx)
                        * elliptic_pochhammer(a - 2 * eta * k, m, ctx))
                 assert lhs == pytest.approx(rhs, rel=1e-11)
+
+    @settings(max_examples=150)
+    @given(st.floats(-0.6, 0.6), st.floats(-0.3, 0.3), st.integers(-4, 5),
+           st.sampled_from([TRIG, ELL, ELL_SKEW]))
+    @example(0.31, 0.12, 0, TRIG)
+    @example(-0.0, 0.0, 0, ELL)
+    @example(0.0, 0.0, -1, TRIG)  # 1 / f(2*eta)
+    @example(-0.14, 0.0, -1, TRIG)  # 1 / f(0) raises SingularParameter
+    def test_elliptic_equal_to_prior(self, x, y, k, ctx):
+        ctx.pochhammer_memo.clear()
+        a = complex(x, y)
+        want = outcome_bits(prior.elliptic_pochhammer, a, k, ctx)
+        assert outcome_bits(elliptic_pochhammer, a, k, ctx) == want
+        assert outcome_bits(elliptic_pochhammer, a, k, ctx) == want  # hit
 
     @pytest.mark.parametrize("ctx", CONTEXTS, ids=["trig", "ell"])
     def test_reflection(self, ctx):
@@ -151,6 +184,16 @@ class TestTheta:
         enough = EllipticContext(mode="elliptic", eta=0.07, tau=1e-3j)
         assert theta1(0.3 + 0.1j, enough) == prior.theta1(0.3 + 0.1j, enough)
 
+    def test_f_two_eta_kept_from_first_use(self):
+        for eta, tau in ((0.07, None), (0.11 + 0.02j, 0.4 + 0.9j)):
+            mode = "trigonometric" if tau is None else "elliptic"
+            ctx = EllipticContext(mode=mode, eta=eta, tau=tau)
+            assert ctx.f_two_eta_value == []
+            want = prior.f_eval(2 * complex(eta), ctx)
+            assert ctx.f_two_eta() == want
+            assert ctx.f_two_eta_value == [want]
+            assert ctx.f_two_eta() == want
+
     def test_trig_mode_f(self):
         z = 0.42 + 0.11j
         assert f_eval(z, TRIG) == pytest.approx(cmath.sin(math.pi * z))
@@ -214,6 +257,24 @@ class TestSeries:
 
 
 class TestIdentityChecks:
+    @settings(max_examples=50)
+    @given(st.integers(0, 2 ** 32), st.floats(-5.0, 5.0),
+           st.floats(0.0, 5.0))
+    def test_uniform_draws_as_numpy(self, seed, lo, width):
+        ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+        hi = lo + width
+        assert ([specfun._uniform(ours, lo, hi) for _ in range(20)]
+                == [theirs.uniform(lo, hi) for _ in range(20)])
+
+    def test_checks_leave_the_pochhammer_memos_alone(self):
+        # Their random arguments never repeat, so the checks evaluate the
+        # products without the memos of the contexts they run in.
+        for ctx in specfun.CHECK_CONTEXTS.values():
+            ctx.pochhammer_memo.clear()
+        identity_checks(3, 2, 1e-10)
+        assert [ctx.pochhammer_memo for ctx in
+                specfun.CHECK_CONTEXTS.values()] == [{}, {}]
+
     @pytest.mark.parametrize("size", [0, -1])
     def test_empty_grid_rejected(self, size):
         with pytest.raises(ValueError, match="grid_size"):

@@ -4,17 +4,18 @@ multiplicative-parameter weights, and closed-form degenerations."""
 
 import cmath
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import prior_weights as prior
 from dynvertex import specfun, weights
 from dynvertex.errors import (
     DynVertexError,
     InadmissibleParameters,
+    NonConvergent,
     PatternMismatch,
     SingularParameter,
 )
@@ -581,6 +582,16 @@ def weight_rows(draw):
 
 
 @st.composite
+def phi_entries(draw):
+    """Complex phi parameters, and (j, i) including entries off 0..i."""
+    p = PhiParams(q=draw(cplx(0.1, 0.9, 0.2)), a=draw(cplx(-1.5, 1.5, 0.5)),
+                  b=draw(cplx(-1.5, 1.5, 0.5)),
+                  kappa=draw(cplx(-1.0, 1.0, 0.5)))
+    i = draw(st.integers(0, 8))
+    return p, draw(st.integers(-1, i + 1)), i
+
+
+@st.composite
 def psi_rows(draw):
     """Multiplicative parameters (s real or imaginary, as in the general
     model's defaults) and a row (i1, j1), including rows off the support."""
@@ -613,6 +624,9 @@ class TestEqualToPrior:
             ref = outcome(prior.sigma, J, cfg, p)
             assert outcome(sigma, J, cfg, p) == ref
             assert outcome(sigma, J, cfg, p, memo=memo) == ref
+            args = (J, cfg, p.lam, p.Lambda, p.ctx)
+            assert (outcome(c_correction, *args)
+                    == outcome(prior.c_correction, *args))
 
     @settings(max_examples=100)
     @given(psi_rows())
@@ -625,6 +639,84 @@ class TestEqualToPrior:
         row = outcome(psi_row, i1, j1, pp)
         errors = [r for r in ref if isinstance(r, tuple)]
         assert row == (errors[0] if errors else ref)
+
+    @settings(max_examples=150)
+    @given(phi_entries())
+    # a ** 2 overflows; a = 0 is singular; k = 0 products at i = j = 0.
+    @example((PhiParams(q=0.5, a=1e200, b=0.1, kappa=0.1), 2, 3))
+    @example((PhiParams(q=0.5, a=0.0, b=0.1, kappa=0.1), 1, 3))
+    @example((PhiParams(q=0.5, a=0.3, b=0.1, kappa=0.1), 0, 0))
+    def test_phi(self, draw):
+        p, j, i = draw
+        want = bits(outcome(prior.phi, j, i, p))
+        assert bits(outcome(phi, j, i, p)) == want
+
+    def test_vanishing_f_two_eta_raises(self):
+        # At eta = 1/2, f(2*eta) = sin(pi) is below the singular tolerance:
+        # the (k,0; k-1,1) case raises from the same call as before, and
+        # every other outcome is unchanged.
+        ctx = EllipticContext(mode="trigonometric", eta=0.5)
+        assert 0.0 < abs(ctx.f_two_eta()) < 1e-13
+        p = params(ctx)
+        expect = (SingularParameter, "vanishing f(2*eta)")
+        assert outcome(w1, ArrowConfig(2, 0, 1, 1), p) == expect
+        assert outcome(prior.w1, ArrowConfig(2, 0, 1, 1), p) == expect
+        seen = []
+        for J in (1, 2, 3):
+            for i1, j1 in product(range(3), range(J + 1)):
+                for j2 in range(min(J, i1 + j1) + 1):
+                    cfg = ArrowConfig(i1, j1, i1 + j1 - j2, j2)
+                    for new, old in ((w_fused_recursive,
+                                      prior.w_fused_recursive),
+                                     (sigma, prior.sigma)):
+                        seen.append(outcome(new, J, cfg, p))
+                        assert seen[-1] == outcome(old, J, cfg, p)
+        assert expect in seen
+
+    def test_f_two_eta_series_failure_raises_at_first_use(self):
+        # The theta series fails at 2*eta (Im 0.1) but not on the real
+        # axis: the context builds, f(2*eta) raises NonConvergent at each
+        # use and is never kept, and the weights fail as before.
+        ctx = EllipticContext(mode="elliptic", eta=0.07 + 0.05j,
+                              tau=3e-3j, max_terms=64)
+        assert f_eval(0.3, ctx) == prior.f_eval(0.3, ctx)
+        for _ in range(2):
+            with pytest.raises(NonConvergent):
+                ctx.f_two_eta()
+            assert ctx.f_two_eta_value == []
+        eta = complex(ctx.eta)
+        p = UnfusedWeightParams(2.0 * eta - 0.3, 0.4, 2.0, ctx)
+        for cfg in [(1, 0, 1, 0), (1, 1, 2, 0), (1, 0, 0, 1), (1, 1, 1, 1)]:
+            cfg = ArrowConfig(*cfg)
+            assert outcome(w1, cfg, p) == outcome(prior.w1, cfg, p)
+        args = (2, ArrowConfig(1, 1, 1, 1), 0.4, 2.0, ctx)
+        assert (outcome(c_correction, *args)
+                == outcome(prior.c_correction, *args)
+                == (NonConvergent,
+                    "theta series did not converge within max_terms"))
+
+    @pytest.mark.parametrize("eta, v, lam, L, J, cfg", [
+        (0.0707308119919467 + 15.348252249433436j,
+         0.9745184020660258 + 14.327998998951955j,
+         0.41034450844253945 + 44.83691272849603j,
+         0.8674035018337438 - 24.074199320451136j, 1, (2, 1, 3, 0)),
+        (0.12094939800767869 - 1.1296621826270332j,
+         0.6816966652553431 + 209.54096136558508j,
+         -0.3126968126844645 - 9.201931573126132j,
+         2.2489882278765463 - 4.4078805873583065j, 2, (2, 2, 2, 2))],
+        ids=["J1", "J2"])
+    def test_off_support_child_keeps_a_non_finite_top_weight(
+            self, eta, v, lam, L, J, cfg):
+        # The top-row weight of a child off the support is not finite
+        # here, so 0 times it is nan, and the value keeps that nan as the
+        # reference recursion does.
+        p = UnfusedWeightParams(v, lam, L,
+                                EllipticContext(mode="trigonometric",
+                                                eta=eta))
+        cfg = ArrowConfig(*cfg)
+        want = prior.w_fused_recursive(J, cfg, p)
+        assert cmath.isnan(want)
+        assert bits(w_fused_recursive(J, cfg, p)) == bits(want)
 
     def test_vanishing_top_row_denominator_raises(self):
         # lam = 0 puts f(lambda) = 0 in the level-J top row at loff = 0.
