@@ -37,9 +37,7 @@ def heat_profile(s, r, J=1):
     sigma^2 = rJ/(J+1)^2, in closed form (J+1) * (sigma * phi(s/sigma) -
     (s/2) * erfc(s / (sigma sqrt 2))) with phi the standard normal density.
     It equals the contour-integral representation on 1 + iR."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    sigma = math.sqrt(r * J) / (J + 1.0)
+    sigma = math.sqrt(_rate(r) * J) / (J + 1.0)
     density = math.exp(-0.5 * (s / sigma) ** 2) / math.sqrt(2.0 * math.pi)
     return (J + 1.0) * (sigma * density
                         - 0.5 * s * math.erfc(s / (sigma * math.sqrt(2.0))))
@@ -124,6 +122,13 @@ def _horizon(T):
     return int(T)
 
 
+def _rate(r):
+    """r as a float; the limit laws need r > 0, checked before sampling."""
+    if not float(r) > 0:
+        raise ValueError("r must be positive, got %r" % (r,))
+    return float(r)
+
+
 def _site_at_density(eta, T):
     """floor(eta T), the site probed at density eta after T steps; one
     below site 1 has no current to read, and raises before any sampling."""
@@ -171,7 +176,7 @@ def _experiment_heat_lln(seed, /, J=1, r=1.0, s=0.0, T=1600, samples=20000):
     """The scaled current against heat_profile at each s (a number or a
     list); the CSV tabulates the profile on s = -2, -1.9, ..., 2 and at each
     configured s, with the empirical mean where one was measured."""
-    J, r, T, samples = int(J), float(r), _horizon(T), int(samples)
+    J, r, T, samples = int(J), _rate(r), _horizon(T), int(samples)
     multi = isinstance(s, (list, tuple))
     s_list = [float(v) for v in s] if multi else [float(s)]
     model = ModelSpec.jgamma_pep(J=J, gamma=_NONDYN_GAMMA)
@@ -227,7 +232,7 @@ def _gamma_observables(J, r, s, T, gamma, m_list):
 
 def _experiment_dynamic_gamma(seed, /, J=1, r=1.0, s=0.0, T=10000,
                               gamma=3.0, samples=10000, m_list=(1, 2)):
-    J, r, s, T = int(J), float(r), float(s), _horizon(T)
+    J, r, s, T = int(J), _rate(r), float(s), _horizon(T)
     gamma, samples = float(gamma), int(samples)
     m_list = [int(m) for m in m_list]
     model = ModelSpec.jgamma_pep(J=J, gamma=gamma)

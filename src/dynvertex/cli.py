@@ -37,8 +37,8 @@ import numpy as np
 
 from . import __version__
 from .errors import Check, DynVertexError
-from .models import (ModelSpec, initial_state, occupancy_ensemble,
-                     run_ensemble, step)
+from .models import (ModelSpec, check_ensemble_size, initial_state,
+                     occupancy_ensemble, run_ensemble, step)
 from .observables import ObservableSpec, identity_check
 from .asymptotics import experiment
 from .specfun import identity_checks
@@ -185,6 +185,14 @@ def _config_complex(v):
     return complex(*v) if isinstance(v, list) and len(v) == 2 else v
 
 
+def _powers(q, exponents, what):
+    """The q-Hahn defaults (q^e, ...), or a config error where undefined."""
+    try:
+        return tuple(q ** e for e in exponents)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise _ConfigError("q = %r leaves %s undefined: %s" % (q, what, exc))
+
+
 def _model_from_config(model, cfg):
     _check_keys(cfg, _MODEL_KEYS[model], "model")
     try:
@@ -200,13 +208,9 @@ def _model_from_config(model, cfg):
         if model == "qhahn":
             q = cfg.get("q", 0.4)
             J = tuple(cfg.get("J", (1,)))
-            try:
-                C = tuple(cfg.get("C", tuple(q ** j for j in J)))
-                B = tuple(cfg.get("B", (q ** -2,)))
-            except (ZeroDivisionError, OverflowError) as exc:
-                raise _ConfigError("q = %r leaves the default B = (q^-2,) "
-                                   "or C = (q^J, ...) undefined: %s"
-                                   % (q, exc))
+            what = "the default B = (q^-2,) or C = (q^J, ...)"
+            C = tuple(cfg.get("C", _powers(q, J, what)))
+            B = tuple(cfg.get("B", _powers(q, (-2,), what)))
             return ModelSpec.qhahn(q, cfg.get("delta", -0.2), B, C, J)
         if model == "pep":
             return ModelSpec.jgamma_pep(cfg.get("J", 1),
@@ -240,11 +244,20 @@ def _probe_site(s, spec, steps):
     return int(s) if s.is_integer() else s
 
 
+def _check_size(steps, samples):
+    """check_ensemble_size, as a config error."""
+    try:
+        check_ensemble_size(steps, samples)
+    except ValueError as exc:
+        raise _ConfigError(str(exc))
+
+
 def _run_simulate(args):
     if args.steps < 0:
         raise _ConfigError("--steps must be >= 0, got %d" % args.steps)
     if args.samples < 1:
         raise _ConfigError("--samples must be >= 1, got %d" % args.samples)
+    _check_size(args.steps, args.samples)
     cfg = _load_config(args.config)
     spec = _model_from_config(args.model, cfg)
     sites = tuple(_probe_site(s, spec, args.steps) for s in args.sites)
@@ -294,11 +307,7 @@ def _run_verify_identity(args):
     try:
         if args.form == "qhahn":
             J = tuple(args.J)
-            try:
-                C = tuple(args.q ** j for j in J)
-            except (ZeroDivisionError, OverflowError) as exc:
-                raise _ConfigError("q = %r leaves C = (q^J, ...) undefined:"
-                                   " %s" % (args.q, exc))
+            C = _powers(args.q, J, "C = (q^J, ...)")
             model = ModelSpec.qhahn(args.q, args.delta, tuple(args.b), C, J)
         else:
             model = ModelSpec.jgamma_pep(args.J[0], args.gamma)
@@ -308,6 +317,7 @@ def _run_verify_identity(args):
     if args.samples < 0 or args.samples == 1:  # a stderr needs two
         raise _ConfigError("--samples must be 0 or >= 2, got %d"
                            % args.samples)
+    _check_size(args.N, args.samples)
     rep, rows = identity_check(spec, samples=args.samples, seed=args.seed,
                                tol=args.tol)
     return {"subcommand": "verify-identity",

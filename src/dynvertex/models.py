@@ -58,6 +58,7 @@ calls each observable once with it.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -1070,6 +1071,20 @@ _ENGINES = {
 }
 
 
+def check_ensemble_size(N, samples):
+    """ValueError where samples trajectories of N steps would need more than
+    the physical memory os.sysconf reports, at a byte per sample and lattice
+    row (N + 2 rows), about the least an engine holds.  Allocates nothing."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no such sysconf here
+        return
+    if samples * (N + 2) > have:
+        raise ValueError("%d samples of %d steps need at least %d bytes, "
+                         "more than the %d bytes of physical memory"
+                         % (samples, N, samples * (N + 2), have))
+
+
 def run_ensemble(spec, N, samples, base_seed, observables):
     """Independent trajectories; one MCEstimate per observable.
 
@@ -1088,6 +1103,7 @@ def run_ensemble(spec, N, samples, base_seed, observables):
     N, samples = int(N), int(samples)
     if samples < 1 or N < 0:
         raise ValueError("need at least one sample and N >= 0 steps")
+    check_ensemble_size(N, samples)
     ens = _ENGINES[spec.variant](spec, N, samples,
                                  _trajectory_rng(base_seed, 0))
     return _estimates(ens, base_seed, observables)

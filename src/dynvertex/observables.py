@@ -5,13 +5,12 @@ contour quadrature.
 Two forms are supported.  The multiplicative form applies to the q-Hahn
 model: the expectation of a k-fold product involving q^(+-h_N(x)) equals a
 k-fold contour integral over circles enclosing the cluster
-union_i {1, 1/q, ..., q^(1-J_i)} and excluding 0 and every b_i, with
-the nesting convention that, for i < j, the j-th circle strictly contains
-1/q times the i-th (so later circles grow to the right).  The additive
-(PEP) form applies to the partial exclusion process: circles enclose
-{2, ..., J+1}, exclude 0, and for i < j the j-th circle strictly contains
-the i-th shifted by -1.  Both identities require the probe sites listed
-in weakly decreasing order.
+union_i {1, 1/q, ..., q^(1-J_i)} and excluding 0 and every b_i.  The
+additive (PEP) form applies to the partial exclusion process: circles
+enclose {2, ..., J+1} and exclude 0.  In each form one map nests the
+circles, z/q or z - 1: for i < j the j-th circle strictly contains the
+image of the i-th (_image; later q-Hahn circles grow to the right).
+Both identities require the probe sites listed in weakly decreasing order.
 
 solve_contours places the circles.  Its seed is greedy: the first circle
 pads the cluster by 0.25 on each side, and each later one also contains
@@ -19,13 +18,12 @@ the image of the one before, padded by 0.125.  A short coordinate search
 then moves each circle's two real-axis endpoints by 0.4, 0.2, 0.1 and
 0.05 of its radius to lower the product of the node counts that the
 trapezoid rule's geometric rate predicts on each circle: the rate is set
-by the circle's nearest singularity, weighed by its pole order (N - x_j +
-1 at 1, the multiplicity of each b_i and 1 at 0 in the multiplicative
-form; N - x_j at J + 1 and x_j at 0 in the PEP form), the images of the
-other circles counting at half weight.  A move is kept only if no pole's
-predicted count more than doubles, the contour stays valid and the
-rounding-floor estimate of the sum does not rise above the seed's.  An
-identity that vanishes whatever the parameters keeps the seed.
+by the circle's nearest singularity, weighed by its pole order
+(_pole_orders), the images of the other circles counting at half weight.
+A move is kept only if no pole's predicted count more than doubles, the
+contour stays valid and the rounding-floor estimate of the sum does not
+rise above the seed's.  An identity that vanishes whatever the
+parameters keeps the seed.
 
 For every k the integrand is prod_j f_j(z_j) times the pair factors
 (z_i - z_j)/(z_i - q z_j), or (z_i - z_j)/(z_i - z_j - 1) for PEP, so one
@@ -38,14 +36,14 @@ at half their nodes.  The value is accepted from a pass whose relative
 change (doubling_change) from the pass at half the nodes on every circle
 is below tol, with the rounding level of the sum as a floor (so a zero
 integral converges).  The first pass puts twice the start count on every
-circle: twice 32, or twice the first power of two above the largest pole
-order inside the contours (fewer nodes alias the integrand's Laurent
-coefficients), so that its halved pass keeps that guard.  A failed pass
-doubles the fewest circles predicted to suffice, or every circle, and
-sums only the node tuples new to it: a doubled circle's even nodes are
-its previous nodes.  A pass beyond 4096 nodes on a circle or 2^32 node
-tuples, or a rounding floor above tol * max(1, |value|), raises
-NotConverged instead.
+circle: twice the constant ContourSpec.nodes_per_circle = 32, or twice
+the first power of two above the largest pole order inside the contours
+(fewer nodes alias the integrand's Laurent coefficients), so that its
+halved pass keeps that guard.  A failed pass doubles the fewest circles
+predicted to suffice, or every circle, and sums only the node tuples new
+to it: a doubled circle's even nodes are its previous nodes.  A pass
+beyond 4096 nodes on a circle or 2^32 node tuples, or a rounding floor
+above tol * max(1, |value|), raises NotConverged instead.
 
 The printed sources drift by one in a few indices; the conventions frozen
 here (which factors read the current at x_j versus x_j + 1, which prefix
@@ -58,6 +56,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -144,29 +143,16 @@ class ObservableSpec:
 @dataclass(frozen=True)
 class ContourSpec:
     """Nested circles on the real axis, one per integration variable,
-    ordered outermost first.  nodes_per_circle is the start count of the
-    quadrature's node schedule, unless the pole order inside the contours
-    needs more: the first pass puts twice it on every circle, so that its
-    halved pass has the start count, and later passes give each circle its
-    own count.  It must be a power of two >= 4."""
+    ordered outermost first.  nodes_per_circle, a constant, is the start
+    count of the quadrature's node schedule (rhs_quadrature)."""
 
     circles: tuple  # ((center, radius), ...) as floats
-    nodes_per_circle: int = _START_NODES
-    # Per-level nesting maps applied to earlier circles when checking the
-    # later ones: a multiplicative factor (1/q) for the multiplicative form,
-    # an additive shift (-1) for the PEP form.  Populated by solve_contours;
-    # informational for hand-built contours.
-    nesting_offsets: tuple = ()
+    nodes_per_circle: ClassVar[int] = _START_NODES
 
     def __post_init__(self):
-        n = self.nodes_per_circle
-        if n < 4 or n & (n - 1):
-            raise ValueError("nodes_per_circle must be a power of two >= 4")
         object.__setattr__(
             self, "circles",
             tuple((float(c), float(r)) for c, r in self.circles))
-        object.__setattr__(self, "nesting_offsets",
-                           tuple(self.nesting_offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -312,45 +298,64 @@ def lhs_exact(spec, bound=200000):
 # Contour geometry
 
 
-def _pole_cluster(spec):
-    """Real points every contour must enclose."""
+def _points(spec):
+    """(cluster, exclusions): the real points every contour must enclose,
+    and those no contour may enclose or touch."""
     m = spec.model
-    if spec.form == "qhahn":
-        pts = set()
-        for y in range(1, spec.N + 1):
-            jy = m.J[(y - 1) % len(m.J)]
-            for p in range(jy):
-                pts.add(m.q ** (-p))
-        return sorted(pts)
-    return list(range(2, int(m.J) + 2))
+    if spec.form == "pep":
+        return list(range(2, int(m.J) + 2)), [0.0]
+    cluster = {m.q ** -p for y in range(1, spec.N + 1)
+               for p in range(_cyc(m.J, y))}
+    excl = {0.0} | {float(_cyc(m.B, x))
+                    for x in range(1, max(spec.x_list) + 1)}
+    return sorted(cluster), sorted(excl)
 
 
-def _exclusions(spec):
-    """Real points no contour may enclose or touch."""
-    m = spec.model
-    if spec.form == "qhahn":
-        excl = {0.0}
-        for x in range(1, max(spec.x_list) + 1):
-            excl.add(float(_cyc(m.B, x)))
-        return sorted(excl)
-    return [0.0]
+def _image(spec, circle, later):
+    """The circle (c, r) under the nesting map, z/q (multiplicative form)
+    or z - 1 (PEP form), as a later circle sees it, when later; else under
+    its inverse, q z or z + 1, as an earlier circle sees it."""
+    c, r = circle
+    if spec.form == "pep":
+        return (c - 1.0, r) if later else (c + 1.0, r)
+    q = spec.model.q
+    return (c / q, r / q) if later else (c * q, r * q)
+
+
+def _relation(image, circle):
+    """(relation, rho) of an image circle, of radius a and center d from
+    c, against a circle (c, r) on the real axis: disjoint, inside,
+    enclosing or crossing, and the ratio at which the trapezoid rule on
+    (c, r) converges past the image's nearest point (inf where crossing)."""
+    (ci, a), (c, r) = image, circle
+    d = abs(ci - c)
+    if d > r + a:
+        return "disjoint", r / (d - a)
+    if d + a < r:
+        return "inside", (d + a) / r
+    if d + r < a:
+        return "enclosing", r / (a - d)
+    return "crossing", math.inf
+
+
+# The relations an image may have to the circle that sees it, by `later`:
+# a later circle holds an earlier one's image or keeps it outside, and an
+# earlier circle lies inside a later one's inverse image or outside it.
+_ALLOWED = {True: ("disjoint", "inside"), False: ("disjoint", "enclosing")}
 
 
 def _seed_circles(spec, cluster, excl):
     """Greedy nested circles: the first pads the pole cluster by _MARGIN;
-    for i < j the j-th circle also contains the image (1/q times, or -1
-    plus) of the (j-1)-th, padded by _MARGIN / 2.  cluster and excl are
-    _pole_cluster(spec) and _exclusions(spec).  Raises ContourInfeasible
-    when the exclusions cannot be kept outside."""
+    for i < j the j-th circle also contains the image (_image) of the
+    (j-1)-th, its endpoints mapped and padded by _MARGIN / 2.  cluster and
+    excl are _points(spec).  Raises ContourInfeasible when the exclusions
+    cannot be kept outside."""
     lo0, hi0 = min(cluster) - _MARGIN, max(cluster) + _MARGIN
     lo, hi = lo0, hi0
     circles = []
     for depth in range(spec.k):
         if depth > 0:
-            if spec.form == "qhahn":
-                lo, hi = lo / spec.model.q, hi / spec.model.q
-            else:
-                lo, hi = lo - 1.0, hi - 1.0
+            lo, hi = (_image(spec, (e, 0.0), True)[0] for e in (lo, hi))
             lo = min(lo0, lo - 0.5 * _MARGIN)
             hi = max(hi0, hi + 0.5 * _MARGIN)
         c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -363,40 +368,39 @@ def _seed_circles(spec, cluster, excl):
     return circles
 
 
-def _rate_poles(spec, j):
-    """(enclosed, excluded): the poles of variable j's integrand, f_j
-    times its measure, that circle j must enclose and exclude, each as
-    (point, _RATE_DIGITS + (order - 1) ln _RATE_NODES).  The multiplicative
-    form has order N - x_j + 1 at 1, the multiplicity of each b_i (i < x_j)
-    and 1 at 0; the PEP form has N - x_j at J + 1 and x_j at 0."""
+def _pole_orders(spec, j):
+    """(enclosed, excluded): {point: order} of the poles of variable j's
+    integrand, f_j times its measure, that circle j must enclose and
+    exclude.  The multiplicative form has order N - x_j + 1 at 1, the
+    multiplicity of each b_i (i < x_j) and 1 at 0; the PEP form has
+    N - x_j at J + 1 and x_j at 0.  An order may be 0."""
     m, x = spec.model, spec.x_list[j]
-    if spec.form == "qhahn":
-        enclosed, excluded = {1.0: spec.N - x + 1}, {0.0: 1}
-        for i in range(1, x):
-            bi = float(_cyc(m.B, i))
-            excluded[bi] = excluded.get(bi, 0) + 1
-    else:
-        enclosed, excluded = {m.J + 1.0: spec.N - x}, {0.0: x}
+    if spec.form == "pep":
+        return {m.J + 1.0: spec.N - x}, {0.0: x}
+    enclosed, excluded = {1.0: spec.N - x + 1}, {0.0: 1}
+    for i in range(1, x):
+        bi = float(_cyc(m.B, i))
+        excluded[bi] = excluded.get(bi, 0) + 1
+    return enclosed, excluded
 
-    def weigh(poles):
-        return [(p, _RATE_DIGITS + (order - 1) * math.log(_RATE_NODES))
-                for p, order in poles.items() if order > 0]
 
-    return weigh(enclosed), weigh(excluded)
+def _rate_poles(spec, j):
+    """The poles of _pole_orders(spec, j) of positive order, each as
+    (point, _RATE_DIGITS + (order - 1) ln _RATE_NODES)."""
+    return tuple([(p, _RATE_DIGITS + (order - 1) * math.log(_RATE_NODES))
+                  for p, order in poles.items() if order > 0]
+                 for poles in _pole_orders(spec, j))
 
 
 def _vanishes(spec):
-    """Whether the identity is 0 whatever the model's parameters.  h(x_j)
-    is at most J o_j, o_j = N - x_j + 1 (N - x_j in the PEP form, whose
-    current is read at x_j + 1) and J the largest row degree, and it grows
-    with j as the sites fall.  So where J o_j <= j for some j, the first i
-    with h(x_i) <= i has h(x_i) = i, and factor i of the left side,
-    q^i - q^h or h - i, is 0."""
-    m = spec.model
-    J = max(m.J) if spec.form == "qhahn" else m.J
-    shift = 1 if spec.form == "qhahn" else 0
-    return any(J * (spec.N - x + shift) <= j
-               for j, x in enumerate(spec.x_list))
+    """Whether the identity is 0 whatever the parameters.  h(x_j) is at
+    most J o_j, o_j the order of circle j's enclosed pole (_pole_orders)
+    and J the largest row degree, and grows with j as the sites fall.  So
+    where J o_j <= j for some j, the first i with h(x_i) <= i has
+    h(x_i) = i, and factor i of the left side, q^i - q^h or h - i, is 0."""
+    J = np.max(spec.model.J)  # a tuple in the multiplicative form
+    return any(J * order <= j for j in range(spec.k)
+               for order in _pole_orders(spec, j)[0].values())
 
 
 def _pole_nodes(circle, poles):
@@ -425,34 +429,23 @@ def _predicted_nodes(spec, circles, own):
     geometric rate (Trefethen & Weideman, SIAM Review 56 (2014) 385)
     predicts: the larger of own[j], the largest count of _pole_nodes on
     circle j, and, for every other variable, the count past its circle's
-    image, the cross factor's poles in variable j.  An image's rho is that
-    of its nearest point: (d + a) / r inside circle j (allowed for an
-    earlier variable), r / (d - a) outside it, and r / (a - d) around it
-    (allowed for a later one), d being the distance of its center from c
-    and a its radius.  Its weight is _RATE_DIGITS / 2: the image's poles
-    are the other circle's nodes, so its error falls with that circle's
-    count as well.  Returns inf when an image crosses a circle or lies on
-    the wrong side of it."""
-    if spec.form == "qhahn":
-        q = spec.model.q
-        maps = ((1.0 / q, 0.0), (q, 0.0))  # images of earlier, later
-    else:
-        maps = ((1.0, -1.0), (1.0, 1.0))
+    image, the cross factor's poles in variable j, at the image's rho
+    (_relation).  Its weight is _RATE_DIGITS / 2: the image's poles are
+    the other circle's nodes, so its error falls with that circle's count
+    as well.  Returns inf when an image crosses a circle or lies on the
+    wrong side of it (_ALLOWED)."""
+    # Images as scale * z + shift, the coefficients read off _image: its
+    # own z / q moves some predictions by an ulp, and so a few searches.
+    maps = {later: _image(spec, (0.0, 1.0), later) for later in (False, True)}
     total = 1.0
     for j, (c, r) in enumerate(circles):
         worst = 0.0  # the largest rho of an image
         for i, (ci, ri) in enumerate(circles):
             if i == j:
                 continue
-            scale, shift = maps[i > j]
-            a, d = scale * ri, abs(scale * ci + shift - c)
-            if d > r + a:
-                rho = r / (d - a)
-            elif i < j and d + a < r:
-                rho = (d + a) / r
-            elif i > j and d + r < a:
-                rho = r / (a - d)
-            else:
+            shift, scale = maps[i < j]
+            relation, rho = _relation((scale * ci + shift, scale * ri), (c, r))
+            if relation not in _ALLOWED[i < j]:
                 return math.inf
             worst = max(worst, rho)
         if worst >= 1.0:
@@ -485,14 +478,10 @@ def solve_contours(spec):
     its rounding floor, so its counts follow the floor and every term at
     once, which the model does not see.  Raises ContourInfeasible when the
     exclusions cannot be kept outside."""
-    points = _pole_cluster(spec), _exclusions(spec)
+    points = _points(spec)
     circles, k = _seed_circles(spec, *points), spec.k
-    if spec.form == "qhahn":
-        offsets = (1.0 / spec.model.q,) * (k - 1)
-    else:
-        offsets = (-1.0,) * (k - 1)
     if _vanishes(spec):
-        return ContourSpec(circles=tuple(circles), nesting_offsets=offsets)
+        return ContourSpec(circles=circles)
     poles = [_rate_poles(spec, j) for j in range(k)]
 
     def size(j, c, r):
@@ -538,7 +527,7 @@ def solve_contours(spec):
             state = moved(j, end, 1.0, frac) or moved(j, end, -1.0, frac)
             if state:
                 circles, own, sizes, best = state
-    return ContourSpec(circles=tuple(circles), nesting_offsets=offsets)
+    return ContourSpec(circles=circles)
 
 
 def _pole_order(spec):
@@ -551,23 +540,11 @@ def _pole_order(spec):
     return spec.N - min(spec.x_list) + spec.k - 1
 
 
-def _relation(img_c, img_r, c, r):
-    """Placement of an image circle against a disk on the real axis."""
-    d = abs(img_c - c)
-    if d > r + img_r:
-        return "disjoint"
-    if d + img_r < r:
-        return "inside"
-    if d + r < img_r:
-        return "enclosing"
-    return "crossing"
-
-
 def _check_contour(spec, contour, points=None):
-    """Raise ContourInfeasible unless contour is valid for spec.  points,
-    when given, is (_pole_cluster(spec), _exclusions(spec)), built once by
+    """Raise ContourInfeasible unless contour is valid for spec (_points,
+    _image, _ALLOWED).  points, when given, is _points(spec), built once by
     a caller that checks many contours."""
-    cluster, excl = points or (_pole_cluster(spec), _exclusions(spec))
+    cluster, excl = points or _points(spec)
     if len(contour.circles) != spec.k:
         raise ContourInfeasible("need one circle per variable")
     for c, r in contour.circles:
@@ -581,28 +558,13 @@ def _check_contour(spec, contour, points=None):
                 raise ContourInfeasible(
                     "excluded point %.6f inside circle (%.4f, %.4f)"
                     % (e, c, r))
-    for i in range(spec.k):
-        for j in range(i + 1, spec.k):
-            ci, ri = contour.circles[i]
-            cj, rj = contour.circles[j]
-            if spec.form == "qhahn":
-                q = spec.model.q
-                early = _relation(q * cj, q * rj, ci, ri)
-                late = _relation(ci / q, ri / q, cj, rj)
-            else:
-                early = _relation(cj + 1.0, rj, ci, ri)
-                late = _relation(ci - 1.0, ri, cj, rj)
-            # The cross pole hit by the earlier variable must stay outside
-            # its disk; the one hit by the later variable may be enclosed
-            # or avoided but must not touch the contour.
-            if early not in ("disjoint", "enclosing"):
-                raise ContourInfeasible(
-                    "cross pole of variable %d not excluded by circle %d"
-                    % (i, i))
-            if late not in ("disjoint", "inside"):
-                raise ContourInfeasible(
-                    "cross pole of variable %d touches circle %d"
-                    % (j, j))
+    for pair in itertools.combinations(range(spec.k), 2):
+        for later, (i, j), what in ((False, pair[::-1], "not excluded by"),
+                                    (True, pair, "touches")):
+            image = _image(spec, contour.circles[i], later)
+            if _relation(image, contour.circles[j])[0] not in _ALLOWED[later]:
+                raise ContourInfeasible("cross pole of variable %d %s "
+                                        "circle %d" % (j, what, j))
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +716,7 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
     at N_j / 2 (_halved).  V is accepted when its change from V_half, the
     value with every circle halved, |V - V_half| / max(|V|, floor / tol)
     (the doubling_change of full=True), is at most tol.  The first pass
-    puts twice contour.nodes_per_circle, or twice the first power of two
+    puts twice _START_NODES, or twice the first power of two
     above _pole_order, on every circle.  After a failed pass, the fewest
     circles double whose doubling the sums predict to bring the next
     change within tol / _SAFETY: with every other circle halved, the value
@@ -798,7 +760,7 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
                 " its terms overflowed or all underflowed" % (ns, cur, floor))
         return sums, cur, floor
 
-    n = contour.nodes_per_circle
+    n = _START_NODES
     # Fewer nodes than the pole order alias the Laurent coefficients of the
     # integrand, and two aliased passes can agree.
     order = _pole_order(spec)
@@ -914,9 +876,12 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
     }
     if contour is None:
         contour = solve_contours(spec)
+    # The nesting map's shift -1 (PEP form), or, where it has none, its
+    # factor 1/q: the image of the unit circle about 0.
+    shift, factor = _image(spec, (0.0, 1.0), True)
     report["contour"] = {"circles": [list(c) for c in contour.circles],
                          "nodes_per_circle": contour.nodes_per_circle,
-                         "nesting_offsets": list(contour.nesting_offsets)}
+                         "nesting_offsets": [shift or factor] * (spec.k - 1)}
     exact_rhs = rhs_exact(spec)
     if exact_rhs is not None:
         exact_rhs = float(exact_rhs)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     Check,
+    InadmissibleParameters,
     NonConvergent,
     NonTerminating,
     SingularParameter,
@@ -151,7 +152,7 @@ def theta1(z, ctx):
     computed once per context by the same expressions; the terms, sums
     and stopping test are those of the plain loop, so values equal
     recomputing everything on every call bit for bit.  Nothing that
-    depends on z is cached."""
+    depends on z is cached.  InadmissibleParameters past float range."""
     if not ctx.is_elliptic:
         raise ValueError("theta1 requires an elliptic context")
     exp = cmath.exp
@@ -162,27 +163,36 @@ def theta1(z, ctx):
     # scale is the largest |partial sum| so far; the test starts at j = 1.
     scale = 0.0
     later = False
-    for a, b, a2, b2 in ctx.theta_exponents:
-        t = exp(a + b * zh) + exp(a2 + b2 * zh)
-        total += t
-        size = abs(total)
-        if size > scale:
-            scale = size
-        if later:
-            if abs(t) < tol * (scale if scale >= 1e-300 else 1e-300):
-                return -total
-        else:
-            later = True
+    try:
+        for a, b, a2, b2 in ctx.theta_exponents:
+            t = exp(a + b * zh) + exp(a2 + b2 * zh)
+            total += t
+            size = abs(total)
+            if size > scale:
+                scale = size
+            if later:
+                if abs(t) < tol * (scale if scale >= 1e-300 else 1e-300):
+                    return -total
+            else:
+                later = True
+    except OverflowError as exc:
+        raise InadmissibleParameters("theta1 argument %r out of float range "
+                                     "(%s)" % (z, exc)) from None
     raise NonConvergent("theta series did not converge within max_terms")
 
 
 def f_eval(z, ctx):
-    """f(z): theta1(z; tau) in elliptic mode, sin(pi z) in trigonometric."""
+    """f(z): theta1(z; tau) in elliptic mode, sin(pi z) in trigonometric.
+    InadmissibleParameters where the value leaves float range."""
     if ctx.is_elliptic:
         return theta1(z, ctx)
     if type(z) is not complex:  # complex(z) is z itself for a complex
         z = complex(z)
-    return _sin(_PI * z)
+    try:
+        return _sin(_PI * z)
+    except OverflowError as exc:
+        raise InadmissibleParameters("f argument %r out of float range (%s)"
+                                     % (z, exc)) from None
 
 
 def elliptic_pochhammer(a, k, ctx):

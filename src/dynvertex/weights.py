@@ -70,9 +70,13 @@ class UnfusedWeightParams:
     Lambda: complex
     ctx: EllipticContext
 
-    def shifted(self, dv=0, dlam=0):
-        return UnfusedWeightParams(self.v + dv, self.lam + dlam,
-                                   self.Lambda, self.ctx)
+
+def _on_support(J, cfg):
+    """Whether cfg = (i1, j1, i2, j2) is on the support of the level-J
+    weights (w1 at J = 1): j1, j2 in 0..J, i1, i2 >= 0, i1 + j1 = i2 + j2."""
+    i1, j1, i2, j2 = cfg
+    return (0 <= j1 <= J and 0 <= j2 <= J and i1 >= 0 and i2 >= 0
+            and i1 + j1 == i2 + j2)
 
 
 def _inv(value, what):
@@ -123,11 +127,9 @@ _W1_CASES = {(0, 0): _w1_00, (1, 0): _w1_10, (0, 1): _w1_01, (1, 1): _w1_11}
 
 def w1(cfg, p):
     """The four-case unfused vertex weight; 0 off the support."""
+    if not _on_support(1, cfg):
+        return 0.0 + 0.0j
     i1, j1, i2, j2 = cfg
-    if min(i1, j1, i2, j2) < 0 or j1 > 1 or j2 > 1:
-        return 0.0 + 0.0j
-    if i1 + j1 != i2 + j2:
-        return 0.0 + 0.0j
     v, lam, L = complex(p.v), complex(p.lam), complex(p.Lambda)
     ctx = p.ctx
     eta = complex(ctx.eta)
@@ -199,14 +201,10 @@ def _w_hat(J, i1, j1, i2, j2, p, loff, memo):
 
 def w_fused_recursive(J, cfg, p, memo=None):
     """Fused weight W_J via the recursion, = (column sum) / binom(J, j2)."""
-    i1, j1, i2, j2 = cfg
-    if j1 < 0 or j1 > J or j2 < 0 or j2 > J or i1 < 0 or i2 < 0:
+    if not _on_support(J, cfg):
         return 0.0 + 0.0j
-    if i1 + j1 != i2 + j2:
-        return 0.0 + 0.0j
-    if memo is None:
-        memo = {}
-    return _w_hat(J, i1, j1, i2, j2, p, 0, memo) / math.comb(J, j2)
+    return (_w_hat(J, *cfg, p, 0, {} if memo is None else memo)
+            / math.comb(J, cfg[3]))
 
 
 def _closed_eval(J, cfg, p, eps):
@@ -262,11 +260,9 @@ def w_fused_closed(J, cfg, p):
     continuing the integer parameters by +-eps in the Pochhammer arguments
     and Richardson-extrapolating the even-order error away (four levels,
     O(eps^8)), which agrees with the recursive evaluation to ~1e-11."""
+    if not _on_support(J, cfg):
+        return 0.0 + 0.0j
     i1, j1, i2, j2 = cfg
-    if j1 < 0 or j1 > J or j2 < 0 or j2 > J or i1 < 0 or i2 < 0:
-        return 0.0 + 0.0j
-    if i1 + j1 != i2 + j2:
-        return 0.0 + 0.0j
     if j1 + j2 <= J and i2 >= j1:
         return _closed_eval(J, cfg, p, 0.0)
     eps = 6e-3
@@ -395,10 +391,7 @@ def sigma(J, cfg, p, memo=None):
     every value equal bit for bit to a call without it.  The Pochhammer
     factors of C_J and of the ratio come from p.ctx's memo (see
     elliptic_pochhammer), so calls in one context compute each once."""
-    i1, j1, i2, j2 = cfg
-    if j1 < 0 or j1 > J or j2 < 0 or j2 > J or i1 < 0 or i2 < 0:
-        return 0.0 + 0.0j
-    if i1 + j1 != i2 + j2:
+    if not _on_support(J, cfg):
         return 0.0 + 0.0j
     return _sigma(J, cfg, p, {} if memo is None else memo)
 
@@ -497,10 +490,14 @@ def _psi_unfused_params(p, j1):
     if abs(kappa) < 1e-60:
         raise SingularParameter("psi evaluation requires kappa != 0")
     log_q = cmath.log(q)
+    u, s = complex(p.u), complex(p.s)
+    # cmath.log raises at u = 0 or s = 0, and q = 1 puts eta at 0.
+    if not (log_q and u and s):
+        raise SingularParameter("psi requires q != 1, u != 0 and s != 0")
     eta = 1j * log_q / _FOUR_PI
     ctx = _trig_context(eta)
-    Lambda = cmath.log(complex(p.s)) / (_TWO_PI_I * eta)
-    v = -cmath.log(complex(p.u)) / _TWO_PI_I
+    Lambda = cmath.log(s) / (_TWO_PI_I * eta)
+    v = -cmath.log(u) / _TWO_PI_I
     lam = ((2 * j1 - p.J) * log_q - cmath.log(kappa)) / _TWO_PI_I
     return UnfusedWeightParams(v, lam, Lambda, ctx)
 
@@ -508,13 +505,9 @@ def _psi_unfused_params(p, j1):
 def psi(cfg, p):
     """psi weight, computed through the stochastic sigma weight in the
     trigonometric mode under the multiplicative-to-additive substitution."""
-    i1, j1, i2, j2 = cfg
-    J = p.J
-    if j1 < 0 or j1 > J or j2 < 0 or j2 > J or i1 < 0 or i2 < 0:
+    if not _on_support(p.J, cfg):
         return 0.0 + 0.0j
-    if i1 + j1 != i2 + j2:
-        return 0.0 + 0.0j
-    return _psi_sigmas([cfg], j1, p)[0]
+    return _psi_sigmas([cfg], cfg[1], p)[0]
 
 
 def psi_row(i1, j1, p):

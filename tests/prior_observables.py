@@ -24,19 +24,17 @@ from dynvertex.observables import (
     _MAX_NODES,
     ContourSpec,
     _check_contour,
-    _exclusions,
-    _pole_cluster,
+    _points,
     _pole_order,
 )
 
 
-def solve_contours(spec, nodes_per_circle=32, margin=0.25):
+def solve_contours(spec, margin=0.25):
     """Greedy nested-circle geometry.  The first circle hugs the pole
     cluster; for i < j the j-th circle additionally contains the image
     (1/q times, or -1 plus) of the i-th circle, with a strict margin.
     Raises ContourInfeasible when the exclusions cannot be kept outside."""
-    cluster = _pole_cluster(spec)
-    excl = _exclusions(spec)
+    cluster, excl = _points(spec)
     lo0, hi0 = min(cluster), max(cluster)
     q = spec.model.q if spec.form == "qhahn" else None
     intervals = []
@@ -60,13 +58,7 @@ def solve_contours(spec, nodes_per_circle=32, margin=0.25):
                     "excluded point %.6f inside circle (%.4f, %.4f)"
                     % (e, c, r))
         circles.append((c, r))
-    if spec.form == "qhahn":
-        offsets = (1.0 / q,) * (spec.k - 1)
-    else:
-        offsets = (-1.0,) * (spec.k - 1)
-    return ContourSpec(circles=tuple(circles),
-                       nodes_per_circle=nodes_per_circle,
-                       nesting_offsets=offsets)
+    return ContourSpec(circles=tuple(circles))
 
 
 def rhs_quadrature_doubling(spec, contour=None, tol=1e-8):

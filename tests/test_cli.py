@@ -15,7 +15,7 @@ import pytest
 import dynvertex
 import prior_weights as prior
 from dynvertex.cli import dispatch
-from dynvertex import asymptotics, cli, observables
+from dynvertex import asymptotics, cli, models, observables
 from dynvertex.errors import Check, SizeLimit
 from dynvertex.models import (
     MCEstimate,
@@ -905,6 +905,70 @@ class TestAsymptotics:
             "fluctuation_exponent_vs_one_third"
         assert rep["config"]["experiment_config"] == {
             "q": 0.25, "eta": 0.5, "T_list": [50, 100], "samples": 200}
+
+
+class TestSizeAndRate:
+    """Configs whose runs cannot start exit 2 with one line, before any
+    trajectory is sampled or any buffer allocated."""
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        # 1 TiB of physical memory whatever the machine, and no engine
+        # that may run: the size check alone must stop these configs.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 28}
+        monkeypatch.setattr(models.os, "sysconf", pages.__getitem__)
+
+        def refuse(*args):
+            raise AssertionError("an engine ran")
+
+        for name in models._ENGINES:
+            monkeypatch.setitem(models._ENGINES, name, refuse)
+
+    @pytest.mark.parametrize("argv, says", [
+        (["asymptotics", "--experiment", "kpz-exponent", "--config",
+          '{"samples": 1e12, "T_list": [10, 20]}'],
+         "error: invalid experiment config: 1000000000000 samples of 10 "
+         "steps need at least 12000000000000 bytes, more than the "
+         "1099511627776 bytes of physical memory\n"),
+        (["simulate", "--model", "pep", "--steps", "10", "--samples",
+          "1000000000000"],
+         "error: 1000000000000 samples of 10 steps need at least "
+         "12000000000000 bytes, more than the 1099511627776 bytes of "
+         "physical memory\n"),
+        (["verify-identity", "--form", "pep", "--x", "2", "1", "--N", "4",
+          "--samples", "1000000000000"],
+         "error: 1000000000000 samples of 4 steps need at least "
+         "6000000000000 bytes, more than the 1099511627776 bytes of "
+         "physical memory\n"),
+    ], ids=["kpz", "simulate", "verify-identity"])
+    def test_huge_sample_count_exits_2(self, tmp_path, capsys, no_engine,
+                                       argv, says):
+        code, rep = run(tmp_path, *argv)
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == says
+
+    def test_size_bound_is_one_byte_per_sample_and_row(self, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 600, "SC_PHYS_PAGES": 2}
+        monkeypatch.setattr(models.os, "sysconf", pages.__getitem__)
+        models.check_ensemble_size(10, 100)  # 100 * 12 bytes fit
+        with pytest.raises(ValueError, match="^101 samples of 10 steps "
+                           "need at least 1212 bytes, more than the 1200 "):
+            models.check_ensemble_size(10, 101)
+        # Where os.sysconf cannot tell, nothing is rejected.
+        monkeypatch.delattr(models.os, "sysconf")
+        models.check_ensemble_size(10, 10 ** 15)
+
+    @pytest.mark.parametrize("name", ["heat", "gamma"])
+    @pytest.mark.parametrize("r", ["0", "-1", "NaN"])
+    def test_non_positive_rate_exits_2(self, tmp_path, capsys, no_engine,
+                                       name, r):
+        # gamma divided by its target, 0 at r = 0, after sampling.
+        code, rep = run(tmp_path, "asymptotics", "--experiment", name,
+                        "--config", '{"samples": 2, "T": 1, "r": %s}' % r)
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment config: r must be "
+                              "positive, got ") and err.count("\n") == 1
 
 
 class TestCheck:

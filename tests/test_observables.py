@@ -169,6 +169,13 @@ class TestContours:
         assert len(contour.circles) == 3
         assert all(c - r > 0 for c, r in contour.circles)
 
+    def test_circles_are_the_only_field(self):
+        # The start count of the node schedule is a constant.
+        assert ContourSpec.nodes_per_circle == 32
+        assert ContourSpec(circles=[(1, 0.5)]).circles == ((1.0, 0.5),)
+        with pytest.raises(TypeError):
+            ContourSpec(circles=((1.0, 0.3),), nodes_per_circle=64)
+
     def test_pep_k3_infeasible(self):
         # Three levels of -1 shifts push a real-centered circle onto 0.
         spec = ObservableSpec(PEP, (2, 2, 1), 3)
@@ -273,10 +280,6 @@ class TestContours:
             else:
                 with pytest.raises(NotConverged, match="imaginary part"):
                     rhs_quadrature(spec)
-
-    def test_bad_node_count(self):
-        with pytest.raises(ValueError):
-            ContourSpec(circles=((1.0, 0.3),), nodes_per_circle=500)
 
 
 class TestAliasing:
@@ -525,9 +528,18 @@ class TestPlacement:
         if observables._vanishes(spec):
             assert solve_contours(spec) == prior.solve_contours(spec)
 
+    def test_vanishes_reads_the_largest_row_degree(self):
+        # Row 1 has degree 2, so h(1) may reach 2 and this identity is not
+        # 0, though row 2's degree, 1, would bound h(1) by 1.
+        model = ModelSpec.qhahn(0.4, -0.2, B=(-0.3,), C=(0.16, 0.4), J=(2, 1))
+        spec = ObservableSpec(model, (1, 1), 1)
+        assert lhs_exact(spec) != 0.0
+        assert not observables._vanishes(spec)
+
     def test_geometry_built_once_per_search(self, monkeypatch):
         # The search checks many trial contours against one pole cluster
-        # and one set of exclusions, built once per solve_contours call.
+        # and one set of exclusions, _points, built once per solve_contours
+        # call.
         spec = ObservableSpec(QHAHN, (3, 2, 1), 3)
         want = solve_contours(spec)
         calls = []
@@ -541,11 +553,10 @@ class TestPlacement:
 
             monkeypatch.setattr(observables, name, wrapper)
 
-        for name in ("_pole_cluster", "_exclusions", "_check_contour"):
+        for name in ("_points", "_check_contour"):
             counted(name)
         assert solve_contours(spec) == want
-        assert calls.count("_pole_cluster") == 1
-        assert calls.count("_exclusions") == 1
+        assert calls.count("_points") == 1
         assert calls.count("_check_contour") > 1
 
 
@@ -630,7 +641,14 @@ class TestIdentityCheck:
         assert rep["quadrature_diagnostics"]["doubling_change"] < 1e-8
         assert abs(rep["quadrature_diagnostics"]["imag_part"]) < 1e-12
         assert rep["contour"]["circles"]
+        assert rep["contour"]["nesting_offsets"] == [1 / Q]
         assert rep["conventions"]["pep_rhs_sign_per_variable"] == -1
+
+    def test_pep_contour_report(self):
+        # The PEP form nests by the shift -1, once per later circle.
+        contour = identity_check(ObservableSpec(PEP, (2, 1), 3))[0]["contour"]
+        assert contour["nesting_offsets"] == [-1.0]
+        assert contour["nodes_per_circle"] == 32
 
     def test_size_limited_exact_is_none(self):
         spec = ObservableSpec(QHAHN, (2,), 3)

@@ -832,3 +832,82 @@ class TestCaches:
             assert len(weights._trig_contexts) <= weights._TRIG_CONTEXT_CAP
             assert all(len(c.pochhammer_memo) <= specfun._POCHHAMMER_MEMO_CAP
                        for c in weights._trig_contexts.values())
+
+
+@st.composite
+def float_range_draws(draw):
+    """A trigonometric or elliptic context, an argument z of f, unfused
+    parameters, a level J with a configuration (on the support or not),
+    and psi's parameters, each of modulus 0 or in [0.05, 2].  The
+    imaginary parts of z, v and lam lie within 2 of the real axis, where
+    every product of f in the weights stays in float range, or, in half
+    of the draws, may lie beyond 300, where f alone leaves it (sin(pi z)
+    past about 226, theta1 sooner)."""
+    near = st.floats(-2.0, 2.0)
+    imag = (near | st.floats(300.0, 1e6) | st.floats(-1e6, -300.0)
+            if draw(st.booleans()) else near)
+    eta = complex(draw(st.floats(0.02, 0.45)), draw(st.floats(-0.3, 0.3)))
+    if draw(st.booleans()):
+        ctx = EllipticContext(mode="elliptic", eta=eta, tau=complex(
+            draw(st.floats(-0.5, 0.5)), draw(st.floats(0.5, 2.0))))
+    else:
+        ctx = EllipticContext(mode="trigonometric", eta=eta)
+    z, v, lam = (complex(draw(near), draw(imag)) for _ in range(3))
+    L = complex(draw(st.floats(-3.0, 3.0)), draw(near))
+    J = draw(st.integers(1, 3))
+    i1, j1, j2 = (draw(st.integers(0, n)) for n in (3, J, J))
+    radius = st.floats(0.0, 2.0).map(lambda r: r if r >= 0.05 else 0.0)
+    polar = st.builds(cmath.rect, radius, st.floats(-math.pi, math.pi))
+    pp = PsiParams(u=draw(polar), s=draw(polar), q=draw(polar), J=J,
+                   kappa=draw(polar))
+    return (ctx, z, UnfusedWeightParams(v, lam, L, ctx), J,
+            ArrowConfig(i1, j1, i1 + j1 - j2, j2), pp)
+
+
+class TestFloatRange:
+    """Where an argument of f leaves float range, the weights raise a
+    DynVertexError, not cmath's OverflowError."""
+
+    @settings(max_examples=300)
+    @given(float_range_draws())
+    def test_finite_or_typed(self, draw):
+        ctx, z, p, J, cfg, pp = draw
+        i1, j1, _, j2 = cfg
+        j1, j2 = min(j1, 1), min(j2, 1)
+        calls = [(f_eval, z, ctx), (w1, (i1, j1, i1 + j1 - j2, j2), p),
+                 (w_fused_recursive, J, cfg, p), (sigma, J, cfg, p),
+                 (psi, cfg, pp)]
+        if ctx.is_elliptic:
+            calls.append((specfun.theta1, z, ctx))
+        for fn, *args in calls:
+            try:
+                value = fn(*args)
+            except DynVertexError:
+                continue
+            assert cmath.isfinite(value), (fn.__name__, args, value)
+
+    def test_theta1_past_float_range(self):
+        ctx = EllipticContext(mode="elliptic", eta=0.07, tau=1.3j)
+        with pytest.raises(InadmissibleParameters,
+                           match=r"^theta1 argument \(0\.1\+300j\) out of "
+                           r"float range \(math range error\)$"):
+            specfun.theta1(0.1 + 300j, ctx)
+
+    @pytest.mark.parametrize("fn, args", [
+        (w1, (ArrowConfig(1, 0, 1, 0),)),
+        (w_fused_recursive, (2, ArrowConfig(1, 1, 1, 1))),
+        (sigma, (2, ArrowConfig(1, 1, 1, 1)))])
+    def test_weights_past_float_range(self, fn, args):
+        # f(lam) = sin(pi lam) at Im lam = 250 is beyond float range.
+        p = UnfusedWeightParams(0.3, 0.2 + 250j, 2.0, TRIG)
+        with pytest.raises(InadmissibleParameters,
+                           match=r"^f argument .* out of float range"):
+            fn(*args, p)
+
+    @pytest.mark.parametrize("field", ["q", "u", "s"])
+    def test_psi_degenerate_parameters(self, field):
+        # u = 0 and s = 0 have no logarithm, and q = 1 puts eta at 0.
+        kw = dict(u=0.7, s=0.3, q=0.4, J=2, kappa=0.5)
+        kw[field] = 1.0 if field == "q" else 0.0
+        with pytest.raises(SingularParameter, match="psi requires q != 1"):
+            psi(ArrowConfig(1, 1, 1, 1), PsiParams(**kw))
