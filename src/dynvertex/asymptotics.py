@@ -371,10 +371,13 @@ ExperimentRun = namedtuple("ExperimentRun", "report config checks csv")
 def experiment(kind, config=None, seed=0):
     """Run one named scaling-limit experiment.  config holds the
     experiment's keyword parameters; an unknown key raises TypeError, and a
-    time horizon below 1 ValueError.  Returns an ExperimentRun: the report,
-    the config completed with its defaults, the checks (Checks with no
-    tolerance of their own, which the CLI's --gate fills), and the CSV
-    table (columns, rows)."""
+    time horizon below 1 ValueError.  Only memory bounds a horizon: an
+    ensemble of more than physical memory's bytes at one per sample and
+    step raises ValueError before sampling (models.check_ensemble_size),
+    and any smaller one runs however long it takes.  Returns an
+    ExperimentRun: the report, the config completed with its defaults, the
+    checks (Checks with no tolerance of their own, which the CLI's --gate
+    fills), and the CSV table (columns, rows)."""
     if kind not in _EXPERIMENTS:
         raise ValueError("unknown experiment %r; choose from %s"
                          % (kind, sorted(_EXPERIMENTS)))

@@ -478,7 +478,10 @@ def _build_parser():
         "gamma -> (m, mc_mean, mc_stderr, target, rel_error).  At J = 1, "
         "s = 0 and an even step count, gamma's report also reads its "
         "moments at the corner origin, zeta(0) = 2 * current(T/2 + 1), "
-        "in a corner_moments block.")
+        "in a corner_moments block.  Only memory bounds a time horizon: "
+        "a config whose ensemble needs more bytes than physical memory "
+        "(one per sample and step) exits 2, and any other runs however "
+        "long it takes.")
     p.add_argument("--experiment", required=True,
                    choices=tuple(_EXPERIMENT_NAMES))
     p.add_argument("--config", help="JSON experiment config, inline or "

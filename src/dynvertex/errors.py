@@ -39,10 +39,6 @@ class NonConvergent(DynVertexError):
     """A series failed to converge within the term budget."""
 
 
-class NonTerminating(DynVertexError):
-    """A series that must terminate has no termination index."""
-
-
 class PatternMismatch(DynVertexError):
     """An arrow configuration does not match the requested special case."""
 

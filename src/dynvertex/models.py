@@ -278,10 +278,9 @@ class Ensemble:
         return 2 * h + round(2 * x) if self.corner else h
 
 
-def initial_state(spec, seed=0, rng=None):
+def initial_state(spec, seed=0):
     """Fresh trajectory at time 0 (an empty system)."""
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     occ = np.zeros(1, dtype=np.int64)
     return SystemState(time=0, occupancy=occ, total_particles=0, rng=rng)
 
@@ -558,6 +557,7 @@ class ExactLaw:
         return cls(support=tuple(items), total_mass=total, **counters)
 
     def mean(self, fn):
+        """E[fn(cfg)], summed in support order."""
         return sum(pr * fn(cfg) for cfg, pr in self.support)
 
 
@@ -652,7 +652,10 @@ def _sweep_block(spec, t, occ, mass, base, prune):
     return code[order], mass[c[order]] * pr[order], cut, err, x
 
 
-def exact_law(spec, N, bound=200000):
+_EXACT_LAW_BOUND = 200000  # configurations an exact law may hold
+
+
+def exact_law(spec, N):
     """Exact forward distribution after N steps: every step sweeps each
     configuration along all its positive branches.  Configurations are
     occupancy tuples, the corner models' too.  For the general model,
@@ -666,15 +669,16 @@ def exact_law(spec, N, bound=200000):
     appearance, sums P[cfg] * (the product pr * w along a branch) from 0.0
     over its branches in the order configuration, site, branch.
 
-    SizeLimit is raised once the support passes `bound` configurations
-    (or the branches swept in one step pass 64 bound), and as soon as the
-    support projected to step N does: after step t with s_t
-    configurations, the growth of the last step is taken to persist, so
-    the projection is s_t (s_t / s_(t-1))^(N - t).  Where the growth
+    SizeLimit is raised once the support passes _EXACT_LAW_BOUND
+    configurations (or the branches swept in one step pass 64 times that),
+    and as soon as the support projected to step N does: after step t with
+    s_t configurations, the growth of the last step is taken to persist,
+    so the projection is s_t (s_t / s_(t-1))^(N - t).  Where the growth
     factor per step is steady or rising, as the exclusion processes' is,
     the projection does not overstate the support at step N, so it stops
     only enumerations that would pass the bound, and stops them before
     the work is done."""
+    bound = _EXACT_LAW_BOUND
     prune = 1e-14 if spec.variant == "general" else 0.0
     rows, mass = np.zeros((1, 0), int), np.ones(1)
     configs, branches, pruned = [], 0, 0.0

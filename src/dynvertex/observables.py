@@ -278,20 +278,17 @@ def lhs_mc(spec, samples, seed):
     return run_ensemble(spec.model, spec.N, samples, seed, [obs])[0]
 
 
-def _lhs_law(spec, bound):
-    """(law, values): the small-system law and the functional's value on
-    each configuration of its support."""
+def _lhs_value(spec):
+    """The functional's value on a configuration of the exact law."""
     sites, fn = _lhs_functional(spec)
-    law = exact_law(spec.model, spec.N, bound=bound)
-    return law, [fn([sum(cfg[x - 1:]) if x - 1 < len(cfg) else 0
-                     for x in sites]) for cfg, _ in law.support]
+    return lambda cfg: fn([sum(cfg[x - 1:]) if x - 1 < len(cfg) else 0
+                           for x in sites])
 
 
-def lhs_exact(spec, bound=200000):
+def lhs_exact(spec):
     """The same functional summed exactly over the support of the
     small-system law."""
-    law, values = _lhs_law(spec, bound)
-    return sum(pr * v for (_, pr), v in zip(law.support, values))
+    return exact_law(spec.model, spec.N).mean(_lhs_value(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +837,7 @@ def rhs_exact(spec):
 # Combined check
 
 
-def identity_check(spec, samples=0, seed=0, exact_bound=200000,
-                   contour=None, tol=1e-8):
+def identity_check(spec, samples=0, seed=0, tol=1e-8):
     """Evaluate the available sides of the identity and report residuals.
     Returns (report, checks), checks being a list of Check.
 
@@ -874,8 +870,7 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
             "pep_rhs_sign_per_variable": _RHS_PEP_SIGN_PER_VAR,
         },
     }
-    if contour is None:
-        contour = solve_contours(spec)
+    contour = solve_contours(spec)
     # The nesting map's shift -1 (PEP form), or, where it has none, its
     # factor 1/q: the image of the unit circle about 0.
     shift, factor = _image(spec, (0.0, 1.0), True)
@@ -910,8 +905,8 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
     report["rhs"] = rhs
     law = None
     try:
-        law, values = _lhs_law(spec, exact_bound)
-        ex = sum(pr * v for (_, pr), v in zip(law.support, values))
+        law, value = exact_law(spec.model, spec.N), _lhs_value(spec)
+        ex = law.mean(value)
         report["lhs_exact"] = ex
         report["lhs_exact_diagnostics"] = {
             "configurations_per_step": list(law.configs),
@@ -943,7 +938,8 @@ def identity_check(spec, samples=0, seed=0, exact_bound=200000,
         elif law is not None:
             # The samples equal their mean; the law's values are matched
             # to it within rounding.
-            agree = sum(pr for (_, pr), v in zip(law.support, values)
+            values = ((pr, value(cfg)) for cfg, pr in law.support)
+            agree = sum(pr for pr, v in values
                         if abs(v - est.mean) <= 1e-12 * max(1.0, abs(v)))
             checks.append(Check(
                 name, value=est.mean, residual=agree ** est.n_samples,

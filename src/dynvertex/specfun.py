@@ -21,11 +21,14 @@ from .errors import (
     Check,
     InadmissibleParameters,
     NonConvergent,
-    NonTerminating,
     SingularParameter,
 )
 
 _SINGULAR_TOL = 1e-13
+# theta1's stopping tolerance, relative to the partial sum, and the paired
+# terms it sums before it raises NonConvergent.
+_SERIES_TOL = 1e-12
+_MAX_TERMS = 256
 _PI = math.pi
 _sin = cmath.sin
 _POCHHAMMER_MEMO_CAP = 1 << 11  # entries per context; cleared when full
@@ -37,7 +40,7 @@ _pochhammer_key = struct.Struct("<ddq").pack
 
 @dataclass(frozen=True)
 class EllipticContext:
-    """Evaluation context fixing the mode, nome, and series tolerances.
+    """Evaluation context fixing the mode and the nome.
 
     mode is "elliptic" (f(z) = theta1(z; tau)) or "trigonometric"
     (f(z) = sin(pi z)).  q = exp(-4*pi*i*eta) is derived once and cached,
@@ -52,8 +55,6 @@ class EllipticContext:
     mode: str
     eta: complex
     tau: complex = None
-    series_tol: float = 1e-12
-    max_terms: int = 256
     q: complex = field(init=False)
     is_elliptic: bool = field(init=False, repr=False, compare=False)
     theta_exponents: tuple = field(init=False, repr=False, compare=False)
@@ -68,10 +69,6 @@ class EllipticContext:
         if self.mode == "elliptic":
             if self.tau is None or complex(self.tau).imag <= 0:
                 raise ValueError("elliptic mode requires Im(tau) > 0")
-        if not (0 < self.series_tol <= 1e-6):
-            raise ValueError("series_tol must lie in (0, 1e-6]")
-        if self.max_terms < 64:
-            raise ValueError("max_terms must be >= 64")
         object.__setattr__(
             self, "q", cmath.exp(-4j * math.pi * complex(self.eta))
         )
@@ -84,7 +81,7 @@ class EllipticContext:
             tau = complex(self.tau)
             exps = tuple((1j * math.pi * tau * h * h, 2j * math.pi * h,
                           1j * math.pi * tau * -h * -h, 2j * math.pi * -h)
-                         for h in (j + 0.5 for j in range(self.max_terms)))
+                         for h in (j + 0.5 for j in range(_MAX_TERMS)))
         object.__setattr__(self, "theta_exponents", exps)
 
     def f_two_eta(self):
@@ -146,7 +143,7 @@ def theta1(z, ctx):
 
         theta(z) = -sum_j exp(pi*i*tau*(j+1/2)**2 + 2*pi*i*(j+1/2)*(z+1/2)),
 
-    summed symmetrically in j until the next term falls below series_tol
+    summed symmetrically in j until the next term falls below _SERIES_TOL
     relative to the partial sum.  Odd in z; theta(z+1) = -theta(z).  The
     z-free parts of the exponents are read from ctx.theta_exponents,
     computed once per context by the same expressions; the terms, sums
@@ -156,7 +153,7 @@ def theta1(z, ctx):
     if not ctx.is_elliptic:
         raise ValueError("theta1 requires an elliptic context")
     exp = cmath.exp
-    tol = ctx.series_tol
+    tol = _SERIES_TOL
     zh = (z if type(z) is complex else complex(z)) + 0.5
     total = 0.0 + 0.0j
     # Pair j and -1-j: the quadratic exponent is symmetric under the swap.
@@ -235,13 +232,15 @@ def _pochhammer_product(a, k, ctx):
     return out
 
 
-def vwp_basic_W(a1, rest, q, z, terminate_at=None, max_terms=512):
+def vwp_basic_W(a1, rest, q, z, terminate_at):
     """Very-well-poised basic hypergeometric series
 
         W(a1; a4..a_{r+1}; q, z) = sum_k z**k (a1;q)_k / (q;q)_k
             * (1 - a1 q**(2k)) / (1 - a1)
-            * prod_j (a_j;q)_k / (q a1 / a_j; q)_k.
-    """
+            * prod_j (a_j;q)_k / (q a1 / a_j; q)_k,
+
+    summed for k = 0..terminate_at, or until a factor of the next term's
+    numerator vanishes."""
     a1 = complex(a1)
     q = complex(q)
     z = complex(z)
@@ -250,11 +249,11 @@ def vwp_basic_W(a1, rest, q, z, terminate_at=None, max_terms=512):
     total = 0.0 + 0.0j
     ratio = 1.0 + 0.0j  # running product of everything except the wp factor
     qk = 1.0 + 0.0j
-    for k in range(max_terms):
+    for k in range(terminate_at + 1):
         term = ratio * (1.0 - a1 * qk * qk) / (1.0 - a1)
         total += term
-        if terminate_at is not None and k >= terminate_at:
-            return total
+        if k == terminate_at:
+            break
         # update ratio from k to k+1
         num = (1.0 - qk * a1) * z
         vanished = abs(num) < 1e-12 * max(abs(z), 1.0)
@@ -270,16 +269,11 @@ def vwp_basic_W(a1, rest, q, z, terminate_at=None, max_terms=512):
         for a in rest:
             den *= _check_denominator(1.0 - qk * q * a1 / a, "1 - q^{k+1}a1/a")
         ratio = ratio * num / den
-        if terminate_at is None and abs(ratio) < 1e-15 * max(abs(total),
-                                                             1e-300):
-            return total
         qk *= q
-    if terminate_at is not None:
-        return total
-    raise NonConvergent("very-well-poised series did not converge")
+    return total
 
 
-def vwp_elliptic_v(a1, rest, z, ctx, terminate_at=None):
+def vwp_elliptic_v(a1, rest, z, ctx, terminate_at):
     """Very-well-poised elliptic hypergeometric series
 
         v(a1; a6..a_{r+1}; z) = sum_k z**k [a1]_k / [-2 eta]_k
@@ -288,9 +282,6 @@ def vwp_elliptic_v(a1, rest, z, ctx, terminate_at=None):
 
     summed for k = 0..terminate_at.  The termination index must be supplied
     structurally (it is min over the integer termination parameters)."""
-    if terminate_at is None:
-        raise NonTerminating(
-            "elliptic very-well-poised series requires a termination index")
     a1 = complex(a1)
     z = complex(z)
     rest = [complex(a) for a in rest]

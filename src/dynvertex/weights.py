@@ -199,12 +199,11 @@ def _w_hat(J, i1, j1, i2, j2, p, loff, memo):
     return val
 
 
-def w_fused_recursive(J, cfg, p, memo=None):
+def w_fused_recursive(J, cfg, p):
     """Fused weight W_J via the recursion, = (column sum) / binom(J, j2)."""
     if not _on_support(J, cfg):
         return 0.0 + 0.0j
-    return (_w_hat(J, *cfg, p, 0, {} if memo is None else memo)
-            / math.comb(J, cfg[3]))
+    return _w_hat(J, *cfg, p, 0, {}) / math.comb(J, cfg[3])
 
 
 def _closed_eval(J, cfg, p, eps):
@@ -384,20 +383,21 @@ def c_correction(J, cfg, lam, Lambda, ctx):
                         J - j2, ctx), "den"))
 
 
-def sigma(J, cfg, p, memo=None):
+def sigma(J, cfg, p):
     """Stochastic vertex weight sigma_J = C_J * W_J * (elliptic binomial
-    ratio).  memo, when given, is the W_J recursion's memo, shared by calls
-    at the same p (psi and psi_row keep one across calls), which leaves
-    every value equal bit for bit to a call without it.  The Pochhammer
-    factors of C_J and of the ratio come from p.ctx's memo (see
-    elliptic_pochhammer), so calls in one context compute each once."""
+    ratio).  The Pochhammer factors of C_J and of the ratio come from
+    p.ctx's memo (see elliptic_pochhammer), so calls in one context compute
+    each once."""
     if not _on_support(J, cfg):
         return 0.0 + 0.0j
-    return _sigma(J, cfg, p, {} if memo is None else memo)
+    return _sigma(J, cfg, p, {})
 
 
 def _sigma(J, cfg, p, memo):
-    """sigma on the support, where the range checks have passed."""
+    """sigma on the support, where the range checks have passed.  memo is
+    the W_J recursion's memo, which calls at the same p may share (psi and
+    psi_row keep one across calls): every value equals a call with a fresh
+    memo bit for bit."""
     i1, j1, i2, j2 = cfg
     ctx = p.ctx
     # The recursion is exact to rounding; the closed form (equal to it, and
@@ -456,7 +456,9 @@ def _psi_sigmas(cfgs, j1, p):
     The context of up is _trig_context's, fixed by eta, so the memo is
     found by the exact bits of (v, lam, Lambda, eta).  The _W_MEMO_COUNT
     newest memos are kept, and a call that leaves a memo with more than
-    _W_MEMO_ENTRIES entries clears it."""
+    _W_MEMO_ENTRIES entries clears it.  InadmissibleParameters at the
+    first value that is not finite, where a product of f values leaves
+    float range (as at |s| = 1e-300, where Lambda grows past 1000)."""
     up = _psi_unfused_params(p, j1)
     eta = up.ctx.eta
     key = _params_bytes(up.v.real, up.v.imag, up.lam.real, up.lam.imag,
@@ -467,7 +469,15 @@ def _psi_sigmas(cfgs, j1, p):
             del _w_memos[next(iter(_w_memos))]
         memo = _w_memos[key] = {}
     try:
-        return [_sigma(p.J, cfg, up, memo) for cfg in cfgs]
+        out = []
+        for cfg in cfgs:
+            value = _sigma(p.J, cfg, up, memo)
+            if not cmath.isfinite(value):
+                raise InadmissibleParameters(
+                    "psi%r is %r: its parameters leave float range"
+                    % (tuple(cfg), value))
+            out.append(value)
+        return out
     finally:
         if len(memo) > _W_MEMO_ENTRIES:
             memo.clear()

@@ -27,8 +27,9 @@ def theta1(z, ctx):
 
         theta(z) = -sum_j exp(pi*i*tau*(j+1/2)**2 + 2*pi*i*(j+1/2)*(z+1/2)),
 
-    summed symmetrically in j until the next term falls below series_tol
-    relative to the partial sum.  Odd in z; theta(z+1) = -theta(z)."""
+    summed symmetrically in j until the next term falls below 1e-12
+    relative to the partial sum, over at most 256 paired terms.  Odd in
+    z; theta(z+1) = -theta(z)."""
     if not ctx.is_elliptic:
         raise ValueError("theta1 requires an elliptic context")
     z = complex(z)
@@ -42,11 +43,11 @@ def theta1(z, ctx):
 
     # Pair j and -1-j: the quadratic exponent is symmetric under the swap.
     scale = 0.0
-    for j in range(ctx.max_terms):
+    for j in range(256):
         t = term(j) + term(-1 - j)
         total += t
         scale = max(scale, abs(total))
-        if abs(t) < ctx.series_tol * max(scale, 1e-300) and j >= 1:
+        if abs(t) < 1e-12 * max(scale, 1e-300) and j >= 1:
             return -total
     raise NonConvergent("theta series did not converge within max_terms")
 

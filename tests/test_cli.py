@@ -75,8 +75,7 @@ class TestImport:
             import dynvertex.cli
             from dynvertex.specfun import CHECK_CONTEXTS, EllipticContext
             EllipticContext(mode="trigonometric", eta=0.5)
-            EllipticContext(mode="elliptic", eta=0.07 + 0.05j, tau=3e-3j,
-                            max_terms=64)
+            EllipticContext(mode="elliptic", eta=0.07 + 0.05j, tau=3e-4j)
             sys.setprofile(None)
             print(seen, [c.f_two_eta_value for c in CHECK_CONTEXTS.values()])
             """)
@@ -570,11 +569,11 @@ class TestVerifyIdentity:
             return MCEstimate(mean=0.0, stderr=0.0, n_samples=10000,
                               base_seed=seed)
 
-        def lhs_law(spec, bound):
+        def exact_law(spec, N):
             raise SizeLimit("exact law skipped")
 
         monkeypatch.setattr(observables, "lhs_mc", lhs_mc)
-        monkeypatch.setattr(observables, "_lhs_law", lhs_law)
+        monkeypatch.setattr(observables, "exact_law", exact_law)
         code, rep = run(tmp_path, "verify-identity", "--form", "pep",
                         "--x", "2", "--N", "3", "--samples", "2",
                         "--seed", "1")
@@ -940,7 +939,13 @@ class TestSizeAndRate:
          "error: 1000000000000 samples of 4 steps need at least "
          "6000000000000 bytes, more than the 1099511627776 bytes of "
          "physical memory\n"),
-    ], ids=["kpz", "simulate", "verify-identity"])
+        # A horizon past 2^53 is bounded by memory only, not rejected.
+        (["asymptotics", "--experiment", "gamma", "--config",
+          '{"T": 9007199254740993}'],
+         "error: invalid experiment config: 10000 samples of "
+         "9007199254740992 steps need at least 90071992547409940000 bytes, "
+         "more than the 1099511627776 bytes of physical memory\n"),
+    ], ids=["kpz", "simulate", "verify-identity", "gamma-horizon"])
     def test_huge_sample_count_exits_2(self, tmp_path, capsys, no_engine,
                                        argv, says):
         code, rep = run(tmp_path, *argv)

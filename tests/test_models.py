@@ -1,6 +1,7 @@
 """Particle-system samplers: transition laws, exact small-system oracle,
 vectorized ensemble engines, and the height-function views."""
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -272,7 +273,8 @@ def run_scalar(spec, N, samples, seed, observables):
     i), and the final occupancies make one Ensemble."""
     rows = []
     for i in range(samples):
-        state = initial_state(spec, rng=_trajectory_rng(seed, i))
+        state = dataclasses.replace(initial_state(spec),
+                                    rng=_trajectory_rng(seed, i))
         for _ in range(N):
             state = step(state, spec)
         rows.append(state.occupancy)
@@ -326,10 +328,10 @@ def corner_view(state, spec=None):
     return out
 
 
-def corner_view_exact(spec, N, bound=200000):
+def corner_view_exact(spec, N):
     """Exact law of the corner_view height vector after N steps of a J=1
     partial-exclusion model, as {height tuple on the grid: probability}."""
-    law = exact_law(spec, N, bound=bound)
+    law = exact_law(spec, N)
     out = {}
     for cfg, pr in law.support:
         occ = list(cfg)
@@ -363,10 +365,10 @@ def corner_window(t):
     return [i - 2 - t / 2 for i in range(t + 5)]
 
 
-def corner_heights_exact(spec, N, positions, bound=200000):
+def corner_heights_exact(spec, N, positions):
     """Exact law of a corner model's heights at the given positions, read
     by `Ensemble.height` from exact_law, as {height tuple: probability}."""
-    law = exact_law(spec, N, bound=bound)
+    law = exact_law(spec, N)
     ens = occupancy_ensemble(spec, N, [cfg for cfg, _ in law.support])
     cols = np.stack([ens.height(p) for p in positions], axis=1)
     out = {}
@@ -687,9 +689,10 @@ class TestExactLaw:
         p1 = sum(pr for cfg, pr in law.support if h_tail(cfg, 2) == 1)
         assert p1 == pytest.approx(gamma / (2 * (gamma + 1)), abs=1e-12)
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(models, "_EXACT_LAW_BOUND", 3)
         with pytest.raises(SizeLimit):
-            exact_law(QHAHN, 5, bound=3)
+            exact_law(QHAHN, 5)
 
     def test_projected_size_limit(self):
         # jgamma J=1 gamma=3 has 1, 2, 4, 9, ... configurations: 2x per
@@ -700,13 +703,16 @@ class TestExactLaw:
                            r"bound 200000$"):
             exact_law(ModelSpec.jgamma_pep(J=1, gamma=3.0), 30)
 
-    def test_projection_spares_a_support_within_the_bound(self):
+    def test_projection_spares_a_support_within_the_bound(self,
+                                                          monkeypatch):
         # 2188 configurations at N=10, growing faster every step: a bound
         # just above that must not be cut short by the projection.
         model = ModelSpec.jgamma_pep(J=1, gamma=3.0)
-        assert len(exact_law(model, 10, bound=2188).support) == 2188
+        monkeypatch.setattr(models, "_EXACT_LAW_BOUND", 2188)
+        assert len(exact_law(model, 10).support) == 2188
+        monkeypatch.setattr(models, "_EXACT_LAW_BOUND", 2187)
         with pytest.raises(SizeLimit, match="bound 2187 at step 10 of 10"):
-            exact_law(model, 10, bound=2187)
+            exact_law(model, 10)
 
     def test_inadmissible_regime_detected(self):
         bad = ModelSpec.qhahn(Q, DELTA, B=(0.09,), C=(Q,), J=(1,))
@@ -776,11 +782,12 @@ class TestExactLawEqualsPrior:
              "qhahn-bad", "corner-dyn"])
     def test_across_blocks(self, monkeypatch, spec, N, bound):
         monkeypatch.setattr(models, "_EXACT_BLOCK", 3)
-        assert law_outcome(exact_law, spec, N, bound=bound) == law_outcome(
+        monkeypatch.setattr(models, "_EXACT_LAW_BOUND", bound)
+        assert law_outcome(exact_law, spec, N) == law_outcome(
             prior.exact_law, spec, N, bound=bound)
         # Codes as Python ints, as where int64 would wrap.
         monkeypatch.setattr(models, "_CODE_LIMIT", 2 ** 5)
-        assert law_outcome(exact_law, spec, N, bound=bound) == law_outcome(
+        assert law_outcome(exact_law, spec, N) == law_outcome(
             prior.exact_law, spec, N, bound=bound)
 
     def test_earlier_configuration_failing_later_wins(self, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import prior_observables as prior
-from dynvertex import observables
+from dynvertex import models, observables
 from dynvertex.errors import (
     Check,
     ContourInfeasible,
@@ -23,7 +23,7 @@ from dynvertex.errors import (
     NotConverged,
     SizeLimit,
 )
-from dynvertex.models import MCEstimate, ModelSpec
+from dynvertex.models import MCEstimate, ModelSpec, exact_law
 from dynvertex.observables import (
     ContourSpec,
     ObservableSpec,
@@ -650,9 +650,10 @@ class TestIdentityCheck:
         assert contour["nesting_offsets"] == [-1.0]
         assert contour["nodes_per_circle"] == 32
 
-    def test_size_limited_exact_is_none(self):
+    def test_size_limited_exact_is_none(self, monkeypatch):
+        monkeypatch.setattr(models, "_EXACT_LAW_BOUND", 2)
         spec = ObservableSpec(QHAHN, (2,), 3)
-        rep, _ = identity_check(spec, samples=0, exact_bound=2)
+        rep, _ = identity_check(spec, samples=0)
         assert rep["lhs_exact"] is None
         assert rep["lhs_exact_skipped"].startswith("exact law ")
         assert isinstance(rep["rhs_quadrature"], float)
@@ -674,12 +675,14 @@ class TestIdentityCheck:
                   tolerance=4.0)]
         assert checks[1].residual < 4.0
 
-    def test_mc_row_gated_by_the_range_bound_when_the_law_is_skipped(self):
+    def test_mc_row_gated_by_the_range_bound_when_the_law_is_skipped(
+            self, monkeypatch):
         # Both samples give the same current and the exact law is skipped:
         # the row's residual is a Markov bound on the chance of n samples
         # at v from the observable's range and its mean, the answer.
+        monkeypatch.setattr(models, "_EXACT_LAW_BOUND", 1)
         spec = ObservableSpec(PEP, (2,), 3)
-        rep, checks = identity_check(spec, samples=2, seed=1, exact_bound=1)
+        rep, checks = identity_check(spec, samples=2, seed=1)
         assert rep["lhs_exact"] is None
         assert rep["lhs_mc"]["stderr"] == 0.0
         assert rep["residual_mc_vs_quadrature_sigmas"] == math.inf
@@ -704,20 +707,22 @@ class TestIdentityCheck:
                               base_seed=seed)
 
         monkeypatch.setattr(observables, "lhs_mc", lhs_mc)
-        _, checks = identity_check(ObservableSpec(PEP, (2,), 3), samples=2,
-                                   exact_bound=1)
+        monkeypatch.setattr(models, "_EXACT_LAW_BOUND", 1)
+        _, checks = identity_check(ObservableSpec(PEP, (2,), 3), samples=2)
         row = checks[-1].as_dict()
         assert row["gated"] and row["floor"] and not row["passed"]
         assert row["residual"] < 1e-6
         assert all(c.as_dict()["passed"] for c in checks[:-1])
 
     @pytest.mark.parametrize("x", [3, 4])
-    def test_law_skipped_agreement_at_the_answer_passes(self, x):
+    def test_law_skipped_agreement_at_the_answer_passes(self, monkeypatch,
+                                                         x):
         # At x >= N no particle passes the probe site: every sample is 0,
         # the answer is 0 up to the quadrature's rounding, and the bound
         # is 1.
+        monkeypatch.setattr(models, "_EXACT_LAW_BOUND", 1)
         rep, checks = identity_check(ObservableSpec(PEP, (x,), 3),
-                                     samples=20, seed=1, exact_bound=1)
+                                     samples=20, seed=1)
         assert rep["lhs_exact"] is None
         assert rep["lhs_mc"] == {"mean": 0.0, "stderr": 0.0,
                                  "n_samples": 20, "base_seed": 1}
@@ -735,7 +740,9 @@ class TestIdentityCheck:
                                        C=(Q, Q ** 2), J=(1, 2)), (2, 1), 3)])
     def test_range_holds_every_value_of_the_law(self, spec):
         lo, hi = observables._lhs_range(spec)
-        _, values = observables._lhs_law(spec, 200000)
+        value = observables._lhs_value(spec)
+        values = [value(cfg) for cfg, _ in
+                  exact_law(spec.model, spec.N).support]
         assert lo <= min(values) and max(values) <= hi
 
     def test_agreement_bound(self):
@@ -754,9 +761,9 @@ class TestIdentityCheck:
         spec = ObservableSpec(PEP, (2,), 3)
         rep, checks = identity_check(spec, samples=2, seed=1)
         row = checks[-1]
-        law, values = observables._lhs_law(spec, 200000)
-        chance = sum(pr for (_, pr), v in zip(law.support, values)
-                     if v == row.value)
+        value = observables._lhs_value(spec)
+        chance = sum(pr for cfg, pr in exact_law(spec.model, spec.N).support
+                     if value(cfg) == row.value)
         assert 0.0 < chance < 1.0
         assert row == Check(
             "mc_expectation_vs_quadrature_sigmas",
