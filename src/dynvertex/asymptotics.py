@@ -129,6 +129,13 @@ def _rate(r):
     return float(r)
 
 
+def _steps(r, T):
+    """floor(r T), the steps of horizon T at rate r: int(r) * T, exact, for
+    an integral r such as the default 1.0, where a float r * T would lose
+    the last digits of a T past 2^53; the float floor(r * T) otherwise."""
+    return int(r) * T if r.is_integer() else int(math.floor(r * T))
+
+
 def _site_at_density(eta, T):
     """floor(eta T), the site probed at density eta after T steps; one
     below site 1 has no current to read, and raises before any sampling."""
@@ -180,7 +187,7 @@ def _experiment_heat_lln(seed, /, J=1, r=1.0, s=0.0, T=1600, samples=20000):
     multi = isinstance(s, (list, tuple))
     s_list = [float(v) for v in s] if multi else [float(s)]
     model = ModelSpec.jgamma_pep(J=J, gamma=_NONDYN_GAMMA)
-    N = int(math.floor(r * T))
+    N = _steps(r, T)
     obs, sites = zip(*(_heat_observable(s, r, J, T) for s in s_list))
     ests = run_ensemble(model, N, samples, seed, list(obs))
     points = []
@@ -217,7 +224,7 @@ def _gamma_observables(J, r, s, T, gamma, m_list):
     current(pep_site(x)), with the identity's exact prefactor
     P = NJ - (J+1)x.  Its mean is the k = m identity at x_1 = ... = x_m = x,
     times (-1)^m gamma (gamma+1) ... (gamma+m-1) T^(-m/2)."""
-    N = int(math.floor(r * T))
+    N = _steps(r, T)
     x = int(math.floor(J * r * T / (J + 1) + s * T ** 0.25))
     shift = (J + 1) * x - N * J
     fns = []
@@ -245,15 +252,6 @@ def _experiment_dynamic_gamma(seed, /, J=1, r=1.0, s=0.0, T=10000,
         target = ((r * J / (2.0 * math.pi)) ** (m / 2.0)
                   * gamma_moment(GammaLaw(gamma, 1.0), m))
         rep["moments"][m] = _mc_summary(est, target)
-    # The signed relative deviation of each factorial moment from its
-    # limit.  Measured, not derived: it falls like 1/T for m = 1 and like
-    # -sqrt(pi/T) for m = 2, not at the T^(-1/4) recorded as the scale.
-    rep["finite_size_drift"] = {
-        "expected_relative_scale": T ** -0.25,
-        "signed_relative_deviation": {
-            m: (d["mc_mean"] - d["target"]) / d["target"]
-            for m, d in rep["moments"].items()},
-    }
     if J == 1 and s == 0.0 and N % 2 == 0:
         # The identity site is the corner origin, zeta(0) = 2 h(N/2 + 1);
         # T^(-1/4) zeta(0) -> 2 sqrt(chi), chi ~ GammaLaw(gamma,

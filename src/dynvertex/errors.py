@@ -39,10 +39,6 @@ class NonConvergent(DynVertexError):
     """A series failed to converge within the term budget."""
 
 
-class PatternMismatch(DynVertexError):
-    """An arrow configuration does not match the requested special case."""
-
-
 class InadmissibleParameters(DynVertexError):
     """Parameters outside the admissible region of a model or formula."""
 

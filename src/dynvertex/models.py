@@ -3,8 +3,9 @@ exact small-system distribution oracle.
 
 Particle systems live on sites 1, 2, 3, ... with step boundary data: at time
 t one packet of J_y arrows enters at the left of row y = t+1.  A scalar
-trajectory (`step`) stores its occupancy; every ensemble engine stores the
-height function, one row per site and one column per trajectory.
+trajectory (`step`) stores its occupancy, whose heights
+`occupancy_ensemble` reads; every ensemble engine stores the height
+function, one row per site and one column per trajectory.
 
 Every particle system follows one local rule.  A time step sweeps its row
 left to right, and at each site x one per-vertex kernel per variant,
@@ -232,12 +233,6 @@ class SystemState:
     rng: np.random.Generator
     clamped: int = 0
 
-    def _hcur(self, x):
-        """Height function: number of particles at sites >= x."""
-        if x <= 1:
-            return self.total_particles
-        return int(self.occupancy[x - 1:].sum())
-
 
 @dataclass
 class Ensemble:
@@ -298,13 +293,13 @@ def occupancy_ensemble(spec, t, rows):
     return Ensemble(t, 1, heights, packed, total, spec.is_corner)
 
 
-def current(state, x):
-    """Height function h_t(x) = number of particles at sites >= x: an int
-    for one trajectory, an int64 array over the samples of an Ensemble."""
+def current(ens, x):
+    """Height function h_t(x) = number of particles at sites >= x, an int64
+    array over the samples of an Ensemble."""
     x = int(x)
     if x < 1:
         raise ValueError("site index must be >= 1")
-    return state._hcur(x)
+    return ens._hcur(x)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ class Signature:
     def length(self):
         return len(self.parts)
 
-    @property
-    def weight(self):
-        return sum(self.parts)
-
     def multiplicity(self, j):
         """Number of parts equal to j."""
         return sum(1 for p in self.parts if p == j)

@@ -1,7 +1,7 @@
-"""Vertex weights: the unfused four-case weight, fused weights
-(recursion, closed hypergeometric form, factored special cases),
-the stochastic correction and stochastic weights, the multiplicative-
-parameter psi/phi families, and the exclusion-process probabilities.
+"""Vertex weights: the unfused four-case weight, the fused weights by the
+fusion recursion, the stochastic correction and stochastic weights, the
+multiplicative-parameter psi/phi families, and the exclusion-process
+probabilities.
 
 row_sum_checks checks on fixed parameter grids that the rows of phi and
 psi sum to 1, and that psi at u = s matches phi.
@@ -15,19 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    Check,
-    InadmissibleParameters,
-    PatternMismatch,
-    SingularParameter,
-)
-from .specfun import (
-    EllipticContext,
-    elliptic_pochhammer,
-    f_eval,
-    q_pochhammer,
-    vwp_elliptic_v,
-)
+from .errors import Check, InadmissibleParameters, SingularParameter
+from .specfun import EllipticContext, elliptic_pochhammer, f_eval
 
 _SINGULAR_TOL = 1e-13
 
@@ -38,26 +27,6 @@ class ArrowConfig(tuple):
 
     def __new__(cls, i1, j1, i2, j2):
         return super().__new__(cls, (i1, j1, i2, j2))
-
-    @property
-    def i1(self):
-        return self[0]
-
-    @property
-    def j1(self):
-        return self[1]
-
-    @property
-    def i2(self):
-        return self[2]
-
-    @property
-    def j2(self):
-        return self[3]
-
-    @property
-    def conserving(self):
-        return self[0] + self[1] == self[2] + self[3]
 
 
 @dataclass(frozen=True)
@@ -83,6 +52,16 @@ def _inv(value, what):
     if abs(value) < _SINGULAR_TOL:
         raise SingularParameter("vanishing %s" % what)
     return 1.0 / value
+
+
+def _finite(value, name, cfg):
+    """value, or InadmissibleParameters where it is not finite: a product
+    of f values has left float range, though each f is in it."""
+    if not cmath.isfinite(value):
+        raise InadmissibleParameters(
+            "%s%r is %r: its parameters leave float range"
+            % (name, tuple(cfg), value))
+    return value
 
 
 def _w1_dinv(v, lam, L, eta, ctx):
@@ -126,15 +105,17 @@ _W1_CASES = {(0, 0): _w1_00, (1, 0): _w1_10, (0, 1): _w1_01, (1, 1): _w1_11}
 
 
 def w1(cfg, p):
-    """The four-case unfused vertex weight; 0 off the support."""
+    """The four-case unfused vertex weight; 0 off the support, and
+    InadmissibleParameters where it is not finite (see _finite)."""
     if not _on_support(1, cfg):
         return 0.0 + 0.0j
     i1, j1, i2, j2 = cfg
     v, lam, L = complex(p.v), complex(p.lam), complex(p.Lambda)
     ctx = p.ctx
     eta = complex(ctx.eta)
-    return _W1_CASES[j1, j2](i1, v, lam, L, eta,
-                             _w1_dinv(v, lam, L, eta, ctx), ctx)
+    return _finite(_W1_CASES[j1, j2](i1, v, lam, L, eta,
+                                     _w1_dinv(v, lam, L, eta, ctx), ctx),
+                   "w1", cfg)
 
 
 def _top_row(J, i2, loff, p):
@@ -200,164 +181,12 @@ def _w_hat(J, i1, j1, i2, j2, p, loff, memo):
 
 
 def w_fused_recursive(J, cfg, p):
-    """Fused weight W_J via the recursion, = (column sum) / binom(J, j2)."""
+    """Fused weight W_J via the recursion, = (column sum) / binom(J, j2);
+    InadmissibleParameters where it is not finite."""
     if not _on_support(J, cfg):
         return 0.0 + 0.0j
-    return _w_hat(J, *cfg, p, 0, {}) / math.comb(J, cfg[3])
-
-
-def _closed_eval(J, cfg, p, eps):
-    """One evaluation of the closed-form fused weight with the integer
-    parameters J and (i1, i2) continued to J + eps and (i1, i2) + phi*eps
-    in Pochhammer *arguments* only (product lengths stay integral)."""
-    i1, j1, i2, j2 = cfg
-    ctx = p.ctx
-    eta = complex(ctx.eta)
-    v, lam, L = complex(p.v), complex(p.lam), complex(p.Lambda)
-    Je = J + eps if j1 + j2 > J else J
-    di = 1.6180339887498949 * eps if i2 < j1 else 0.0
-    I1, I2 = i1 + di, i2 + di
-
-    def ep(a, k):
-        return elliptic_pochhammer(a, k, ctx)
-
-    a1 = lam + 2 * eta * (2 * j1 + j2 - Je)
-    rest = [
-        2 * eta * j1,
-        2 * eta * j2,
-        lam + 2 * eta * j1,
-        lam + 2 * eta * (I1 + 2 * j1 - Je - 1 - L),
-        eta * L + v + 2 * eta * (j2 - I1 - 1),
-        eta * L - v - 2 * eta * (I1 - j2 + Je),
-        lam + 2 * eta * (I2 + j1 + j2 - Je),
-    ]
-    series = vwp_elliptic_v(a1, rest, 1.0, ctx, terminate_at=min(j1, j2))
-    f2e = ctx.f_two_eta()
-    pref = (f2e ** (i2 - i1)
-            * ep(2 * eta * L, i1) * _inv(ep(2 * eta * L, i2), "[2eL]_i2")
-            * ep(2 * eta * I1, j2) * ep(2 * eta * (Je - j2), j1)
-            * ep(eta * L - v - 2 * eta * (I1 + j1), J - j1 - j2)
-            * ep(2 * eta * (L - I1 + j2), j1)
-            * _inv(ep(2 * eta * j1, j1) * ep(eta * L - v, J), "prefactor den")
-            * ep(lam + 2 * eta * I2, J - j1 - j2)
-            * ep(lam + 2 * eta * (I1 + 2 * j1 - Je) - eta * L - v, j2)
-            * ep(lam + v + 2 * eta * (I1 + 2 * j1 - 1) - eta * L, j1)
-            * _inv(ep(lam + 2 * eta * (2 * j1 + j2 - Je), j2)
-                   * ep(lam + 2 * eta * j1, J - j1 - j2)
-                   * ep(lam + 2 * eta * (2 * j1 + j2 - Je - 1), j1),
-                   "prefactor den"))
-    return pref * series
-
-
-def w_fused_closed(J, cfg, p):
-    """Fused weight W_J in closed form: an elliptic-Pochhammer prefactor
-    times a terminating very-well-poised 12v11 evaluated at z = 1.
-
-    Arrow configurations with j1 + j2 > J or i2 < j1 make the formula a
-    structural 0 * inf product (a prefactor zero against a series pole at
-    exactly integer Pochhammer arguments).  Those are evaluated by
-    continuing the integer parameters by +-eps in the Pochhammer arguments
-    and Richardson-extrapolating the even-order error away (four levels,
-    O(eps^8)), which agrees with the recursive evaluation to ~1e-11."""
-    if not _on_support(J, cfg):
-        return 0.0 + 0.0j
-    i1, j1, i2, j2 = cfg
-    if j1 + j2 <= J and i2 >= j1:
-        return _closed_eval(J, cfg, p, 0.0)
-    eps = 6e-3
-
-    def mean(e):
-        return (_closed_eval(J, cfg, p, e)
-                + _closed_eval(J, cfg, p, -e)) / 2
-
-    vals = [mean(eps / 2 ** i) for i in range(4)]
-    fac = 4.0
-    while len(vals) > 1:
-        vals = [(fac * b - a) / (fac - 1) for a, b in zip(vals, vals[1:])]
-        fac *= 4
-    return vals[0]
-
-
-def w_fused_special(J, cfg, p, case):
-    """Fully factored special-case fused weights.
-
-    case "jJ":      (i, J; i+J-j, j)
-    case "j20":     (i, j; i+j, 0)
-    case "j2J":     (i, j; i+j-J, J)
-    case "vLambda": any conserving cfg, requires p.v == -eta * p.Lambda
-    """
-    i1, j1, i2, j2 = cfg
-    ctx = p.ctx
-    eta = complex(ctx.eta)
-    v, lam, L = complex(p.v), complex(p.lam), complex(p.Lambda)
-    f2e = ctx.f_two_eta()
-
-    def ep(a, k):
-        return elliptic_pochhammer(a, k, ctx)
-
-    if not ArrowConfig(*cfg).conserving:
-        return 0.0 + 0.0j
-
-    if case == "jJ":
-        if j1 != J:
-            raise PatternMismatch("case jJ requires j1 == J")
-        i, j = i1, j2
-        return (f2e ** (J - j)
-                * ep(2 * eta * i - eta * L - v, j)
-                * _inv(ep(eta * L - v, J), "[eL-v]_J")
-                * ep(v + lam - eta * L + 2 * eta * (i + 2 * J - j - 1), J - j)
-                * ep(lam + 2 * eta * (i + J - L - 1), j)
-                * _inv(ep(lam + 2 * eta * (J - 1), J), "[lam+2e(J-1)]_J"))
-    if case == "j20":
-        if j2 != 0:
-            raise PatternMismatch("case j20 requires j2 == 0")
-        i, j = i1, j1
-        return (f2e ** j
-                * ep(2 * eta * J, J)
-                * _inv(ep(2 * eta * (J - j), J - j) * ep(2 * eta * j, j),
-                       "binomial den")
-                * ep(lam + 2 * eta * (i + j), J - j)
-                * _inv(ep(eta * L - v, J), "[eL-v]_J")
-                * ep(v + lam + 2 * eta * (i + 2 * j - 1) - eta * L, j)
-                * ep(eta * L - 2 * eta * (i + j) - v, J - j)
-                * _inv(ep(lam + 2 * eta * j, J - j)
-                       * ep(lam + 2 * eta * (2 * j - J - 1), j), "den"))
-    if case == "j2J":
-        if j2 != J:
-            raise PatternMismatch("case j2J requires j2 == J")
-        i, j = i1, j1
-        if i + j - J < 0:
-            return 0.0 + 0.0j
-        return (f2e ** (j - J)
-                * ep(2 * eta * J, J)
-                * _inv(ep(2 * eta * (J - j), J - j) * ep(2 * eta * j, j),
-                       "binomial den")
-                * ep(2 * eta * i, J - j)
-                * ep(2 * eta * (i + j - J) - eta * L - v, j)
-                * ep(2 * eta * (L - i - j + J), J - j)
-                * _inv(ep(eta * L - v, J), "[eL-v]_J")
-                * ep(lam + 2 * eta * (i + j - J) - eta * L - v, J - j)
-                * ep(lam + 2 * eta * (i + 2 * j - J - L - 1), j)
-                * _inv(ep(lam + 2 * eta * j, J - j)
-                       * ep(lam + 2 * eta * (2 * j - J - 1), j), "den"))
-    if case == "vLambda":
-        if abs(v + eta * L) > 1e-12 * max(1.0, abs(eta * L)):
-            raise PatternMismatch("case vLambda requires v == -eta*Lambda")
-        if i1 < j2:
-            return 0.0 + 0.0j
-        return (f2e ** (i2 - i1)
-                * ep(2 * eta * J, J)
-                * _inv(ep(2 * eta * j1, j1)
-                       * ep(2 * eta * (J - j1), J - j1), "binomial den")
-                * ep(2 * eta * L, i1)
-                * _inv(ep(2 * eta * L, i2), "[2eL]_i2")
-                * ep(2 * eta * i1, j2) * ep(2 * eta * (L - i1), J - j2)
-                * _inv(ep(2 * eta * L, J), "[2eL]_J")
-                * ep(lam + 2 * eta * i2, J - j1)
-                * ep(lam + 2 * eta * (i2 + j1 - L - 1), j1)
-                * _inv(ep(lam + 2 * eta * j1, J - j1)
-                       * ep(lam + 2 * eta * (2 * j1 - J - 1), j1), "den"))
-    raise ValueError("unknown case %r" % (case,))
+    return _finite(_w_hat(J, *cfg, p, 0, {}) / math.comb(J, cfg[3]),
+                   "W_%d" % J, cfg)
 
 
 def c_correction(J, cfg, lam, Lambda, ctx):
@@ -387,10 +216,10 @@ def sigma(J, cfg, p):
     """Stochastic vertex weight sigma_J = C_J * W_J * (elliptic binomial
     ratio).  The Pochhammer factors of C_J and of the ratio come from
     p.ctx's memo (see elliptic_pochhammer), so calls in one context compute
-    each once."""
+    each once.  InadmissibleParameters where it is not finite."""
     if not _on_support(J, cfg):
         return 0.0 + 0.0j
-    return _sigma(J, cfg, p, {})
+    return _finite(_sigma(J, cfg, p, {}), "sigma_%d" % J, cfg)
 
 
 def _sigma(J, cfg, p, memo):
@@ -400,9 +229,9 @@ def _sigma(J, cfg, p, memo):
     memo bit for bit."""
     i1, j1, i2, j2 = cfg
     ctx = p.ctx
-    # The recursion is exact to rounding; the closed form (equal to it, and
-    # cross-checked in the tests) needs Richardson regularization on part
-    # of the domain and is kept as an independent oracle.
+    # The recursion is exact to rounding; the closed form, equal to it and
+    # kept in tests/oracle_weights.py as an independent oracle, needs
+    # Richardson regularization on part of the domain.
     w_value = _w_hat(J, i1, j1, i2, j2, p, 0, memo) / math.comb(J, j2)
     cval = c_correction(J, cfg, p.lam, p.Lambda, ctx)
     ep = elliptic_pochhammer
@@ -469,15 +298,8 @@ def _psi_sigmas(cfgs, j1, p):
             del _w_memos[next(iter(_w_memos))]
         memo = _w_memos[key] = {}
     try:
-        out = []
-        for cfg in cfgs:
-            value = _sigma(p.J, cfg, up, memo)
-            if not cmath.isfinite(value):
-                raise InadmissibleParameters(
-                    "psi%r is %r: its parameters leave float range"
-                    % (tuple(cfg), value))
-            out.append(value)
-        return out
+        return [_finite(_sigma(p.J, cfg, up, memo), "psi", cfg)
+                for cfg in cfgs]
     finally:
         if len(memo) > _W_MEMO_ENTRIES:
             memo.clear()
@@ -584,30 +406,6 @@ def psi_u_equals_s(cfg, p):
     q = complex(p.q)
     pp = PhiParams(q=q, a=s2 * q ** p.J, b=s2, kappa=complex(p.kappa))
     return phi(j2, i1, pp)
-
-
-def sigma_j1_full_row(J, i, j, u, s, q, xi, kappa):
-    """Explicit q-form of sigma_J(i, J; i+J-j, j): an independent oracle for
-    the j1 = J column of the stochastic weights.  Written in the
-    Rogers-summable shape, so the row sum over j is exactly 1."""
-    qp = q_pochhammer
-    ux = u * xi
-    kt = 1.0 / kappa
-    s2 = s * s
-    num = ((q / (ux * s)) ** j
-           * qp(q ** (-J), q, j) * qp(ux / (s * q ** i), q, j)
-           * qp(kt * q ** (-i), q, j)
-           * qp(kt * q ** (-2 * i) / (s2 * q ** J), q, j)
-           * (1 - kt / (s2 * q ** (2 * i + J - 2 * j)))
-           * qp(q ** (1 - i - J) / s2, q, J)
-           * qp(kt * q ** (1 - i - J) / (ux * s), q, J))
-    den = (qp(q, q, j) * qp(q ** (1 - i - J) / s2, q, j)
-           * qp(kt / (s * ux * q ** (i + J - 1)), q, j)
-           * qp(kt / (s2 * q ** (2 * i - 1)), q, j)
-           * (1 - kt / (s2 * q ** (2 * i + J)))
-           * qp(q ** (1 - 2 * i - J) * kt / s2, q, J)
-           * qp(q ** (1 - J) / (ux * s), q, J))
-    return num * _inv(den, "sigma_j1_full_row denominator")
 
 
 def asym_pep_stay(eta, q, delta, e):

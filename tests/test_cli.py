@@ -943,7 +943,7 @@ class TestSizeAndRate:
         (["asymptotics", "--experiment", "gamma", "--config",
           '{"T": 9007199254740993}'],
          "error: invalid experiment config: 10000 samples of "
-         "9007199254740992 steps need at least 90071992547409940000 bytes, "
+         "9007199254740993 steps need at least 90071992547409950000 bytes, "
          "more than the 1099511627776 bytes of physical memory\n"),
     ], ids=["kpz", "simulate", "verify-identity", "gamma-horizon"])
     def test_huge_sample_count_exits_2(self, tmp_path, capsys, no_engine,

@@ -314,17 +314,23 @@ def assert_engine_matches_oracle(spec, N, samples, seed, trace=None):
     return ens.left, ens.heights.shape[1]
 
 
-def corner_view(state, spec=None):
+def state_current(spec, state, x):
+    """h_t(x) of one trajectory of spec, read through occupancy_ensemble."""
+    ens = occupancy_ensemble(spec, state.time, [state.occupancy])
+    return int(current(ens, x)[0])
+
+
+def corner_view(spec, state):
     """Height-function samples of a J=1 partial-exclusion state: returns
     {position: height} with height(x - t/2 - 1) = 2*h_t(x) + 2*(x-1) - t,
     on the grid x = 1, ..., t+2."""
-    if spec is not None and spec.variant == "jgamma_pep" and spec.J != 1:
+    if spec.variant == "jgamma_pep" and spec.J != 1:
         raise ValueError("corner_view requires J = 1")
     t = state.time
     out = {}
     for x in range(1, t + 3):
         pos = x - t / 2.0 - 1.0
-        out[pos] = 2 * current(state, x) + 2 * (x - 1) - t
+        out[pos] = 2 * state_current(spec, state, x) + 2 * (x - 1) - t
     return out
 
 
@@ -431,7 +437,7 @@ class TestModelSpec:
 class TestStepAndCurrent:
     def test_origin_current_zero(self):
         for spec in (QHAHN, JG, ASYM):
-            assert current(initial_state(spec), 1) == 0
+            assert state_current(spec, initial_state(spec), 1) == 0
 
     @pytest.mark.parametrize("J", [1, 3])
     def test_jgamma_first_step_deterministic(self, J):
@@ -457,14 +463,14 @@ class TestStepAndCurrent:
             st = step(st, spec)
             expect = sum(spec.row_degree(y) for y in range(1, t + 1))
             assert st.total_particles == expect
-            assert current(st, 1) == expect
-            assert current(st, t + 5) == 0
+            assert state_current(spec, st, 1) == expect
+            assert state_current(spec, st, t + 5) == 0
 
     def test_current_monotone(self):
         st = initial_state(ASYM, seed=3)
         for _ in range(12):
             st = step(st, ASYM)
-        vals = [current(st, x) for x in range(1, 16)]
+        vals = [state_current(ASYM, st, x) for x in range(1, 16)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_jgamma_site_cap(self):
@@ -1248,19 +1254,19 @@ class TestBitSlicedEngine:
 class TestCornerView:
     def test_wedge_at_time_zero(self):
         st = initial_state(JG)
-        for pos, h in corner_view(st).items():
+        for pos, h in corner_view(JG, st).items():
             assert h == 2 * abs(pos)
 
     def test_time_one_deterministic(self):
         st = step(initial_state(JG, seed=1), JG)
-        view = corner_view(st)
+        view = corner_view(JG, st)
         assert view[-0.5] == 1 and view[0.5] == 1 and view[1.5] == 3
 
     def test_heights_dominate_wedge(self):
         st = initial_state(JG, seed=6)
         for _ in range(8):
             st = step(st, JG)
-        for pos, h in corner_view(st).items():
+        for pos, h in corner_view(JG, st).items():
             assert h >= 2 * abs(pos) - 1e-9
 
     @pytest.mark.parametrize("t", [1, 2, 3])

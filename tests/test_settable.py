@@ -1,4 +1,5 @@
-"""Every optional parameter in the package is one a program caller sets.
+"""Every optional parameter in the package is one a program caller sets,
+and every definition in it is one that program code names.
 
 A parameter or dataclass field with a default is a value a caller may
 choose.  One that no call in src/ or perfbench/ sets has only its default
@@ -9,6 +10,10 @@ function or dataclass called `name` that it passes by position or keyword
 in a class body stands for the class, and `replace(obj, field=...)` sets
 the field.  The asymptotics experiments' keywords are exempt: the CLI binds
 them from --config.
+
+A function, method or class that no live code in src/ or perfbench/ names
+is reached by no program input, only by tests: its place is in tests/, as
+a reference.  That scan is by name too (see unreferenced_definitions).
 """
 
 import ast
@@ -133,3 +138,85 @@ def test_the_scan_finds_a_parameter_no_caller_sets(tmp_path):
         "lib.f(b)", "lib.f(d)", "lib.m(y)"]
     (tmp_path / "more.py").write_text("f(*xs, **kw)\nK().m(0, 1)\n")
     assert unset_parameters(tmp_path, (tmp_path,)) == []
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _referenced(node):
+    """The names node's code reads, calls or imports from a module; the
+    code of definitions nested in it aside."""
+    names = {_name(node)}
+    if isinstance(node, ast.ImportFrom):
+        names |= {alias.name for alias in node.names}
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, _DEFS):
+            names |= _referenced(child)
+    return names
+
+
+def _definitions(node, parent=None):
+    """(definition, the definition it is nested in or None) of each
+    function, method or class under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = parent
+        if isinstance(child, _DEFS):
+            yield child, parent
+            inner = child
+        yield from _definitions(child, inner)
+
+
+def unreferenced_definitions(package=PACKAGE, callers=CALLERS):
+    """'module.name' of each function, method or class in package, dunders
+    aside, that no live code in callers names.  Module-level code is live.
+    A definition is live when live code names it (a dunder needs no name)
+    and the definition it is nested in, if any, is live; its code is then
+    live too.  Definitions nested in one listed are not listed again."""
+    defs, names = [], set()
+    for folder in callers:
+        for path, tree in _trees(folder):
+            names |= _referenced(tree)
+            defs += [(path, node, parent)
+                     for node, parent in _definitions(tree)]
+    live, grew = set(), True
+    while grew:
+        grew = False
+        for path, node, parent in defs:
+            if node not in live and (parent is None or parent in live) and (
+                    node.name in names or node.name.startswith("__")):
+                live.add(node)
+                names |= _referenced(node)
+                grew = True
+    return ["%s.%s" % (path.stem, node.name) for path, node, parent in defs
+            if node not in live and (parent is None or parent in live)
+            and path.is_relative_to(package)
+            and not node.name.startswith("__")]
+
+
+def test_every_definition_is_named_by_live_code():
+    assert unreferenced_definitions() == []
+
+
+def test_the_scan_finds_a_definition_no_live_code_names(tmp_path):
+    (tmp_path / "lib.py").write_text(
+        "def live():\n    return helper()\n"
+        "def helper():\n    pass\n"
+        "def imported():\n    pass\n"
+        "def dead():\n    return only_dead()\n"
+        "def only_dead():\n"
+        "    def live():\n        return via_nested()\n"
+        "    return live()\n"
+        "def via_nested():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class K:\n"
+        "    def __init__(self):\n        via_dunder()\n"
+        "    def used(self):\n        pass\n"
+        "    def unused(self):\n        pass\n"
+        "def via_dunder():\n    pass\n"
+        "live()\nK().used()\n")
+    (tmp_path / "use.py").write_text("from lib import imported\n")
+    assert unreferenced_definitions(tmp_path, (tmp_path,)) == [
+        "lib.dead", "lib.only_dead", "lib.via_nested", "lib.recursive",
+        "lib.unused"]
+    (tmp_path / "more.py").write_text("dead()\nrecursive(1)\nK().unused()\n")
+    assert unreferenced_definitions(tmp_path, (tmp_path,)) == []

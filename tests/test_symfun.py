@@ -49,7 +49,6 @@ class TestSignature:
     def test_accessors(self):
         s = Signature((3, 1, 1, 0))
         assert s.length == 4
-        assert s.weight == 5
         assert s.largest == 3
         assert s.multiplicity(1) == 2
         assert s.multiplicity(2) == 0

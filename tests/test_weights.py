@@ -1,9 +1,11 @@
 """Vertex-weight layer: the unfused weight, column fusion, the fused-weight
-recursion and closed form, factored special cases, stochastic corrections,
-multiplicative-parameter weights, and closed-form degenerations."""
+recursion against the closed form and factored special cases of
+oracle_weights, stochastic corrections, multiplicative-parameter weights,
+and closed-form degenerations."""
 
 import cmath
 import math
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -11,12 +13,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import prior_weights as prior
+from oracle_weights import (
+    PatternMismatch,
+    sigma_j1_full_row,
+    w_fused_closed,
+    w_fused_special,
+)
 from dynvertex import specfun, weights
 from dynvertex.errors import (
     DynVertexError,
     InadmissibleParameters,
     NonConvergent,
-    PatternMismatch,
     SingularParameter,
 )
 from dynvertex.specfun import EllipticContext, elliptic_pochhammer, f_eval
@@ -34,11 +41,8 @@ from dynvertex.weights import (
     psi_u_equals_s,
     row_sum_checks,
     sigma,
-    sigma_j1_full_row,
     w1,
-    w_fused_closed,
     w_fused_recursive,
-    w_fused_special,
 )
 
 TRIG = EllipticContext(mode="trigonometric", eta=0.07)
@@ -146,8 +150,8 @@ class TestFusionOracleChain:
                  (3, (2, 2, 1, 3)), (2, (3, 2, 4, 1)), (4, (2, 3, 2, 3)),
                  (2, (0, 2, 1, 1)), (3, (0, 3, 1, 2))]
         for J, cfg in cases:
-            cfg = ArrowConfig(*cfg)
-            assert cfg.j1 + cfg.j2 > J or cfg.i2 < cfg.j1
+            _, j1, i2, j2 = cfg = ArrowConfig(*cfg)
+            assert j1 + j2 > J or i2 < j1
             ref = w_fused_recursive(J, cfg, p)
             val = w_fused_closed(J, cfg, p)
             assert val == pytest.approx(ref, rel=1e-9)
@@ -709,15 +713,20 @@ class TestEqualToPrior:
     def test_off_support_child_keeps_a_non_finite_top_weight(
             self, eta, v, lam, L, J, cfg):
         # The top-row weight of a child off the support is not finite
-        # here, so 0 times it is nan, and the value keeps that nan as the
-        # reference recursion does.
+        # here, so 0 times it is nan.  The recursion keeps that nan as the
+        # reference does, and w_fused_recursive raises at it.
         p = UnfusedWeightParams(v, lam, L,
                                 EllipticContext(mode="trigonometric",
                                                 eta=eta))
         cfg = ArrowConfig(*cfg)
         want = prior.w_fused_recursive(J, cfg, p)
         assert cmath.isnan(want)
-        assert bits(w_fused_recursive(J, cfg, p)) == bits(want)
+        got = weights._w_hat(J, *cfg, p, 0, {}) / math.comb(J, cfg[3])
+        assert bits(got) == bits(want)
+        with pytest.raises(InadmissibleParameters,
+                           match=r"^W_%d%s is \(nan\+nanj\): its parameters "
+                           r"leave float range$" % (J, re.escape(str(cfg)))):
+            w_fused_recursive(J, cfg, p)
 
     def test_vanishing_top_row_denominator_raises(self):
         # lam = 0 puts f(lambda) = 0 in the level-J top row at loff = 0.
@@ -841,21 +850,25 @@ def float_range_draws(draw):
     parameters, a level J with a configuration (on the support or not),
     and psi's parameters, each of modulus 0, in [0.05, 2] or, log-uniform,
     in [1e-300, 0.05], where psi's sines leave float range.  The
-    imaginary parts of z, v and lam lie within 2 of the real axis, where
-    every product of f in the weights stays in float range, or, in half
-    of the draws, may lie beyond 300, where f alone leaves it (sin(pi z)
-    past about 226, theta1 sooner)."""
+    imaginary parts of z lie within 2 of the real axis, those of v and lam
+    within 10 and that of Lambda within 2.5, where a product of f in the
+    weights can leave float range though each f stays in it; or, in half
+    of the draws, those of z, v and lam may lie beyond 300, where f alone
+    leaves it (sin(pi z) past about 226, theta1 sooner)."""
     near = st.floats(-2.0, 2.0)
-    imag = (near | st.floats(300.0, 1e6) | st.floats(-1e6, -300.0)
-            if draw(st.booleans()) else near)
+    far = st.floats(300.0, 1e6) | st.floats(-1e6, -300.0)
+    beyond = draw(st.booleans())
     eta = complex(draw(st.floats(0.02, 0.45)), draw(st.floats(-0.3, 0.3)))
     if draw(st.booleans()):
         ctx = EllipticContext(mode="elliptic", eta=eta, tau=complex(
             draw(st.floats(-0.5, 0.5)), draw(st.floats(0.5, 2.0))))
     else:
         ctx = EllipticContext(mode="trigonometric", eta=eta)
-    z, v, lam = (complex(draw(near), draw(imag)) for _ in range(3))
-    L = complex(draw(st.floats(-3.0, 3.0)), draw(near))
+    wide = st.floats(-10.0, 10.0)
+    z = complex(draw(near), draw(near | far if beyond else near))
+    v, lam = (complex(draw(near), draw(wide | far if beyond else wide))
+              for _ in range(2))
+    L = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-2.5, 2.5)))
     J = draw(st.integers(1, 3))
     i1, j1, j2 = (draw(st.integers(0, n)) for n in (3, J, J))
     radius = (st.floats(0.0, 2.0).map(lambda r: r if r >= 0.05 else 0.0)
@@ -868,8 +881,9 @@ def float_range_draws(draw):
 
 
 class TestFloatRange:
-    """Where an argument of f leaves float range, the weights raise a
-    DynVertexError, not cmath's OverflowError."""
+    """Where an argument of f, or a product of f values, leaves float
+    range, the weights raise a DynVertexError, not cmath's OverflowError,
+    and return no inf or nan."""
 
     @settings(max_examples=300)
     @given(float_range_draws())
