@@ -241,6 +241,8 @@ def _experiment_dynamic_gamma(seed, /, J=1, r=1.0, s=0.0, T=10000,
                               gamma=3.0, samples=10000, m_list=(1, 2)):
     J, r, s, T = int(J), _rate(r), float(s), _horizon(T)
     gamma, samples = float(gamma), int(samples)
+    if not math.isfinite(gamma):  # the factorial moments need a finite one
+        raise ValueError("gamma must be finite, got %r" % gamma)
     m_list = [int(m) for m in m_list]
     model = ModelSpec.jgamma_pep(J=J, gamma=gamma)
     x, N, obs = _gamma_observables(J, r, s, T, gamma, m_list)

@@ -130,6 +130,18 @@ def _positive(text):
     return value
 
 
+def _seed(text):
+    """The argparse type of --seed: an int >= 0, as numpy's SeedSequence
+    takes, else exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -365,8 +377,8 @@ def _run_asymptotics(args):
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0,
-                     help="base seed (default 0)")
+    sub.add_argument("--seed", type=_seed, default=0,
+                     help="base seed, a non-negative integer (default 0)")
     sub.add_argument("--out", help="write the JSON report here "
                      "(default: stdout)")
 

@@ -56,8 +56,15 @@ Every ensemble ends in one `Ensemble`, the (samples, width) height matrix
 and the numbers that locate it, read as int64 arrays over the samples so
 that no product of heights wraps in a narrow engine dtype; `run_ensemble`
 calls each observable once with it.
+
+Only `initial_state` and `_trajectory_rng` (for `run_ensemble`) build
+random generators here, and `specfun.identity_checks` in the package;
+nothing else names `np.random`.  numpy loads `numpy.random` at the first
+call of one of them, so `exact_law` and the other layers that draw no
+random number never pay for it.
 """
 
+import cmath
 import math
 import os
 from dataclasses import dataclass, field
@@ -128,26 +135,31 @@ class ModelSpec:
     def general(cls, q, delta, U, Xi, S, J):
         """Row-update model with the full psi transition weights."""
         J = _degrees(J)
-        return cls(variant="general", q=float(q), delta=complex(delta),
-                   U=tuple(complex(u) for u in U),
-                   Xi=tuple(complex(xi) for xi in Xi),
-                   S=tuple(complex(s) for s in S), J=J)
+        q, = _finite(float, "q", (q,))
+        delta, = _finite(complex, "delta", (delta,))
+        return cls(variant="general", q=q, delta=delta,
+                   U=_finite(complex, "U", U), Xi=_finite(complex, "Xi", Xi),
+                   S=_finite(complex, "S", S), J=J)
 
     @classmethod
     def qhahn(cls, q, delta, B, C, J):
         """Row-update model with the q-Hahn-type phi transition weights;
-        requires c_y = q^{J_y} with positive integer J_y."""
-        q = float(q)
+        requires c_y = q^{J_y} with positive integer J_y, and b_x != 0,
+        since phi's a = b_x c_y must not vanish."""
+        q, = _finite(float, "q", (q,))
+        delta, = _finite(float, "delta", (delta,))
         J = _degrees(J)
-        C = tuple(float(c) for c in C)
+        C = _finite(float, "C", C)
+        B = _finite(float, "B", B)
         if len(C) != len(J):
             raise ValueError("C and J must have matching lengths")
+        if 0.0 in B:
+            raise InadmissibleParameters("qhahn requires every b_x != 0")
         for c, j in zip(C, J):
             if abs(c - q ** j) > 1e-12 * max(1.0, abs(c)):
                 raise InadmissibleParameters(
                     "qhahn requires c_y = q**J_y (got c=%r, J=%r)" % (c, j))
-        return cls(variant="qhahn", q=q, delta=float(delta),
-                   B=tuple(float(b) for b in B), C=C, J=J)
+        return cls(variant="qhahn", q=q, delta=delta, B=B, C=C, J=J)
 
     @classmethod
     def jgamma_pep(cls, J, gamma):
@@ -166,8 +178,9 @@ class ModelSpec:
         delta = float(delta)
         if not 0 < q < 1:
             raise InadmissibleParameters("asym_pep requires 0 < q < 1")
-        if delta > 0:
-            raise InadmissibleParameters("asym_pep requires delta <= 0")
+        if not (math.isfinite(delta) and delta <= 0):
+            raise InadmissibleParameters(
+                "asym_pep requires a finite delta <= 0, got %r" % delta)
         return cls(variant="asym_pep", q=q, delta=delta, J=1)
 
     @classmethod
@@ -206,12 +219,24 @@ class ModelSpec:
 
 
 def _degrees(J):
-    """Row degrees as a tuple of ints; ValueError unless each is a positive
-    integer (a float is taken only where it is integral)."""
-    if not all(float(j).is_integer() and j >= 1 for j in J):
-        raise ValueError("row degrees must be positive integers, got %r"
-                         % (tuple(J),))
+    """Row degrees as a tuple of ints; ValueError unless there is one or
+    more and each is a positive integer (a float is taken only where it is
+    integral)."""
+    if not (len(J) and all(float(j).is_integer() and j >= 1 for j in J)):
+        raise ValueError("row degrees must be positive integers, one or "
+                         "more, got %r" % (tuple(J),))
     return tuple(int(j) for j in J)
+
+
+def _finite(num, name, values):
+    """values as a tuple of num (float or complex); ValueError unless there
+    is one or more and each is finite."""
+    out = tuple(num(v) for v in values)
+    if not out:
+        raise ValueError("%s must hold one or more values" % name)
+    if not all(cmath.isfinite(v) for v in out):
+        raise ValueError("%s must be finite, got %r" % (name, out))
+    return out
 
 
 def _cyc(seq, i):
@@ -225,12 +250,15 @@ def _cyc(seq, i):
 
 @dataclass
 class SystemState:
-    """One particle-system trajectory at a fixed time."""
+    """One particle-system trajectory at a fixed time.  rng is the
+    trajectory's generator, built by `initial_state`; its annotation is a
+    string, which the class never evaluates, so that importing this module
+    does not load `numpy.random`."""
 
     time: int
     occupancy: np.ndarray
     total_particles: int
-    rng: np.random.Generator
+    rng: "np.random.Generator"
     clamped: int = 0
 
 
@@ -748,8 +776,12 @@ def _trajectory_rng(base_seed, index):
 
 
 def _int_dtype(top):
-    """Signed integer dtype, int16 or wider, that holds -top..top."""
-    return np.promote_types(np.int16, np.min_scalar_type(-int(top)))
+    """Signed integer dtype, int16 or wider, that holds -top..top;
+    SizeLimit where int64 does not."""
+    dtype = np.promote_types(np.int16, np.min_scalar_type(-int(top)))
+    if dtype.kind != "i":
+        raise SizeLimit("the engine's values reach past int64")
+    return dtype
 
 
 _WINDOW_GROW = 64  # free rows before a moved band; see _ensemble_pep
@@ -986,10 +1018,12 @@ def _ensemble_pep(spec, N, samples, rng):
         occs, keys = np.divmod(pairs, nk)
         table = _pep_stay(spec, occs, keys + kmin)
         stay = table.take(idx)
-        if ((table < -_WEIGHT_NEG_TOL) | (table > 1 + _WEIGHT_NEG_TOL)).any():
+        # written so that a nan fails the screen, as in _ensemble_bits
+        if not ((table >= -_WEIGHT_NEG_TOL)
+                & (table <= 1 + _WEIGHT_NEG_TOL)).all():
             stay = np.broadcast_to(stay, drawn.shape)
-            bad = np.flatnonzero((stay < -_WEIGHT_NEG_TOL)
-                                 | (stay > 1 + _WEIGHT_NEG_TOL))
+            bad = np.flatnonzero(~((stay >= -_WEIGHT_NEG_TOL)
+                                   & (stay <= 1 + _WEIGHT_NEG_TOL)))
             if len(bad):
                 raise InadmissibleWeights(
                     "stay probability %.6f out of [0, 1] at time %d, site %d"

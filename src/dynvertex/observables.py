@@ -60,7 +60,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import Check, ContourInfeasible, NotConverged, SizeLimit
+from .errors import (Check, ContourInfeasible, InadmissibleParameters,
+                     NotConverged, SizeLimit)
 from .models import ModelSpec, _cyc, current, exact_law, run_ensemble
 
 # Frozen index conventions (calibrated against exact enumeration; see the
@@ -123,9 +124,11 @@ class ObservableSpec:
         dinv = 1.0 / delta if delta else 0.0
         try:
             norm = [1.0 - dinv * q ** j for j in range(self.k)]
+            q ** (1 - max(self.model.J))  # the farthest contour point
         except OverflowError:
-            raise ValueError("q = %r overflows q^j for a j < k = %d"
-                             % (q, self.k))
+            raise ValueError("q = %r overflows q^j for a j < k = %d or "
+                             "1/q^p for a p < max(J) = %d"
+                             % (q, self.k, max(self.model.J)))
         if 0.0 in norm:
             raise ValueError("delta = %r equals q^j for a j < k = %d, where "
                              "the normalization prod_j (1 - q^j / delta) "
@@ -175,6 +178,10 @@ def _qhahn_lhs_factors(spec):
         for i in range(1, x):
             b *= _cyc(m.B, i)
         bprods.append(b)
+    if not all(map(math.isfinite, [cprod] + bprods)):
+        raise InadmissibleParameters(
+            "the product of the c_y over the N rows or of the b_x before a "
+            "probe site leaves float range: %r, %r" % (cprod, bprods))
 
     if delta == 0.0:
         # delta -> 0 limit of the normalized product.
@@ -768,7 +775,8 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
     while True:
         passes.append(list(ns))
         sums, cur, floor = run(passes[-1], sums, grow)
-        scale = max(abs(cur), floor / tol)
+        # Python floats, which overflow to inf without numpy's warning
+        scale = max(float(abs(cur)), float(floor) / tol)
         change = abs(_halved(sums, every) - cur) / scale
         if change <= tol:
             break
@@ -786,14 +794,14 @@ def rhs_quadrature(spec, contour=None, tol=1e-8, full=False):
         ns = [2 * n if j in grow else n for j, n in enumerate(ns)]
     # A sum whose rounding floor exceeds the tolerance cannot resolve its
     # value, however well two passes agree.
-    if floor > tol * max(1.0, abs(cur)):
+    size = float(abs(cur))
+    if floor > tol * max(1.0, size):
         raise NotConverged(
             "rounding floor %.3e of the sum exceeds tol * max(1, |value|) "
             "at value %.3e" % (floor, abs(cur)))
     # The imaginary part must vanish to the accuracy of the real part, as
     # in the pair rule, and in no case beyond _IMAG_TOL * max(1, |cur|).
-    imag_bound = min(max(tol * abs(cur), floor),
-                     _IMAG_TOL * max(1.0, abs(cur)))
+    imag_bound = min(max(tol * size, floor), _IMAG_TOL * max(1.0, size))
     if abs(cur.imag) > imag_bound:
         raise NotConverged(
             "integral has non-negligible imaginary part %.3e (bound %.3e)"

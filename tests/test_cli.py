@@ -45,25 +45,55 @@ def run(tmp_path, *argv):
     return code, report
 
 
+def fresh_interpreter(code):
+    """The standard output of code run in a new interpreter that imports
+    this checkout's dynvertex."""
+    src = os.path.dirname(os.path.dirname(dynvertex.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 class TestImport:
     def test_cli_import_does_not_load_scipy(self):
-        src = os.path.dirname(os.path.dirname(dynvertex.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         code = "import sys, dynvertex.cli; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert fresh_interpreter(code) == "False"
+
+    def test_exact_layers_do_not_load_numpy_random(self):
+        # numpy.random loads where a generator is built: the CLI's import
+        # and the exact layers, which draw no random number, load none of
+        # it, and run_ensemble (the positive control) loads it.
+        code = textwrap.dedent("""\
+            import sys
+            import dynvertex.cli
+            from dynvertex.models import (ModelSpec, current, exact_law,
+                                          run_ensemble)
+            from dynvertex.observables import (
+                ObservableSpec, lhs_exact, rhs_exact, rhs_quadrature,
+                solve_contours)
+            from dynvertex.symfun import consistency_checks
+            from dynvertex.weights import row_sum_checks
+            pep = ModelSpec.jgamma_pep(1, 5.0)
+            exact_law(pep, 3)
+            spec = ObservableSpec(pep, (2, 1), 4)
+            lhs_exact(spec)
+            rhs_exact(ObservableSpec(pep, (1,), 3))
+            rhs_quadrature(spec, solve_contours(spec))
+            row_sum_checks("both", 1e-10)
+            consistency_checks("all", 1e-9, 1e-8)
+            print("numpy.random" in sys.modules)
+            run_ensemble(pep, 2, 2, 0, [lambda ens: current(ens, 1)])
+            print("numpy.random" in sys.modules)
+            """)
+        assert fresh_interpreter(code).split() == ["False", "True"]
 
     def test_import_and_contexts_evaluate_no_f(self):
         # f(2*eta) is kept per context but evaluated at first use: importing
         # the CLI (which builds the check contexts) and building contexts,
         # one whose theta series fails at 2*eta among them, evaluate no f.
-        src = os.path.dirname(os.path.dirname(dynvertex.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         code = textwrap.dedent("""\
             import sys
             seen = []
@@ -79,9 +109,7 @@ class TestImport:
             sys.setprofile(None)
             print(seen, [c.f_two_eta_value for c in CHECK_CONTEXTS.values()])
             """)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[] [[], []]"
+        assert fresh_interpreter(code) == "[] [[], []]"
 
     def test_cli_imports_no_private_names(self):
         # The report modules own their checks; the CLI uses their public
@@ -160,6 +188,24 @@ class TestTolerances:
         assert code == 2
         assert "argument --tol: not a number: 'tiny'" in \
             capsys.readouterr().err
+
+
+class TestSeed:
+    @pytest.mark.parametrize("argv", [
+        ["specfun"], ["check-weights"], ["symfun"],
+        ["simulate", "--model", "pep", "--steps", "5", "--samples", "2"],
+        ["verify-identity", "--form", "pep", "--k", "1", "--x", "2", "--N",
+         "3", "--samples", "10"],
+        ["asymptotics", "--experiment", "heat"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        # numpy's SeedSequence takes no negative seed: a usage error, as a
+        # tolerance <= 0 is, before any work starts.
+        code, rep = run(tmp_path, *argv, "--seed=-3")
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert "argument --seed: must be >= 0, got -3" in err
+        assert "Traceback" not in err
 
 
 class TestSpecfun:
@@ -408,6 +454,36 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: q = ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("model, config, says", [
+        ("asym-pep", '{"delta": NaN}', "finite delta <= 0, got nan"),
+        ("asym-pep", '{"delta": -Infinity}', "finite delta <= 0, got -inf"),
+        ("qhahn", '{"B": []}', "B must hold one or more values"),
+        ("qhahn", '{"C": [], "J": []}', "row degrees must be positive "
+         "integers, one or more"),
+        ("qhahn", '{"B": [0]}', "every b_x != 0"),
+        ("qhahn", '{"delta": NaN}', "delta must be finite, got (nan,)"),
+        ("general", GENERAL_CONFIG.replace('"U": [1.05]', '"U": []')
+         % "[0, 0.5]", "U must hold one or more values"),
+        ("general", GENERAL_CONFIG.replace('"J": [1]', '"J": []')
+         % "[0, 0.5]", "row degrees must be positive integers, one or more"),
+        ("general", GENERAL_CONFIG % "Infinity",
+         "Xi must be finite, got ((inf+0j),)"),
+    ], ids=["delta-nan", "delta-minus-inf", "qhahn-no-B", "qhahn-no-rows",
+            "qhahn-b0", "qhahn-delta-nan", "general-no-U",
+            "general-no-rows", "general-xi-inf"])
+    def test_inadmissible_model_exits_2(self, tmp_path, capsys, model,
+                                        config, says):
+        # No model admits these: a NaN delta once ran and reported passed,
+        # and an empty list ended in a ZeroDivisionError of the cyclic
+        # lookup.
+        code, rep = run(tmp_path, "simulate", "--model", model, "--steps",
+                        "20", "--samples", "200", "--sites", "8",
+                        "--config", config)
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid model parameters: ")
+        assert says in err and err.count("\n") == 1
 
     def test_corner_model(self, tmp_path):
         code, rep = run(tmp_path, "simulate", "--model", "corner",
@@ -727,15 +803,52 @@ class TestVerifyIdentity:
          "delta = 0.4 equals q^j"),
         (["--q", "1e300", "--x", "3", "2", "1", "--N", "3"],
          "q = 1e+300 overflows q^j"),
-    ], ids=["q0-contours", "q0-C", "delta-q0", "delta-q1", "q-overflow"])
+        (["--q", "5e-324", "--x", "1", "--J", "2"],
+         "q = 5e-324 overflows q^j for a j < k = 1 or 1/q^p"),
+        (["--k", "1", "--x", "2", "--N", "3", "--b", "0"], "every b_x != 0"),
+        (["--k", "1", "--x", "2", "--N", "3", "--b", "inf"],
+         "B must be finite, got (inf,)"),
+        (["--k", "1", "--x", "2", "--N", "3", "--b", "nan"],
+         "B must be finite, got (nan,)"),
+    ], ids=["q0-contours", "q0-C", "delta-q0", "delta-q1", "q-overflow",
+            "q-tiny", "b0", "b-inf", "b-nan"])
     def test_qhahn_arithmetic_exits_2(self, tmp_path, capsys, argv, says):
         # q = 0 has no 1/q to nest the contours by and no q^-1 for C;
         # delta = q^j (j < k) zeroes the normalization prod (1 - q^j/delta),
-        # and q^j must be a float to compute it.
+        # and q^j and the contour point 1/q^(J-1) must be floats; b = 0
+        # zeroes phi's a = b c_y, and b must be finite.
         code, rep = run(tmp_path, "verify-identity", "--form", "qhahn", *argv)
         assert code == 2 and rep is None
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("samples", ["0", "4"])
+    def test_left_side_out_of_float_range_exits_1(self, tmp_path, capsys,
+                                                  samples):
+        # b^3 overflows: the left side once read nan (exact) or leaked
+        # numpy's inf * 0 warning (Monte Carlo).
+        code, rep = run(tmp_path, "verify-identity", "--form", "qhahn",
+                        "--q", "1.46", "--x", "4", "4", "4", "--b=-1e300",
+                        "--samples", samples)
+        assert code == 1 and rep is None
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: InadmissibleParameters: the "
+                              "product of the c_y") and err.count("\n") == 1
+
+    def test_huge_tol_passes_without_a_warning(self, tmp_path):
+        # tol * |value| once overflowed in numpy's scalar multiply.
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep", "--x",
+                        "1", "--N", "4", "--tol=1.7976931348623157e+308")
+        assert code == 0 and rep["passed"]
+
+    def test_tiny_tol_fails_without_a_warning(self, tmp_path, capsys):
+        # The change scale max(|V|, floor / tol) once overflowed in numpy's
+        # scalar divide at tol = 5e-324; the floor gate fails it.
+        code, rep = run(tmp_path, "verify-identity", "--form", "qhahn",
+                        "--x", "2", "1", "--N", "3", "--tol=5e-324")
+        assert code == 1 and rep is None
+        assert "NotConverged: rounding floor" in capsys.readouterr().err
 
 
 class TestAsymptotics:
@@ -820,6 +933,9 @@ class TestAsymptotics:
     @pytest.mark.parametrize("name, config, says", [
         ("heat", '{"T": 16, "smaples": 20}', "smaples"),
         ("kpz-exponent", '{"T_list": [64], "samples": 20}', "two distinct"),
+        # inf * 0 in the factorial moments once leaked a numpy warning
+        ("gamma", '{"gamma": Infinity, "T": 6, "samples": 3}',
+         "gamma must be finite, got inf"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, name, config, says):
         code, rep = run(tmp_path, "asymptotics", "--experiment", name,

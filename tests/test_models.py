@@ -416,6 +416,41 @@ class TestModelSpec:
         with pytest.raises(InadmissibleParameters):
             ModelSpec.asym_pep(0.5, 0.1)
 
+    @pytest.mark.parametrize("delta", [math.nan, -math.inf, math.inf])
+    def test_asym_delta_is_finite(self, delta):
+        # A NaN delta passed "delta > 0" and ran with every stay draw false.
+        with pytest.raises(InadmissibleParameters,
+                           match="requires a finite delta <= 0"):
+            ModelSpec.asym_pep(0.25, delta)
+
+    @pytest.mark.parametrize("kw, says", [
+        ({"B": ()}, "B must hold one or more values"),
+        ({"B": (B0, math.nan)}, r"B must be finite, got \(-?[0-9.]+, nan\)"),
+        ({"C": (), "J": ()}, "row degrees must be positive integers, one "
+         "or more"),
+        ({"q": math.inf}, r"q must be finite, got \(inf,\)"),
+        ({"delta": math.nan}, r"delta must be finite, got \(nan,\)"),
+        ({"B": (B0, 0.0)}, "every b_x != 0"),  # then phi's a = b c_y is 0
+    ])
+    def test_qhahn_parameters_are_finite_lists(self, kw, says):
+        # An empty list ended in a ZeroDivisionError of _cyc.
+        args = dict(q=Q, delta=DELTA, B=(B0,), C=(Q,), J=(1,)) | kw
+        with pytest.raises((ValueError, InadmissibleParameters), match=says):
+            ModelSpec.qhahn(**args)
+
+    @pytest.mark.parametrize("kw, says", [
+        ({"U": ()}, "U must hold one"), ({"Xi": ()}, "Xi must hold one"),
+        ({"S": ()}, "S must hold one"), ({"J": ()}, "row degrees must be"),
+        ({"S": (complex(0, math.inf),)}, "S must be finite"),
+        ({"q": math.nan}, "q must be finite"),
+        ({"delta": math.inf}, "delta must be finite"),
+    ])
+    def test_general_parameters_are_finite_lists(self, kw, says):
+        args = dict(q=Q, delta=DELTA, U=(1.05,), Xi=(S_IM,), S=(S_IM,),
+                    J=(1,)) | kw
+        with pytest.raises(ValueError, match=says):
+            ModelSpec.general(**args)
+
     def test_corner_dyn_bound(self):
         with pytest.raises(InadmissibleParameters):
             ModelSpec.corner_dyn(0.5)
@@ -748,9 +783,12 @@ def enumerated_models(draw):
         spec = draw(general_specs)
     elif variant == "qhahn":
         q, J = draw(st.floats(0.05, 0.95)), draw(st.integers(1, 2))
-        spec = ModelSpec.qhahn(q, draw(st.floats(-1.0, 0.0)),
-                               B=(draw(st.floats(-3.0, 0.5)),),
-                               C=(q ** J,), J=(J,))
+        delta, b = draw(st.floats(-1.0, 0.0)), draw(st.floats(-3.0, 0.5))
+        if b:
+            spec = ModelSpec.qhahn(q, delta, B=(b,), C=(q ** J,), J=(J,))
+        else:  # b = 0, past the constructor's check
+            spec = ModelSpec(variant="qhahn", q=q, delta=delta, B=(b,),
+                             C=(q ** J,), J=(J,))
     elif variant == "corner":
         spec = ModelSpec.corner(draw(st.floats(0, 1)))
     else:
@@ -913,6 +951,26 @@ class TestEnsembles:
         with pytest.raises(InadmissibleWeights,
                            match=r"1\.5.* at time 1, site 1$"):
             run_ensemble(bad, 3, 4, 1, [lambda st: 0.0])
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.jgamma_pep(10 ** 18, math.inf),
+        ModelSpec.qhahn(Q, DELTA, B=(B0,), C=(0.0,), J=(10 ** 300,))],
+        ids=["pep", "qhahn"])
+    def test_values_past_int64_raise_size_limit(self, spec):
+        # A row degree this large once gave the engines an object dtype
+        # and a raw TypeError.
+        with pytest.raises(SizeLimit, match="past int64"):
+            run_ensemble(spec, 2, 2, 0, [lambda st: 0.0])
+
+    def test_nan_stay_probability_fails_the_screen(self):
+        # A NaN delta (past the constructor) gives a NaN stay table, which
+        # the keyed engine's screen once let through to draws that never
+        # stay.
+        bad = ModelSpec(variant="asym_pep", q=0.25, delta=math.nan, J=1)
+        with pytest.raises(InadmissibleWeights,
+                           match=r"^stay probability nan out of \[0, 1\] "
+                           r"at time 1, site 1$"):
+            run_ensemble(bad, 20, 200, 0, [lambda st: 0.0])
 
     @pytest.mark.parametrize("spec", [
         ModelSpec.asym_pep(0.25, 0.0), ASYM, JG,
