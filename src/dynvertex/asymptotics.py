@@ -16,12 +16,13 @@ finite-size tolerances rather than proving limits.
 
 import inspect
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Check, OutOfDomain
+from .errors import Check, DynVertexError, OutOfDomain
 from .models import ModelSpec, current, run_ensemble
 from .observables import pep_site
 
@@ -122,6 +123,15 @@ def _horizon(T):
     return int(T)
 
 
+def _model(make, *args):
+    """make(*args), a ModelSpec constructor; parameters it rejects are a
+    bad config (ValueError), found before any sampling."""
+    try:
+        return make(*args)
+    except DynVertexError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _rate(r):
     """r as a float; the limit laws need r > 0, checked before sampling."""
     if not float(r) > 0:
@@ -186,7 +196,7 @@ def _experiment_heat_lln(seed, /, J=1, r=1.0, s=0.0, T=1600, samples=20000):
     J, r, T, samples = int(J), _rate(r), _horizon(T), int(samples)
     multi = isinstance(s, (list, tuple))
     s_list = [float(v) for v in s] if multi else [float(s)]
-    model = ModelSpec.jgamma_pep(J=J, gamma=_NONDYN_GAMMA)
+    model = _model(ModelSpec.jgamma_pep, J, _NONDYN_GAMMA)
     N = _steps(r, T)
     obs, sites = zip(*(_heat_observable(s, r, J, T) for s in s_list))
     ests = run_ensemble(model, N, samples, seed, list(obs))
@@ -208,6 +218,24 @@ def _experiment_heat_lln(seed, /, J=1, r=1.0, s=0.0, T=1600, samples=20000):
     return rep, checks, (("s", "limit_profile", "empirical_mean"),
                          [(v, heat_profile(v, r, J), means.get(v, ""))
                           for v in sorted(grid | set(means))])
+
+
+def _moment_order(m, J, r, gamma):
+    """m as an int; ValueError unless it is an integer >= 0 whose target
+    (rJ/2pi)^(m/2) Gamma(gamma+m)/Gamma(gamma), by math.lgamma, is a
+    normal float; that bounds the m factors of its moment (m <= 204 at the
+    defaults)."""
+    if not (float(m).is_integer() and m >= 0):
+        raise ValueError("each m must be an integer >= 0, got %r" % (m,))
+    try:
+        log = (m / 2 * (math.log(r) + math.log(J / (2 * math.pi)))
+               + math.lgamma(gamma + m) - math.lgamma(gamma))
+    except OverflowError:  # lgamma past float range
+        log = math.inf
+    if not math.log(sys.float_info.min) <= log <= math.log(
+            sys.float_info.max):
+        raise ValueError("the target of m = %d leaves float range" % m)
+    return int(m)
 
 
 def _factorial_product(h, m, shift, gamma):
@@ -243,8 +271,8 @@ def _experiment_dynamic_gamma(seed, /, J=1, r=1.0, s=0.0, T=10000,
     gamma, samples = float(gamma), int(samples)
     if not math.isfinite(gamma):  # the factorial moments need a finite one
         raise ValueError("gamma must be finite, got %r" % gamma)
-    m_list = [int(m) for m in m_list]
-    model = ModelSpec.jgamma_pep(J=J, gamma=gamma)
+    model = _model(ModelSpec.jgamma_pep, J, gamma)
+    m_list = [_moment_order(m, J, r, gamma) for m in m_list]
     x, N, obs = _gamma_observables(J, r, s, T, gamma, m_list)
     ests = run_ensemble(model, N, samples, seed, obs)
     rep = {"kind": "dynamic_gamma", "J": J, "r": r, "s": s, "T": T,
@@ -271,13 +299,12 @@ def _experiment_dynamic_gamma(seed, /, J=1, r=1.0, s=0.0, T=10000,
               for m, d in rep["moments"].items()]))
 
 
-def _asym_height_stats(q, T, sites, samples, seed, centers=()):
-    """(mean, std) of h_T(x) at each site x of asym_pep(q, 0).  With
+def _asym_height_stats(model, T, sites, samples, seed, centers=()):
+    """(mean, std) of h_T(x) at each site x of model.  With
     centers, one per site, each tuple also carries the delta-method
     variance of log(std), (m4 - s^4) / (4 n s^4); the central moments come
     from the powers of h - center, which keep the float cancellation of
     E[h^4] ~ T^4 out."""
-    model = ModelSpec.asym_pep(q, 0.0)
     obs = [lambda st, x=x: current(st, x) for x in sites]
     sq = [lambda st, x=x: current(st, x) ** 2 for x in sites]
     cen = [lambda st, x=x, c=c, k=k: (current(st, x) - c) ** k
@@ -303,6 +330,7 @@ def _experiment_kpz_exponent(seed, /, q=0.25, eta=0.5,
     independent seeds per T, with the stderr of the slope propagated from
     the delta-method variance of each log std."""
     q, eta, samples = float(q), float(eta), int(samples)
+    model = _model(ModelSpec.asym_pep, q, 0.0)
     T_list = [_horizon(t) for t in T_list]
     if len(set(T_list)) < 2:
         raise ValueError("T_list needs two distinct horizons to fit an "
@@ -311,7 +339,7 @@ def _experiment_kpz_exponent(seed, /, q=0.25, eta=0.5,
     points = []
     for i, (T, x) in enumerate(zip(T_list, sites)):
         (mean, std, var_log), = _asym_height_stats(
-            q, T, [x], samples, seed + i, [lln_shapes(q, "m", eta) * T])
+            model, T, [x], samples, seed + i, [lln_shapes(q, "m", eta) * T])
         points.append({"T": T, "site": x, "mean": mean, "std": std,
                        "log_std_stderr": math.sqrt(var_log)})
     log_t = np.array([math.log(p["T"]) for p in points])
@@ -334,9 +362,10 @@ def _experiment_kpz_exponent(seed, /, q=0.25, eta=0.5,
 def _experiment_f_collapse(seed, /, q=0.25, T=4000, eta_list=(0.4, 0.5, 0.6),
                            samples=4000):
     q, T, samples = float(q), _horizon(T), int(samples)
+    model = _model(ModelSpec.asym_pep, q, 0.0)
     eta_list = [float(e) for e in eta_list]
     sites = [_site_at_density(e, T) for e in eta_list]
-    statv = _asym_height_stats(q, T, sites, samples, seed)
+    statv = _asym_height_stats(model, T, sites, samples, seed)
     scale = T ** (1.0 / 3.0)
     rows = []
     for eta, x, (mean, std) in zip(eta_list, sites, statv):

@@ -28,6 +28,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import sys
@@ -37,8 +38,7 @@ import numpy as np
 
 from . import __version__
 from .errors import Check, DynVertexError
-from .models import (ModelSpec, check_ensemble_size, initial_state,
-                     occupancy_ensemble, run_ensemble, step)
+from .models import ModelSpec, Trajectory, check_ensemble_size, estimates
 from .observables import ObservableSpec, identity_check
 from .asymptotics import experiment
 from .specfun import identity_checks
@@ -220,9 +220,10 @@ def _model_from_config(model, cfg):
         if model == "qhahn":
             q = cfg.get("q", 0.4)
             J = tuple(cfg.get("J", (1,)))
-            what = "the default B = (q^-2,) or C = (q^J, ...)"
-            C = tuple(cfg.get("C", _powers(q, J, what)))
-            B = tuple(cfg.get("B", _powers(q, (-2,), what)))
+            C = (tuple(cfg["C"]) if "C" in cfg
+                 else _powers(q, J, "the default C = (q^J, ...)"))
+            B = (tuple(cfg["B"]) if "B" in cfg
+                 else _powers(q, (-2,), "the default B = (q^-2,)"))
             return ModelSpec.qhahn(q, cfg.get("delta", -0.2), B, C, J)
         if model == "pep":
             return ModelSpec.jgamma_pep(cfg.get("J", 1),
@@ -273,37 +274,33 @@ def _run_simulate(args):
     cfg = _load_config(args.config)
     spec = _model_from_config(args.model, cfg)
     sites = tuple(_probe_site(s, spec, args.steps) for s in args.sites)
-    ests = run_ensemble(spec, args.steps, args.samples, args.seed,
-                        [lambda st, s=s: st.height(s) for s in sites])
+    traj_rows = []
+    for snap in itertools.islice(Trajectory(spec, args.samples, args.seed),
+                                 args.steps + 1):
+        t = snap.time
+        if args.trajectory_csv and t and spec.is_corner:
+            first = snap.ensemble(1)
+            traj_rows += [(t, p, int(first.height(p)[0]))
+                          for p in (i - 2 - t / 2 for i in range(t + 5))]
+        elif args.trajectory_csv and t:
+            traj_rows += [(t, x, int(n))
+                          for x, n in enumerate(snap.occupancy, start=1)]
+    ests = estimates(snap.ensemble(), args.seed,
+                     [lambda st, s=s: st.height(s) for s in sites])
     checks = [dict(Check("height_site_%s" % s, est.mean).as_dict(),
                    stderr=est.stderr) for s, est in zip(sites, ests)]
     rows = [(s, est.mean, est.stderr, est.n_samples)
             for s, est in zip(sites, ests)]
     if args.csv:
         _write_csv(args.csv, ("site", "mean", "stderr", "n_samples"), rows)
-    traj = None
     if args.trajectory_csv:
-        state = initial_state(spec, seed=args.seed)
-        traj_rows = []
-        for _ in range(args.steps):
-            state = step(state, spec)
-            if spec.is_corner:
-                ens = occupancy_ensemble(spec, state.time, [state.occupancy])
-                for i in range(state.time + 5):
-                    pos = i - 2 - state.time / 2
-                    traj_rows.append((state.time, pos,
-                                      int(ens.height(pos)[0])))
-            else:
-                for i, n in enumerate(state.occupancy, start=1):
-                    traj_rows.append((state.time, i, int(n)))
         _write_csv(args.trajectory_csv, ("time", "site", "value"),
                    traj_rows)
-        traj = args.trajectory_csv
     return {"subcommand": "simulate",
             "config": {"model": args.model, "model_config": cfg,
                        "steps": args.steps, "samples": args.samples,
                        "sites": list(sites), "csv": args.csv,
-                       "trajectory_csv": traj},
+                       "trajectory_csv": args.trajectory_csv or None},
             "checks": checks}
 
 
@@ -446,7 +443,8 @@ def _build_parser():
                    "integer (half-integers at odd --steps)")
     p.add_argument("--csv", help="write the ensemble summary CSV here")
     p.add_argument("--trajectory-csv",
-                   help="write one seeded trajectory as CSV")
+                   help="write sample 0 of the ensemble the report "
+                   "summarizes, at times 1..steps, as CSV")
     _add_common(p)
     p.set_defaults(handler=_run_simulate)
 

@@ -2,69 +2,44 @@
 exact small-system distribution oracle.
 
 Particle systems live on sites 1, 2, 3, ... with step boundary data: at time
-t one packet of J_y arrows enters at the left of row y = t+1.  A scalar
-trajectory (`step`) stores its occupancy, whose heights
-`occupancy_ensemble` reads; every ensemble engine stores the height
-function, one row per site and one column per trajectory.
-
-Every particle system follows one local rule.  A time step sweeps its row
-left to right, and at each site x one per-vertex kernel per variant,
-`_kernel(spec, x, t, i1, j1, h)`, gives the law of the arrows j2 passed on
-to x+1 from the occupancy i1, the incoming arrows j1 and the height
-h = h_t(x) (particles at sites >= x).  The dynamical parameter is always
-its closed form in the height function: kappa = delta * q^(-2h) * prod(b)
-* prod(c) for the row-update models, and its exclusion-process
-degenerations.  The two exclusion processes fit the same sweep because
-their X(x) depends only on (eta(x), h(x)); their probabilities are the
-shared formulas of `weights`.
-
-Each spec memoizes its kernel on exactly the inputs the kernel reads (see
-`_kernel`): the samplers and the exact law ask the same few questions many
-times, and a dynamical weight costs tens of sin calls.
+t one packet of J_y arrows enters at the left of row y = t+1.  A time step
+sweeps its row left to right, and at each site x one per-vertex kernel per
+variant, `_kernel(spec, x, t, i1, j1, h)`, gives the law of the arrows j2
+passed on to x+1 from the occupancy i1, the incoming arrows j1 and the
+height h = h_t(x) (particles at sites >= x).  The dynamical parameter is
+always its closed form in the height function: kappa = delta * q^(-2h) *
+prod(b) * prod(c) for the row-update models, and its degenerations for
+the exclusion processes, whose X(x) depends only on (eta(x), h(x)) and
+whose probabilities are the shared formulas of `weights`.
 
 The corner-growth variants are the J = 1 exclusion process read through
 its height function (Borodin's dynamic exclusion processes): the corner
 height at position y is H_t(y) = 2y + 2 h_t(y + t/2 + 1), a flat segment
 is a site holding one particle, and it goes up when that particle moves
-on.  `corner(p)` is the process whose lone particle stays with the
-constant chance 1 - p, and `corner_dyn(gamma)` is jgamma_pep(1, gamma),
-with Upsilon - gamma = H.  They run on the exclusion sweep, kernel and
-engines; only `Ensemble.height` reads their positions through the map.
+on.  `corner(p)`'s lone particle stays with the constant chance 1 - p, and
+`corner_dyn(gamma)` is jgamma_pep(1, gamma), with Upsilon - gamma = H.
+Only `Ensemble.height` reads their positions through the map.
 
-`step` draws a uniform only at vertices with two or more positive weights;
 `exact_law` sweeps all branches of many configurations at once, as arrays.
+Every trajectory runs on a vectorized engine that stores the height
+function, a row per site and a column per trajectory: `_ensemble_rows`
+for the row-update models (qhahn is the u = s point of general),
+`_ensemble_pep` for the exclusion processes, bit-sliced in
+`_ensemble_bits` for some J = 1 cases.  It advances all trajectories in
+lockstep and yields each time t = 0, 1, 2, ... to a `Trajectory` as a
+`Snapshot`, with integer dtypes that hold the largest value reachable by
+then, so that a snapshot at time t has the dtype of a run that stops at t.
+A snapshot builds its `Ensemble` on demand; observables read it as int64
+arrays, so that no product of heights wraps in a narrow engine dtype.
 
-Ensembles run on one vectorized engine per variant, which advances all
-trajectories in lockstep.  The row engine serves both row-update models
-(qhahn is the u = s point of general): it sweeps each row as `step` does,
-site by site, and draws the trajectories at a site from one inverse-CDF
-table per kernel memo key.  One band engine serves the exclusion
-processes (asym_pep and the corner models are its J = 1 cases).  It
-stores the occupied band; the packed prefix and the empty suffix evolve
-deterministically and are tracked in closed form.  A step moves the
-height in place by the bond flux, h'(x) = h(x) + X(x-1), and draws every X
-from one table of the shared stay probability per step, since the
-dynamical parameter depends on (x, t, h) only through an integer key.  It
-hands the J = 1 cases whose lone particle stays with a constant chance
-(asym_pep at delta = 0, corner) or with a fair coin plus a correction of
-chance 1/Upsilon <= 1/gamma at large gamma (jgamma_pep as in `heat`,
-corner_dyn) to a bit-sliced engine, 64 trajectories per uint64 word, which
-draws the correction by thinning.  Engine integer dtypes are chosen from
-the largest reachable value (occupancy, height or key).
-
-Every ensemble ends in one `Ensemble`, the (samples, width) height matrix
-and the numbers that locate it, read as int64 arrays over the samples so
-that no product of heights wraps in a narrow engine dtype; `run_ensemble`
-calls each observable once with it.
-
-Only `initial_state` and `_trajectory_rng` (for `run_ensemble`) build
-random generators here, and `specfun.identity_checks` in the package;
-nothing else names `np.random`.  numpy loads `numpy.random` at the first
-call of one of them, so `exact_law` and the other layers that draw no
-random number never pay for it.
+Only `_trajectory_rng` builds random generators here, and
+`specfun.identity_checks` in the package; numpy loads `numpy.random` at
+the first call of one of them, so the layers that draw no random number
+never pay for it.
 """
 
 import cmath
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -144,8 +119,8 @@ class ModelSpec:
     @classmethod
     def qhahn(cls, q, delta, B, C, J):
         """Row-update model with the q-Hahn-type phi transition weights;
-        requires c_y = q^{J_y} with positive integer J_y, and b_x != 0,
-        since phi's a = b_x c_y must not vanish."""
+        requires c_y = q^{J_y} with positive integer J_y, q != 0 and
+        b_x != 0, since phi's a = b_x c_y must not vanish."""
         q, = _finite(float, "q", (q,))
         delta, = _finite(float, "delta", (delta,))
         J = _degrees(J)
@@ -153,8 +128,9 @@ class ModelSpec:
         B = _finite(float, "B", B)
         if len(C) != len(J):
             raise ValueError("C and J must have matching lengths")
-        if 0.0 in B:
-            raise InadmissibleParameters("qhahn requires every b_x != 0")
+        if q == 0 or 0.0 in B:
+            raise InadmissibleParameters("qhahn needs q != 0 and every "
+                                         "b_x != 0")
         for c, j in zip(C, J):
             if abs(c - q ** j) > 1e-12 * max(1.0, abs(c)):
                 raise InadmissibleParameters(
@@ -245,94 +221,9 @@ def _cyc(seq, i):
 
 
 # ---------------------------------------------------------------------------
-# States
+# Per-vertex kernels (shared by the engines and the exact law)
 
-
-@dataclass
-class SystemState:
-    """One particle-system trajectory at a fixed time.  rng is the
-    trajectory's generator, built by `initial_state`; its annotation is a
-    string, which the class never evaluates, so that importing this module
-    does not load `numpy.random`."""
-
-    time: int
-    occupancy: np.ndarray
-    total_particles: int
-    rng: "np.random.Generator"
-    clamped: int = 0
-
-
-@dataclass
-class Ensemble:
-    """The final heights of an ensemble: heights[i, j] is sample i's height
-    h(left + j) at a particle-system site.  Outside the stored columns, a
-    particle system of `total` particles holds `packed` on each site before
-    `left` and none after.  `height(x)` (or `current`) returns the heights
-    at x of every sample as a new int64 array; for a corner model, `height`
-    reads position x of the time-t lattice (x + t/2 an integer) as
-    H_t(x) = 2x + 2 h(x + t/2 + 1), which off the stored columns is the
-    wedge 2|x|.  A row model (packed 0) has no site left of 1, so there
-    `height`, like `current`, rejects x < 1."""
-
-    time: int
-    left: int
-    heights: np.ndarray
-    packed: int = 0
-    total: int = 0
-    corner: bool = False
-
-    def _hcur(self, x):
-        """h(x) of every sample at the integer site x; what `current`
-        reads."""
-        j = x - self.left
-        if 0 <= j < self.heights.shape[1]:
-            return self.heights[:, j].astype(np.int64)
-        value = self.total - self.packed * (x - 1) if j < 0 else 0
-        return np.full(len(self.heights), value, dtype=np.int64)
-
-    def height(self, x):
-        site = x + self.time / 2 + 1 if self.corner else x
-        if abs(site - round(site)) > 1e-9:
-            raise ValueError("x=%r is not on the time-%d lattice"
-                             % (x, self.time))
-        if site < 1 and not self.packed:
-            raise ValueError("site index must be >= 1")
-        h = self._hcur(round(site))
-        return 2 * h + round(2 * x) if self.corner else h
-
-
-def initial_state(spec, seed=0):
-    """Fresh trajectory at time 0 (an empty system)."""
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    occ = np.zeros(1, dtype=np.int64)
-    return SystemState(time=0, occupancy=occ, total_particles=0, rng=rng)
-
-
-def occupancy_ensemble(spec, t, rows):
-    """The Ensemble of `spec` at time t whose sample i has the occupancy
-    rows[i] (site x at index x - 1): one scalar trajectory, or the
-    configurations of an exact law."""
-    occ = np.zeros((len(rows), 1 + max(map(len, rows))), dtype=np.int64)
-    for row, cfg in zip(occ, rows):
-        row[:len(cfg)] = cfg
-    heights = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
-    pep = spec.variant in _PEP  # as the engines locate their heights
-    packed, total = (spec.J + 1, spec.J * t) if pep else (0, 0)
-    return Ensemble(t, 1, heights, packed, total, spec.is_corner)
-
-
-def current(ens, x):
-    """Height function h_t(x) = number of particles at sites >= x, an int64
-    array over the samples of an Ensemble."""
-    x = int(x)
-    if x < 1:
-        raise ValueError("site index must be >= 1")
-    return ens._hcur(x)
-
-
-# ---------------------------------------------------------------------------
-# Per-vertex kernels (shared by the sampler, the vector engines and the
-# exact law)
+_SWEEP_CAP = 256  # safety bound on horizontal propagation past the support
 
 
 def _validate_weights(w, where):
@@ -409,20 +300,21 @@ _KERNEL_MEMO_CAP = 1 << 14  # entries per spec; the memo is cleared when full
 
 
 def _kernel(spec, x, t, i1, j1, h):
-    """`_kernel_eval`, memoized per spec on exactly what it reads besides
-    the spec: (i1, _pep_key(...)) for the exclusion processes (one entry
-    for every i1 = 0), (x, t, i1, j1, h) for general and (x, t, i1, h) for
-    qhahn.  `_row_sweep` calls it per vertex, the row engine and
-    `_sweep_block` once per key present at a site (the latter in order of
-    first appearance).  The memo is cleared when it holds _KERNEL_MEMO_CAP
-    entries.  A miss evaluates at the calling site and an input that
-    raises is never stored, so every error names the site and row of its
-    own call.  Calls share the returned weights, which must not be
-    modified; a test that monkeypatches a helper of the kernel must build
-    a fresh spec.  The weights below the kernel keep memos of their own
-    (the Pochhammer memo of each `EllipticContext`, psi's contexts and W_J
-    memos in `weights`), so a test that monkeypatches a helper of theirs
-    must also clear those, or use parameters not seen before."""
+    """`_kernel_eval`, memoized per spec on exactly what it reads besides the
+    spec, since the engines and `exact_law` ask the same few questions many
+    times and a dynamical weight costs tens of sin calls: (i1, _pep_key(...))
+    for the exclusion processes (one entry for every i1 = 0), (x, t, i1, j1,
+    h) for general and (x, t, i1, h) for qhahn.  The row engine and
+    `_sweep_block` call it once per key present at a site (the latter in order
+    of first appearance).  The memo is cleared when it holds _KERNEL_MEMO_CAP
+    entries.  A miss evaluates at the calling site and an input that raises is
+    never stored, so every error names the site and row of its own call.
+    Calls share the returned weights, which must not be modified; a test that
+    monkeypatches a helper of the kernel must build a fresh spec.  The weights
+    below the kernel keep memos of their own (the Pochhammer memo of each
+    `EllipticContext`, psi's contexts and W_J memos in `weights`), so a test
+    that monkeypatches a helper of theirs must also clear those, or use
+    parameters not seen before."""
     variant = spec.variant
     if variant in _PEP:
         key = (i1, _pep_key(spec, x, t, h)) if i1 else 0
@@ -481,83 +373,14 @@ def _kernel_eval(spec, x, t, i1, j1, h):
 
 
 # ---------------------------------------------------------------------------
-# Sampling: one time step of one trajectory, left to right
-
-_SWEEP_CAP = 256  # safety bound on horizontal propagation past the support
-
-
-def _sample_index(w, rng):
-    """Inverse-CDF draw from a validated weight vector; no uniform is drawn
-    where one weight holds all the mass (it is then exactly 1.0)."""
-    pos = [k for k, p in enumerate(w) if p > 0.0]
-    if len(pos) == 1:
-        return pos[0]
-    u = rng.random()
-    acc = 0.0
-    for k, p in enumerate(w):
-        acc += p
-        if u < acc:
-            return k
-    return len(w) - 1
-
-
-def _row_sweep(occ, t, spec, rng):
-    """Row t+1 of one trajectory over the occupancy tuple occ (site x at
-    index x-1), vertex by vertex as one branch of `_sweep_block`, with its
-    checks, and a `_sample_index` draw from each kernel until the sweep is
-    past the support with no arrow left.  Returns (the new occupancy list
-    without trailing zeros, clamp count).
-
-    An exclusion process starts past the leading sites at occupancy J+1,
-    as `_ensemble_pep` does with lo.  Each of them takes J arrows in and
-    passes J on with a stay of exactly 1, so it stays full, draws no
-    uniform and clamps nothing; its key from _pep_key is h >= 0, so no
-    check can fire there either."""
-    new, clamped = [], 0
-    j1, h = spec.row_degree(t + 1), sum(occ)
-    x = 0
-    if spec.variant in _PEP:
-        while x < len(occ) and occ[x] == spec.J + 1:
-            x += 1
-        new, h = list(occ[:x]), h - (spec.J + 1) * x
-    while x < len(occ) or j1:
-        x += 1
-        if x > len(occ) + _SWEEP_CAP:
-            raise SizeLimit("horizontal propagation exceeded the cap")
-        i1 = occ[x - 1] if x <= len(occ) else 0
-        values, w, c = _kernel(spec, x, t, i1, j1, h)
-        j2 = values[_sample_index(w, rng)]
-        i2 = i1 + j1 - j2
-        if spec.variant in _PEP and i2 > spec.J + 1:
-            raise InadmissibleWeights(
-                "occupancy %d out of [0, J+1] at site %d" % (i2, x))
-        new.append(i2)
-        j1, h, clamped = j2, h - i1, clamped + c
-    while new and new[-1] == 0:
-        new.pop()
-    return new, clamped
-
-
-def step(state, spec):
-    """Advance one trajectory by one time step (`_row_sweep`, which skips
-    an exclusion process's packed prefix without changing its draws)."""
-    new, clamped = _row_sweep(tuple(int(v) for v in state.occupancy),
-                              state.time, spec, state.rng)
-    arr = np.array(new or [0], dtype=np.int64)
-    return SystemState(time=state.time + 1, occupancy=arr,
-                       total_particles=int(arr.sum()), rng=state.rng,
-                       clamped=state.clamped + clamped)
-
-
-# ---------------------------------------------------------------------------
 # Exact small-system law
 
 
 @dataclass(frozen=True)
 class ExactLaw:
-    """Exact distribution over occupancy tuples (site x at index x - 1);
-    `occupancy_ensemble` reads their heights.  The counters of `exact_law`:
-    support size per step, finished branches and pruned mass."""
+    """Exact distribution over occupancy tuples (site x at index x - 1).
+    The counters of `exact_law`: support size per step, finished branches
+    and pruned mass."""
 
     support: tuple
     total_mass: float
@@ -757,6 +580,54 @@ def exact_law(spec, N):
 # Ensembles
 
 
+@dataclass
+class Ensemble:
+    """The heights of an ensemble at time `time`: heights[i, j] is sample
+    i's height h(left + j) at a particle-system site.  Outside the stored
+    columns, a particle system of `total` particles holds `packed` on each
+    site before `left` and none after.  `height(x)` (or `current`) returns
+    the heights at x of every sample as a new int64 array; for a corner
+    model, `height` reads position x of the time-t lattice (x + t/2 an
+    integer) as H_t(x) = 2x + 2 h(x + t/2 + 1), which off the stored columns
+    is the wedge 2|x|.  A row model (packed 0) has no site left of 1, so
+    there `height`, like `current`, rejects x < 1."""
+
+    time: int
+    left: int
+    heights: np.ndarray
+    packed: int = 0
+    total: int = 0
+    corner: bool = False
+
+    def _hcur(self, x):
+        """h(x) of every sample at the integer site x; what `current`
+        reads."""
+        j = x - self.left
+        if 0 <= j < self.heights.shape[1]:
+            return self.heights[:, j].astype(np.int64)
+        value = self.total - self.packed * (x - 1) if j < 0 else 0
+        return np.full(len(self.heights), value, dtype=np.int64)
+
+    def height(self, x):
+        site = x + self.time / 2 + 1 if self.corner else x
+        if abs(site - round(site)) > 1e-9:
+            raise ValueError("x=%r is not on the time-%d lattice"
+                             % (x, self.time))
+        if site < 1 and not self.packed:
+            raise ValueError("site index must be >= 1")
+        h = self._hcur(round(site))
+        return 2 * h + round(2 * x) if self.corner else h
+
+
+def current(ens, x):
+    """Height function h_t(x) = number of particles at sites >= x, an int64
+    array over the samples of an Ensemble."""
+    x = int(x)
+    if x < 1:
+        raise ValueError("site index must be >= 1")
+    return ens._hcur(x)
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     """Monte Carlo estimate of one observable."""
@@ -787,14 +658,16 @@ def _int_dtype(top):
 _WINDOW_GROW = 64  # free rows before a moved band; see _ensemble_pep
 
 
-def _band_ensemble(spec, N, lo, band):
-    """The Ensemble of an exclusion-process engine from `band`, the heights
-    at sites lo, lo+1, ... (one row per site, one column per sample),
-    zero-padded to the window engine's extent, a site 8 + _WINDOW_GROW * k."""
+def _band_ensemble(spec, t, lo, band):
+    """The time-t Ensemble of an exclusion-process engine from `band`, the
+    heights at sites lo, lo+1, ... (one row per site, one column per
+    sample), copied and zero-padded to the window engine's extent, a site
+    8 + _WINDOW_GROW * k."""
     n = len(band)
     end = 8 + _WINDOW_GROW * -(-max(lo + n - 9, 0) // _WINDOW_GROW)
-    heights = np.pad(band, ((0, end - lo + 1 - n), (0, 0)))
-    return Ensemble(N, lo, heights.T, packed=spec.J + 1, total=spec.J * N,
+    heights = np.zeros((end - lo + 1, band.shape[1]), dtype=band.dtype)
+    heights[:n] = band
+    return Ensemble(t, lo, heights.T, packed=spec.J + 1, total=spec.J * t,
                     corner=spec.is_corner)
 
 
@@ -873,7 +746,7 @@ def _thinned_words(spec, rng, elig, a, f, lo, t):
     return out
 
 
-def _ensemble_bits(spec, N, samples, rng):
+def _ensemble_bits(spec, samples, rng):
     """Bit-sliced engine for the J = 1 specs of _ensemble_pep, where one
     particle on a site stays with a constant p (asym_pep, corner) or with
     (1/2)(1 + 1/Upsilon) where gamma is set (jgamma_pep, corner_dyn): C | D,
@@ -882,21 +755,32 @@ def _ensemble_bits(spec, N, samples, rng):
     and F = (eta = 2) on the band lo..r+1 of _ensemble_pep.  With B the
     stay bits on A & ~F, a step keeps S = F | B and passes X = (A ^ S) | F
     on: A'(x) = S(x) | X(x-1) and F'(x) = S(x) & X(x-1), with X(lo-1) all
-    ones.  The stay table at
-    eta = 0, 1, 2 (key 0) is checked each step.  The occupancy range is
-    structural, and so is Upsilon >= gamma off the candidates of D: at most
-    J+1 particles a site give h_t(x) >= Jt - (J+1)(x-1), so key >= h."""
+    ones; the planes double when the band reaches their last row.  The
+    stay table at eta = 0, 1, 2 (key 0) is checked each step.  The
+    occupancy range is structural, and so is Upsilon >= gamma off the
+    candidates of D: at most J+1 particles a site give h_t(x) >= Jt -
+    (J+1)(x-1), so key >= h.  Yields the view of each time, as
+    _ensemble_pep does."""
     ones, thinned = ~np.uint64(0), spec.gamma is not None
     # Row x - 1 holds site x; r is the last site non-empty in some lane.
-    a_all, f_all, s_all, x_all = (np.zeros((N + 2, -(-samples // 64)),
-                                           dtype=np.uint64) for _ in "afsx")
+    planes = [np.zeros((2, -(-samples // 64)), dtype=np.uint64)
+              for _ in "afsx"]
     lo, r = 1, 0
-    for t in range(N + 1):
+    for t in itertools.count():
+        if r + 1 == len(planes[0]):
+            planes = [np.concatenate([p, np.zeros_like(p)]) for p in planes]
+        a_all, f_all, s_all, x_all = planes
         while lo <= r and (f_all[lo - 1] == ones).all():
             lo += 1
         a, f, n = a_all[lo - 1:r + 1], f_all[lo - 1:r + 1], r + 2 - lo
-        if t == N:
-            break
+
+        def view(m):
+            occ = sum(np.unpackbits(plane.view(np.uint8), axis=1, count=m,
+                                    bitorder="little") for plane in (a, f))
+            return _band_ensemble(spec, t, lo, np.cumsum(
+                occ[::-1], axis=0, dtype=_int_dtype(t))[::-1])
+
+        yield view
         single = np.bitwise_xor(a, f, out=s_all[:n])  # eta = 1
         table = _pep_stay(spec, np.arange(3), 0)
         p = float(table[1])
@@ -921,29 +805,28 @@ def _ensemble_bits(spec, N, samples, rng):
         np.bitwise_and(s[1:], x[:-1], out=f[1:])
         a[0], f[0] = ones, s[0]
         r += bool(a[-1].any())  # site r + 1 took a particle in some lane
-    occ = sum(np.unpackbits(plane.view(np.uint8), axis=1, count=samples,
-                            bitorder="little") for plane in (a, f))
-    return _band_ensemble(spec, N, lo, np.cumsum(occ[::-1], axis=0,
-                                                 dtype=_int_dtype(N))[::-1])
 
 
-def _ensemble_pep(spec, N, samples, rng):
+def _ensemble_pep(spec, samples, rng):
     """Vectorized engine for the exclusion processes, capacity J+1, on the
     height function h_t(x) (particles at sites >= x), one column per sample.
-    At J = 1 a lone particle that stays with a constant chance (no gamma,
+    For t = 0, 1, 2, ..., once the time-t state is checked and its packed
+    rows trimmed and before any draw of step t + 1, it yields the view
+    n -> the time-t Ensemble of samples 0..n-1, valid until it resumes.  At
+    J = 1 a lone particle that stays with a constant chance (no gamma,
     delta 0 or unset: asym_pep at delta = 0, corner) or with gamma >=
     _THIN_GAMMA (jgamma_pep, corner_dyn) runs on the bit-sliced
-    _ensemble_bits.  Sites < lo are packed at J+1 (they
-    deterministically forward J arrows) and sites past r, the last site
-    non-empty in some sample, are empty, so a step works only on the band
-    lo..r+1: rows o, o+1, ... of a height buffer and the first rows of per-cell
-    buffers reused across steps.  All X(x) are drawn from the time-t state, and
-    the height moves by the bond flux, h'(x) = h(x) + X(x-1) = h(x-1) - S(x-1),
-    where S is 1 when a particle stays at x, in place on a moving origin: after
-    h -= S the row of site x holds h'(x+1), and the one new row, h'(lo) =
-    h(lo) + J, goes just before the band.  Only when no row is left there does
-    the band move, _WINDOW_GROW rows on (into a larger buffer if it needs one);
-    r moves right by at most one site per step.
+    _ensemble_bits.  Sites < lo are packed at J+1 (they deterministically
+    forward J arrows) and sites past r, the last site non-empty in some
+    sample, are empty, so a step works only on the band lo..r+1: rows
+    o, o+1, ... of a height buffer and the first rows of per-cell buffers
+    reused across steps.  All X(x) are drawn from the time-t state, and the
+    height moves by the bond flux, h'(x) = h(x) + X(x-1) = h(x-1) - S(x-1),
+    where S is 1 when a particle stays at x, in place on a moving origin:
+    after h -= S the row of site x holds h'(x+1), and the one new row,
+    h'(lo) = h(lo) + J, goes just before the band.  Only when no row is
+    left there does the band move, _WINDOW_GROW rows on (into a larger
+    buffer if it needs one); r moves right by at most one site per step.
 
     The stay probability depends on (x, t, h) only through the integer key
     of _pep_key, so each step evaluates the shared formula once, on a table
@@ -956,25 +839,28 @@ def _ensemble_pep(spec, N, samples, rng):
     wide margin, and gamma = 3 and every J >= 2 here."""
     if spec.J == 1 and (not spec.delta if spec.gamma is None
                         else spec.gamma >= _THIN_GAMMA):
-        return _ensemble_bits(spec, N, samples, rng)
+        yield from _ensemble_bits(spec, samples, rng)  # never returns
     J = int(spec.J)
     cap = J + 1
-    # Band sites stay below N + 2 and |key| <= 2h + (J+1)(x-1) + Jt.
-    dtype = _int_dtype((4 * J + 1) * (N + 1))
     slope = _pep_key(spec, 1, 0, 1) - _pep_key(spec, 1, 0, 0)
     # Rows [o, o + n) of hbuf hold h at sites lo, ..., lo + n - 1 = r + 1.
-    hbuf, o, n, lo = np.zeros((1, samples), dtype=dtype), 0, 1, 1
-    for t in range(N + 1):
+    hbuf, o, n, lo = np.zeros((1, samples), dtype=np.int16), 0, 1, 1
+    for t in itertools.count():
         if o == 0:  # no row left before the band: move it _WINDOW_GROW on
             band = hbuf[:n]
             if n + _WINDOW_GROW > len(hbuf):
-                hbuf = np.empty((n + 2 * _WINDOW_GROW, samples), dtype=dtype)
+                hbuf = np.empty((n + 2 * _WINDOW_GROW, samples), band.dtype)
                 eta_buf = np.empty_like(hbuf)
                 key_buf = np.empty_like(hbuf)
                 kept_buf = np.empty(hbuf.shape, dtype=bool)
                 mask_buf = np.empty_like(kept_buf)
             o = _WINDOW_GROW
             hbuf[o:o + n] = band
+        # Band sites stay below t + 2 and |key| <= 2h + (J+1)(x-1) + Jt.
+        dtype = _int_dtype((4 * J + 1) * (t + 1))
+        if dtype != hbuf.dtype:
+            hbuf, eta_buf, key_buf = (b.astype(dtype)
+                                      for b in (hbuf, eta_buf, key_buf))
         h, eta = hbuf[o:o + n], eta_buf[:n]
         np.subtract(h[:-1], h[1:], out=eta[:-1])
         eta[-1] = h[-1]
@@ -987,8 +873,7 @@ def _ensemble_pep(spec, N, samples, rng):
         while k < n - 1 and (eta[k] == cap).all():
             k += 1
         o, n, lo, h, eta = o + k, n - k, lo + k, h[k:], eta[k:]
-        if t == N:
-            break
+        yield lambda m: _band_ensemble(spec, t, lo, h[:, :m])
         kept = np.equal(eta, cap, out=kept_buf[:n])
         # (eta > 0) ^ kept is 0 < eta < J+1; at J = 1 it is eta == 1, and
         # every drawn cell holds one particle.
@@ -1039,30 +924,40 @@ def _ensemble_pep(spec, N, samples, rng):
         o -= 1
         if hbuf[o + n - 1].any():  # h'(r + 1) > 0 in some sample
             n += 1
-    return _band_ensemble(spec, N, lo, h)
 
 
-def _ensemble_rows(spec, N, samples, rng):
+def _ensemble_rows(spec, samples, rng):
     """Engine for qhahn and general; row x - 1 of h holds h(x).  Row t + 1
-    sweeps x = 1, 2, ... as `_row_sweep` does: a sample calls the kernel
-    while h(x) > 0 or its incoming arrows j1 > 0, with the memo key (i1, h)
-    (qhahn) or (i1, j1, h) (general), i1 = h(x) - h(x+1).  One uniform u
-    per sample and site gives j2 = the number of its key's cumulative
-    weights, all but the last, that are <= u (the comparisons of
-    `_sample_index`); then h(x) += j1 and j1 = j2.  The buffer grows when
-    a general arrow slides past it, and a sample more than _SWEEP_CAP sites
-    past its support raises SizeLimit."""
+    sweeps x = 1, 2, ...: a sample calls the kernel while h(x) > 0 or its
+    incoming arrows j1 > 0, with the memo key (i1, h) (qhahn) or
+    (i1, j1, h) (general), i1 = h(x) - h(x+1).  One uniform u per sample
+    and site gives j2 = the number of its key's cumulative weights, all
+    but the last, that are <= u, an inverse-CDF draw; then h(x) += j1 and
+    j1 = j2.  The buffer doubles when a sweep reaches its last row, and a
+    sample more than _SWEEP_CAP sites past its support raises SizeLimit.
+    Yields the view of each time before its row, as _ensemble_pep does, on
+    t + 2 sites doubled while a sweep reached that far, as a run to t has."""
     general = spec.variant == "general"
-    dtype = _int_dtype(sum(spec.row_degree(y) for y in range(1, N + 1)))
-    h = np.zeros((N + 2, samples), dtype=dtype)
-    for t in range(N):
+    h, total, far = np.zeros((2, samples), dtype=np.int16), 0, 0
+    for t in itertools.count():
+        def view(m):
+            width = t + 2
+            while width <= far:
+                width *= 2
+            return Ensemble(t, 1, np.pad(h[:width, :m], (
+                (0, max(width - len(h), 0)), (0, 0))).T)
+
+        yield view
         Jy = spec.row_degree(t + 1)
+        total += Jy
+        h = h.astype(_int_dtype(total), copy=False)
         jw = Jy + 1 if general else 1  # the j1 digit of the key
         reach = np.maximum((h > 0).sum(axis=0), 1) + _SWEEP_CAP
-        j1 = np.full(samples, Jy, dtype=dtype)
+        j1 = np.full(samples, Jy, dtype=h.dtype)
         x = 0
         while True:
             x += 1
+            far = max(far, x)
             if x == len(h):  # a slide needs the next row
                 h = np.concatenate([h, np.zeros_like(h)])
             hx = h[x - 1]
@@ -1086,22 +981,79 @@ def _ensemble_rows(spec, N, samples, rng):
             table = np.full((max(map(len, cdfs)) - 1, present[-1] + 2), np.inf)
             for k, cdf in zip(present, cdfs):
                 table[:len(cdf) - 1, k + 1] = cdf[:-1]
-            j2 = np.zeros(samples, dtype=dtype)
+            j2 = np.zeros(samples, dtype=h.dtype)
             for row in table:  # the kernel's values are 0, 1, ...
                 j2 += row[key] <= u
             hx += j1
             j1 = j2
-    return Ensemble(N, 1, h.T)
 
 
-_ENGINES = {
-    "general": _ensemble_rows,
-    "qhahn": _ensemble_rows,
-    "jgamma_pep": _ensemble_pep,
-    "asym_pep": _ensemble_pep,
-    "corner": _ensemble_pep,
-    "corner_dyn": _ensemble_pep,
-}
+_ENGINES = (dict.fromkeys(("general", "qhahn"), _ensemble_rows)
+            | dict.fromkeys(_PEP, _ensemble_pep))
+
+
+class Trajectory:
+    """Iterator over the snapshots t = 0, 1, 2, ... of `samples`
+    trajectories of spec, which the variant's engine advances in lockstep
+    from one generator split off (base_seed, 0).  `time` is that of the
+    last snapshot, None while the engine steps and after it raised."""
+
+    def __init__(self, spec, samples, base_seed):
+        self.spec, self.samples, self.time = spec, samples, None
+        self._views = enumerate(_ENGINES[spec.variant](
+            spec, samples, _trajectory_rng(base_seed, 0)))
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.time = None
+        t, self._view = next(self._views)
+        self.time = t
+        return Snapshot(self, t)
+
+
+class Snapshot:
+    """Time `time` of a Trajectory `run`: `ensemble(n)` is the Ensemble of
+    samples 0..n-1 (of all by default), `occupancy` sample 0's occupancies
+    at sites 1, 2, ... (trailing zeros dropped, [0] if none) and
+    `total_particles` their sum, built from the engine's buffers while the
+    snapshot is the newest of its run, ValueError after."""
+
+    def __init__(self, run, time):
+        self.run, self.time = run, time
+
+    def ensemble(self, n=None):
+        if self.run.time != self.time:
+            raise ValueError("the snapshot at time %d is not the newest of "
+                             "its trajectory" % self.time)
+        return self.run._view(n or self.run.samples)
+
+    @property
+    def occupancy(self):
+        ens = self.ensemble(1)
+        h = ens.heights[0]  # nonincreasing: its nonzero entries lead
+        h = h[:np.count_nonzero(h)].tolist() + [0]
+        occ = [ens.packed] * (ens.left - 1) + [a - b for a, b in zip(h, h[1:])]
+        return np.array(occ or [0], dtype=np.int64)
+
+    @property
+    def total_particles(self):
+        return int(self.occupancy.sum())
+
+
+def initial_state(spec, seed=0):
+    """The first snapshot of Trajectory(spec, 1, seed), an empty system."""
+    return next(Trajectory(spec, 1, seed))
+
+
+def step(state, spec):
+    """The snapshot after `state`; ValueError unless it is the newest
+    snapshot of a trajectory of spec."""
+    if state.run.time != state.time or state.run.spec != spec:
+        raise ValueError("the snapshot at time %d is not the newest of a "
+                         "trajectory of this spec" % state.time)
+    return next(state.run)
 
 
 def check_ensemble_size(N, samples):
@@ -1119,31 +1071,24 @@ def check_ensemble_size(N, samples):
 
 
 def run_ensemble(spec, N, samples, base_seed, observables):
-    """Independent trajectories; one MCEstimate per observable.
-
-    The variant's engine advances all trajectories in lockstep from one
-    generator split off (base_seed, 0), so the result is deterministic
-    given base_seed: the row engine (qhahn, general) draws one uniform per
-    sample and site, and the band engine (jgamma_pep, asym_pep and the
-    corner models, whose configurations are occupancies too) one per site
-    with 0 < eta < J+1 or, bit-sliced (see _ensemble_pep), exact Bernoulli
-    bits 64 trajectories to a word and a thinned correction.  Each
-    observable is called once, with the final Ensemble, and returns one
-    value per sample or one scalar for all: `current(ens, x)` and
-    `ens.height(x)` give int64 arrays, `height` at corner positions for the
-    corner models.
-    """
+    """Independent trajectories, deterministic given base_seed: the
+    estimates of the time-N snapshot of Trajectory(spec, samples,
+    base_seed), the first N + 1 it yields."""
     N, samples = int(N), int(samples)
     if samples < 1 or N < 0:
         raise ValueError("need at least one sample and N >= 0 steps")
     check_ensemble_size(N, samples)
-    ens = _ENGINES[spec.variant](spec, N, samples,
-                                 _trajectory_rng(base_seed, 0))
-    return _estimates(ens, base_seed, observables)
+    run = itertools.islice(Trajectory(spec, samples, base_seed), N, None)
+    ens = next(run).ensemble()
+    del run  # the engine's buffers go before the observables run
+    return estimates(ens, base_seed, observables)
 
 
-def _estimates(ens, base_seed, observables):
-    """One MCEstimate per observable, each called once with `ens`."""
+def estimates(ens, base_seed, observables):
+    """One MCEstimate per observable, each called once with the Ensemble
+    `ens` and returning one value per sample or one scalar for all:
+    `current(ens, x)` and `ens.height(x)` give int64 arrays, `height` at
+    corner positions for the corner models."""
     samples = len(ens.heights)
     out = []
     for obs in observables:

@@ -117,9 +117,6 @@ class ObservableSpec:
         if self.form != "qhahn":
             return
         q, delta = self.model.q, self.model.delta
-        if q == 0.0:
-            raise ValueError("the qhahn identity needs q != 0: its contours "
-                             "nest by 1/q")
         # The factors of the left side's normalization (none at delta = 0).
         dinv = 1.0 / delta if delta else 0.0
         try:

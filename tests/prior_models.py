@@ -16,7 +16,7 @@ parallel: one sweep per configuration, every positive branch followed as a
 cons list.  The tests compare the library's support, total mass and errors
 against it with ==.  Its row_sweep calls the kernel at every site, the
 packed prefix of an exclusion process too, so with one sampled branch it
-is also the reference for `step`."""
+is also the reference for `oracle_models.step`."""
 
 import math
 

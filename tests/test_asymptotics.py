@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_models as oracle
 import prior_asymptotics as prior
 from dynvertex import asymptotics
 from dynvertex.asymptotics import (
@@ -17,7 +18,7 @@ from dynvertex.asymptotics import (
     lln_shapes,
 )
 from dynvertex.errors import Check, OutOfDomain
-from dynvertex.models import ModelSpec, exact_law, occupancy_ensemble
+from dynvertex.models import ModelSpec, exact_law
 from dynvertex.observables import ObservableSpec, rhs_exact
 
 Q = 0.25
@@ -232,7 +233,7 @@ def exact_mean(spec, N, fn):
     """Mean of the observable fn over the exact law after N steps, read
     from the Ensemble of the law's configurations."""
     law = exact_law(spec, N)
-    ens = occupancy_ensemble(spec, N, [cfg for cfg, _ in law.support])
+    ens = oracle.occupancy_ensemble(spec, N, [cfg for cfg, _ in law.support])
     return sum(pr * v for (_, pr), v in zip(law.support, fn(ens)))
 
 

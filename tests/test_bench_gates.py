@@ -1,7 +1,9 @@
 """Every benchmark task at its tiny size, seed 3, and the deterministic
-`exact` tasks also at the benchmark's own size, must pass the benchmark's
-gates against the stored references, so a wrong answer shows in the test
-suite before it shows in a benchmark run.  The benchmark's modules are
+`exact` tasks and the kernels workload's step-300 (the `initial_state`,
+`step`, `time`, `occupancy` and `total_particles` it reads; N = 300, tens
+of ms) also at the benchmark's own size, must pass the benchmark's gates
+against the stored references, so a wrong answer shows in the test suite
+before it shows in a benchmark run.  The benchmark's modules are
 loaded read-only from perfbench/ (no bytecode is written there)."""
 
 import importlib.util
@@ -52,12 +54,23 @@ def test_task_passes_its_gate(workload, index, name, fn):
 EXACT = workloads.WORKLOADS["exact"]
 
 
+def run_full(workload, index, name, fn):
+    ctx = workloads.Ctx(tracer.NullTracer(),
+                        workloads.task_seed(SEED, workload, index),
+                        workloads.SIZES["full"][name])
+    workloads.gate(fn(ctx), ALL_REFS["full"][name])
+
+
 @pytest.mark.parametrize("index, name, fn",
                          [(i, name, fn) for i, (name, fn) in enumerate(EXACT)],
                          ids=[name for name, _ in EXACT])
 def test_exact_task_passes_its_gate_at_full_size(index, name, fn):
     # The exact workload's inputs are fixed; the seed changes none of them.
-    ctx = workloads.Ctx(tracer.NullTracer(),
-                        workloads.task_seed(SEED, "exact", index),
-                        workloads.SIZES["full"][name])
-    workloads.gate(fn(ctx), ALL_REFS["full"][name])
+    run_full("exact", index, name, fn)
+
+
+def test_step_300_passes_its_gate_at_full_size():
+    (index, fn), = [(i, fn) for i, (name, fn)
+                    in enumerate(workloads.WORKLOADS["kernels"])
+                    if name == "step-300"]
+    run_full("kernels", index, "step-300", fn)

@@ -469,9 +469,11 @@ class TestSimulate:
          % "[0, 0.5]", "row degrees must be positive integers, one or more"),
         ("general", GENERAL_CONFIG % "Infinity",
          "Xi must be finite, got ((inf+0j),)"),
+        ("qhahn", '{"q": 0, "B": [1.0], "C": [0.0], "J": [1]}',
+         "qhahn needs q != 0"),
     ], ids=["delta-nan", "delta-minus-inf", "qhahn-no-B", "qhahn-no-rows",
             "qhahn-b0", "qhahn-delta-nan", "general-no-U",
-            "general-no-rows", "general-xi-inf"])
+            "general-no-rows", "general-xi-inf", "qhahn-q0"])
     def test_inadmissible_model_exits_2(self, tmp_path, capsys, model,
                                         config, says):
         # No model admits these: a NaN delta once ran and reported passed,
@@ -484,6 +486,73 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid model parameters: ")
         assert says in err and err.count("\n") == 1
+
+    def test_qhahn_defaults_only_for_missing_keys(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # With B and C given, the defaults q^-2 and q^J, which overflow at
+        # q = 1e-200, are not computed; phi then finds a = b c_y = 1e-200
+        # singular at sampling.
+        def powers(*args):
+            raise AssertionError("a default was computed")
+
+        monkeypatch.setattr(cli, "_powers", powers)
+        code, rep = run(tmp_path, "simulate", "--model", "qhahn", "--config",
+                        '{"q": 1e-200, "B": [1.0], "C": [1e-200], "J": [1]}',
+                        "--steps", "3", "--samples", "5")
+        assert code == 1 and rep is None
+        assert capsys.readouterr().err == (
+            "check failed: SingularParameter: phi requires a != 0\n")
+
+    @pytest.mark.parametrize("model, config, site", [
+        ("general", GENERAL_CONFIG % "[0, 0.5477225575051661]", "1"),
+        ("qhahn", '{"J": [1, 2]}', "1"),
+        ("pep", '{"J": 2, "gamma": 7.0}', "1"),
+        ("asym-pep", '{"delta": -0.5}', "2"), ("corner", "{}", "0"),
+        ("corner-dyn", "{}", "1")])
+    def test_trajectory_csv_is_sample_0_of_the_report(
+            self, tmp_path, monkeypatch, model, config, site):
+        # The file's last time is sample 0 of the Ensemble whose estimates
+        # the report holds.  Every exclusion-process occupancy lies in
+        # [0, J+1] (a corner height moves by 0 or +-2 a position), and each
+        # time holds the particles of the step data (a corner model's
+        # h(1), (H(-t/2) + t)/2).
+        seen, estimates = [], cli.estimates
+        monkeypatch.setattr(cli, "estimates", lambda ens, *args: (
+            seen.append(ens) or estimates(ens, *args)))
+        trajf, steps = tmp_path / "traj.csv", 4
+        code, rep = run(tmp_path, "simulate", "--model", model, "--config",
+                        config, "--steps", str(steps), "--samples", "30",
+                        "--sites", site, "--seed", "2",
+                        "--trajectory-csv", str(trajf))
+        assert code == 0
+        (ens,) = seen
+        assert rep["checks"][0]["value"] == ens.height(float(site)).mean()
+        spec = cli._model_from_config(model, json.loads(config))
+        lines = trajf.read_text().splitlines()
+        assert lines[0] == "time,site,value"
+        rows = [(int(t), float(x), int(v)) for t, x, v in
+                (line.split(",") for line in lines[1:])]
+        assert sorted({t for t, _, _ in rows}) == list(range(1, steps + 1))
+        for t in range(1, steps + 1):
+            got = {x: v for s, x, v in rows if s == t}
+            values = list(got.values())
+            if spec.is_corner:
+                assert {b - a for a, b in zip(values, values[1:])} <= {
+                    -2, 0, 2}
+                assert got[-t / 2] == t == sum(
+                    spec.row_degree(y) for y in range(1, t + 1))
+            else:
+                assert list(got) == list(range(1, len(got) + 1))
+                if spec.variant != "general" and spec.variant != "qhahn":
+                    assert all(0 <= v <= spec.J + 1 for v in values)
+                assert sum(values) == sum(
+                    spec.row_degree(y) for y in range(1, t + 1))
+        if spec.is_corner:
+            assert got == {p: int(ens.height(p)[0]) for p in got}
+        else:
+            h = [int(current(ens, x)[0]) for x in range(1, len(got) + 2)]
+            assert values == [a - b for a, b in zip(h, h[1:])]
+            assert h[-1] == 0 and (values[-1] or len(values) == 1)
 
     def test_corner_model(self, tmp_path):
         code, rep = run(tmp_path, "simulate", "--model", "corner",
@@ -936,6 +1005,15 @@ class TestAsymptotics:
         # inf * 0 in the factorial moments once leaked a numpy warning
         ("gamma", '{"gamma": Infinity, "T": 6, "samples": 3}',
          "gamma must be finite, got inf"),
+        # the model's own parameter checks, before any sampling
+        ("gamma", '{"gamma": 1.5, "T": 4, "samples": 3}',
+         "invalid experiment config: jgamma_pep requires gamma > J+1"),
+        ("heat", '{"J": 1e13, "T": 4, "samples": 3}',
+         "invalid experiment config: jgamma_pep requires gamma > J+1"),
+        ("kpz-exponent", '{"q": 1.5, "samples": 3}',
+         "invalid experiment config: asym_pep requires 0 < q < 1"),
+        ("f-collapse", '{"q": 1.5, "T": 4, "samples": 3}',
+         "invalid experiment config: asym_pep requires 0 < q < 1"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, name, config, says):
         code, rep = run(tmp_path, "asymptotics", "--experiment", name,
@@ -944,6 +1022,31 @@ class TestAsymptotics:
         err = capsys.readouterr().err
         assert says in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("m, says", [
+        (30000000, "the target of m = 30000000 leaves float range"),
+        (2.5, "each m must be an integer >= 0, got 2.5"),
+        (205, "the target of m = 205 leaves float range"),
+        (-1, "each m must be an integer >= 0, got -1")])
+    def test_moment_order_exits_2_at_once(self, tmp_path, capsys, m, says):
+        # 30000000 factors per sample ran past a 5 s timeout, and 2.5 ran
+        # as moment 2; at the defaults m = 204 is the last order whose
+        # target is a float.
+        start = time.monotonic()
+        code, rep = run(tmp_path, "asymptotics", "--experiment", "gamma",
+                        "--config", '{"m_list": [%r], "T": 4, "samples": 3}'
+                        % m)
+        assert time.monotonic() - start < 0.5
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == (
+            "error: invalid experiment config: %s\n" % says)
+
+    def test_moment_order_204_runs(self, tmp_path):
+        code, rep = run(tmp_path, "asymptotics", "--experiment", "gamma",
+                        "--config", '{"m_list": [0, 204], "T": 4, '
+                        '"samples": 3}')
+        assert code in (0, 1)
+        assert list(rep["experiment"]["moments"]) == ["0", "204"]
 
     @pytest.mark.parametrize("name, config, says", [
         ("heat", '{"T": 1e400}', "infinity"),

@@ -9,8 +9,10 @@ allowed set, with values that mix ordinary, boundary, huge, tiny, negative,
 inf and nan numbers, and empty and one-entry lists.  Sizes (steps, T,
 samples, N, k and J) are either small or so large that the size check
 rejects them before anything is allocated, so that no example allocates
-more than a few MB; moment orders are small, since nothing bounds the
-time a large one takes.
+more than a few MB.  Moment orders are small, fractional or so large that
+the gamma experiment rejects them before sampling, as it does any order
+whose target leaves float range.  `simulate` sometimes writes its CSV and
+trajectory CSV, into one temporary directory for the whole module.
 """
 
 import contextlib
@@ -18,6 +20,8 @@ import inspect
 import io
 import json
 import math
+import os
+import tempfile
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -36,8 +40,12 @@ numbers = st.one_of(st.sampled_from(SPECIAL), st.floats(-10, 10),
 # A size is small, not an integer, or past every machine's memory.
 sizes = st.one_of(st.integers(-2, 6), st.sampled_from((2.5, 1e300, INF,
                                                        -INF, NAN)))
-# A moment order is small or not an integer: nothing bounds its cost.
-orders = st.one_of(st.integers(-2, 6), st.sampled_from((2.5, INF, NAN)))
+# A moment order is small, not an integer, or one whose target overflows.
+orders = st.one_of(st.integers(-2, 6),
+                   st.sampled_from((2.5, 1e7, 3e7, INF, NAN)))
+# The files simulate writes; hypothesis rejects pytest's function-scoped
+# tmp_path.
+OUT = tempfile.TemporaryDirectory()
 
 
 def lists_of(elements):
@@ -135,6 +143,9 @@ def simulate_argv(draw):
              "--steps", _token(draw(st.integers(-1, 8)))]
             + draw(flag("--samples", st.integers(-1, 20)))
             + draw(one_or_two("--sites", sites))
+            + draw(flag("--csv", st.just(os.path.join(OUT.name, "s.csv"))))
+            + draw(flag("--trajectory-csv",
+                        st.just(os.path.join(OUT.name, "t.csv"))))
             + draw(flag("--seed", seeds)))
 
 
@@ -238,6 +249,20 @@ argvs = st.sampled_from(
           "--tol=1.7976931348623157e+308"])
 @example(["asymptotics", "--experiment", "gamma", "--config",
           '{"gamma": Infinity, "samples": 3, "T": 6}'])
+@example(["asymptotics", "--experiment", "gamma", "--config",
+          '{"m_list": [30000000], "T": 4, "samples": 3}'])
+@example(["asymptotics", "--experiment", "gamma", "--config",
+          '{"m_list": [2.5], "T": 4, "samples": 3}'])
+@example(["asymptotics", "--experiment", "gamma", "--config",
+          '{"gamma": 1.5, "T": 4, "samples": 3}'])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"J": 1e13, "T": 4, "samples": 3}'])
+@example(["simulate", "--model", "qhahn", "--config",
+          '{"q": 1e-200, "B": [1.0], "C": [1e-200], "J": [1]}', "--steps",
+          "3", "--samples", "5"])
+@example(["simulate", "--model", "corner-dyn", "--steps", "3", "--samples",
+          "2", "--sites", "0.5", "--trajectory-csv",
+          os.path.join(OUT.name, "t.csv")])
 def test_every_argv_exits_0_1_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

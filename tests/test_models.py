@@ -3,6 +3,7 @@ vectorized ensemble engines, and the height-function views."""
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+import oracle_models as oracle
 import prior_models as prior
 from dynvertex import models
 from dynvertex.errors import (
@@ -26,10 +28,7 @@ from dynvertex.models import (
     _trajectory_rng,
     current,
     exact_law,
-    initial_state,
-    occupancy_ensemble,
     run_ensemble,
-    step,
 )
 from dynvertex.weights import asym_pep_stay, jgamma_pep_stay
 
@@ -53,6 +52,11 @@ PEP_SPECS = pytest.mark.parametrize("spec", [
     ModelSpec.corner(0.3), ModelSpec.corner_dyn(3.0)],
     ids=["asym-d0", "asym-d-0.5", "jgamma-J1", "jgamma-J2", "jgamma-thin",
          "corner", "corner-dyn"])
+
+
+def run_engine(engine, spec, N, samples, rng):
+    """The time-N Ensemble of every sample of an engine started on rng."""
+    return next(itertools.islice(engine(spec, samples, rng), N, None))(samples)
 
 
 def h_tail(cfg, x):
@@ -222,14 +226,14 @@ def kappa_audit(spec, N, seed=0):
     """
     if spec.variant not in ("qhahn", "general", "asym_pep"):
         raise ValueError("kappa audit applies to row-update models")
-    state = initial_state(spec, seed=seed)
+    state = oracle.initial_state(spec, seed=seed)
     checked = 0
     # exponents[x] = integer q-exponent of kappa_{x, y} after row y,
     # relative to delta * prod_{k<x} b_k * prod_{k<=y} c_k.
     exponents = {1: 0}
     for t in range(N):
         pre = [int(v) for v in state.occupancy]
-        state = step(state, spec)
+        state = oracle.step(state, spec)
         post = [int(v) for v in state.occupancy]
         y = t + 1
         # Recover the row data: j1 entering site x and i2 leaving above.
@@ -269,21 +273,22 @@ def kappa_audit(spec, N, seed=0):
 
 
 def run_scalar(spec, N, samples, seed, observables):
-    """run_ensemble on `step`: trajectory i runs from _trajectory_rng(seed,
-    i), and the final occupancies make one Ensemble."""
+    """run_ensemble on the scalar oracle.step: trajectory i runs from
+    _trajectory_rng(seed, i), and the final occupancies make one
+    Ensemble."""
     rows = []
     for i in range(samples):
-        state = dataclasses.replace(initial_state(spec),
+        state = dataclasses.replace(oracle.initial_state(spec),
                                     rng=_trajectory_rng(seed, i))
         for _ in range(N):
-            state = step(state, spec)
+            state = oracle.step(state, spec)
         rows.append(state.occupancy)
-    return models._estimates(occupancy_ensemble(spec, N, rows), seed,
+    return models.estimates(oracle.occupancy_ensemble(spec, N, rows), seed,
                              observables)
 
 
 def sampler(vectorized):
-    """The engine of run_ensemble, or `step` through run_scalar."""
+    """The engine of run_ensemble, or oracle.step through run_scalar."""
     return run_ensemble if vectorized else run_scalar
 
 
@@ -291,8 +296,8 @@ def oracle_heights(spec, N, samples, seed, trace=None):
     """The oracle's int64 heights (bitplane_pep for the bit-sliced specs,
     else suffix_cumsum_pep) from the engine's generator: column x - 1
     holds h(x) of every sample, at the sites x = 1, ..., N + 2."""
-    oracle = bitplane_pep if bit_sliced(spec) else suffix_cumsum_pep
-    lo, occ = oracle(spec, N, samples, _trajectory_rng(seed, 0), trace)
+    sweep = bitplane_pep if bit_sliced(spec) else suffix_cumsum_pep
+    lo, occ = sweep(spec, N, samples, _trajectory_rng(seed, 0), trace)
     total = spec.J * N
     h = np.empty((samples, N + 2), dtype=np.int64)
     for x in range(1, N + 3):
@@ -306,7 +311,7 @@ def oracle_heights(spec, N, samples, seed, trace=None):
 def assert_engine_matches_oracle(spec, N, samples, seed, trace=None):
     """Final heights of the engine equal the oracle's at every site, bit
     for bit, from the same generator; returns the engine's (lo, width)."""
-    ens = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
+    ens = run_engine(_ensemble_pep, spec, N, samples, _trajectory_rng(seed, 0))
     ref = oracle_heights(spec, N, samples, seed, trace)
     for x in range(1, N + 3):
         got = current(ens, x)
@@ -316,7 +321,7 @@ def assert_engine_matches_oracle(spec, N, samples, seed, trace=None):
 
 def state_current(spec, state, x):
     """h_t(x) of one trajectory of spec, read through occupancy_ensemble."""
-    ens = occupancy_ensemble(spec, state.time, [state.occupancy])
+    ens = oracle.occupancy_ensemble(spec, state.time, [state.occupancy])
     return int(current(ens, x)[0])
 
 
@@ -375,7 +380,7 @@ def corner_heights_exact(spec, N, positions):
     """Exact law of a corner model's heights at the given positions, read
     by `Ensemble.height` from exact_law, as {height tuple: probability}."""
     law = exact_law(spec, N)
-    ens = occupancy_ensemble(spec, N, [cfg for cfg, _ in law.support])
+    ens = oracle.occupancy_ensemble(spec, N, [cfg for cfg, _ in law.support])
     cols = np.stack([ens.height(p) for p in positions], axis=1)
     out = {}
     for row, (_, pr) in zip(cols, law.support):
@@ -431,6 +436,7 @@ class TestModelSpec:
         ({"q": math.inf}, r"q must be finite, got \(inf,\)"),
         ({"delta": math.nan}, r"delta must be finite, got \(nan,\)"),
         ({"B": (B0, 0.0)}, "every b_x != 0"),  # then phi's a = b c_y is 0
+        ({"q": 0.0, "C": (0.0,)}, "needs q != 0"),  # and so is c_y = q^J_y
     ])
     def test_qhahn_parameters_are_finite_lists(self, kw, says):
         # An empty list ended in a ZeroDivisionError of _cyc.
@@ -472,54 +478,54 @@ class TestModelSpec:
 class TestStepAndCurrent:
     def test_origin_current_zero(self):
         for spec in (QHAHN, JG, ASYM):
-            assert state_current(spec, initial_state(spec), 1) == 0
+            assert state_current(spec, oracle.initial_state(spec), 1) == 0
 
     @pytest.mark.parametrize("J", [1, 3])
     def test_jgamma_first_step_deterministic(self, J):
         spec = ModelSpec.jgamma_pep(J=J, gamma=2 * J + 5.0)
         for seed in range(5):
-            st = step(initial_state(spec, seed=seed), spec)
+            st = oracle.step(oracle.initial_state(spec, seed=seed), spec)
             assert list(st.occupancy) == [J]
 
     def test_no_uniform_drawn_where_the_kernel_is_certain(self):
         # Every vertex of a first jgamma step, and of a step of an empty
         # qhahn row, has one outcome of weight 1: the generator is not read.
         for spec in (ModelSpec.jgamma_pep(J=1, gamma=5.0), QHAHN):
-            st = initial_state(spec, seed=3)
+            st = oracle.initial_state(spec, seed=3)
             before = st.rng.bit_generator.state
-            step(st, spec)
+            oracle.step(st, spec)
             assert st.rng.bit_generator.state == before
 
     def test_total_particles_match_step_data(self):
         spec = ModelSpec.qhahn(Q, DELTA, B=(B0, 2 * B0), C=(Q, Q * Q),
                                J=(1, 2))
-        st = initial_state(spec, seed=9)
+        st = oracle.initial_state(spec, seed=9)
         for t in range(1, 7):
-            st = step(st, spec)
+            st = oracle.step(st, spec)
             expect = sum(spec.row_degree(y) for y in range(1, t + 1))
             assert st.total_particles == expect
             assert state_current(spec, st, 1) == expect
             assert state_current(spec, st, t + 5) == 0
 
     def test_current_monotone(self):
-        st = initial_state(ASYM, seed=3)
+        st = oracle.initial_state(ASYM, seed=3)
         for _ in range(12):
-            st = step(st, ASYM)
+            st = oracle.step(st, ASYM)
         vals = [state_current(ASYM, st, x) for x in range(1, 16)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_jgamma_site_cap(self):
         spec = ModelSpec.jgamma_pep(J=2, gamma=8.0)
-        st = initial_state(spec, seed=4)
+        st = oracle.initial_state(spec, seed=4)
         for _ in range(15):
-            st = step(st, spec)
+            st = oracle.step(st, spec)
             assert st.occupancy.max() <= spec.J + 1
             assert st.occupancy.min() >= 0
 
     def test_asym_site_cap(self):
-        st = initial_state(ASYM, seed=8)
+        st = oracle.initial_state(ASYM, seed=8)
         for _ in range(20):
-            st = step(st, ASYM)
+            st = oracle.step(st, ASYM)
             assert st.occupancy.max() <= 2
 
 
@@ -542,10 +548,10 @@ class TestStepStreams:
          300, "0x1.2effc09d1960ep-2")],
         ids=["jgamma-J1", "jgamma-J2", "asym", "corner"])
     def test_pinned(self, spec, digest, particles, draw):
-        state = initial_state(spec, seed=3)
+        state = oracle.initial_state(spec, seed=3)
         sha = hashlib.sha256()
         for _ in range(300):
-            state = step(state, spec)
+            state = oracle.step(state, spec)
             sha.update(repr(state.occupancy.tolist()).encode())
         assert sha.hexdigest() == digest
         assert (state.total_particles, state.clamped) == (particles, 0)
@@ -562,15 +568,15 @@ class TestStepStreams:
     def test_equals_a_sweep_of_every_site(self, spec, N, seed):
         # The reference sweep calls the kernel at every site, the packed
         # prefix too, and draws from its kernels as step does.
-        state = initial_state(spec, seed=seed)
+        state = oracle.initial_state(spec, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         occ, clamped = (), 0
 
         def pick(values, w, pr):
-            return [(values[models._sample_index(w, rng)], pr)]
+            return [(values[oracle._sample_index(w, rng)], pr)]
 
         for t in range(N):
-            state = step(state, spec)
+            state = oracle.step(state, spec)
             (occ, _, c), = prior.row_sweep(occ, t, spec, pick)
             clamped += c
             assert tuple(state.occupancy.tolist()) == (occ or (0,))
@@ -580,14 +586,15 @@ class TestStepStreams:
 
 def corner_state_heights(spec, state):
     """One trajectory's heights at the corner positions of its time."""
-    ens = occupancy_ensemble(spec, state.time, [state.occupancy])
+    ens = oracle.occupancy_ensemble(spec, state.time, [state.occupancy])
     return {p: int(ens.height(p)[0]) for p in corner_window(state.time)}
 
 
 class TestCorner:
     def test_initial_wedge(self):
         spec = ModelSpec.corner(0.5)
-        ens = occupancy_ensemble(spec, 0, [initial_state(spec).occupancy])
+        ens = oracle.occupancy_ensemble(
+            spec, 0, [oracle.initial_state(spec).occupancy])
         for p in corner_window(0):
             assert ens.height(p) == 2 * abs(p)
         assert ens.height(17) == 34  # outside the stored window
@@ -595,16 +602,16 @@ class TestCorner:
     def test_time_one_deterministic(self):
         spec = ModelSpec.corner(0.3)
         for seed in range(4):
-            h = corner_state_heights(spec, step(initial_state(spec, seed=seed),
-                                                spec))
+            h = corner_state_heights(spec, oracle.step(
+                oracle.initial_state(spec, seed=seed), spec))
             assert h[0.5] == 1 and h[-0.5] == 1
             assert h[1.5] == 3
 
     def test_height_above_wedge(self):
         spec = ModelSpec.corner_dyn(5.0)
-        st = initial_state(spec, seed=2)
+        st = oracle.initial_state(spec, seed=2)
         for _ in range(10):
-            st = step(st, spec)
+            st = oracle.step(st, spec)
             for p, h in corner_state_heights(spec, st).items():
                 assert h >= 2 * abs(p)
 
@@ -646,7 +653,7 @@ class TestCorner:
         grid = corner_window(N)
         for seed in range(1, 21):
             rng = _trajectory_rng(64 * seed + 23, 0)
-            ens = _ensemble_pep(spec, N, samples, rng)
+            ens = run_engine(_ensemble_pep, spec, N, samples, rng)
             left, ref = prior.ensemble_corner(
                 spec, N, samples, _trajectory_rng(64 * seed + 23, 0))
             assert left == grid[0]
@@ -661,7 +668,8 @@ class TestCorner:
         # corner_dyn below the bit-sliced gamma runs on the band engine,
         # which draws the prior engine's uniforms in the prior's order.
         spec = ModelSpec.corner_dyn(gamma)
-        ens = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
+        ens = run_engine(_ensemble_pep, spec, N, samples,
+                         _trajectory_rng(seed, 0))
         _, ref = prior.ensemble_corner(spec, N, samples,
                                        _trajectory_rng(seed, 0))
         got = np.stack([ens.height(p) for p in corner_window(N)], axis=1)
@@ -903,8 +911,8 @@ class TestEnsembles:
         n = 100000
         law = exact_law(QHAHN, 3)
         counts = {}
-        ens = _ensemble_rows(
-            QHAHN, 3, n, np.random.default_rng(np.random.SeedSequence(99)))
+        ens = run_engine(_ensemble_rows, QHAHN, 3, n, np.random.default_rng(
+            np.random.SeedSequence(99)))
         occ = np.stack([current(ens, x) - current(ens, x + 1)
                         for x in range(1, 5)], axis=1)
         for row in occ:
@@ -1141,7 +1149,7 @@ class ScriptedBits:
 def bit_engine_configs(spec, N, samples, seed):
     """{occupancy tuple, trailing zeros dropped: count} over the final
     heights of the exclusion-process engine."""
-    ens = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
+    ens = run_engine(_ensemble_pep, spec, N, samples, _trajectory_rng(seed, 0))
     lo = ens.left
     band = ens.heights  # h at sites lo, lo+1, ...
     h = np.zeros((samples, N + 3), dtype=np.int64)
@@ -1293,7 +1301,8 @@ class TestBitSlicedEngine:
     def test_padding_lanes(self, samples):
         spec = ModelSpec.asym_pep(0.25, 0.0)
         assert_engine_matches_oracle(spec, 40, samples, 3)
-        ens = _ensemble_pep(spec, 40, samples, _trajectory_rng(3, 0))
+        ens = run_engine(_ensemble_pep, spec, 40, samples,
+                         _trajectory_rng(3, 0))
         assert len(ens.heights) == samples
         assert (current(ens, 1) == 40).all() and (current(ens, 42) == 0).all()
 
@@ -1311,19 +1320,19 @@ class TestBitSlicedEngine:
 
 class TestCornerView:
     def test_wedge_at_time_zero(self):
-        st = initial_state(JG)
+        st = oracle.initial_state(JG)
         for pos, h in corner_view(JG, st).items():
             assert h == 2 * abs(pos)
 
     def test_time_one_deterministic(self):
-        st = step(initial_state(JG, seed=1), JG)
+        st = oracle.step(oracle.initial_state(JG, seed=1), JG)
         view = corner_view(JG, st)
         assert view[-0.5] == 1 and view[0.5] == 1 and view[1.5] == 3
 
     def test_heights_dominate_wedge(self):
-        st = initial_state(JG, seed=6)
+        st = oracle.initial_state(JG, seed=6)
         for _ in range(8):
-            st = step(st, JG)
+            st = oracle.step(st, JG)
         for pos, h in corner_view(JG, st).items():
             assert h >= 2 * abs(pos) - 1e-9
 
@@ -1442,13 +1451,107 @@ class TestEnsembleContract:
     def test_squares_do_not_wrap(self):
         # The engine stores int16 here, and h(1) = 400 squares past it.
         spec, N, samples, seed = ModelSpec.jgamma_pep(1, 1e12), 400, 20, 7
-        ens = _ensemble_pep(spec, N, samples, _trajectory_rng(seed, 0))
+        ens = run_engine(_ensemble_pep, spec, N, samples,
+                         _trajectory_rng(seed, 0))
         assert ens.heights.dtype == np.int16
         ref = oracle_heights(spec, N, samples, seed)
         sites = range(1, N + 3)
         obs = [lambda ens, x=x: current(ens, x) ** 2 for x in sites]
         for x, est in zip(sites, run_ensemble(spec, N, samples, seed, obs)):
             assert est.mean == np.mean((ref[:, x - 1] ** 2).astype(float)), x
+
+
+# Every engine: the row engine, the band engine at J = 1 and 2, and the
+# bit-sliced engine, plain and thinned, and the corner models on both.
+SNAPSHOT_SPECS = pytest.mark.parametrize("spec", [
+    QHAHN, GENERAL, JG, ModelSpec.jgamma_pep(J=2, gamma=7.0), ASYM,
+    ModelSpec.asym_pep(0.25, 0.0), ModelSpec.jgamma_pep(1, 1e12),
+    ModelSpec.corner(0.3), ModelSpec.corner_dyn(3.0)],
+    ids=["qhahn", "general", "jgamma", "jgamma-J2", "asym", "asym-d0",
+         "jgamma-thin", "corner", "corner_dyn"])
+
+
+def particles(spec, t):
+    """The particles of the step data after t steps."""
+    return sum(spec.row_degree(y) for y in range(1, t + 1))
+
+
+class TestSnapshots:
+    """The engines' snapshot of every time: the run stopped there, and the
+    `initial_state` / `step` surface of one trajectory."""
+
+    @SNAPSHOT_SPECS
+    def test_each_time_is_the_run_stopped_there(self, spec):
+        # Snapshot t holds the Ensemble, dtype and extent included, of a
+        # run of t steps from the same seed, and sample 0's occupancy.
+        # Both row models meet a negative weight at row 6.
+        N = 5 if spec.variant in ("qhahn", "general") else 12
+        for t, snap in zip(range(N + 1), models.Trajectory(spec, 7, 3)):
+            seen = []
+            run_ensemble(spec, t, 7, 3, [lambda ens: seen.append(ens) or 0])
+            got, (want,) = snap.ensemble(), seen
+            assert snap.time == got.time == want.time == t
+            assert got.heights.dtype == want.heights.dtype
+            assert np.array_equal(got.heights, want.heights)
+            assert (got.left, got.packed, got.total, got.corner) == (
+                want.left, want.packed, want.total, want.corner)
+            occ = snap.occupancy
+            h = [int(current(want, x)[0]) for x in range(1, len(occ) + 3)]
+            assert occ.tolist() == [a - b for a, b in zip(h, h[1:])][
+                :len(occ)]
+            assert h[len(occ)] == 0 and (occ[-1] or len(occ) == 1)
+            assert snap.total_particles == h[0] == particles(spec, t)
+
+    @SNAPSHOT_SPECS
+    def test_step_runs_one_trajectory(self, spec):
+        # initial_state and step give the snapshots of a one-sample run.
+        state = models.initial_state(spec, seed=4)
+        for snap in itertools.islice(models.Trajectory(spec, 1, 4), 6):
+            assert state.time == snap.time
+            assert np.array_equal(state.occupancy, snap.occupancy)
+            assert state.total_particles == particles(spec, state.time)
+            if state.time < 5:
+                state = models.step(state, spec)
+
+    def test_dtype_widens_when_the_bound_passes_it(self):
+        # J = 40: the keyed engine's bound 161 (t + 1) passes int16 at
+        # t = 203, where the heights must not have wrapped.
+        spec, seed = ModelSpec.jgamma_pep(40, 100.0), 5
+        run = models.Trajectory(spec, 3, seed)
+        dtypes = [snap.ensemble().heights.dtype
+                  for snap in itertools.islice(run, 204)]
+        assert dtypes[202] == np.int16 and dtypes[203] == np.int32
+        ref = oracle_heights(spec, 203, 3, seed)
+        ens = run_engine(_ensemble_pep, spec, 203, 3, _trajectory_rng(seed, 0))
+        for x in range(1, 206):
+            assert np.array_equal(current(ens, x), ref[:, x - 1]), x
+
+    def test_step_needs_the_newest_snapshot(self):
+        first = models.initial_state(JG, seed=1)
+        second = models.step(first, JG)
+        for stale in (lambda: models.step(first, JG),
+                      lambda: first.occupancy, lambda: first.ensemble()):
+            with pytest.raises(ValueError, match="^the snapshot at time 0 "
+                               "is not the newest of"):
+                stale()
+        with pytest.raises(ValueError, match="^the snapshot at time 1 is "
+                           "not the newest of a trajectory of this spec$"):
+            models.step(second, ASYM)
+        assert models.step(second, JG).time == 2
+
+    @pytest.mark.parametrize("spec, samples", [
+        (ModelSpec(variant="corner", p=-0.5, J=1), 3),
+        (ModelSpec.qhahn(Q, DELTA, B=(B0, 2 * B0), C=(Q, Q * Q), J=(1, 2)),
+         2000)], ids=["bits", "rows"])
+    def test_no_snapshot_outlives_an_engine_error(self, spec, samples):
+        # The row engine fails in mid-sweep, its buffer half written.
+        run = models.Trajectory(spec, samples, 11)
+        with pytest.raises(InadmissibleWeights):
+            for last in run:
+                pass
+        assert run.time is None and last.time >= 1
+        with pytest.raises(ValueError, match="not the newest"):
+            last.ensemble()
 
 
 # The general model on a grid of its test parameters.
@@ -1469,7 +1572,8 @@ class TestRowEngine:
     def test_qhahn_equals_prior_engine(self, spec, N, samples, seed):
         # The q-Hahn stream and heights of the engine before the row
         # engine, value for value.
-        ens = _ensemble_rows(spec, N, samples, _trajectory_rng(seed, 0))
+        ens = run_engine(_ensemble_rows, spec, N, samples,
+                         _trajectory_rng(seed, 0))
         ref = prior.ensemble_qhahn(spec, N, samples, _trajectory_rng(seed, 0))
         assert (ens.time, ens.left) == (ref.time, ref.left)
         assert np.array_equal(ens.heights, ref.heights)
@@ -1479,7 +1583,8 @@ class TestRowEngine:
         spec = ModelSpec.qhahn(Q, DELTA, B=(B0, 2 * B0), C=(Q, Q * Q),
                                J=(1, 2))
         errors = []
-        for engine in (_ensemble_rows, prior.ensemble_qhahn):
+        for engine in (lambda *args: run_engine(_ensemble_rows, *args),
+                       prior.ensemble_qhahn):
             with pytest.raises(InadmissibleWeights) as info:
                 engine(spec, 5, 2000, _trajectory_rng(11, 0))
             errors.append(str(info.value))
@@ -1531,7 +1636,8 @@ class TestLawsAgree:
         sites, h = range(1, N + 3), h_tail
         if spec.is_corner:  # the prior lattice, read through the map
             sites = corner_window(N)
-            ens = occupancy_ensemble(spec, N, [cfg for cfg, _ in law.support])
+            ens = oracle.occupancy_ensemble(spec, N, [cfg for cfg, _ in
+                                                      law.support])
             cols = {x: dict(zip((cfg for cfg, _ in law.support),
                                 ens.height(x).tolist())) for x in sites}
 
