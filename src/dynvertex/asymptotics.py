@@ -5,9 +5,8 @@ Closed forms: the heat-equation profile H(s, r) (Gaussian smoothing of
 the wedge initial data (J+1)|s| for s < 0, equal to a line integral over
 1 + iR), Gamma-law moments, and the law-of-large-numbers /
 fluctuation-scale shapes m, f of the capacity-2 asymmetric exclusion
-process.  The asymmetric corner growth model is that process read
-through the corner map, so its shapes are M(s) = 2s + 2 m(s + 1/2) and
-F(s) = 2 f(s + 1/2).
+process.  The models come from `models` and the moment observables from
+the identity of `observables`.
 
 Experiments drive models.run_ensemble at moderate sizes and compare
 ensemble statistics against the closed forms; they gate regressions with
@@ -24,20 +23,17 @@ import numpy as np
 
 from .errors import Check, DynVertexError, OutOfDomain
 from .models import ModelSpec, current, run_ensemble
-from .observables import pep_site
-
-# The height profile solves 2 (J+1)^2 dH/dr = J d^2H/ds^2 (the constant
-# arrangement forced by the integral formula) with H(s, 0) = (J+1)|s| for
-# s < 0, so H(0, r) = sqrt(rJ / 2 pi).
-_NONDYN_GAMMA = 1e12  # effectively infinite dynamical parameter
+from .observables import ObservableSpec, _lhs_factors, pep_site
 
 
 def heat_profile(s, r, J=1):
-    """The limit height profile at lateral position s and time r > 0: the
-    wedge initial data smoothed by the heat kernel of variance
-    sigma^2 = rJ/(J+1)^2, in closed form (J+1) * (sigma * phi(s/sigma) -
-    (s/2) * erfc(s / (sigma sqrt 2))) with phi the standard normal density.
-    It equals the contour-integral representation on 1 + iR."""
+    """The limit height profile at lateral position s and time r > 0 of
+    jgamma_pep(J, inf): the wedge initial data smoothed by the heat kernel
+    of variance sigma^2 = rJ/(J+1)^2, in closed form (J+1) * (sigma *
+    phi(s/sigma) - (s/2) * erfc(s / (sigma sqrt 2))) with phi the standard
+    normal density.  It solves 2 (J+1)^2 dH/dr = J d^2H/ds^2 with H(s, 0) =
+    (J+1)|s| for s < 0, so H(0, r) = sqrt(rJ / 2 pi), and equals the
+    contour-integral representation on 1 + iR."""
     sigma = math.sqrt(_rate(r) * J) / (J + 1.0)
     density = math.exp(-0.5 * (s / sigma) ** 2) / math.sqrt(2.0 * math.pi)
     return (J + 1.0) * (sigma * density
@@ -67,45 +63,29 @@ def gamma_moment(law, m):
 
 
 # ---------------------------------------------------------------------------
-# Law-of-large-numbers and fluctuation shapes (capacity-2 asymmetric
-# exclusion and the asymmetric corner growth model); 0 < q < 1 throughout
-# and p = 1/(1+q).
+# Law-of-large-numbers and fluctuation shapes of capacity-2 asymmetric
+# exclusion; 0 < q < 1 throughout.
 
 
-def _check_q(q):
+def lln_shapes(q, which, eta):
+    """The closed-form limit shape m or f (which = 'm' or 'f') at a
+    density eta in (q/(1+q), 1/(1+q))."""
+    if which not in ("m", "f"):
+        raise ValueError("which must be 'm' or 'f', got %r" % (which,))
     if not 0.0 < q < 1.0:
         raise OutOfDomain("q must lie in (0, 1)")
-
-
-def lln_shapes(q, which, point):
-    """Closed-form limit shapes: 'm' and 'f' take a density argument eta in
-    (q/(1+q), 1/(1+q)); 'M' and 'F' take a slope argument s in
-    (-(1-q)/(2(1+q)), (1-q)/(2(1+q))), the density interval shifted by
-    -1/2, and are the corner map of m and f: M(s) = 2s + 2 m(s + 1/2) and
-    F(s) = 2 f(s + 1/2)."""
-    _check_q(q)
-    if which in ("m", "f"):
-        eta = float(point)
-        lo, hi = q / (1.0 + q), 1.0 / (1.0 + q)
-        if not lo < eta < hi:
-            raise OutOfDomain("eta=%g outside (%g, %g)" % (eta, lo, hi))
-        if which == "m":
-            return (math.sqrt(1.0 - eta) - math.sqrt(q * eta)) ** 2 / (1 - q)
-        num = (q ** (1.0 / 3.0)
-               * (math.sqrt(eta) - math.sqrt(q * (1 - eta))) ** (2.0 / 3.0)
-               * (math.sqrt(1 - eta) - math.sqrt(q * eta)) ** (2.0 / 3.0))
-        den = ((1 - q) ** (4.0 / 3.0) * q ** (1.0 / 6.0)
-               * eta ** (1.0 / 6.0) * (1 - eta) ** (1.0 / 6.0))
-        return num / den
-    if which in ("M", "F"):
-        s = float(point)
-        half = 0.5 * (1.0 - q) / (1.0 + q)  # (2p - 1)/2
-        if not -half < s < half:
-            raise OutOfDomain("s=%g outside (%g, %g)" % (s, -half, half))
-        if which == "M":
-            return 2.0 * s + 2.0 * lln_shapes(q, "m", s + 0.5)
-        return 2.0 * lln_shapes(q, "f", s + 0.5)
-    raise ValueError("which must be one of 'm', 'f', 'M', 'F'")
+    eta = float(eta)
+    lo, hi = q / (1.0 + q), 1.0 / (1.0 + q)
+    if not lo < eta < hi:
+        raise OutOfDomain("eta=%g outside (%g, %g)" % (eta, lo, hi))
+    if which == "m":
+        return (math.sqrt(1.0 - eta) - math.sqrt(q * eta)) ** 2 / (1 - q)
+    num = (q ** (1.0 / 3.0)
+           * (math.sqrt(eta) - math.sqrt(q * (1 - eta))) ** (2.0 / 3.0)
+           * (math.sqrt(1 - eta) - math.sqrt(q * eta)) ** (2.0 / 3.0))
+    den = ((1 - q) ** (4.0 / 3.0) * q ** (1.0 / 6.0)
+           * eta ** (1.0 / 6.0) * (1 - eta) ** (1.0 / 6.0))
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +176,7 @@ def _experiment_heat_lln(seed, /, J=1, r=1.0, s=0.0, T=1600, samples=20000):
     J, r, T, samples = int(J), _rate(r), _horizon(T), int(samples)
     multi = isinstance(s, (list, tuple))
     s_list = [float(v) for v in s] if multi else [float(s)]
-    model = _model(ModelSpec.jgamma_pep, J, _NONDYN_GAMMA)
+    model = ModelSpec.jgamma_pep(J, math.inf)
     N = _steps(r, T)
     obs, sites = zip(*(_heat_observable(s, r, J, T) for s in s_list))
     ests = run_ensemble(model, N, samples, seed, list(obs))
@@ -238,28 +218,28 @@ def _moment_order(m, J, r, gamma):
     return int(m)
 
 
-def _factorial_product(h, m, shift, gamma):
-    out = 1.0
-    for j in range(m):
-        out *= (h - j) * (h + shift + gamma + j)
-    return out
-
-
-def _gamma_observables(J, r, s, T, gamma, m_list):
+def _gamma_observables(model, r, s, T, m_list):
     """(x, N, fns) of dynamic_gamma: the identity site x = floor(J r T/(J+1)
-    + s T^(1/4)), the steps N = floor(r T), and per m the scaled factorial
-    moment T^(-m/2) prod_{j<m} (h - j)(h - P + gamma + j) of h = h(x) =
-    current(pep_site(x)), with the identity's exact prefactor
-    P = NJ - (J+1)x.  Its mean is the k = m identity at x_1 = ... = x_m = x,
-    times (-1)^m gamma (gamma+1) ... (gamma+m-1) T^(-m/2)."""
-    N = _steps(r, T)
+    + s T^(1/4)), the steps N = floor(r T), and per m the moment
+    observable (-1)^m T^(-m/2) times the product of the left side's factors
+    of ObservableSpec(model, (x,) * m, N), its lead 1/(gamma (gamma+1) ...
+    (gamma+m-1)) aside; 1 at m = 0.  Its mean is the k = m identity at
+    x_1 = ... = x_m = x, times (-1)^m gamma (gamma+1) ... (gamma+m-1)
+    T^(-m/2).  The specs are built here, so that their checks run before
+    any sampling."""
+    J, N = model.J, _steps(r, T)
     x = int(math.floor(J * r * T / (J + 1) + s * T ** 0.25))
-    shift = (J + 1) * x - N * J
     fns = []
     for m in m_list:
-        def fn(st, m=m, scale=T ** (-m / 2.0)):
-            return scale * _factorial_product(current(st, pep_site(x)), m,
-                                              shift, gamma)
+        sites, _, factors = (_lhs_factors(ObservableSpec(model, (x,) * m, N))
+                             if m else ((), None, ()))
+
+        def fn(st, terms=tuple(zip(sites, factors)),
+               scale=(-1) ** m * T ** (-m / 2.0)):
+            out = 1.0
+            for site, factor in terms:
+                out *= factor(current(st, site))
+            return scale * out
 
         fns.append(fn)
     return x, N, fns
@@ -273,7 +253,7 @@ def _experiment_dynamic_gamma(seed, /, J=1, r=1.0, s=0.0, T=10000,
         raise ValueError("gamma must be finite, got %r" % gamma)
     model = _model(ModelSpec.jgamma_pep, J, gamma)
     m_list = [_moment_order(m, J, r, gamma) for m in m_list]
-    x, N, obs = _gamma_observables(J, r, s, T, gamma, m_list)
+    x, N, obs = _gamma_observables(model, r, s, T, m_list)
     ests = run_ensemble(model, N, samples, seed, obs)
     rep = {"kind": "dynamic_gamma", "J": J, "r": r, "s": s, "T": T,
            "gamma": gamma, "site": x, "current_site": pep_site(x),

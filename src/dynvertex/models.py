@@ -53,6 +53,7 @@ from .errors import (
     SizeLimit,
 )
 from .weights import (
+    _SINGULAR_TOL,
     PhiParams,
     PsiParams,
     asym_pep_stay,
@@ -119,8 +120,8 @@ class ModelSpec:
     @classmethod
     def qhahn(cls, q, delta, B, C, J):
         """Row-update model with the q-Hahn-type phi transition weights;
-        requires c_y = q^{J_y} with positive integer J_y, q != 0 and
-        b_x != 0, since phi's a = b_x c_y must not vanish."""
+        requires c_y = q^{J_y} with positive integer J_y, q != 0, b_x != 0
+        and phi's a = b_x c_y at least phi's singular tolerance in modulus."""
         q, = _finite(float, "q", (q,))
         delta, = _finite(float, "delta", (delta,))
         J = _degrees(J)
@@ -135,6 +136,12 @@ class ModelSpec:
             if abs(c - q ** j) > 1e-12 * max(1.0, abs(c)):
                 raise InadmissibleParameters(
                     "qhahn requires c_y = q**J_y (got c=%r, J=%r)" % (c, j))
+        # |b c| is monotone in |b| and |c|, in floats too
+        a = min(map(abs, B)) * min(map(abs, C))
+        if a < _SINGULAR_TOL:
+            raise InadmissibleParameters(
+                "qhahn needs every |a| = |b_x c_y| >= %g, where phi is not "
+                "singular; the least is %r" % (_SINGULAR_TOL, a))
         return cls(variant="qhahn", q=q, delta=delta, B=B, C=C, J=J)
 
     @classmethod
@@ -715,12 +722,10 @@ def _thinned_words(spec, rng, elig, a, f, lo, t):
     by thinning (Lewis and Shedler 1979): the candidates lie skips of
     rng.geometric(1/gamma) set bits apart in (site, word, lane) order, as
     the law is memoryless (a skip saturated at INT64_MAX, at 1/gamma <=
-    1e-19, still passes every bit, and at 1/gamma = 0 none is drawn); then
-    each reads its height from the A and F planes and is kept when a
-    uniform u has u (gamma + key) < gamma."""
+    1e-19, still passes every bit); then each reads its height from the A
+    and F planes and is kept when a uniform u has u (gamma + key) < gamma.
+    gamma is finite: at gamma = inf, D is 0."""
     out = np.zeros_like(elig)
-    if not 1.0 / spec.gamma:
-        return out
     at = int(rng.geometric(1.0 / spec.gamma))
     if at > 64 * elig.size:  # past every set bit
         return out
@@ -750,9 +755,10 @@ def _ensemble_bits(spec, samples, rng):
     """Bit-sliced engine for the J = 1 specs of _ensemble_pep, where one
     particle on a site stays with a constant p (asym_pep, corner) or with
     (1/2)(1 + 1/Upsilon) where gamma is set (jgamma_pep, corner_dyn): C | D,
-    C a fair coin and D from _thinned_words where C = 0.  Lane l of word w
-    is sample 64 w + l.  Bit planes, a row per site, hold A = (eta >= 1)
-    and F = (eta = 2) on the band lo..r+1 of _ensemble_pep.  With B the
+    C a fair coin and D from _thinned_words where C = 0 (no D at gamma =
+    inf, where the chance is 1/2).  Lane l of word w is sample 64 w + l.
+    Bit planes, a row per site, hold A = (eta >= 1) and F = (eta = 2) on
+    the band lo..r+1 of _ensemble_pep.  With B the
     stay bits on A & ~F, a step keeps S = F | B and passes X = (A ^ S) | F
     on: A'(x) = S(x) | X(x-1) and F'(x) = S(x) & X(x-1), with X(lo-1) all
     ones; the planes double when the band reaches their last row.  The
@@ -761,7 +767,7 @@ def _ensemble_bits(spec, samples, rng):
     candidates of D: at most J+1 particles a site give h_t(x) >= Jt -
     (J+1)(x-1), so key >= h.  Yields the view of each time, as
     _ensemble_pep does."""
-    ones, thinned = ~np.uint64(0), spec.gamma is not None
+    ones, thinned = ~np.uint64(0), spec.gamma not in (None, math.inf)
     # Row x - 1 holds site x; r is the last site non-empty in some lane.
     planes = [np.zeros((2, -(-samples // 64)), dtype=np.uint64)
               for _ in "afsx"]
@@ -815,18 +821,19 @@ def _ensemble_pep(spec, samples, rng):
     n -> the time-t Ensemble of samples 0..n-1, valid until it resumes.  At
     J = 1 a lone particle that stays with a constant chance (no gamma,
     delta 0 or unset: asym_pep at delta = 0, corner) or with gamma >=
-    _THIN_GAMMA (jgamma_pep, corner_dyn) runs on the bit-sliced
-    _ensemble_bits.  Sites < lo are packed at J+1 (they deterministically
-    forward J arrows) and sites past r, the last site non-empty in some
-    sample, are empty, so a step works only on the band lo..r+1: rows
-    o, o+1, ... of a height buffer and the first rows of per-cell buffers
-    reused across steps.  All X(x) are drawn from the time-t state, and the
-    height moves by the bond flux, h'(x) = h(x) + X(x-1) = h(x-1) - S(x-1),
-    where S is 1 when a particle stays at x, in place on a moving origin:
-    after h -= S the row of site x holds h'(x+1), and the one new row,
-    h'(lo) = h(lo) + J, goes just before the band.  Only when no row is
-    left there does the band move, _WINDOW_GROW rows on (into a larger
-    buffer if it needs one); r moves right by at most one site per step.
+    _THIN_GAMMA (jgamma_pep, corner_dyn; at gamma = inf a fair coin) runs
+    on the bit-sliced _ensemble_bits.  Sites < lo are packed at J+1 (they
+    deterministically forward J arrows) and sites past r, the last site
+    non-empty in some sample, are empty, so a step works only on the band
+    lo..r+1: rows o, o+1, ... of a height buffer and the first rows of
+    per-cell buffers reused across steps.  All X(x) are drawn from the
+    time-t state, and the height moves by the bond flux, h'(x) = h(x) +
+    X(x-1) = h(x-1) - S(x-1), where S is 1 when a particle stays at x, in
+    place on a moving origin: after h -= S the row of site x holds
+    h'(x+1), and the one new row, h'(lo) = h(lo) + J, goes just before the
+    band.  Only when no row is left there does the band move, _WINDOW_GROW
+    rows on (into a larger buffer if it needs one); r moves right by at
+    most one site per step.
 
     The stay probability depends on (x, t, h) only through the integer key
     of _pep_key, so each step evaluates the shared formula once, on a table
@@ -891,6 +898,9 @@ def _ensemble_pep(spec, samples, rng):
         if kmin < 0 and spec.gamma is not None:
             raise _upsilon_error(kmin, t, lo + int(key.argmin()) // samples)
         nk = int(key.max()) - kmin + 1
+        if (cap + 1) * nk > np.iinfo(np.intp).max:  # the codes below wrap
+            raise SizeLimit("the engine's (occupancy, key) pair codes reach "
+                            "past int64")
         if (cap + 1) * nk > h.size:
             # a table wider than the band (large J): the pairs present
             pairs, idx = np.unique(eta.astype(np.intp) * nk + (key - kmin),

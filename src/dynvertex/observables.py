@@ -104,7 +104,8 @@ class ObservableSpec:
         object.__setattr__(self, "x_list",
                            tuple(int(x) for x in self.x_list))
         if any(x < 1 for x in self.x_list) or not self.x_list:
-            raise ValueError("x_list must hold positive site indices")
+            raise ValueError("x_list must hold positive site indices, got "
+                             "%r" % (self.x_list,))
         if any(a < b for a, b in zip(self.x_list, self.x_list[1:])):
             raise ValueError(
                 "x_list must be weakly decreasing; the identity is stated "
@@ -114,7 +115,11 @@ class ObservableSpec:
         if self.model.variant not in ("qhahn", "jgamma_pep"):
             raise ValueError(
                 "moment identities cover the qhahn and jgamma_pep variants")
-        if self.form != "qhahn":
+        if self.form == "pep":
+            # at gamma = inf the left side's lead 1/gamma... is 0, and 0 * inf
+            if not math.isfinite(self.model.gamma):
+                raise ValueError("the PEP identity needs a finite gamma, "
+                                 "got %r" % self.model.gamma)
             return
         q, delta = self.model.q, self.model.delta
         # The factors of the left side's normalization (none at delta = 0).

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import Check, InadmissibleParameters, SingularParameter
 from .specfun import EllipticContext, elliptic_pochhammer, f_eval
 
-_SINGULAR_TOL = 1e-13
+_SINGULAR_TOL = 1e-13  # |value| below which a denominator, or phi's a, is 0
 
 
 class ArrowConfig(tuple):

@@ -1,7 +1,7 @@
 """Reference copy of the corner growth model's limit shapes as closed forms
 in the slope s, as they were before lln_shapes derived them from the
 exclusion shapes through the corner map.  The shape tests compare the
-library's 'M' and 'F' against them."""
+corner map of the library's 'm' and 'f' against them."""
 
 import math
 

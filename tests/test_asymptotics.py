@@ -89,6 +89,14 @@ class TestGammaLaw:
             gamma_moment(GammaLaw(1.0, 1.0), -1)
 
 
+def corner_shapes(q, s):
+    """(M(s), F(s)), the asymmetric corner growth model's shapes: the
+    exclusion shapes through the corner map, M(s) = 2s + 2 m(s + 1/2) and
+    F(s) = 2 f(s + 1/2), at a slope s in (-(1-q)/(2(1+q)), (1-q)/(2(1+q)))."""
+    return (2.0 * s + 2.0 * lln_shapes(q, "m", s + 0.5),
+            2.0 * lln_shapes(q, "f", s + 0.5))
+
+
 class TestLlnShapes:
     def test_density_edges(self):
         p = 1.0 / (1.0 + Q)
@@ -100,26 +108,26 @@ class TestLlnShapes:
     def test_slope_edges(self):
         half = 0.5 * (1 - Q) / (1 + Q)
         eps = 1e-12
-        assert lln_shapes(Q, "M", half - eps) == pytest.approx(
+        assert corner_shapes(Q, half - eps)[0] == pytest.approx(
             2 * half, abs=1e-5)
-        assert lln_shapes(Q, "M", -half + eps) == pytest.approx(
+        assert corner_shapes(Q, -half + eps)[0] == pytest.approx(
             2 * half, abs=1e-5)
 
     def test_f_positive_inside(self):
         for eta in (0.35, 0.5, 0.72):
             assert lln_shapes(Q, "f", eta) > 0
         for s in (-0.2, 0.0, 0.25):
-            assert lln_shapes(Q, "F", s) > 0
+            assert corner_shapes(Q, s)[1] > 0
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             lln_shapes(Q, "m", 0.9)
         with pytest.raises(OutOfDomain):
-            lln_shapes(Q, "M", 0.5)
-        with pytest.raises(OutOfDomain):
             lln_shapes(1.5, "m", 0.5)
-        with pytest.raises(ValueError):
-            lln_shapes(Q, "bogus", 0.5)
+        # only the exclusion shapes are kept; the corner ones are their map
+        for which in ("M", "F", "bogus"):
+            with pytest.raises(ValueError, match="'m' or 'f'"):
+                lln_shapes(Q, which, 0.1)
 
     @settings(max_examples=200)
     @given(st.floats(0.02, 0.98), st.floats(-0.999, 0.999))
@@ -127,14 +135,16 @@ class TestLlnShapes:
         # M and F through the corner map equal their closed forms in s.
         half = 0.5 * (1 - q) / (1 + q)
         s = u * half
-        assert lln_shapes(q, "M", s) == pytest.approx(
-            prior.corner_shape_M(q, s), rel=1e-10)
-        assert lln_shapes(q, "F", s) == pytest.approx(
-            prior.corner_shape_F(q, s), rel=1e-10)
-        for which in ("M", "F"):
-            for edge in (-half, half, 1.001 * half, -1.001 * half):
+        M, F = corner_shapes(q, s)
+        assert M == pytest.approx(prior.corner_shape_M(q, s), rel=1e-10)
+        assert F == pytest.approx(prior.corner_shape_F(q, s), rel=1e-10)
+        for edge in (1.001 * half, -1.001 * half):
+            with pytest.raises(OutOfDomain):
+                corner_shapes(q, edge)
+        for which in ("m", "f"):
+            for eta in (q / (1 + q), 1 / (1 + q)):
                 with pytest.raises(OutOfDomain):
-                    lln_shapes(q, which, edge)
+                    lln_shapes(q, which, eta)
 
 
 class TestExperiments:
@@ -237,52 +247,65 @@ def exact_mean(spec, N, fn):
     return sum(pr * v for (_, pr), v in zip(law.support, fn(ens)))
 
 
-def exact_rhs(gamma, x, N):
+def exact_rhs(x, N):
+    """The right side of the J = 1, k = 1 PEP identity at site x after N
+    steps, which does not depend on gamma."""
     return float(rhs_exact(
-        ObservableSpec(ModelSpec.jgamma_pep(1, gamma), (x,), N)))
+        ObservableSpec(ModelSpec.jgamma_pep(1, 3.0), (x,), N)))
 
 
 class TestIdentitySite:
     """The experiments read the current where the PEP identity reads h(x):
     at J = 1 its k = 1 case is E[h(h - P + gamma)] = -gamma * RHS, with
-    h = h(x) and P = N - 2x."""
+    h = h(x) and P = N - 2x, and its gamma -> inf limit E[h] = -RHS."""
 
     @pytest.mark.parametrize("gamma", [3.0, 5.0])
     @pytest.mark.parametrize("T, s, x", [(8, 0.0, 4), (10, 0.6, 6)])
     def test_gamma_m1_is_the_exact_identity(self, gamma, T, s, x):
-        got_x, N, (fn,) = asymptotics._gamma_observables(1, 1.0, s, T,
-                                                         gamma, (1,))
+        model = ModelSpec.jgamma_pep(1, gamma)
+        got_x, N, (fn,) = asymptotics._gamma_observables(model, 1.0, s, T,
+                                                         (1,))
         assert (got_x, N) == (x, T)
-        mean = exact_mean(ModelSpec.jgamma_pep(1, gamma), N, fn)
+        mean = exact_mean(model, N, fn)
         assert mean == pytest.approx(
-            -gamma * exact_rhs(gamma, x, N) / math.sqrt(T), rel=1e-12)
+            -gamma * exact_rhs(x, N) / math.sqrt(T), rel=1e-12)
 
     def test_gamma_m1_value(self):
         # E[h(5)(h(5) + 3)] = 3.28125 after 8 steps.
-        _, _, (fn,) = asymptotics._gamma_observables(1, 1.0, 0.0, 8, 3.0,
+        model = ModelSpec.jgamma_pep(1, 3.0)
+        _, _, (fn,) = asymptotics._gamma_observables(model, 1.0, 0.0, 8,
                                                      (1,))
-        assert exact_mean(ModelSpec.jgamma_pep(1, 3.0), 8, fn) * \
+        assert exact_mean(model, 8, fn) * \
             math.sqrt(8) == pytest.approx(3.28125, rel=1e-12)
 
     def test_default_heat_within_5_sigma_of_exact(self):
-        # The default run (T = 1600, 20000 samples, gamma = 1e12, the
+        # The default run (T = 1600, 20000 samples, gamma = inf, the
         # bit-sliced engine) against the exact E[h(800)] / 40 = -RHS / 40
         # = 0.39888 of the identity.
         rep = experiment("heat_lln", seed=0).report
-        exact = -exact_rhs(1e12, 800, 1600) / 40
+        exact = -exact_rhs(800, 1600) / 40
         assert abs(exact - 0.39888) < 1e-5
         assert abs(rep["mc_mean"] - exact) <= 5 * rep["mc_stderr"]
 
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_heat_model_is_the_identity_limit(self, N):
+        # heat's model, gamma = inf, gives E[h(x + 1)] = -RHS(x) exactly at
+        # every site: each stay chance is 1/2, so the law is dyadic.
+        law = exact_law(ModelSpec.jgamma_pep(1, math.inf), N)
+        for x in range(1, N + 2):
+            mean = law.mean(lambda cfg: sum(cfg[x:]))
+            assert mean == -exact_rhs(x, N)
+
     @pytest.mark.parametrize("p", [4.0, 4.25])
     def test_heat_reads_identity_sites(self, p):
-        # At gamma = 1e12 the identity gives E[h(x)] = -RHS up to 1e-11;
-        # between identity sites the observable interpolates linearly.
-        T, gamma = 8, 1e12
+        # heat's observable reads E[h(x)] = -RHS at the identity sites and
+        # interpolates linearly between them.
+        T = 8
         fn, x = asymptotics._heat_observable((p - 4.0) / math.sqrt(T), 1.0,
                                              1, T)
         assert x == 4
         frac = p - x
-        want = -((1 - frac) * exact_rhs(gamma, 4, T)
-                 + frac * exact_rhs(gamma, 5, T)) / math.sqrt(T)
-        mean = exact_mean(ModelSpec.jgamma_pep(1, gamma), T, fn)
-        assert mean == pytest.approx(want, rel=1e-10)
+        want = -((1 - frac) * exact_rhs(4, T)
+                 + frac * exact_rhs(5, T)) / math.sqrt(T)
+        mean = exact_mean(ModelSpec.jgamma_pep(1, math.inf), T, fn)
+        assert mean == pytest.approx(want, rel=1e-12)

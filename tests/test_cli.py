@@ -471,9 +471,17 @@ class TestSimulate:
          "Xi must be finite, got ((inf+0j),)"),
         ("qhahn", '{"q": 0, "B": [1.0], "C": [0.0], "J": [1]}',
          "qhahn needs q != 0"),
+        # phi's a = b_x c_y = 1e-200 is singular: once found only at
+        # sampling, with exit 1
+        ("qhahn", '{"q": 1e-200, "B": [1.0], "C": [1e-200], "J": [1]}',
+         "qhahn needs every |a| = |b_x c_y| >= 1e-13, where phi is not "
+         "singular; the least is 1e-200"),
+        ("qhahn", '{"q": 0.5, "B": [1e-13, 3.0], "C": [0.5], "J": [1]}',
+         "the least is 5e-14"),
     ], ids=["delta-nan", "delta-minus-inf", "qhahn-no-B", "qhahn-no-rows",
             "qhahn-b0", "qhahn-delta-nan", "general-no-U",
-            "general-no-rows", "general-xi-inf", "qhahn-q0"])
+            "general-no-rows", "general-xi-inf", "qhahn-q0", "qhahn-a-tiny",
+            "qhahn-a-below-tol"])
     def test_inadmissible_model_exits_2(self, tmp_path, capsys, model,
                                         config, says):
         # No model admits these: a NaN delta once ran and reported passed,
@@ -487,11 +495,31 @@ class TestSimulate:
         assert err.startswith("error: invalid model parameters: ")
         assert says in err and err.count("\n") == 1
 
+    def test_pep_gamma_1e4_runs_the_thinned_path(self, tmp_path,
+                                                 monkeypatch):
+        # gamma = 10^4 is the least gamma of the bit-sliced engine, where a
+        # lone particle's stay bit is a fair coin or'ed with a thinned
+        # Bernoulli(1/Upsilon); at this size some 25 candidates are drawn,
+        # and the engine reads the key of each candidate alone.
+        law = exact_law(ModelSpec.jgamma_pep(1, 1e4), 10)
+        real, candidates = models._pep_key, []
+        monkeypatch.setattr(models, "_pep_key", lambda spec, x, t, h:
+                            candidates.append(len(x)) or real(spec, x, t, h))
+        sites = ["2", "3", "4", "5", "6", "7"]
+        code, rep = run(tmp_path, "simulate", "--model", "pep", "--config",
+                        '{"gamma": 10000}', "--steps", "10", "--samples",
+                        "40000", "--sites", *sites)
+        assert code == 0
+        assert sum(candidates) >= 10
+        for row, x in zip(rep["checks"], map(int, sites)):
+            exact = law.mean(lambda cfg: sum(cfg[x - 1:]))
+            assert abs(row["value"] - exact) <= 5 * row["stderr"], x
+
     def test_qhahn_defaults_only_for_missing_keys(self, tmp_path, capsys,
                                                   monkeypatch):
         # With B and C given, the defaults q^-2 and q^J, which overflow at
-        # q = 1e-200, are not computed; phi then finds a = b c_y = 1e-200
-        # singular at sampling.
+        # q = 1e-200, are not computed; the constructor then finds phi's
+        # a = b c_y = 1e-200 singular, before sampling.
         def powers(*args):
             raise AssertionError("a default was computed")
 
@@ -499,9 +527,9 @@ class TestSimulate:
         code, rep = run(tmp_path, "simulate", "--model", "qhahn", "--config",
                         '{"q": 1e-200, "B": [1.0], "C": [1e-200], "J": [1]}',
                         "--steps", "3", "--samples", "5")
-        assert code == 1 and rep is None
-        assert capsys.readouterr().err == (
-            "check failed: SingularParameter: phi requires a != 0\n")
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err.startswith(
+            "error: invalid model parameters: qhahn needs every |a|")
 
     @pytest.mark.parametrize("model, config, site", [
         ("general", GENERAL_CONFIG % "[0, 0.5477225575051661]", "1"),
@@ -852,6 +880,18 @@ class TestVerifyIdentity:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "50"])
+    def test_pep_infinite_gamma_exits_2(self, tmp_path, capsys, samples):
+        # The left side's lead 1/gamma is 0 at gamma = inf, and 0 * inf
+        # once gave nan rows (exit 1) and leaked numpy's warning.
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep",
+                        "--gamma", "inf", "--x", "1", "--N", "3",
+                        "--samples", samples)
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == (
+            "error: invalid identity parameters: the PEP identity needs a "
+            "finite gamma, got inf\n")
+
     def test_k_mismatch(self, tmp_path, capsys):
         code, _ = run(tmp_path, "verify-identity", "--form", "qhahn",
                       "--k", "2", "--x", "1")
@@ -873,7 +913,7 @@ class TestVerifyIdentity:
         (["--q", "1e300", "--x", "3", "2", "1", "--N", "3"],
          "q = 1e+300 overflows q^j"),
         (["--q", "5e-324", "--x", "1", "--J", "2"],
-         "q = 5e-324 overflows q^j for a j < k = 1 or 1/q^p"),
+         "qhahn needs every |a| = |b_x c_y| >= 1e-13"),
         (["--k", "1", "--x", "2", "--N", "3", "--b", "0"], "every b_x != 0"),
         (["--k", "1", "--x", "2", "--N", "3", "--b", "inf"],
          "B must be finite, got (inf,)"),
@@ -884,7 +924,7 @@ class TestVerifyIdentity:
     def test_qhahn_arithmetic_exits_2(self, tmp_path, capsys, argv, says):
         # q = 0 has no 1/q to nest the contours by and no q^-1 for C;
         # delta = q^j (j < k) zeroes the normalization prod (1 - q^j/delta),
-        # and q^j and the contour point 1/q^(J-1) must be floats; b = 0
+        # and q^j must be a float; b = 0, or c_y = q^2 = 0 at q = 5e-324,
         # zeroes phi's a = b c_y, and b must be finite.
         code, rep = run(tmp_path, "verify-identity", "--form", "qhahn", *argv)
         assert code == 2 and rep is None
@@ -1008,8 +1048,8 @@ class TestAsymptotics:
         # the model's own parameter checks, before any sampling
         ("gamma", '{"gamma": 1.5, "T": 4, "samples": 3}',
          "invalid experiment config: jgamma_pep requires gamma > J+1"),
-        ("heat", '{"J": 1e13, "T": 4, "samples": 3}',
-         "invalid experiment config: jgamma_pep requires gamma > J+1"),
+        ("heat", '{"J": 0, "T": 4, "samples": 3}',
+         "invalid experiment config: row degrees must be positive"),
         ("kpz-exponent", '{"q": 1.5, "samples": 3}',
          "invalid experiment config: asym_pep requires 0 < q < 1"),
         ("f-collapse", '{"q": 1.5, "T": 4, "samples": 3}',
@@ -1182,6 +1222,19 @@ class TestSizeAndRate:
         monkeypatch.delattr(models.os, "sysconf")
         models.check_ensemble_size(10, 10 ** 15)
 
+    @pytest.mark.parametrize("s, x", [(-4, 0), (-6, -4)])
+    def test_gamma_site_below_1_exits_2(self, tmp_path, capsys, no_engine,
+                                        s, x):
+        # The identity site floor(T/2 + s T^(1/4)) = 8 + 2s at T = 16:
+        # s = -4 once reported site 0 as passed, with an m = 1 "moment" of
+        # 12.0, and s = -6 exited 2 only after sampling.
+        code, rep = run(tmp_path, "asymptotics", "--experiment", "gamma",
+                        "--config", '{"T": 16, "s": %d, "samples": 50}' % s)
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == (
+            "error: invalid experiment config: x_list must hold positive "
+            "site indices, got (%d,)\n" % x)
+
     @pytest.mark.parametrize("name", ["heat", "gamma"])
     @pytest.mark.parametrize("r", ["0", "-1", "NaN"])
     def test_non_positive_rate_exits_2(self, tmp_path, capsys, no_engine,
@@ -1193,6 +1246,44 @@ class TestSizeAndRate:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid experiment config: r must be "
                               "positive, got ") and err.count("\n") == 1
+
+
+class TestConfigFile:
+    """--config takes an inline JSON object or @path to a file holding one."""
+
+    ARGV = {"simulate": ["simulate", "--model", "pep", "--steps", "6",
+                         "--samples", "20"],
+            "asymptotics": ["asymptotics", "--experiment", "heat"]}
+    CONFIG = {"simulate": '{"J": 2, "gamma": 7.0}',
+              "asymptotics": '{"T": 16, "samples": 20}'}
+
+    @pytest.mark.parametrize("cmd", ["simulate", "asymptotics"])
+    def test_file_gives_the_inline_report(self, tmp_path, cmd):
+        path = tmp_path / "config.json"
+        path.write_text(self.CONFIG[cmd])
+        reports = []
+        for config in (self.CONFIG[cmd], "@%s" % path):
+            code, rep = run(tmp_path, *self.ARGV[cmd], "--config", config)
+            assert code == 0
+            del rep["timing"]
+            reports.append(rep)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("cmd", ["simulate", "asymptotics"])
+    def test_missing_file_exits_2(self, tmp_path, capsys, cmd):
+        code, rep = run(tmp_path, *self.ARGV[cmd], "--config",
+                        "@%s" % (tmp_path / "missing.json"))
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd", ["simulate", "asymptotics"])
+    def test_non_object_exits_2(self, tmp_path, capsys, cmd):
+        code, rep = run(tmp_path, *self.ARGV[cmd], "--config", "[1]")
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == (
+            "error: config must be a JSON object\n")
 
 
 class TestCheck:

@@ -6,7 +6,8 @@ exit 0 must print a JSON report that passed.  No other exception may
 escape, and pytest's `filterwarnings = error` turns a leaked numpy warning
 into a failure.  Config keys come from each model's and experiment's
 allowed set, with values that mix ordinary, boundary, huge, tiny, negative,
-inf and nan numbers, and empty and one-entry lists.  Sizes (steps, T,
+inf and nan numbers, and empty and one-entry lists; a gamma is also
+10^4, inf or nan more often.  Sizes (steps, T,
 samples, N, k and J) are either small or so large that the size check
 rejects them before anything is allocated, so that no example allocates
 more than a few MB.  Moment orders are small, fractional or so large that
@@ -40,6 +41,9 @@ numbers = st.one_of(st.sampled_from(SPECIAL), st.floats(-10, 10),
 # A size is small, not an integer, or past every machine's memory.
 sizes = st.one_of(st.integers(-2, 6), st.sampled_from((2.5, 1e300, INF,
                                                        -INF, NAN)))
+# A dynamical parameter is any number, or the least gamma of the thinned
+# bit-sliced path, or gamma = inf, where no identity holds.
+gammas = st.one_of(numbers, st.sampled_from((1e4, INF, NAN)))
 # A moment order is small, not an integer, or one whose target overflows.
 orders = st.one_of(st.integers(-2, 6),
                    st.sampled_from((2.5, 1e7, 3e7, INF, NAN)))
@@ -70,6 +74,8 @@ def _value(key):
         return st.one_of(sizes, st.lists(sizes, max_size=3))
     if key == "m_list":
         return st.one_of(orders, st.lists(orders, max_size=3))
+    if key == "gamma":
+        return st.one_of(gammas, lists_of(gammas))
     return values
 
 
@@ -164,7 +170,7 @@ def verify_identity_argv(draw):
             + draw(flag("--samples", st.one_of(st.just(0),
                                                st.integers(-1, 20))))
             + draw(flag("--q", numbers)) + draw(flag("--delta", numbers))
-            + draw(flag("--gamma", numbers))
+            + draw(flag("--gamma", gammas))
             + draw(one_or_two("--b", numbers))
             + draw(one_or_two("--J", st.integers(-1, 3)))
             + draw(flag("--tol", tols)) + draw(flag("--seed", seeds)))
@@ -263,6 +269,20 @@ argvs = st.sampled_from(
 @example(["simulate", "--model", "corner-dyn", "--steps", "3", "--samples",
           "2", "--sites", "0.5", "--trajectory-csv",
           os.path.join(OUT.name, "t.csv")])
+# later repros: an identity at gamma = inf, a gamma site below 1, and the
+# thinned path and gamma = inf of the bit-sliced engine
+@example(["verify-identity", "--form", "pep", "--gamma", "inf", "--x", "1",
+          "--N", "3"])
+@example(["verify-identity", "--form", "pep", "--gamma", "inf", "--x", "1",
+          "--N", "3", "--samples", "50"])
+@example(["asymptotics", "--experiment", "gamma", "--config",
+          '{"T": 16, "s": -4, "samples": 50}'])
+@example(["asymptotics", "--experiment", "gamma", "--config",
+          '{"T": 16, "s": -6, "samples": 50}'])
+@example(["simulate", "--model", "pep", "--config", '{"gamma": 10000}',
+          "--steps", "10", "--samples", "2000", "--sites", "3"])
+@example(["simulate", "--model", "corner-dyn", "--config",
+          '{"gamma": Infinity}', "--steps", "6", "--samples", "20"])
 def test_every_argv_exits_0_1_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

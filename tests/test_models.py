@@ -184,8 +184,9 @@ def bitplane_pep(spec, N, samples, rng, trace=None):
     non-empty in some lane; the stay bits of the cells holding one
     particle come from bernoulli_lanes on the same random_raw words, with
     the band's words site-major: at the constant stay probability of
-    asym_pep or corner, or, for jgamma_pep and corner_dyn, a fair coin C
-    or'ed with thinned_lanes on the cells where C = 0.  A cell holding one
+    asym_pep or corner (and of jgamma_pep at gamma = inf, 1/2), or, for
+    jgamma_pep and corner_dyn at a finite gamma, a fair coin C or'ed with
+    thinned_lanes on the cells where C = 0.  A cell holding one
     particle keeps it when its bit is 1, a full cell keeps one and passes
     one, and site lo receives one particle from the left.  Returns (lo,
     occupancy of the first `samples` lanes); a trace list gets (lo,
@@ -195,7 +196,7 @@ def bitplane_pep(spec, N, samples, rng, trace=None):
     lo = 1
     for t in range(N):
         single = (occ == 1).T.reshape(occ.shape[1], words, 64)
-        if spec.gamma is None:
+        if spec.gamma is None or spec.gamma == math.inf:
             p = float(models._pep_stay(spec, np.arange(3), 0)[1])
             stay = bernoulli_lanes(rng.bit_generator, p, single)
         else:
@@ -437,6 +438,12 @@ class TestModelSpec:
         ({"delta": math.nan}, r"delta must be finite, got \(nan,\)"),
         ({"B": (B0, 0.0)}, "every b_x != 0"),  # then phi's a = b c_y is 0
         ({"q": 0.0, "C": (0.0,)}, "needs q != 0"),  # and so is c_y = q^J_y
+        # phi's a = b_x c_y below its singular tolerance, which sampling
+        # once found with SingularParameter
+        ({"q": 1e-200, "C": (1e-200,)}, r"qhahn needs every \|a\| = "
+         r"\|b_x c_y\| >= 1e-13, where phi is not singular; the least is "
+         r"2\.99"),
+        ({"B": (5.0, 2e-13)}, r"the least is 8\.0{6}"),
     ])
     def test_qhahn_parameters_are_finite_lists(self, kw, says):
         # An empty list ended in a ZeroDivisionError of _cyc.
@@ -792,9 +799,9 @@ def enumerated_models(draw):
     elif variant == "qhahn":
         q, J = draw(st.floats(0.05, 0.95)), draw(st.integers(1, 2))
         delta, b = draw(st.floats(-1.0, 0.0)), draw(st.floats(-3.0, 0.5))
-        if b:
+        if abs(b) * q ** J >= 1e-13:
             spec = ModelSpec.qhahn(q, delta, B=(b,), C=(q ** J,), J=(J,))
-        else:  # b = 0, past the constructor's check
+        else:  # phi's a = b q^J singular, past the constructor's check
             spec = ModelSpec(variant="qhahn", q=q, delta=delta, B=(b,),
                              C=(q ** J,), J=(J,))
     elif variant == "corner":
@@ -962,11 +969,14 @@ class TestEnsembles:
 
     @pytest.mark.parametrize("spec", [
         ModelSpec.jgamma_pep(10 ** 18, math.inf),
-        ModelSpec.qhahn(Q, DELTA, B=(B0,), C=(0.0,), J=(10 ** 300,))],
-        ids=["pep", "qhahn"])
+        ModelSpec.qhahn(1.0, DELTA, B=(B0,), C=(1.0,), J=(10 ** 300,)),
+        ModelSpec.jgamma_pep(10 ** 13, math.inf)],
+        ids=["pep", "qhahn", "pep-pair-codes"])
     def test_values_past_int64_raise_size_limit(self, spec):
         # A row degree this large once gave the engines an object dtype
-        # and a raw TypeError.
+        # and a raw TypeError.  At J = 10^13 the heights fit, but the keyed
+        # engine's (occupancy, key) codes, about J^2, once wrapped and read
+        # as a stay probability of -0.000000.
         with pytest.raises(SizeLimit, match="past int64"):
             run_ensemble(spec, 2, 2, 0, [lambda st: 0.0])
 
@@ -1226,6 +1236,20 @@ class TestBitSlicedEngine:
         with pytest.raises(InadmissibleWeights,
                            match=r"< gamma at time 10, site \d+$"):
             run_ensemble(ModelSpec.jgamma_pep(1, 3.0), 20, 64, 5, [])
+
+    def test_infinite_gamma_is_the_fair_coin(self, monkeypatch):
+        # heat's model: at gamma = inf a lone particle stays with chance
+        # 1/2, and no thinning pass runs.
+        monkeypatch.setattr(models, "_thinned_words", None)
+        spec = ModelSpec.jgamma_pep(1, math.inf)
+        assert_engine_matches_oracle(spec, 60, 70, 9)
+        n = 100000
+        counts = bit_engine_configs(spec, 4, n, 43)
+        law = dict(exact_law(spec, 4).support)
+        assert set(counts) <= set(law)
+        for cfg, pr in law.items():
+            sigma = math.sqrt(pr * (1 - pr) / n)
+            assert abs(counts.get(cfg, 0) / n - pr) < 4 * sigma, cfg
 
     def test_extreme_gamma(self):
         # 1/gamma = 1e-300: every skip saturates at INT64_MAX, and no
