@@ -225,16 +225,16 @@ def _gamma_observables(model, r, s, T, m_list):
     of ObservableSpec(model, (x,) * m, N), its lead 1/(gamma (gamma+1) ...
     (gamma+m-1)) aside; 1 at m = 0.  Its mean is the k = m identity at
     x_1 = ... = x_m = x, times (-1)^m gamma (gamma+1) ... (gamma+m-1)
-    T^(-m/2).  The specs are built here, so that their checks run before
-    any sampling."""
+    T^(-m/2).  The specs (at m = 0 the one-site spec, which checks x) are
+    built here, so that their checks run before any sampling."""
     J, N = model.J, _steps(r, T)
     x = int(math.floor(J * r * T / (J + 1) + s * T ** 0.25))
     fns = []
     for m in m_list:
-        sites, _, factors = (_lhs_factors(ObservableSpec(model, (x,) * m, N))
-                             if m else ((), None, ()))
+        sites, _, factors = _lhs_factors(
+            ObservableSpec(model, (x,) * max(m, 1), N))
 
-        def fn(st, terms=tuple(zip(sites, factors)),
+        def fn(st, terms=tuple(zip(sites, factors))[:m],
                scale=(-1) ** m * T ** (-m / 2.0)):
             out = 1.0
             for site, factor in terms:
@@ -320,6 +320,9 @@ def _experiment_kpz_exponent(seed, /, q=0.25, eta=0.5,
     for i, (T, x) in enumerate(zip(T_list, sites)):
         (mean, std, var_log), = _asym_height_stats(
             model, T, [x], samples, seed + i, [lln_shapes(q, "m", eta) * T])
+        if not std > 0:
+            raise ValueError("every sample of h_T(%d) agrees at T = %d: a "
+                             "std of 0 has no log to fit" % (x, T))
         points.append({"T": T, "site": x, "mean": mean, "std": std,
                        "log_std_stderr": math.sqrt(var_log)})
     log_t = np.array([math.log(p["T"]) for p in points])
@@ -380,13 +383,14 @@ ExperimentRun = namedtuple("ExperimentRun", "report config checks csv")
 def experiment(kind, config=None, seed=0):
     """Run one named scaling-limit experiment.  config holds the
     experiment's keyword parameters; an unknown key raises TypeError, and a
-    time horizon below 1 ValueError.  Only memory bounds a horizon: an
-    ensemble of more than physical memory's bytes at one per sample and
-    step raises ValueError before sampling (models.check_ensemble_size),
-    and any smaller one runs however long it takes.  Returns an
-    ExperimentRun: the report, the config completed with its defaults, the
-    checks (Checks with no tolerance of their own, which the CLI's --gate
-    fills), and the CSV table (columns, rows)."""
+    time horizon below 1, an empty list or samples < 2 ValueError (a stderr
+    needs two).  Only memory bounds a horizon: an ensemble of more than
+    physical memory's bytes at one per sample and step raises ValueError
+    before sampling (models.check_ensemble_size), and any smaller one runs
+    however long it takes.  Returns an ExperimentRun: the report, the
+    config completed with its defaults, the checks (Checks with no
+    tolerance of their own, which the CLI's --gate fills), and the CSV
+    table (columns, rows)."""
     if kind not in _EXPERIMENTS:
         raise ValueError("unknown experiment %r; choose from %s"
                          % (kind, sorted(_EXPERIMENTS)))
@@ -394,5 +398,10 @@ def experiment(kind, config=None, seed=0):
     bound = inspect.signature(fn).bind(int(seed), **(config or {}))
     bound.apply_defaults()
     config = dict(bound.arguments)
+    for key, value in config.items():
+        if isinstance(value, (list, tuple)) and not value:
+            raise ValueError("%s must hold one or more values" % key)
+    if int(config.get("samples", 2)) < 2:
+        raise ValueError("samples must be >= 2, got %r" % config["samples"])
     report, checks, csv = fn(config.pop("seed"), **config)
     return ExperimentRun(report, config, checks, csv)

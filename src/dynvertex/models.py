@@ -52,8 +52,8 @@ from .errors import (
     InadmissibleWeights,
     SizeLimit,
 )
+from .specfun import _SINGULAR_TOL
 from .weights import (
-    _SINGULAR_TOL,
     PhiParams,
     PsiParams,
     asym_pep_stay,
@@ -111,22 +111,23 @@ class ModelSpec:
     def general(cls, q, delta, U, Xi, S, J):
         """Row-update model with the full psi transition weights."""
         J = _degrees(J)
-        q, = _finite(float, "q", (q,))
-        delta, = _finite(complex, "delta", (delta,))
+        q, = _finite_tuple(float, "q", (q,))
+        delta, = _finite_tuple(complex, "delta", (delta,))
         return cls(variant="general", q=q, delta=delta,
-                   U=_finite(complex, "U", U), Xi=_finite(complex, "Xi", Xi),
-                   S=_finite(complex, "S", S), J=J)
+                   U=_finite_tuple(complex, "U", U),
+                   Xi=_finite_tuple(complex, "Xi", Xi),
+                   S=_finite_tuple(complex, "S", S), J=J)
 
     @classmethod
     def qhahn(cls, q, delta, B, C, J):
         """Row-update model with the q-Hahn-type phi transition weights;
         requires c_y = q^{J_y} with positive integer J_y, q != 0, b_x != 0
         and phi's a = b_x c_y at least phi's singular tolerance in modulus."""
-        q, = _finite(float, "q", (q,))
-        delta, = _finite(float, "delta", (delta,))
+        q, = _finite_tuple(float, "q", (q,))
+        delta, = _finite_tuple(float, "delta", (delta,))
         J = _degrees(J)
-        C = _finite(float, "C", C)
-        B = _finite(float, "B", B)
+        C = _finite_tuple(float, "C", C)
+        B = _finite_tuple(float, "B", B)
         if len(C) != len(J):
             raise ValueError("C and J must have matching lengths")
         if q == 0 or 0.0 in B:
@@ -211,7 +212,7 @@ def _degrees(J):
     return tuple(int(j) for j in J)
 
 
-def _finite(num, name, values):
+def _finite_tuple(num, name, values):
     """values as a tuple of num (float or complex); ValueError unless there
     is one or more and each is finite."""
     out = tuple(num(v) for v in values)
@@ -836,14 +837,15 @@ def _ensemble_pep(spec, samples, rng):
     most one site per step.
 
     The stay probability depends on (x, t, h) only through the integer key
-    of _pep_key, so each step evaluates the shared formula once, on a table
-    over the occupancies 0..J+1 and the band's keys, and checks that its
-    occupancy-0 and occupancy-(J+1) entries are exactly 0 and 1.  A uniform
-    is drawn only for the cells with 0 < eta < J+1, in site-major order.
-    Thinning pays per candidate, 1/(2 gamma) of the one-particle cells at
-    any size, so it beats this engine from a fixed gamma: 60 to 100 at N =
-    400 x 4000 and 1000 x 1000 samples (2-CPU x86-64).  _THIN_GAMMA keeps a
-    wide margin, and gamma = 3 and every J >= 2 here."""
+    of _pep_key, so each step evaluates the shared formula once: on a table
+    over the occupancies 0..J+1 and the band's keys where it has no more
+    entries than the band has cells, else on the band's cells (large J, few
+    samples).  Its values at eta = 0 and J+1 must be exactly 0 and 1.  A
+    uniform is drawn only for the cells with 0 < eta < J+1, in site-major
+    order.  Thinning pays per candidate, 1/(2 gamma) of the one-particle
+    cells at any size, so it beats this engine from a fixed gamma: 60 to
+    100 at N = 400 x 4000 and 1000 x 1000 samples (2-CPU x86-64).
+    _THIN_GAMMA keeps a wide margin, and gamma = 3 and every J >= 2 here."""
     if spec.J == 1 and (not spec.delta if spec.gamma is None
                         else spec.gamma >= _THIN_GAMMA):
         yield from _ensemble_bits(spec, samples, rng)  # never returns
@@ -898,32 +900,25 @@ def _ensemble_pep(spec, samples, rng):
         if kmin < 0 and spec.gamma is not None:
             raise _upsilon_error(kmin, t, lo + int(key.argmin()) // samples)
         nk = int(key.max()) - kmin + 1
-        if (cap + 1) * nk > np.iinfo(np.intp).max:  # the codes below wrap
-            raise SizeLimit("the engine's (occupancy, key) pair codes reach "
-                            "past int64")
-        if (cap + 1) * nk > h.size:
-            # a table wider than the band (large J): the pairs present
-            pairs, idx = np.unique(eta.astype(np.intp) * nk + (key - kmin),
-                                   return_inverse=True)
-            idx = idx.ravel()[drawn]
-        else:
-            pairs = np.arange((cap + 1) * nk)
+        if (cap + 1) * nk <= h.size:  # a table over (occupancy, key) pairs
+            occs, keys = np.divmod(np.arange((cap + 1) * nk), nk)
+            table = _pep_stay(spec, occs, keys + kmin)
             idx = np.intp(1) if J == 1 else eta.ravel()[drawn].astype(np.intp)
-            idx = idx * nk - kmin + key.ravel()[drawn]
-        occs, keys = np.divmod(pairs, nk)
-        table = _pep_stay(spec, occs, keys + kmin)
-        stay = table.take(idx)
+            stay = table.take(idx * nk - kmin + key.ravel()[drawn])
+            empty, full = table[occs == 0], table[occs == cap]
+        else:  # the table would be wider than the band: the band's cells
+            table = _pep_stay(spec, eta, key)
+            stay = table.ravel()[drawn]
+            empty, full = table[eta == 0], table[kept]
         # written so that a nan fails the screen, as in _ensemble_bits
         if not ((table >= -_WEIGHT_NEG_TOL)
                 & (table <= 1 + _WEIGHT_NEG_TOL)).all():
-            stay = np.broadcast_to(stay, drawn.shape)
             bad = np.flatnonzero(~((stay >= -_WEIGHT_NEG_TOL)
                                    & (stay <= 1 + _WEIGHT_NEG_TOL)))
             if len(bad):
                 raise InadmissibleWeights(
                     "stay probability %.6f out of [0, 1] at time %d, site %d"
                     % (stay[bad[0]], t, lo + drawn[bad[0]] // samples))
-        empty, full = table[occs == 0], table[occs == cap]
         if empty.any() or (full != 1.0).any():
             raise InadmissibleWeights(
                 "stay probability of an empty or full site is not exactly "

@@ -24,7 +24,7 @@ from .errors import (
     SingularParameter,
 )
 
-_SINGULAR_TOL = 1e-13
+_SINGULAR_TOL = 1e-13  # |value| below which a denominator, or phi's a, is 0
 # theta1's stopping tolerance, relative to the partial sum, and the paired
 # terms it sums before it raises NonConvergent.
 _SERIES_TOL = 1e-12

@@ -24,7 +24,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import Check, ModeError, SingularParameter, SizeLimit
-from .specfun import CHECK_CONTEXTS, EllipticContext, f_eval, rel_residual
+from .specfun import (_SINGULAR_TOL, CHECK_CONTEXTS, EllipticContext,
+                      f_eval, rel_residual)
 from .weights import ArrowConfig, UnfusedWeightParams, sigma, w1, \
     w_fused_recursive
 
@@ -228,7 +229,7 @@ def _c_mu(mu, lam, L, ctx):
     total = math.pi ** (-M) * ctx.f_two_eta() ** M
     for j in range(M):
         den = f_eval(lam + 2 * eta * j, ctx)
-        if abs(den) < 1e-13:
+        if abs(den) < _SINGULAR_TOL:
             raise SingularParameter("vanishing f(lam + 2*eta*j)")
         total /= den
     m_below = 0
@@ -242,7 +243,7 @@ def _c_mu(mu, lam, L, ctx):
                    * f_eval(lam + 2 * eta * (2 * m_below + j + 1)
                             - 2 * eta * lam_below, ctx))
             den = f_eval(2 * eta * (Li - j), ctx)
-            if abs(den) < 1e-13:
+            if abs(den) < _SINGULAR_TOL:
                 raise SingularParameter("vanishing f(2*eta*(Lambda_i - j))")
             total *= num / den
         m_below += mi
@@ -269,7 +270,7 @@ def d_rho_normalized(mu, lam, spec):
                                      * _c_mu(mu, lam, spec.L, ctx))
     for k in range(M):
         den = f_eval(lam + 2 * eta * k, ctx)
-        if abs(den) < 1e-13:
+        if abs(den) < _SINGULAR_TOL:
             raise SingularParameter("vanishing f(lam + 2*eta*k)")
         val *= f_eval(lam + 2 * eta * (k + 1 - L0), ctx) / den
     return val
@@ -324,7 +325,7 @@ def b_stochastic(mu, nu, spec, rho):
         for j in range(block):
             u = complex(w) + 2 * eta * j
             fp = f_eval(u - p0, ctx)
-            if abs(fp) < 1e-13:
+            if abs(fp) < _SINGULAR_TOL:
                 raise SingularParameter("vanishing f(u - p0)")
             pref *= (f_eval(u - q0, ctx)
                      * f_eval(lam + 2 * eta * k, ctx) / fp)

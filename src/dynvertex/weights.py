@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Check, InadmissibleParameters, SingularParameter
-from .specfun import EllipticContext, elliptic_pochhammer, f_eval
-
-_SINGULAR_TOL = 1e-13  # |value| below which a denominator, or phi's a, is 0
+from .specfun import (_SINGULAR_TOL, EllipticContext, elliptic_pochhammer,
+                      f_eval)
 
 
 class ArrowConfig(tuple):

@@ -1129,6 +1129,47 @@ class TestAsymptotics:
             "error: invalid experiment config: probe site floor(eta * T) = 0"
             " is below site 1 at %s\n" % at)
 
+    @pytest.mark.parametrize("name, config, says", [
+        ("heat", '{"s": [], "T": 16, "samples": 10}',
+         "s must hold one or more values"),
+        ("f-collapse", '{"eta_list": [], "T": 16, "samples": 10}',
+         "eta_list must hold one or more values"),
+        ("gamma", '{"m_list": [], "T": 16, "samples": 10}',
+         "m_list must hold one or more values"),
+        ("kpz-exponent", '{"T_list": [16, 32], "samples": 1}',
+         "samples must be >= 2, got 1"),
+        ("f-collapse", '{"T": 16, "samples": 1}',
+         "samples must be >= 2, got 1"),
+        ("heat", '{"T": 16, "samples": 1}', "samples must be >= 2, got 1"),
+    ], ids=["heat-s", "f-collapse-eta_list", "gamma-m_list",
+            "kpz-exponent-samples", "f-collapse-samples", "heat-samples"])
+    def test_nothing_to_measure_exits_2_before_sampling(
+            self, tmp_path, capsys, monkeypatch, name, config, says):
+        # An empty point list once leaked "not enough values to unpack" or
+        # "min() arg is an empty sequence", or passed with no moment; one
+        # sample leaked "math domain error", or passed with a stderr of 0
+        # and an infinite spread.
+        def run_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the check")
+
+        monkeypatch.setattr(asymptotics, "run_ensemble", run_ensemble)
+        code, rep = run(tmp_path, "asymptotics", "--experiment", name,
+                        "--config", config)
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == (
+            "error: invalid experiment config: %s\n" % says)
+
+    def test_kpz_zero_std_exits_2(self, tmp_path, capsys):
+        # Two samples of h_16(8) agree: log 0 once leaked as "math domain
+        # error".
+        code, rep = run(tmp_path, "asymptotics", "--experiment",
+                        "kpz-exponent", "--config",
+                        '{"T_list": [16, 32], "samples": 2}')
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == (
+            "error: invalid experiment config: every sample of h_T(8) "
+            "agrees at T = 16: a std of 0 has no log to fit\n")
+
     def test_gate_fills_only_ungated_rows(self, tmp_path, monkeypatch):
         # --gate is the tolerance of rows that have none; a row with its
         # own tolerance keeps it, and a row of four fields gets no --gate
@@ -1234,6 +1275,34 @@ class TestSizeAndRate:
         assert capsys.readouterr().err == (
             "error: invalid experiment config: x_list must hold positive "
             "site indices, got (%d,)\n" % x)
+
+    @pytest.mark.parametrize("m_list", [[0], [1], [0, 2]])
+    def test_gamma_site_checked_for_every_m_list(self, tmp_path, capsys,
+                                                 no_engine, m_list):
+        # With only m = 0 the site went unchecked: s = -4 exited 0 with
+        # passed: true at site 0.
+        code, rep = run(tmp_path, "asymptotics", "--experiment", "gamma",
+                        "--config", '{"T": 16, "s": -4, "m_list": %s, '
+                        '"samples": 5}' % m_list)
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == (
+            "error: invalid experiment config: x_list must hold positive "
+            "site indices, got (0,)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "pep", "--config",
+         '{"J": 1e13, "gamma": 1e14}', "--steps", "3", "--samples", "4"],
+        ["asymptotics", "--experiment", "heat", "--config",
+         '{"J": 1e13, "T": 4, "samples": 3}']], ids=["simulate", "heat"])
+    def test_pair_code_sized_j_exits_0(self, tmp_path, argv):
+        # J = 10^13 once exited 1 on SizeLimit: the keyed engine's
+        # (occupancy, key) pair codes reached past int64.  h(1) = J N.
+        code, rep = run(tmp_path, *argv)
+        assert code == 0
+        if argv[0] == "simulate":
+            assert rep["checks"][0]["value"] == 3e13
+        else:
+            assert rep["experiment"]["steps"] == 4
 
     @pytest.mark.parametrize("name", ["heat", "gamma"])
     @pytest.mark.parametrize("r", ["0", "-1", "NaN"])

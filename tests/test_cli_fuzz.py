@@ -283,6 +283,26 @@ argvs = st.sampled_from(
           "--steps", "10", "--samples", "2000", "--sites", "3"])
 @example(["simulate", "--model", "corner-dyn", "--config",
           '{"gamma": Infinity}', "--steps", "6", "--samples", "20"])
+# configs with nothing to measure, a gamma site below 1 at m = 0 alone,
+# and a J whose (occupancy, key) pair codes pass int64
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"s": [], "T": 16, "samples": 10}'])
+@example(["asymptotics", "--experiment", "f-collapse", "--config",
+          '{"eta_list": [], "T": 16, "samples": 10}'])
+@example(["asymptotics", "--experiment", "gamma", "--config",
+          '{"m_list": [], "T": 16, "samples": 10}'])
+@example(["asymptotics", "--experiment", "kpz-exponent", "--config",
+          '{"T_list": [16, 32], "samples": 1}'])
+@example(["asymptotics", "--experiment", "kpz-exponent", "--config",
+          '{"T_list": [16, 32], "samples": 2}'])
+@example(["asymptotics", "--experiment", "f-collapse", "--config",
+          '{"T": 16, "samples": 1}'])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 1}'])
+@example(["asymptotics", "--experiment", "gamma", "--config",
+          '{"T": 16, "s": -4, "m_list": [0], "samples": 5}'])
+@example(["simulate", "--model", "pep", "--config",
+          '{"J": 1e13, "gamma": 1e14}', "--steps", "3", "--samples", "4"])
 def test_every_argv_exits_0_1_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -969,16 +969,28 @@ class TestEnsembles:
 
     @pytest.mark.parametrize("spec", [
         ModelSpec.jgamma_pep(10 ** 18, math.inf),
-        ModelSpec.qhahn(1.0, DELTA, B=(B0,), C=(1.0,), J=(10 ** 300,)),
-        ModelSpec.jgamma_pep(10 ** 13, math.inf)],
-        ids=["pep", "qhahn", "pep-pair-codes"])
+        ModelSpec.qhahn(1.0, DELTA, B=(B0,), C=(1.0,), J=(10 ** 300,))],
+        ids=["pep", "qhahn"])
     def test_values_past_int64_raise_size_limit(self, spec):
         # A row degree this large once gave the engines an object dtype
-        # and a raw TypeError.  At J = 10^13 the heights fit, but the keyed
-        # engine's (occupancy, key) codes, about J^2, once wrapped and read
-        # as a stay probability of -0.000000.
+        # and a raw TypeError.
         with pytest.raises(SizeLimit, match="past int64"):
             run_ensemble(spec, 2, 2, 0, [lambda st: 0.0])
+
+    @pytest.mark.parametrize("gamma", [1e14, math.inf])
+    def test_pair_code_sized_j_runs(self, gamma):
+        # At J = 10^13 the heights fit int64, but (occupancy, key) pair
+        # codes, about J^2, do not: they once wrapped and read as a stay
+        # probability of -0.000000, and then raised SizeLimit.  The stay
+        # formula on the band's cells needs no codes.
+        J, N = 10 ** 13, 3
+        ens = run_engine(_ensemble_pep, ModelSpec.jgamma_pep(J, gamma), N, 4,
+                         _trajectory_rng(0, 0))
+        assert ens.heights.dtype == np.int64
+        h = np.stack([current(ens, x) for x in range(1, N + 3)], axis=1)
+        assert (h[:, 0] == J * N).all()
+        occ = h[:, :-1] - h[:, 1:]
+        assert ((occ >= 0) & (occ <= J + 1)).all()
 
     def test_nan_stay_probability_fails_the_screen(self):
         # A NaN delta (past the constructor) gives a NaN stay table, which
@@ -1012,8 +1024,9 @@ class TestEnsembles:
             run_ensemble(spec, 5, 64, 1, [lambda st: 0.0])
 
     def test_skipped_draws_guarded_sparse_table(self, monkeypatch):
-        # J + 1 = 40001: the table holds only the (occupancy, key) pairs
-        # present, and at time 0 every site is empty.
+        # J + 1 = 40001: a table over (occupancy, key) pairs would be wider
+        # than the band, so the formula runs on the band's cells, and at
+        # time 0 every site is empty.
         real = models._pep_stay
         monkeypatch.setattr(
             models, "_pep_stay",
@@ -1021,6 +1034,48 @@ class TestEnsembles:
         with pytest.raises(InadmissibleWeights, match=r"at time 0$"):
             run_ensemble(ModelSpec.jgamma_pep(J=40000, gamma=1e6), 2, 3, 1,
                          [lambda st: 0.0])
+
+    @pytest.mark.parametrize("occ", ["empty", "full"])
+    def test_skipped_draws_guarded_on_the_band(self, monkeypatch, occ):
+        # One sample at J = 2: a table over (occupancy, key) pairs is wider
+        # than the band at most steps, so the formula runs on the band's
+        # cells, and there their empty (full) values are off 0 (1) by 1e-9.
+        target, value = (0, 1e-9) if occ == "empty" else (3, 1 - 1e-9)
+        real = models._pep_stay
+
+        def perturbed(spec, eta, key):
+            p = real(spec, eta, key)
+            return np.where(eta == target, value, p) if np.ndim(key) == 2 \
+                else p
+
+        monkeypatch.setattr(models, "_pep_stay", perturbed)
+        with pytest.raises(InadmissibleWeights,
+                           match=r"not exactly 0 or 1 at time \d+$"):
+            run_ensemble(ModelSpec.jgamma_pep(J=2, gamma=7.0), 40, 1, 1,
+                         [lambda st: 0.0])
+
+    def test_stay_error_on_the_band_names_site(self, monkeypatch):
+        # As test_late_stay_error_names_site, on the band's cells: one
+        # sample at J = 2, whose occupancy-1 values read 1.5 from time 20
+        # on, where the formula runs on the band.
+        spec = ModelSpec.jgamma_pep(J=2, gamma=7.0)
+        real, calls = models._pep_stay, []
+
+        def patched(spec, eta, key):
+            calls.append(None)
+            p = real(spec, eta, key)
+            return np.where(eta == 1, 1.5, p) if len(calls) > 20 \
+                and np.ndim(key) == 2 else p
+
+        monkeypatch.setattr(models, "_pep_stay", patched)
+        with pytest.raises(InadmissibleWeights) as info:
+            run_ensemble(spec, 60, 1, 5, [lambda st: 0.0])
+        t, site = map(int, re.fullmatch(
+            r"stay probability 1\.500000 out of \[0, 1\] at time (\d+), "
+            r"site (\d+)", str(info.value)).groups())
+        lo, occ = suffix_cumsum_pep(spec, t, 1, _trajectory_rng(5, 0))
+        assert t >= 20
+        assert site == lo + np.flatnonzero(occ[0] == 1)[0]
 
     @PEP_SPECS
     def test_late_stay_error_names_site(self, monkeypatch, spec):
@@ -1114,6 +1169,40 @@ class TestWindowEngine:
         st.integers(1, 60), st.integers(1, 12), st.integers(0, 2 ** 20))
     def test_matches_oracle_property(self, spec, N, samples, seed):
         assert_engine_matches_oracle(spec, N, samples, seed)
+
+    def test_every_stay_path_matches_oracle(self, monkeypatch):
+        # Specs of every exclusion variant over their admissible range.  A
+        # spy tells the stay law's paths apart by the key's shape: 0-d on
+        # the bit-sliced engine, 1-d on the dense table and 2-d on the
+        # band's cells, where a table would be wider than the band (one
+        # sample, mostly), and the keyed engine must take both.
+        seen, real = set(), models._pep_stay
+
+        def spy(spec, eta, key):
+            seen.add(np.ndim(key))
+            return real(spec, eta, key)
+
+        # gamma - (J + 1) below 50 runs keyed at J = 1 too; from
+        # models._THIN_GAMMA on, J = 1 runs bit-sliced
+        extra = st.one_of(st.floats(1e-3, 50.0), st.floats(50.0, 1e5),
+                          st.just(math.inf))
+
+        @settings(max_examples=300)
+        @given(st.one_of(
+            st.builds(lambda J, g: ModelSpec.jgamma_pep(J, J + 1 + g),
+                      st.integers(1, 4), extra),
+            st.builds(ModelSpec.asym_pep, st.floats(0.01, 0.99),
+                      st.one_of(st.just(0.0), st.floats(-1e3, 0.0))),
+            st.builds(ModelSpec.corner, st.floats(0.0, 1.0)),
+            st.builds(lambda g: ModelSpec.corner_dyn(1 + g), extra)),
+            st.integers(1, 40), st.sampled_from([1, 2, 3, 17, 64]),
+            st.integers(0, 2 ** 20))
+        def check(spec, N, samples, seed):
+            assert_engine_matches_oracle(spec, N, samples, seed)
+
+        monkeypatch.setattr(models, "_pep_stay", spy)
+        check()
+        assert seen == {0, 1, 2}
 
     @PEP_SPECS
     def test_band_moves_match_oracle(self, spec):

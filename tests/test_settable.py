@@ -1,5 +1,6 @@
 """Every optional parameter in the package is one a program caller sets,
-and every definition in it is one that program code names.
+every definition in it is one that program code names, and no two of its
+modules define one module-level name.
 
 A parameter or dataclass field with a default is a value a caller may
 choose.  One that no call in src/ or perfbench/ sets has only its default
@@ -14,6 +15,10 @@ them from --config.
 A function, method or class that no live code in src/ or perfbench/ names
 is reached by no program input, only by tests: its place is in tests/, as
 a reference.  That scan is by name too (see unreferenced_definitions).
+
+A module-level name that two modules define is a copy of a value one of
+them could import, or two helpers a reader takes for one (see
+shared_module_names).
 """
 
 import ast
@@ -220,3 +225,51 @@ def test_the_scan_finds_a_definition_no_live_code_names(tmp_path):
         "lib.unused"]
     (tmp_path / "more.py").write_text("dead()\nrecursive(1)\nK().unused()\n")
     assert unreferenced_definitions(tmp_path, (tmp_path,)) == []
+
+
+def _module_names(tree):
+    """The names a module's top-level statements define: functions,
+    classes and assigned names, imports aside."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                yield from (n.id for n in ast.walk(target)
+                            if isinstance(n, ast.Name))
+
+
+def shared_module_names(package=PACKAGE):
+    """'name: module, module, ...' for each module-level name, dunders
+    aside, that two or more modules of package define: a copy of a value
+    or a helper where one module could import the other's, or two helpers
+    under one name that a reader takes for one."""
+    where = {}
+    for path, tree in _trees(package):
+        for name in set(_module_names(tree)):
+            if not name.startswith("__"):
+                where.setdefault(name, []).append(path.stem)
+    return ["%s: %s" % (name, ", ".join(stems))
+            for name, stems in sorted(where.items()) if len(stems) > 1]
+
+
+def test_no_two_modules_define_one_name():
+    assert shared_module_names() == []
+
+
+def test_the_scan_finds_a_name_two_modules_define(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from b import g\n_TOL = 1e-13\nx, (y, z) = 1, (2, 3)\n"
+        "n: int = 0\n__all__ = []\n"
+        "def f():\n    _local = 1\nclass K:\n    def f(self):\n        pass\n")
+    (tmp_path / "b.py").write_text(
+        "_TOL = 1e-13\n__all__ = []\ndef g():\n    pass\ndef z():\n    pass\n"
+        "class K:\n    pass\n")
+    (tmp_path / "c.py").write_text("def f():\n    pass\n_local = n = 2\n")
+    assert shared_module_names(tmp_path) == [
+        "K: a, b", "_TOL: a, b", "f: a, c", "n: a, c", "z: a, b"]
+    for name in ("b.py", "c.py"):
+        (tmp_path / name).unlink()
+    assert shared_module_names(tmp_path) == []
