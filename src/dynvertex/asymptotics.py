@@ -96,13 +96,6 @@ def lln_shapes(q, which, eta):
 # value and a residual, and the CSV table (columns, rows).
 
 
-def _horizon(T):
-    """A time horizon as an int; T < 1 has no step to run."""
-    if not T >= 1:
-        raise ValueError("each time horizon T must be >= 1, got %r" % (T,))
-    return int(T)
-
-
 def _model(make, *args):
     """make(*args), a ModelSpec constructor; parameters it rejects are a
     bad config (ValueError), found before any sampling."""
@@ -173,7 +166,7 @@ def _experiment_heat_lln(seed, /, J=1, r=1.0, s=0.0, T=1600, samples=20000):
     """The scaled current against heat_profile at each s (a number or a
     list); the CSV tabulates the profile on s = -2, -1.9, ..., 2 and at each
     configured s, with the empirical mean where one was measured."""
-    J, r, T, samples = int(J), _rate(r), _horizon(T), int(samples)
+    J, r, T, samples = int(J), _rate(r), int(T), int(samples)
     multi = isinstance(s, (list, tuple))
     s_list = [float(v) for v in s] if multi else [float(s)]
     model = ModelSpec.jgamma_pep(J, math.inf)
@@ -247,10 +240,8 @@ def _gamma_observables(model, r, s, T, m_list):
 
 def _experiment_dynamic_gamma(seed, /, J=1, r=1.0, s=0.0, T=10000,
                               gamma=3.0, samples=10000, m_list=(1, 2)):
-    J, r, s, T = int(J), _rate(r), float(s), _horizon(T)
+    J, r, s, T = int(J), _rate(r), float(s), int(T)
     gamma, samples = float(gamma), int(samples)
-    if not math.isfinite(gamma):  # the factorial moments need a finite one
-        raise ValueError("gamma must be finite, got %r" % gamma)
     model = _model(ModelSpec.jgamma_pep, J, gamma)
     m_list = [_moment_order(m, J, r, gamma) for m in m_list]
     x, N, obs = _gamma_observables(model, r, s, T, m_list)
@@ -311,7 +302,7 @@ def _experiment_kpz_exponent(seed, /, q=0.25, eta=0.5,
     the delta-method variance of each log std."""
     q, eta, samples = float(q), float(eta), int(samples)
     model = _model(ModelSpec.asym_pep, q, 0.0)
-    T_list = [_horizon(t) for t in T_list]
+    T_list = [int(t) for t in T_list]
     if len(set(T_list)) < 2:
         raise ValueError("T_list needs two distinct horizons to fit an "
                          "exponent; got %s" % T_list)
@@ -344,7 +335,7 @@ def _experiment_kpz_exponent(seed, /, q=0.25, eta=0.5,
 
 def _experiment_f_collapse(seed, /, q=0.25, T=4000, eta_list=(0.4, 0.5, 0.6),
                            samples=4000):
-    q, T, samples = float(q), _horizon(T), int(samples)
+    q, T, samples = float(q), int(T), int(samples)
     model = _model(ModelSpec.asym_pep, q, 0.0)
     eta_list = [float(e) for e in eta_list]
     sites = [_site_at_density(e, T) for e in eta_list]
@@ -378,19 +369,21 @@ _EXPERIMENTS = {
 
 
 ExperimentRun = namedtuple("ExperimentRun", "report config checks csv")
+# each integer size, with its least value where the model checks none
+_LEAST = {"J": None, "T": 1, "T_list": 1, "samples": 2}
 
 
 def experiment(kind, config=None, seed=0):
     """Run one named scaling-limit experiment.  config holds the
-    experiment's keyword parameters; an unknown key raises TypeError, and a
-    time horizon below 1, an empty list or samples < 2 ValueError (a stderr
-    needs two).  Only memory bounds a horizon: an ensemble of more than
-    physical memory's bytes at one per sample and step raises ValueError
-    before sampling (models.check_ensemble_size), and any smaller one runs
-    however long it takes.  Returns an ExperimentRun: the report, the
-    config completed with its defaults, the checks (Checks with no
-    tolerance of their own, which the CLI's --gate fills), and the CSV
-    table (columns, rows)."""
+    experiment's keyword parameters; an unknown key raises TypeError, and
+    an empty list, a number that is not finite, a size that is not an
+    integer (a float only where integral), T < 1 or samples < 2 (a stderr
+    needs two) ValueError.  Only memory bounds a horizon: an ensemble of
+    more than physical memory's bytes at one per sample and step raises
+    ValueError before sampling (models.check_ensemble_size).  Returns an
+    ExperimentRun: the report, the config completed with its defaults, the
+    checks (Checks with no tolerance of their own, which the CLI's --gate
+    fills), and the CSV table (columns, rows)."""
     if kind not in _EXPERIMENTS:
         raise ValueError("unknown experiment %r; choose from %s"
                          % (kind, sorted(_EXPERIMENTS)))
@@ -399,9 +392,16 @@ def experiment(kind, config=None, seed=0):
     bound.apply_defaults()
     config = dict(bound.arguments)
     for key, value in config.items():
-        if isinstance(value, (list, tuple)) and not value:
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if not values:
             raise ValueError("%s must hold one or more values" % key)
-    if int(config.get("samples", 2)) < 2:
-        raise ValueError("samples must be >= 2, got %r" % config["samples"])
+        for v in values:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError("%s must be finite, got %r" % (key, v))
+            if key in _LEAST and v != int(v):
+                raise ValueError("%s must be an integer, got %r" % (key, v))
+            if _LEAST.get(key) is not None and not v >= _LEAST[key]:
+                raise ValueError("%s must be >= %d, got %r"
+                                 % (key, _LEAST[key], v))
     report, checks, csv = fn(config.pop("seed"), **config)
     return ExperimentRun(report, config, checks, csv)

@@ -78,6 +78,7 @@ def _finish(report, args, t0):
     report["version"] = __version__
     report["seed"] = int(getattr(args, "seed", 0))
     report["passed"] = all(c["passed"] for c in report.get("checks", ()))
+    report["gated_rows"] = sum(c["gated"] for c in report.get("checks", ()))
     report["timing"] = {
         "wall_clock_seconds": time.monotonic() - t0,
         "timestamp_utc": datetime.datetime.now(
@@ -454,7 +455,8 @@ def _build_parser():
         "contour-integral formula, by exact enumeration and optionally "
         "Monte Carlo.  Where the quadrature does not converge and the "
         "right side has a closed form, the exact value is the answer and "
-        "the quadrature's outcome an ungated row.")
+        "the quadrature's outcome an ungated row.  The report's gated_rows "
+        "counts the rows that have a tolerance.")
     p.add_argument("--form", choices=("qhahn", "pep"), required=True)
     p.add_argument("--k", type=int, help="observable order (must match "
                    "the number of probe sites)")
@@ -491,7 +493,8 @@ def _build_parser():
         "in a corner_moments block.  Only memory bounds a time horizon: "
         "a config whose ensemble needs more bytes than physical memory "
         "(one per sample and step) exits 2, and any other runs however "
-        "long it takes.")
+        "long it takes.  Without --gate no experiment row has a "
+        "tolerance, and the report's gated_rows reads 0.")
     p.add_argument("--experiment", required=True,
                    choices=tuple(_EXPERIMENT_NAMES))
     p.add_argument("--config", help="JSON experiment config, inline or "

@@ -55,7 +55,7 @@ exercised by the tests.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -847,6 +847,31 @@ def rhs_exact(spec):
 # Combined check
 
 
+def mc_sigmas(est, value):
+    """|est.mean - value| in standard errors of the MCEstimate est; at a
+    standard error of 0, 0 where the difference is below 1e-12, else inf."""
+    if est.stderr > 0.0:
+        return abs(est.mean - value) / est.stderr
+    return 0.0 if abs(est.mean - value) < 1e-12 else math.inf
+
+
+def mc_check(name, est, exact, agree):
+    """The row name gating the MCEstimate est against exact, at 4 standard
+    errors (mc_sigmas) where the standard error is positive.  Where all n
+    samples equal one value v it is 0: agree(v) returns p, the chance that
+    one sample equals v or a bound on it, and the message's clause saying
+    which, and the residual p^n has a floor gate at _MC_AGREE_FLOOR."""
+    if est.stderr > 0.0:
+        return Check(name, value=est.mean, residual=mc_sigmas(est, exact),
+                     tolerance=4.0)
+    p, clause = agree(est.mean)
+    return Check(name, value=est.mean, residual=p ** est.n_samples,
+                 tolerance=_MC_AGREE_FLOOR, floor=True,
+                 message="all %d samples agree, so the standard error is "
+                 "0; %s, gated to be at least the tolerance"
+                 % (est.n_samples, clause))
+
+
 def identity_check(spec, samples=0, seed=0, tol=1e-8):
     """Evaluate the available sides of the identity and report residuals.
     Returns (report, checks), checks being a list of Check.
@@ -862,14 +887,10 @@ def identity_check(spec, samples=0, seed=0, tol=1e-8):
     to min(1, |exact|) (absolute at 0); otherwise
     report["lhs_exact_skipped"] gives the SizeLimit reason, and
     report["lhs_exact_diagnostics"] its counters.  A Monte Carlo estimate,
-    when samples are requested, is gated at 4 standard errors from the
-    answer.  When all n samples equal one value v its standard error is 0:
-    where the exact law ran, the check's residual is then P_exact(X = v)^n,
-    the chance of that agreement, and a floor gate fails it below
-    _MC_AGREE_FLOOR; where the law was skipped the residual is
-    _agreement_bound(v, answer, *_lhs_range(spec))^n, a bound on that
-    chance (1 where v is within the exact row's tolerance of the
-    answer), under the same floor gate."""
+    when samples are requested, is gated against the answer by mc_check,
+    the chance of a sample at v being the law's mass there or, without the
+    law, _agreement_bound(v, answer, *_lhs_range(spec)), 1 where v is
+    within the exact row's tolerance of the answer."""
     report = {
         "form": spec.form,
         "k": spec.k,
@@ -931,49 +952,24 @@ def identity_check(spec, samples=0, seed=0, tol=1e-8):
         report["lhs_exact_skipped"] = str(exc)
     if samples:
         est = lhs_mc(spec, samples, seed)
-        report["lhs_mc"] = {"mean": est.mean, "stderr": est.stderr,
-                            "n_samples": est.n_samples,
-                            "base_seed": est.base_seed}
-        def sigmas(diff):
-            if est.stderr > 0.0:
-                return diff / est.stderr
-            return 0.0 if diff < 1e-12 else math.inf
-
-        key = "residual_mc_vs_%s_sigmas" % against
-        report[key] = sigmas(abs(est.mean - rhs))
-        name = "mc_expectation_vs_%s_sigmas" % against
-        if est.stderr > 0.0:
-            checks.append(Check(name, value=est.mean, residual=report[key],
-                                tolerance=4.0))
-        elif law is not None:
-            # The samples equal their mean; the law's values are matched
-            # to it within rounding.
-            values = ((pr, value(cfg)) for cfg, pr in law.support)
-            agree = sum(pr for pr, v in values
-                        if abs(v - est.mean) <= 1e-12 * max(1.0, abs(v)))
-            checks.append(Check(
-                name, value=est.mean, residual=agree ** est.n_samples,
-                tolerance=_MC_AGREE_FLOOR, floor=True,
-                message="all %d samples agree, so the standard error is 0; "
-                "the residual is the exact chance of that, gated to be at "
-                "least the tolerance" % est.n_samples))
+        report["lhs_mc"] = asdict(est)
+        report["residual_mc_vs_%s_sigmas" % against] = mc_sigmas(est, rhs)
+        if law is not None:
+            def agree(v):  # the law's values, matched to v within rounding
+                values = ((pr, value(cfg)) for cfg, pr in law.support)
+                return (sum(pr for pr, u in values
+                            if abs(u - v) <= 1e-12 * max(1.0, abs(u))),
+                        "the residual is the exact chance of that")
+            report["residual_mc_vs_exact_sigmas"] = mc_sigmas(est, ex)
         else:
-            # Without the law, the agreement's chance is bounded from the
-            # observable's range and its mean, the answer; a mean within
-            # the exact row's tolerance of the answer counts as at it.
-            lo, hi = _lhs_range(spec)
-            v = est.mean
-            at = abs(v - rhs) <= tol * (min(1.0, abs(v)) or 1.0)
-            bound = 1.0 if at else _agreement_bound(v, rhs, lo, hi)
-            checks.append(Check(
-                name, value=v, residual=bound ** est.n_samples,
-                tolerance=_MC_AGREE_FLOOR, floor=True,
-                message="all %d samples agree, so the standard error is 0; "
-                "the exact law was skipped, so the residual bounds the "
-                "chance of that by Markov's inequality on the observable's "
-                "range [%.6g, %.6g] and the answer, gated to be at least "
-                "the tolerance" % (est.n_samples, lo, hi)))
-        if report.get("lhs_exact") is not None:
-            report["residual_mc_vs_exact_sigmas"] = sigmas(
-                abs(est.mean - report["lhs_exact"]))
+            def agree(v):
+                lo, hi = _lhs_range(spec)
+                at = abs(v - rhs) <= tol * (min(1.0, abs(v)) or 1.0)
+                return (1.0 if at else _agreement_bound(v, rhs, lo, hi),
+                        "the exact law was skipped, so the residual bounds "
+                        "the chance of that by Markov's inequality on the "
+                        "observable's range [%.6g, %.6g] and the answer"
+                        % (lo, hi))
+        checks.append(mc_check("mc_expectation_vs_%s_sigmas" % against,
+                               est, rhs, agree))
     return report, checks

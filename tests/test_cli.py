@@ -759,6 +759,48 @@ class TestVerifyIdentity:
         assert row["residual"] < row["tolerance"] == 1e-6
         assert all(c["passed"] for c in rep["checks"][:-1])
 
+    # The Monte Carlo rows and fields of each branch of the rule, as they
+    # read before the rule left identity_check: a 4-sigma row, agreement
+    # gated by the exact law (PEP and q-Hahn), and agreement gated by the
+    # Markov bound where the law is skipped.
+    AGREE = "all 20 samples agree, so the standard error is 0; "
+    LAW_ROW = {"floor": True, "gated": True, "message": AGREE + (
+        "the residual is the exact chance of that, gated to be at least the "
+        "tolerance"), "name": "mc_expectation_vs_quadrature_sigmas",
+        "passed": True, "residual": 1.0, "tolerance": 1e-06, "value": 0.0}
+    AT_ZERO = {"lhs_mc": {"base_seed": 0, "mean": 0.0, "n_samples": 20,
+                          "stderr": 0.0},
+               "residual_mc_vs_quadrature_sigmas": 0.0}
+
+    @pytest.mark.parametrize("argv, row, fields", [
+        (["pep", "--x", "2", "--N", "4"],
+         {"gated": True, "name": "mc_expectation_vs_quadrature_sigmas",
+          "passed": True, "residual": 0.6672312352560538, "tolerance": 4.0,
+          "value": -0.8600000000000001},
+         {"lhs_mc": {"base_seed": 0, "mean": -0.8600000000000001,
+                     "n_samples": 20, "stderr": 0.1648603875053709},
+          "residual_mc_vs_exact_sigmas": 0.6672312352560511,
+          "residual_mc_vs_quadrature_sigmas": 0.6672312352560538}),
+        (["pep", "--x", "6", "--N", "4"], LAW_ROW,
+         dict(AT_ZERO, residual_mc_vs_exact_sigmas=0.0)),
+        (["qhahn", "--x", "5", "--N", "3"], LAW_ROW,
+         dict(AT_ZERO, residual_mc_vs_exact_sigmas=0.0)),
+        (["pep", "--x", "40", "--N", "30"],
+         dict(LAW_ROW, message=AGREE + (
+             "the exact law was skipped, so the residual bounds the chance "
+             "of that by Markov's inequality on the observable's range "
+             "[-510, -0] and the answer, gated to be at least the "
+             "tolerance")), AT_ZERO),
+    ], ids=["4-sigma", "law-pep", "law-qhahn", "markov"])
+    def test_mc_branches_pinned(self, tmp_path, argv, row, fields):
+        code, rep = run(tmp_path, "verify-identity", "--form", *argv,
+                        "--k", "1", "--samples", "20")
+        assert code == 0
+        assert rep["checks"][-1] == row
+        assert {key: val for key, val in rep["identity"].items()
+                if key == "lhs_mc" or key.startswith("residual_mc")} == fields
+        assert rep["gated_rows"] == len(rep["checks"])
+
     def test_lhs_exact_diagnostics(self, tmp_path):
         code, rep = run(tmp_path, "verify-identity", "--form", "pep",
                         "--x", "2", "--N", "4")
@@ -1089,10 +1131,11 @@ class TestAsymptotics:
         assert list(rep["experiment"]["moments"]) == ["0", "204"]
 
     @pytest.mark.parametrize("name, config, says", [
-        ("heat", '{"T": 1e400}', "infinity"),
-        ("heat", '{"samples": 1e400, "T": 8}', "infinity"),
+        ("heat", '{"T": 1e400}', "T must be finite, got inf"),
+        ("heat", '{"samples": 1e400, "T": 8}',
+         "samples must be finite, got inf"),
         ("heat", '{"s": 1e300, "T": 8, "samples": 2}', "out of range"),
-        ("kpz-exponent", '{"eta": Infinity}', "infinity"),
+        ("kpz-exponent", '{"eta": Infinity}', "eta must be finite, got inf"),
         ("heat", '{"T": 0, "samples": 2}', "T must be >= 1, got 0"),
         ("gamma", '{"T": 0, "samples": 2}', "T must be >= 1, got 0"),
         ("f-collapse", '{"T": 0.5, "samples": 2}', "got 0.5"),
@@ -1153,6 +1196,81 @@ class TestAsymptotics:
             raise AssertionError("the ensemble ran before the check")
 
         monkeypatch.setattr(asymptotics, "run_ensemble", run_ensemble)
+        code, rep = run(tmp_path, "asymptotics", "--experiment", name,
+                        "--config", config)
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == (
+            "error: invalid experiment config: %s\n" % says)
+
+    @pytest.mark.parametrize("name, config, says", [
+        ("heat", '{"J": 2.9, "T": 16.5, "samples": 10.7}',
+         "J must be an integer, got 2.9"),
+        ("heat", '{"T": 16.5, "samples": 10}',
+         "T must be an integer, got 16.5"),
+        ("heat", '{"T": 16, "samples": 10.7}',
+         "samples must be an integer, got 10.7"),
+        ("gamma", '{"T": 16, "samples": 10, "J": 1.5}',
+         "J must be an integer, got 1.5"),
+        ("kpz-exponent", '{"T_list": [16.9, 32.2], "samples": 10.9}',
+         "T_list must be an integer, got 16.9"),
+        ("kpz-exponent", '{"T_list": [16, 32], "samples": 10.9}',
+         "samples must be an integer, got 10.9"),
+        ("f-collapse", '{"T": 16.9, "samples": 10}',
+         "T must be an integer, got 16.9"),
+    ], ids=["heat-J", "heat-T", "heat-samples", "gamma-J", "kpz-T_list",
+            "kpz-samples", "f-collapse-T"])
+    def test_size_not_an_integer_exits_2_before_sampling(
+            self, tmp_path, capsys, monkeypatch, name, config, says):
+        # Each once ran at the truncated size, exited 0 and echoed the
+        # size it did not run.
+        def run_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the check")
+
+        monkeypatch.setattr(asymptotics, "run_ensemble", run_ensemble)
+        code, rep = run(tmp_path, "asymptotics", "--experiment", name,
+                        "--config", config)
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == (
+            "error: invalid experiment config: %s\n" % says)
+
+    @pytest.mark.parametrize("name, config", [
+        ("heat", '{"J": 2.0, "T": 16.0, "samples": 10.0}'),
+        ("kpz-exponent", '{"T_list": [16.0, 32], "samples": 10}'),
+    ], ids=["heat", "kpz-exponent"])
+    def test_integral_float_sizes_run(self, tmp_path, name, config):
+        # As models._degrees takes them: the run is the integer config's.
+        code, rep = run(tmp_path, "asymptotics", "--experiment", name,
+                        "--config", config)
+        whole = json.dumps({k: int(v) if isinstance(v, float) else v
+                            for k, v in json.loads(config).items()})
+        code_int, rep_int = run(tmp_path, "asymptotics", "--experiment",
+                                name, "--config", whole)
+        assert code == code_int == 0
+        assert rep["experiment"] == rep_int["experiment"]
+
+    @pytest.mark.parametrize("name, config, says", [
+        ("heat", '{"T": 16, "samples": 10, "s": NaN}', "s must be finite, "
+         "got nan"),
+        ("f-collapse", '{"T": 16, "samples": 10, "eta_list": [NaN]}',
+         "eta_list must be finite, got nan"),
+        ("kpz-exponent", '{"T_list": [16, 32], "samples": 10, "eta": NaN}',
+         "eta must be finite, got nan"),
+        ("heat", '{"T": 16, "samples": 10, "s": Infinity}',
+         "s must be finite, got inf"),
+        ("heat", '{"T": 16, "samples": 10, "r": Infinity}',
+         "r must be finite, got inf"),
+        ("heat", '{"T": 1e400, "samples": 10}', "T must be finite, got inf"),
+        ("gamma", '{"T": 16, "samples": 10, "s": -Infinity}',
+         "s must be finite, got -inf"),
+        ("kpz-exponent", '{"T_list": [16, Infinity], "samples": 10}',
+         "T_list must be finite, got inf"),
+    ], ids=["heat-s-nan", "f-collapse-eta_list-nan", "kpz-eta-nan",
+            "heat-s-inf", "heat-r-inf", "heat-T-1e400", "gamma-s-minus-inf",
+            "kpz-T_list-inf"])
+    def test_not_finite_exits_2_naming_the_key(self, tmp_path, capsys, name,
+                                               config, says):
+        # Each once printed Python's "cannot convert float NaN (infinity)
+        # to integer".
         code, rep = run(tmp_path, "asymptotics", "--experiment", name,
                         "--config", config)
         assert code == 2 and rep is None
@@ -1308,13 +1426,63 @@ class TestSizeAndRate:
     @pytest.mark.parametrize("r", ["0", "-1", "NaN"])
     def test_non_positive_rate_exits_2(self, tmp_path, capsys, no_engine,
                                        name, r):
-        # gamma divided by its target, 0 at r = 0, after sampling.
+        # gamma divided by its target, 0 at r = 0, after sampling; a NaN
+        # is caught first as a number that is not finite.
         code, rep = run(tmp_path, "asymptotics", "--experiment", name,
                         "--config", '{"samples": 2, "T": 1, "r": %s}' % r)
         assert code == 2 and rep is None
         err = capsys.readouterr().err
+        says = "finite, got nan" if r == "NaN" else "positive, got "
         assert err.startswith("error: invalid experiment config: r must be "
-                              "positive, got ") and err.count("\n") == 1
+                              + says) and err.count("\n") == 1
+
+
+class TestGatedRows:
+    """Next to passed, every report counts the rows that have a tolerance:
+    0 where it gates nothing."""
+
+    def test_specfun(self, tmp_path):
+        code, rep = run(tmp_path, "specfun")
+        assert code == 0 and rep["gated_rows"] == len(rep["checks"]) == 31
+
+    def test_check_weights(self, tmp_path):
+        # phi_negative_weight_share is reported, not gated
+        code, rep = run(tmp_path, "check-weights")
+        assert code == 0
+        assert (rep["gated_rows"], len(rep["checks"])) == (3, 4)
+
+    def test_symfun(self, tmp_path):
+        code, rep = run(tmp_path, "symfun")
+        assert code == 0 and rep["gated_rows"] == len(rep["checks"]) == 10
+
+    def test_simulate(self, tmp_path):
+        code, rep = run(tmp_path, "simulate", "--model", "pep", "--steps",
+                        "20", "--samples", "50", "--sites", "1", "3")
+        assert code == 0 and rep["passed"] is True
+        assert (rep["gated_rows"], len(rep["checks"])) == (0, 2)
+
+    def test_verify_identity(self, tmp_path):
+        # With the rhs_exact fallback the quadrature's row is ungated.
+        code, rep = run(tmp_path, "verify-identity", "--form", "pep", "--x",
+                        "20", "--N", "40", "--gamma", "3", "--samples", "50")
+        assert code == 0
+        assert [c["gated"] for c in rep["checks"]] == [False, True]
+        assert rep["gated_rows"] == 1
+
+    @pytest.mark.parametrize("name, config", [
+        ("heat", '{"T": 16, "samples": 20, "s": [0, 0.5]}'),
+        ("gamma", '{"T": 16, "samples": 20, "m_list": [0, 1, 2]}'),
+        ("kpz-exponent", '{"T_list": [16, 32], "samples": 20}'),
+        ("f-collapse", '{"T": 16, "samples": 20}'),
+    ], ids=["heat", "gamma", "kpz-exponent", "f-collapse"])
+    def test_asymptotics(self, tmp_path, name, config):
+        argv = ("asymptotics", "--experiment", name, "--config", config)
+        code, rep = run(tmp_path, *argv)
+        assert code == 0 and rep["passed"] is True
+        assert rep["gated_rows"] == 0
+        code, rep = run(tmp_path, *argv, "--gate", "1e300")
+        assert code == 0
+        assert rep["gated_rows"] == len(rep["checks"]) >= 1
 
 
 class TestConfigFile:

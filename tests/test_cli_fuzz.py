@@ -2,9 +2,11 @@
 process through `cli.dispatch`.
 
 Every example must return 0, 1 or 2 (argparse's own exit 2 included), and
-exit 0 must print a JSON report that passed.  No other exception may
-escape, and pytest's `filterwarnings = error` turns a leaked numpy warning
-into a failure.  Config keys come from each model's and experiment's
+exit 0 must print a JSON report that passed; an `asymptotics` report must
+have run the horizons, J and sample count its config names.  No exit-2
+message may carry Python's own float conversion text.  No other exception
+may escape, and pytest's `filterwarnings = error` turns a leaked numpy
+warning into a failure.  Config keys come from each model's and experiment's
 allowed set, with values that mix ordinary, boundary, huge, tiny, negative,
 inf and nan numbers, and empty and one-entry lists; a gamma is also
 10^4, inf or nan more often.  Sizes (steps, T,
@@ -207,6 +209,20 @@ argvs = st.sampled_from(
     + ["check-weights"]).flatmap(SUBCOMMANDS.get)
 
 
+def assert_ran_as_configured(rep):
+    """The horizons, J and samples of an asymptotics report are its
+    config's."""
+    cfg, run = rep["config"]["experiment_config"], rep["experiment"]
+    for key in ("J", "T"):
+        if key in cfg:
+            assert run[key] == cfg[key], key
+    if "T_list" in cfg:
+        assert [p["T"] for p in run["points"]] == cfg["T_list"]
+    rows = run.get("points", []) + list(run.get("moments", {}).values())
+    assert {d["n_samples"] for d in rows + [run] if "n_samples" in d} == {
+        cfg["samples"]}
+
+
 @settings(max_examples=1000)
 @given(argvs)
 # each command-line repro mended alongside this test
@@ -303,10 +319,41 @@ argvs = st.sampled_from(
           '{"T": 16, "s": -4, "m_list": [0], "samples": 5}'])
 @example(["simulate", "--model", "pep", "--config",
           '{"J": 1e13, "gamma": 1e14}', "--steps", "3", "--samples", "4"])
+# sizes that are not integers, once truncated, and numbers that are not
+# finite, once reported in Python's words
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"J": 2.9, "T": 16.5, "samples": 10.7}'])
+@example(["asymptotics", "--experiment", "gamma", "--config",
+          '{"T": 16, "samples": 10, "J": 1.5}'])
+@example(["asymptotics", "--experiment", "kpz-exponent", "--config",
+          '{"T_list": [16.9, 32.2], "samples": 10.9}'])
+@example(["asymptotics", "--experiment", "f-collapse", "--config",
+          '{"T": 16.9, "samples": 10}'])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 10, "s": NaN}'])
+@example(["asymptotics", "--experiment", "f-collapse", "--config",
+          '{"T": 16, "samples": 10, "eta_list": [NaN]}'])
+@example(["asymptotics", "--experiment", "kpz-exponent", "--config",
+          '{"T_list": [16, 32], "samples": 10, "eta": NaN}'])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 10, "s": Infinity}'])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 10, "r": Infinity}'])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 1e400, "samples": 10}'])
+@example(["asymptotics", "--experiment", "gamma", "--config",
+          '{"T": 16, "samples": 10, "s": -Infinity}'])
+@example(["asymptotics", "--experiment", "kpz-exponent", "--config",
+          '{"T_list": [16, Infinity], "samples": 10}'])
 def test_every_argv_exits_0_1_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.dispatch(argv)
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert "cannot convert float" not in err.getvalue(), argv
     if code == 0:
-        assert json.loads(out.getvalue())["passed"] is True
+        rep = json.loads(out.getvalue())
+        assert rep["passed"] is True
+        if argv[0] == "asymptotics":
+            assert_ran_as_configured(rep)

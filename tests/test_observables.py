@@ -632,6 +632,46 @@ class TestMonteCarlo:
         assert lhs_mc(spec, 500, 3) == lhs_mc(spec, 500, 3)
 
 
+class TestMcCheck:
+    """observables.mc_check, the rule identity_check gates its Monte Carlo
+    row by, on drawn estimates and exact values."""
+
+    finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+    @settings(max_examples=300)
+    @given(mean=finite, exact=st.one_of(st.just(0.0), finite,
+                                        st.sampled_from((1e12, -1e12))),
+           stderr=st.one_of(st.just(0.0), st.floats(1e-9, 1e3)),
+           n=st.integers(2, 10 ** 6), chance=st.floats(0.0, 1.0))
+    def test_rule(self, mean, exact, stderr, n, chance):
+        est = MCEstimate(mean=mean, stderr=stderr, n_samples=n, base_seed=0)
+        asked = []
+
+        def agree(v):
+            asked.append(v)
+            return chance, "the clause"
+
+        row = observables.mc_check("row", est, exact, agree)
+        sigmas = observables.mc_sigmas(est, exact)
+        assert not math.isnan(row.residual) and not math.isnan(sigmas)
+        if stderr > 0.0:
+            assert asked == [] and not row.floor and row.tolerance == 4.0
+            assert row.residual == sigmas
+            assert row.as_dict()["passed"] is (
+                abs(mean - exact) <= 4 * stderr)
+        else:
+            assert asked == [mean] and row.floor
+            assert row.residual == chance ** n
+            assert row.tolerance == observables._MC_AGREE_FLOOR
+            assert row.as_dict()["passed"] is (
+                chance ** n >= observables._MC_AGREE_FLOOR)
+            assert row.message == (
+                "all %d samples agree, so the standard error is 0; the "
+                "clause, gated to be at least the tolerance" % n)
+            assert sigmas == (0.0 if abs(mean - exact) < 1e-12 else math.inf)
+        assert row.name == "row" and row.value == mean
+
+
 class TestIdentityCheck:
     def test_report_contents(self):
         spec = ObservableSpec(QHAHN, (2, 1), 3)
