@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Check, DynVertexError, OutOfDomain
-from .models import ModelSpec, current, run_ensemble
+from .models import ModelSpec, _number, current, run_ensemble
 from .observables import ObservableSpec, _lhs_factors, pep_site
 
 
@@ -371,14 +371,18 @@ _EXPERIMENTS = {
 ExperimentRun = namedtuple("ExperimentRun", "report config checks csv")
 # each integer size, with its least value where the model checks none
 _LEAST = {"J": None, "T": 1, "T_list": 1, "samples": 2}
+# the keys that take a list of numbers (heat's s takes one or a number)
+_LISTS = {"T_list", "eta_list", "m_list"}
 
 
 def experiment(kind, config=None, seed=0):
     """Run one named scaling-limit experiment.  config holds the
     experiment's keyword parameters; an unknown key raises TypeError, and
-    an empty list, a number that is not finite, a size that is not an
-    integer (a float only where integral), T < 1 or samples < 2 (a stderr
-    needs two) ValueError.  Only memory bounds a horizon: an ensemble of
+    ValueError a value that is not a real number (a bool, a string or
+    None), a list where the key takes a number or the reverse (heat's s
+    takes either), an empty list, a number that is not finite, a size that
+    is not an integer (a float only where integral), T < 1 or samples < 2
+    (a stderr needs two).  Only memory bounds a horizon: an ensemble of
     more than physical memory's bytes at one per sample and step raises
     ValueError before sampling (models.check_ensemble_size).  Returns an
     ExperimentRun: the report, the config completed with its defaults, the
@@ -392,11 +396,16 @@ def experiment(kind, config=None, seed=0):
     bound.apply_defaults()
     config = dict(bound.arguments)
     for key, value in config.items():
-        values = value if isinstance(value, (list, tuple)) else [value]
+        listed = isinstance(value, (list, tuple))
+        if listed != (key in _LISTS) and (kind, key) != ("heat_lln", "s"):
+            raise ValueError("%s must be %s, got %r" % (
+                key, "a list of numbers" if key in _LISTS else "a number",
+                value))
+        values = value if listed else [value]
         if not values:
             raise ValueError("%s must hold one or more values" % key)
         for v in values:
-            if isinstance(v, float) and not math.isfinite(v):
+            if not math.isfinite(_number(float, key, v)):
                 raise ValueError("%s must be finite, got %r" % (key, v))
             if key in _LEAST and v != int(v):
                 raise ValueError("%s must be an integer, got %r" % (key, v))

@@ -193,15 +193,26 @@ _MODEL_KEYS = {
 
 
 def _config_complex(v):
-    """A JSON [re, im] pair, the form reports print complex numbers in,
-    becomes complex; any other value is left to the model constructor."""
-    return complex(*v) if isinstance(v, list) and len(v) == 2 else v
+    """A JSON [re, im] pair of numbers, the form reports print complex
+    numbers in, becomes complex; any other value is left to the model
+    constructor."""
+    if isinstance(v, list) and len(v) == 2 and all(
+            type(x) in (int, float) for x in v):
+        try:
+            return complex(*v)
+        except OverflowError:  # an int past float range
+            pass
+    return v
 
 
 def _powers(q, exponents, what):
-    """The q-Hahn defaults (q^e, ...), or a config error where undefined."""
+    """The q-Hahn defaults (q^e, ...), or a config error where undefined;
+    () where q or the exponents are not numbers, which the model
+    constructor then rejects by name."""
     try:
         return tuple(q ** e for e in exponents)
+    except TypeError:
+        return ()
     except (ZeroDivisionError, OverflowError) as exc:
         raise _ConfigError("q = %r leaves %s undefined: %s" % (q, what, exc))
 
@@ -215,15 +226,15 @@ def _model_from_config(model, cfg):
                 raise _ConfigError("general model requires keys: %s"
                                    % ", ".join(missing))
             U, Xi, S = ([_config_complex(v) for v in cfg[key]]
+                        if isinstance(cfg[key], list) else cfg[key]
                         for key in ("U", "Xi", "S"))
             return ModelSpec.general(cfg["q"], _config_complex(cfg["delta"]),
                                      U, Xi, S, cfg["J"])
         if model == "qhahn":
-            q = cfg.get("q", 0.4)
-            J = tuple(cfg.get("J", (1,)))
-            C = (tuple(cfg["C"]) if "C" in cfg
+            q, J = cfg.get("q", 0.4), cfg.get("J", [1])
+            C = (cfg["C"] if "C" in cfg
                  else _powers(q, J, "the default C = (q^J, ...)"))
-            B = (tuple(cfg["B"]) if "B" in cfg
+            B = (cfg["B"] if "B" in cfg
                  else _powers(q, (-2,), "the default B = (q^-2,)"))
             return ModelSpec.qhahn(q, cfg.get("delta", -0.2), B, C, J)
         if model == "pep":

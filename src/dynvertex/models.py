@@ -29,8 +29,9 @@ for the row-update models (qhahn is the u = s point of general),
 lockstep and yields each time t = 0, 1, 2, ... to a `Trajectory` as a
 `Snapshot`, with integer dtypes that hold the largest value reachable by
 then, so that a snapshot at time t has the dtype of a run that stops at t.
-A snapshot builds its `Ensemble` on demand; observables read it as int64
-arrays, so that no product of heights wraps in a narrow engine dtype.
+A snapshot builds its `Ensemble` on demand, a copy of the rows its engine
+stores; observables read it as int64 arrays, so that no product of heights
+wraps in a narrow engine dtype.
 
 Only `_trajectory_rng` builds random generators here, and
 `specfun.identity_checks` in the package; numpy loads `numpy.random` at
@@ -41,6 +42,7 @@ never pay for it.
 import cmath
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -52,7 +54,7 @@ from .errors import (
     InadmissibleWeights,
     SizeLimit,
 )
-from .specfun import _SINGULAR_TOL
+from .specfun import _SINGULAR_TOL, EllipticContext, f_eval
 from .weights import (
     PhiParams,
     PsiParams,
@@ -109,10 +111,20 @@ class ModelSpec:
 
     @classmethod
     def general(cls, q, delta, U, Xi, S, J):
-        """Row-update model with the full psi transition weights."""
+        """Row-update model with the full psi transition weights; requires
+        the tests of q that psi makes at its first call: |q| at least the
+        singular tolerance, q != 1, and f(2 eta) not below it, where eta =
+        i log(q) / 4 pi."""
         J = _degrees(J)
         q, = _finite_tuple(float, "q", (q,))
         delta, = _finite_tuple(complex, "delta", (delta,))
+        eta = (1j * cmath.log(q) / (4 * math.pi)
+               if abs(q) >= _SINGULAR_TOL else 0)
+        if not eta or abs(f_eval(2 * eta, EllipticContext(
+                "trigonometric", eta))) < _SINGULAR_TOL:
+            raise InadmissibleParameters(
+                "general needs |q| >= %g, q != 1 and |f(2 eta)| >= %g, as psi "
+                "does; got q = %r" % (_SINGULAR_TOL, _SINGULAR_TOL, q))
         return cls(variant="general", q=q, delta=delta,
                    U=_finite_tuple(complex, "U", U),
                    Xi=_finite_tuple(complex, "Xi", Xi),
@@ -121,8 +133,9 @@ class ModelSpec:
     @classmethod
     def qhahn(cls, q, delta, B, C, J):
         """Row-update model with the q-Hahn-type phi transition weights;
-        requires c_y = q^{J_y} with positive integer J_y, q != 0, b_x != 0
-        and phi's a = b_x c_y at least phi's singular tolerance in modulus."""
+        requires c_y = q^{J_y} with positive integer J_y, q != 0, b_x != 0,
+        and phi's a = b_x c_y and each factor 1 - q^m of its (q; q)_j at
+        least phi's singular tolerance in modulus."""
         q, = _finite_tuple(float, "q", (q,))
         delta, = _finite_tuple(float, "delta", (delta,))
         J = _degrees(J)
@@ -133,6 +146,12 @@ class ModelSpec:
         if q == 0 or 0.0 in B:
             raise InadmissibleParameters("qhahn needs q != 0 and every "
                                          "b_x != 0")
+        # phi's (q; q)_j is the product of 1 - q^m, m = 1..j, as phi forms
+        # them in floats; their least modulus is at m = 1 or 2
+        if min(abs(1 - q), abs(1 - q * q)) < _SINGULAR_TOL:
+            raise InadmissibleParameters(
+                "qhahn needs every |1 - q^m| >= %g, where phi's (q; q)_j does "
+                "not vanish; got q = %r" % (_SINGULAR_TOL, q))
         for c, j in zip(C, J):
             if abs(c - q ** j) > 1e-12 * max(1.0, abs(c)):
                 raise InadmissibleParameters(
@@ -150,7 +169,7 @@ class ModelSpec:
         """Discrete-time partial exclusion with capacity J+1 and dynamical
         rate parameter gamma > J+1."""
         J, = _degrees((J,))
-        gamma = float(gamma)
+        gamma = _number(float, "gamma", gamma)
         if not gamma > J + 1:
             raise InadmissibleParameters("jgamma_pep requires gamma > J+1")
         return cls(variant="jgamma_pep", J=J, gamma=gamma)
@@ -158,8 +177,7 @@ class ModelSpec:
     @classmethod
     def asym_pep(cls, q, delta):
         """Asymmetric capacity-2 exclusion (the a=1/q, b=1/q^2 table)."""
-        q = float(q)
-        delta = float(delta)
+        q, delta = _number(float, "q", q), _number(float, "delta", delta)
         if not 0 < q < 1:
             raise InadmissibleParameters("asym_pep requires 0 < q < 1")
         if not (math.isfinite(delta) and delta <= 0):
@@ -172,7 +190,7 @@ class ModelSpec:
         """Midpoint corner growth with constant up-probability p: the J = 1
         exclusion process whose lone particle stays with chance 1 - p,
         asym_pep((1 - p)/p, 0) for p > 1/2."""
-        p = float(p)
+        p = _number(float, "p", p)
         if not 0 <= p <= 1:
             raise ValueError("p must lie in [0, 1]")
         return cls(variant="corner", p=p, J=1)
@@ -183,7 +201,7 @@ class ModelSpec:
         (1/2) * (1 - 1/(gamma + height)): jgamma_pep(1, gamma), where
         Upsilon - gamma is the corner height of the flat segment; gamma in
         (1, 2] is admissible here, as that height is at least 1."""
-        gamma = float(gamma)
+        gamma = _number(float, "gamma", gamma)
         if not gamma > 1:
             raise InadmissibleParameters("corner_dyn requires gamma > 1")
         return cls(variant="corner_dyn", gamma=gamma, J=1)
@@ -202,20 +220,38 @@ class ModelSpec:
         return _cyc(self.J, y)
 
 
+def _number(num, name, v):
+    """v as num, float or complex; ValueError unless v is a real number, or
+    a complex one where num is complex (never a bool, a string or None),
+    and within float range."""
+    if isinstance(v, bool) or not isinstance(
+            v, numbers.Real if num is float else numbers.Complex):
+        raise ValueError("%s takes %s numbers, got %r"
+                         % (name, "real" if num is float else "complex", v))
+    try:
+        return num(v)
+    except OverflowError:  # an int past float range
+        raise ValueError("%s is past float range" % name) from None
+
+
 def _degrees(J):
-    """Row degrees as a tuple of ints; ValueError unless there is one or
-    more and each is a positive integer (a float is taken only where it is
-    integral)."""
-    if not (len(J) and all(float(j).is_integer() and j >= 1 for j in J)):
+    """Row degrees as a tuple of ints; ValueError unless J is a list or
+    tuple of one or more positive integers (a float is taken only where it
+    is integral)."""
+    if not (isinstance(J, (list, tuple)) and J and all(
+            _number(float, "J", j).is_integer() and j >= 1 for j in J)):
         raise ValueError("row degrees must be positive integers, one or "
-                         "more, got %r" % (tuple(J),))
+                         "more, got J = %r" % (J,))
     return tuple(int(j) for j in J)
 
 
 def _finite_tuple(num, name, values):
-    """values as a tuple of num (float or complex); ValueError unless there
-    is one or more and each is finite."""
-    out = tuple(num(v) for v in values)
+    """values as a tuple of num (float or complex); ValueError unless it is
+    a list or tuple of one or more numbers (see _number), each finite."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError("%s must be a list of numbers, got %r"
+                         % (name, values))
+    out = tuple(_number(num, name, v) for v in values)
     if not out:
         raise ValueError("%s must hold one or more values" % name)
     if not all(cmath.isfinite(v) for v in out):
@@ -591,14 +627,15 @@ def exact_law(spec, N):
 @dataclass
 class Ensemble:
     """The heights of an ensemble at time `time`: heights[i, j] is sample
-    i's height h(left + j) at a particle-system site.  Outside the stored
-    columns, a particle system of `total` particles holds `packed` on each
-    site before `left` and none after.  `height(x)` (or `current`) returns
-    the heights at x of every sample as a new int64 array; for a corner
-    model, `height` reads position x of the time-t lattice (x + t/2 an
-    integer) as H_t(x) = 2x + 2 h(x + t/2 + 1), which off the stored columns
-    is the wedge 2|x|.  A row model (packed 0) has no site left of 1, so
-    there `height`, like `current`, rejects x < 1."""
+    i's height h(left + j) at a particle-system site, on the rows an engine
+    stores (an exclusion process's band, a row model's buffer).  Outside
+    them, a system of `total` particles holds `packed` on each site before
+    `left` and none after.  `height(x)` (or `current`) returns the heights
+    at x of every sample as a new int64 array; for a corner model, `height`
+    reads position x of the time-t lattice (x + t/2 an integer) as H_t(x) =
+    2x + 2 h(x + t/2 + 1), which off the stored columns is the wedge 2|x|.
+    A row model (packed 0) has no site left of 1, so there `height`, like
+    `current`, rejects x < 1."""
 
     time: int
     left: int
@@ -669,14 +706,9 @@ _WINDOW_GROW = 64  # free rows before a moved band; see _ensemble_pep
 def _band_ensemble(spec, t, lo, band):
     """The time-t Ensemble of an exclusion-process engine from `band`, the
     heights at sites lo, lo+1, ... (one row per site, one column per
-    sample), copied and zero-padded to the window engine's extent, a site
-    8 + _WINDOW_GROW * k."""
-    n = len(band)
-    end = 8 + _WINDOW_GROW * -(-max(lo + n - 9, 0) // _WINDOW_GROW)
-    heights = np.zeros((end - lo + 1, band.shape[1]), dtype=band.dtype)
-    heights[:n] = band
-    return Ensemble(t, lo, heights.T, packed=spec.J + 1, total=spec.J * t,
-                    corner=spec.is_corner)
+    sample), copied."""
+    return Ensemble(t, lo, band.copy().T, packed=spec.J + 1,
+                    total=spec.J * t, corner=spec.is_corner)
 
 
 _BERNOULLI_DENSE = 8  # digits of p compared on every word; see below
@@ -941,18 +973,11 @@ def _ensemble_rows(spec, samples, rng):
     j1 = j2.  The buffer doubles when a sweep reaches its last row, and a
     sample more than _SWEEP_CAP sites past its support raises SizeLimit.
     Yields the view of each time before its row, as _ensemble_pep does, on
-    t + 2 sites doubled while a sweep reached that far, as a run to t has."""
+    the buffer's rows."""
     general = spec.variant == "general"
-    h, total, far = np.zeros((2, samples), dtype=np.int16), 0, 0
+    h, total = np.zeros((2, samples), dtype=np.int16), 0
     for t in itertools.count():
-        def view(m):
-            width = t + 2
-            while width <= far:
-                width *= 2
-            return Ensemble(t, 1, np.pad(h[:width, :m], (
-                (0, max(width - len(h), 0)), (0, 0))).T)
-
-        yield view
+        yield lambda m: Ensemble(t, 1, h[:, :m].copy().T)
         Jy = spec.row_degree(t + 1)
         total += Jy
         h = h.astype(_int_dtype(total), copy=False)
@@ -962,7 +987,6 @@ def _ensemble_rows(spec, samples, rng):
         x = 0
         while True:
             x += 1
-            far = max(far, x)
             if x == len(h):  # a slide needs the next row
                 h = np.concatenate([h, np.zeros_like(h)])
             hx = h[x - 1]

@@ -135,6 +135,9 @@ class ObservableSpec:
             raise ValueError("delta = %r equals q^j for a j < k = %d, where "
                              "the normalization prod_j (1 - q^j / delta) "
                              "vanishes" % (delta, self.k))
+        if not all(map(math.isfinite, norm)):
+            raise ValueError("delta = %r puts q^j / delta past float range "
+                             "for a j < k = %d" % (delta, self.k))
 
     @property
     def k(self):

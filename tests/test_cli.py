@@ -961,13 +961,15 @@ class TestVerifyIdentity:
          "B must be finite, got (inf,)"),
         (["--k", "1", "--x", "2", "--N", "3", "--b", "nan"],
          "B must be finite, got (nan,)"),
+        (["--x", "1", "--samples", "2", "--delta=5e-324"],
+         "delta = 5e-324 puts q^j / delta past float range"),
     ], ids=["q0-contours", "q0-C", "delta-q0", "delta-q1", "q-overflow",
-            "q-tiny", "b0", "b-inf", "b-nan"])
+            "q-tiny", "b0", "b-inf", "b-nan", "delta-tiny"])
     def test_qhahn_arithmetic_exits_2(self, tmp_path, capsys, argv, says):
         # q = 0 has no 1/q to nest the contours by and no q^-1 for C;
         # delta = q^j (j < k) zeroes the normalization prod (1 - q^j/delta),
-        # and q^j must be a float; b = 0, or c_y = q^2 = 0 at q = 5e-324,
-        # zeroes phi's a = b c_y, and b must be finite.
+        # and q^j and q^j / delta must be floats; b = 0, or c_y = q^2 = 0
+        # at q = 5e-324, zeroes phi's a = b c_y, and b must be finite.
         code, rep = run(tmp_path, "verify-identity", "--form", "qhahn", *argv)
         assert code == 2 and rep is None
         err = capsys.readouterr().err
@@ -1649,3 +1651,96 @@ class TestDeterminism:
             rep.pop("timing")
             texts.append(json.dumps(rep, sort_keys=True))
         assert texts[0] == texts[1]
+
+
+GENERAL_PAIRS = json.loads(GENERAL_CONFIG % "[0, 0.5477225575051661]")
+
+
+class TestConfigValues:
+    """A config number is a real number; a list only where its key takes
+    one; and q = 1 or -1 is no model's.  Each of these once ran (exit 0,
+    echoing the value), failed in Python's own words with no key (exit 2)
+    or failed at sampling (exit 1)."""
+
+    @pytest.mark.parametrize("argv, says", [
+        (["simulate", "--model", "pep", "--config", '{"J": true}'],
+         "J takes real numbers, got True"),
+        (["simulate", "--model", "pep", "--config", '{"gamma": "5"}'],
+         "gamma takes real numbers, got '5'"),
+        (["simulate", "--model", "asym-pep", "--config", '{"delta": false}'],
+         "delta takes real numbers, got False"),
+        (["simulate", "--model", "corner", "--config", '{"p": true}'],
+         "p takes real numbers, got True"),
+        (["simulate", "--model", "qhahn", "--config", '{"B": ["-0.3"]}'],
+         "B takes real numbers, got '-0.3'"),
+        (["simulate", "--model", "general", "--config",
+          json.dumps(GENERAL_PAIRS | {"U": ["1.05"]})],
+         "U takes complex numbers, got '1.05'"),
+        (["simulate", "--model", "pep", "--config", '{"gamma": null}'],
+         "gamma takes real numbers, got None"),
+        (["simulate", "--model", "pep", "--config", '{"gamma": [5]}'],
+         "gamma takes real numbers, got [5]"),
+        (["simulate", "--model", "pep", "--config", '{"J": "1"}'],
+         "J takes real numbers, got '1'"),
+        (["simulate", "--model", "qhahn", "--config", '{"J": [[1]]}'],
+         "J takes real numbers, got [1]"),
+        (["simulate", "--model", "qhahn", "--config", '{"q": 1}'],
+         "qhahn needs every |1 - q^m| >= 1e-13"),
+        (["simulate", "--model", "qhahn", "--config",
+          '{"q": 1.0000000000000002}'], "got q = 1.0000000000000002"),
+        (["simulate", "--model", "qhahn", "--config", '{"q": -1}'],
+         "got q = -1.0"),
+        (["simulate", "--model", "general", "--config",
+          json.dumps(GENERAL_PAIRS | {"q": 1})],
+         "general needs |q| >= 1e-13, q != 1"),
+        (["simulate", "--model", "general", "--config",
+          json.dumps(GENERAL_PAIRS | {"q": 1.0000000000000002})],
+         "got q = 1.0000000000000002"),
+        (["asymptotics", "--experiment", "heat", "--config",
+          '{"T": true, "samples": 10}'], "T takes real numbers, got True"),
+        (["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 10, "s": "0"}'],
+         "s takes real numbers, got '0'"),
+        (["asymptotics", "--experiment", "gamma", "--config",
+          '{"T": 16, "samples": 10, "m_list": [true]}'],
+         "m_list takes real numbers, got True"),
+        (["asymptotics", "--experiment", "heat", "--config",
+          '{"T": [16], "samples": 10}'], "T must be a number, got [16]"),
+        (["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 10, "s": [[0, 1]]}'],
+         "s takes real numbers, got [0, 1]"),
+        (["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 10, "r": "x"}'],
+         "r takes real numbers, got 'x'"),
+        (["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 10, "J": null}'],
+         "J takes real numbers, got None"),
+        (["asymptotics", "--experiment", "kpz-exponent", "--config",
+          '{"T_list": 16, "samples": 10}'],
+         "T_list must be a list of numbers, got 16"),
+        (["verify-identity", "--form", "qhahn", "--q", "1", "--x", "1",
+          "--N", "2"], "qhahn needs every |1 - q^m| >= 1e-13"),
+        (["verify-identity", "--form", "qhahn", "--q", "1", "--x", "1",
+          "--N", "1"], "qhahn needs every |1 - q^m| >= 1e-13"),
+    ], ids=["pep-J-true", "pep-gamma-str", "asym-delta-false",
+            "corner-p-true", "qhahn-B-str", "general-U-str",
+            "pep-gamma-null", "pep-gamma-list", "pep-J-str",
+            "qhahn-J-nested", "qhahn-q1", "qhahn-q1-ulp", "qhahn-q-1",
+            "general-q1", "general-q1-ulp", "heat-T-true", "heat-s-str",
+            "gamma-m_list-true", "heat-T-list", "heat-s-nested",
+            "heat-r-str", "heat-J-null", "kpz-T_list-number",
+            "verify-q1-N2", "verify-q1-N1"])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch,
+                                    argv, says):
+        # before any sampling: a run would build the generator
+        def no_sampling(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(models, "_trajectory_rng", no_sampling)
+        if argv[0] == "simulate":
+            argv = argv + ["--steps", "6", "--samples", "5"]
+        code, rep = run(tmp_path, *argv)
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid ") and err.count("\n") == 1
+        assert says in err

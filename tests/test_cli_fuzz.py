@@ -2,20 +2,23 @@
 process through `cli.dispatch`.
 
 Every example must return 0, 1 or 2 (argparse's own exit 2 included), and
-exit 0 must print a JSON report that passed; an `asymptotics` report must
-have run the horizons, J and sample count its config names.  No exit-2
-message may carry Python's own float conversion text.  No other exception
-may escape, and pytest's `filterwarnings = error` turns a leaked numpy
-warning into a failure.  Config keys come from each model's and experiment's
-allowed set, with values that mix ordinary, boundary, huge, tiny, negative,
-inf and nan numbers, and empty and one-entry lists; a gamma is also
-10^4, inf or nan more often.  Sizes (steps, T,
-samples, N, k and J) are either small or so large that the size check
-rejects them before anything is allocated, so that no example allocates
-more than a few MB.  Moment orders are small, fractional or so large that
-the gamma experiment rejects them before sampling, as it does any order
-whose target leaves float range.  `simulate` sometimes writes its CSV and
-trajectory CSV, into one temporary directory for the whole module.
+exit 0 must print a JSON report that passed, whose echoed model or
+experiment config holds only numbers, lists of numbers and, for the general
+model, [re, im] pairs; an `asymptotics` report must have run the horizons,
+J and sample count its config names.  No exit-2 message may carry Python's
+own conversion or operator text.  No other exception may escape, and
+pytest's `filterwarnings = error` turns a leaked numpy warning into a
+failure.  Config keys come from each model's and experiment's allowed set,
+with values that mix ordinary, boundary, huge, tiny, negative, inf and nan
+numbers, and empty and one-entry lists; a gamma is also 10^4, inf or nan
+more often.  One value in eight is of no key's kind: true, false, null, a
+numeric string, or a list of those or of lists.  Sizes (steps, T, samples,
+N, k and J) are either small or so large that the size check rejects them
+before anything is allocated, so that no example allocates more than a few
+MB.  Moment orders are small, fractional or so large that the gamma
+experiment rejects them before sampling, as it does any order whose target
+leaves float range.  `simulate` sometimes writes its CSV and trajectory
+CSV, into one temporary directory for the whole module.
 """
 
 import contextlib
@@ -69,7 +72,20 @@ GENERAL = {"q": 0.4, "delta": -0.2, "U": [1.05], "Xi": [[0, 0.5477]],
 SIZE_KEYS = {"J", "T", "samples"}
 
 
+# JSON values that are not numbers, and lists nested one level too deep
+# for every key but general's U, Xi and S
+NOT_NUMBERS = st.one_of(
+    st.sampled_from((True, False, None, "1", "0.5", "-3")),
+    lists_of(st.sampled_from((True, None, "2"))),
+    st.lists(lists_of(numbers), min_size=1, max_size=2))
+
+
 def _value(key):
+    """A value of the key's kind, or, one time in eight, of none."""
+    return st.one_of(*[_kind(key)] * 7, NOT_NUMBERS)
+
+
+def _kind(key):
     if key in SIZE_KEYS:
         return st.one_of(sizes, lists_of(sizes))
     if key == "T_list":
@@ -209,6 +225,25 @@ argvs = st.sampled_from(
     + ["check-weights"]).flatmap(SUBCOMMANDS.get)
 
 
+# the text of Python's own conversion and operator errors
+PYTHON_TEXT = ("cannot convert float", "argument must be", "could not convert",
+               "not supported between", "unsupported operand")
+
+
+def assert_config_holds_numbers(argv, cfg):
+    """Each value of an echoed config is a number, as a report writes one
+    (inf and nan as strings), or a list of them; a general model's list
+    entries may also be [re, im] pairs."""
+    def number(x):
+        return type(x) in (int, float) or x in ("inf", "-inf", "nan")
+
+    pairs = argv[:3] == ["simulate", "--model", "general"]
+    for key, value in cfg.items():
+        for x in value if isinstance(value, list) else [value]:
+            pair = pairs and isinstance(x, list) and len(x) == 2
+            assert all(map(number, x if pair else [x])), (argv, key, value)
+
+
 def assert_ran_as_configured(rep):
     """The horizons, J and samples of an asymptotics report are its
     config's."""
@@ -345,15 +380,77 @@ def assert_ran_as_configured(rep):
           '{"T": 16, "samples": 10, "s": -Infinity}'])
 @example(["asymptotics", "--experiment", "kpz-exponent", "--config",
           '{"T_list": [16, Infinity], "samples": 10}'])
+# config values that are not numbers, once taken as numbers (exit 0) or
+# reported in Python's words (exit 2), and q = 1 and -1, once found only
+# at sampling (exit 1); a gamma past float range escaped as a traceback
+@example(["simulate", "--model", "pep", "--config",
+          '{"J": true}', "--steps", "4", "--samples", "5"])
+@example(["simulate", "--model", "pep", "--config",
+          '{"gamma": "5"}', "--steps", "4", "--samples", "5"])
+@example(["simulate", "--model", "asym-pep", "--config",
+          '{"delta": false}', "--steps", "4", "--samples", "5"])
+@example(["simulate", "--model", "corner", "--config",
+          '{"p": true}', "--steps", "4", "--samples", "5"])
+@example(["simulate", "--model", "qhahn", "--config",
+          '{"B": ["-0.3"]}', "--steps", "4", "--samples", "5"])
+@example(["simulate", "--model", "general", "--config",
+          json.dumps(GENERAL | {"U": ["1.05"]}), "--steps", "4",
+          "--samples", "5"])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"T": true, "samples": 10}'])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 10, "s": "0"}'])
+@example(["asymptotics", "--experiment", "gamma", "--config",
+          '{"T": 16, "samples": 10, "m_list": [true]}'])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"T": [16], "samples": 10}'])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 10, "s": [[0, 1]]}'])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 10, "r": "x"}'])
+@example(["asymptotics", "--experiment", "heat", "--config",
+          '{"T": 16, "samples": 10, "J": null}'])
+@example(["simulate", "--model", "pep", "--config",
+          '{"gamma": null}', "--steps", "4", "--samples", "5"])
+@example(["simulate", "--model", "pep", "--config",
+          '{"gamma": [5]}', "--steps", "4", "--samples", "5"])
+@example(["simulate", "--model", "pep", "--config",
+          '{"J": "1"}', "--steps", "4", "--samples", "5"])
+@example(["simulate", "--model", "qhahn", "--config",
+          '{"J": [[1]]}', "--steps", "4", "--samples", "5"])
+@example(["simulate", "--model", "qhahn", "--config",
+          '{"q": 1}', "--steps", "3", "--samples", "5"])
+@example(["simulate", "--model", "qhahn", "--config",
+          '{"q": 1.0000000000000002}', "--steps", "3", "--samples", "5"])
+@example(["simulate", "--model", "qhahn", "--config",
+          '{"q": -1}', "--steps", "6", "--samples", "5"])
+@example(["simulate", "--model", "general", "--config",
+          json.dumps(GENERAL | {"q": 1}), "--steps", "3", "--samples",
+          "5"])
+@example(["simulate", "--model", "general", "--config",
+          json.dumps(GENERAL | {"q": 1.0000000000000002}), "--steps", "3",
+          "--samples", "5"])
+@example(["verify-identity", "--form", "qhahn", "--q", "1", "--x", "1",
+          "--N", "2"])
+@example(["verify-identity", "--form", "qhahn", "--q", "1", "--x", "1",
+          "--N", "1"])
+# a delta whose 1/delta leaves float range: nan rows and a numpy warning
+@example(["verify-identity", "--form", "qhahn", "--x", "1", "--samples=2",
+          "--delta=5e-324"])
+@example(["simulate", "--model", "pep", "--config",
+          '{"gamma": 1%s}' % ("0" * 400), "--steps", "4", "--samples", "5"])
 def test_every_argv_exits_0_1_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.dispatch(argv)
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     if code == 2:
-        assert "cannot convert float" not in err.getvalue(), argv
+        assert not any(t in err.getvalue() for t in PYTHON_TEXT), (
+            argv, err.getvalue())
     if code == 0:
         rep = json.loads(out.getvalue())
         assert rep["passed"] is True
+        for key in ("model_config", "experiment_config"):
+            assert_config_holds_numbers(argv, rep["config"].get(key, {}))
         if argv[0] == "asymptotics":
             assert_ran_as_configured(rep)

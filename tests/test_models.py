@@ -19,6 +19,7 @@ from dynvertex.errors import (
     DynVertexError,
     InadmissibleParameters,
     InadmissibleWeights,
+    SingularParameter,
     SizeLimit,
 )
 from dynvertex.models import (
@@ -64,6 +65,13 @@ def h_tail(cfg, x):
     return sum(cfg[x - 1:]) if x - 1 < len(cfg) else 0
 
 
+def last_site(occ):
+    """The last column of an occupancy array (samples, sites) non-empty in
+    some sample, -1 if none."""
+    nz = np.flatnonzero(occ.any(axis=0))
+    return int(nz[-1]) if len(nz) else -1
+
+
 def suffix_cumsum_pep(spec, N, samples, rng, trace=None):
     """Oracle for the exclusion-process window engine: the same window
     rules and random stream on an occupancy state (samples, width), with
@@ -71,7 +79,8 @@ def suffix_cumsum_pep(spec, N, samples, rng, trace=None):
     evaluated at every cell.  A uniform is drawn only where
     0 < eta < J+1, site by site; the other cells compare 0.5 with their
     stay probability, exactly 0 (empty) or 1 (full).
-    Returns (lo, occupancy); a trace list gets (lo, advance) per step."""
+    Returns (lo, occupancy); a trace list gets (lo, advance, r) per step,
+    r the last site non-empty in some sample (lo - 1 if none)."""
     J, cap = spec.J, spec.J + 1
     arr = np.zeros((samples, 8), dtype=np.int64)
     lo = 1
@@ -99,7 +108,7 @@ def suffix_cumsum_pep(spec, N, samples, rng, trace=None):
             k += 1
         arr, lo = arr[:, k:], lo + k
         if trace is not None:
-            trace.append((lo, k))
+            trace.append((lo, k, lo + last_site(arr)))
     return lo, arr
 
 
@@ -190,7 +199,7 @@ def bitplane_pep(spec, N, samples, rng, trace=None):
     particle keeps it when its bit is 1, a full cell keeps one and passes
     one, and site lo receives one particle from the left.  Returns (lo,
     occupancy of the first `samples` lanes); a trace list gets (lo,
-    advance) per step."""
+    advance, r) per step."""
     words = -(-samples // 64)
     occ = np.zeros((64 * words, 1), dtype=np.int64)
     lo = 1
@@ -214,7 +223,7 @@ def bitplane_pep(spec, N, samples, rng, trace=None):
             k += 1
         occ, lo = occ[:, k:], lo + k
         if trace is not None:
-            trace.append((lo, k))
+            trace.append((lo, k, lo + last_site(occ)))
     return lo, occ[:samples]
 
 
@@ -293,15 +302,41 @@ def sampler(vectorized):
     return run_ensemble if vectorized else run_scalar
 
 
+def row_sweep_oracle(spec, N, samples, rng):
+    """Oracle for the row engine: sample by sample and site by site with
+    `_kernel`, on the engine's stream: one rng.random(samples) per site
+    while some sample has h(x) > 0 or arrows to pass on, and an active
+    sample's j2 the number of its cumulative weights, all but the last,
+    that are <= its uniform.  Returns the int64 occupancy (samples, sites
+    1, 2, ...) after N steps, its last column zero."""
+    occ = np.zeros((samples, 1), dtype=np.int64)
+    for t in range(N):
+        h, j1 = occ.sum(axis=1), np.full(samples, spec.row_degree(t + 1))
+        new, x = occ.copy(), 0
+        while (h > 0).any() or (j1 > 0).any():
+            x += 1
+            if x == new.shape[1]:  # keep a zero last column
+                occ, new = (np.pad(a, ((0, 0), (0, x))) for a in (occ, new))
+            u = rng.random(samples)
+            for i in np.flatnonzero((h > 0) | (j1 > 0)):
+                i1 = int(occ[i, x - 1])
+                w = models._kernel(spec, x, t, i1, int(j1[i]), int(h[i]))[1]
+                j2 = int((np.cumsum(w)[:-1] <= u[i]).sum())
+                new[i, x - 1] += j1[i] - j2
+                h[i], j1[i] = h[i] - i1, j2
+        occ = new
+    return occ
+
+
 def oracle_heights(spec, N, samples, seed, trace=None):
     """The oracle's int64 heights (bitplane_pep for the bit-sliced specs,
     else suffix_cumsum_pep) from the engine's generator: column x - 1
-    holds h(x) of every sample, at the sites x = 1, ..., N + 2."""
+    holds h(x) of every sample, at the sites x = 1, ..., N + 3."""
     sweep = bitplane_pep if bit_sliced(spec) else suffix_cumsum_pep
     lo, occ = sweep(spec, N, samples, _trajectory_rng(seed, 0), trace)
     total = spec.J * N
-    h = np.empty((samples, N + 2), dtype=np.int64)
-    for x in range(1, N + 3):
+    h = np.empty((samples, N + 3), dtype=np.int64)
+    for x in range(1, N + 4):
         if x <= lo:
             h[:, x - 1] = total - (spec.J + 1) * (x - 1)
         else:
@@ -463,6 +498,46 @@ class TestModelSpec:
                     J=(1,)) | kw
         with pytest.raises(ValueError, match=says):
             ModelSpec.general(**args)
+
+    @pytest.mark.parametrize("make, key", [
+        (lambda v: ModelSpec.jgamma_pep(v, 5.0), "J"),
+        (lambda v: ModelSpec.jgamma_pep(1, v), "gamma"),
+        (lambda v: ModelSpec.asym_pep(v, 0.0), "q"),
+        (lambda v: ModelSpec.asym_pep(0.25, v), "delta"),
+        (lambda v: ModelSpec.corner(v), "p"),
+        (lambda v: ModelSpec.corner_dyn(v), "gamma"),
+        (lambda v: ModelSpec.qhahn(Q, DELTA, (v,), (Q,), (1,)), "B"),
+        (lambda v: ModelSpec.qhahn(Q, DELTA, (B0,), (Q,), (v,)), "J"),
+        (lambda v: ModelSpec.general(v, DELTA, (1.05,), (S_IM,), (S_IM,),
+                                     (1,)), "q"),
+        (lambda v: ModelSpec.general(Q, DELTA, (v,), (S_IM,), (S_IM,),
+                                     (1,)), "U")],
+        ids=["pep-J", "pep-gamma", "asym-q", "asym-delta", "corner-p",
+             "corner-dyn-gamma", "qhahn-B", "qhahn-J", "general-q",
+             "general-U"])
+    @pytest.mark.parametrize("value", [True, "1", None, [1], 10 ** 400],
+                             ids=["bool", "str", "None", "list", "huge"])
+    def test_parameters_are_real_numbers(self, make, key, value):
+        # A bool, a string, None or a list once passed as a number, or
+        # failed with Python's own text and no key; an int past float
+        # range escaped as an OverflowError.
+        with pytest.raises(ValueError, match=r"^(row degrees .*)?%s " % key):
+            make(value)
+
+    @pytest.mark.parametrize("variant, q, steps", [
+        ("qhahn", 1.0, 3), ("qhahn", 1.0000000000000002, 3),
+        ("qhahn", -1.0, 6), ("general", 1.0, 3),
+        ("general", 1.0000000000000002, 3)])
+    def test_q_where_the_weights_are_singular(self, variant, q, steps):
+        # The constructors reject these q by the test the weights make at
+        # sampling, where they once failed (exit 1).
+        args = (dict(B=(B0,), C=(q,), J=(1,)) if variant == "qhahn"
+                else dict(U=(1.05,), Xi=(S_IM,), S=(S_IM,), J=(1,)))
+        with pytest.raises(InadmissibleParameters, match="q = %r$" % q):
+            getattr(ModelSpec, variant)(q, DELTA, **args)
+        with pytest.raises(SingularParameter):
+            run_ensemble(ModelSpec(variant, q, DELTA, **args), steps, 200, 1,
+                         [])
 
     def test_corner_dyn_bound(self):
         with pytest.raises(InadmissibleParameters):
@@ -969,11 +1044,14 @@ class TestEnsembles:
 
     @pytest.mark.parametrize("spec", [
         ModelSpec.jgamma_pep(10 ** 18, math.inf),
-        ModelSpec.qhahn(1.0, DELTA, B=(B0,), C=(1.0,), J=(10 ** 300,))],
+        ModelSpec(variant="qhahn", q=1.0, delta=DELTA, B=(B0,), C=(1.0,),
+                  J=(10 ** 300,))],
         ids=["pep", "qhahn"])
     def test_values_past_int64_raise_size_limit(self, spec):
         # A row degree this large once gave the engines an object dtype
-        # and a raw TypeError.
+        # and a raw TypeError.  The qhahn spec is built past its
+        # constructor, which rejects q = 1, the one q whose c = q^J stays
+        # 1 at this J.
         with pytest.raises(SizeLimit, match="past int64"):
             run_ensemble(spec, 2, 2, 0, [lambda st: 0.0])
 
@@ -1156,9 +1234,13 @@ class TestWindowEngine:
         ModelSpec.jgamma_pep(J=2, gamma=7.0)],
         ids=["asym-d0", "asym-d-0.5", "jgamma-J1", "jgamma-J2"])
     def test_matches_suffix_cumsum_oracle(self, spec):
-        lo, width = assert_engine_matches_oracle(spec, 80, 20, 5)
-        # The window advanced and grew by 64 past its first 8 sites.
-        assert lo > 1 and lo + width - 1 >= 72
+        trace = []
+        lo, width = assert_engine_matches_oracle(spec, 80, 20, 5, trace)
+        # The band is the oracle's lo..r+1; it advanced, and its right end
+        # passed the oracle's first 8 sites.
+        (lo_n, _, r), = trace[-1:]
+        assert (lo, lo + width - 1) == (lo_n, r + 1)
+        assert lo > 1 and r >= 8
 
     @settings(max_examples=40)
     @given(st.one_of(
@@ -1209,20 +1291,22 @@ class TestWindowEngine:
         trace = []
         lo, width = assert_engine_matches_oracle(spec, 200, 3, 7, trace)
         grow = models._WINDOW_GROW
+        (lo_n, _, r), = trace[-1:]
+        assert (lo, lo + width - 1) == (lo_n, r + 1)
         if not bit_sliced(spec):  # the height buffer of _ensemble_pep
             # The origin starts _WINDOW_GROW rows before site 1 and moves
             # left one row a step and right with lo: at time t it is used
             # up once t - lo_t + 1 reaches _WINDOW_GROW, and the band must
             # move.
-            los = [1] + [lo_t for lo_t, _ in trace[:-1]]
+            los = [1] + [lo_t for lo_t, _, _ in trace[:-1]]
             assert max(t - lo_t + 1 for t, lo_t in enumerate(los)) >= grow + 8
-            # The right end passed 8 + _WINDOW_GROW, so the heights reach
-            # the window's second extent.
-            assert lo + width - 1 >= 8 + 2 * grow
+            # The band advanced, and its right end passed site
+            # 8 + _WINDOW_GROW.
+            assert lo > 1 and r >= 8 + grow
         # lo never advances by two sites in one step: a site left not full
         # in some sample keeps its right neighbour below J + 1 there, so
         # the engine's advance loop runs at most once a step.
-        assert {k for _, k in trace} == {0, 1}
+        assert {k for _, k, _ in trace} == {0, 1}
 
     @PEP_SPECS
     def test_frequent_band_moves_match_oracle(self, monkeypatch, spec):
@@ -1616,6 +1700,42 @@ class TestSnapshots:
             assert snap.total_particles == h[0] == particles(spec, t)
 
     @SNAPSHOT_SPECS
+    def test_snapshot_stores_only_its_band(self, spec):
+        # No snapshot stores a row past its band.  An exclusion process
+        # stores the oracle's lo..r+1, r the last site non-empty in some
+        # sample (or lane), and site r+1 is empty in every sample; a row
+        # model its buffer, a zero last row within twice the r+1 sites a
+        # run to t reaches.  Both row models meet a negative weight at row
+        # 6.  The heights at sites 1..t+3 and sample 0's occupancy are the
+        # oracle's.
+        rows = spec.variant in ("qhahn", "general")
+        N, samples, seed = (5 if rows else 12), 7, 3
+        for t, snap in zip(range(N + 1),
+                           models.Trajectory(spec, samples, seed)):
+            ens = snap.ensemble()
+            heights = ens.heights
+            if rows:
+                occ = row_sweep_oracle(spec, t, samples,
+                                       _trajectory_rng(seed, 0))
+                r = last_site(occ) + 1
+                assert ens.left == 1
+                assert r + 1 <= heights.shape[1] <= 2 * (r + 1)
+                ref = occ[:, ::-1].cumsum(axis=1)[:, ::-1]
+                ref = np.pad(ref, ((0, 0), (0, t + 3)))[:, :t + 3]
+            else:
+                trace = []
+                ref = oracle_heights(spec, t, samples, seed, trace)
+                (lo, _, r), = trace[-1:] or [(1, 0, 0)]
+                assert (ens.left, ens.left + heights.shape[1] - 1) == (
+                    lo, r + 1)
+                occ = ref[:, :-1] - ref[:, 1:]
+            assert not heights[:, -1].any()
+            for x in range(1, t + 4):
+                assert np.array_equal(current(ens, x), ref[:, x - 1]), (t, x)
+            want = np.trim_zeros(occ[0], "b")
+            assert snap.occupancy.tolist() == (want.tolist() or [0])
+
+    @SNAPSHOT_SPECS
     def test_step_runs_one_trajectory(self, spec):
         # initial_state and step give the snapshots of a one-sample run.
         state = models.initial_state(spec, seed=4)
@@ -1684,12 +1804,14 @@ class TestRowEngine:
         ids=["N0", "N1", "N3", "N5-1e5", "J12-N4"])
     def test_qhahn_equals_prior_engine(self, spec, N, samples, seed):
         # The q-Hahn stream and heights of the engine before the row
-        # engine, value for value.
+        # engine, value for value, at every site the prior stores and one
+        # past them.
         ens = run_engine(_ensemble_rows, spec, N, samples,
                          _trajectory_rng(seed, 0))
         ref = prior.ensemble_qhahn(spec, N, samples, _trajectory_rng(seed, 0))
         assert (ens.time, ens.left) == (ref.time, ref.left)
-        assert np.array_equal(ens.heights, ref.heights)
+        for x in range(1, ref.heights.shape[1] + 2):
+            assert np.array_equal(current(ens, x), current(ref, x)), x
 
     def test_qhahn_error_equals_prior_engine(self):
         # At N = 5 the two-row parameters meet a negative weight.
